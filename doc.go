@@ -39,9 +39,9 @@
 // # Streaming compression
 //
 // Compress is the batch face of a streaming pipeline. CompressStream
-// yields per-class results as they complete, with classes enumerated
-// lazily off the prefix trie and scheduled onto sharded work-stealing
-// workers grouped by deduplication fingerprint (one refinement per group;
+// yields per-class results as they complete, with classes taken from the
+// snapshot's class index and scheduled onto sharded work-stealing workers
+// grouped by deduplication fingerprint (one refinement per group;
 // followers ride the cache):
 //
 //	s, err := eng.CompressStream(ctx, bonsai.ClassSelector{})

@@ -15,11 +15,8 @@ package build
 
 import (
 	"fmt"
-	"iter"
 	"net/netip"
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"bonsai/internal/config"
 	"bonsai/internal/ec"
@@ -83,9 +80,8 @@ type Builder struct {
 	ospfCost  []int32 // -1 when the edge has no OSPF adjacency
 	ospfCross []bool
 
-	classesOnce  sync.Once
-	classes      []ec.Class
-	classesReady atomic.Bool // classes is built (readable without the Once)
+	classesOnce sync.Once
+	classIdx    ec.Index // the classes and their lookup trie, built once
 
 	lpOnce sync.Once
 	lpUsed bool // some session route map sets a local preference (adopt.go)
@@ -122,9 +118,6 @@ type Builder struct {
 	// group.
 	sigMemo map[string]*classSig
 	store   absStore
-
-	ncOnce sync.Once
-	nc     int // NumClasses memo
 }
 
 // New validates the network and constructs its Builder: the SRP graph, the
@@ -250,46 +243,25 @@ func (b *Builder) buildEdgeTables() {
 	}
 }
 
+// classIndex enumerates the destination classes on first use. A Builder
+// never outlives its configuration, so the index is built once and is
+// immutable from then on.
+func (b *Builder) classIndex() ec.Index {
+	b.classesOnce.Do(func() { b.classIdx = ec.NewIndex(b.Cfg) })
+	return b.classIdx
+}
+
 // Classes returns the destination equivalence classes of the network,
 // deterministically ordered by prefix (paper §5.1). The slice is computed
 // once and shared; callers must not modify it.
-func (b *Builder) Classes() []ec.Class {
-	b.classesOnce.Do(func() {
-		b.classes = ec.Classes(b.Cfg)
-		b.classesReady.Store(true)
-	})
-	return b.classes
-}
+func (b *Builder) Classes() []ec.Class { return b.classIndex().Classes() }
 
-// ClassFor returns the destination class owning the given prefix.
+// ClassFor returns the destination class a query for prefix targets: the
+// class with exactly that prefix, else the one owning its address. It walks
+// the index the classes were enumerated from, so a lookup is at most 32
+// steps and allocates nothing.
 func (b *Builder) ClassFor(prefix string) (ec.Class, error) {
-	return ec.ClassFor(b.Cfg, prefix)
-}
-
-// ClassStream yields the destination classes lazily in the same
-// deterministic order as Classes, walking the prefix trie on demand. It is
-// the enumeration layer of the streaming pipeline: unlike Classes, it never
-// materializes (or memoizes) the class slice, so a consumer that hands each
-// class straight to a compression worker holds one class at a time. When
-// some caller has already paid for the memoized slice (Classes), repeated
-// streams serve from it instead of rebuilding the trie.
-func (b *Builder) ClassStream() iter.Seq[ec.Class] {
-	if b.classesReady.Load() {
-		return slices.Values(b.classes)
-	}
-	return ec.Stream(b.Cfg)
-}
-
-// NumClasses counts the destination classes without materializing them,
-// memoized per Builder (progress reporting and ratio denominators need the
-// count, not the slice).
-func (b *Builder) NumClasses() int {
-	b.ncOnce.Do(func() {
-		for range b.ClassStream() {
-			b.nc++
-		}
-	})
-	return b.nc
+	return b.classIndex().ClassFor(prefix)
 }
 
 // ClassFingerprint returns the class's deduplication fingerprint — the

@@ -40,7 +40,6 @@ import (
 	"bonsai/internal/bdd"
 	"bonsai/internal/config"
 	"bonsai/internal/core"
-	"bonsai/internal/ec"
 	"bonsai/internal/policy"
 	"bonsai/internal/topo"
 )
@@ -722,16 +721,11 @@ func (b *Builder) LoadRelationStore(r io.Reader, comp *policy.Compiler) (int, er
 	}
 	installs := make([]install, 0, len(classes))
 	seen := make(map[string]bool, len(classes))
-	// One pass over the memoized class slice instead of ClassFor per staged
-	// prefix: ClassFor rebuilds the prefix trie on every call, which turns
-	// the load quadratic at fat-tree-2000 scale (800 classes).
-	byPrefix := make(map[string]ec.Class, len(classes))
-	for _, cls := range b.Classes() {
-		byPrefix[cls.Prefix.String()] = cls
-	}
 	for _, sc := range classes {
-		cls, ok := byPrefix[sc.prefix]
-		if !ok {
+		// A staged prefix must name a class exactly; the class that merely
+		// owns its address is a different class.
+		cls, err := b.ClassFor(sc.prefix)
+		if err != nil || cls.Prefix.String() != sc.prefix {
 			return 0, fmt.Errorf("build: relation store: class %q: no such destination class", sc.prefix)
 		}
 		sig, err := b.classSignature(cls)

@@ -8,7 +8,6 @@ package ec
 
 import (
 	"fmt"
-	"iter"
 	"net/netip"
 
 	"bonsai/internal/config"
@@ -18,51 +17,42 @@ import (
 // Class re-exports trie.Class: a representative prefix plus origin routers.
 type Class = trie.Class
 
-// Stream yields the destination equivalence classes of the network lazily,
-// one per originated prefix that is the longest match for some address, in
-// the same deterministic (address, prefix length) order as Classes. The
-// prefix trie is walked on demand, so consumers that stop early — or that
-// hand each class straight to a compression worker — never hold the full
-// class slice.
-func Stream(n *config.Network) iter.Seq[Class] {
+// Index is the frozen class lookup of one network: its classes in their
+// deterministic (address, prefix length) order, one per originated prefix
+// that is the longest match for some address, and the trie that finds the
+// class a query names. It is immutable, so one Index serves every query of a
+// configuration snapshot.
+type Index struct{ *trie.Index }
+
+// NewIndex enumerates the network's destination classes.
+func NewIndex(n *config.Network) Index {
 	t := trie.New()
 	for p, origins := range n.OriginatedPrefixes() {
 		for _, o := range origins {
 			t.Insert(p, o)
 		}
 	}
-	return t.All()
+	return Index{t.Freeze()}
 }
 
-// Classes returns the destination equivalence classes of the network as a
-// slice: a thin collector over Stream for callers that index or re-iterate.
-func Classes(n *config.Network) []Class {
-	var out []Class
-	for c := range Stream(n) {
-		out = append(out, c)
-	}
-	return out
-}
-
-// ClassFor returns the class owning the given prefix's address, for queries
-// that target a specific destination.
-func ClassFor(n *config.Network, prefix string) (Class, error) {
-	cls := Classes(n)
-	for _, c := range cls {
-		if c.Prefix.String() == prefix {
+// ClassFor returns the class a query for the given destination targets: the
+// class with exactly that prefix, else the class owning the prefix's
+// address. The walk is at most 32 steps and allocates nothing.
+func (x Index) ClassFor(prefix string) (Class, error) {
+	if p, err := netip.ParsePrefix(prefix); err == nil {
+		if c, ok := x.Find(p); ok {
 			return c, nil
 		}
 	}
-	if p, err := netip.ParsePrefix(prefix); err == nil {
-		best, bestBits := Class{}, -1
-		for _, c := range cls {
-			if c.Prefix.Contains(p.Addr()) && c.Prefix.Bits() > bestBits {
-				best, bestBits = c, c.Prefix.Bits()
-			}
-		}
-		if bestBits >= 0 {
-			return best, nil
-		}
-	}
 	return Class{}, fmt.Errorf("ec: no destination class for %q", prefix)
+}
+
+// Classes returns the destination equivalence classes of the network.
+func Classes(n *config.Network) []Class { return NewIndex(n).Classes() }
+
+// ClassFor is the one-shot form of Index.ClassFor, for callers that ask once
+// and keep no Index: it enumerates the classes, looks one up and drops the
+// rest.
+func ClassFor(n *config.Network, prefix string) (Class, error) {
+	return NewIndex(n).ClassFor(prefix)
 }

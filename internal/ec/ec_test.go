@@ -1,11 +1,14 @@
 package ec
 
 import (
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"testing"
 
 	"bonsai/internal/config"
+	"bonsai/internal/netgen"
 )
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -68,26 +71,93 @@ func TestAnycastOrigins(t *testing.T) {
 	t.Fatal("class missing")
 }
 
-// TestStreamMatchesClasses proves the lazy enumeration yields exactly the
-// eager slice, in order, and that early termination stops the walk.
-func TestStreamMatchesClasses(t *testing.T) {
-	n := demoNet()
-	want := Classes(n)
-	var got []Class
-	for c := range Stream(n) {
-		got = append(got, c)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Stream != Classes:\n got %+v\nwant %+v", got, want)
-	}
-	seen := 0
-	for range Stream(n) {
-		seen++
-		if seen == 2 {
-			break
+// linearClassFor is the lookup ClassFor used before the index existed:
+// enumerate every class, compare prefix strings, then scan for the longest
+// class containing the address. It stays here as the reference the indexed
+// lookup must agree with.
+func linearClassFor(n *config.Network, prefix string) (Class, error) {
+	cls := Classes(n)
+	for _, c := range cls {
+		if c.Prefix.String() == prefix {
+			return c, nil
 		}
 	}
-	if seen != 2 {
-		t.Fatalf("early stop consumed %d", seen)
+	if p, err := netip.ParsePrefix(prefix); err == nil {
+		best, bestBits := Class{}, -1
+		for _, c := range cls {
+			if c.Prefix.Contains(p.Addr()) && c.Prefix.Bits() > bestBits {
+				best, bestBits = c, c.Prefix.Bits()
+			}
+		}
+		if bestBits >= 0 {
+			return best, nil
+		}
+	}
+	return Class{}, fmt.Errorf("ec: no destination class for %q", prefix)
+}
+
+// TestClassForMatchesLinearReference is the differential test of the index:
+// on every generator scenario, extended with a wide prefix over existing
+// classes and a prefix its two halves shadow, every query shape must give
+// the class (or the error) the linear scan gives.
+func TestClassForMatchesLinearReference(t *testing.T) {
+	scenarios := map[string]*config.Network{
+		"fattree":       netgen.Fattree(4, netgen.PolicyShortestPath),
+		"fattree-pref":  netgen.Fattree(6, netgen.PolicyPreferBottom),
+		"ring":          netgen.Ring(12),
+		"mesh":          netgen.FullMesh(8),
+		"spineleaf":     netgen.SpineLeaf(netgen.SpineLeafOptions{PreferExternal: true}),
+		"datacenter":    netgen.Datacenter(netgen.DCOptions{Clusters: 2, LeavesPerClus: 4, Cores: 2}),
+		"wan":           netgen.WAN(netgen.WANOptions{Backbone: 6, Sites: 8, SwitchesPerSite: 3}),
+		"demo":          demoNet(),
+		"no-originator": config.New("empty"),
+	}
+	rng := rand.New(rand.NewSource(12))
+	for name, n := range scenarios {
+		t.Run(name, func(t *testing.T) {
+			queries := []string{
+				"10.0.0.0/8", "172.16.0.0/12", "172.16.5.0/24", "172.16.5.77/24",
+				"192.0.2.1/32", "0.0.0.0/0", "255.255.255.255/32",
+				"2001:db8::/32", "::ffff:10.0.0.1/128", "::/0",
+				"", "not-a-prefix", "10.0.0.1", "10.0.0.0/33", "010.0.0.0/8", "10.0.0.0/08", " 10.0.0.0/8",
+			}
+			if names := n.RouterNames(); len(names) > 0 {
+				// A /8 with the generators' /24 classes inside it, and a /24
+				// that two /25s shadow completely.
+				r := n.Routers[names[0]]
+				r.Originate = append(r.Originate, pfx("10.0.0.0/8"),
+					pfx("172.16.5.0/24"), pfx("172.16.5.0/25"), pfx("172.16.5.128/25"))
+			}
+			for _, c := range Classes(n) {
+				// A random host address inside the class's range.
+				a := c.Prefix.Addr().As4()
+				off := uint32(rng.Uint64() & (1<<uint(32-c.Prefix.Bits()) - 1))
+				host := netip.AddrFrom4([4]byte{a[0] | byte(off>>24), a[1] | byte(off>>16), a[2] | byte(off>>8), a[3] | byte(off)})
+				queries = append(queries, c.Prefix.String(),
+					netip.PrefixFrom(host, 32).String(),
+					netip.PrefixFrom(host, c.Prefix.Bits()).String())
+			}
+			idx := NewIndex(n)
+			for _, q := range queries {
+				want, wantErr := linearClassFor(n, q)
+				for form, lookup := range map[string]func() (Class, error){
+					"index":    func() (Class, error) { return idx.ClassFor(q) },
+					"one-shot": func() (Class, error) { return ClassFor(n, q) },
+				} {
+					got, err := lookup()
+					if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+						t.Fatalf("%s ClassFor(%q): error %v, linear scan says %v", form, q, err, wantErr)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s ClassFor(%q) = %+v, linear scan says %+v", form, q, got, want)
+					}
+				}
+			}
+			if _, err := idx.ClassFor("172.16.5.77/32"); err == nil {
+				if avg := testing.AllocsPerRun(50, func() { idx.ClassFor("172.16.5.77/32") }); avg != 0 {
+					t.Errorf("an indexed lookup allocates %v times", avg)
+				}
+			}
+		})
 	}
 }

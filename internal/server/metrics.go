@@ -26,17 +26,20 @@ type metricSet struct {
 	queueDepth *metrics.GaugeVec     // {tenant}
 
 	// Engine layer, refreshed at scrape time.
-	cacheServed    *metrics.GaugeVec // {tenant}
-	cacheMisses    *metrics.GaugeVec
-	cacheHitRate   *metrics.GaugeVec
-	cacheEvictions *metrics.GaugeVec
-	cacheLive      *metrics.GaugeVec
-	cachePeak      *metrics.GaugeVec
-	adopted        *metrics.GaugeVec
-	invalidated    *metrics.CounterVec // accumulated from apply reports
-	adoptionRatio  *metrics.GaugeVec
-	nsPerClass     *metrics.GaugeVec
-	coalesceRatio  *metrics.GaugeVec
+	cacheServed     *metrics.GaugeVec // {tenant}
+	cacheMisses     *metrics.GaugeVec
+	cacheHitRate    *metrics.GaugeVec
+	cacheEvictions  *metrics.GaugeVec
+	cacheLive       *metrics.GaugeVec
+	cachePeak       *metrics.GaugeVec
+	adopted         *metrics.GaugeVec
+	invalidated     *metrics.CounterVec // accumulated from apply reports
+	adoptionRatio   *metrics.GaugeVec
+	nsPerClass      *metrics.GaugeVec
+	coalesceRatio   *metrics.GaugeVec
+	reachMemoHits   *metrics.GaugeVec
+	reachMemoMisses *metrics.GaugeVec
+	reachIndexDiff  *metrics.GaugeVec
 
 	// BDD layer, refreshed from Engine.BDDStats at scrape time: live
 	// unique-table footprint and op-cache behaviour per tenant.
@@ -107,6 +110,12 @@ func newMetricSet() *metricSet {
 			"Mean wall-clock nanoseconds per compressed class.", "tenant"),
 		coalesceRatio: r.GaugeVec("bonsai_coalesce_ratio",
 			"Delta edits received / applied across replay streams.", "tenant"),
+		reachMemoHits: r.GaugeVec("bonsai_reach_memo_hits_total",
+			"Reach queries answered from a class already solved in their snapshot.", "tenant"),
+		reachMemoMisses: r.GaugeVec("bonsai_reach_memo_misses_total",
+			"Reach queries that solved their class (first of a class per snapshot).", "tenant"),
+		reachIndexDiff: r.GaugeVec("bonsai_reach_index_mismatches_total",
+			"Reach queries whose indexed class differed from a fresh class enumeration (0 in a healthy engine).", "tenant"),
 
 		bddNodes: r.GaugeVec("bonsai_bdd_nodes_live",
 			"Live BDD nodes across the engine's compiler pool.", "tenant"),
@@ -160,9 +169,11 @@ func (m *metricSet) dropTenant(name string) {
 	for _, v := range []*metrics.GaugeVec{
 		m.inflight, m.queueDepth, m.cacheServed, m.cacheMisses, m.cacheHitRate,
 		m.cacheEvictions, m.cacheLive, m.cachePeak, m.adopted, m.adoptionRatio,
-		m.nsPerClass, m.coalesceRatio, m.bddNodes, m.bddLoad, m.bddManagers,
-		m.bddHits, m.bddMisses, m.bddOverwrites, m.journalAppends,
-		m.journalFsyncs, m.journalCkpts, m.journalTail, m.journalBytes,
+		m.nsPerClass, m.coalesceRatio, m.reachMemoHits, m.reachMemoMisses,
+		m.reachIndexDiff,
+		m.bddNodes, m.bddLoad, m.bddManagers, m.bddHits, m.bddMisses,
+		m.bddOverwrites, m.journalAppends, m.journalFsyncs, m.journalCkpts,
+		m.journalTail, m.journalBytes,
 	} {
 		v.Delete(name)
 	}
@@ -192,6 +203,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m.cacheLive.With(t.name).Set(float64(st.LiveBytes))
 		m.cachePeak.With(t.name).Set(float64(st.PeakBytes))
 		m.adopted.With(t.name).Set(float64(st.Adopted))
+		m.reachMemoHits.With(t.name).Set(float64(st.ReachMemoHits))
+		m.reachMemoMisses.With(t.name).Set(float64(st.ReachMemoMisses))
+		m.reachIndexDiff.With(t.name).Set(float64(st.ReachIndexMismatches))
 		if inv := m.invalidated.With(t.name).Value(); st.Adopted > 0 || inv > 0 {
 			m.adoptionRatio.With(t.name).Set(float64(st.Adopted) / (float64(st.Adopted) + float64(inv)))
 		}

@@ -77,7 +77,7 @@ func TestQuickLookupMatchesReference(t *testing.T) {
 				byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)),
 			})
 			wantP, wantOK := refLongestMatch(prefixes, addr)
-			gotP, _, gotOK := tr.Lookup(addr)
+			gotP, _, gotOK := lookup(tr, addr)
 			if gotOK != wantOK || (gotOK && gotP != wantP) {
 				t.Fatalf("trial %d addr %v: trie (%v,%v) vs ref (%v,%v)",
 					trial, addr, gotP, gotOK, wantP, wantOK)
@@ -100,7 +100,7 @@ func TestQuickClassesCoverEveryMatch(t *testing.T) {
 			prefixes = append(prefixes, p)
 			tr.Insert(p, "o")
 		}
-		classes := tr.Classes()
+		classes := tr.Freeze().Classes()
 		inClasses := make(map[netip.Prefix]bool, len(classes))
 		for _, c := range classes {
 			inClasses[c.Prefix] = true

@@ -26,11 +26,13 @@ import (
 	"time"
 
 	"bonsai/internal/build"
+	"bonsai/internal/core"
 	"bonsai/internal/dataplane"
 	"bonsai/internal/ec"
 	"bonsai/internal/policy"
 	"bonsai/internal/sched"
 	"bonsai/internal/srp"
+	"bonsai/internal/topo"
 )
 
 // Result aggregates one verification run.
@@ -42,9 +44,11 @@ type Result struct {
 	AbstractNodeSum int64         // total abstract nodes across classes (bonsai mode)
 	Compress        time.Duration // time spent compressing (bonsai mode)
 	Total           time.Duration
-	// DistinctAbstractions counts the abstractions actually computed by the
-	// Builder's cross-EC deduplication cache (bonsai mode); the remaining
-	// classes were served a shared abstraction.
+	// DistinctAbstractions is provenance, not an answer: the Builder's
+	// cumulative count of abstractions computed by refinement (bonsai mode).
+	// It depends on what the cache had already seen — a warm relation store,
+	// an earlier Compress, adoption across a delta — so two engines over the
+	// same configuration may report different values for the same verdict.
 	DistinctAbstractions int
 }
 
@@ -94,23 +98,7 @@ func AllPairsConcrete(ctx context.Context, b *build.Builder, opts Options) (*Res
 	res := &Result{Mode: "concrete", Classes: len(classes)}
 	start := time.Now()
 	err := ForEachClass(ctx, classes, opts.workers(), func(_ int, cls ec.Class) error {
-		mkFIB := func() (*dataplane.FIB, error) {
-			inst, err := b.Instance(cls)
-			if err != nil {
-				return nil, err
-			}
-			sol, err := srp.Solve(inst)
-			if err != nil {
-				return nil, fmt.Errorf("class %v: %w", cls.Prefix, err)
-			}
-			return dataplane.New(inst, sol, b.ACLPermitFunc(cls)), nil
-		}
-		pairs, ok, err := countReachable(ctx, mkFIB, opts.PerPairCertification)
-		if err != nil {
-			return err
-		}
-		addPairs(res, pairs, ok, 0)
-		return nil
+		return res.addClass(ctx, b, nil, cls, false, opts.PerPairCertification)
 	})
 	res.Total = time.Since(start)
 	return res, err
@@ -140,34 +128,153 @@ func AllPairsBonsai(ctx context.Context, b *build.Builder, opts Options) (*Resul
 		}
 	}
 	err := ForEachClassKeyed(ctx, slices.Values(classes), opts.workers(), FingerprintKey(b), func(worker int, cls ec.Class) error {
-		cStart := time.Now()
-		comp := compilers[worker]
-		abs, err := b.Compress(ctx, comp, cls)
-		if err != nil {
-			return err
-		}
-		compressed := time.Since(cStart)
-		mkFIB := func() (*dataplane.FIB, error) {
-			inst, err := b.AbstractInstance(cls, abs)
-			if err != nil {
-				return nil, err
-			}
-			sol, err := srp.Solve(inst)
-			if err != nil {
-				return nil, fmt.Errorf("abstract class %v: %w", cls.Prefix, err)
-			}
-			return dataplane.New(inst, sol, b.AbstractACLPermitFunc(cls, abs)), nil
-		}
-		pairs, ok, err := countReachable(ctx, mkFIB, opts.PerPairCertification)
-		if err != nil {
-			return err
-		}
-		addPairsCompress(res, pairs, ok, int64(abs.NumAbstractNodes()), compressed)
-		return nil
+		return res.addClass(ctx, b, compilers[worker], cls, true, opts.PerPairCertification)
 	})
 	res.Total = time.Since(start)
 	res.DistinctAbstractions = b.AbstractionCacheStats().Fresh
 	return res, err
+}
+
+// addClass solves one class and folds its counts into the result. With
+// perPair the control plane is re-analysed once per source, modelling a
+// per-query verifier; that loop observes ctx so cancellation interrupts even
+// a single large class promptly.
+func (r *Result) addClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed, perPair bool) error {
+	s, err := solveClass(ctx, b, comp, cls, compressed)
+	if err != nil {
+		return err
+	}
+	for i := int64(0); perPair && i < s.sources; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if _, err := analyse(b, cls, s.abs); err != nil {
+			return err
+		}
+	}
+	resMu.Lock()
+	defer resMu.Unlock()
+	r.Pairs += s.sources
+	r.ReachablePairs += s.delivered
+	r.Compress += s.compress
+	if s.abs != nil {
+		r.AbstractNodeSum += int64(s.abs.NumAbstractNodes())
+	}
+	return nil
+}
+
+// ReachSet is the answer for one destination class: bit u is set when
+// concrete router u delivers traffic to the class. It is a plain bit vector
+// with no reference to the network it was computed on, so holding one keeps
+// neither an SRP instance nor an abstraction alive.
+type ReachSet []uint64
+
+// Has reports whether router u reaches the class.
+func (s ReachSet) Has(u topo.NodeID) bool { return s[u>>6]>>(uint(u)&63)&1 != 0 }
+
+// classSolution is one control-plane analysis of a class.
+type classSolution struct {
+	reach ReachSet
+	// sources counts the nodes of the network that was solved (the abstract
+	// one under compression) other than the destination; delivered, how many
+	// of them reach it.
+	sources, delivered int64
+	abs                *core.Abstraction // nil when solved concretely
+	compress           time.Duration     // time inside Builder.Compress
+}
+
+// solveClass is the one chain every reachability answer comes from:
+// compress the class (when asked), build its SRP instance, solve it, derive
+// the forwarding state and close it under reachability. comp supplies the
+// policy compiler for compression; nil creates a fresh one.
+func solveClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (classSolution, error) {
+	var abs *core.Abstraction
+	var took time.Duration
+	if compressed {
+		if comp == nil {
+			comp = b.NewCompiler(true)
+		}
+		start := time.Now()
+		var err error
+		if abs, err = b.Compress(ctx, comp, cls); err != nil {
+			return classSolution{}, err
+		}
+		took = time.Since(start)
+	}
+	s, err := analyse(b, cls, abs)
+	s.compress = took
+	return s, err
+}
+
+// analyse solves the class on its abstraction, or on the concrete network
+// when abs is nil, and projects the reach set onto the concrete routers. A
+// router stands for every copy of its group: with BGP case splitting it may
+// map to several, and it reaches the class when any copy does (Theorem 4.5's
+// caveat: properties are checked against all copies).
+func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSolution, error) {
+	var inst *srp.Instance
+	var acl func(u, v topo.NodeID) bool
+	var err error
+	if abs != nil {
+		inst, err = b.AbstractInstance(cls, abs)
+		acl = b.AbstractACLPermitFunc(cls, abs)
+	} else {
+		inst, err = b.Instance(cls)
+		acl = b.ACLPermitFunc(cls)
+	}
+	if err != nil {
+		return classSolution{}, err
+	}
+	sol, err := srp.Solve(inst)
+	if err != nil {
+		return classSolution{}, fmt.Errorf("class %v: %w", cls.Prefix, err)
+	}
+	solved := dataplane.New(inst, sol, acl).ReachableSet()
+	s := classSolution{abs: abs, sources: int64(len(solved)) - 1}
+	for u, ok := range solved {
+		if ok && topo.NodeID(u) != inst.Dest {
+			s.delivered++
+		}
+	}
+	n := b.G.NumNodes()
+	s.reach = make(ReachSet, (n+63)/64)
+	for u := 0; u < n; u++ {
+		ok := false
+		if abs == nil {
+			ok = solved[u]
+		} else {
+			for _, c := range abs.Copies[abs.F[u]] {
+				ok = ok || solved[c]
+			}
+		}
+		if ok {
+			s.reach[u>>6] |= 1 << (uint(u) & 63)
+		}
+	}
+	return s, nil
+}
+
+// ClassReach solves one class and returns which routers reach it, on the
+// compressed network or, with compressed false, by simulating the concrete
+// one. The answer depends on b's configuration alone, so callers may keep it
+// for as long as they keep b.
+func ClassReach(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (ReachSet, error) {
+	s, err := solveClass(ctx, b, comp, cls, compressed)
+	return s.reach, err
+}
+
+// ResolveQuery names the class and the source router of a reachability
+// query: an index walk and a name lookup, no allocation.
+func ResolveQuery(b *build.Builder, srcName, destPrefix string) (ec.Class, topo.NodeID, error) {
+	cls, err := b.ClassFor(destPrefix)
+	if err != nil {
+		return ec.Class{}, 0, err
+	}
+	src, ok := b.G.Lookup(srcName)
+	if !ok {
+		return ec.Class{}, 0, fmt.Errorf("verify: unknown source router %q", srcName)
+	}
+	return cls, src, nil
 }
 
 // Reach answers a single reachability query: can traffic from src reach the
@@ -181,95 +288,15 @@ func Reach(ctx context.Context, b *build.Builder, comp *policy.Compiler, srcName
 	if err := ctx.Err(); err != nil {
 		return false, 0, err
 	}
-	cls, err := ec.ClassFor(b.Cfg, destPrefix)
+	cls, src, err := ResolveQuery(b, srcName, destPrefix)
 	if err != nil {
 		return false, 0, err
 	}
-	src, okSrc := b.G.Lookup(srcName)
-	if !okSrc {
-		return false, 0, fmt.Errorf("verify: unknown source router %q", srcName)
-	}
-	if !useBonsai {
-		inst, err := b.Instance(cls)
-		if err != nil {
-			return false, 0, err
-		}
-		sol, err := srp.Solve(inst)
-		if err != nil {
-			return false, 0, err
-		}
-		fib := dataplane.New(inst, sol, b.ACLPermitFunc(cls))
-		return fib.Reachable(src), time.Since(start), nil
-	}
-	if comp == nil {
-		comp = b.NewCompiler(true)
-	}
-	abs, err := b.Compress(ctx, comp, cls)
+	reach, err := ClassReach(ctx, b, comp, cls, useBonsai)
 	if err != nil {
 		return false, 0, err
 	}
-	inst, err := b.AbstractInstance(cls, abs)
-	if err != nil {
-		return false, 0, err
-	}
-	sol, err := srp.Solve(inst)
-	if err != nil {
-		return false, 0, err
-	}
-	fib := dataplane.New(inst, sol, b.AbstractACLPermitFunc(cls, abs))
-	// With BGP case splitting the source may map to several copies; the
-	// query must hold for the copy exhibiting the source's behavior — all
-	// copies are checked and any reachable copy counts (Theorem 4.5's
-	// caveat: properties are checked against all copies).
-	reachable := false
-	for _, c := range abs.Copies[abs.F[src]] {
-		if fib.Reachable(c) {
-			reachable = true
-			break
-		}
-	}
-	return reachable, time.Since(start), nil
-}
-
-// countReachable counts how many non-destination sources deliver traffic.
-// In per-pair mode the control plane analysis (mkFIB) is repeated for every
-// source, modelling a per-query verifier — that loop observes ctx so
-// cancellation interrupts even a single large class promptly.
-func countReachable(ctx context.Context, mkFIB func() (*dataplane.FIB, error), perPair bool) (pairs, ok int64, err error) {
-	fib, err := mkFIB()
-	if err != nil {
-		return 0, 0, err
-	}
-	if perPair {
-		for _, u := range fib.G.Nodes() {
-			if err := ctx.Err(); err != nil {
-				return pairs, ok, err
-			}
-			if u == fib.Dest {
-				continue
-			}
-			pairs++
-			if fib.Reachable(u) {
-				ok++
-			}
-			// Re-analyse for the next query, as a per-query verifier would.
-			if fib, err = mkFIB(); err != nil {
-				return pairs, ok, err
-			}
-		}
-		return pairs, ok, nil
-	}
-	reach := fib.ReachableSet()
-	for u, r := range reach {
-		if u == int(fib.Dest) {
-			continue
-		}
-		pairs++
-		if r {
-			ok++
-		}
-	}
-	return pairs, ok, nil
+	return reach.Has(src), time.Since(start), nil
 }
 
 func clip(classes []ec.Class, max int) []ec.Class {
@@ -280,23 +307,6 @@ func clip(classes []ec.Class, max int) []ec.Class {
 }
 
 var resMu sync.Mutex
-
-func addPairs(r *Result, pairs, ok, absNodes int64) {
-	resMu.Lock()
-	defer resMu.Unlock()
-	r.Pairs += pairs
-	r.ReachablePairs += ok
-	r.AbstractNodeSum += absNodes
-}
-
-func addPairsCompress(r *Result, pairs, ok, absNodes int64, d time.Duration) {
-	resMu.Lock()
-	defer resMu.Unlock()
-	r.Pairs += pairs
-	r.ReachablePairs += ok
-	r.AbstractNodeSum += absNodes
-	r.Compress += d
-}
 
 // ForEachClassKeyed fans f out over a (possibly lazily enumerated) class
 // sequence. With workers <= 1 it runs serially in sequence order — the

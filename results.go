@@ -44,6 +44,18 @@ type CacheStats struct {
 	// zero in a healthy engine (the scheduler runs one leader per
 	// fingerprint group; tests assert it).
 	DuplicateFresh int64 `json:"duplicate_fresh,omitempty"`
+	// ReachMemoHits counts Reach/ReachConcrete queries answered from a class
+	// already solved in their snapshot (or by joining its solve in flight);
+	// ReachMemoMisses counts the queries that solved a class. Both are
+	// cumulative over the engine's lifetime and reported by Engine.Stats
+	// only (a report's Cache snapshot leaves them zero).
+	ReachMemoHits   int64 `json:"reach_memo_hits,omitempty"`
+	ReachMemoMisses int64 `json:"reach_memo_misses,omitempty"`
+	// ReachIndexMismatches counts the Reach/ReachConcrete queries whose class
+	// by index lookup differed from a fresh enumeration of the snapshot's
+	// classes (every query is cross-checked at this stage of the indexed
+	// read path's rollout) — zero in a healthy engine.
+	ReachIndexMismatches int64 `json:"reach_index_mismatches,omitempty"`
 }
 
 // BDDStats is a snapshot of the engine's BDD layer: the live footprint of
@@ -144,8 +156,11 @@ type Report struct {
 	// AbstractNodeSum totals abstract node counts across classes (bonsai
 	// mode).
 	AbstractNodeSum int64 `json:"abstract_node_sum,omitempty"`
-	// DistinctAbstractions counts the abstractions actually computed by
-	// refinement; the remaining classes shared one (bonsai mode).
+	// DistinctAbstractions is provenance, not an answer: the engine's
+	// cumulative count of abstractions computed by refinement (bonsai mode).
+	// It depends on cache history — a warm relation store, an earlier
+	// Compress, adoption across a delta — so two engines over the same
+	// configuration may report different values for the same verdict.
 	DistinctAbstractions int `json:"distinct_abstractions,omitempty"`
 	// CompressTime is the portion of Total spent compressing (bonsai mode).
 	CompressTime time.Duration `json:"compress_ns"`

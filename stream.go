@@ -3,6 +3,7 @@ package bonsai
 import (
 	"context"
 	"iter"
+	"slices"
 	"sync"
 	"time"
 
@@ -69,7 +70,7 @@ type Stream struct {
 
 // CompressStream starts compressing the selected destination classes and
 // returns a Stream of per-class results, yielded as they complete. Classes
-// are enumerated lazily from the prefix trie and dispatched to a sharded
+// come from the snapshot's class index and are dispatched to a sharded
 // work-stealing scheduler that groups them by deduplication fingerprint:
 // each group's leader compresses once, its followers are parked until the
 // leader's result is cached and then served without refinement. Batch
@@ -84,35 +85,23 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector, opts ...
 	}
 	st := e.state.Load()
 
-	var seq iter.Seq[ec.Class]
-	var total int
+	classes := st.b.Classes()
 	if sel.Prefix != "" {
 		cls, err := st.b.ClassFor(sel.Prefix)
 		if err != nil {
 			return nil, err
 		}
-		total = 1
-		seq = func(yield func(ec.Class) bool) { yield(cls) }
+		classes = []ec.Class{cls}
 	} else {
 		max := sel.MaxClasses
 		if max == 0 {
 			max = e.opts.maxClasses
 		}
-		total = st.b.NumClasses()
-		if max > 0 && total > max {
-			total = max
-		}
-		limit := total
-		seq = func(yield func(ec.Class) bool) {
-			n := 0
-			for cls := range st.b.ClassStream() {
-				if n == limit || !yield(cls) {
-					return
-				}
-				n++
-			}
+		if max > 0 && len(classes) > max {
+			classes = classes[:max]
 		}
 	}
+	total := len(classes)
 
 	shards := e.opts.shardCount()
 	if shards > total {
@@ -148,7 +137,7 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector, opts ...
 	}
 	go func() {
 		defer cancel()
-		err := verify.ForEachClassKeyed(ctx, seq, shards, key, func(w int, cls ec.Class) error {
+		err := verify.ForEachClassKeyed(ctx, slices.Values(classes), shards, key, func(w int, cls ec.Class) error {
 			t0 := time.Now()
 			var abs *core.Abstraction
 			prov := build.ProvFresh
