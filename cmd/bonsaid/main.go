@@ -62,6 +62,12 @@ func armCrashPoint(spec string) {
 	}))
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so an idle or trickling peer cannot hold a connection
+// goroutine forever. Bodies are not bounded in time: a replay legitimately
+// streams for as long as its client has deltas.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":7171", "listen address")
 	budgetMB := flag.Int64("budget-mb", 0, "global abstraction-memory budget in MiB across all tenants (0 = unbounded)")
@@ -102,7 +108,7 @@ func main() {
 		FsyncInterval:       *fsyncInterval,
 		CheckpointEvery:     *checkpointEvery,
 	})
-	hs := &http.Server{Addr: *addr, Handler: s}
+	hs := &http.Server{Addr: *addr, Handler: s, ReadHeaderTimeout: readHeaderTimeout}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -155,11 +155,7 @@ func Open(net *Network, opts ...Option) (*Engine, error) {
 		b.SetAbstractionBudget(o.memBudget)
 	}
 	e := &Engine{opts: o, closeCh: make(chan struct{})}
-	poolCap := o.workerCount() + 2
-	if s := o.shardCount(); s > o.workerCount() {
-		poolCap = s + 2
-	}
-	e.pool = make(chan *pooledCompiler, poolCap)
+	e.pool = make(chan *pooledCompiler, o.workerCount()+2)
 	e.state.Store(&engineState{cfg: cfg, b: b, universe: universeKey(cfg)})
 	if o.pool != nil {
 		o.pool.Attach(b, e.poolLabel(), o.poolFloor)
@@ -493,12 +489,8 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 	if workers <= 0 {
 		workers = e.opts.workerCount()
 	}
-	max := req.MaxClasses
-	if max == 0 {
-		max = e.opts.maxClasses
-	}
 	opts := verify.Options{
-		MaxClasses:           max,
+		MaxClasses:           req.MaxClasses,
 		Workers:              workers,
 		PerPairCertification: req.PerPair,
 	}

@@ -15,9 +15,9 @@
 // is the unique coarsest stable refinement of the starting partition
 // (signature equality is preserved under coarsening, so stability is
 // schedule-independent), which makes worklist scheduling produce the same
-// partition as the naive sweep; FindAbstractionSweep retains the sweep as
-// the reference implementation and the differential tests in this package
-// assert field-identical Abstractions across both. The partition core
+// partition as the naive sweep; the sweep is retained behind findAbstraction's
+// flag as the reference implementation and the differential tests in this
+// package assert field-identical Abstractions across both. The partition core
 // (internal/usf) and the signature context refine without per-call maps or
 // slices, so a fresh compression allocates O(groups), not O(sweeps·nodes).
 package core
@@ -143,17 +143,14 @@ func FindAbstraction(g *topo.Graph, dest topo.NodeID, opt Options) *Abstraction 
 	return findAbstraction(g, dest, opt, false)
 }
 
-// FindAbstractionSweep runs Algorithm 1 with the naive sweep-to-fixpoint
-// scheduling: every refinement pass recomputes the signature of every
-// multi-member group. It is retained purely as the reference implementation
-// the worklist engine is differentially tested against — both produce
-// field-identical Abstractions (Iterations aside), because the refinement
-// fixpoint is unique and the order-sensitive phases scan groups in
-// canonical order under either scheduler.
-func FindAbstractionSweep(g *topo.Graph, dest topo.NodeID, opt Options) *Abstraction {
-	return findAbstraction(g, dest, opt, true)
-}
-
+// findAbstraction is Algorithm 1 under either scheduler. sweep selects the
+// naive sweep-to-fixpoint scheduling — every refinement pass recomputes the
+// signature of every multi-member group — which only the tests reach (as
+// FindAbstractionSweep): it is the reference the worklist engine is
+// differentially tested against. Both produce field-identical Abstractions
+// (Iterations aside), because the refinement fixpoint is unique and the
+// order-sensitive phases scan groups in canonical order under either
+// scheduler.
 func findAbstraction(g *topo.Graph, dest topo.NodeID, opt Options, sweep bool) *Abstraction {
 	if opt.EdgeKey == nil && opt.EdgeKeys == nil {
 		panic("core: Options.EdgeKey or Options.EdgeKeys is required")

@@ -6,6 +6,14 @@ import (
 	"bonsai/internal/topo"
 )
 
+// FindAbstractionSweep runs Algorithm 1 with the naive sweep scheduler, the
+// reference of the differential tests in diff_test.go. It lives here and not
+// beside them because they are package core_test (they import
+// internal/build, which imports this package).
+func FindAbstractionSweep(g *topo.Graph, dest topo.NodeID, opt Options) *Abstraction {
+	return findAbstraction(g, dest, opt, true)
+}
+
 // uniformKey gives every edge the same live BGP policy.
 func uniformKey(u, v topo.NodeID) EdgeKey {
 	return EdgeKey{BGP: true, BGPRel: 42, ACLPermit: true}

@@ -160,18 +160,18 @@ func (t *tenant) checkpointLoop() {
 }
 
 // checkpointNow snapshots the live config at the applied frontier and
-// truncates the journal behind it. replayMu quiesces the apply path so the
-// captured (config, sequence) pair is consistent; the disk write happens
-// after release so a slow fsync never stalls appliers.
+// truncates the journal behind it. The write lock quiesces the write path so
+// the captured (config, sequence) pair is consistent; the disk write happens
+// after release so a slow fsync never stalls writers.
 func (t *tenant) checkpointNow() error {
-	t.replayMu.Lock()
+	t.writeMu.Lock()
 	seq := t.appliedSeq.Load()
 	if seq <= t.jrnl.CheckpointSeq() {
-		t.replayMu.Unlock()
+		t.writeMu.Unlock()
 		return nil
 	}
 	payload, err := configText(t.eng)
-	t.replayMu.Unlock()
+	t.writeMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -180,7 +180,7 @@ func (t *tenant) checkpointNow() error {
 
 // sealJournal writes a final checkpoint (so the next recovery is
 // checkpoint-only) and closes the journal, keeping the data directory. The
-// caller has already drained the apply worker, so appliedSeq is final.
+// caller holds the write lock with closed set, so appliedSeq is final.
 func (t *tenant) sealJournal() {
 	if t.jrnl == nil {
 		return
@@ -202,8 +202,8 @@ func (t *tenant) sealJournal() {
 	t.jrnl.Close()
 }
 
-// errJournal tags journal I/O failures so the HTTP layer can tell them from
-// client decode errors in the shared replay-decoder error channel.
+// errJournal tags journal I/O failures so replay can tell them from client
+// decode errors.
 var errJournal = errors.New("server: journal")
 
 // journalDelta appends one delta to the tenant's journal, returning its
@@ -229,17 +229,10 @@ func (t *tenant) journalDelta(d bonsai.Delta) (uint64, error) {
 // aborted replay stream left journaled-but-unapplied records, by re-applying
 // every record past fromSeq onto the live engine. Over-replay is safe
 // (prefix idempotence), so fromSeq only needs to be a lower bound on what
-// the stream had already applied. The caller holds replayMu.
+// the stream had already applied. The caller holds the write lock.
 func (t *tenant) reconverge(ctx context.Context, fromSeq uint64) {
 	var deltas []bonsai.Delta
-	if _, err := t.jrnl.Replay(fromSeq, func(_ uint64, payload []byte) error {
-		var d bonsai.Delta
-		if err := json.Unmarshal(payload, &d); err != nil {
-			return err
-		}
-		deltas = append(deltas, d)
-		return nil
-	}); err != nil {
+	if _, err := t.jrnl.Replay(fromSeq, collectDeltas(&deltas)); err != nil {
 		log.Printf("bonsaid: tenant %s: reconverge scan: %v", t.name, err)
 		return
 	}
@@ -255,6 +248,23 @@ func (t *tenant) reconverge(ctx context.Context, fromSeq uint64) {
 		return
 	}
 	t.appliedSeq.Store(t.jrnl.LastSeq())
+}
+
+// errBadPayload marks a CRC-valid journal record that is not a delta.
+var errBadPayload = errors.New("undecodable record")
+
+// collectDeltas returns a journal-replay callback that decodes each record
+// into *out, stopping the scan with errBadPayload at the first that is not a
+// delta.
+func collectDeltas(out *[]bonsai.Delta) func(uint64, []byte) error {
+	return func(_ uint64, payload []byte) error {
+		var d bonsai.Delta
+		if err := json.Unmarshal(payload, &d); err != nil {
+			return fmt.Errorf("%w: %v", errBadPayload, err)
+		}
+		*out = append(*out, d)
+		return nil
+	}
 }
 
 // errSkipTenant marks a data directory recovery should ignore (no durable
@@ -314,15 +324,7 @@ func (r *registry) recoverOne(name string, m *metricSet) error {
 	}
 
 	var deltas []bonsai.Delta
-	errBadPayload := errors.New("undecodable record")
-	info, err := journal.ReplayDir(dir, ck.Seq, func(_ uint64, payload []byte) error {
-		var d bonsai.Delta
-		if err := json.Unmarshal(payload, &d); err != nil {
-			return errBadPayload
-		}
-		deltas = append(deltas, d)
-		return nil
-	})
+	info, err := journal.ReplayDir(dir, ck.Seq, collectDeltas(&deltas))
 	if errors.Is(err, errBadPayload) {
 		// CRC-valid but not a delta: treat like a corrupt record — recover
 		// the prefix and raise the gap alarm.
@@ -338,7 +340,12 @@ func (r *registry) recoverOne(name string, m *metricSet) error {
 		return fmt.Errorf("rebuild engine: %w", err)
 	}
 	if len(deltas) > 0 {
-		if _, err := t.eng.ApplyAll(context.Background(), deltas); err != nil {
+		// The tenant is not registered yet, so the lock is uncontended; it is
+		// taken so that no Engine.Apply* in this package runs without it.
+		t.writeMu.Lock()
+		_, err := t.eng.ApplyAll(context.Background(), deltas)
+		t.writeMu.Unlock()
+		if err != nil {
 			t.eng.Close()
 			return fmt.Errorf("replay %d deltas: %w", len(deltas), err)
 		}
@@ -385,7 +392,6 @@ func (r *registry) recoverOne(name string, m *metricSet) error {
 	}
 	r.tenants[name] = t
 	r.mu.Unlock()
-	go t.applyWorker()
 
 	m.journalReplayed.With(name).Add(int64(info.Records))
 	if info.Gap {

@@ -222,7 +222,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m.bddHits.With(t.name).Set(float64(bs.CacheHits))
 		m.bddMisses.With(t.name).Set(float64(bs.CacheMisses))
 		m.bddOverwrites.With(t.name).Set(float64(bs.CacheOverwrites))
-		m.queueDepth.With(t.name).Set(float64(len(t.applyCh)))
+		// Of the admitted writes one is executing, or will be next.
+		m.queueDepth.With(t.name).Set(float64(max(0, len(t.writes)-1)))
 		if t.jrnl != nil {
 			js := t.jrnl.Stats()
 			m.journalAppends.With(t.name).Set(float64(js.Appends))

@@ -1,14 +1,17 @@
 // The tenant registry: named engines with lifecycle management. Each tenant
 // wraps one bonsai.Engine plus its admission state — a concurrent-query
-// semaphore and a bounded apply queue drained by a dedicated worker — and
-// the registry owns open (attach to the shared pool), idle eviction (a
+// semaphore, a write semaphore and the one write lock — and the registry
+// owns open (attach to the shared pool), idle eviction (a
 // janitor closes tenants unused past the TTL) and close-on-drain (shutdown
 // stops admitting, waits for in-flight work, then closes every engine).
 package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -36,17 +39,17 @@ type tenant struct {
 	name string
 	eng  *bonsai.Engine
 
-	// queries is the concurrent-query semaphore (admission control).
+	// queries is the concurrent-query semaphore (admission control). writes
+	// is its twin for /apply: ApplyQueueDepth waiting plus one executing.
 	queries chan struct{}
-	// applyCh is the bounded apply queue; applyDone closes when the worker
-	// exits. replayMu serialises replay streams with the queue worker so a
-	// replay observes a quiet apply path. closeMu guards the closed-check +
-	// send in enqueueApply against close(applyCh): writers hold it shared,
-	// close holds it exclusive, so a send can never follow the close.
-	applyCh   chan applyReq
-	applyDone chan struct{}
-	replayMu  sync.Mutex
-	closeMu   sync.RWMutex
+	writes  chan struct{}
+	// writeMu is the tenant's one write lock. A journal append or an
+	// Engine.Apply* call happens only with it held — in write, replay and
+	// the reconverge pass replay ends with — so journal order equals apply
+	// order, and the checkpointer and close take it to read a settled
+	// (config, appliedSeq) pair. Every holder that writes re-checks closed
+	// after acquiring it: a closed tenant journals and applies nothing.
+	writeMu sync.Mutex
 
 	// lastUsed is a unix-nano timestamp of the last admitted request, for
 	// idle eviction.
@@ -55,10 +58,6 @@ type tenant struct {
 	// closed marks the tenant evicted/deleted; requests admitted after this
 	// observe it and 404 rather than racing the engine teardown.
 	closed atomic.Bool
-
-	// applyActive reports the worker is processing a dequeued delta — the
-	// true queue occupancy is len(applyCh) plus this.
-	applyActive atomic.Bool
 
 	// Aggregates for /metrics: compression work (ns/class), coalescing.
 	compressClasses atomic.Int64
@@ -83,120 +82,181 @@ type tenant struct {
 	ckptDone   chan struct{}
 }
 
-type applyReq struct {
-	ctx  context.Context
-	d    bonsai.Delta
-	resp chan applyResp
-}
-
-type applyResp struct {
-	rep *bonsai.ApplyReport
-	err error
-}
-
 func (t *tenant) touch() { t.lastUsed.Store(time.Now().UnixNano()) }
 
-// acquireQuery admits one query or fails fast with ErrQueryBusy.
-func (t *tenant) acquireQuery() error {
+// acquire takes one slot of an admission semaphore (queries or writes) or
+// fails fast with full; the caller releases it with a receive.
+func (t *tenant) acquire(sem chan struct{}, full error) error {
 	select {
-	case t.queries <- struct{}{}:
+	case sem <- struct{}{}:
 		if t.closed.Load() {
-			<-t.queries
+			<-sem
 			return ErrTenantNotFound
 		}
 		t.touch()
 		return nil
 	default:
-		return ErrQueryBusy
+		return full
 	}
 }
 
-func (t *tenant) releaseQuery() { <-t.queries }
-
-// applyWorker drains the bounded apply queue, one delta at a time — the
-// queue depth is the backpressure bound the HTTP layer admits against. For
-// durable tenants the worker is also where the log-then-apply discipline
-// lives: the delta is validated, journaled (fsynced under fsync=always),
-// and only then applied, all under replayMu — so journal order equals apply
-// order by construction and a crash between append and apply is repaired by
-// replaying the journal tail on recovery.
-func (t *tenant) applyWorker() {
-	defer close(t.applyDone)
-	for req := range t.applyCh {
-		t.applyActive.Store(true)
-		t.replayMu.Lock()
-		// Pre-validate against the current config so known-bad deltas are
-		// rejected without polluting the journal. Apply revalidates, but only
-		// post-validation deltas reach the log.
-		if t.jrnl != nil {
-			if err := req.d.Validate(t.eng.Network()); err != nil {
-				t.replayMu.Unlock()
-				t.applyActive.Store(false)
-				req.resp <- applyResp{nil, err}
-				continue
-			}
-		}
-		seq, jerr := t.journalDelta(req.d)
-		if jerr != nil {
-			t.replayMu.Unlock()
-			t.applyActive.Store(false)
-			req.resp <- applyResp{nil, jerr}
-			continue
-		}
-		// Detached context: once admitted (and now journaled), a queued delta
-		// always lands even if the enqueuing client times out — dropping it
-		// silently would let the client's view of the network diverge from
-		// the engine's (and from the journal's).
-		rep, err := t.eng.Apply(context.WithoutCancel(req.ctx), req.d)
-		if err == nil && seq > 0 {
-			t.appliedSeq.Store(seq)
-		}
-		t.replayMu.Unlock()
-		t.applyActive.Store(false)
-		req.resp <- applyResp{rep, err}
-		t.maybeKickCheckpoint()
-	}
-}
-
-// enqueueApply admits a delta into the bounded queue (ErrApplyQueueFull on
-// overload) and waits for its report.
-func (t *tenant) enqueueApply(ctx context.Context, d bonsai.Delta) (*bonsai.ApplyReport, error) {
-	req := applyReq{ctx: ctx, d: d, resp: make(chan applyResp, 1)}
-	t.closeMu.RLock()
+// write is the /apply write path: validate, journal (fsynced under
+// fsync=always), apply, advance appliedSeq, all under writeMu — a crash
+// between append and apply is repaired by replaying the journal tail on
+// recovery. It runs on the handler's goroutine; the caller holds a writes
+// slot.
+func (t *tenant) write(ctx context.Context, d bonsai.Delta) (*bonsai.ApplyReport, error) {
+	defer t.maybeKickCheckpoint() // deferred first, so it runs after the unlock
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
 	if t.closed.Load() {
-		t.closeMu.RUnlock()
 		return nil, ErrTenantNotFound
 	}
-	select {
-	case t.applyCh <- req:
-		t.closeMu.RUnlock()
-		t.touch()
-	default:
-		t.closeMu.RUnlock()
-		return nil, ErrApplyQueueFull
+	// Pre-validate against the current config so known-bad deltas are
+	// rejected without polluting the journal. Apply revalidates, but only
+	// post-validation deltas reach the log.
+	if t.jrnl != nil {
+		if err := d.Validate(t.eng.Network()); err != nil {
+			return nil, err
+		}
 	}
-	select {
-	case r := <-req.resp:
-		return r.rep, r.err
-	case <-ctx.Done():
-		// The worker still runs the delta (it owns the request now, with a
-		// detached context) and the buffered resp channel keeps it from
-		// blocking; only the wait is abandoned.
-		return nil, ctx.Err()
+	seq, err := t.journalDelta(d)
+	if err != nil {
+		return nil, err
+	}
+	// Detached context: once admitted (and now journaled), a delta always
+	// lands even if its client times out — dropping it silently would let
+	// the client's view of the network diverge from the engine's (and from
+	// the journal's).
+	rep, err := t.eng.Apply(context.WithoutCancel(ctx), d)
+	if err == nil && seq > 0 {
+		t.appliedSeq.Store(seq)
+	}
+	return rep, err
+}
+
+// maxDeltaBytes bounds one delta on the wire: an /apply body or one /replay
+// line.
+const maxDeltaBytes = 16 << 20
+
+// deltaReader feeds a replay body to the JSON decoder and fails the read
+// that would carry the delta being decoded past limit, so one line cannot
+// buffer without bound.
+type deltaReader struct {
+	r     io.Reader
+	n     int64 // bytes handed to the decoder so far
+	limit int64 // stream offset the current delta may not extend past
+}
+
+func (dr *deltaReader) Read(p []byte) (int, error) {
+	room := dr.limit - dr.n
+	if room <= 0 {
+		return 0, fmt.Errorf("one delta exceeds the %d-byte limit", maxDeltaBytes)
+	}
+	if int64(len(p)) > room {
+		p = p[:room]
+	}
+	n, err := dr.r.Read(p)
+	dr.n += int64(n)
+	return n, err
+}
+
+// replay is the /replay write path: JSONL deltas from body through
+// Engine.ApplyStream, under writeMu for the whole stream. This goroutine
+// decodes and journals; the engine's coalescer runs on a second one and
+// provides the backpressure: the body is read only as fast as rebuilds
+// complete, so a fast client blocks on the socket rather than buffering
+// server-side. interrupt must fail a body read pending on another goroutine;
+// it is called when the stream ends without draining its input (engine
+// closed by DELETE, request cancelled), because the decode loop may be parked
+// in that read for as long as the client keeps the body open.
+func (t *tenant) replay(ctx context.Context, body io.Reader, interrupt func(), opts ...bonsai.StreamApplyOption) (*bonsai.ApplyStreamReport, error) {
+	defer t.maybeKickCheckpoint() // deferred first, so it runs after the unlock
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	if t.closed.Load() {
+		return nil, ErrTenantNotFound
+	}
+	var startSeq uint64
+	if t.jrnl != nil {
+		startSeq = t.jrnl.LastSeq()
+	}
+
+	// One slot keeps the decoder a delta ahead of the stream, which flushes a
+	// batch when it polls for the next delta and finds none: without the
+	// slot, on more than one CPU, the poll always beats the decoder it has
+	// just woken and every batch is a single delta — no flap ever cancels.
+	deltas := make(chan bonsai.Delta, 1)
+	var rep *bonsai.ApplyStreamReport
+	var aerr error
+	streamDone := make(chan struct{})
+	go func() {
+		defer close(streamDone)
+		if rep, aerr = t.eng.ApplyStream(ctx, deltas, opts...); aerr != nil {
+			interrupt()
+		}
+	}()
+
+	in := &deltaReader{r: body}
+	dec := json.NewDecoder(in)
+	var derr error // why the loop stopped feeding, nil at a clean EOF
+feed:
+	for {
+		var d bonsai.Delta
+		in.limit = dec.InputOffset() + maxDeltaBytes
+		if derr = dec.Decode(&d); derr != nil {
+			if errors.Is(derr, io.EOF) {
+				derr = nil
+			}
+			break
+		}
+		// Log-then-apply: the delta is journaled before the engine can see
+		// it. A record the stream never gets to apply (client gone, engine
+		// closed) is healed by the reconverge pass below — replay is
+		// prefix-idempotent, so over-journaling is safe, silently dropping an
+		// applied-but-unjournaled delta would not be.
+		if _, derr = t.journalDelta(d); derr != nil {
+			break
+		}
+		select {
+		case deltas <- d:
+			t.touch() // a replay outlasting IdleTTL is use, not idleness
+		case <-streamDone:
+			break feed
+		}
+	}
+	close(deltas)
+	<-streamDone
+
+	if t.jrnl != nil {
+		if aerr == nil {
+			// The stream consumed deltas to its close, so every journaled
+			// delta was delivered and flushed.
+			t.appliedSeq.Store(t.jrnl.LastSeq())
+		} else {
+			// Aborted mid-stream: re-apply the journal tail onto the live
+			// engine so journaled-but-unapplied records land after all.
+			t.reconverge(ctx, startSeq)
+		}
+	}
+	switch {
+	case aerr != nil:
+		return rep, aerr
+	case derr == nil, errors.Is(derr, errJournal):
+		return rep, derr // a durability failure is the server's, not a client 400
+	default:
+		return rep, fmt.Errorf("%w: decoding delta stream: %v", errBadRequest, derr)
 	}
 }
 
-// busy reports in-flight work: admitted queries, queued or executing
-// deltas, or a replay holding replayMu. The janitor skips busy tenants so
-// a stream longer than IdleTTL is never evicted mid-flight.
+// busy reports in-flight work: a query slot, a write slot or the write lock
+// is held. The janitor skips busy tenants so a stream longer than IdleTTL is
+// never evicted mid-flight.
 func (t *tenant) busy() bool {
-	if len(t.queries) > 0 || t.applyActive.Load() || len(t.applyCh) > 0 {
+	if len(t.queries) > 0 || len(t.writes) > 0 || !t.writeMu.TryLock() {
 		return true
 	}
-	if !t.replayMu.TryLock() {
-		return true
-	}
-	t.replayMu.Unlock()
+	t.writeMu.Unlock()
 	return false
 }
 
@@ -233,8 +293,7 @@ func (r *registry) buildTenant(name string, net *bonsai.Network) (*tenant, error
 		name:      name,
 		eng:       eng,
 		queries:   make(chan struct{}, max(1, r.cfg.MaxQueriesPerTenant)),
-		applyCh:   make(chan applyReq, max(1, r.cfg.ApplyQueueDepth)),
-		applyDone: make(chan struct{}),
+		writes:    make(chan struct{}, max(1, r.cfg.ApplyQueueDepth)+1),
 		ckptEvery: r.checkpointEvery(),
 	}
 	t.touch()
@@ -282,7 +341,6 @@ func (r *registry) open(name string, net *bonsai.Network) (*tenant, error) {
 		}
 		t.startCheckpointer()
 	}
-	go t.applyWorker()
 	r.mu.Lock()
 	r.tenants[name] = t
 	r.mu.Unlock()
@@ -317,9 +375,10 @@ func (r *registry) names() []string {
 // close removes and closes one tenant. deleteData distinguishes an explicit
 // DELETE (the tenant and its history are gone for good) from eviction and
 // drain (the engine is released but the sealed journal stays on disk, so the
-// next daemon start resurrects the tenant). The engine close waits for
-// nothing: bonsai.Engine.Close lets in-flight queries finish against their
-// snapshot.
+// next daemon start resurrects the tenant). Either way the write lock is
+// taken after closed is set, so whoever held it has left and whoever gets it
+// next writes nothing. In-flight queries are not waited for:
+// bonsai.Engine.Close lets them finish against their snapshot.
 func (r *registry) close(name string, deleteData bool) error {
 	r.mu.Lock()
 	t, ok := r.tenants[name]
@@ -329,17 +388,19 @@ func (r *registry) close(name string, deleteData bool) error {
 	}
 	delete(r.tenants, name)
 	r.mu.Unlock()
-	// Exclusive closeMu excludes enqueueApply's closed-check + send, so no
-	// send can race the close below and panic the daemon.
-	t.closeMu.Lock()
 	t.closed.Store(true)
-	close(t.applyCh)
-	t.closeMu.Unlock()
-	<-t.applyDone
+	if deleteData {
+		// Closing the engine first ends a running ApplyStream with ErrClosed,
+		// so the lock below waits for a replay to leave, never for its client
+		// to stop streaming.
+		t.eng.Close()
+	}
 	if t.ckptStop != nil {
 		close(t.ckptStop)
 		<-t.ckptDone
 	}
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
 	if t.jrnl != nil {
 		if deleteData {
 			t.jrnl.Close()
@@ -356,7 +417,7 @@ func (r *registry) close(name string, deleteData bool) error {
 // idleNames lists tenants idle past ttl; the caller closes them (and drops
 // their metric series). Tenants with in-flight work are never idle, however
 // stale their lastUsed stamp — closing one would block the janitor behind
-// its replayMu and tear the engine down under live requests.
+// its write lock and tear the engine down under live requests.
 func (r *registry) idleNames(ttl time.Duration) []string {
 	if ttl <= 0 {
 		return nil

@@ -209,7 +209,7 @@ func (s *Server) tenantQuery(h func(http.ResponseWriter, *http.Request, *tenant)
 			s.httpError(w, err)
 			return
 		}
-		if err := t.acquireQuery(); err != nil {
+		if err := t.acquire(t.queries, ErrQueryBusy); err != nil {
 			if errors.Is(err, ErrQueryBusy) {
 				s.metrics.rejected.With(name, "query_quota").Inc()
 			}
@@ -220,7 +220,7 @@ func (s *Server) tenantQuery(h func(http.ResponseWriter, *http.Request, *tenant)
 		g.Add(1)
 		defer func() {
 			g.Add(-1)
-			t.releaseQuery()
+			<-t.queries
 		}()
 		h(w, r, t)
 	}
@@ -277,15 +277,20 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var d bonsai.Delta
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&d); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDeltaBytes)).Decode(&d); err != nil {
 		s.httpError(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return
 	}
-	rep, err := t.enqueueApply(r.Context(), d)
-	if err != nil {
+	if err := t.acquire(t.writes, ErrApplyQueueFull); err != nil {
 		if errors.Is(err, ErrApplyQueueFull) {
 			s.metrics.rejected.With(t.name, "apply_queue").Inc()
 		}
+		s.httpError(w, err)
+		return
+	}
+	defer func() { <-t.writes }()
+	rep, err := t.write(r.Context(), d)
+	if err != nil {
 		s.httpError(w, err)
 		return
 	}
@@ -293,10 +298,8 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// handleReplay streams JSONL deltas from the request body through
-// Engine.ApplyStream. The engine's coalescer provides the backpressure: the
-// body is read only as fast as rebuilds complete, so a fast client blocks
-// on the socket rather than buffering server-side.
+// handleReplay streams JSONL deltas from the request body through the
+// tenant's replay write path.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	t, err := s.reg.get(r.PathValue("name"))
 	if err != nil {
@@ -322,101 +325,18 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	t.touch()
 
-	// replayMu serialises with the tenant's apply-queue worker; the engine's
-	// own applyMu would too, but holding replayMu keeps queue waits visible
-	// (deltas stay queued rather than blocked inside the engine). It is
-	// taken BEFORE the decoder starts so the decoder's journal appends can
-	// never interleave with the worker's: journal order equals apply order.
-	t.replayMu.Lock()
-	var startSeq uint64
-	if t.jrnl != nil {
-		startSeq = t.jrnl.LastSeq()
-	}
-
-	deltas := make(chan bonsai.Delta)
-	dec := json.NewDecoder(r.Body)
-	decErr := make(chan error, 1)
-	decDone := make(chan struct{})
-	// streamDone unblocks the decoder if ApplyStream returns without
-	// draining deltas (engine closed mid-stream via DELETE or eviction), so
-	// the handler never wedges on decErr below. Deferred closes run LIFO:
-	// decErr settles before deltas closes, so a completed stream implies a
-	// settled decErr.
-	streamDone := make(chan struct{})
-	go func() {
-		defer close(decDone)
-		defer close(deltas)
-		defer close(decErr)
-		for {
-			var d bonsai.Delta
-			if err := dec.Decode(&d); err != nil {
-				if !errors.Is(err, io.EOF) {
-					decErr <- err
-				}
-				return
-			}
-			// Log-then-apply: the delta is journaled before the engine can
-			// see it. A record the stream never gets to apply (client gone,
-			// engine closed) is healed by the reconverge pass below — replay
-			// is prefix-idempotent, so over-journaling is safe, silently
-			// dropping an applied-but-unjournaled delta would not be.
-			if _, jerr := t.journalDelta(d); jerr != nil {
-				decErr <- jerr
-				return
-			}
-			select {
-			case deltas <- d:
-				t.touch() // a replay outlasting IdleTTL is use, not idleness
-			case <-streamDone:
-				return
-			case <-r.Context().Done():
-				return
-			}
-		}
-	}()
-
-	rep, aerr := t.eng.ApplyStream(r.Context(), deltas, opts...)
-	close(streamDone)
-	if t.jrnl != nil {
-		if aerr == nil {
-			// Channel closed means the decoder journaled and delivered every
-			// delta, and the stream flushed them all.
-			t.appliedSeq.Store(t.jrnl.LastSeq())
-		} else {
-			// Aborted mid-stream: wait for the decoder to quiesce (it may be
-			// mid-append), then re-apply the journal tail onto the live
-			// engine so journaled-but-unapplied records land after all.
-			<-decDone
-			t.reconverge(r.Context(), startSeq)
-		}
-	}
-	t.replayMu.Unlock()
-	if t.jrnl != nil {
-		t.maybeKickCheckpoint()
-	}
-	if aerr == nil {
-		// A nil stream error means ApplyStream consumed deltas to close, so
-		// the decoder already exited and decErr is settled; the non-blocking
-		// read is belt-and-braces against future early-nil returns.
-		select {
-		case derr := <-decErr:
-			switch {
-			case derr == nil:
-			case errors.Is(derr, errJournal):
-				aerr = derr // server-side durability failure, not a client 400
-			default:
-				aerr = fmt.Errorf("%w: decoding delta stream: %v", errBadRequest, derr)
-			}
-		default:
-		}
-	}
+	// An expired read deadline fails the body read the decode loop may be
+	// parked in; a writer without deadlines (a test recorder) has no such
+	// read to fail.
+	interrupt := func() { http.NewResponseController(w).SetReadDeadline(time.Now()) }
+	rep, err := t.replay(r.Context(), r.Body, interrupt, opts...)
 	if rep != nil {
 		t.editsReceived.Add(int64(rep.EditsReceived))
 		t.editsApplied.Add(int64(rep.EditsApplied))
 		s.metrics.invalidated.With(t.name).Add(int64(rep.Invalidated))
 	}
-	if aerr != nil {
-		s.httpError(w, aerr)
+	if err != nil {
+		s.httpError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)

@@ -295,20 +295,20 @@ func TestServerOverload(t *testing.T) {
 	}
 
 	// Occupy the single query slot, then hit a query endpoint.
-	if err := tn.acquireQuery(); err != nil {
+	if err := tn.acquire(tn.queries, ErrQueryBusy); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.Roles(ctx, "net", bonsai.RolesRequest{})
 	if StatusCode(err) != http.StatusTooManyRequests {
 		t.Fatalf("want 429, got %v", err)
 	}
-	tn.releaseQuery()
+	<-tn.queries
 
-	// Block the apply worker by holding replayMu, then fill the depth-1
-	// queue step by step so the occupancy is deterministic: first delta
-	// dequeued and parked on the lock, second sitting in the channel, third
-	// must bounce with 503.
-	tn.replayMu.Lock()
+	// Block the write path by holding the write lock, then fill the depth-1
+	// queue step by step so the occupancy is deterministic: two deltas
+	// admitted and parked on the lock (one "executing", one "queued"), the
+	// third must bounce with 503.
+	tn.writeMu.Lock()
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
 	flap := []bonsai.Delta{
 		{LinkDown: []bonsai.LinkRef{{A: net.Links[0].A, B: net.Links[0].B}}},
@@ -325,28 +325,20 @@ func TestServerOverload(t *testing.T) {
 			results <- err
 		}()
 	}
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	sendApply()
-	waitFor("worker to park on the first delta", func() bool {
-		return tn.applyActive.Load() && len(tn.applyCh) == 0
-	})
+	waitUntil(t, "first delta to be admitted", func() bool { return len(tn.writes) == 1 })
 	sendApply()
-	waitFor("second delta to fill the queue", func() bool { return len(tn.applyCh) == 1 })
+	waitUntil(t, "second delta to fill the queue", func() bool { return len(tn.writes) == 2 })
 
 	_, rejected := c.Apply(ctx, "net", flap[2])
 	if StatusCode(rejected) != http.StatusServiceUnavailable {
 		t.Fatalf("want 503, got %v", rejected)
 	}
-	tn.replayMu.Unlock()
+	var ae *apiError
+	if !asAPIError(rejected, &ae) || ae.RetryAfter <= 0 {
+		t.Fatalf("503 without Retry-After: %v", rejected)
+	}
+	tn.writeMu.Unlock()
 	for i := 0; i < 2; i++ {
 		if err := <-results; err != nil {
 			t.Errorf("queued apply failed: %v", err)
@@ -452,10 +444,9 @@ func TestServerIdleEviction(t *testing.T) {
 	}
 }
 
-// TestRegistryApplyCloseRace hammers enqueueApply against a concurrent
-// close. A send must never land on the closed apply channel (it would
-// panic the whole daemon), and every enqueue must resolve to a report or
-// a clean tenant/queue error; run with -race.
+// TestRegistryApplyCloseRace hammers the write path (admission + write)
+// against a concurrent close. Nothing may panic, and every write must
+// resolve to a report or a clean tenant/queue error; run with -race.
 func TestRegistryApplyCloseRace(t *testing.T) {
 	noop := bonsai.Delta{LinkUp: []bonsai.LinkRef{{A: "r-0000", B: "r-0001"}}}
 	for round := 0; round < 5; round++ {
@@ -472,12 +463,20 @@ func TestRegistryApplyCloseRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for j := 0; j < 25; j++ {
-					_, err := tn.enqueueApply(context.Background(), noop)
+					err := tn.acquire(tn.writes, ErrApplyQueueFull)
+					if err == nil {
+						var rep *bonsai.ApplyReport
+						rep, err = tn.write(context.Background(), noop)
+						<-tn.writes
+						if err == nil && rep == nil {
+							t.Error("write: nil report without an error")
+						}
+					}
 					if errors.Is(err, ErrTenantNotFound) {
 						return // closed under us: the expected clean outcome
 					}
 					if err != nil && !errors.Is(err, ErrApplyQueueFull) {
-						t.Errorf("enqueue: %v", err)
+						t.Errorf("write: %v", err)
 						return
 					}
 				}

@@ -10,10 +10,8 @@ import (
 // over the defaults.
 type options struct {
 	workers      int
-	shards       int
 	dedup        bool
 	bddCacheBits int
-	maxClasses   int
 	memBudget    int64
 	pool         *build.Pool
 	poolFloor    int64
@@ -50,20 +48,6 @@ func WithDedup(on bool) Option {
 // ~16 bytes per slot per manager.
 func WithBDDCacheBits(bits int) Option {
 	return func(o *options) { o.bddCacheBits = bits }
-}
-
-// WithMaxClasses bounds how many destination equivalence classes queries
-// process by default; requests can still override it per call. Zero means
-// no bound.
-func WithMaxClasses(n int) Option {
-	return func(o *options) { o.maxClasses = n }
-}
-
-// WithShards sets how many work-stealing shards (worker deques, each with
-// its own policy compiler) streaming compression fans out over. Zero or
-// negative defers to the worker count.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
 }
 
 // WithMemoryBudget bounds the engine's abstraction store to approximately
@@ -111,11 +95,4 @@ func (o options) workerCount() int {
 		return o.workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o options) shardCount() int {
-	if o.shards > 0 {
-		return o.shards
-	}
-	return o.workerCount()
 }

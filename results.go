@@ -6,14 +6,12 @@ import (
 )
 
 // ClassSelector narrows an operation to a subset of the destination
-// equivalence classes. The zero value selects every class (subject to the
-// engine's WithMaxClasses default).
+// equivalence classes. The zero value selects every class.
 type ClassSelector struct {
 	// Prefix selects the single class owning this destination prefix
 	// (e.g. "10.0.3.0/24").
 	Prefix string `json:"prefix,omitempty"`
-	// MaxClasses bounds the classes processed; 0 defers to the engine
-	// default.
+	// MaxClasses bounds the classes processed; 0 means all.
 	MaxClasses int `json:"max_classes,omitempty"`
 }
 
@@ -137,8 +135,7 @@ type VerifyRequest struct {
 	// PerPair re-analyses the control plane for every (source, class)
 	// query, modelling a per-query verifier such as Minesweeper.
 	PerPair bool `json:"per_pair,omitempty"`
-	// MaxClasses bounds the classes verified; 0 defers to the engine
-	// default.
+	// MaxClasses bounds the classes verified; 0 means all.
 	MaxClasses int `json:"max_classes,omitempty"`
 	// Workers overrides the engine's worker count for this call.
 	Workers int `json:"workers,omitempty"`

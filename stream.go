@@ -92,18 +92,12 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector, opts ...
 			return nil, err
 		}
 		classes = []ec.Class{cls}
-	} else {
-		max := sel.MaxClasses
-		if max == 0 {
-			max = e.opts.maxClasses
-		}
-		if max > 0 && len(classes) > max {
-			classes = classes[:max]
-		}
+	} else if max := sel.MaxClasses; max > 0 && len(classes) > max {
+		classes = classes[:max]
 	}
 	total := len(classes)
 
-	shards := e.opts.shardCount()
+	shards := e.opts.workerCount()
 	if shards > total {
 		shards = total
 	}
