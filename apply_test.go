@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bonsai"
+	"bonsai/internal/config"
 	"bonsai/internal/netgen"
 )
 
@@ -416,4 +417,103 @@ func mustPfx(s string) bonsai.Prefix {
 		panic(err)
 	}
 	return p
+}
+
+// TestApplyLeavesPredecessorUntouched pins the copy-on-write rule of the
+// apply path: a successor configuration shares every router its delta does
+// not edit with the snapshot it replaces, so an apply must never write
+// through a shared router. A chain using all six edit kinds runs while one
+// goroutine keeps reading the snapshot held from before the chain and another
+// keeps querying (each Reach finishes on whichever snapshot it started on);
+// under -race a write through a shared router is a reported race, and
+// without it every snapshot held along the chain must still print
+// byte-identically at the end.
+func TestApplyLeavesPredecessorUntouched(t *testing.T) {
+	eng := openFattree(t, 4, netgen.PolicyShortestPath)
+	ctx := context.Background()
+	if _, err := eng.Compress(ctx, bonsai.ClassSelector{}); err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		net  *bonsai.Network
+		text string
+	}
+	hold := func() held { n := eng.Network(); return held{n, config.PrintString(n)} }
+	first := hold()
+	snaps := []held{first}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // the reader of the old snapshot
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got := config.PrintString(first.net); got != first.text {
+				t.Error("held snapshot changed under a concurrent apply")
+				return
+			}
+		}
+	}()
+	go func() { // queries in flight across the swaps
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := eng.Reach(ctx, fmt.Sprintf("edge-%d-%d", i%4, i/4%2), "10.0.2.0/24"); err != nil {
+				t.Errorf("reach during apply chain: %v", err)
+				return
+			}
+		}
+	}()
+
+	link := []bonsai.LinkRef{{A: "agg-3-0", B: "core-0"}}
+	origin := []bonsai.OriginEdit{{Router: "edge-1-1", Prefix: "10.9.0.0/24"}}
+	own := &bonsai.PrefixList{Entries: []bonsai.PrefixEntry{
+		{Action: bonsai.Permit, Prefix: mustPfx("10.0.3.0/24")},
+		{Action: bonsai.Permit, Prefix: mustPfx("10.9.0.0/24")},
+	}}
+	deny := &bonsai.RouteMap{Clauses: []bonsai.Clause{{Seq: 10, Action: bonsai.Deny}}}
+	chain := []bonsai.Delta{
+		{LinkDown: link},
+		{AddOriginated: origin},
+		{SetPrefixLists: []bonsai.PrefixListEdit{{Router: "edge-1-1", Name: "OWN", List: own}}},
+		{SetRouteMaps: []bonsai.RouteMapEdit{{Router: "edge-1-0", Name: "EXPORT-OWN", Map: deny}}},
+		{RemoveOriginated: origin},
+		{LinkUp: link},
+		// ...and all six kinds in one delta, two of them on one router.
+		{
+			LinkDown:         []bonsai.LinkRef{{A: "edge-0-0", B: "agg-0-0"}},
+			LinkUp:           []bonsai.LinkRef{{A: "edge-0-0", B: "edge-0-1"}},
+			SetRouteMaps:     []bonsai.RouteMapEdit{{Router: "edge-2-0", Name: "EXPORT-OWN", Map: deny}},
+			SetPrefixLists:   []bonsai.PrefixListEdit{{Router: "edge-1-1", Name: "OWN", List: own}},
+			AddOriginated:    origin,
+			RemoveOriginated: []bonsai.OriginEdit{{Router: "edge-1-1", Prefix: "10.0.3.0/24"}},
+		},
+	}
+	for round := 0; round < 3; round++ {
+		for _, d := range chain {
+			if _, err := eng.Apply(ctx, d); err != nil {
+				t.Fatalf("apply %+v: %v", d, err)
+			}
+			snaps = append(snaps, hold())
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for i, s := range snaps {
+		if got := config.PrintString(s.net); got != s.text {
+			t.Fatalf("snapshot %d changed after later applies:\n--- held\n%s\n--- now\n%s", i, s.text, got)
+		}
+	}
+	if snaps[0].text == snaps[len(snaps)-1].text {
+		t.Fatal("the chain did not change the configuration")
+	}
 }

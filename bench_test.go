@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bonsai"
 	"bonsai/internal/benchrun"
 	"bonsai/internal/build"
 	"bonsai/internal/config"
@@ -372,4 +373,67 @@ func BenchmarkChurnStorm(b *testing.B) {
 	gen := func() *config.Network { return netgen.Fattree(8, netgen.PolicyShortestPath) }
 	b.Run("nodes=80/stream", benchrun.ChurnStorm(gen, 16, 64, true))
 	b.Run("nodes=80/naive", benchrun.ChurnStorm(gen, 16, 64, false))
+}
+
+// BenchmarkBuildNew measures the constructor every Open and every Apply
+// pays: validation, the SRP graph and the dense per-edge tables, on the
+// serve-churn fat-tree and the two operational stand-ins.
+func BenchmarkBuildNew(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		net  *config.Network
+	}{
+		{"fattree12", netgen.Fattree(12, netgen.PolicyShortestPath)},
+		{"datacenter", netgen.Datacenter(netgen.DCOptions{})},
+		{"wan", netgen.WAN(netgen.WANOptions{Backbone: 30, Sites: 80, SwitchesPerSite: 7})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := build.New(c.net); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchApply measures single-delta Engine.Apply on the serve-churn network
+// (Fattree 12) with every class warm, alternating a delta with its undo so
+// the network returns to base every two iterations.
+func benchApply(b *testing.B, do, undo bonsai.Delta) {
+	ctx := context.Background()
+	eng, err := bonsai.Open(netgen.Fattree(12, netgen.PolicyShortestPath))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Compress(ctx, bonsai.ClassSelector{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := do
+		if i%2 == 1 {
+			d = undo
+		}
+		if _, err := eng.Apply(ctx, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyLinkFlap is the common serve-churn write: one link down,
+// then up again.
+func BenchmarkApplyLinkFlap(b *testing.B) {
+	ref := []bonsai.LinkRef{{A: "agg-0-0", B: "core-0"}}
+	benchApply(b, bonsai.Delta{LinkDown: ref}, bonsai.Delta{LinkUp: ref})
+}
+
+// BenchmarkApplyOrigin is the costlier serve-churn write: a prefix added to
+// an edge router, then removed (a class appears and disappears).
+func BenchmarkApplyOrigin(b *testing.B) {
+	e := []bonsai.OriginEdit{{Router: "edge-0-0", Prefix: "10.250.1.0/24"}}
+	benchApply(b, bonsai.Delta{AddOriginated: e}, bonsai.Delta{RemoveOriginated: e})
 }

@@ -187,10 +187,13 @@ func (d *Delta) Validate(cfg *config.Network) error {
 	return nil
 }
 
-// apply mutates cfg (a private clone) in place. Policy namespaces are
-// copy-on-write: a router's Env is replaced before its first edit so clones
-// sharing the original are unaffected. The delta must have passed Validate
-// against the same configuration; apply re-runs it so direct callers keep
+// apply mutates cfg, a private config.Network.Fork of the configuration
+// being served, in place. Routers and their policy namespaces are
+// copy-on-write: cfg shares every *Router with its predecessor, so a router
+// is replaced by its Clone — and, for policy edits, its Env by a copy —
+// before its first edit, and the predecessor is never written through. Link
+// records are cfg's own. The delta must have passed Validate against the
+// same configuration; apply re-runs it so direct callers keep
 // all-or-nothing semantics.
 func (d *Delta) apply(cfg *config.Network) error {
 	if err := d.Validate(cfg); err != nil {
@@ -206,12 +209,22 @@ func (d *Delta) apply(cfg *config.Network) error {
 		}
 		cfg.Links = append(cfg.Links, config.Link{A: l.A, B: l.B})
 	}
-	cloned := make(map[string]bool)
+	// own returns the named router once it is cfg's to edit; envFor also
+	// gives it a policy namespace of its own.
+	owned := make(map[string]bool)
+	own := func(name string) *config.Router {
+		if !owned[name] {
+			cfg.Routers[name] = cfg.Routers[name].Clone()
+			owned[name] = true
+		}
+		return cfg.Routers[name]
+	}
+	envCloned := make(map[string]bool)
 	envFor := func(name string) *config.Router {
-		r := cfg.Routers[name]
-		if !cloned[name] {
+		r := own(name)
+		if !envCloned[name] {
 			r.CloneEnv()
-			cloned[name] = true
+			envCloned[name] = true
 		}
 		return r
 	}
@@ -236,7 +249,7 @@ func (d *Delta) apply(cfg *config.Network) error {
 		}
 	}
 	for _, e := range d.AddOriginated {
-		r := cfg.Routers[e.Router]
+		r := own(e.Router)
 		p, err := netip.ParsePrefix(e.Prefix)
 		if err != nil {
 			return fmt.Errorf("bonsai: delta: bad prefix %q: %w", e.Prefix, err)
@@ -254,7 +267,7 @@ func (d *Delta) apply(cfg *config.Network) error {
 		}
 	}
 	for _, e := range d.RemoveOriginated {
-		r := cfg.Routers[e.Router]
+		r := own(e.Router)
 		p, err := netip.ParsePrefix(e.Prefix)
 		if err != nil {
 			return fmt.Errorf("bonsai: delta: bad prefix %q: %w", e.Prefix, err)

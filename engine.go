@@ -712,7 +712,7 @@ func oversizedDelta(cfg *config.Network, d *Delta) bool {
 	return links*4 > len(cfg.Links) || routers*4 > len(cfg.Routers)
 }
 
-// applyDelta is the shared core of Apply and ApplyStream: validate, clone,
+// applyDelta is the shared core of Apply and ApplyStream: validate, fork,
 // rebuild, adopt (or degrade), swap. The caller holds applyMu. Any panic in
 // the rebuild or adoption machinery is contained here: the snapshot is not
 // swapped, the old state keeps serving queries, and the panic surfaces as
@@ -726,13 +726,14 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	}()
 	start := time.Now()
 	st := e.state.Load()
-	// Validate against the live config before paying for the clone; apply
-	// re-validates against the clone, keeping all-or-nothing semantics even
-	// for direct callers.
+	// Validate against the live config before paying for the fork; apply
+	// re-validates against the fork, keeping all-or-nothing semantics even
+	// for direct callers. The successor shares every router the delta does
+	// not edit with the snapshot still being served (Delta.apply).
 	if err := d.Validate(st.cfg); err != nil {
 		return nil, err
 	}
-	cfg2 := st.cfg.Clone()
+	cfg2 := st.cfg.Fork()
 	if err := d.apply(cfg2); err != nil {
 		return nil, err
 	}
@@ -754,13 +755,13 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	if degraded {
 		// Cold successor: no adoption sweep, every class recompresses
 		// lazily. Count the class-set diff so the report stays truthful.
-		newSet := make(map[string]bool, len(b2.Classes()))
+		newSet := make(map[netip.Prefix]bool, len(b2.Classes()))
 		for _, cls := range b2.Classes() {
-			newSet[cls.Prefix.String()] = true
+			newSet[cls.Prefix] = true
 		}
 		stats.NewClasses = len(b2.Classes())
 		for _, cls := range st.b.Classes() {
-			if !newSet[cls.Prefix.String()] {
+			if !newSet[cls.Prefix] {
 				stats.Removed++
 			}
 		}

@@ -25,7 +25,6 @@ func (b *Builder) AbstractConfig(cls ec.Class, abs *core.Abstraction) (*config.N
 		return nil, fmt.Errorf("build: nil abstraction")
 	}
 	out := config.New(b.Cfg.Name + "-" + cls.Prefix.String())
-	statics := b.staticEdges(cls)
 
 	groupOf := copyGroups(abs)
 
@@ -44,18 +43,13 @@ func (b *Builder) AbstractConfig(cls ec.Class, abs *core.Abstraction) (*config.N
 		}
 	}
 
-	// Links: one per undirected abstract adjacency.
-	seen := make(map[topo.Edge]bool)
-	for _, e := range abs.AbsG.Edges() {
-		key := e
-		if e.V < e.U {
-			key = topo.Edge{U: e.V, V: e.U}
+	// Links: one per undirected abstract adjacency, at the first of its
+	// directed edges.
+	rev := abs.AbsG.ReverseEdges()
+	for i, e := range abs.AbsG.Edges() {
+		if e.U < e.V || rev[i] < 0 {
+			out.AddLink(abs.AbsG.Name(min(e.U, e.V)), abs.AbsG.Name(max(e.U, e.V)))
 		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out.AddLink(abs.AbsG.Name(key.U), abs.AbsG.Name(key.V))
 	}
 
 	// Per-neighbor configuration. All names must resolve in the policy
@@ -85,11 +79,9 @@ func (b *Builder) AbstractConfig(cls ec.Class, abs *core.Abstraction) (*config.N
 				nr.EnsureOSPF().Ifaces[peer] = ifc
 			}
 		}
-		if statics[topo.Edge{U: repID, V: cand}] {
-			for _, s := range ur.Statics {
-				if s.NextHop == vName && staticCovers(s.Prefix, cls.Prefix) {
-					nr.Statics = append(nr.Statics, config.StaticRoute{Prefix: s.Prefix, NextHop: peer})
-				}
+		for _, s := range ur.Statics {
+			if s.NextHop == vName && staticCovers(s.Prefix, cls.Prefix) {
+				nr.Statics = append(nr.Statics, config.StaticRoute{Prefix: s.Prefix, NextHop: peer})
 			}
 		}
 		if acl := ur.IfaceACL[vName]; acl != "" {

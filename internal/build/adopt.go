@@ -46,6 +46,7 @@ package build
 
 import (
 	"context"
+	"net/netip"
 
 	"bonsai/internal/config"
 	"bonsai/internal/core"
@@ -98,7 +99,7 @@ func (b *Builder) cachedEntry(cls ec.Class) (*absEntry, bool) {
 // adoption relies on to skip re-validating the case-splitting conditions.
 func (b *Builder) UsesLocalPref() bool {
 	b.lpOnce.Do(func() {
-		for _, ref := range b.sigRMs {
+		for _, ref := range b.tab.sigRMs {
 			rm := ref.env.RouteMaps[ref.name]
 			if rm == nil {
 				continue
@@ -157,17 +158,16 @@ func (b *Builder) AdoptFrom(ctx context.Context, comp *policy.Compiler, old *Bui
 		return st, nil
 	}
 	ad := newAdoption(b, old, delta)
-	oldByPrefix := make(map[string]ec.Class, len(old.Classes()))
+	oldByPrefix := make(map[netip.Prefix]ec.Class, len(old.Classes()))
 	for _, cls := range old.Classes() {
-		oldByPrefix[cls.Prefix.String()] = cls
+		oldByPrefix[cls.Prefix] = cls
 	}
 	for _, cls := range b.Classes() {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		key := cls.Prefix.String()
-		oldCls, existed := oldByPrefix[key]
-		delete(oldByPrefix, key)
+		oldCls, existed := oldByPrefix[cls.Prefix]
+		delete(oldByPrefix, cls.Prefix)
 		if !existed || !sameOrigins(oldCls, cls) {
 			st.NewClasses++
 			continue
@@ -186,7 +186,7 @@ func (b *Builder) AdoptFrom(ctx context.Context, comp *policy.Compiler, old *Bui
 			st.Reassembled++
 		default:
 			st.Invalidated++
-			st.InvalidatedPrefixes = append(st.InvalidatedPrefixes, key)
+			st.InvalidatedPrefixes = append(st.InvalidatedPrefixes, cls.Prefix.String())
 		}
 	}
 	st.Removed = len(oldByPrefix)
@@ -291,14 +291,14 @@ func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
 	ad := &adoption{
 		b:          b,
 		old:        old,
-		removedIdx: make([]bool, len(old.iso.edges)),
-		addedIdx:   make([]bool, len(b.iso.edges)),
-		remap:      make([]int32, len(b.iso.edges)),
+		removedIdx: make([]bool, len(old.tab.edges)),
+		addedIdx:   make([]bool, len(b.tab.edges)),
+		remap:      make([]int32, len(b.tab.edges)),
 		lpGate:     old.UsesLocalPref() || b.UsesLocalPref(),
 	}
 	// Both edge lists are sorted by (U, V) — a linear merge classifies
 	// every edge as shared, added or removed without hashing.
-	newEdges, oldEdges := b.iso.edges, old.iso.edges
+	newEdges, oldEdges := b.tab.edges, old.tab.edges
 	i, j := 0, 0
 	for i < len(newEdges) || j < len(oldEdges) {
 		switch {
@@ -427,7 +427,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		if !entry.live[j] {
 			continue
 		}
-		e := old.iso.edges[j]
+		e := old.tab.edges[j]
 		if !ad.survivingOutWitness(oldSig, entry.live, F, e, j) ||
 			!ad.survivingInWitness(oldSig, entry.live, F, e, j) {
 			return adoptFailed
@@ -436,7 +436,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 
 	// Added edges: dead edges are invisible; a live added edge must land on
 	// an abstract edge that already existed with the same label.
-	live2 := make([]bool, len(b.iso.edges))
+	live2 := make([]bool, len(b.tab.edges))
 	for i, j := range ad.remap {
 		if j >= 0 {
 			live2[i] = entry.live[j]
@@ -447,7 +447,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		return adoptFailed
 	}
 	for _, i := range ad.added {
-		e := b.iso.edges[i]
+		e := b.tab.edges[i]
 		if key(e.U, e.V).Dead() {
 			continue
 		}
@@ -508,12 +508,12 @@ func (ad *adoption) checkTouchedRouter(tr touchedRouter, cls ec.Class, entry *ab
 	}
 	staticsDirty := !staticSetEqual(oldR, newR, cls)
 
-	t := ad.old.iso
+	t := ad.old.tab
 	rmDirty := func(idx int32) bool {
 		if idx < 0 {
 			return false
 		}
-		r := ad.old.sigRMs[idx]
+		r := t.sigRMs[idx]
 		return r.env == tr.oldEnv && dirtyMaps[r.name]
 	}
 	edgeDirty := func(j int32, egress bool) bool {
@@ -526,11 +526,12 @@ func (ad *adoption) checkTouchedRouter(tr touchedRouter, cls ec.Class, entry *ab
 		// The router's egress ACL and statics ride its outgoing edges.
 		return egress && (aclDirty || staticsDirty)
 	}
-	for _, ne := range t.nbrEdges[tr.u] {
+	lo, hi := t.out(tr.u)
+	for i := lo; i < hi; i++ {
 		for _, dir := range [2]struct {
 			j      int32
 			egress bool
-		}{{ne.out, true}, {ne.in_, false}} {
+		}{{i, true}, {t.rev[i], false}} {
 			if !edgeDirty(dir.j, dir.egress) {
 				continue
 			}
@@ -576,12 +577,13 @@ func staticSetEqual(oldR, newR *config.Router, cls ec.Class) bool {
 // survivingOutWitness reports whether u (of removed old edge e = (u, v))
 // keeps a surviving live out-edge with an equal label into v's group.
 func (ad *adoption) survivingOutWitness(sig *classSig, live []bool, F []int, e topo.Edge, j int32) bool {
-	t := ad.old.iso
-	for _, ne := range t.nbrEdges[e.U] {
-		if ne.out == j || ad.removedIdx[ne.out] || !live[ne.out] {
+	t := ad.old.tab
+	lo, hi := t.out(e.U)
+	for i := lo; i < hi; i++ {
+		if i == j || ad.removedIdx[i] || !live[i] {
 			continue
 		}
-		if F[ne.v] == F[e.V] && t.edgeEq(sig, sig, ne.out, j) {
+		if F[t.edges[i].V] == F[e.V] && t.edgeEq(sig, sig, i, j) {
 			return true
 		}
 	}
@@ -591,13 +593,15 @@ func (ad *adoption) survivingOutWitness(sig *classSig, live []bool, F []int, e t
 // survivingInWitness reports whether v (of removed old edge e = (u, v))
 // keeps a surviving live in-edge with an equal label from u's group.
 func (ad *adoption) survivingInWitness(sig *classSig, live []bool, F []int, e topo.Edge, j int32) bool {
-	t := ad.old.iso
-	for _, ne := range t.nbrEdges[e.V] {
-		// ne.out is (v, w); ne.in_ is (w, v) — the in-edge direction.
-		if ne.in_ == j || ad.removedIdx[ne.in_] || !live[ne.in_] {
+	t := ad.old.tab
+	lo, hi := t.out(e.V)
+	for o := lo; o < hi; o++ {
+		// o is (v, w); its reverse i is (w, v) — the in-edge direction.
+		i := t.rev[o]
+		if i == j || ad.removedIdx[i] || !live[i] {
 			continue
 		}
-		if F[ne.v] == F[e.U] && t.edgeEq(sig, sig, ne.in_, j) {
+		if F[t.edges[o].V] == F[e.U] && t.edgeEq(sig, sig, i, j) {
 			return true
 		}
 	}
@@ -609,18 +613,21 @@ func (ad *adoption) survivingInWitness(sig *classSig, live []bool, F []int, e to
 // (u, w) with w in v's group and the same label. Token sets are unchanged
 // in that case, so the partition stays stable.
 func (ad *adoption) addedWitness(sig *classSig, live []bool, F []int, e topo.Edge, i int32) bool {
-	t := ad.b.iso
-	for _, ne := range t.nbrEdges[e.U] {
-		if ne.out == i || ad.addedIdx[ne.out] || !live[ne.out] {
+	t := ad.b.tab
+	lo, hi := t.out(e.U)
+	for o := lo; o < hi; o++ {
+		if o == i || ad.addedIdx[o] || !live[o] {
 			continue
 		}
-		if F[ne.v] == F[e.V] && t.edgeEq(sig, sig, ne.out, i) {
+		if F[t.edges[o].V] == F[e.V] && t.edgeEq(sig, sig, o, i) {
 			// Out-token witnessed; the in-token needs a witness too.
-			for _, me := range t.nbrEdges[e.V] {
-				if me.in_ == i || ad.addedIdx[me.in_] || !live[me.in_] {
+			lo, hi := t.out(e.V)
+			for o := lo; o < hi; o++ {
+				in := t.rev[o] // o is (v, w), in is (w, v)
+				if in == i || ad.addedIdx[in] || !live[in] {
 					continue
 				}
-				if F[me.v] == F[e.U] && t.edgeEq(sig, sig, me.in_, i) {
+				if F[t.edges[o].V] == F[e.U] && t.edgeEq(sig, sig, in, i) {
 					return true
 				}
 			}
@@ -635,7 +642,7 @@ func (ad *adoption) addedWitness(sig *classSig, live []bool, F []int, e topo.Edg
 // rebuild).
 func (ad *adoption) repEdgesSurvive(abs *core.Abstraction) bool {
 	for _, rep := range abs.RepEdge {
-		if _, ok := ad.b.iso.edgeIdx[rep]; !ok {
+		if !ad.b.G.HasEdge(rep.U, rep.V) {
 			return false
 		}
 	}

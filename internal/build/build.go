@@ -25,30 +25,6 @@ import (
 	"bonsai/internal/topo"
 )
 
-// bgpSession is the precomputed, class-independent description of a live BGP
-// session on the directed SRP edge (u, v): u learns from v, so v's export
-// map runs first and u's import map second.
-type bgpSession struct {
-	expEnv *policy.Env
-	expMap string
-	impEnv *policy.Env
-	impMap string
-	ibgp   bool
-	// redistOSPF/redistStatic record whether the sender v injects RIB routes
-	// learned from those protocols into BGP (paper §6). They are part of the
-	// edge's transfer function and therefore of its canonical key.
-	redistOSPF   bool
-	redistStatic bool
-}
-
-// ospfAdj is the precomputed OSPF adjacency on the directed edge (u, v):
-// the cost u pays to reach via v, and whether the edge crosses an area
-// boundary.
-type ospfAdj struct {
-	cost  int
-	cross bool
-}
-
 // Builder owns the parsed network, its SRP topology and the caches shared
 // across per-class compressions.
 type Builder struct {
@@ -66,19 +42,9 @@ type Builder struct {
 	erasedUniverse []protocols.Community // only communities ever matched
 	fullUniverse   []protocols.Community // every community mentioned
 
-	bgpSess map[topo.Edge]bgpSession
-	ospfAdj map[topo.Edge]ospfAdj
-
-	// Flattened per-edge protocol tables, aligned with G.Edges(): the
-	// class-independent inputs of EdgeKeyVec as dense vectors, so the
-	// per-class edge-key derivation is array indexing instead of map
-	// lookups. shapes holds the distinct session descriptors; shapeOf maps
-	// each edge to its shape (-1 when the edge carries no BGP session), so
-	// each shape's relation is resolved once per class, not once per edge.
-	shapes    []bgpSession
-	shapeOf   []int32
-	ospfCost  []int32 // -1 when the edge has no OSPF adjacency
-	ospfCross []bool
+	// tab is the class-independent per-edge state, dense vectors aligned
+	// with G.Edges() (tables.go).
+	tab *edgeTables
 
 	classesOnce sync.Once
 	classIdx    ec.Index // the classes and their lookup trie, built once
@@ -104,9 +70,6 @@ type Builder struct {
 	// (they grow with the class count, not with retained abstractions) and
 	// survive eviction so evicted classes re-enter the store without
 	// recomputing signatures they already proved deterministic.
-	sigRMs     []rmRef
-	sigACLs    []aclRef
-	iso        *isoTables
 	internMu   sync.Mutex
 	fpIntern   map[string]int32
 	fpByPrefix map[netip.Prefix]string
@@ -132,8 +95,6 @@ func New(net *config.Network) (*Builder, error) {
 	b := &Builder{
 		Cfg:        net,
 		G:          topo.New(),
-		bgpSess:    make(map[topo.Edge]bgpSession),
-		ospfAdj:    make(map[topo.Edge]ospfAdj),
 		roleCache:  make(map[[2]bool]int),
 		fpIntern:   make(map[string]int32),
 		fpByPrefix: make(map[netip.Prefix]string),
@@ -156,12 +117,7 @@ func New(net *config.Network) (*Builder, error) {
 		}
 		b.G.AddLink(b.G.MustLookup(l.A), b.G.MustLookup(l.B))
 	}
-	for _, e := range b.G.Edges() {
-		b.indexEdge(e)
-	}
-	b.buildEdgeTables()
-	b.collectSigRefs()
-	b.buildIsoTables()
+	b.tab = newEdgeTables(b.G, b.routers)
 	b.erasedUniverse = net.MatchedCommunities()
 	b.fullUniverse = net.AllCommunities()
 	b.matchedSet = make(map[protocols.Community]bool, len(b.erasedUniverse))
@@ -171,76 +127,6 @@ func New(net *config.Network) (*Builder, error) {
 	b.polSpaces[0] = policy.NewSpace(b.fullUniverse)
 	b.polSpaces[1] = policy.NewSpace(b.erasedUniverse)
 	return b, nil
-}
-
-// indexEdge precomputes the class-independent protocol state of directed
-// edge e = (u, v): the BGP session (if configured on both ends) and the OSPF
-// adjacency (if both interfaces exist).
-func (b *Builder) indexEdge(e topo.Edge) {
-	ur, vr := b.routers[e.U], b.routers[e.V]
-	uName, vName := b.G.Name(e.U), b.G.Name(e.V)
-	if ur.BGP != nil && vr.BGP != nil {
-		uNb, vNb := ur.BGP.Neighbors[vName], vr.BGP.Neighbors[uName]
-		if uNb != nil && vNb != nil {
-			b.bgpSess[e] = bgpSession{
-				expEnv:       vr.Env,
-				expMap:       vNb.ExportMap,
-				impEnv:       ur.Env,
-				impMap:       uNb.ImportMap,
-				ibgp:         ur.BGP.ASN == vr.BGP.ASN,
-				redistOSPF:   vr.BGP.RedistributeOSPF,
-				redistStatic: vr.BGP.RedistributeStatic,
-			}
-		}
-	}
-	if ur.OSPF != nil && vr.OSPF != nil {
-		uIf, uOK := ur.OSPF.Ifaces[vName]
-		vIf, vOK := vr.OSPF.Ifaces[uName]
-		if uOK && vOK {
-			cost := uIf.Cost
-			if cost <= 0 {
-				cost = 1
-			}
-			b.ospfAdj[e] = ospfAdj{cost: cost, cross: uIf.Area != vIf.Area}
-		}
-	}
-}
-
-// buildEdgeTables flattens the per-edge protocol maps into vectors aligned
-// with G.Edges(), interning distinct BGP session descriptors to shape ids.
-// Runs once from New; everything here is class-independent.
-func (b *Builder) buildEdgeTables() {
-	edges := b.G.Edges()
-	b.shapeOf = make([]int32, len(edges))
-	b.ospfCost = make([]int32, len(edges))
-	b.ospfCross = make([]bool, len(edges))
-	shapeIDs := make(map[bgpSession]int32)
-	for i, e := range edges {
-		b.shapeOf[i] = -1
-		b.ospfCost[i] = -1
-		if sess, ok := b.bgpSess[e]; ok {
-			// The identity map is namespace-independent (same normalisation
-			// as edgeRelation's cache key): without it every router's Env
-			// pointer would make every session a distinct shape.
-			if sess.expMap == "" {
-				sess.expEnv = nil
-			}
-			if sess.impMap == "" {
-				sess.impEnv = nil
-			}
-			id, ok := shapeIDs[sess]
-			if !ok {
-				id = int32(len(b.shapes))
-				shapeIDs[sess] = id
-				b.shapes = append(b.shapes, sess)
-			}
-			b.shapeOf[i] = id
-		}
-		if adj, ok := b.ospfAdj[e]; ok {
-			b.ospfCost[i] = int32(adj.cost)
-			b.ospfCross[i] = adj.cross
-		}
-	}
 }
 
 // classIndex enumerates the destination classes on first use. A Builder
@@ -366,7 +252,13 @@ func (b *Builder) destOf(cls ec.Class) (topo.NodeID, error) {
 	return dest, nil
 }
 
-// staticEdges returns the directed edges (u, v) on which u has a static
+// edgeMask is a set of edges as a vector aligned with G.Edges(); nil is the
+// empty set, so the common "no static applies" case allocates nothing.
+type edgeMask []bool
+
+func (m edgeMask) has(i int) bool { return m != nil && m[i] }
+
+// staticMask returns the directed edges (u, v) on which u has a static
 // route applicable to the class: its prefix covers the class prefix (equal
 // or shorter, so the class's addresses fall under it) and points via v.
 //
@@ -376,19 +268,26 @@ func (b *Builder) destOf(cls ec.Class) (topo.NodeID, error) {
 // rather than modelled per sub-range. Configurations from the generators
 // never contain such statics (theirs are exact originated prefixes or
 // defaults); hand-written ones that do will see those statics ignored.
-func (b *Builder) staticEdges(cls ec.Class) map[topo.Edge]bool {
-	out := make(map[topo.Edge]bool)
+func (b *Builder) staticMask(cls ec.Class) edgeMask {
+	var mask edgeMask
 	for u, r := range b.routers {
 		for _, s := range r.Statics {
 			if !staticCovers(s.Prefix, cls.Prefix) {
 				continue
 			}
-			if v, ok := b.G.Lookup(s.NextHop); ok {
-				out[topo.Edge{U: topo.NodeID(u), V: v}] = true
+			v, ok := b.G.Lookup(s.NextHop)
+			if !ok {
+				continue
+			}
+			if i, ok := b.G.EdgeIndex(topo.NodeID(u), v); ok {
+				if mask == nil {
+					mask = make(edgeMask, len(b.tab.edges))
+				}
+				mask[i] = true
 			}
 		}
 	}
-	return out
+	return mask
 }
 
 // staticCovers reports whether a static route for sp governs the class

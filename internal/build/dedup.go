@@ -34,12 +34,6 @@ import (
 	"bonsai/internal/policy"
 )
 
-// aclRef names an ACL inside a router's policy namespace.
-type aclRef struct {
-	env  *policy.Env
-	name string
-}
-
 // Provenance reports where a Compress result came from: computed by full
 // refinement, transported through a verified symmetry, served from the
 // identity cache, or carried across an incremental update. The streaming
@@ -92,44 +86,6 @@ type absEntry struct {
 	pinned     bool // transport seed: never evicted
 	inLRU      bool
 	prev, next *absEntry
-}
-
-// collectSigRefs enumerates, once per Builder, the policy objects whose
-// class-dependent behavior the fingerprint must record: every route map
-// attached to a live BGP session and every interface ACL. Order is arbitrary
-// but fixed for the Builder's lifetime, which is all fingerprint equality
-// needs.
-func (b *Builder) collectSigRefs() {
-	seenRM := make(map[rmRef]bool)
-	addRM := func(env *policy.Env, name string) {
-		if name == "" {
-			return
-		}
-		r := rmRef{env: env, name: name}
-		if !seenRM[r] {
-			seenRM[r] = true
-			b.sigRMs = append(b.sigRMs, r)
-		}
-	}
-	for _, e := range b.G.Edges() {
-		if sess, ok := b.bgpSess[e]; ok {
-			addRM(sess.expEnv, sess.expMap)
-			addRM(sess.impEnv, sess.impMap)
-		}
-	}
-	seenACL := make(map[aclRef]bool)
-	for _, r := range b.routers {
-		for _, name := range r.IfaceACL {
-			if name == "" {
-				continue
-			}
-			a := aclRef{env: r.Env, name: name}
-			if !seenACL[a] {
-				seenACL[a] = true
-				b.sigACLs = append(b.sigACLs, a)
-			}
-		}
-	}
 }
 
 // Compress runs the full per-class pipeline (Algorithm 1) with cross-EC

@@ -112,8 +112,10 @@ func appendPrefixFingerprint(dst []byte, env *policy.Env, mapName string, pfx ne
 }
 
 // edgeRelation compiles (or recalls) the canonical BGP relation of a
-// session for the class prefix: v's export map composed with u's import map.
-func (b *Builder) edgeRelation(comp *policy.Compiler, cc *compilerCache, sess bgpSession, pfx netip.Prefix) relEntry {
+// session shape for the class prefix: v's export map composed with u's
+// import map. Shapes arrive with the namespace of an empty map already nil
+// (tables.go), which is what lets symmetric edges share one cache entry.
+func (b *Builder) edgeRelation(comp *policy.Compiler, cc *compilerCache, sess *bgpSession, pfx netip.Prefix) relEntry {
 	fp := appendPrefixFingerprint(make([]byte, 0, 32), sess.expEnv, sess.expMap, pfx)
 	fp = append(fp, '|')
 	fp = appendPrefixFingerprint(fp, sess.impEnv, sess.impMap, pfx)
@@ -121,12 +123,6 @@ func (b *Builder) edgeRelation(comp *policy.Compiler, cc *compilerCache, sess bg
 		expEnv: sess.expEnv, expMap: sess.expMap,
 		impEnv: sess.impEnv, impMap: sess.impMap,
 		ibgp: sess.ibgp, fp: string(fp),
-	}
-	if k.expMap == "" {
-		k.expEnv = nil // the identity map is namespace-independent
-	}
-	if k.impMap == "" {
-		k.impEnv = nil
 	}
 	if ent, ok := cc.rels[k]; ok {
 		return ent
@@ -148,11 +144,16 @@ func (b *Builder) edgeRelation(comp *policy.Compiler, cc *compilerCache, sess bg
 // goroutine owning comp.
 func (b *Builder) EdgeKeyFunc(comp *policy.Compiler, cls ec.Class) func(u, v topo.NodeID) core.EdgeKey {
 	cc := b.cacheFor(comp)
-	statics := b.staticEdges(cls)
+	t := b.tab
+	statics := b.staticMask(cls)
 	return func(u, v topo.NodeID) core.EdgeKey {
-		e := topo.Edge{U: u, V: v}
-		var k core.EdgeKey
-		if sess, ok := b.bgpSess[e]; ok {
+		k := core.EdgeKey{ACLPermit: b.aclPermit(u, v, cls)}
+		i, ok := b.G.EdgeIndex(u, v)
+		if !ok {
+			return k
+		}
+		if si := t.shapeOf[i]; si >= 0 {
+			sess := &t.shapes[si]
 			ent := b.edgeRelation(comp, cc, sess, cls.Prefix)
 			if !ent.drops {
 				k.BGP = true
@@ -160,13 +161,12 @@ func (b *Builder) EdgeKeyFunc(comp *policy.Compiler, cls ec.Class) func(u, v top
 				k.BGPRel = cc.withRedist(ent.rel, sess.redistOSPF, sess.redistStatic)
 			}
 		}
-		if adj, ok := b.ospfAdj[e]; ok {
+		if c := t.ospfCost[i]; c >= 0 {
 			k.OSPF = true
-			k.OSPFCost = adj.cost
-			k.OSPFCross = adj.cross
+			k.OSPFCost = int(c)
+			k.OSPFCross = t.ospfCross[i]
 		}
-		k.Static = statics[e]
-		k.ACLPermit = b.aclPermit(u, v, cls)
+		k.Static = statics.has(i)
 		return k
 	}
 }
@@ -174,24 +174,23 @@ func (b *Builder) EdgeKeyFunc(comp *policy.Compiler, cls ec.Class) func(u, v top
 // EdgeKeyVec computes the canonical signatures of every directed edge for
 // one destination class, aligned with b.G.Edges(). It produces exactly the
 // keys EdgeKeyFunc would return, but derives them batch-wise: each distinct
-// session shape is resolved through comp's relation cache once, each
-// interface ACL is evaluated once, and applicable statics are marked by
-// edge index — per-class cost is O(E) vector writes plus O(shapes + ACLs +
-// statics) policy work, with none of the per-edge map lookups or
-// fingerprint rendering of the callback path. CompressFresh feeds the
+// session shape is resolved through comp's relation cache once and each
+// interface ACL is evaluated once — per-class cost is O(E) vector reads
+// plus O(shapes + ACLs + statics) policy work. CompressFresh feeds the
 // vector to core.Options.EdgeKeys; the callback form remains for sparse
 // consumers (incremental adoption probes a handful of edges).
 func (b *Builder) EdgeKeyVec(comp *policy.Compiler, cls ec.Class) []core.EdgeKey {
 	cc := b.cacheFor(comp)
-	edges := b.G.Edges()
-	keys := make([]core.EdgeKey, len(edges))
+	t := b.tab
+	keys := make([]core.EdgeKey, len(t.edges))
 	type shapeRel struct {
 		rel  bdd.Node
 		live bool
 		ibgp bool
 	}
-	rels := make([]shapeRel, len(b.shapes))
-	for si, sess := range b.shapes {
+	rels := make([]shapeRel, len(t.shapes))
+	for si := range t.shapes {
+		sess := &t.shapes[si]
 		ent := b.edgeRelation(comp, cc, sess, cls.Prefix)
 		if !ent.drops {
 			rels[si] = shapeRel{
@@ -201,32 +200,25 @@ func (b *Builder) EdgeKeyVec(comp *policy.Compiler, cls ec.Class) []core.EdgeKey
 			}
 		}
 	}
-	aclV := make([]bool, len(b.sigACLs))
-	for ai, a := range b.sigACLs {
+	aclV := make([]bool, len(t.sigACLs))
+	for ai, a := range t.sigACLs {
 		aclV[ai] = a.env.ACLPermits(a.name, cls.Prefix)
 	}
-	for i := range edges {
+	statics := b.staticMask(cls)
+	for i := range keys {
 		k := &keys[i]
-		if si := b.shapeOf[i]; si >= 0 && rels[si].live {
+		if si := t.shapeOf[i]; si >= 0 && rels[si].live {
 			k.BGP = true
 			k.IBGP = rels[si].ibgp
 			k.BGPRel = rels[si].rel
 		}
-		if c := b.ospfCost[i]; c >= 0 {
+		if c := t.ospfCost[i]; c >= 0 {
 			k.OSPF = true
 			k.OSPFCost = int(c)
-			k.OSPFCross = b.ospfCross[i]
+			k.OSPFCross = t.ospfCross[i]
 		}
-		if a := b.iso.aclIdx[i]; a >= 0 {
-			k.ACLPermit = aclV[a]
-		} else {
-			k.ACLPermit = true
-		}
-	}
-	for e := range b.staticEdges(cls) {
-		if j, ok := b.iso.edgeIdx[e]; ok {
-			keys[j].Static = true
-		}
+		k.ACLPermit = t.aclIdx[i] < 0 || aclV[t.aclIdx[i]]
+		k.Static = statics.has(i)
 	}
 	return keys
 }
@@ -247,22 +239,23 @@ func (b *Builder) PrefsFunc(cls ec.Class) func(u topo.NodeID) int {
 }
 
 // prefsVec computes prefs(u) for every node (see PrefsFunc). Sessions are
-// read through the flattened shape tables (edge-index vectors, no map
-// lookups) and the value-set scratch map is reused across nodes, so the
-// per-class cost is one pass over the live adjacency.
+// read through the shape tables by edge index and the value-set scratch map
+// is reused across nodes, so the per-class cost is one pass over the live
+// adjacency.
 func (b *Builder) prefsVec(cls ec.Class) []int {
 	prefs := make([]int, b.G.NumNodes())
-	t := b.iso
+	t := b.tab
 	vals := make(map[uint32]bool)
 	for u := range prefs {
 		clear(vals)
 		passthrough := false
-		for _, ne := range t.nbrEdges[u] {
-			si := b.shapeOf[ne.out]
+		lo, hi := t.out(topo.NodeID(u))
+		for i := lo; i < hi; i++ {
+			si := t.shapeOf[i]
 			if si < 0 {
 				continue
 			}
-			sess := b.shapes[si]
+			sess := &t.shapes[si]
 			sess.impEnv.LocalPrefValues(sess.impMap, cls.Prefix, vals)
 			if !sess.impEnv.LocalPrefPassesThrough(sess.impMap, cls.Prefix) {
 				continue
@@ -281,29 +274,27 @@ func (b *Builder) prefsVec(cls ec.Class) []int {
 			// own eBGP import maps can assign (iBGP-learned routes are not
 			// re-advertised, and an originated route holds the default).
 			senderDefault := false
-			for _, ne2 := range t.nbrEdges[ne.v] {
-				si2 := b.shapeOf[ne2.out]
-				if si2 < 0 || b.shapes[si2].ibgp {
+			v := t.edges[i].V
+			lo2, hi2 := t.out(v)
+			for i2 := lo2; i2 < hi2; i2++ {
+				si2 := t.shapeOf[i2]
+				if si2 < 0 || t.shapes[si2].ibgp {
 					continue
 				}
-				s2 := b.shapes[si2]
+				s2 := &t.shapes[si2]
 				s2.impEnv.LocalPrefValues(s2.impMap, cls.Prefix, vals)
 				if s2.impEnv.LocalPrefPassesThrough(s2.impMap, cls.Prefix) {
 					senderDefault = true
 				}
 			}
-			if senderDefault || originates(cls, b.G.Name(ne.v)) {
+			if senderDefault || originates(cls, b.G.Name(v)) {
 				passthrough = true
 			}
 		}
 		if passthrough {
 			vals[protocols.DefaultLocalPref] = true
 		}
-		n := len(vals)
-		if n < 1 {
-			n = 1
-		}
-		prefs[u] = n
+		prefs[u] = max(len(vals), 1)
 	}
 	return prefs
 }

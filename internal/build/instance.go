@@ -13,17 +13,10 @@ import (
 	"bonsai/internal/config"
 	"bonsai/internal/core"
 	"bonsai/internal/ec"
-	"bonsai/internal/policy"
 	"bonsai/internal/protocols"
 	"bonsai/internal/srp"
 	"bonsai/internal/topo"
 )
-
-// rmRef names a route map inside a router's policy namespace.
-type rmRef struct {
-	env  *policy.Env
-	name string
-}
 
 // redistFlags records which RIB sources a router injects into BGP.
 type redistFlags struct {
@@ -68,18 +61,10 @@ func (b *Builder) Instance(cls ec.Class) (*srp.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	statics := b.staticEdges(cls)
+	statics := b.staticMask(cls)
 	t := newInstanceTables()
-	for _, e := range b.G.Edges() {
-		if sess, ok := b.bgpSess[e]; ok {
-			t.addBGP(e, sess)
-		}
-		if adj, ok := b.ospfAdj[e]; ok {
-			t.addOSPF(e, adj)
-		}
-		if statics[e] {
-			t.statics[e] = true
-		}
+	for i, e := range b.tab.edges {
+		t.add(e, b.tab, i, statics.has(i))
 	}
 	for _, u := range b.G.Nodes() {
 		if bgp := b.routers[u].BGP; bgp != nil {
@@ -97,7 +82,7 @@ func (b *Builder) AbstractInstance(cls ec.Class, abs *core.Abstraction) (*srp.In
 	if _, err := b.destOf(cls); err != nil {
 		return nil, err
 	}
-	statics := b.staticEdges(cls)
+	statics := b.staticMask(cls)
 	groupOf := copyGroups(abs)
 	t := newInstanceTables()
 	for _, e := range abs.AbsG.Edges() {
@@ -106,14 +91,8 @@ func (b *Builder) AbstractInstance(cls ec.Class, abs *core.Abstraction) (*srp.In
 			return nil, fmt.Errorf("build: abstract edge %s->%s has no representative",
 				abs.AbsG.Name(e.U), abs.AbsG.Name(e.V))
 		}
-		if sess, ok := b.bgpSess[rep]; ok {
-			t.addBGP(e, sess)
-		}
-		if adj, ok := b.ospfAdj[rep]; ok {
-			t.addOSPF(e, adj)
-		}
-		if statics[rep] {
-			t.statics[e] = true
+		if i, ok := b.G.EdgeIndex(rep.U, rep.V); ok {
+			t.add(e, b.tab, i, statics.has(i))
 		}
 	}
 	for _, c := range abs.AbsG.Nodes() {
@@ -153,24 +132,31 @@ func newInstanceTables() *instanceTables {
 	}
 }
 
-func (t *instanceTables) addBGP(e topo.Edge, sess bgpSession) {
-	t.bgpEdges[e] = true
-	if sess.ibgp {
-		t.ibgp[e] = true
+// add gives instance edge e the protocol behaviour of concrete edge i: e
+// itself in a concrete instance, e's representative in an abstract one.
+func (t *instanceTables) add(e topo.Edge, tab *edgeTables, i int, static bool) {
+	if si := tab.shapeOf[i]; si >= 0 {
+		sess := &tab.shapes[si]
+		t.bgpEdges[e] = true
+		if sess.ibgp {
+			t.ibgp[e] = true
+		}
+		if sess.expMap != "" {
+			t.expPol[e] = rmRef{env: sess.expEnv, name: sess.expMap}
+		}
+		if sess.impMap != "" {
+			t.impPol[e] = rmRef{env: sess.impEnv, name: sess.impMap}
+		}
 	}
-	if sess.expMap != "" {
-		t.expPol[e] = rmRef{env: sess.expEnv, name: sess.expMap}
+	if c := tab.ospfCost[i]; c >= 0 {
+		t.ospfEdges[e] = true
+		t.ospfCost[e] = int(c)
+		if tab.ospfCross[i] {
+			t.ospfCross[e] = true
+		}
 	}
-	if sess.impMap != "" {
-		t.impPol[e] = rmRef{env: sess.impEnv, name: sess.impMap}
-	}
-}
-
-func (t *instanceTables) addOSPF(e topo.Edge, adj ospfAdj) {
-	t.ospfEdges[e] = true
-	t.ospfCost[e] = adj.cost
-	if adj.cross {
-		t.ospfCross[e] = true
+	if static {
+		t.statics[e] = true
 	}
 }
 

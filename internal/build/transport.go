@@ -28,8 +28,6 @@
 package build
 
 import (
-	"slices"
-	"sort"
 	"strconv"
 
 	"bonsai/internal/core"
@@ -37,120 +35,6 @@ import (
 	"bonsai/internal/policy"
 	"bonsai/internal/topo"
 )
-
-// nbrEdge is one undirected neighbor with the indices of the two directed
-// edges joining it, precomputed so the hot loops never consult a map.
-type nbrEdge struct {
-	v        topo.NodeID
-	out, in_ int32 // edge indices of (u, v) and (v, u)
-}
-
-// isoTables holds the class-independent side of the transport machinery,
-// built once per Builder.
-type isoTables struct {
-	edges    []topo.Edge            // b.G.Edges() order
-	edgeIdx  map[topo.Edge]int32    // directed edge -> index in edges
-	content  []int32                // per edge: interned content label
-	expRM    []int32                // per edge: sigRMs index of the export map, -1 none
-	impRM    []int32                // per edge: sigRMs index of the import map, -1 none
-	aclIdx   []int32                // per edge: sigACLs index of the egress ACL, -1 none
-	nbrs     [][]topo.NodeID        // undirected neighbors per node, sorted
-	nbrEdges [][]nbrEdge            // aligned with nbrs
-	rmLists  [][]*policy.PrefixList // per sigRMs entry: prefix lists matched, in clause/match order
-	rmKnown  []bool                 // per sigRMs entry: route map exists
-}
-
-// buildIsoTables precomputes edge content labels and index tables. Runs once
-// from New; everything here is class-independent.
-func (b *Builder) buildIsoTables() {
-	t := &isoTables{
-		edges:   b.G.Edges(),
-		edgeIdx: make(map[topo.Edge]int32),
-		nbrs:    make([][]topo.NodeID, b.G.NumNodes()),
-	}
-	rmIdx := make(map[rmRef]int32, len(b.sigRMs))
-	for i, r := range b.sigRMs {
-		rmIdx[r] = int32(i)
-	}
-	aclIdx := make(map[aclRef]int32, len(b.sigACLs))
-	for i, a := range b.sigACLs {
-		aclIdx[a] = int32(i)
-	}
-	contentIDs := make(map[string]int32)
-	rmContent := make(map[rmRef]string)
-	t.content = make([]int32, len(t.edges))
-	t.expRM = make([]int32, len(t.edges))
-	t.impRM = make([]int32, len(t.edges))
-	t.aclIdx = make([]int32, len(t.edges))
-	for i, e := range t.edges {
-		t.edgeIdx[e] = int32(i)
-		t.nbrs[e.U] = append(t.nbrs[e.U], e.V)
-		t.expRM[i], t.impRM[i], t.aclIdx[i] = -1, -1, -1
-		var lbl []byte
-		if sess, ok := b.bgpSess[e]; ok {
-			lbl = append(lbl, 'B')
-			lbl = appendFlag(lbl, sess.ibgp)
-			lbl = appendFlag(lbl, sess.redistOSPF)
-			lbl = appendFlag(lbl, sess.redistStatic)
-			lbl = append(lbl, mapContentSig(rmContent, sess.expEnv, sess.expMap)...)
-			lbl = append(lbl, '/')
-			lbl = append(lbl, mapContentSig(rmContent, sess.impEnv, sess.impMap)...)
-			if sess.expMap != "" {
-				t.expRM[i] = rmIdx[rmRef{env: sess.expEnv, name: sess.expMap}]
-			}
-			if sess.impMap != "" {
-				t.impRM[i] = rmIdx[rmRef{env: sess.impEnv, name: sess.impMap}]
-			}
-		}
-		if adj, ok := b.ospfAdj[e]; ok {
-			lbl = append(lbl, 'O')
-			lbl = strconv.AppendInt(lbl, int64(adj.cost), 10)
-			lbl = appendFlag(lbl, adj.cross)
-		}
-		if name := b.routers[e.U].IfaceACL[b.G.Name(e.V)]; name != "" {
-			t.aclIdx[i] = aclIdx[aclRef{env: b.routers[e.U].Env, name: name}]
-		}
-		id, ok := contentIDs[string(lbl)]
-		if !ok {
-			id = int32(len(contentIDs))
-			contentIDs[string(lbl)] = id
-		}
-		t.content[i] = id
-	}
-	t.nbrEdges = make([][]nbrEdge, len(t.nbrs))
-	for u, ns := range t.nbrs {
-		slices.Sort(ns)
-		ns = slices.Compact(ns)
-		t.nbrs[u] = ns
-		for _, v := range ns {
-			t.nbrEdges[u] = append(t.nbrEdges[u], nbrEdge{
-				v:   v,
-				out: t.edgeIdx[topo.Edge{U: topo.NodeID(u), V: v}],
-				in_: t.edgeIdx[topo.Edge{U: v, V: topo.NodeID(u)}],
-			})
-		}
-	}
-	// Per route map, the prefix lists its clauses match, in clause/match
-	// order — the positions whose outcomes the class fingerprint records.
-	t.rmLists = make([][]*policy.PrefixList, len(b.sigRMs))
-	t.rmKnown = make([]bool, len(b.sigRMs))
-	for i, r := range b.sigRMs {
-		rm := r.env.RouteMaps[r.name]
-		if rm == nil {
-			continue
-		}
-		t.rmKnown[i] = true
-		for ci := range rm.Clauses {
-			for _, m := range rm.Clauses[ci].Matches {
-				if m.Kind != policy.MatchPrefix {
-					continue
-				}
-				t.rmLists[i] = append(t.rmLists[i], r.env.PrefixLists[m.Arg])
-			}
-		}
-	}
-	b.iso = t
-}
 
 func appendFlag(b []byte, v bool) []byte {
 	if v {
@@ -224,10 +108,10 @@ type classSig struct {
 	fp      string // identity fingerprint (absCache key)
 	histo   uint64 // relabeling-invariant edge-label histogram hash
 	dest    topo.NodeID
-	origin  []bool  // per node: origin of the class
-	fpIDs   []int32 // per sigRMs: interned match-outcome string
-	aclV    []bool  // per sigACLs: verdict for the class prefix
-	statics map[topo.Edge]bool
+	origin  []bool   // per node: origin of the class
+	fpIDs   []int32  // per sigRMs: interned match-outcome string
+	aclV    []bool   // per sigACLs: verdict for the class prefix
+	statics edgeMask // edges an applicable static rides
 	el      []uint64 // per edge: hashed full label (content + class bits)
 	colors  []uint64 // per node: iterated neighborhood colors (lazy)
 	colHash uint64   // commutative hash of the color multiset
@@ -240,15 +124,15 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := b.iso
+	t := b.tab
 	s := &classSig{
 		dest:    dest,
 		origin:  make([]bool, b.G.NumNodes()),
-		fpIDs:   make([]int32, len(b.sigRMs)),
-		aclV:    make([]bool, len(b.sigACLs)),
-		statics: b.staticEdges(cls),
+		fpIDs:   make([]int32, len(t.sigRMs)),
+		aclV:    make([]bool, len(t.sigACLs)),
+		statics: b.staticMask(cls),
 	}
-	fp := make([]byte, 0, 64+2*len(b.sigRMs)+len(b.sigACLs))
+	fp := make([]byte, 0, 64+2*len(t.sigRMs)+len(t.sigACLs))
 	fp = strconv.AppendInt(fp, int64(dest), 10)
 	fp = append(fp, '|')
 	for _, o := range cls.Origins {
@@ -259,21 +143,11 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		}
 	}
 	fp = append(fp, '|')
-	statics := make([]topo.Edge, 0, len(s.statics))
-	for e := range s.statics {
-		statics = append(statics, e)
-	}
-	sort.Slice(statics, func(i, j int) bool {
-		if statics[i].U != statics[j].U {
-			return statics[i].U < statics[j].U
+	for i, on := range s.statics {
+		if on {
+			fp = strconv.AppendInt(fp, int64(i), 10)
+			fp = append(fp, ',')
 		}
-		return statics[i].V < statics[j].V
-	})
-	for _, e := range statics {
-		fp = strconv.AppendInt(fp, int64(e.U), 10)
-		fp = append(fp, '>')
-		fp = strconv.AppendInt(fp, int64(e.V), 10)
-		fp = append(fp, ',')
 	}
 	fp = append(fp, '|')
 	// Match-outcome strings per route map, interned Builder-wide so that
@@ -281,8 +155,8 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 	// matching runs outside the lock (concurrent workers signature-compute
 	// in parallel); only the intern-table access is a critical section.
 	var bits []byte
-	offs := make([]int, len(b.sigRMs)+1)
-	for i := range b.sigRMs {
+	offs := make([]int, len(t.sigRMs)+1)
+	for i := range t.sigRMs {
 		if !t.rmKnown[i] {
 			bits = append(bits, '?')
 		}
@@ -296,7 +170,7 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		offs[i+1] = len(bits)
 	}
 	b.internMu.Lock()
-	for i := range b.sigRMs {
+	for i := range t.sigRMs {
 		key := bits[offs[i]:offs[i+1]]
 		id, ok := b.fpIntern[string(key)]
 		if !ok {
@@ -306,12 +180,12 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		s.fpIDs[i] = id
 	}
 	b.internMu.Unlock()
-	for i := range b.sigRMs {
-		fp = strconv.AppendInt(fp, int64(s.fpIDs[i]), 10)
+	for _, id := range s.fpIDs {
+		fp = strconv.AppendInt(fp, int64(id), 10)
 		fp = append(fp, ';')
 	}
 	fp = append(fp, '|')
-	for i, a := range b.sigACLs {
+	for i, a := range t.sigACLs {
 		s.aclV[i] = a.env.ACLPermits(a.name, cls.Prefix)
 		fp = appendFlag(fp, s.aclV[i])
 	}
@@ -335,7 +209,7 @@ func (b *Builder) ensureLabels(s *classSig) {
 	if s.el != nil {
 		return
 	}
-	t := b.iso
+	t := b.tab
 	// Addition is commutative, so summing the mixed labels is invariant
 	// under any edge reordering — no sort needed.
 	s.el = make([]uint64, len(t.edges))
@@ -357,8 +231,8 @@ func (b *Builder) ensureLabels(s *classSig) {
 // edgeLabel hashes the full (content + class-dependent) label of edge index
 // i under class signature s into one word. Used for pruning and histograms;
 // exact comparisons go through edgeEq.
-func (t *isoTables) edgeLabel(s *classSig, i int32) uint64 {
-	w := mix64(uint64(uint32(t.content[i])) + 1)
+func (t *edgeTables) edgeLabel(s *classSig, i int32) uint64 {
+	w := mix64(t.content[i] + 1)
 	if rm := t.expRM[i]; rm >= 0 {
 		w = mix64(w ^ (uint64(uint32(s.fpIDs[rm])) + 0x9e3779b97f4a7c15))
 	}
@@ -368,7 +242,7 @@ func (t *isoTables) edgeLabel(s *classSig, i int32) uint64 {
 	if a := t.aclIdx[i]; a >= 0 && !s.aclV[a] {
 		w = mix64(w ^ 0x165667b19e3779f9)
 	}
-	if len(s.statics) > 0 && s.statics[t.edges[i]] {
+	if s.statics.has(int(i)) {
 		w = mix64(w ^ 0x27d4eb2f165667c5)
 	}
 	return w
@@ -386,7 +260,7 @@ func mix64(x uint64) uint64 {
 
 // edgeEq reports whether edge e under class sa carries exactly the same
 // label as edge f under class sb — the per-edge transport condition.
-func (t *isoTables) edgeEq(sa, sb *classSig, e, f int32) bool {
+func (t *edgeTables) edgeEq(sa, sb *classSig, e, f int32) bool {
 	if t.content[e] != t.content[f] {
 		return false
 	}
@@ -408,7 +282,7 @@ func (t *isoTables) edgeEq(sa, sb *classSig, e, f int32) bool {
 	if aclA != aclB {
 		return false
 	}
-	return sa.statics[t.edges[e]] == sb.statics[t.edges[f]]
+	return sa.statics.has(int(e)) == sb.statics.has(int(f))
 }
 
 // colorRounds bounds the color-refinement preprocessing. Three rounds
@@ -430,7 +304,7 @@ func (b *Builder) ensureColors(s *classSig) []uint64 {
 		return s.colors
 	}
 	b.ensureLabels(s)
-	t := b.iso
+	t := b.tab
 	n := b.G.NumNodes()
 	col := make([]uint64, n)
 	for u := 0; u < n; u++ {
@@ -449,8 +323,9 @@ func (b *Builder) ensureColors(s *classSig) []uint64 {
 			// Commutative combine (sum of mixed tuples) keeps the color a
 			// multiset invariant of the labeled neighborhood without sorting.
 			h := mix64(col[u])
-			for _, ne := range t.nbrEdges[u] {
-				h += mix64(s.el[ne.out] ^ mix64(s.el[ne.in_]^mix64(col[ne.v])))
+			lo, hi := t.out(topo.NodeID(u))
+			for i := lo; i < hi; i++ {
+				h += mix64(s.el[i] ^ mix64(s.el[t.rev[i]]^mix64(col[t.edges[i].V])))
 			}
 			next[u] = mix64(h)
 		}
@@ -465,18 +340,6 @@ func (b *Builder) ensureColors(s *classSig) []uint64 {
 	return col
 }
 
-// nbrEdgeOf binary-searches u's sorted neighbor list for v, returning the
-// pair of directed edge indices, or ok=false when (u, v) is not an edge.
-// Faster than the edgeIdx map in the search hot paths.
-func (t *isoTables) nbrEdgeOf(u, v topo.NodeID) (out, in_ int32, ok bool) {
-	i, found := slices.BinarySearch(t.nbrs[u], v)
-	if !found {
-		return 0, 0, false
-	}
-	ne := t.nbrEdges[u][i]
-	return ne.out, ne.in_, true
-}
-
 // isoBudgetFactor bounds the backtracking search to factor×V node
 // placements (including undone ones) before giving up.
 const isoBudgetFactor = 64
@@ -487,7 +350,7 @@ const isoBudgetFactor = 64
 // The final sweep re-verifies the result, so heuristic failure or hash
 // collisions are only missed optimisations, never wrong answers.
 func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
-	t := b.iso
+	t := b.tab
 	n := b.G.NumNodes()
 	colA := b.ensureColors(sa)
 	colB := b.ensureColors(sb)
@@ -507,8 +370,9 @@ func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
 	parent[sa.dest] = -1
 	for qi := 0; qi < len(order); qi++ {
 		u := order[qi]
-		for _, v := range t.nbrs[u] {
-			if !seen[v] {
+		lo, hi := t.out(u)
+		for _, e := range t.edges[lo:hi] {
+			if v := e.V; !seen[v] {
 				seen[v] = true
 				parent[v] = u
 				order = append(order, v)
@@ -530,16 +394,17 @@ func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
 		if colA[u] != colB[w] || sa.origin[u] != sb.origin[w] {
 			return false
 		}
-		for _, ne := range t.nbrEdges[u] {
-			pv := pi[ne.v]
+		lo, hi := t.out(u)
+		for i := lo; i < hi; i++ {
+			pv := pi[t.edges[i].V]
 			if pv < 0 {
 				continue
 			}
-			fo, fi, ok := t.nbrEdgeOf(w, pv)
+			fo, fi, ok := t.edgeOf(w, pv)
 			if !ok {
 				return false
 			}
-			if !t.edgeEq(sa, sb, ne.out, fo) || !t.edgeEq(sa, sb, ne.in_, fi) {
+			if !t.edgeEq(sa, sb, i, fo) || !t.edgeEq(sa, sb, t.rev[i], fi) {
 				return false
 			}
 		}
@@ -551,13 +416,15 @@ func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
 			return true
 		}
 		u := order[i]
-		var cands []topo.NodeID
-		if parent[u] < 0 {
-			cands = []topo.NodeID{sb.dest}
-		} else {
-			cands = t.nbrs[pi[parent[u]]]
+		// Candidates: the destination's image is fixed; any other node maps
+		// to a neighbour of its BFS parent's image.
+		cands := []topo.Edge{{V: sb.dest}}
+		if parent[u] >= 0 {
+			lo, hi := t.out(pi[parent[u]])
+			cands = t.edges[lo:hi]
 		}
-		for _, w := range cands {
+		for _, c := range cands {
+			w := c.V
 			if rev[w] >= 0 || !compatible(u, w) {
 				continue
 			}
@@ -583,7 +450,7 @@ func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
 	// equal label (the search already enforced this locally; the sweep makes
 	// soundness independent of the search code).
 	for i, e := range t.edges {
-		f, _, ok := t.nbrEdgeOf(pi[e.U], pi[e.V])
+		f, _, ok := t.edgeOf(pi[e.U], pi[e.V])
 		if !ok || !t.edgeEq(sa, sb, int32(i), f) {
 			return nil
 		}
@@ -607,7 +474,7 @@ func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
 // assembly commutes with π and the cached entry is gated on
 // ColorSplits == 0.
 func (b *Builder) transportAbs(cand *absEntry, sig *classSig, pi []topo.NodeID) (*core.Abstraction, []bool) {
-	t := b.iso
+	t := b.tab
 	A := cand.abs
 	n := len(pi)
 	groupOf := make([]int, n)
@@ -619,8 +486,7 @@ func (b *Builder) transportAbs(cand *absEntry, sig *classSig, pi []topo.NodeID) 
 	live := make([]bool, len(t.edges))
 	for i, e := range t.edges {
 		if cand.live[i] {
-			f, _, ok := t.nbrEdgeOf(pi[e.U], pi[e.V])
-			if ok {
+			if f, _, ok := t.edgeOf(pi[e.U], pi[e.V]); ok {
 				live[f] = true
 			}
 		}

@@ -9,7 +9,9 @@ package config
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"bonsai/internal/policy"
@@ -161,45 +163,53 @@ func (n *Network) FindLink(a, b string) int {
 // caller editing policies must first replace the router's Env via
 // CloneEnv.
 func (n *Network) Clone() *Network {
-	out := &Network{
-		Name:    n.Name,
-		Routers: make(map[string]*Router, len(n.Routers)),
-		Links:   append([]Link(nil), n.Links...),
-	}
-	for name, r := range n.Routers {
-		cr := &Router{
-			Name:      r.Name,
-			Env:       r.Env,
-			Statics:   append([]StaticRoute(nil), r.Statics...),
-			Originate: append([]netip.Prefix(nil), r.Originate...),
-			IfaceACL:  make(map[string]string, len(r.IfaceACL)),
-		}
-		for k, v := range r.IfaceACL {
-			cr.IfaceACL[k] = v
-		}
-		if r.BGP != nil {
-			cb := &BGPConfig{
-				ASN:                r.BGP.ASN,
-				Neighbors:          make(map[string]*Neighbor, len(r.BGP.Neighbors)),
-				RedistributeOSPF:   r.BGP.RedistributeOSPF,
-				RedistributeStatic: r.BGP.RedistributeStatic,
-			}
-			for peer, nb := range r.BGP.Neighbors {
-				c := *nb
-				cb.Neighbors[peer] = &c
-			}
-			cr.BGP = cb
-		}
-		if r.OSPF != nil {
-			co := &OSPFConfig{Ifaces: make(map[string]OSPFIface, len(r.OSPF.Ifaces))}
-			for peer, ifc := range r.OSPF.Ifaces {
-				co.Ifaces[peer] = ifc
-			}
-			cr.OSPF = co
-		}
-		out.Routers[name] = cr
+	out := n.Fork()
+	for name, r := range out.Routers {
+		out.Routers[name] = r.Clone()
 	}
 	return out
+}
+
+// Fork returns a copy of the network that shares every *Router with n: the
+// cheap successor for a writer that edits a few routers. The copy-on-write
+// rule is the one CloneEnv applies one level down — replace a router with
+// its Clone before the first edit, never write through a shared one. Link
+// records are copied, so link state may be edited in place.
+func (n *Network) Fork() *Network {
+	return &Network{Name: n.Name, Routers: maps.Clone(n.Routers), Links: slices.Clone(n.Links)}
+}
+
+// Clone returns a copy of the router with fresh slices and maps. The policy
+// namespace (Env) stays shared; see CloneEnv.
+func (r *Router) Clone() *Router {
+	cr := &Router{
+		Name:      r.Name,
+		Env:       r.Env,
+		Statics:   slices.Clone(r.Statics),
+		Originate: slices.Clone(r.Originate),
+		IfaceACL:  cloneMap(r.IfaceACL),
+	}
+	if r.BGP != nil {
+		cb := *r.BGP
+		cb.Neighbors = make(map[string]*Neighbor, len(r.BGP.Neighbors))
+		for peer, nb := range r.BGP.Neighbors {
+			c := *nb
+			cb.Neighbors[peer] = &c
+		}
+		cr.BGP = &cb
+	}
+	if r.OSPF != nil {
+		cr.OSPF = &OSPFConfig{Ifaces: cloneMap(r.OSPF.Ifaces)}
+	}
+	return cr
+}
+
+// cloneMap is maps.Clone that never returns nil, so a clone can be written to.
+func cloneMap[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	return maps.Clone(m)
 }
 
 // CloneEnv replaces the router's policy namespace with a copy whose maps are
@@ -243,25 +253,56 @@ func (r *Router) EnsureOSPF() *OSPFConfig {
 // BGP neighbors and static next-hops are linked peers, and policy names
 // resolve.
 func (n *Network) Validate() error {
-	adj := make(map[string]map[string]bool)
-	for name := range n.Routers {
-		adj[name] = make(map[string]bool)
+	// Adjacency as one sorted peer-id list per router, carved from a single
+	// array: routers are numbered in name order, so the only hashing is one
+	// name lookup per link end and per checked reference.
+	names := n.RouterNames()
+	ids := make(map[string]int32, len(names))
+	for i, name := range names {
+		ids[name] = int32(i)
 	}
+	ends := make([]int32, 0, 2*len(n.Links))
+	off := make([]int32, len(names)+1)
 	for _, l := range n.Links {
-		if _, ok := n.Routers[l.A]; !ok {
+		a, ok := ids[l.A]
+		if !ok {
 			return fmt.Errorf("config: link references unknown router %q", l.A)
 		}
-		if _, ok := n.Routers[l.B]; !ok {
+		b, ok := ids[l.B]
+		if !ok {
 			return fmt.Errorf("config: link references unknown router %q", l.B)
 		}
-		adj[l.A][l.B] = true
-		adj[l.B][l.A] = true
+		ends = append(ends, a, b)
+		off[a+1]++
+		off[b+1]++
 	}
-	for _, name := range n.RouterNames() {
+	for i := range names {
+		off[i+1] += off[i]
+	}
+	peers := make([]int32, len(ends))
+	fill := slices.Clone(off[:len(names)])
+	for i := 0; i < len(ends); i += 2 {
+		a, b := ends[i], ends[i+1]
+		peers[fill[a]] = b
+		fill[a]++
+		peers[fill[b]] = a
+		fill[b]++
+	}
+	for u, name := range names {
 		r := n.Routers[name]
+		mine := peers[off[u]:off[u+1]]
+		slices.Sort(mine)
+		linked := func(peer string) bool {
+			v, ok := ids[peer]
+			if !ok {
+				return false
+			}
+			_, found := slices.BinarySearch(mine, v)
+			return found
+		}
 		if r.BGP != nil {
 			for peer, nb := range r.BGP.Neighbors {
-				if !adj[name][peer] {
+				if !linked(peer) {
 					return fmt.Errorf("config: %s has BGP neighbor %s without a link", name, peer)
 				}
 				for _, rm := range []string{nb.ImportMap, nb.ExportMap} {
@@ -275,18 +316,18 @@ func (n *Network) Validate() error {
 		}
 		if r.OSPF != nil {
 			for peer := range r.OSPF.Ifaces {
-				if !adj[name][peer] {
+				if !linked(peer) {
 					return fmt.Errorf("config: %s has OSPF iface toward %s without a link", name, peer)
 				}
 			}
 		}
 		for _, s := range r.Statics {
-			if !adj[name][s.NextHop] {
+			if !linked(s.NextHop) {
 				return fmt.Errorf("config: %s static route via non-neighbor %s", name, s.NextHop)
 			}
 		}
 		for peer, acl := range r.IfaceACL {
-			if !adj[name][peer] {
+			if !linked(peer) {
 				return fmt.Errorf("config: %s has ACL on non-neighbor iface %s", name, peer)
 			}
 			if _, ok := r.Env.ACLs[acl]; !ok {

@@ -5,9 +5,9 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync/atomic"
 )
 
@@ -19,24 +19,37 @@ type Edge struct {
 	U, V NodeID
 }
 
-// Graph is a directed graph with named vertices. The zero value is an empty
-// graph ready to use.
+// Graph is a directed graph with named vertices. The zero value is not
+// usable; call New.
+//
+// Every directed edge has an index: its position in Edges(), which lists the
+// edges sorted by (U, V). Per-edge tables elsewhere are dense vectors aligned
+// with that order, so the index — found by EdgeIndex in O(log deg) — is the
+// one key an edge needs.
 type Graph struct {
 	names []string
 	index map[string]NodeID
-	succ  [][]NodeID // succ[u] = nodes u has edges to (u learns from them)
-	pred  [][]NodeID
-	edges map[Edge]bool
-	// edgeList memoises Edges(): hot paths (refinement, assembly, instance
-	// construction) iterate the sorted edge list far more often than the
-	// graph mutates. Atomic so concurrent readers of a finished graph can
-	// populate the cache without a data race; mutations clear it.
-	edgeList atomic.Pointer[[]Edge]
+	// succ[u] lists the nodes u has edges to (u learns from them) in
+	// insertion order, which protocol tie-breaking follows (srp.Solve).
+	succ   [][]NodeID
+	nEdges int
+	// idx memoises the sorted edge index: hot paths (refinement, assembly,
+	// instance construction) read it far more often than the graph mutates.
+	// Atomic so concurrent readers of a finished graph can populate it
+	// without a data race; AddEdge clears it.
+	idx atomic.Pointer[edgeIndex]
+}
+
+// edgeIndex is the graph's edge set in compressed-sparse-row form.
+type edgeIndex struct {
+	edges []Edge  // sorted by (U, V)
+	off   []int32 // edges[off[u]:off[u+1]] are u's out-edges, sorted by V
+	rev   []int32 // rev[i] is the index of edges[i]'s antiparallel edge, -1 when absent
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{index: make(map[string]NodeID), edges: make(map[Edge]bool)}
+	return &Graph{index: make(map[string]NodeID)}
 }
 
 // AddNode adds a vertex with the given name, or returns the existing one.
@@ -48,7 +61,7 @@ func (g *Graph) AddNode(name string) NodeID {
 	g.names = append(g.names, name)
 	g.index[name] = id
 	g.succ = append(g.succ, nil)
-	g.pred = append(g.pred, nil)
+	g.mutated()
 	return id
 }
 
@@ -74,14 +87,15 @@ func (g *Graph) Name(u NodeID) string { return g.names[u] }
 func (g *Graph) NumNodes() int { return len(g.names) }
 
 // NumEdges returns the directed edge count.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.nEdges }
 
 // NumLinks returns the number of undirected links, counting a pair of
 // antiparallel directed edges as one link and a lone directed edge as one.
 func (g *Graph) NumLinks() int {
+	x := g.edgeIndex()
 	n := 0
-	for e := range g.edges {
-		if e.U < e.V || !g.edges[Edge{e.V, e.U}] {
+	for i, e := range x.edges {
+		if e.U < e.V || x.rev[i] < 0 {
 			n++
 		}
 	}
@@ -94,14 +108,20 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	if u == v {
 		panic(fmt.Sprintf("topo: self loop at %s", g.names[u]))
 	}
-	e := Edge{u, v}
-	if g.edges[e] {
+	if slices.Contains(g.succ[u], v) {
 		return
 	}
-	g.edges[e] = true
 	g.succ[u] = append(g.succ[u], v)
-	g.pred[v] = append(g.pred[v], u)
-	g.edgeList.Store(nil)
+	g.nEdges++
+	g.mutated()
+}
+
+// mutated drops the memoised edge index. Building a graph is a run of
+// mutations with nothing memoised, so the common case is a plain load.
+func (g *Graph) mutated() {
+	if g.idx.Load() != nil {
+		g.idx.Store(nil)
+	}
 }
 
 // AddLink inserts both directed edges between u and v.
@@ -111,33 +131,86 @@ func (g *Graph) AddLink(u, v NodeID) {
 }
 
 // HasEdge reports whether the directed edge (u, v) exists.
-func (g *Graph) HasEdge(u, v NodeID) bool { return g.edges[Edge{u, v}] }
+func (g *Graph) HasEdge(u, v NodeID) bool {
+	_, ok := g.EdgeIndex(u, v)
+	return ok
+}
 
-// Succ returns the vertices u has edges to. The caller must not modify it.
+// Succ returns the vertices u has edges to, in insertion order. The caller
+// must not modify it.
 func (g *Graph) Succ(u NodeID) []NodeID { return g.succ[u] }
 
-// Pred returns the vertices with edges to u. The caller must not modify it.
-func (g *Graph) Pred(u NodeID) []NodeID { return g.pred[u] }
+// Edges returns all directed edges sorted by (U, V). The returned slice is
+// shared (memoised until the next mutation) — callers must not modify it.
+func (g *Graph) Edges() []Edge { return g.edgeIndex().edges }
 
-// Edges returns all directed edges in deterministic order. The returned
-// slice is shared (memoised until the next mutation) — callers must not
-// modify it.
-func (g *Graph) Edges() []Edge {
-	if p := g.edgeList.Load(); p != nil {
-		return *p
-	}
-	out := make([]Edge, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+// EdgeIndex returns the position of the directed edge (u, v) in Edges().
+func (g *Graph) EdgeIndex(u, v NodeID) (int, bool) { return g.edgeIndex().find(u, v) }
+
+func (x *edgeIndex) find(u, v NodeID) (int, bool) {
+	// A hand-rolled binary search over u's span: this is the inner loop of
+	// symmetry transport, and a comparison callback per step shows there.
+	lo, end := int(x.off[u]), int(x.off[u+1])
+	hi := end
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); x.edges[m].V < v {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		return out[i].V < out[j].V
-	})
-	g.edgeList.Store(&out)
-	return out
+	}
+	return lo, lo < end && x.edges[lo].V == v
+}
+
+// OutEdges returns the half-open index range of u's out-edges in Edges():
+// they are contiguous and sorted by V.
+func (g *Graph) OutEdges(u NodeID) (lo, hi int) {
+	x := g.edgeIndex()
+	return int(x.off[u]), int(x.off[u+1])
+}
+
+// ReverseEdges returns, aligned with Edges(), the index of each edge's
+// antiparallel edge (V, U), or -1 when the graph lacks it. Shared like
+// Edges(): callers must not modify it.
+func (g *Graph) ReverseEdges() []int32 { return g.edgeIndex().rev }
+
+// edgeIndex returns the memoised sorted edge index, building it on first
+// use after a mutation: one pass over the adjacency lists, each list sorted
+// on its own (no map walk, no global sort).
+func (g *Graph) edgeIndex() *edgeIndex {
+	if x := g.idx.Load(); x != nil {
+		return x
+	}
+	x := &edgeIndex{
+		edges: make([]Edge, 0, g.nEdges),
+		off:   make([]int32, len(g.succ)+1),
+		rev:   make([]int32, g.nEdges),
+	}
+	for u, vs := range g.succ {
+		lo := len(x.edges)
+		for _, v := range vs {
+			x.edges = append(x.edges, Edge{NodeID(u), v})
+		}
+		slices.SortFunc(x.edges[lo:], func(a, b Edge) int { return cmp.Compare(a.V, b.V) })
+		x.off[u+1] = int32(len(x.edges))
+	}
+	// The reverse of (u, v) sits among v's out-edges; for a fixed v the
+	// edges into it come up in ascending u, so one cursor per node walks
+	// v's sorted out-list in step — a linear merge, no searching.
+	cur := slices.Clone(x.off[:len(g.succ)])
+	for i, e := range x.edges {
+		c, end := cur[e.V], x.off[e.V+1]
+		for c < end && x.edges[c].V < e.U {
+			c++
+		}
+		cur[e.V] = c
+		x.rev[i] = -1
+		if c < end && x.edges[c].V == e.U {
+			x.rev[i] = c
+		}
+	}
+	g.idx.Store(x)
+	return x
 }
 
 // Nodes returns all vertex IDs in order.
@@ -151,19 +224,5 @@ func (g *Graph) Nodes() []NodeID {
 
 // String renders the graph compactly for debugging.
 func (g *Graph) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph{%d nodes, %d edges}", g.NumNodes(), g.NumEdges())
-	return b.String()
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	h := New()
-	for _, name := range g.names {
-		h.AddNode(name)
-	}
-	for e := range g.edges {
-		h.AddEdge(e.U, e.V)
-	}
-	return h
+	return fmt.Sprintf("graph{%d nodes, %d edges}", g.NumNodes(), g.NumEdges())
 }
