@@ -160,11 +160,6 @@ func Open(net *Network, opts ...Option) (*Engine, error) {
 	if o.pool != nil {
 		o.pool.Attach(b, e.poolLabel(), o.poolFloor)
 	}
-	if o.relStore != "" {
-		// Best-effort warm start; a missing or rejected store is a cold
-		// start, not an error (see WithRelationStore).
-		e.LoadRelationStore(o.relStore)
-	}
 	return e, nil
 }
 
@@ -191,11 +186,6 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	close(e.closeCh)
-	if e.opts.relStore != "" {
-		// Persist the warm state before the pool (and its relation caches)
-		// is torn down; failure degrades the next Open to a cold start.
-		e.saveRelStore(e.opts.relStore)
-	}
 	e.drainPool()
 	if e.opts.pool != nil {
 		// Serialise with any in-flight Apply/ApplyStream (both abort promptly
@@ -283,7 +273,7 @@ func (e *Engine) acquire(st *engineState) *pooledCompiler {
 		default:
 			e.bddManagers.Add(1)
 			return &pooledCompiler{
-				comp:     st.b.NewCompilerSized(true, e.opts.bddCacheBits),
+				comp:     st.b.NewCompiler(true),
 				universe: st.universe,
 			}
 		}
@@ -369,18 +359,12 @@ func (e *Engine) BDDStats() BDDStats {
 // abstraction plus the merged BDD edge-relation caches of the idle compiler
 // pool — to a versioned, CRC-framed file at path, atomically (temp + fsync +
 // rename; a crash mid-save leaves the previous file intact). A later Open of
-// the same network with WithRelationStore (or LoadRelationStore) restores
-// it, skipping refinement for every saved class.
+// the same network followed by LoadRelationStore restores it, skipping
+// refinement for every saved class.
 func (e *Engine) SaveRelationStore(path string) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	return e.saveRelStore(path)
-}
-
-// saveRelStore is SaveRelationStore without the closed gate, so Close can
-// persist state after marking the engine closed.
-func (e *Engine) saveRelStore(path string) error {
 	st := e.state.Load()
 	sc := e.acquire(st)
 	defer e.release(sc)

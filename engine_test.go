@@ -156,18 +156,6 @@ func TestEngineDedupDisabled(t *testing.T) {
 	}
 }
 
-func TestEngineBDDCacheBitsOption(t *testing.T) {
-	// A tiny BDD cache must not change results, only performance.
-	eng := openFattree(t, 4, netgen.PolicyShortestPath, bonsai.WithBDDCacheBits(8))
-	rep, err := eng.Verify(context.Background(), bonsai.VerifyRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Pairs != rep.ReachablePairs {
-		t.Fatalf("small-cache verify: %v", rep)
-	}
-}
-
 func TestEngineCancellation(t *testing.T) {
 	eng := openFattree(t, 6, netgen.PolicyShortestPath, bonsai.WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -205,19 +205,11 @@ func (b *Builder) HasBGP() bool { return b.hasBGP }
 // A compiler (and its BDD manager) must only be used by one goroutine at a
 // time; create one per worker for parallel compression.
 func (b *Builder) NewCompiler(eraseUnusedTags bool) *policy.Compiler {
-	return b.NewCompilerSized(eraseUnusedTags, 0)
-}
-
-// NewCompilerSized is NewCompiler with an explicit BDD operation-cache size
-// exponent (see bdd.NewSized); 0 selects the default geometry. The compiler
-// is stamped from the Builder's shared policy.Space, so construction copies
-// precomputed seed arrays instead of re-deriving the universe.
-func (b *Builder) NewCompilerSized(eraseUnusedTags bool, bddCacheBits int) *policy.Compiler {
 	sp := b.polSpaces[0]
 	if eraseUnusedTags {
 		sp = b.polSpaces[1]
 	}
-	c := sp.NewCompiler(bddCacheBits)
+	c := sp.NewCompiler()
 	c.Cache = newCompilerCache()
 	return c
 }

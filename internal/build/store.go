@@ -191,7 +191,7 @@ func entryBytes(e *absEntry) int64 {
 		n += slice + int64(cap(s.origin))
 		n += slice + 4*int64(cap(s.fpIDs))
 		n += slice + int64(cap(s.aclV))
-		n += mapEnt * int64(len(s.statics))
+		n += slice + int64(cap(s.statics))
 		n += slice + word*int64(cap(s.el))
 		n += slice + word*int64(cap(s.colors))
 	}
@@ -216,7 +216,8 @@ func entryBytes(e *absEntry) int64 {
 
 // graphBytes estimates a topo.Graph's footprint from its public shape.
 func graphBytes(g *topo.Graph) int64 {
-	nodes, edges := int64(g.NumNodes()), int64(2*g.NumLinks())
-	// names + index entries + succ/pred headers and members + edge map.
-	return nodes*(16+48+2*24) + edges*(2*8) + edges*48
+	nodes, edges := int64(g.NumNodes()), int64(g.NumEdges())
+	// Per node: name header, index entry, succ header, CSR offset. Per edge:
+	// succ member, CSR edge and reverse index.
+	return nodes*(16+48+24+4) + edges*(8+16+4)
 }

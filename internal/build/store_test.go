@@ -156,3 +156,35 @@ func TestAdoptionTreatsEvictedAsCold(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreChargesStaticMaskAsSlice: a class's static mask is a []bool over
+// G.Edges(), so an entry that has one may cost at most |E| bytes plus a slice
+// header more than the same entry without it. Eviction under a budget is only
+// as good as this figure; priced as a map it was half the store on the
+// operational networks.
+func TestStoreChargesStaticMaskAsSlice(t *testing.T) {
+	b, err := New(netgen.Datacenter(netgen.DCOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := b.NewCompiler(true)
+	for _, cls := range b.Classes() {
+		if b.staticMask(cls) == nil {
+			continue
+		}
+		if _, err := b.Compress(context.Background(), comp, cls); err != nil {
+			t.Fatal(err)
+		}
+		e := b.store.entries[b.fpByPrefix[cls.Prefix]]
+		bare := *e
+		sig := *e.sig
+		sig.statics = nil
+		bare.sig = &sig
+		extra, limit := entryBytes(e)-entryBytes(&bare), int64(b.G.NumEdges())+24
+		if extra <= 0 || extra > limit {
+			t.Fatalf("static mask over %d edges charged %d bytes, want 1..%d", b.G.NumEdges(), extra, limit)
+		}
+		return
+	}
+	t.Fatal("no datacenter class has an applicable static")
+}

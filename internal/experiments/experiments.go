@@ -1,8 +1,9 @@
 // Package experiments regenerates the paper's evaluation artifacts
 // (Table 1, Figure 11, Figure 12, and the §8 Batfish query) from the
 // network generators and the compression pipeline. cmd/bonsai-tables prints
-// them as text tables; the repository-root benchmarks wrap them in
-// testing.B harnesses. EXPERIMENTS.md records paper-vs-measured values.
+// them as text tables; the repository-root benchmarks time the same
+// experiments as testing.B harnesses (Figure 12 through this package).
+// EXPERIMENTS.md records paper-vs-measured values.
 package experiments
 
 import (
@@ -58,7 +59,7 @@ func CompressNetwork(name string, net *config.Network, sampleECs int) (Table1Row
 	// amortised steady state, like the paper's separate "BDD time" column.
 	// CompressFresh keeps the cross-EC dedup cache out of the row: Table 1
 	// reports independent per-EC compression cost (the dedup speedup is
-	// measured separately by BenchmarkTable1a*/dedup and bonsai-bench).
+	// measured separately by BenchmarkTable1aFattree's dedup/independent pair).
 	if len(sample) > 0 {
 		if _, err := b.CompressFresh(context.Background(), comp, sample[0]); err != nil {
 			return Table1Row{}, err

@@ -82,9 +82,9 @@ func (s *Space) Universe() []protocols.Community { return s.comms }
 // NewCompiler stamps out a compiler over the shared space. The community
 // slice and index are shared read-only; the BDD manager is a private view
 // seeded from the space's canonical constant prefix (see bdd.Space).
-func (s *Space) NewCompiler(cacheBits int) *Compiler {
+func (s *Space) NewCompiler() *Compiler {
 	return &Compiler{
-		M:       s.bs.NewManagerSized(cacheBits),
+		M:       s.bs.NewManager(),
 		comms:   s.comms,
 		commIdx: s.commIdx,
 		space:   s,
@@ -95,16 +95,11 @@ func (s *Space) NewCompiler(cacheBits int) *Compiler {
 // only the communities that are ever matched (rather than ever set)
 // implements the unused-tag-erasing attribute abstraction
 // h(lp, tags, path) = (lp, tags − unused, f(path)) from §8.
+//
+// The result is a standalone compiler (no shared Space); handles still agree
+// with space-stamped compilers over the same universe because the seed prefix
+// is canonical either way.
 func NewCompiler(universe []protocols.Community) *Compiler {
-	return NewCompilerSized(universe, 0)
-}
-
-// NewCompilerSized is NewCompiler with an explicit BDD operation-cache size
-// exponent (see bdd.NewSized); 0 selects the default geometry. The result
-// is a standalone compiler (no shared Space); handles still agree with
-// space-stamped compilers over the same universe because the seed prefix is
-// canonical either way.
-func NewCompilerSized(universe []protocols.Community, cacheBits int) *Compiler {
 	comms := append([]protocols.Community(nil), universe...)
 	sort.Slice(comms, func(i, j int) bool { return comms[i] < comms[j] })
 	dedup := comms[:0]
@@ -121,7 +116,7 @@ func NewCompilerSized(universe []protocols.Community, cacheBits int) *Compiler {
 	for i, cm := range comms {
 		c.commIdx[cm] = i
 	}
-	c.M = bdd.NewSized(2*len(comms)+2*LPBits+1, cacheBits)
+	c.M = bdd.New(2*len(comms) + 2*LPBits + 1)
 	return c
 }
 

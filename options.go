@@ -9,14 +9,12 @@ import (
 // options collects the Engine's tunables; Open applies functional Options
 // over the defaults.
 type options struct {
-	workers      int
-	dedup        bool
-	bddCacheBits int
-	memBudget    int64
-	pool         *build.Pool
-	poolFloor    int64
-	poolLabel    string
-	relStore     string
+	workers   int
+	dedup     bool
+	memBudget int64
+	pool      *build.Pool
+	poolFloor int64
+	poolLabel string
 }
 
 func defaultOptions() options {
@@ -40,14 +38,6 @@ func WithWorkers(n int) Option {
 // behavior benchmarks compare against.
 func WithDedup(on bool) Option {
 	return func(o *options) { o.dedup = on }
-}
-
-// WithBDDCacheBits sets the size exponent of each BDD manager's operation
-// caches (2^bits slots; see the internal bdd package for the geometry).
-// Zero selects the default. Larger caches help policy-heavy networks at
-// ~16 bytes per slot per manager.
-func WithBDDCacheBits(bits int) Option {
-	return func(o *options) { o.bddCacheBits = bits }
 }
 
 // WithMemoryBudget bounds the engine's abstraction store to approximately
@@ -77,17 +67,6 @@ func WithSharedPool(p *SharedPool, floor int64, label string) Option {
 		o.poolFloor = floor
 		o.poolLabel = label
 	}
-}
-
-// WithRelationStore attaches a persisted relation store at path: Open loads
-// it best-effort (a missing, stale, or damaged file simply means a cold
-// start — the store is a cache, never the source of truth) and Close writes
-// the warm state back, so the next Open of the same network answers its
-// first queries from disk instead of re-running refinement. Use
-// Engine.SaveRelationStore / Engine.LoadRelationStore for explicit control
-// (and for the load/save errors Open and Close deliberately swallow).
-func WithRelationStore(path string) Option {
-	return func(o *options) { o.relStore = path }
 }
 
 func (o options) workerCount() int {

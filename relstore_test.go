@@ -12,15 +12,15 @@ import (
 )
 
 // TestRelationStoreWarmRestart drives the full persistence cycle through the
-// public API: compress everything, Close (which saves), reopen with the same
-// option, and require that the warm engine answers Verify/Reach/Roles with
+// public API the way bonsaid does: compress everything, save, Close, reopen,
+// load, and require that the warm engine answers Verify/Reach/Roles with
 // field-identical results while running zero fresh refinements.
 func TestRelationStoreWarmRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "relstore.bin")
 	ctx := context.Background()
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
 
-	cold, err := bonsai.Open(net, bonsai.WithRelationStore(path))
+	cold, err := bonsai.Open(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,18 +43,21 @@ func TestRelationStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := cold.SaveRelationStore(path); err != nil {
+		t.Fatal(err)
+	}
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("Close did not write the relation store: %v", err)
-	}
 
-	warm, err := bonsai.Open(net, bonsai.WithRelationStore(path))
+	warm, err := bonsai.Open(net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer warm.Close()
+	if _, err := warm.LoadRelationStore(path); err != nil {
+		t.Fatal(err)
+	}
 	warmRep, err := warm.Compress(ctx, bonsai.ClassSelector{})
 	if err != nil {
 		t.Fatal(err)

@@ -28,21 +28,6 @@ type ClassResult struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// StreamOption configures one CompressStream call.
-type StreamOption func(*streamOptions)
-
-type streamOptions struct {
-	progress func(done, total int)
-}
-
-// WithProgress installs a progress callback invoked after each class
-// completes, with the number of classes finished so far and the total
-// selected. Callbacks run on worker goroutines and must be fast and
-// concurrency-safe.
-func WithProgress(f func(done, total int)) StreamOption {
-	return func(o *streamOptions) { o.progress = f }
-}
-
 // Stream is an in-flight streaming compression: per-class results arrive
 // through Results as workers complete them, while the pipeline — lazy class
 // enumeration feeding the sharded, fingerprint-grouped scheduler — stays
@@ -58,7 +43,6 @@ type Stream struct {
 
 	b        *build.Builder
 	netInfo  NetworkInfo
-	total    int
 	bddSetup time.Duration
 	start    time.Time
 	elapsed  time.Duration
@@ -75,13 +59,9 @@ type Stream struct {
 // each group's leader compresses once, its followers are parked until the
 // leader's result is cached and then served without refinement. Batch
 // entry points (Compress) are this pipeline plus a drain.
-func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector, opts ...StreamOption) (*Stream, error) {
+func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector) (*Stream, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
-	}
-	var so streamOptions
-	for _, opt := range opts {
-		opt(&so)
 	}
 	st := e.state.Load()
 
@@ -120,7 +100,6 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector, opts ...
 		cancel:   cancel,
 		b:        st.b,
 		netInfo:  e.networkInfo(st),
-		total:    total,
 		bddSetup: time.Since(bddStart),
 		start:    time.Now(),
 	}
@@ -153,13 +132,9 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector, opts ...
 			}
 			s.mu.Lock()
 			s.count++
-			done := s.count
 			s.sumNodes += r.AbstractNodes
 			s.sumLinks += r.AbstractLinks
 			s.mu.Unlock()
-			if so.progress != nil {
-				so.progress(done, s.total)
-			}
 			select {
 			case s.results <- r:
 				return nil

@@ -405,42 +405,6 @@ func TestStreamEarlyBreakCancels(t *testing.T) {
 	}
 }
 
-// TestStreamProgress: the progress callback counts every class exactly
-// once up to the selected total.
-func TestStreamProgress(t *testing.T) {
-	eng, err := bonsai.Open(netgen.Fattree(4, netgen.PolicyShortestPath), bonsai.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	var mu sync.Mutex
-	var calls []int
-	total := -1
-	s, err := eng.CompressStream(context.Background(), bonsai.ClassSelector{},
-		bonsai.WithProgress(func(done, tot int) {
-			mu.Lock()
-			calls = append(calls, done)
-			total = tot
-			mu.Unlock()
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	collectRows(t, s)
-	mu.Lock()
-	defer mu.Unlock()
-	if total != 8 || len(calls) != 8 {
-		t.Fatalf("progress: %d calls, total %d", len(calls), total)
-	}
-	seen := make(map[int]bool)
-	for _, d := range calls {
-		if d < 1 || d > 8 || seen[d] {
-			t.Fatalf("progress sequence %v", calls)
-		}
-		seen[d] = true
-	}
-}
-
 // TestStreamMemoryBudget: a streaming run under a budget half the
 // unbounded footprint keeps the store within it (plus the pinned seed
 // floor), evicts, and still produces identical per-class results.
