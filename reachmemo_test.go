@@ -12,9 +12,11 @@ package bonsai
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
+	"bonsai/internal/ec"
 	"bonsai/internal/netgen"
 )
 
@@ -123,6 +125,10 @@ func TestReachMemoDeltaChainMatchesColdOpen(t *testing.T) {
 					t.Fatalf("%s: %d asks over %d classes gave %d misses and %d hits, want one miss per class and mode",
 						step, asked, len(classes), misses, after.ReachMemoHits-before.ReachMemoHits)
 				}
+				// One query in reachCheckEvery is cross-checked, by the
+				// engine's query count, and a step asks at least
+				// 4·classes·sources of them: this still covers a quarter,
+				// at least one per (source, class) probe.
 				if after.ReachIndexMismatches != 0 {
 					t.Fatalf("%s: the class index disagreed with a fresh enumeration on %d queries", step, after.ReachIndexMismatches)
 				}
@@ -219,6 +225,91 @@ func TestReachMemoSolvesAColdClassOnce(t *testing.T) {
 	}
 	if st.Misses != 1 {
 		t.Fatalf("the class was compressed %d times, want once", st.Misses)
+	}
+}
+
+// allocated is what fn allocates on the heap, in bytes.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReachMemoCrossCheckIsSampled measures the sampling contract from
+// outside, by what a query allocates: the cross-check is the only part of a
+// memo hit that allocates more than its result, so 4k hits must cost k
+// enumerations, and the three hits between two checked ones next to nothing.
+func TestReachMemoCrossCheckIsSampled(t *testing.T) {
+	ctx := context.Background()
+	eng, err := Open(netgen.Fattree(8, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	dest, src := eng.Classes()[3], "edge-5-2"
+	ask := func(n int) {
+		for i := 0; i < n; i++ {
+			if res, err := eng.Reach(ctx, src, dest); err != nil || !res.Reachable {
+				t.Fatalf("reach %s -> %s: %+v, %v", src, dest, res, err)
+			}
+		}
+	}
+	cfg := eng.state.Load().cfg
+	enumeration := allocated(func() {
+		if _, err := ec.ClassFor(cfg, dest); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The engine's first query is a checked one (and here the solve); the
+	// next three are not.
+	ask(1)
+	if got := allocated(func() { ask(reachCheckEvery - 1) }); got >= (reachCheckEvery-1)*256 {
+		t.Fatalf("%d unchecked memo hits allocated %d bytes, want under 256 each: is the cross-check still on every query?",
+			reachCheckEvery-1, got)
+	}
+	const k = 50
+	got, want := allocated(func() { ask(reachCheckEvery * k) }), k*enumeration
+	if got < want*8/10 || got > want*12/10 {
+		t.Fatalf("%d memo hits allocated %d bytes; %d enumerations of %d bytes each would be %d (want within 20%%)",
+			reachCheckEvery*k, got, k, enumeration, want)
+	}
+	if st := eng.Stats(); st.ReachMemoMisses != 1 || st.ReachMemoHits != reachCheckEvery*(k+1)-1 || st.ReachIndexMismatches != 0 {
+		t.Fatalf("counters after the run: %+v", st)
+	}
+}
+
+// TestReachMemoConcurrentHitsAreCounted races the query count that picks the
+// checked queries (run under -race -count=10): every query is counted as a
+// hit or a miss exactly once and no check disagrees.
+func TestReachMemoConcurrentHitsAreCounted(t *testing.T) {
+	eng, err := Open(netgen.Fattree(4, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	classes, names := eng.Classes(), eng.Network().RouterNames()
+	const askers, each = 32, 100
+	var wg sync.WaitGroup
+	for i := 0; i < askers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				if _, err := eng.Reach(context.Background(), names[(i+j)%len(names)], classes[i%2]); err != nil {
+					t.Errorf("asker %d, query %d: %v", i, j, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := eng.Stats()
+	if st.ReachMemoHits+st.ReachMemoMisses != askers*each || st.ReachMemoMisses != 2 || st.ReachIndexMismatches != 0 {
+		t.Fatalf("%d queries of two classes: %d hits, %d misses, %d index mismatches",
+			askers*each, st.ReachMemoHits, st.ReachMemoMisses, st.ReachIndexMismatches)
 	}
 }
 

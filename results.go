@@ -51,8 +51,9 @@ type CacheStats struct {
 	ReachMemoMisses int64 `json:"reach_memo_misses,omitempty"`
 	// ReachIndexMismatches counts the Reach/ReachConcrete queries whose class
 	// by index lookup differed from a fresh enumeration of the snapshot's
-	// classes (every query is cross-checked at this stage of the indexed
-	// read path's rollout) — zero in a healthy engine.
+	// classes (one query in four, by the engine's query count, is
+	// cross-checked at this stage of the indexed read path's rollout) — zero
+	// in a healthy engine.
 	ReachIndexMismatches int64 `json:"reach_index_mismatches,omitempty"`
 }
 
