@@ -115,65 +115,18 @@ func (c *coalescer) drop(desc string) {
 	}
 }
 
-// validate checks a delta against the base configuration plus the batch's
-// pending link creations, mirroring Delta.Validate. A delta that fails here
-// is rejected whole: none of its edits are folded in.
-func (c *coalescer) validate(d *Delta) error {
-	for _, l := range d.LinkDown {
-		if c.base.FindLink(l.A, l.B) >= 0 {
-			continue
-		}
-		if _, pending := c.links[canonLink(l.A, l.B)]; pending {
-			continue
-		}
-		return fmt.Errorf("bonsai: delta: no link %s -- %s", l.A, l.B)
-	}
-	for _, l := range d.LinkUp {
-		if c.base.FindLink(l.A, l.B) >= 0 {
-			continue
-		}
-		if _, pending := c.links[canonLink(l.A, l.B)]; pending {
-			continue
-		}
-		for _, r := range []string{l.A, l.B} {
-			if _, ok := c.base.Routers[r]; !ok {
-				return fmt.Errorf("bonsai: delta: link references unknown router %q", r)
-			}
-		}
-	}
-	checkRouter := func(name string) error {
-		if _, ok := c.base.Routers[name]; !ok {
-			return fmt.Errorf("bonsai: delta: unknown router %q", name)
-		}
-		return nil
-	}
-	for _, e := range d.SetRouteMaps {
-		if err := checkRouter(e.Router); err != nil {
-			return err
-		}
-	}
-	for _, e := range d.SetPrefixLists {
-		if err := checkRouter(e.Router); err != nil {
-			return err
-		}
-	}
-	for _, es := range [][]OriginEdit{d.AddOriginated, d.RemoveOriginated} {
-		for _, e := range es {
-			if err := checkRouter(e.Router); err != nil {
-				return err
-			}
-			if _, err := netip.ParsePrefix(e.Prefix); err != nil {
-				return fmt.Errorf("bonsai: delta: bad prefix %q: %w", e.Prefix, err)
-			}
-		}
-	}
-	return nil
-}
-
-// add validates d and folds its edits into the batch. On error the batch is
-// unchanged.
+// add validates d — against the base configuration plus the batch's pending
+// link creations — and folds its edits into the batch. A delta that fails is
+// rejected whole: on error the batch is unchanged.
 func (c *coalescer) add(d Delta) error {
-	if err := c.validate(&d); err != nil {
+	err := d.validate(c.base, func(a, b string) bool {
+		if c.base.FindLink(a, b) >= 0 {
+			return true
+		}
+		_, pending := c.links[canonLink(a, b)]
+		return pending
+	})
+	if err != nil {
 		return err
 	}
 	c.deltas++

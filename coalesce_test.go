@@ -1,12 +1,14 @@
 package bonsai
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
 
 	"bonsai/internal/config"
+	"bonsai/internal/netgen"
 )
 
 // coalesceNet builds a bare four-router line a--b--c--d with one link
@@ -223,18 +225,25 @@ func TestDeltaValidateDoesNotMutate(t *testing.T) {
 	}
 }
 
+// TestDeltaApplyAtomicOnValidationFailure: Delta.apply itself does not
+// validate (the engine validates once, before the fork), so all-or-nothing is
+// a property of Engine.Apply: a delta whose first edit is valid and whose
+// last is not leaves the served configuration byte-identical.
 func TestDeltaApplyAtomicOnValidationFailure(t *testing.T) {
-	n := coalesceNet()
-	before := fmt.Sprintf("%+v|%+v", n.Links, n.Routers["d"].Originate)
-	// Valid link edit first, invalid origin edit later: nothing may stick.
+	eng, err := Open(netgen.Fattree(4, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	before := config.PrintString(eng.Network())
 	bad := Delta{
-		LinkDown:         []LinkRef{{A: "a", B: "b"}},
+		LinkDown:         []LinkRef{{A: "agg-0-0", B: "core-0"}},
 		RemoveOriginated: []OriginEdit{{Router: "ghost", Prefix: "10.0.4.0/24"}},
 	}
-	if err := bad.apply(n); err == nil {
+	if _, err := eng.Apply(context.Background(), bad); err == nil {
 		t.Fatal("want apply error for unknown router")
 	}
-	if got := fmt.Sprintf("%+v|%+v", n.Links, n.Routers["d"].Originate); got != before {
-		t.Fatalf("failed apply mutated the network:\nbefore %s\nafter  %s", before, got)
+	if got := config.PrintString(eng.Network()); got != before {
+		t.Fatalf("failed apply changed the served network:\nbefore %s\nafter  %s", before, got)
 	}
 }

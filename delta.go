@@ -143,13 +143,20 @@ func (d *Delta) touchedRouters() []string {
 // coalescer validate before any clone or compile work, so a bad edit fails
 // fast and a delta is applied either completely or not at all.
 func (d *Delta) Validate(cfg *config.Network) error {
+	return d.validate(cfg, func(a, b string) bool { return cfg.FindLink(a, b) >= 0 })
+}
+
+// validate is the one delta validator. linkExists says whether a link is
+// there to be taken down or brought back up: in cfg for Validate, in cfg or
+// pending in the batch for the stream coalescer.
+func (d *Delta) validate(cfg *config.Network, linkExists func(a, b string) bool) error {
 	for _, l := range d.LinkDown {
-		if cfg.FindLink(l.A, l.B) < 0 {
+		if !linkExists(l.A, l.B) {
 			return fmt.Errorf("bonsai: delta: no link %s -- %s", l.A, l.B)
 		}
 	}
 	for _, l := range d.LinkUp {
-		if cfg.FindLink(l.A, l.B) >= 0 {
+		if linkExists(l.A, l.B) {
 			continue
 		}
 		for _, r := range []string{l.A, l.B} {
@@ -193,12 +200,9 @@ func (d *Delta) Validate(cfg *config.Network) error {
 // is replaced by its Clone — and, for policy edits, its Env by a copy —
 // before its first edit, and the predecessor is never written through. Link
 // records are cfg's own. The delta must have passed Validate against the
-// same configuration; apply re-runs it so direct callers keep
-// all-or-nothing semantics.
+// configuration cfg was forked from: that is what makes an apply
+// all-or-nothing, and apply does not run it again.
 func (d *Delta) apply(cfg *config.Network) error {
-	if err := d.Validate(cfg); err != nil {
-		return err
-	}
 	for _, l := range d.LinkDown {
 		cfg.Links[cfg.FindLink(l.A, l.B)].Down = true
 	}

@@ -357,48 +357,16 @@ func (e *Engine) BDDStats() BDDStats {
 	return s
 }
 
-// SaveRelationStore writes the engine's warm state — every completed cached
-// abstraction plus the merged BDD edge-relation caches of the idle compiler
-// pool — to a versioned, CRC-framed file at path, atomically (temp + fsync +
-// rename; a crash mid-save leaves the previous file intact). A later Open of
-// the same network followed by LoadRelationStore restores it, skipping
-// refinement for every saved class.
+// SaveRelationStore writes every completed cached abstraction of the current
+// network to one CRC-framed file at path, atomically (temp + fsync + rename;
+// a crash mid-save leaves the previous file intact; one save per path at a
+// time). A later Open of the same network followed by LoadRelationStore
+// restores them, skipping refinement for every saved class.
 func (e *Engine) SaveRelationStore(path string) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	st := e.state.Load()
-	sc := e.acquire(st)
-	defer e.release(sc)
-	// Fold the other idle compilers' relation caches into sc so the saved
-	// image covers the whole pool, not one worker's slice of it. Compilers
-	// are returned as they are merged; a stale-universe compiler is retired
-	// exactly as acquire would.
-	var idle []*pooledCompiler
-	for {
-		select {
-		case pc := <-e.pool:
-			if pc.universe != st.universe {
-				e.retire(pc)
-				continue
-			}
-			idle = append(idle, pc)
-			continue
-		default:
-		}
-		break
-	}
-	var mergeErr error
-	for _, pc := range idle {
-		if mergeErr == nil {
-			mergeErr = st.b.MergeRelationCaches(sc.comp, pc.comp)
-		}
-		e.release(pc)
-	}
-	if mergeErr != nil {
-		return mergeErr
-	}
-	return st.b.SaveRelationStoreFile(path, sc.comp)
+	return e.state.Load().b.SaveRelationStoreFile(path, nil)
 }
 
 // LoadRelationStore restores a relation store saved by SaveRelationStore
@@ -410,10 +378,7 @@ func (e *Engine) LoadRelationStore(path string) (int, error) {
 	if e.closed.Load() {
 		return 0, ErrClosed
 	}
-	st := e.state.Load()
-	pc := e.acquire(st)
-	defer e.release(pc)
-	return st.b.LoadRelationStoreFile(path, pc.comp)
+	return e.state.Load().b.LoadRelationStoreFile(path, nil)
 }
 
 // Compress compresses the selected destination classes, sharing cached
@@ -706,10 +671,10 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	}()
 	start := time.Now()
 	st := e.state.Load()
-	// Validate against the live config before paying for the fork; apply
-	// re-validates against the fork, keeping all-or-nothing semantics even
-	// for direct callers. The successor shares every router the delta does
-	// not edit with the snapshot still being served (Delta.apply).
+	// Validate against the live config before paying for the fork: a delta
+	// that passes applies completely, one that fails touches nothing. The
+	// successor shares every router the delta does not edit with the
+	// snapshot still being served (Delta.apply).
 	if err := d.Validate(st.cfg); err != nil {
 		return nil, err
 	}

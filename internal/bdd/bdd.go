@@ -20,9 +20,8 @@
 // Every manager seeds the same canonical prefix: terminals at handles 0/1
 // and the single-variable diagrams at Var(i) = 2+2i, NVar(i) = 3+2i. Two
 // managers over the same variable count therefore agree on these handles,
-// which makes Var a bounds check plus arithmetic (no table probe) and gives
-// serialized BDDs a stable vocabulary of seed references (see Space,
-// Export, Import).
+// which makes Var a bounds check plus arithmetic (no table probe) and lets a
+// Space stamp the prefix into each manager by copying it (see Space).
 //
 // Operation results are memoised in fixed-size, power-of-two, open-addressed
 // caches in the style of Brace-Rudell-Bryant: each slot holds one entry and a
@@ -65,8 +64,6 @@ type Manager struct {
 	table []int32
 	mask  uint32
 
-	space *Space // non-nil when created from a shared Space
-
 	ite    []iteEntry
 	apply2 []applyEntry
 	unary  []unaryEntry
@@ -78,21 +75,19 @@ type Manager struct {
 	overwrites uint64
 }
 
-// Default cache geometry. Sizes are fixed per Manager (lossy caches never
-// grow); powers of two keep the index computation a mask. The binary/ITE
-// caches dominate and get the largest tables; entries are 16 bytes, so the
-// default total is ~2.3 MiB per Manager. NewSized scales every table
-// relative to these defaults.
+// Cache geometry. Sizes are fixed per Manager (lossy caches never grow);
+// powers of two keep the index computation a mask. The binary/ITE caches
+// dominate and get the largest tables; entries are 16 bytes, so the total is
+// ~2.3 MiB per Manager.
 const (
-	// DefaultCacheBits is the default size exponent of the ITE/apply
-	// operation caches (2^bits slots each); the unary and sat-count caches
-	// stay 4x and 8x smaller respectively.
-	DefaultCacheBits = 16
+	// cacheBits is the size exponent of the ITE/apply operation caches
+	// (2^bits slots each); the unary and sat-count caches stay 4x and 8x
+	// smaller respectively.
+	cacheBits = 16
 
-	// MinCacheBits and MaxCacheBits bound NewSized's exponent: below 8 the
-	// unary/sat tables degenerate, above 24 one manager costs gigabytes.
-	MinCacheBits = 8
-	MaxCacheBits = 24
+	// templateCacheBits sizes the manager a Space seeds once and keeps only
+	// the node arrays of; its caches are never used.
+	templateCacheBits = 8
 )
 
 // iteEntry caches ITE(f, g, h) = r. f == 0 marks an empty slot (a terminal
@@ -128,42 +123,25 @@ const (
 	opExists
 )
 
-// New creates a manager for numVars boolean variables with the default
-// operation-cache geometry.
-func New(numVars int) *Manager { return NewSized(numVars, DefaultCacheBits) }
-
-// NewSized creates a manager whose operation caches hold 2^cacheBits slots
-// (ITE and binary apply; the unary and sat-count caches scale down with
-// them). Larger caches trade memory for fewer lossy evictions on
-// policy-heavy networks; cacheBits is clamped to [MinCacheBits,
-// MaxCacheBits], and 0 (or any out-of-range value on the low side) selects
-// the defaults.
-func NewSized(numVars, cacheBits int) *Manager {
+// New creates a manager for numVars boolean variables.
+func New(numVars int) *Manager {
 	m := newShell(numVars, cacheBits)
 	m.seed()
 	return m
 }
 
-// newShell allocates a manager with caches but no nodes.
-func newShell(numVars, cacheBits int) *Manager {
+// newShell allocates a manager with caches of 2^bits ITE/apply slots but no
+// nodes.
+func newShell(numVars, bits int) *Manager {
 	if numVars < 0 {
 		panic("bdd: negative variable count")
 	}
-	if cacheBits <= 0 {
-		cacheBits = DefaultCacheBits
-	}
-	if cacheBits < MinCacheBits {
-		cacheBits = MinCacheBits
-	}
-	if cacheBits > MaxCacheBits {
-		cacheBits = MaxCacheBits
-	}
 	return &Manager{
 		nvars:  int32(numVars),
-		ite:    make([]iteEntry, 1<<cacheBits),
-		apply2: make([]applyEntry, 1<<cacheBits),
-		unary:  make([]unaryEntry, 1<<(cacheBits-2)),
-		sat:    make([]satEntry, 1<<(cacheBits-3)),
+		ite:    make([]iteEntry, 1<<bits),
+		apply2: make([]applyEntry, 1<<bits),
+		unary:  make([]unaryEntry, 1<<(bits-2)),
+		sat:    make([]satEntry, 1<<(bits-3)),
 	}
 }
 
@@ -216,11 +194,6 @@ func (m *Manager) NumVars() int { return int(m.nvars) }
 // Size reports the total number of live nodes (including terminals and the
 // per-variable seed prefix).
 func (m *Manager) Size() int { return len(m.level) }
-
-// SeedLen reports the length of the canonical seed prefix (terminals plus
-// the two single-variable diagrams per variable). Handles below SeedLen are
-// identical across every manager with the same variable count.
-func (m *Manager) SeedLen() int { return int(m.seedLen) }
 
 // pack combines two children into one unique-table key / storage word.
 func pack(lo, hi Node) uint64 { return uint64(uint32(lo)) | uint64(uint32(hi))<<32 }
@@ -322,15 +295,6 @@ func (m *Manager) Const(b bool) Node {
 	}
 	return False
 }
-
-// Level reports the decision variable of n, or NumVars for terminals.
-func (m *Manager) Level(n Node) int { return int(m.level[n]) }
-
-// Low returns the low (variable=false) child of n.
-func (m *Manager) Low(n Node) Node { lo, _ := unpack(m.lohi[n]); return lo }
-
-// High returns the high (variable=true) child of n.
-func (m *Manager) High(n Node) Node { _, hi := unpack(m.lohi[n]); return hi }
 
 // Not returns the complement of a.
 func (m *Manager) Not(a Node) Node {
@@ -466,9 +430,6 @@ func (m *Manager) applyRec(op uint8, a, b Node) Node {
 	}
 	return m.mk(level, lo, hi)
 }
-
-// Implies returns the BDD of a => b.
-func (m *Manager) Implies(a, b Node) Node { return m.Or(m.Not(a), b) }
 
 // Equiv returns the BDD of a <=> b.
 func (m *Manager) Equiv(a, b Node) Node { return m.Not(m.Xor(a, b)) }

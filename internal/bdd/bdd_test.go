@@ -19,8 +19,8 @@ func TestTerminals(t *testing.T) {
 	if want := 2 + 2*4; m.Size() != want {
 		t.Fatalf("fresh manager size = %d, want %d", m.Size(), want)
 	}
-	if m.SeedLen() != m.Size() {
-		t.Fatalf("seed prefix %d != fresh size %d", m.SeedLen(), m.Size())
+	if int(m.seedLen) != m.Size() {
+		t.Fatalf("seed prefix %d != fresh size %d", m.seedLen, m.Size())
 	}
 	if m.Var(2) != Node(2+2*2) || m.NVar(2) != Node(3+2*2) {
 		t.Fatal("seeded variable handles not at canonical indices")

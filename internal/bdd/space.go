@@ -21,7 +21,7 @@ type Space struct {
 
 // NewSpace builds the canonical seed space for numVars variables.
 func NewSpace(numVars int) *Space {
-	m := newShell(numVars, MinCacheBits)
+	m := newShell(numVars, templateCacheBits)
 	m.seed()
 	return &Space{
 		nvars:     m.nvars,
@@ -35,20 +35,10 @@ func NewSpace(numVars int) *Space {
 // NumVars reports the variable count of the space.
 func (s *Space) NumVars() int { return int(s.nvars) }
 
-// SeedLen reports the length of the canonical seed prefix.
-func (s *Space) SeedLen() int { return len(s.seedLevel) }
-
-// NewManager stamps out a manager over the space with the default
-// operation-cache geometry.
-func (s *Space) NewManager() *Manager { return s.NewManagerSized(DefaultCacheBits) }
-
-// NewManagerSized stamps out a manager over the space whose operation
-// caches hold 2^cacheBits slots (see NewSized for the clamping rules). The
-// new manager starts with the space's seed prefix and a private copy of the
-// seeded unique table.
-func (s *Space) NewManagerSized(cacheBits int) *Manager {
+// NewManager stamps out a manager over the space. The new manager starts
+// with the space's seed prefix and a private copy of the seeded unique table.
+func (s *Space) NewManager() *Manager {
 	m := newShell(int(s.nvars), cacheBits)
-	m.space = s
 	m.seedLen = int32(len(s.seedLevel))
 	m.level = append(make([]int32, 0, len(s.seedLevel)+1024), s.seedLevel...)
 	m.lohi = append(make([]uint64, 0, len(s.seedLohi)+1024), s.seedLohi...)
@@ -56,8 +46,3 @@ func (s *Space) NewManagerSized(cacheBits int) *Manager {
 	m.mask = s.seedMask
 	return m
 }
-
-// Space returns the shared space this manager was stamped from, or nil for
-// a standalone manager. Seed handles agree either way when variable counts
-// match; the pointer is only useful as a cheap identity check.
-func (m *Manager) Space() *Space { return m.space }

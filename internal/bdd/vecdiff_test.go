@@ -112,99 +112,3 @@ func TestVecBatchedColdVsWarm(t *testing.T) {
 		m2.Close()
 	}
 }
-
-// TestExportImportRoundTrip checks that the serialized node form survives a
-// trip into a fresh manager: imported roots are semantically identical and
-// the re-exported byte stream is reproduced exactly.
-func TestExportImportRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const nv = 10
-	m := New(nv)
-	roots := make([]Node, 0, 16)
-	evals := make([]func([]bool) bool, 0, 16)
-	for i := 0; i < 16; i++ {
-		n, f := randomExpr(m, rng, 6)
-		roots = append(roots, n)
-		evals = append(evals, f)
-	}
-	nodes, refs := m.Export(roots)
-
-	m2 := New(nv)
-	got, err := m2.Import(nodes, refs)
-	if err != nil {
-		t.Fatalf("import: %v", err)
-	}
-	if len(got) != len(roots) {
-		t.Fatalf("imported %d roots, want %d", len(got), len(roots))
-	}
-	assign := make([]bool, nv)
-	for trial := 0; trial < 500; trial++ {
-		for v := range assign {
-			assign[v] = rng.Intn(2) == 1
-		}
-		for i, n := range got {
-			if m2.Eval(n, assign) != evals[i](assign) {
-				t.Fatalf("trial %d: imported root %d disagrees with source", trial, i)
-			}
-		}
-	}
-	// Canonicality: exporting the imported roots reproduces the stream.
-	nodes2, refs2 := m2.Export(got)
-	if len(nodes2) != len(nodes) {
-		t.Fatalf("re-export has %d words, want %d", len(nodes2), len(nodes))
-	}
-	for i := range nodes {
-		if nodes[i] != nodes2[i] {
-			t.Fatalf("re-export diverges at word %d", i)
-		}
-	}
-	for i := range refs {
-		if refs[i] != refs2[i] {
-			t.Fatalf("re-export root ref %d diverges", i)
-		}
-	}
-}
-
-// TestImportRejectsMalformed feeds the importer damaged streams; each must
-// be rejected with an error rather than a panic or a silently wrong node.
-func TestImportRejectsMalformed(t *testing.T) {
-	m := New(4)
-	a := m.And(m.Var(0), m.Or(m.Var(1), m.NVar(2)))
-	b := m.Xor(m.Var(2), m.Var(3))
-	nodes, refs := m.Export([]Node{a, b})
-
-	mangle := func(fn func(n []uint32, r []uint32) ([]uint32, []uint32)) error {
-		n := append([]uint32(nil), nodes...)
-		r := append([]uint32(nil), refs...)
-		n, r = fn(n, r)
-		m2 := New(4)
-		defer m2.Close()
-		_, err := m2.Import(n, r)
-		return err
-	}
-
-	cases := []struct {
-		name string
-		fn   func(n, r []uint32) ([]uint32, []uint32)
-	}{
-		{"truncated nodes", func(n, r []uint32) ([]uint32, []uint32) { return n[:len(n)-3], r }},
-		{"ragged length", func(n, r []uint32) ([]uint32, []uint32) { return n[:len(n)-1], r }},
-		{"forward ref", func(n, r []uint32) ([]uint32, []uint32) {
-			n[1] = uint32(m.SeedLen()) + uint32(len(n)/3)
-			return n, r
-		}},
-		{"root out of range", func(n, r []uint32) ([]uint32, []uint32) {
-			r[0] = uint32(m.SeedLen()) + uint32(len(n)/3) + 7
-			return n, r
-		}},
-		{"bad level", func(n, r []uint32) ([]uint32, []uint32) {
-			n[0] = 1 << 30
-			return n, r
-		}},
-	}
-	for _, tc := range cases {
-		if err := mangle(tc.fn); err == nil {
-			t.Fatalf("%s: malformed stream imported without error", tc.name)
-		}
-	}
-}

@@ -61,9 +61,6 @@ func NewPool(ceiling int64) *Pool {
 	return &Pool{ceiling: ceiling}
 }
 
-// Ceiling returns the configured global budget.
-func (p *Pool) Ceiling() int64 { return p.ceiling }
-
 // charge records a byte delta from a member store. Called with the member's
 // store.mu held — atomics only, no Pool.mu.
 func (p *Pool) charge(delta int64) {

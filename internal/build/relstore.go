@@ -1,67 +1,49 @@
-// The persisted relation store: a versioned, CRC-framed on-disk image of
-// the Builder's warm state — the abstraction store's completed entries and
-// a policy compiler's canonical edge-relation cache — so a restarted
-// process answers its first queries from disk instead of re-running
-// refinement over every fingerprint group.
+// The persisted relation store: the Builder's completed abstraction-store
+// entries on disk, so a restarted process answers each class's first query
+// from the file instead of re-running refinement.
 //
-// The format follows the write-ahead journal's framing discipline
-// (internal/journal): a fixed magic, then length-and-CRC-framed records,
-// then a trailer record whose presence proves the file was written to
-// completion. Loading is all-or-nothing: every record is parsed and
-// validated into private staging first, and only a fully consistent file
-// mutates the Builder — a truncated or bit-flipped file is rejected with an
-// error and the store is left exactly as it was (a cold start, since the
-// store is a cache and never the source of truth).
+// The contract, whole: relstore.bin holds the abstractions of exactly the
+// configuration whose canonical print hashes to the SHA-256 at the head of
+// its payload; any mismatch or damage is an error that installs nothing (the
+// caller logs it and starts cold — the store is a cache, never the source of
+// truth). The bytes are one internal/frame file, the frame the journal's
+// checkpoint uses, replaced atomically: the frame's number is the entry
+// count, its payload the config hash, the topology shape, then the entries.
 //
-// Two identities gate a load. The config hash (SHA-256 of the canonical
-// config text) ties the file to the exact network it was saved from: any
-// drift — including a crash after the relation store was written but before
-// the journal sealed — fails the hash and degrades to a cold start.
-// Abstraction entries are keyed by a member destination prefix rather than
-// by the store's fingerprint string, because fingerprints embed intern-table
-// IDs assigned in arrival order and are therefore not stable across
-// processes; the prefix re-derives the fingerprint deterministically in the
-// loading Builder. BDD relations are keyed by (router-name-resolved policy
-// namespaces, map names, session kind, prefix-fingerprint) over one shared
-// exported node array; refs below the canonical seed prefix are stable by
-// construction (internal/bdd), and Import re-canonicalises the rest.
+// Entries are keyed by a member destination prefix rather than by the
+// store's fingerprint string, because fingerprints embed intern-table IDs
+// assigned in arrival order and are therefore not stable across processes;
+// the prefix re-derives the fingerprint deterministically in the loading
+// Builder. Compiled BDD relations are not persisted: having them saved a
+// fraction of a millisecond after a load of 3-90 ms (docs/audit.md §8).
 package build
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 	"slices"
+	"strings"
 
-	"bonsai/internal/bdd"
 	"bonsai/internal/config"
 	"bonsai/internal/core"
+	"bonsai/internal/frame"
 	"bonsai/internal/policy"
 	"bonsai/internal/topo"
 )
 
 // relStoreMagic opens every relation-store file; the trailing byte is the
-// format version and bumps on incompatible changes.
-const relStoreMagic = "BRELST\x00\x01"
-
-// Record types.
+// format version and bumps on incompatible changes (1 was the record-framed
+// format that also carried BDD relations).
 const (
-	recMeta    = 1    // format guard: config hash + topology shape
-	recClass   = 2    // one completed abstraction-store entry
-	recRels    = 3    // a compiler's edge-relation cache over one node array
-	recTrailer = 0x7f // completion proof: record count
+	relStoreMagic = "BRELST\x00\x02"
+	relStoreEnd   = "BRELSTND"
 )
 
-var relCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // ---------------------------------------------------------------------------
-// Primitive encoding. Records are byte slices built with appenders and read
-// with a cursor that latches the first error; all integers are uvarint
-// except the fixed-width framing and the raw BDD node array.
+// Primitive encoding. The payload is built with appenders and read with a
+// cursor that latches the first error; all integers are uvarint.
 
 type relDec struct {
 	b   []byte
@@ -135,23 +117,6 @@ func (d *relDec) str() string {
 	return s
 }
 
-func (d *relDec) u32s() []uint32 {
-	n := d.count(4)
-	if d.err != nil {
-		return nil
-	}
-	if d.off+4*n > len(d.b) {
-		d.fail("truncated u32 array at offset %d", d.off)
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(d.b[d.off:])
-		d.off += 4
-	}
-	return out
-}
-
 func (d *relDec) bits() []bool {
 	v := d.uv()
 	if d.err != nil {
@@ -207,48 +172,6 @@ func appendBits(b []byte, bs []bool) []byte {
 	return b
 }
 
-func appendU32s(b []byte, vs []uint32) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return b
-}
-
-// ---------------------------------------------------------------------------
-// Framing.
-
-func writeRecord(w io.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, relCRC))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// nextRecord slices the record at off, verifying its frame CRC. A short or
-// corrupt frame is an error: unlike the journal (whose tail legitimately
-// tears mid-append), the relation store is written atomically, so any damage
-// means the file must be rejected whole.
-func nextRecord(b []byte, off int) (payload []byte, next int, err error) {
-	if off+8 > len(b) {
-		return nil, 0, fmt.Errorf("build: relation store: truncated frame at offset %d", off)
-	}
-	n := binary.LittleEndian.Uint32(b[off:])
-	crc := binary.LittleEndian.Uint32(b[off+4:])
-	if off+8+int(n) > len(b) {
-		return nil, 0, fmt.Errorf("build: relation store: truncated record at offset %d", off)
-	}
-	payload = b[off+8 : off+8+int(n)]
-	if crc32.Checksum(payload, relCRC) != crc {
-		return nil, 0, fmt.Errorf("build: relation store: CRC mismatch at offset %d", off)
-	}
-	return payload, off + 8 + int(n), nil
-}
-
 // ConfigHash returns the identity a relation store is bound to: the SHA-256
 // of the network's canonical config text.
 func ConfigHash(n *config.Network) [32]byte {
@@ -258,80 +181,9 @@ func ConfigHash(n *config.Network) [32]byte {
 // ---------------------------------------------------------------------------
 // Save.
 
-// envName maps each router's policy namespace to its router name so relation
-// cache keys (which hold namespace pointers) serialise by name; the first
-// router wins on a shared namespace, which is stable because router order is.
-func (b *Builder) envNames() map[*policy.Env]string {
-	m := make(map[*policy.Env]string, len(b.routers))
-	for i, r := range b.routers {
-		if r.Env != nil {
-			if _, ok := m[r.Env]; !ok {
-				m[r.Env] = b.G.Name(topo.NodeID(i))
-			}
-		}
-	}
-	return m
-}
-
-// MergeRelationCaches copies every relation cached on src into dst (keys dst
-// already holds win), translating the BDD subgraphs between the two managers
-// through export/import. Both compilers must come from this Builder and
-// share a variable universe; the caller owns both. Synthetic redistribution
-// composites are per-compiler handles and are not merged — they rebuild
-// lazily and cheaply.
-func (b *Builder) MergeRelationCaches(dst, src *policy.Compiler) error {
-	if dst == src {
-		return nil
-	}
-	if !slices.Equal(dst.Universe(), src.Universe()) {
-		return fmt.Errorf("build: merge relation caches: universe mismatch")
-	}
-	ccs := b.cacheFor(src)
-	if len(ccs.rels) == 0 {
-		return nil
-	}
-	keys := make([]relKey, 0, len(ccs.rels))
-	roots := make([]bdd.Node, 0, len(ccs.rels))
-	for k, ent := range ccs.rels {
-		keys = append(keys, k)
-		roots = append(roots, ent.rel)
-	}
-	nodes, refs := src.M.Export(roots)
-	moved, err := dst.M.Import(nodes, refs)
-	if err != nil {
-		return err
-	}
-	ccd := b.cacheFor(dst)
-	for i, k := range keys {
-		if _, ok := ccd.rels[k]; !ok {
-			ccd.rels[k] = relEntry{rel: moved[i], drops: ccs.rels[k].drops}
-		}
-	}
-	return nil
-}
-
-// SaveRelationStore writes the Builder's warm state to w: every completed
-// abstraction-store entry, plus (when comp is non-nil) comp's canonical
-// edge-relation cache. comp must belong to this Builder and to the calling
-// goroutine.
-func (b *Builder) SaveRelationStore(w io.Writer, comp *policy.Compiler) error {
-	if _, err := io.WriteString(w, relStoreMagic); err != nil {
-		return err
-	}
-	records := 0
-
-	// Meta: binds the file to this exact network and topology shape.
-	hash := ConfigHash(b.Cfg)
-	meta := make([]byte, 0, 64)
-	meta = append(meta, recMeta)
-	meta = append(meta, hash[:]...)
-	meta = binary.AppendUvarint(meta, uint64(b.G.NumNodes()))
-	meta = binary.AppendUvarint(meta, uint64(len(b.G.Edges())))
-	if err := writeRecord(w, meta); err != nil {
-		return err
-	}
-	records++
-
+// encodeRelationStore renders every completed abstraction-store entry as one
+// frame bound to this Builder's configuration.
+func (b *Builder) encodeRelationStore() []byte {
 	// Snapshot completed entries and a prefix naming each, under the store
 	// and intern locks respectively; entries are immutable once done, so the
 	// encoding below runs lock-free.
@@ -352,64 +204,42 @@ func (b *Builder) SaveRelationStore(w io.Writer, comp *policy.Compiler) error {
 		}
 	}
 	b.internMu.Unlock()
+	// Every completed entry signatured a prefix; one that somehow did not has
+	// no name to be saved under.
+	entries = slices.DeleteFunc(entries, func(e *absEntry) bool { return prefixOf[e.fp] == "" })
 	// Deterministic output order (map iteration above is not).
 	slices.SortFunc(entries, func(a, c *absEntry) int {
-		return cmpStr(prefixOf[a.fp], prefixOf[c.fp])
+		return strings.Compare(prefixOf[a.fp], prefixOf[c.fp])
 	})
+
+	hash := ConfigHash(b.Cfg)
+	p := make([]byte, 0, 64+256*len(entries))
+	p = append(p, hash[:]...)
+	p = binary.AppendUvarint(p, uint64(b.G.NumNodes()))
+	p = binary.AppendUvarint(p, uint64(len(b.G.Edges())))
 	for _, e := range entries {
-		pfx, ok := prefixOf[e.fp]
-		if !ok {
-			continue // unreachable: every completed entry signatured a prefix
-		}
-		if err := writeRecord(w, encodeClassRecord(e, pfx)); err != nil {
-			return err
-		}
-		records++
+		p = appendEntry(p, e, prefixOf[e.fp])
 	}
-
-	if comp != nil {
-		payload, err := b.encodeRelsRecord(comp)
-		if err != nil {
-			return err
-		}
-		if payload != nil {
-			if err := writeRecord(w, payload); err != nil {
-				return err
-			}
-			records++
-		}
-	}
-
-	trailer := []byte{recTrailer}
-	trailer = binary.AppendUvarint(trailer, uint64(records))
-	return writeRecord(w, trailer)
+	return frame.Encode(relStoreMagic, relStoreEnd, uint64(len(entries)), p)
 }
 
-func cmpStr(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// encodeClassRecord renders one completed store entry. Entries are named by
-// a member prefix, not their fingerprint: fingerprints embed intern IDs
+// appendEntry renders one completed store entry. Entries are named by a
+// member prefix, not their fingerprint: fingerprints embed intern IDs
 // assigned in arrival order, so only the prefix re-derives the same identity
 // in another process.
-func encodeClassRecord(e *absEntry, prefix string) []byte {
+func appendEntry(p []byte, e *absEntry, prefix string) []byte {
 	a := e.abs
-	p := make([]byte, 0, 256)
-	p = append(p, recClass)
 	p = appendStr(p, prefix)
 	p = appendBool(p, e.pinned)
 	p = binary.AppendUvarint(p, uint64(len(e.prefs)))
 	for _, v := range e.prefs {
 		p = binary.AppendUvarint(p, uint64(v))
 	}
+	// The entry's live vector is the one aligned with this Builder's edges.
+	// a.Live is not written: an entry adopted across a delta reuses its
+	// predecessor's *core.Abstraction, whose Live is aligned with the
+	// predecessor's graph, and nothing reads it once the entry is complete;
+	// load points a.Live at the entry's vector.
 	p = appendBits(p, e.live)
 
 	p = binary.AppendUvarint(p, uint64(a.Dest))
@@ -463,263 +293,74 @@ func encodeClassRecord(e *absEntry, prefix string) []byte {
 		p = binary.AppendUvarint(p, uint64(ce.U))
 		p = binary.AppendUvarint(p, uint64(ce.V))
 	}
-	// abs.Live is the same vector as the entry's in every producing path;
-	// persist a separate copy only if that ever diverges.
-	shared := slices.Equal(a.Live, e.live)
-	p = appendBool(p, shared)
-	if !shared {
-		p = appendBits(p, a.Live)
-	}
 	return p
 }
 
-// encodeRelsRecord renders comp's edge-relation cache: the cache keys with
-// policy namespaces resolved to router names, and every relation exported
-// over one shared node array. Returns nil when the cache is empty.
-func (b *Builder) encodeRelsRecord(comp *policy.Compiler) ([]byte, error) {
-	cc := b.cacheFor(comp)
-	if len(cc.rels) == 0 {
-		return nil, nil
-	}
-	names := b.envNames()
-	type flatKey struct {
-		expRouter, expMap, impRouter, impMap string
-		ibgp                                 bool
-		fp                                   string
-		rel                                  bdd.Node
-		drops                                bool
-	}
-	flat := make([]flatKey, 0, len(cc.rels))
-	for k, ent := range cc.rels {
-		fk := flatKey{
-			expMap: k.expMap, impMap: k.impMap,
-			ibgp: k.ibgp, fp: k.fp, rel: ent.rel, drops: ent.drops,
-		}
-		if k.expEnv != nil {
-			n, ok := names[k.expEnv]
-			if !ok {
-				continue // foreign namespace; nothing to resolve it at load
-			}
-			fk.expRouter = n
-		}
-		if k.impEnv != nil {
-			n, ok := names[k.impEnv]
-			if !ok {
-				continue
-			}
-			fk.impRouter = n
-		}
-		flat = append(flat, fk)
-	}
-	slices.SortFunc(flat, func(a, c flatKey) int {
-		if v := cmpStr(a.expRouter, c.expRouter); v != 0 {
-			return v
-		}
-		if v := cmpStr(a.expMap, c.expMap); v != 0 {
-			return v
-		}
-		if v := cmpStr(a.impRouter, c.impRouter); v != 0 {
-			return v
-		}
-		if v := cmpStr(a.impMap, c.impMap); v != 0 {
-			return v
-		}
-		if a.ibgp != c.ibgp {
-			if a.ibgp {
-				return 1
-			}
-			return -1
-		}
-		return cmpStr(a.fp, c.fp)
-	})
-	roots := make([]bdd.Node, len(flat))
-	for i := range flat {
-		roots[i] = flat[i].rel
-	}
-	nodes, refs := comp.M.Export(roots)
-
-	p := make([]byte, 0, 64+4*len(nodes)+32*len(flat))
-	p = append(p, recRels)
-	p = appendBool(p, slices.Equal(comp.Universe(), b.erasedUniverse))
-	p = binary.AppendUvarint(p, uint64(compilerNumVars(comp)))
-	p = appendU32s(p, nodes)
-	p = binary.AppendUvarint(p, uint64(len(flat)))
-	for i, fk := range flat {
-		p = appendStr(p, fk.expRouter)
-		p = appendStr(p, fk.expMap)
-		p = appendStr(p, fk.impRouter)
-		p = appendStr(p, fk.impMap)
-		p = appendBool(p, fk.ibgp)
-		p = appendStr(p, fk.fp)
-		p = appendBool(p, fk.drops)
-		p = binary.LittleEndian.AppendUint32(p, refs[i])
-	}
-	return p, nil
-}
-
-// compilerNumVars derives the BDD variable count of a compiler's manager
-// from its universe (the layout of internal/policy: in/out pairs per
-// community and LP bit, plus the drop flag).
-func compilerNumVars(comp *policy.Compiler) int {
-	return 2*len(comp.Universe()) + 2*policy.LPBits + 1
-}
-
-// SaveRelationStoreFile writes the relation store to path with the journal's
-// atomic-replace discipline: temp file in the same directory, fsync, rename
-// over the target, fsync the directory. A crash mid-save leaves either the
-// old file or none — never a torn one.
-func (b *Builder) SaveRelationStoreFile(path string, comp *policy.Compiler) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".relstore-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = b.SaveRelationStore(tmp, comp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+// SaveRelationStoreFile durably replaces the relation store at path
+// (frame.WriteFile: a crash mid-save leaves the old file or the new one,
+// never a torn one). The compiler is ignored — no BDD state is persisted —
+// and the parameter stays only because the frozen bench/ module passes one;
+// a [benchmark] PR drops it (docs/audit.md §8).
+func (b *Builder) SaveRelationStoreFile(path string, _ *policy.Compiler) error {
+	return frame.WriteFile(path, b.encodeRelationStore(), nil)
 }
 
 // ---------------------------------------------------------------------------
 // Load.
 
-// stagedClass is one parsed-and-validated class record, not yet installed.
+// LoadRelationStoreFile installs the relation store at path into the
+// abstraction store and returns the number of entries installed. On any
+// error nothing is installed: the file either loads whole or is rejected
+// whole. The compiler is ignored, as in SaveRelationStoreFile.
+func (b *Builder) LoadRelationStoreFile(path string, _ *policy.Compiler) (int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	return b.loadRelationStore(data)
+}
+
+// stagedClass is one parsed-and-validated entry, not yet installed; sig is
+// this Builder's own signature of the class the entry names.
 type stagedClass struct {
 	prefix string
 	pinned bool
 	prefs  []int
 	live   []bool
 	abs    *core.Abstraction
+	sig    *classSig
 }
 
-// stagedRels is the parsed relation record.
-type stagedRels struct {
-	erased bool
-	nvars  int
-	nodes  []uint32
-	keys   []relKey
-	drops  []bool
-	refs   []uint32
-}
-
-// LoadRelationStore parses a relation store from r and, if every record
-// validates against this Builder, installs the abstractions into the store
-// and the relations into comp's edge-relation cache (comp may be nil to
-// load abstractions only). It returns the number of abstraction entries
-// installed. On any error nothing is installed: the file either loads whole
-// or is rejected whole.
-func (b *Builder) LoadRelationStore(r io.Reader, comp *policy.Compiler) (int, error) {
-	data, err := io.ReadAll(r)
+// loadRelationStore is LoadRelationStoreFile on the file's bytes: decode and
+// validate everything into private staging, then install.
+func (b *Builder) loadRelationStore(data []byte) (int, error) {
+	count, payload, err := frame.Decode(relStoreMagic, relStoreEnd, data)
 	if err != nil {
+		return 0, fmt.Errorf("build: relation store: %w", err)
+	}
+	d := &relDec{b: payload}
+	if err := b.checkMeta(d); err != nil {
 		return 0, err
 	}
-	if len(data) < len(relStoreMagic) || string(data[:len(relStoreMagic)]) != relStoreMagic {
-		return 0, fmt.Errorf("build: relation store: bad magic")
-	}
-
-	var (
-		sawMeta    bool
-		classes    []*stagedClass
-		rels       *stagedRels
-		records    int
-		sawTrailer bool
-	)
-	off := len(relStoreMagic)
-	for off < len(data) {
-		payload, next, err := nextRecord(data, off)
+	// A count the payload cannot hold fails on the entry that runs out of
+	// bytes, so it never sizes an allocation.
+	var classes []*stagedClass
+	for i := uint64(0); i < count; i++ {
+		sc, err := b.decodeEntry(d)
 		if err != nil {
 			return 0, err
 		}
-		off = next
-		if len(payload) == 0 {
-			return 0, fmt.Errorf("build: relation store: empty record")
-		}
-		d := &relDec{b: payload, off: 1}
-		switch payload[0] {
-		case recMeta:
-			if sawMeta {
-				return 0, fmt.Errorf("build: relation store: duplicate meta record")
-			}
-			sawMeta = true
-			if err := b.checkMeta(d); err != nil {
-				return 0, err
-			}
-			records++
-		case recClass:
-			if !sawMeta {
-				return 0, fmt.Errorf("build: relation store: class record before meta")
-			}
-			sc, err := b.decodeClassRecord(d)
-			if err != nil {
-				return 0, err
-			}
-			classes = append(classes, sc)
-			records++
-		case recRels:
-			if !sawMeta {
-				return 0, fmt.Errorf("build: relation store: relations record before meta")
-			}
-			if rels != nil {
-				return 0, fmt.Errorf("build: relation store: duplicate relations record")
-			}
-			rels, err = b.decodeRelsRecord(d)
-			if err != nil {
-				return 0, err
-			}
-			records++
-		case recTrailer:
-			n := d.uv()
-			if d.err != nil {
-				return 0, d.err
-			}
-			if n != uint64(records) {
-				return 0, fmt.Errorf("build: relation store: trailer count %d != %d records", n, records)
-			}
-			if off != len(data) {
-				return 0, fmt.Errorf("build: relation store: %d trailing bytes after trailer", len(data)-off)
-			}
-			sawTrailer = true
-		default:
-			return 0, fmt.Errorf("build: relation store: unknown record type %#x", payload[0])
-		}
+		classes = append(classes, sc)
 	}
-	if !sawTrailer {
-		return 0, fmt.Errorf("build: relation store: missing trailer (truncated save)")
-	}
-	if !sawMeta {
-		return 0, fmt.Errorf("build: relation store: missing meta record")
+	if d.off != len(d.b) {
+		return 0, fmt.Errorf("build: relation store: %d trailing bytes after %d entries", len(d.b)-d.off, count)
 	}
 
-	// Resolve every class record against this Builder's own class machinery
-	// before touching shared state: compute the local signature (and thereby
-	// the local fingerprint) per staged prefix, and pre-resolve relation keys
-	// against the live config. Signature computation memoizes into
-	// fpByPrefix/fpIntern, which is harmless — those memos are deterministic
-	// and Builder-lifetime regardless of how the load ends.
-	type install struct {
-		sc  *stagedClass
-		sig *classSig
-	}
-	installs := make([]install, 0, len(classes))
+	// Resolve every entry against this Builder's own class machinery before
+	// touching shared state: compute the local signature (and thereby the
+	// local fingerprint) per staged prefix. Signature computation memoizes
+	// into fpByPrefix/fpIntern, which is harmless — those memos are
+	// deterministic and Builder-lifetime regardless of how the load ends.
 	seen := make(map[string]bool, len(classes))
 	for _, sc := range classes {
 		// A staged prefix must name a class exactly; the class that merely
@@ -746,32 +387,18 @@ func (b *Builder) LoadRelationStore(r io.Reader, comp *policy.Compiler) (int, er
 			b.ensureLabels(sig)
 			b.ensureColors(sig)
 		}
-		installs = append(installs, install{sc: sc, sig: sig})
-	}
-	var relRoots []bdd.Node
-	if rels != nil && comp != nil {
-		if rels.nvars != compilerNumVars(comp) {
-			return 0, fmt.Errorf("build: relation store: relations over %d BDD variables, compiler has %d",
-				rels.nvars, compilerNumVars(comp))
-		}
-		if rels.erased != slices.Equal(comp.Universe(), b.erasedUniverse) {
-			return 0, fmt.Errorf("build: relation store: relations universe mismatch")
-		}
-		relRoots, err = comp.M.Import(rels.nodes, rels.refs)
-		if err != nil {
-			return 0, err
-		}
+		sc.sig = sig
 	}
 
 	// Everything validated; install. The store lock is taken per entry, as
 	// Compress would.
 	installed := 0
 	st := &b.store
-	for _, in := range installs {
-		sc, sig := in.sc, in.sig
+	ready := make(chan struct{})
+	close(ready)
+	for _, sc := range classes {
+		sig := sc.sig
 		sc.abs.G = b.G
-		ready := make(chan struct{})
-		close(ready)
 		e := &absEntry{
 			ready: ready,
 			abs:   sc.abs,
@@ -797,32 +424,14 @@ func (b *Builder) LoadRelationStore(r io.Reader, comp *policy.Compiler) (int, er
 		st.mu.Unlock()
 		installed++
 	}
-	if rels != nil && comp != nil {
-		cc := b.cacheFor(comp)
-		for i, k := range rels.keys {
-			if _, ok := cc.rels[k]; !ok {
-				cc.rels[k] = relEntry{rel: relRoots[i], drops: rels.drops[i]}
-			}
-		}
-	}
 	return installed, nil
 }
 
-// LoadRelationStoreFile loads the relation store at path; see
-// LoadRelationStore.
-func (b *Builder) LoadRelationStoreFile(path string, comp *policy.Compiler) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return b.LoadRelationStore(f, comp)
-}
-
-// checkMeta validates the meta record against this Builder's network.
+// checkMeta validates the head of the payload against this Builder's
+// network.
 func (b *Builder) checkMeta(d *relDec) error {
 	if d.off+32 > len(d.b) {
-		return fmt.Errorf("build: relation store: truncated meta record")
+		return fmt.Errorf("build: relation store: truncated config hash")
 	}
 	var hash [32]byte
 	copy(hash[:], d.b[d.off:])
@@ -841,8 +450,8 @@ func (b *Builder) checkMeta(d *relDec) error {
 	return nil
 }
 
-// decodeClassRecord parses and structurally validates one class record.
-func (b *Builder) decodeClassRecord(d *relDec) (*stagedClass, error) {
+// decodeEntry parses and structurally validates one entry.
+func (b *Builder) decodeEntry(d *relDec) (*stagedClass, error) {
 	numNodes := b.G.NumNodes()
 	numEdges := len(b.G.Edges())
 
@@ -856,7 +465,7 @@ func (b *Builder) decodeClassRecord(d *relDec) (*stagedClass, error) {
 	}
 	sc.live = d.bits()
 
-	a := &core.Abstraction{}
+	a := &core.Abstraction{Live: sc.live}
 	a.Dest = topo.NodeID(d.uv())
 	a.AbsDest = topo.NodeID(d.uv())
 	a.Iterations = int(d.uv())
@@ -915,14 +524,6 @@ func (b *Builder) decodeClassRecord(d *relDec) (*stagedClass, error) {
 		a.RepEdge[topo.Edge{U: topo.NodeID(aU), V: topo.NodeID(aV)}] =
 			topo.Edge{U: topo.NodeID(cU), V: topo.NodeID(cV)}
 	}
-	if d.boolv() {
-		a.Live = sc.live
-	} else {
-		a.Live = d.bits()
-		if d.err == nil && len(a.Live) != numEdges {
-			return nil, fmt.Errorf("build: relation store: abstraction live vector length mismatch")
-		}
-	}
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -961,68 +562,4 @@ func (b *Builder) decodeClassRecord(d *relDec) (*stagedClass, error) {
 	}
 	sc.abs = a
 	return sc, nil
-}
-
-// decodeRelsRecord parses the relation record and resolves its router names
-// against the live config.
-func (b *Builder) decodeRelsRecord(d *relDec) (*stagedRels, error) {
-	sr := &stagedRels{}
-	sr.erased = d.boolv()
-	sr.nvars = int(d.uv())
-	sr.nodes = d.u32s()
-	n := d.count(8)
-	if d.err != nil {
-		return nil, d.err
-	}
-	sr.keys = make([]relKey, 0, n)
-	sr.drops = make([]bool, 0, n)
-	sr.refs = make([]uint32, 0, n)
-	envOf := func(router string) (*policy.Env, error) {
-		if router == "" {
-			return nil, nil
-		}
-		r, ok := b.Cfg.Routers[router]
-		if !ok || r.Env == nil {
-			return nil, fmt.Errorf("build: relation store: unknown router %q in relation key", router)
-		}
-		return r.Env, nil
-	}
-	for i := 0; i < n; i++ {
-		expRouter := d.str()
-		expMap := d.str()
-		impRouter := d.str()
-		impMap := d.str()
-		ibgp := d.boolv()
-		fp := d.str()
-		drops := d.boolv()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if d.off+4 > len(d.b) {
-			return nil, fmt.Errorf("build: relation store: truncated relation ref")
-		}
-		ref := binary.LittleEndian.Uint32(d.b[d.off:])
-		d.off += 4
-		k := relKey{expMap: expMap, impMap: impMap, ibgp: ibgp, fp: fp}
-		var err error
-		// Mirror edgeRelation's normalisation: the identity map carries no
-		// namespace.
-		if expMap != "" {
-			if k.expEnv, err = envOf(expRouter); err != nil {
-				return nil, err
-			}
-		}
-		if impMap != "" {
-			if k.impEnv, err = envOf(impRouter); err != nil {
-				return nil, err
-			}
-		}
-		sr.keys = append(sr.keys, k)
-		sr.drops = append(sr.drops, drops)
-		sr.refs = append(sr.refs, ref)
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("build: relation store: trailing bytes in relations record")
-	}
-	return sr, nil
 }

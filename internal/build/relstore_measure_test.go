@@ -1,7 +1,6 @@
 package build
 
 import (
-	"bytes"
 	"context"
 	"os"
 	"testing"
@@ -41,17 +40,14 @@ func TestMeasureWarmRestart2000(t *testing.T) {
 	coldCompress := time.Since(t1)
 	st := b.AbstractionCacheStats()
 
-	var buf bytes.Buffer
 	t2 := time.Now()
-	if err := b.SaveRelationStore(&buf, comp); err != nil {
-		t.Fatal(err)
-	}
+	data := b.encodeRelationStore()
 	saveDur := time.Since(t2)
 
 	b2 := gen()
 	comp2 := b2.NewCompiler(true)
 	t3 := time.Now()
-	n, err := b2.LoadRelationStore(bytes.NewReader(buf.Bytes()), comp2)
+	n, err := b2.loadRelationStore(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +64,7 @@ func TestMeasureWarmRestart2000(t *testing.T) {
 	}
 	t.Logf("fattree-2000: classes=%d build=%v coldCompress=%v (fresh=%d transported=%d)",
 		len(b.Classes()), buildDur, coldCompress, st.Fresh, st.Transported)
-	t.Logf("store: bytes=%d save=%v load=%v installed=%d", buf.Len(), saveDur, loadDur, n)
+	t.Logf("store: bytes=%d save=%v load=%v installed=%d", len(data), saveDur, loadDur, n)
 	t.Logf("warmCompress=%v speedup(compress)=%.1fx speedup(process)=%.1fx",
 		warmCompress,
 		float64(coldCompress)/float64(loadDur+warmCompress),

@@ -1,7 +1,6 @@
 package build
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -23,17 +22,14 @@ func TestRelationStoreRoundTripLarger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := b.SaveRelationStore(&buf, comp); err != nil {
-		t.Fatal(err)
-	}
+	data := b.encodeRelationStore()
 	b2, err := New(netgen.Fattree(8, netgen.PolicyShortestPath))
 	if err != nil {
 		t.Fatal(err)
 	}
 	comp2 := b2.NewCompiler(true)
 	defer comp2.Close()
-	n, err := b2.LoadRelationStore(bytes.NewReader(buf.Bytes()), comp2)
+	n, err := b2.loadRelationStore(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"maps"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bonsai/internal/config"
@@ -22,11 +23,7 @@ func saveToBuffer(t *testing.T, b *Builder) []byte {
 			t.Fatalf("compress %v: %v", cls.Prefix, err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := b.SaveRelationStore(&buf, comp); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	return buf.Bytes()
+	return b.encodeRelationStore()
 }
 
 // rebuilt parses the canonical print of net, modelling the recovery path
@@ -58,16 +55,13 @@ func TestRelationStoreRoundTrip(t *testing.T) {
 	b2 := rebuilt(t, b)
 	comp2 := b2.NewCompiler(true)
 	defer comp2.Close()
-	installed, err := b2.LoadRelationStore(bytes.NewReader(data), comp2)
+	installed, err := b2.loadRelationStore(data)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if want := warm.Fresh + int(warm.Transported); installed != want {
 		t.Fatalf("installed %d entries, want %d (fresh %d + transported %d)",
 			installed, want, warm.Fresh, warm.Transported)
-	}
-	if n := len(b2.cacheFor(comp2).rels); n == 0 {
-		t.Fatalf("relation cache empty after load")
 	}
 
 	// Every class must be served from the loaded store without refinement,
@@ -122,11 +116,11 @@ func TestRelationStoreLoadIsIdempotent(t *testing.T) {
 	}
 	data := saveToBuffer(t, b)
 	b2 := rebuilt(t, b)
-	n1, err := b2.LoadRelationStore(bytes.NewReader(data), nil)
+	n1, err := b2.loadRelationStore(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := b2.LoadRelationStore(bytes.NewReader(data), nil)
+	n2, err := b2.loadRelationStore(data)
 	if err != nil {
 		t.Fatalf("second load: %v", err)
 	}
@@ -152,7 +146,7 @@ func TestRelationStoreRejectsCorruption(t *testing.T) {
 			return d
 		}},
 		{"truncated mid-record", func(d []byte) []byte { return d[:len(d)/2] }},
-		{"missing trailer", func(d []byte) []byte { return d[:len(d)-9] }},
+		{"missing end magic", func(d []byte) []byte { return d[:len(d)-len(relStoreEnd)] }},
 		{"bit flip early", func(d []byte) []byte {
 			d[len(d)/4] ^= 0x10
 			return d
@@ -165,10 +159,7 @@ func TestRelationStoreRejectsCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b2 := rebuilt(t, b)
-			comp2 := b2.NewCompiler(true)
-			defer comp2.Close()
-			mangled := tc.mangle(append([]byte(nil), data...))
-			n, err := b2.LoadRelationStore(bytes.NewReader(mangled), comp2)
+			n, err := b2.loadRelationStore(tc.mangle(bytes.Clone(data)))
 			if err == nil {
 				t.Fatalf("corrupt store loaded without error (%d entries)", n)
 			}
@@ -191,7 +182,7 @@ func TestRelationStoreRejectsWrongNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := other.LoadRelationStore(bytes.NewReader(data), nil); err == nil {
+	if n, err := other.loadRelationStore(data); err == nil {
 		t.Fatalf("store for another network loaded (%d entries)", n)
 	}
 	if st := other.AbstractionCacheStats(); st.LiveBytes != 0 {
@@ -199,37 +190,23 @@ func TestRelationStoreRejectsWrongNetwork(t *testing.T) {
 	}
 }
 
-func TestMergeRelationCaches(t *testing.T) {
+// TestRelationStoreRejectsOldFormat: the format version is the magic's last
+// byte. A file that differs from a loadable one in nothing else — a version-1
+// daemon's relstore.bin begins the same way — is refused by its magic, before
+// anything in it is interpreted.
+func TestRelationStoreRejectsOldFormat(t *testing.T) {
 	b, err := New(netgen.Fattree(4, netgen.PolicyShortestPath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := b.NewCompiler(true)
-	defer src.Close()
-	ctx := context.Background()
-	for _, cls := range b.Classes() {
-		if _, err := b.CompressFresh(ctx, src, cls); err != nil {
-			t.Fatal(err)
-		}
+	old := saveToBuffer(t, b)
+	old[len(relStoreMagic)-1] = 1
+	b2 := rebuilt(t, b)
+	n, err := b2.loadRelationStore(old)
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("version-1 store: n=%d err=%v, want a bad-magic rejection", n, err)
 	}
-	srcCache := b.cacheFor(src)
-	if len(srcCache.rels) == 0 {
-		t.Skip("network compiled no relations")
-	}
-	dst := b.NewCompiler(true)
-	defer dst.Close()
-	if err := b.MergeRelationCaches(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	dstCache := b.cacheFor(dst)
-	if len(dstCache.rels) != len(srcCache.rels) {
-		t.Fatalf("merged %d relations, want %d", len(dstCache.rels), len(srcCache.rels))
-	}
-	// Canonical seed handles agree across managers; relations rebuilt via
-	// import must carry identical drop semantics.
-	for k, ent := range srcCache.rels {
-		if got := dstCache.rels[k]; got.drops != ent.drops {
-			t.Fatalf("merged relation %v drops=%v, want %v", k.fp, got.drops, ent.drops)
-		}
+	if st := b2.AbstractionCacheStats(); n != 0 || st.LiveBytes != 0 {
+		t.Fatalf("rejected load installed %d entries, %d live bytes", n, st.LiveBytes)
 	}
 }

@@ -123,12 +123,3 @@ func OnNth(n int64, fn func(key string)) func(key string) {
 		}
 	}
 }
-
-// OnKey wraps fn so it runs only when the fired key equals k.
-func OnKey(k string, fn func(key string)) func(key string) {
-	return func(key string) {
-		if key == k {
-			fn(key)
-		}
-	}
-}

@@ -1,35 +1,25 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 
 	"bonsai/internal/faultinject"
+	"bonsai/internal/frame"
 )
 
-// Checkpoint file layout (little-endian):
-//
-//	magic   "BONSCKP1" (8 bytes)
-//	u64     seq
-//	u64     payloadLen
-//	payload (the tenant's canonical network text)
-//	u32     crc32c(seq || payloadLen || payload)
-//	magic   "BONSCKPE" (8 bytes)
-//
-// The trailer is the commit record: a checkpoint missing its closing magic
-// or failing its CRC was interrupted mid-write and is never trusted. The
-// file only ever appears under its final name via rename, so a crash leaves
-// either the previous complete checkpoint or a stray .tmp that load
-// ignores.
-
-var (
-	ckptMagic    = []byte("BONSCKP1")
-	ckptEndMagic = []byte("BONSCKPE")
+// The checkpoint is one frame (internal/frame) holding the tenant's
+// canonical network text, with the sequence it is the state at as the
+// frame's number. A checkpoint missing its closing magic or failing its CRC
+// is never trusted. The file only ever appears under its final name via
+// rename, so a crash leaves either the previous complete checkpoint or a
+// stray checkpoint.tmp that load ignores.
+const (
+	ckptMagic    = "BONSCKP1"
+	ckptEndMagic = "BONSCKPE"
 )
 
 // ErrNoCheckpoint reports that the directory holds no usable checkpoint.
@@ -50,27 +40,9 @@ func (j *Journal) Checkpoint() (*Checkpoint, error) {
 }
 
 func decodeCheckpoint(data []byte) (*Checkpoint, error) {
-	const fixed = 8 + 8 + 8 + 4 + 8 // magic + seq + len + crc + end magic
-	if len(data) < fixed {
-		return nil, fmt.Errorf("journal: checkpoint truncated (%d bytes)", len(data))
-	}
-	if string(data[:8]) != string(ckptMagic) {
-		return nil, fmt.Errorf("journal: checkpoint has bad magic")
-	}
-	if string(data[len(data)-8:]) != string(ckptEndMagic) {
-		return nil, fmt.Errorf("journal: checkpoint missing trailer magic")
-	}
-	seq := binary.LittleEndian.Uint64(data[8:16])
-	plen := binary.LittleEndian.Uint64(data[16:24])
-	if int(plen) != len(data)-fixed {
-		return nil, fmt.Errorf("journal: checkpoint length mismatch (%d vs %d)", plen, len(data)-fixed)
-	}
-	payload := data[24 : 24+plen]
-	want := binary.LittleEndian.Uint32(data[24+plen : 24+plen+4])
-	crc := crc32.Update(0, castagnoli, data[8:24])
-	crc = crc32.Update(crc, castagnoli, payload)
-	if crc != want {
-		return nil, fmt.Errorf("journal: checkpoint CRC mismatch")
+	seq, payload, err := frame.Decode(ckptMagic, ckptEndMagic, data)
+	if err != nil {
+		return nil, fmt.Errorf("journal: checkpoint: %w", err)
 	}
 	return &Checkpoint{Seq: seq, Payload: payload}, nil
 }
@@ -104,40 +76,12 @@ func (j *Journal) WriteCheckpoint(seq uint64, payload []byte) error {
 		}
 	}
 
-	fixed := 8 + 8 + 8 + len(payload) + 4 + 8
-	buf := make([]byte, fixed)
-	copy(buf[:8], ckptMagic)
-	binary.LittleEndian.PutUint64(buf[8:16], seq)
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(len(payload)))
-	copy(buf[24:], payload)
-	crc := crc32.Update(0, castagnoli, buf[8:24])
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(buf[24+len(payload):], crc)
-	copy(buf[fixed-8:], ckptEndMagic)
-
-	tmp := filepath.Join(j.dir, ckptTmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	err := frame.WriteFile(filepath.Join(j.dir, ckptName), frame.Encode(ckptMagic, ckptEndMagic, seq, payload), func() {
+		if faultinject.Active() {
+			faultinject.Fire(faultinject.CheckpointRename, strconv.FormatUint(seq, 10))
+		}
+	})
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if faultinject.Active() {
-		faultinject.Fire(faultinject.CheckpointRename, strconv.FormatUint(seq, 10))
-	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, ckptName)); err != nil {
-		return err
-	}
-	if err := syncDir(j.dir); err != nil {
 		return err
 	}
 	j.ckptSeq = seq

@@ -11,7 +11,7 @@
 // On-disk layout of a journal directory:
 //
 //	wal-<first-seq>.log    append-only segments of framed records
-//	checkpoint             last durable snapshot (temp + rename, trailered)
+//	checkpoint             last durable snapshot (one internal/frame file)
 //	checkpoint.tmp         in-flight checkpoint; never trusted on load
 //
 // Record frame (little-endian, written in a single Write so any crash

@@ -33,7 +33,6 @@ type Compiler struct {
 	M       *bdd.Manager
 	comms   []protocols.Community
 	commIdx map[protocols.Community]int
-	space   *Space
 
 	// Cache is a consumer-owned slot for per-compiler memo state
 	// (internal/build hangs its edge-relation cache here). It follows the
@@ -76,9 +75,6 @@ func NewSpace(universe []protocols.Community) *Space {
 	return s
 }
 
-// Universe returns the space's community universe (sorted, deduplicated).
-func (s *Space) Universe() []protocols.Community { return s.comms }
-
 // NewCompiler stamps out a compiler over the shared space. The community
 // slice and index are shared read-only; the BDD manager is a private view
 // seeded from the space's canonical constant prefix (see bdd.Space).
@@ -87,7 +83,6 @@ func (s *Space) NewCompiler() *Compiler {
 		M:       s.bs.NewManager(),
 		comms:   s.comms,
 		commIdx: s.commIdx,
-		space:   s,
 	}
 }
 
@@ -119,13 +114,6 @@ func NewCompiler(universe []protocols.Community) *Compiler {
 	c.M = bdd.New(2*len(comms) + 2*LPBits + 1)
 	return c
 }
-
-// Space returns the shared space this compiler was stamped from, or nil
-// for a standalone compiler.
-func (c *Compiler) Space() *Space { return c.space }
-
-// Universe returns the community universe (sorted).
-func (c *Compiler) Universe() []protocols.Community { return c.comms }
 
 func (c *Compiler) commIn(i int) int  { return 2 * i }
 func (c *Compiler) commOut(i int) int { return 2*i + 1 }

@@ -78,17 +78,6 @@ func (s CommSet) Equal(t CommSet) bool {
 	return true
 }
 
-// Intersect returns the elements of s that are also in keep.
-func (s CommSet) Intersect(keep func(Community) bool) CommSet {
-	out := make(CommSet, 0, len(s))
-	for _, c := range s {
-		if keep(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func (s CommSet) String() string {
 	parts := make([]string, len(s))
 	for i, c := range s {

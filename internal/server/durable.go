@@ -101,10 +101,11 @@ func (r *registry) initPersistence(t *tenant) error {
 }
 
 // relStoreFile names the sealed relation store inside a tenant's data
-// directory: the engine's warm BDD/abstraction state, written at graceful
+// directory: the engine's completed abstractions, written at graceful
 // shutdown and loaded after recovery replay (see bonsai.Engine's relation
 // store). It is a cache beside the journal, never ground truth: recovery
-// that cannot use it (config drift after a crash, damage) cold-starts.
+// that cannot use it (config drift after a crash, damage, an older format)
+// logs the rejection and cold-starts.
 const relStoreFile = "relstore.bin"
 
 // configText renders the engine's current network as canonical config text —
@@ -192,8 +193,8 @@ func (t *tenant) sealJournal() {
 			}
 		}
 	}
-	// Persist the warm BDD/abstraction state beside the sealed journal so
-	// the next recovery skips refinement. The engine is still open (the
+	// Persist the completed abstractions beside the sealed journal so the
+	// next recovery skips refinement. The engine is still open (the
 	// caller closes it after us); a failed save only costs the next start
 	// its warm cache.
 	if err := t.eng.SaveRelationStore(filepath.Join(t.dir, relStoreFile)); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http/httptest"
 	"net/url"
 	"os"
@@ -380,9 +381,11 @@ func grepLines(s, substr string) string {
 }
 
 // TestSealedRelationStoreWarmsRecovery: a drained daemon seals each durable
-// tenant's warm BDD/abstraction state beside its journal; the next daemon
+// tenant's completed abstractions beside its journal; the next daemon
 // recovers the tenant warm — identical compression results with zero fresh
-// refinements — and exposes the BDD layer on /metrics.
+// refinements — and exposes the BDD layer on /metrics. The tenant's last
+// delta takes a link down, so the sealed store holds adopted entries (the
+// case a store was once rejected whole for).
 func TestSealedRelationStoreWarmsRecovery(t *testing.T) {
 	dataDir := t.TempDir()
 	ctx := context.Background()
@@ -394,9 +397,16 @@ func TestSealedRelationStoreWarmsRecovery(t *testing.T) {
 	if err := c1.OpenNetwork(ctx, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	if _, err := c1.Compress(ctx, "ft", bonsai.ClassSelector{}); err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	rep, err := c1.Apply(ctx, "ft", bonsai.Delta{LinkDown: []bonsai.LinkRef{{A: "agg-1-0", B: "core-0"}}})
+	if err != nil || rep.Unchanged == 0 {
+		t.Fatalf("link-down adopted nothing unchanged: %+v, %v", rep, err)
+	}
 	cold, err := c1.Compress(ctx, "ft", bonsai.ClassSelector{})
 	if err != nil {
-		t.Fatalf("compress: %v", err)
+		t.Fatalf("compress after delta: %v", err)
 	}
 	if cold.Cache.Fresh == 0 {
 		t.Fatalf("cold daemon computed no abstractions: %+v", cold.Cache)
@@ -436,5 +446,55 @@ func TestSealedRelationStoreWarmsRecovery(t *testing.T) {
 		if !strings.Contains(grepLines(metricsText, name), `tenant="ft"`) {
 			t.Fatalf("metric %s missing tenant series:\n%s", name, grepLines(metricsText, name))
 		}
+	}
+}
+
+// TestOldFormatRelationStoreColdStarts: a relstore.bin left by a daemon that
+// wrote the version-1 format is refused by its magic; recovery logs the
+// rejection and the tenant starts cold, serving the same answers.
+func TestOldFormatRelationStoreColdStarts(t *testing.T) {
+	dataDir := t.TempDir()
+	ctx := context.Background()
+	cfg := Config{DataDir: dataDir, Fsync: journal.SyncNever}
+
+	s1 := New(cfg)
+	hs1 := httptest.NewServer(s1)
+	c1 := NewClient(hs1.URL)
+	if err := c1.OpenNetwork(ctx, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	first, err := c1.Compress(ctx, "ft", bonsai.ClassSelector{})
+	if err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	s1.Drain()
+	hs1.Close()
+	path := filepath.Join(dataDir, url.PathEscape("ft"), relStoreFile)
+	if err := os.WriteFile(path, []byte("BRELST\x00\x01 whatever a version-1 daemon wrote"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	s2 := New(cfg) // recovery runs, and logs, inside New
+	log.SetOutput(prev)
+	hs2 := httptest.NewServer(s2)
+	defer hs2.Close()
+	defer s2.Drain()
+	if got := logged.String(); !strings.Contains(got, "relation store rejected (cold start)") || !strings.Contains(got, "bad magic") {
+		t.Fatalf("recovery log does not report the rejection:\n%s", got)
+	}
+	again, err := NewClient(hs2.URL).Compress(ctx, "ft", bonsai.ClassSelector{})
+	if err != nil {
+		t.Fatalf("compress after cold start: %v", err)
+	}
+	if again.Cache.Fresh == 0 {
+		t.Fatalf("tenant did not start cold: %+v", again.Cache)
+	}
+	if again.ClassesCompressed != first.ClassesCompressed ||
+		again.SumAbstractNodes != first.SumAbstractNodes ||
+		again.SumAbstractLinks != first.SumAbstractLinks {
+		t.Fatalf("cold-started compression differs: %+v vs %+v", again, first)
 	}
 }
