@@ -178,16 +178,8 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 
 	var transported bool
 	for _, c := range cands {
-		if pi := b.findIso(c.sig, sig); pi != nil {
-			abs, live := b.transportAbs(c, sig, pi)
-			e.abs, e.live = abs, live
-			// The transported prefs vector, π-mapped from the seed, lets
-			// the entry survive an incremental update (adopt.go) without a
-			// policy re-scan.
-			e.prefs = make([]int, len(pi))
-			for u := range pi {
-				e.prefs[pi[u]] = c.prefs[u]
-			}
+		if pi, epi := b.findIso(c.sig, sig); pi != nil {
+			e.abs, e.live, e.prefs = b.transportAbs(c, sig, pi, epi)
 			transported = true
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -82,6 +83,12 @@ func absEqual(t *testing.T, tag string, got, want *core.Abstraction) {
 	}
 	if !reflect.DeepEqual(got.AbsG.Edges(), want.AbsG.Edges()) {
 		t.Fatalf("%s: abstract edges differ:\n got %v\nwant %v", tag, got.AbsG.Edges(), want.AbsG.Edges())
+	}
+	// Edges() is sorted; srp.Solve breaks ties by Succ's insertion order.
+	for u := 0; u < gn; u++ {
+		if g, w := got.AbsG.Succ(topo.NodeID(u)), want.AbsG.Succ(topo.NodeID(u)); !slices.Equal(g, w) {
+			t.Fatalf("%s: abstract node %d: successor order %v, want %v", tag, u, g, w)
+		}
 	}
 }
 

@@ -22,9 +22,12 @@
 //
 // Soundness does not rest on the search heuristics: hash collisions in the
 // color-refinement pruning can only admit extra candidates, every candidate
-// π is verified edge-by-edge against the exact label conditions before use,
-// and any failure (or exceeding the search budget) falls back to
-// CompressFresh.
+// π is verified edge-by-edge against the exact label conditions before use
+// (verifyIso), and any failure (or exceeding the search budget) falls back
+// to CompressFresh. That sweep is also where the image of every edge is
+// found, so it yields the edge permutation the transport then maps the
+// seed's liveness through: one pass over the edges per transport, and no
+// edge looked up outside the search's own forward checking.
 package build
 
 import (
@@ -318,14 +321,22 @@ func (b *Builder) ensureColors(s *classSig) []uint64 {
 		col[u] = mix64(w + 0x9e3779b97f4a7c15)
 	}
 	next := make([]uint64, n)
+	mixed := make([]uint64, n)
 	for r := 0; r < colorRounds; r++ {
+		for u, c := range col {
+			mixed[u] = mix64(c)
+		}
 		for u := 0; u < n; u++ {
 			// Commutative combine (sum of mixed tuples) keeps the color a
 			// multiset invariant of the labeled neighborhood without sorting.
-			h := mix64(col[u])
+			// One mix per edge: the neighbour's color is mixed once per round
+			// above, and the two direction labels are mix64 outputs already, so
+			// a rotation is enough to keep (out, in) apart from (in, out).
+			h := mixed[u]
 			lo, hi := t.out(topo.NodeID(u))
 			for i := lo; i < hi; i++ {
-				h += mix64(s.el[i] ^ mix64(s.el[t.rev[i]]^mix64(col[t.edges[i].V])))
+				in := s.el[t.rev[i]]
+				h += mix64(s.el[i] ^ (in<<31 | in>>33) ^ mixed[t.edges[i].V])
 			}
 			next[u] = mix64(h)
 		}
@@ -346,10 +357,11 @@ const isoBudgetFactor = 64
 
 // findIso searches for a node permutation π with π(sa.dest) = sb.dest that
 // maps every directed edge onto an edge with an equal label (edgeEq) and
-// preserves the origin marking. Returns nil if none is found within budget.
-// The final sweep re-verifies the result, so heuristic failure or hash
-// collisions are only missed optimisations, never wrong answers.
-func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
+// preserves the origin marking, and returns it with the edge permutation it
+// induces (verifyIso). Returns nil if none is found within budget. The result
+// is whatever verifyIso accepts, so heuristic failure or hash collisions are
+// only missed optimisations, never wrong answers.
+func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	t := b.tab
 	n := b.G.NumNodes()
 	colA := b.ensureColors(sa)
@@ -358,7 +370,7 @@ func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
 	// exist; a collision only admits a doomed search that the forward
 	// checking rejects.
 	if sa.colHash != sb.colHash {
-		return nil
+		return nil, nil
 	}
 	// BFS order from the destination; every node processed after its parent
 	// so candidates are constrained by at least one mapped neighbor.
@@ -380,9 +392,9 @@ func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
 		}
 	}
 	if len(order) != n {
-		return nil // disconnected from dest; transport not attempted
+		return nil, nil // disconnected from dest; transport not attempted
 	}
-	pi := make([]topo.NodeID, n)
+	pi = make([]topo.NodeID, n)
 	rev := make([]topo.NodeID, n)
 	for i := range pi {
 		pi[i], rev[i] = -1, -1
@@ -444,52 +456,77 @@ func (b *Builder) findIso(sa, sb *classSig) []topo.NodeID {
 		return false
 	}
 	if !dfs(0) {
-		return nil
+		return nil, nil
 	}
-	// Full verification sweep: π must map every edge onto an edge with an
-	// equal label (the search already enforced this locally; the sweep makes
-	// soundness independent of the search code).
-	for i, e := range t.edges {
-		f, _, ok := t.edgeOf(pi[e.U], pi[e.V])
-		if !ok || !t.edgeEq(sa, sb, int32(i), f) {
-			return nil
-		}
+	epi, ok := b.verifyIso(sa, sb, pi)
+	if !ok {
+		return nil, nil
 	}
-	for u := 0; u < n; u++ {
-		if sa.origin[u] != sb.origin[pi[u]] {
-			return nil
-		}
-	}
+	return pi, epi
+}
+
+// verifyIso is the one thing transport's soundness rests on; the search
+// above only proposes. It accepts π iff π is a bijection that fixes the
+// destination, preserves the origin marking and maps every directed edge
+// onto an edge carrying exactly the same label — edgeEq on the Builder's
+// tables, no hashes — and returns the edge permutation π induces: epi[i] is
+// the index of (π(U), π(V)) for edge i. No edge is searched for: π(u)'s
+// out-span is scattered into a per-node slot table stamped with u, and each
+// out-edge (u, v) reads its image's index at π(v); a missing stamp there is
+// a non-edge and refuses π.
+func (b *Builder) verifyIso(sa, sb *classSig, pi []topo.NodeID) (epi []int32, ok bool) {
+	t := b.tab
 	if pi[sa.dest] != sb.dest {
-		return nil
+		return nil, false
 	}
-	return pi
+	slot := make([]int32, len(pi))  // slot[x]: index of edge (π(u), x), valid while stamp[x] is u's mark
+	stamp := make([]int32, len(pi)) // first -1 once x is an image, so a second router landing on it shows
+	for u, w := range pi {
+		if stamp[w] != 0 || sa.origin[u] != sb.origin[w] {
+			return nil, false
+		}
+		stamp[w] = -1
+	}
+	epi = make([]int32, len(t.edges))
+	for u, w := range pi {
+		mark := int32(u + 1)
+		lo, hi := t.out(w)
+		for j := lo; j < hi; j++ {
+			x := t.edges[j].V
+			slot[x], stamp[x] = j, mark
+		}
+		lo, hi = t.out(topo.NodeID(u))
+		for i := lo; i < hi; i++ {
+			x := pi[t.edges[i].V]
+			if stamp[x] != mark || !t.edgeEq(sa, sb, i, slot[x]) {
+				return nil, false
+			}
+			epi[i] = slot[x]
+		}
+	}
+	return epi, true
 }
 
 // transportAbs rebuilds class sig's abstraction from a cached entry by
-// mapping its partition, liveness and prefs through π and re-running the
-// canonical assembly, returning the abstraction together with the π-mapped
-// live-edge vector (aligned with b.G.Edges()). The result is exactly what
-// CompressFresh would return for the class, because every phase before
-// assembly commutes with π and the cached entry is gated on
+// mapping its partition, prefs and liveness through π — liveness through the
+// edge permutation verifyIso returned — and re-running the canonical
+// assembly. It returns the abstraction with the mapped live-edge vector
+// (aligned with b.G.Edges()) and prefs vector, which let the entry survive an
+// incremental update (adopt.go) without a policy re-scan. The result is
+// exactly what CompressFresh would return for the class, because every phase
+// before assembly commutes with π and the cached entry is gated on
 // ColorSplits == 0.
-func (b *Builder) transportAbs(cand *absEntry, sig *classSig, pi []topo.NodeID) (*core.Abstraction, []bool) {
-	t := b.tab
+func (b *Builder) transportAbs(cand *absEntry, sig *classSig, pi []topo.NodeID, epi []int32) (*core.Abstraction, []bool, []int) {
 	A := cand.abs
-	n := len(pi)
-	groupOf := make([]int, n)
-	prefs := make([]int, n)
-	for u := 0; u < n; u++ {
-		groupOf[pi[u]] = A.F[u]
-		prefs[pi[u]] = cand.prefs[u]
+	groupOf := make([]int, len(pi))
+	prefs := make([]int, len(pi))
+	for u, w := range pi {
+		groupOf[w] = A.F[u]
+		prefs[w] = cand.prefs[u]
 	}
-	live := make([]bool, len(t.edges))
-	for i, e := range t.edges {
-		if cand.live[i] {
-			if f, _, ok := t.edgeOf(pi[e.U], pi[e.V]); ok {
-				live[f] = true
-			}
-		}
+	live := make([]bool, len(epi))
+	for i, f := range epi {
+		live[f] = cand.live[i]
 	}
 	mode := core.ModeEffective
 	if b.hasBGP {
@@ -502,5 +539,5 @@ func (b *Builder) transportAbs(cand *absEntry, sig *classSig, pi []topo.NodeID) 
 		Iterations:  A.Iterations,
 		ColorSplits: 0,
 	})
-	return abs, live
+	return abs, live, prefs
 }

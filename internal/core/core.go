@@ -565,60 +565,47 @@ func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOption
 
 	// Abstract edges: one per pair of groups joined by a live concrete
 	// edge, expanded across split copies (copies of the same group connect
-	// to each other but never to themselves: SRPs are self-loop-free). The
-	// group-pair ids are dense, so representative selection is a sort over
-	// packed (pair, edge) words — ascending pair order, and within a pair
-	// the first live edge in g.Edges() order, exactly as the map-based
-	// grouping used to pick — instead of two maps per assembly.
-	type pairRep struct {
-		pair uint64
+	// to each other but never to themselves: SRPs are self-loop-free). A
+	// group's members ascend and so does each member's out-span, so the
+	// first live edge met toward a target group is that pair's first edge in
+	// g.Edges() order: its representative. A source group's few targets are
+	// then sorted, so pairs come out in ascending (source, target) order —
+	// AddEdge order is Succ order, which srp.Solve breaks ties by.
+	type absPair struct {
+		a, b int
 		rep  topo.Edge
 	}
-	prs := make([]pairRep, 0, len(edges))
-	for i, e := range edges {
-		if !live[i] {
-			continue
+	var pairs []absPair
+	reached := make([]int, ng) // reached[b] == a+1: source group a already has its edge into b
+	for a, ms := range groups {
+		first := len(pairs)
+		for _, u := range ms {
+			lo, hi := g.OutEdges(u)
+			for i := lo; i < hi; i++ {
+				if b := idx[edges[i].V]; live[i] && reached[b] != a+1 {
+					reached[b] = a + 1
+					pairs = append(pairs, absPair{a, b, edges[i]})
+				}
+			}
 		}
-		prs = append(prs, pairRep{uint64(uint32(idx[e.U]))<<32 | uint64(uint32(idx[e.V])), e})
+		slices.SortFunc(pairs[first:], func(x, y absPair) int { return x.b - y.b })
 	}
-	slices.SortStableFunc(prs, func(a, b pairRep) int {
-		switch {
-		case a.pair < b.pair:
-			return -1
-		case a.pair > b.pair:
-			return 1
-		}
-		return 0
-	})
 	// Size RepEdge by distinct group pairs, not live edges: regular
 	// networks map tens of thousands of concrete edges onto a handful of
 	// abstract ones, and an over-sized map here dominates assembly cost.
-	pairs := 0
-	for s := 0; s < len(prs); s++ {
-		if s == 0 || prs[s].pair != prs[s-1].pair {
-			pairs++
-		}
-	}
-	abs.RepEdge = make(map[topo.Edge]topo.Edge, pairs)
-	for s := 0; s < len(prs); {
-		t := s + 1
-		for t < len(prs) && prs[t].pair == prs[s].pair {
-			t++
-		}
-		a, b := int(prs[s].pair>>32), int(uint32(prs[s].pair))
-		rep := prs[s].rep
-		for _, ca := range abs.Copies[a] {
-			for _, cb := range abs.Copies[b] {
+	abs.RepEdge = make(map[topo.Edge]topo.Edge, len(pairs))
+	for _, p := range pairs {
+		for _, ca := range abs.Copies[p.a] {
+			for _, cb := range abs.Copies[p.b] {
 				if ca == cb {
 					continue
 				}
 				absG.AddEdge(ca, cb)
 				if _, ok := abs.RepEdge[topo.Edge{U: ca, V: cb}]; !ok {
-					abs.RepEdge[topo.Edge{U: ca, V: cb}] = rep
+					abs.RepEdge[topo.Edge{U: ca, V: cb}] = p.rep
 				}
 			}
 		}
-		s = t
 	}
 	abs.AbsG = absG
 	return abs

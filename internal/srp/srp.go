@@ -157,13 +157,17 @@ func Solve(inst *Instance, opts ...Option) (*Solution, error) {
 // different labellings of tied SRPs — the "any minimal value can be chosen"
 // freedom of the solution definition.
 func bestChoice(inst *Instance, label []Attr, u topo.NodeID, tieRng *rand.Rand) Attr {
-	// Pass 1: find the minimal rank.
+	// Pass 1: evaluate each neighbor's offer once, keep the non-nil ones in
+	// neighbor order, and find the minimal rank.
+	var buf [8]Attr
+	offers := buf[:0]
 	var best Attr
 	for _, v := range inst.G.Succ(u) {
 		a := inst.P.Transfer(topo.Edge{U: u, V: v}, label[v])
 		if a == nil {
 			continue
 		}
+		offers = append(offers, a)
 		if best == nil || inst.P.Compare(a, best) < 0 {
 			best = a
 		}
@@ -175,9 +179,8 @@ func bestChoice(inst *Instance, label []Attr, u topo.NodeID, tieRng *rand.Rand) 
 	// random one (reservoir), then the first.
 	var pick Attr
 	ties := 0
-	for _, v := range inst.G.Succ(u) {
-		a := inst.P.Transfer(topo.Edge{U: u, V: v}, label[v])
-		if a == nil || inst.P.Compare(a, best) != 0 {
+	for _, a := range offers {
+		if inst.P.Compare(a, best) != 0 {
 			continue
 		}
 		if inst.P.Equal(a, label[u]) {

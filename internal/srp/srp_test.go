@@ -82,23 +82,30 @@ func TestSolveShortestPaths(t *testing.T) {
 	}
 }
 
+// randomGraph draws a 3–14 node graph with each link present one time in
+// three, and a destination.
+func randomGraph(rng *rand.Rand) (*topo.Graph, []topo.NodeID, topo.NodeID) {
+	n := 3 + rng.Intn(12)
+	g := topo.New()
+	ids := make([]topo.NodeID, n)
+	for i := range ids {
+		ids[i] = g.AddNode(string(rune('a'+i/26)) + string(rune('a'+i%26)))
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if rng.Intn(3) == 0 {
+				g.AddLink(ids[i], ids[j])
+			}
+		}
+	}
+	return g, ids, ids[rng.Intn(n)]
+}
+
 func TestSolveRandomGraphsMatchBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
-		n := 3 + rng.Intn(12)
-		g := topo.New()
-		ids := make([]topo.NodeID, n)
-		for i := range ids {
-			ids[i] = g.AddNode(string(rune('a'+i/26)) + string(rune('a'+i%26)))
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Intn(3) == 0 {
-					g.AddLink(ids[i], ids[j])
-				}
-			}
-		}
-		dest := ids[rng.Intn(n)]
+		g, ids, dest := randomGraph(rng)
+		n := len(ids)
 		sol, err := Solve(&Instance{G: g, Dest: dest, P: &hopProto{}})
 		if err != nil {
 			t.Fatal(err)
