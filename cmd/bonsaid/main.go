@@ -74,7 +74,7 @@ func main() {
 	floorMB := flag.Int64("floor-mb", 0, "per-tenant budget floor in MiB (cross-tenant eviction never digs below it)")
 	maxTenants := flag.Int("max-tenants", 0, "max concurrently open tenants (0 = unbounded)")
 	maxQueries := flag.Int("max-queries", 4, "max concurrent queries per tenant (excess get 429)")
-	applyQueue := flag.Int("apply-queue", 16, "bounded apply-queue depth per tenant (excess get 503)")
+	applyQueue := flag.Int("apply-queue", 16, "writes that may wait per tenant behind the one executing (excess get 503)")
 	idleTTL := flag.Duration("idle-ttl", 0, "close tenants idle this long (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "max wait for in-flight work on shutdown")
 	dataDir := flag.String("data-dir", "", "enable durability: per-tenant delta journals + checkpoints under this dir (empty = ephemeral)")

@@ -15,6 +15,7 @@ var (
 	docLink   = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 	docBench  = regexp.MustCompile(`\bBenchmark[A-Z][A-Za-z0-9_]*`)
 	docOption = regexp.MustCompile(`\bbonsai\.(With[A-Za-z0-9]+)`)
+	docTest   = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z][A-Za-z0-9_]*`)
 	// A metric name, or a family of them written with a trailing "*".
 	docMetric = regexp.MustCompile(`\bbonsaid?_[a-z0-9_]+\*?`)
 	regMetric = regexp.MustCompile(`"(bonsaid?_[a-z0-9_]+)"`)
@@ -56,8 +57,11 @@ func declaredFuncs(t *testing.T, files []string, pattern string) []string {
 
 // TestDocsCiteWhatExists: the living documents may only name commands,
 // files, benchmarks, options and metrics the tree has, and README's metric
-// catalog names every metric the daemon registers. CHANGES.md and ROADMAP.md
-// are history and are not scanned.
+// catalog names every metric the daemon registers. README and the verify
+// skill, which tell a reader what to run, may also only name tests and fuzz
+// targets that exist; EXPERIMENTS.md and docs/audit.md are records and name
+// tests that were deleted. CHANGES.md and ROADMAP.md are history and are not
+// scanned.
 func TestDocsCiteWhatExists(t *testing.T) {
 	docs, _ := filepath.Glob("docs/*.md")
 	docs = append(docs, "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
@@ -80,6 +84,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		t.Fatal(err)
 	}
 	benchmarks := declaredFuncs(t, testFiles, `Benchmark\w+`)
+	tests := declaredFuncs(t, testFiles, `(?:Test|Fuzz)\w+`)
 	options := declaredFuncs(t, rootFiles, `With\w+`)
 	metrics := registeredMetrics(t)
 
@@ -106,6 +111,13 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		for _, cited := range docBench.FindAllString(text, -1) {
 			if !slices.ContainsFunc(benchmarks, func(n string) bool { return strings.HasPrefix(n, cited) }) {
 				t.Errorf("%s: no benchmark function starts with %s", doc, cited)
+			}
+		}
+		if doc == "README.md" || doc == ".claude/skills/verify/SKILL.md" {
+			for _, cited := range docTest.FindAllString(text, -1) {
+				if !slices.ContainsFunc(tests, func(n string) bool { return strings.HasPrefix(n, cited) }) {
+					t.Errorf("%s: no test or fuzz function starts with %s", doc, cited)
+				}
 			}
 		}
 		for _, m := range docOption.FindAllStringSubmatch(text, -1) {

@@ -144,7 +144,7 @@ func Open(net *Network, opts ...Option) (*Engine, error) {
 	if net == nil {
 		return nil, fmt.Errorf("bonsai: nil network")
 	}
-	o := defaultOptions()
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -382,9 +382,8 @@ func (e *Engine) LoadRelationStore(path string) (int, error) {
 }
 
 // Compress compresses the selected destination classes, sharing cached
-// abstractions across identical and symmetric classes (unless the engine
-// was opened with WithDedup(false)). It is the batch form of
-// CompressStream: the same streaming pipeline runs underneath, with the
+// abstractions across identical and symmetric classes. It is the batch form
+// of CompressStream: the same streaming pipeline runs underneath, with the
 // per-class results drained into the aggregate report.
 func (e *Engine) Compress(ctx context.Context, sel ClassSelector) (*CompressReport, error) {
 	s, err := e.CompressStream(ctx, sel)

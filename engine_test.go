@@ -141,21 +141,6 @@ func TestEngineAbstractNetwork(t *testing.T) {
 	}
 }
 
-func TestEngineDedupDisabled(t *testing.T) {
-	eng := openFattree(t, 4, netgen.PolicyShortestPath, bonsai.WithDedup(false))
-	rep, err := eng.Compress(context.Background(), bonsai.ClassSelector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.Fresh != 0 || st.Transported != 0 || st.Served != 0 {
-		t.Fatalf("dedup-off engine touched the cache: %+v", st)
-	}
-	if rep.AvgAbstractNodes() != 6 {
-		t.Fatalf("dedup-off compression: %+v", rep)
-	}
-}
-
 func TestEngineCancellation(t *testing.T) {
 	eng := openFattree(t, 6, netgen.PolicyShortestPath, bonsai.WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -2,10 +2,11 @@
 // §4 (Figure 4) on a computed abstraction: dest-equivalence, the ∀∃ and ∀∀
 // topology conditions, and transfer-equivalence of edges mapped together.
 // The compression algorithm in internal/core constructs abstractions that
-// satisfy these by construction; this package provides the independent
-// validator used in tests, examples and ablations — the paper's point is
-// precisely that these local conditions are efficiently checkable and imply
-// the global CP-equivalence property.
+// satisfy these by construction; this package is the independent validator —
+// the paper's point is precisely that these local conditions are efficiently
+// checkable and imply the global CP-equivalence property. It is test-side
+// code: only _test.go files import it (its own, and internal/build's check
+// of abstractions adopted across a delta).
 package abstraction
 
 import (
@@ -18,6 +19,9 @@ import (
 // Checker validates one abstraction against its concrete network.
 type Checker struct {
 	Abs *core.Abstraction
+	// G is the concrete graph the abstraction is checked against: the one it
+	// was computed over, or the network a cached abstraction now serves.
+	G *topo.Graph
 	// EdgeKey gives the canonical policy signature of concrete edges.
 	EdgeKey func(u, v topo.NodeID) core.EdgeKey
 }
@@ -43,7 +47,7 @@ func (c *Checker) CheckDestEquivalence() error {
 func (c *Checker) CheckForallExists() error {
 	a := c.Abs
 	// Condition 1: concrete edges map to abstract edges.
-	for _, e := range a.G.Edges() {
+	for _, e := range c.G.Edges() {
 		if c.EdgeKey(e.U, e.V).Dead() {
 			continue
 		}
@@ -61,14 +65,14 @@ func (c *Checker) CheckForallExists() error {
 		}
 		if !found {
 			return fmt.Errorf("abstraction: live edge %s->%s has no abstract counterpart",
-				a.G.Name(e.U), a.G.Name(e.V))
+				c.G.Name(e.U), c.G.Name(e.V))
 		}
 	}
 	// Condition 2: per abstract edge, ∀u ∃v.
 	for _, ge := range c.liveGroupEdges() {
 		for _, u := range a.Groups[ge.src] {
 			ok := false
-			for _, v := range a.G.Succ(u) {
+			for _, v := range c.G.Succ(u) {
 				if a.F[v] == ge.dst && !c.EdgeKey(u, v).Dead() {
 					ok = true
 					break
@@ -76,7 +80,7 @@ func (c *Checker) CheckForallExists() error {
 			}
 			if !ok {
 				return fmt.Errorf("abstraction: %s has no live edge into group %d despite abstract edge",
-					a.G.Name(u), ge.dst)
+					c.G.Name(u), ge.dst)
 			}
 		}
 	}
@@ -99,9 +103,9 @@ func (c *Checker) CheckForallForall(groups map[int]bool) error {
 				if u == v {
 					continue
 				}
-				if !a.G.HasEdge(u, v) || c.EdgeKey(u, v).Dead() {
+				if !c.G.HasEdge(u, v) || c.EdgeKey(u, v).Dead() {
 					return fmt.Errorf("abstraction: ∀∀ violated: %s has no live edge to %s",
-						a.G.Name(u), a.G.Name(v))
+						c.G.Name(u), c.G.Name(v))
 				}
 			}
 		}
@@ -118,7 +122,7 @@ func (c *Checker) CheckTransferEquivalence() error {
 	a := c.Abs
 	type ge struct{ src, dst int }
 	seen := make(map[ge]core.EdgeKey)
-	for _, e := range a.G.Edges() {
+	for _, e := range c.G.Edges() {
 		k := c.EdgeKey(e.U, e.V)
 		if k.Dead() {
 			continue
@@ -145,7 +149,7 @@ func (c *Checker) CheckTransferEquivalence() error {
 func (c *Checker) CheckSelfLoopFreedom() []topo.Edge {
 	a := c.Abs
 	var internal []topo.Edge
-	for _, e := range a.G.Edges() {
+	for _, e := range c.G.Edges() {
 		if c.EdgeKey(e.U, e.V).Dead() {
 			continue
 		}
@@ -183,7 +187,7 @@ func (c *Checker) liveGroupEdges() []groupEdge {
 	a := c.Abs
 	seen := make(map[groupEdge]bool)
 	var out []groupEdge
-	for _, e := range a.G.Edges() {
+	for _, e := range c.G.Edges() {
 		if c.EdgeKey(e.U, e.V).Dead() {
 			continue
 		}

@@ -15,7 +15,7 @@ func uniformKey(u, v topo.NodeID) core.EdgeKey {
 	return core.EdgeKey{BGP: true, BGPRel: 7, ACLPermit: true}
 }
 
-func ringAbs(t *testing.T, n int) (*core.Abstraction, func(u, v topo.NodeID) core.EdgeKey) {
+func ringAbs(t *testing.T, n int) (*core.Abstraction, *topo.Graph) {
 	t.Helper()
 	g := topo.New()
 	ids := make([]topo.NodeID, n)
@@ -26,12 +26,12 @@ func ringAbs(t *testing.T, n int) (*core.Abstraction, func(u, v topo.NodeID) cor
 		g.AddLink(ids[i], ids[(i+1)%n])
 	}
 	abs := core.FindAbstraction(g, ids[0], core.Options{Mode: core.ModeEffective, EdgeKey: uniformKey})
-	return abs, uniformKey
+	return abs, g
 }
 
 func TestRingSatisfiesConditions(t *testing.T) {
-	abs, key := ringAbs(t, 12)
-	c := &Checker{Abs: abs, EdgeKey: key}
+	abs, g := ringAbs(t, 12)
+	c := &Checker{Abs: abs, G: g, EdgeKey: uniformKey}
 	if err := c.CheckAll(core.ModeEffective, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestGeneratedNetworksSatisfyConditions(t *testing.T) {
 			if b.HasBGP() {
 				mode = core.ModeBGP
 			}
-			c := &Checker{Abs: abs, EdgeKey: key}
+			c := &Checker{Abs: abs, G: b.G, EdgeKey: key}
 			if err := c.CheckAll(mode, multiPref); err != nil {
 				t.Fatalf("%s class %v: %v", name, cls.Prefix, err)
 			}
@@ -87,10 +87,10 @@ func TestGeneratedNetworksSatisfyConditions(t *testing.T) {
 }
 
 func TestDetectsBrokenDestEquivalence(t *testing.T) {
-	abs, key := ringAbs(t, 8)
+	abs, g := ringAbs(t, 8)
 	// Sabotage: merge the destination's group record with another member.
 	abs.Groups[abs.F[abs.Dest]] = append(abs.Groups[abs.F[abs.Dest]], topo.NodeID(1))
-	c := &Checker{Abs: abs, EdgeKey: key}
+	c := &Checker{Abs: abs, G: g, EdgeKey: uniformKey}
 	if err := c.CheckDestEquivalence(); err == nil {
 		t.Fatal("corrupted destination group not detected")
 	}
@@ -113,7 +113,7 @@ func TestDetectsBrokenForallExists(t *testing.T) {
 	abs.Groups = [][]topo.NodeID{{d}, {a, b}}
 	abs.F = []int{0, 1, 1}
 	abs.Copies = [][]topo.NodeID{{abs.AbsDest}, {abs.AbsDest + 1}}
-	c := &Checker{Abs: abs, EdgeKey: uniformKey}
+	c := &Checker{Abs: abs, G: g, EdgeKey: uniformKey}
 	if err := c.CheckForallExists(); err == nil {
 		t.Fatal("∀∃ violation not detected")
 	}
@@ -143,7 +143,7 @@ func TestDetectsTransferInequivalence(t *testing.T) {
 	abs.F[m2] = gi
 	abs.Groups = [][]topo.NodeID{{d}, {m1, m2}, {a}}
 	abs.F = []int{0, 1, 1, 2}
-	c := &Checker{Abs: abs, EdgeKey: key}
+	c := &Checker{Abs: abs, G: g, EdgeKey: key}
 	if err := c.CheckTransferEquivalence(); err == nil {
 		t.Fatal("transfer inequivalence not detected")
 	}
@@ -158,7 +158,7 @@ func TestSelfLoopReporting(t *testing.T) {
 	g.AddLink(d, y)
 	g.AddLink(x, y)
 	abs := core.FindAbstraction(g, d, core.Options{Mode: core.ModeEffective, EdgeKey: uniformKey})
-	c := &Checker{Abs: abs, EdgeKey: uniformKey}
+	c := &Checker{Abs: abs, G: g, EdgeKey: uniformKey}
 	if abs.F[x] == abs.F[y] {
 		if internal := c.CheckSelfLoopFreedom(); len(internal) == 0 {
 			t.Fatal("internal adjacency not reported")

@@ -258,6 +258,72 @@ func TestRandomExprSemantics(t *testing.T) {
 	}
 }
 
+// randVec builds a width-long vector of random expressions and returns the
+// matching evaluator slice. It mixes in terminals and repeated elements, the
+// shapes a compiled local-preference vector is mostly made of.
+func randVec(m *Manager, rng *rand.Rand, width, depth int) (Vec, []func([]bool) bool) {
+	v := make(Vec, width)
+	fs := make([]func([]bool) bool, width)
+	for i := range v {
+		switch rng.Intn(8) {
+		case 0:
+			v[i], fs[i] = False, func([]bool) bool { return false }
+		case 1:
+			v[i], fs[i] = True, func([]bool) bool { return true }
+		case 2:
+			if i > 0 {
+				v[i], fs[i] = v[i-1], fs[i-1]
+				continue
+			}
+			fallthrough
+		default:
+			v[i], fs[i] = randomExpr(m, rng, depth)
+		}
+	}
+	return v, fs
+}
+
+// TestVecOpsElementwiseMeaning checks ITEVec, AndVec and EqVec against what
+// they mean element by element, on the closures the random vectors were built
+// from, under every assignment of a 6-variable manager.
+func TestVecOpsElementwiseMeaning(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const nv = 6
+	asg := make([]bool, nv)
+	for round := 0; round < 100; round++ {
+		m := New(nv)
+		width := 1 + rng.Intn(33)
+		f, ff := randomExpr(m, rng, 4)
+		g, gf := randVec(m, rng, width, 4)
+		h, hf := randVec(m, rng, width, 4)
+		ite, and, eq := m.ITEVec(f, g, h), m.AndVec(f, g), m.EqVec(g, h)
+		for bits := 0; bits < 1<<nv; bits++ {
+			for v := range asg {
+				asg[v] = bits&(1<<v) != 0
+			}
+			fv, allEq := ff(asg), true
+			for i := range g {
+				gi, hi := gf[i](asg), hf[i](asg)
+				want := hi
+				if fv {
+					want = gi
+				}
+				if m.Eval(ite[i], asg) != want {
+					t.Fatalf("round %d: ITEVec[%d] wrong under %06b", round, i, bits)
+				}
+				if m.Eval(and[i], asg) != (fv && gi) {
+					t.Fatalf("round %d: AndVec[%d] wrong under %06b", round, i, bits)
+				}
+				allEq = allEq && gi == hi
+			}
+			if m.Eval(eq, asg) != allEq {
+				t.Fatalf("round %d: EqVec wrong under %06b", round, bits)
+			}
+		}
+		m.Close()
+	}
+}
+
 func TestQuickCanonical(t *testing.T) {
 	// Property: for random 8-bit truth tables built two different ways,
 	// handles must be equal iff semantics are equal.

@@ -112,58 +112,3 @@ func BenchmarkSatCount(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkVec16 measures the batched vector operators against the
-// element-wise scalar loop on the policy compiler's workload shape (paper
-// Figure 10): a chain of guarded constant assignments into a 16-bit
-// local-preference vector (ITEVec), masked by a keep guard (AndVec) and bound
-// to output variables (EqVec). The pair is the only timing of the batched
-// operators against the loops they replaced; TestVecBatchedMatchesScalar holds
-// the two paths node-identical.
-func BenchmarkVec16(b *testing.B) {
-	const width = 16
-	for _, mode := range []string{"batched", "scalar"} {
-		batched := mode == "batched"
-		b.Run(mode, func(b *testing.B) {
-			m := bdd.New(12 + width)
-			outs := make([]int, width)
-			for j := range outs {
-				outs[j] = 12 + j
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Iteration-varying constants keep the op caches missing the
-				// way a real compile does; the guards reuse a fixed variable
-				// pool so the unique table stays bounded.
-				base := uint64(i)*2654435761 + 12345
-				v := m.ConstVec(base&(1<<width-1), width)
-				for k := 0; k < 6; k++ {
-					f := m.And(m.Var(2*k), m.Or(m.Var(2*k+1), m.NVar((2*k+5)%12)))
-					cv := m.ConstVec((base>>uint(k+3))&(1<<width-1), width)
-					if batched {
-						v = m.ITEVec(f, cv, v)
-						continue
-					}
-					nv := make(bdd.Vec, width)
-					for j := range v {
-						nv[j] = m.ITE(f, cv[j], v[j])
-					}
-					v = nv
-				}
-				var rel bdd.Node
-				if batched {
-					rel = m.EqVec(m.VarVec(outs), m.AndVec(m.Var(1), v))
-				} else {
-					rel = bdd.True
-					for j := range v {
-						rel = m.And(rel, m.Equiv(m.Var(outs[j]), m.And(m.Var(1), v[j])))
-					}
-				}
-				if rel == bdd.False {
-					b.Fatal("vector workload collapsed")
-				}
-			}
-		})
-	}
-}

@@ -3,13 +3,6 @@ package bdd
 // Vec is a little-endian vector of BDD functions, used to represent
 // bit-vector valued outputs (such as the 32-bit local-preference in a BGP
 // policy relation, paper Figure 10) symbolically.
-//
-// The vector operators (ITEVec, AndVec, EqVec) are batched: one recursion
-// walks the whole vector, resolving terminals and probing the op caches per
-// element but expanding the shared guard / variable level once per vector
-// instead of once per element, and deduplicating identical element pairs
-// within the batch. Because nodes are canonical, batched results are
-// node-identical to the element-wise loops.
 type Vec []Node
 
 // ConstVec returns a width-bit vector holding the constant v
@@ -31,262 +24,37 @@ func (m *Manager) VarVec(vars []int) Vec {
 	return out
 }
 
-// ITEVec returns the element-wise if-then-else of two vectors under guard
-// f, computed in one batched recursion over the vector.
+// ITEVec returns the element-wise if-then-else of two vectors under guard f.
 func (m *Manager) ITEVec(f Node, g, h Vec) Vec {
 	if len(g) != len(h) {
 		panic("bdd: ITEVec width mismatch")
 	}
 	out := make(Vec, len(g))
-	m.iteVec(f, g, h, out)
-	return out
-}
-
-func (m *Manager) iteVec(f Node, g, h, out Vec) {
-	if f == True {
-		copy(out, g)
-		return
-	}
-	if f == False {
-		copy(out, h)
-		return
-	}
-	pend := make([]int32, 0, len(g))
 	for i := range g {
-		gi, hi := g[i], h[i]
-		switch {
-		case gi == hi:
-			out[i] = gi
-		case gi == True && hi == False:
-			out[i] = f
-		case gi == False && hi == True:
-			out[i] = m.Not(f)
-		default:
-			e := &m.ite[mix3(f, gi, hi)&uint32(len(m.ite)-1)]
-			if e.f == f && e.g == gi && e.h == hi {
-				m.hits++
-				out[i] = e.r
-			} else {
-				m.misses++
-				pend = append(pend, int32(i))
-			}
-		}
+		out[i] = m.ITE(f, g[i], h[i])
 	}
-	if len(pend) == 0 {
-		return
-	}
-	uniq, dup := dedupPairs(pend, g, h)
-	k := len(uniq)
-	lf := m.level[f]
-	level := lf
-	for _, i := range uniq {
-		if lg := m.level[g[i]]; lg < level {
-			level = lg
-		}
-		if lh := m.level[h[i]]; lh < level {
-			level = lh
-		}
-	}
-	flo, fhi := f, f
-	if lf == level {
-		flo, fhi = unpack(m.lohi[f])
-	}
-	buf := make(Vec, 6*k)
-	glo, ghi := buf[:k], buf[k:2*k]
-	hlo, hhi := buf[2*k:3*k], buf[3*k:4*k]
-	rlo, rhi := buf[4*k:5*k], buf[5*k:6*k]
-	for x, i := range uniq {
-		gi, hi := g[i], h[i]
-		glo[x], ghi[x] = gi, gi
-		if m.level[gi] == level {
-			glo[x], ghi[x] = unpack(m.lohi[gi])
-		}
-		hlo[x], hhi[x] = hi, hi
-		if m.level[hi] == level {
-			hlo[x], hhi[x] = unpack(m.lohi[hi])
-		}
-	}
-	m.iteVec(flo, glo, hlo, rlo)
-	m.iteVec(fhi, ghi, hhi, rhi)
-	for x, i := range uniq {
-		r := m.mk(level, rlo[x], rhi[x])
-		e := &m.ite[mix3(f, g[i], h[i])&uint32(len(m.ite)-1)]
-		if e.f != 0 {
-			m.overwrites++
-		}
-		*e = iteEntry{f: f, g: g[i], h: h[i], r: r}
-		out[i] = r
-	}
-	for _, d := range dup {
-		out[d[0]] = out[d[1]]
-	}
-}
-
-// AndVec returns the conjunction of scalar f with every element of v,
-// computed in one batched recursion.
-func (m *Manager) AndVec(f Node, v Vec) Vec {
-	a := make(Vec, len(v))
-	for i := range a {
-		a[i] = f
-	}
-	out := make(Vec, len(v))
-	m.applyVec(opAnd, a, v, out)
 	return out
 }
 
-// EqVec returns the BDD asserting element-wise equality of a and b. The
-// per-bit XNORs run as one batched recursion; the conjunction fold is
-// inherently sequential.
+// AndVec returns the conjunction of scalar f with every element of v.
+func (m *Manager) AndVec(f Node, v Vec) Vec {
+	out := make(Vec, len(v))
+	for i := range v {
+		out[i] = m.And(f, v[i])
+	}
+	return out
+}
+
+// EqVec returns the BDD asserting element-wise equality of a and b.
 func (m *Manager) EqVec(a, b Vec) Node {
 	if len(a) != len(b) {
 		panic("bdd: EqVec width mismatch")
 	}
-	if len(a) == 0 {
-		return True
-	}
-	x := make(Vec, len(a))
-	m.applyVec(opXor, a, b, x)
 	r := True
-	for _, xi := range x {
-		r = m.And(r, m.Not(xi))
+	for i := range a {
+		r = m.And(r, m.Equiv(a[i], b[i]))
 	}
 	return r
-}
-
-// applyStep applies the terminal rules of a binary op, mirroring the
-// scalar And/Or/Xor entry points.
-func (m *Manager) applyStep(op uint8, a, b Node) (Node, bool) {
-	switch op {
-	case opAnd:
-		switch {
-		case a == False || b == False:
-			return False, true
-		case a == True:
-			return b, true
-		case b == True:
-			return a, true
-		case a == b:
-			return a, true
-		}
-	case opOr:
-		switch {
-		case a == True || b == True:
-			return True, true
-		case a == False:
-			return b, true
-		case b == False:
-			return a, true
-		case a == b:
-			return a, true
-		}
-	case opXor:
-		switch {
-		case a == False:
-			return b, true
-		case b == False:
-			return a, true
-		case a == True:
-			return m.Not(b), true
-		case b == True:
-			return m.Not(a), true
-		case a == b:
-			return False, true
-		}
-	default:
-		panic("bdd: unknown binary op")
-	}
-	return 0, false
-}
-
-// applyVec runs a binary op element-wise over two vectors in one batched
-// recursion, sharing the op cache with the scalar entry points (operands
-// are normalised the same way, so entries are interchangeable).
-func (m *Manager) applyVec(op uint8, a, b, out Vec) {
-	n := len(a)
-	na := make(Vec, n)
-	nb := make(Vec, n)
-	pend := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		x, y := a[i], b[i]
-		if r, ok := m.applyStep(op, x, y); ok {
-			out[i] = r
-			continue
-		}
-		if x > y {
-			x, y = y, x
-		}
-		e := &m.apply2[mix3(x, y, Node(op))&uint32(len(m.apply2)-1)]
-		if e.a == x && e.b == y && e.op == op {
-			m.hits++
-			out[i] = e.r
-			continue
-		}
-		m.misses++
-		na[i], nb[i] = x, y
-		pend = append(pend, int32(i))
-	}
-	if len(pend) == 0 {
-		return
-	}
-	uniq, dup := dedupPairs(pend, na, nb)
-	k := len(uniq)
-	level := m.level[na[uniq[0]]]
-	for _, i := range uniq {
-		if la := m.level[na[i]]; la < level {
-			level = la
-		}
-		if lb := m.level[nb[i]]; lb < level {
-			level = lb
-		}
-	}
-	buf := make(Vec, 6*k)
-	alo, ahi := buf[:k], buf[k:2*k]
-	blo, bhi := buf[2*k:3*k], buf[3*k:4*k]
-	rlo, rhi := buf[4*k:5*k], buf[5*k:6*k]
-	for x, i := range uniq {
-		ai, bi := na[i], nb[i]
-		alo[x], ahi[x] = ai, ai
-		if m.level[ai] == level {
-			alo[x], ahi[x] = unpack(m.lohi[ai])
-		}
-		blo[x], bhi[x] = bi, bi
-		if m.level[bi] == level {
-			blo[x], bhi[x] = unpack(m.lohi[bi])
-		}
-	}
-	m.applyVec(op, alo, blo, rlo)
-	m.applyVec(op, ahi, bhi, rhi)
-	for x, i := range uniq {
-		r := m.mk(level, rlo[x], rhi[x])
-		e := &m.apply2[mix3(na[i], nb[i], Node(op))&uint32(len(m.apply2)-1)]
-		if e.a != 0 {
-			m.overwrites++
-		}
-		*e = applyEntry{a: na[i], b: nb[i], r: r, op: op}
-		out[i] = r
-	}
-	for _, d := range dup {
-		out[d[0]] = out[d[1]]
-	}
-}
-
-// dedupPairs partitions pending indices into representatives (uniq) and
-// duplicates (dup, each mapping an index to its representative), comparing
-// the (x[i], y[i]) operand pairs. Vectors are narrow (≤ 33 bits in
-// practice), so the quadratic scan is cheaper than hashing.
-func dedupPairs(pend []int32, x, y Vec) (uniq []int32, dup [][2]int32) {
-	uniq = make([]int32, 0, len(pend))
-outer:
-	for _, i := range pend {
-		for _, j := range uniq {
-			if x[j] == x[i] && y[j] == y[i] {
-				dup = append(dup, [2]int32{i, j})
-				continue outer
-			}
-		}
-		uniq = append(uniq, i)
-	}
-	return uniq, dup
 }
 
 // EqConst returns the BDD asserting that the variables vars, read as a

@@ -58,9 +58,7 @@ type Builder struct {
 	// vocabulary. Index 0 = full universe, 1 = erased.
 	polSpaces [2]*policy.Space
 
-	mu         sync.Mutex
-	roleCache  map[[2]bool]int
-	matchedSet map[protocols.Community]bool
+	matchedSet map[protocols.Community]bool // erasedUniverse as a set; read-only after New
 
 	// Cross-EC deduplication (dedup.go, transport.go): classes are
 	// fingerprinted and compressed once per distinct fingerprint; symmetric
@@ -95,7 +93,6 @@ func New(net *config.Network) (*Builder, error) {
 	b := &Builder{
 		Cfg:        net,
 		G:          topo.New(),
-		roleCache:  make(map[[2]bool]int),
 		fpIntern:   make(map[string]int32),
 		fpByPrefix: make(map[netip.Prefix]string),
 		sigMemo:    make(map[string]*classSig),

@@ -11,6 +11,7 @@ import (
 	"bonsai/internal/netgen"
 	"bonsai/internal/policy"
 	"bonsai/internal/srp"
+	"bonsai/internal/topo"
 )
 
 // TestBuilderConstruction checks that every generator family builds and
@@ -260,6 +261,33 @@ func TestPrefsExactUnderEBGPReset(t *testing.T) {
 	}
 	if err := equiv.CheckAcrossSolutions(conc, abst, abs, 8); err != nil {
 		t.Fatalf("CP-equivalence violated on the asymmetric diamond: %v", err)
+	}
+}
+
+// TestAbstractInstanceRejectsDanglingRepEdge: an abstraction whose RepEdge
+// names a pair of routers that is not an edge of this network must be an
+// error, not an abstract edge with no protocol on it (which answers
+// "unreachable").
+func TestAbstractInstanceRejectsDanglingRepEdge(t *testing.T) {
+	b, err := New(netgen.Fattree(4, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls := b.Classes()[0]
+	abs, err := b.CompressFresh(context.Background(), b.NewCompiler(true), cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AbstractInstance(cls, abs); err != nil {
+		t.Fatal(err)
+	}
+	for ae, rep := range abs.RepEdge {
+		// No router is its own neighbour, so (U, U) is never an edge.
+		abs.RepEdge[ae] = topo.Edge{U: rep.U, V: rep.U}
+		break
+	}
+	if _, err := b.AbstractInstance(cls, abs); err == nil {
+		t.Fatal("AbstractInstance built an instance from a representative that is not an edge")
 	}
 }
 

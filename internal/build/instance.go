@@ -91,9 +91,12 @@ func (b *Builder) AbstractInstance(cls ec.Class, abs *core.Abstraction) (*srp.In
 			return nil, fmt.Errorf("build: abstract edge %s->%s has no representative",
 				abs.AbsG.Name(e.U), abs.AbsG.Name(e.V))
 		}
-		if i, ok := b.G.EdgeIndex(rep.U, rep.V); ok {
-			t.add(e, b.tab, i, statics.has(i))
+		i, ok := b.G.EdgeIndex(rep.U, rep.V)
+		if !ok {
+			return nil, fmt.Errorf("build: abstract edge %s->%s: representative (%d,%d) is not an edge of this network",
+				abs.AbsG.Name(e.U), abs.AbsG.Name(e.V), rep.U, rep.V)
 		}
+		t.add(e, b.tab, i, statics.has(i))
 	}
 	for _, c := range abs.AbsG.Nodes() {
 		if bgp := b.groupRep(abs, groupOf[c]).BGP; bgp != nil {

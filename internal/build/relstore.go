@@ -398,7 +398,6 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 	close(ready)
 	for _, sc := range classes {
 		sig := sc.sig
-		sc.abs.G = b.G
 		e := &absEntry{
 			ready: ready,
 			abs:   sc.abs,
@@ -497,6 +496,11 @@ func (b *Builder) decodeEntry(d *relDec) (*stagedClass, error) {
 	g := topo.New()
 	for i := 0; i < nAbs; i++ {
 		g.AddNode(d.str())
+	}
+	if g.NumNodes() != nAbs {
+		// AddNode folds a repeated name onto the first; every index below is
+		// checked against nAbs.
+		return nil, fmt.Errorf("build: relation store: repeated abstract node name")
 	}
 	nAbsEdges := d.count(2)
 	for i := 0; i < nAbsEdges; i++ {

@@ -13,7 +13,7 @@ import (
 )
 
 // saveToBuffer warms b over every class and serialises its relation store.
-func saveToBuffer(t *testing.T, b *Builder) []byte {
+func saveToBuffer(t testing.TB, b *Builder) []byte {
 	t.Helper()
 	comp := b.NewCompiler(true)
 	defer comp.Close()

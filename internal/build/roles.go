@@ -22,28 +22,15 @@ import (
 // any route map in the network are dropped from the signatures (the §8
 // attribute abstraction); with ignoreStatics, static routes are excluded.
 func (b *Builder) RoleCount(eraseUnusedTags, ignoreStatics bool) int {
-	key := [2]bool{eraseUnusedTags, ignoreStatics}
-	b.mu.Lock()
-	if n, ok := b.roleCache[key]; ok {
-		b.mu.Unlock()
-		return n
+	var matched map[protocols.Community]bool
+	if eraseUnusedTags {
+		matched = b.matchedSet
 	}
-	matched := b.matchedSet
-	b.mu.Unlock()
-
 	seen := make(map[string]bool)
-	for _, name := range b.Cfg.RouterNames() {
-		m := matched
-		if !eraseUnusedTags {
-			m = nil
-		}
-		seen[RoleSignature(b.Cfg.Routers[name], m, eraseUnusedTags, ignoreStatics)] = true
+	for _, r := range b.routers {
+		seen[RoleSignature(r, matched, eraseUnusedTags, ignoreStatics)] = true
 	}
-	n := len(seen)
-	b.mu.Lock()
-	b.roleCache[key] = n
-	b.mu.Unlock()
-	return n
+	return len(seen)
 }
 
 // RoleSignature renders a router's configuration template as a canonical

@@ -84,7 +84,6 @@ func assembleReference(g *topo.Graph, dest topo.NodeID, groupOf []int, opt core.
 	}
 
 	abs := &core.Abstraction{
-		G:           g,
 		Dest:        dest,
 		F:           idx,
 		Groups:      groups,

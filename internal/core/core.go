@@ -92,7 +92,6 @@ type Options struct {
 // topology function f, and the abstract graph with BGP case splitting
 // applied.
 type Abstraction struct {
-	G    *topo.Graph
 	Dest topo.NodeID
 
 	Groups [][]topo.NodeID // group index -> sorted members
@@ -108,11 +107,11 @@ type Abstraction struct {
 	// transfer function.
 	RepEdge map[topo.Edge]topo.Edge
 
-	// Live records, per index of G.Edges(), whether the directed edge can
-	// carry the destination class (the negation of EdgeKey.Dead): the
-	// liveness vector refinement ran against. Consumers (internal/build's
-	// dedup cache) read it instead of re-deriving edge keys. It is aligned
-	// with the G this abstraction was computed over.
+	// Live records, per edge index of the graph this abstraction was
+	// computed over, whether the directed edge can carry the destination
+	// class (the negation of EdgeKey.Dead): the liveness vector refinement
+	// ran against. Consumers (internal/build's dedup cache) read it instead
+	// of re-deriving edge keys.
 	Live []bool
 
 	// Iterations counts group refinements until fixpoint (sweep passes for
@@ -514,7 +513,6 @@ func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOption
 	}
 
 	abs := &Abstraction{
-		G:           g,
 		Dest:        dest,
 		F:           idx,
 		Groups:      groups,

@@ -238,9 +238,7 @@ func (c *Compiler) relation(st state) bdd.Node {
 	keep := m.Not(st.drop)
 	rel := m.Equiv(m.Var(c.dropOut()), st.drop)
 	// Mask every output function by keep and equate it with its output
-	// variable in two batched vector passes (AndVec shares the keep guard's
-	// expansion across the whole vector; EqVec batches the per-bit XNORs).
-	// Canonicity makes this node-identical to the element-wise fold.
+	// variable.
 	vals := make(bdd.Vec, 0, len(c.comms)+LPBits)
 	vals = append(vals, st.comm...)
 	vals = append(vals, st.lp...)

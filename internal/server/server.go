@@ -42,7 +42,8 @@ import (
 
 // Config sizes the daemon's shared resources and per-tenant quotas. The
 // zero value serves: no global budget (every store unbounded), no tenant
-// cap, single-query tenants, depth-1 apply queues, no idle eviction.
+// cap, single-query tenants, one write waiting behind the one executing, no
+// idle eviction.
 type Config struct {
 	// GlobalBudget caps retained abstraction bytes across ALL tenants; 0
 	// disables the shared pool. TenantFloor is the per-tenant budget floor:
@@ -52,8 +53,10 @@ type Config struct {
 	// MaxTenants bounds concurrently open tenants (0 = unbounded).
 	MaxTenants int
 	// MaxQueriesPerTenant bounds concurrently admitted queries per tenant;
-	// excess fail fast with 429. ApplyQueueDepth bounds queued deltas per
-	// tenant; excess fail fast with 503 + Retry-After.
+	// excess fail fast with 429. ApplyQueueDepth bounds the /apply writes
+	// that may wait per tenant behind the one executing (it sizes the write
+	// admission semaphore; there is no queue); excess fail fast with 503 +
+	// Retry-After.
 	MaxQueriesPerTenant int
 	ApplyQueueDepth     int
 	// IdleTTL closes tenants unused this long (0 = never).

@@ -483,6 +483,24 @@ func TestServerDrain(t *testing.T) {
 	}
 }
 
+// TestServerTenantLimit: with MaxTenants set, an open past the cap is a 429
+// that leaves nothing behind, and closing a tenant frees its slot.
+func TestServerTenantLimit(t *testing.T) {
+	_, c := newTestServer(t, Config{MaxTenants: 1})
+	ctx := context.Background()
+	openFattree(t, c, "a", 4)
+	if err := c.OpenNetwork(ctx, "b", netgen.Fattree(4, netgen.PolicyShortestPath)); StatusCode(err) != http.StatusTooManyRequests {
+		t.Fatalf("open past the tenant cap: want 429, got %v", err)
+	}
+	if tenants, err := c.Tenants(ctx); err != nil || len(tenants) != 1 {
+		t.Fatalf("tenants after a refused open: %+v, %v", tenants, err)
+	}
+	if err := c.Close(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	openFattree(t, c, "b", 4)
+}
+
 // TestServerIdleEviction verifies the janitor closes tenants past the TTL.
 func TestServerIdleEviction(t *testing.T) {
 	s, c := newTestServer(t, Config{IdleTTL: 50 * time.Millisecond})

@@ -7,18 +7,13 @@ import (
 )
 
 // options collects the Engine's tunables; Open applies functional Options
-// over the defaults.
+// over the zero value.
 type options struct {
 	workers   int
-	dedup     bool
 	memBudget int64
 	pool      *build.Pool
 	poolFloor int64
 	poolLabel string
-}
-
-func defaultOptions() options {
-	return options{dedup: true}
 }
 
 // Option configures an Engine at Open time.
@@ -29,15 +24,6 @@ type Option func(*options)
 // means GOMAXPROCS.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithDedup enables or disables the cross-class abstraction deduplication
-// cache (identity sharing, symmetry transport, and adoption across
-// incremental updates). It defaults to on; disabling it makes every
-// Compress call run full abstraction refinement, which is the reference
-// behavior benchmarks compare against.
-func WithDedup(on bool) Option {
-	return func(o *options) { o.dedup = on }
 }
 
 // WithMemoryBudget bounds the engine's abstraction store to approximately

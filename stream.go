@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bonsai/internal/build"
-	"bonsai/internal/core"
 	"bonsai/internal/ec"
 	"bonsai/internal/verify"
 )
@@ -104,22 +103,12 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector) (*Stream
 		start:    time.Now(),
 	}
 
-	var key func(ec.Class) string
-	if e.opts.dedup {
-		key = verify.FingerprintKey(st.b)
-	}
+	key := verify.FingerprintKey(st.b)
 	go func() {
 		defer cancel()
 		err := verify.ForEachClassKeyed(ctx, slices.Values(classes), shards, key, func(w int, cls ec.Class) error {
 			t0 := time.Now()
-			var abs *core.Abstraction
-			prov := build.ProvFresh
-			var err error
-			if e.opts.dedup {
-				abs, prov, err = st.b.CompressTagged(ctx, comps[w].comp, cls)
-			} else {
-				abs, err = st.b.CompressFresh(ctx, comps[w].comp, cls)
-			}
+			abs, prov, err := st.b.CompressTagged(ctx, comps[w].comp, cls)
 			if err != nil {
 				return err
 			}

@@ -3,7 +3,6 @@ package bonsai_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -65,101 +64,97 @@ func collectRows(t *testing.T, s *bonsai.Stream) map[string]bonsai.ClassResult {
 }
 
 // TestStreamMatchesBatch is the stream-vs-batch differential gauntlet: on
-// every netgen scenario and in both dedup modes, the parallel streaming
-// pipeline (lazy enumeration -> sharded fingerprint-grouped scheduler)
-// must produce a CompressReport field-identical to the serial batch shape
-// (workers=1 runs the plain in-order loop), and identical per-class
-// topology sizes.
+// every netgen scenario the parallel streaming pipeline (lazy enumeration ->
+// sharded fingerprint-grouped scheduler) must produce a CompressReport
+// field-identical to the serial batch shape (workers=1 runs the plain
+// in-order loop), and identical per-class topology sizes. Cached against
+// uncached compression is TestDedupMatchesIndependentCompression's, per
+// class, in internal/build. The subtests keep the "/dedup=true" suffix they
+// are recorded under.
 func TestStreamMatchesBatch(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range gauntletScenarios() {
-		for _, dedup := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%s/dedup=%v", tc.name, dedup), func(t *testing.T) {
-				net := tc.gen()
-				engSerial, err := bonsai.Open(net, bonsai.WithWorkers(1), bonsai.WithDedup(dedup))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer engSerial.Close()
-				batch, err := engSerial.Compress(ctx, bonsai.ClassSelector{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Per-class reference rows: a second pass over the warm
-				// serial engine (sizes are deterministic; provenance is not
-				// compared).
-				refStream, err := engSerial.CompressStream(ctx, bonsai.ClassSelector{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := collectRows(t, refStream)
+		t.Run(tc.name+"/dedup=true", func(t *testing.T) {
+			net := tc.gen()
+			engSerial, err := bonsai.Open(net, bonsai.WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer engSerial.Close()
+			batch, err := engSerial.Compress(ctx, bonsai.ClassSelector{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Per-class reference rows: a second pass over the warm
+			// serial engine (sizes are deterministic; provenance is not
+			// compared).
+			refStream, err := engSerial.CompressStream(ctx, bonsai.ClassSelector{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := collectRows(t, refStream)
 
-				engPar, err := bonsai.Open(net, bonsai.WithWorkers(4), bonsai.WithDedup(dedup))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer engPar.Close()
-				s, err := engPar.CompressStream(ctx, bonsai.ClassSelector{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows := collectRows(t, s)
-				stream := s.Report()
+			engPar, err := bonsai.Open(net, bonsai.WithWorkers(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer engPar.Close()
+			s, err := engPar.CompressStream(ctx, bonsai.ClassSelector{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := collectRows(t, s)
+			stream := s.Report()
 
-				if len(rows) != len(ref) || len(rows) != batch.ClassesCompressed {
-					t.Fatalf("row counts: stream %d, ref %d, batch %d", len(rows), len(ref), batch.ClassesCompressed)
+			if len(rows) != len(ref) || len(rows) != batch.ClassesCompressed {
+				t.Fatalf("row counts: stream %d, ref %d, batch %d", len(rows), len(ref), batch.ClassesCompressed)
+			}
+			for p, r := range rows {
+				w, ok := ref[p]
+				if !ok {
+					t.Fatalf("stream produced unknown class %s", p)
 				}
-				for p, r := range rows {
-					w, ok := ref[p]
-					if !ok {
-						t.Fatalf("stream produced unknown class %s", p)
-					}
-					if r.AbstractNodes != w.AbstractNodes || r.AbstractLinks != w.AbstractLinks {
-						t.Fatalf("class %s: stream %d/%d, batch %d/%d",
-							p, r.AbstractNodes, r.AbstractLinks, w.AbstractNodes, w.AbstractLinks)
-					}
+				if r.AbstractNodes != w.AbstractNodes || r.AbstractLinks != w.AbstractLinks {
+					t.Fatalf("class %s: stream %d/%d, batch %d/%d",
+						p, r.AbstractNodes, r.AbstractLinks, w.AbstractNodes, w.AbstractLinks)
 				}
-				if stream.Network != batch.Network {
-					t.Fatalf("network info: stream %+v, batch %+v", stream.Network, batch.Network)
+			}
+			if stream.Network != batch.Network {
+				t.Fatalf("network info: stream %+v, batch %+v", stream.Network, batch.Network)
+			}
+			if stream.ClassesCompressed != batch.ClassesCompressed ||
+				stream.SumAbstractNodes != batch.SumAbstractNodes ||
+				stream.SumAbstractLinks != batch.SumAbstractLinks ||
+				stream.NodeRatio != batch.NodeRatio ||
+				stream.LinkRatio != batch.LinkRatio {
+				t.Fatalf("aggregate mismatch:\nstream %+v\nbatch  %+v", stream, batch)
+			}
+			for name, st := range map[string]bonsai.CacheStats{"serial": batch.Cache, "stream": stream.Cache} {
+				if st.DuplicateFresh != 0 {
+					t.Fatalf("%s: duplicated fresh compressions: %+v", name, st)
 				}
-				if stream.ClassesCompressed != batch.ClassesCompressed ||
-					stream.SumAbstractNodes != batch.SumAbstractNodes ||
-					stream.SumAbstractLinks != batch.SumAbstractLinks ||
-					stream.NodeRatio != batch.NodeRatio ||
-					stream.LinkRatio != batch.LinkRatio {
-					t.Fatalf("aggregate mismatch:\nstream %+v\nbatch  %+v", stream, batch)
+				classes := int64(batch.ClassesCompressed)
+				if int64(st.Fresh)+st.Transported+st.Served < classes {
+					t.Fatalf("%s: cache accounting: %+v over %d classes", name, st, classes)
 				}
-				for name, st := range map[string]bonsai.CacheStats{"serial": batch.Cache, "stream": stream.Cache} {
-					if st.DuplicateFresh != 0 {
-						t.Fatalf("%s: duplicated fresh compressions: %+v", name, st)
-					}
-					if dedup {
-						classes := int64(batch.ClassesCompressed)
-						if int64(st.Fresh)+st.Transported+st.Served < classes {
-							t.Fatalf("%s: cache accounting: %+v over %d classes", name, st, classes)
-						}
-					} else if st.Fresh != 0 || st.Served != 0 || st.Transported != 0 {
-						t.Fatalf("%s: dedup-off engine touched the cache: %+v", name, st)
-					}
-				}
+			}
 
-				// Verify differential: the sched fan-out must report the
-				// same verification result as the serial loop.
-				vSerial, err := engSerial.Verify(ctx, bonsai.VerifyRequest{Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				vPar, err := engPar.Verify(ctx, bonsai.VerifyRequest{Workers: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if vSerial.Mode != vPar.Mode || vSerial.Classes != vPar.Classes ||
-					vSerial.Pairs != vPar.Pairs || vSerial.ReachablePairs != vPar.ReachablePairs ||
-					vSerial.AbstractNodeSum != vPar.AbstractNodeSum {
-					t.Fatalf("verify mismatch:\nserial %v\nsched  %v", vSerial, vPar)
-				}
-			})
-		}
+			// Verify differential: the sched fan-out must report the
+			// same verification result as the serial loop.
+			vSerial, err := engSerial.Verify(ctx, bonsai.VerifyRequest{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vPar, err := engPar.Verify(ctx, bonsai.VerifyRequest{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vSerial.Mode != vPar.Mode || vSerial.Classes != vPar.Classes ||
+				vSerial.Pairs != vPar.Pairs || vSerial.ReachablePairs != vPar.ReachablePairs ||
+				vSerial.AbstractNodeSum != vPar.AbstractNodeSum {
+				t.Fatalf("verify mismatch:\nserial %v\nsched  %v", vSerial, vPar)
+			}
+		})
 	}
 }
 
