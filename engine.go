@@ -67,12 +67,6 @@ type Engine struct {
 	// joined the solve in flight).
 	reachHits   atomic.Int64
 	reachMisses atomic.Int64
-	// reachQueries counts the resolved Reach/ReachConcrete queries; it picks
-	// the ones cross-checked (see Engine.reach). reachIndexMismatches counts
-	// the checked queries whose class by index lookup differed from a fresh
-	// enumeration; zero unless the index is broken.
-	reachQueries         atomic.Uint64
-	reachIndexMismatches atomic.Int64
 }
 
 // engineState is one network snapshot: configuration and builder are
@@ -225,7 +219,6 @@ func (e *Engine) Network() *Network { return e.state.Load().cfg }
 func (e *Engine) Stats() CacheStats {
 	s := cacheStats(e.state.Load().b)
 	s.ReachMemoHits, s.ReachMemoMisses = e.reachHits.Load(), e.reachMisses.Load()
-	s.ReachIndexMismatches = e.reachIndexMismatches.Load()
 	return s
 }
 
@@ -481,10 +474,7 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 // Reach answers one reachability query on the compressed network. The first
 // query of a class in a snapshot solves it (serving the abstraction from the
 // warm cache when possible); every later one, from any source, is a class
-// lookup and a bit test. At this stage of the read path's rollout one query in
-// four, by the engine's query count, also re-derives its class the way queries
-// did before the index existed, as a cross-check (see reach); the answer never
-// depends on whether its query was a checked one.
+// lookup and a bit test.
 func (e *Engine) Reach(ctx context.Context, src, destPrefix string) (*ReachResult, error) {
 	return e.reach(ctx, src, destPrefix, true)
 }
@@ -494,10 +484,6 @@ func (e *Engine) Reach(ctx context.Context, src, destPrefix string) (*ReachResul
 func (e *Engine) ReachConcrete(ctx context.Context, src, destPrefix string) (*ReachResult, error) {
 	return e.reach(ctx, src, destPrefix, false)
 }
-
-// reachCheckEvery is how many queries share one cross-check of the class
-// index: the engine's first query is checked, then every fourth after it.
-const reachCheckEvery = 4
 
 func (e *Engine) reach(ctx context.Context, src, destPrefix string, compressed bool) (*ReachResult, error) {
 	if e.closed.Load() {
@@ -511,14 +497,6 @@ func (e *Engine) reach(ctx context.Context, src, destPrefix string, compressed b
 	cls, u, err := verify.ResolveQuery(st.b, src, destPrefix)
 	if err != nil {
 		return nil, err
-	}
-	// Read-path rollout, stage 2 of 3: one query in reachCheckEvery re-derives
-	// its class by the pre-index enumeration. The index's class is served either
-	// way; a difference is only counted (EXPERIMENTS.md "Where the query time goes").
-	if e.reachQueries.Add(1)%reachCheckEvery == 1 {
-		if ref, err := ec.ClassFor(st.cfg, destPrefix); err != nil || ref.Prefix != cls.Prefix {
-			e.reachIndexMismatches.Add(1)
-		}
 	}
 	reach, err := e.classReach(ctx, st, cls, compressed)
 	if err != nil {

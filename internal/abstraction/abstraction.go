@@ -5,8 +5,8 @@
 // satisfy these by construction; this package is the independent validator —
 // the paper's point is precisely that these local conditions are efficiently
 // checkable and imply the global CP-equivalence property. It is test-side
-// code: only _test.go files import it (its own, and internal/build's check
-// of abstractions adopted across a delta).
+// code: only _test.go files import it (its own, and internal/build's
+// provenance matrix).
 package abstraction
 
 import (

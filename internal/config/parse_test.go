@@ -121,3 +121,25 @@ func BenchmarkParseFattree20(b *testing.B) {
 		parseSink = net
 	}
 }
+
+// FuzzParse: the parser never panics, and what it accepts prints to text
+// that parses back to the same print. The seeds (testdata/fuzz: a three-router
+// network and two single routers that between them use every directive) are
+// small on purpose: the fuzzer minimises every interesting input it keeps,
+// and with a whole generated network as a seed it spends the run doing that.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		net, err := config.ParseString(text)
+		if err != nil {
+			return
+		}
+		printed := config.PrintString(net)
+		again, err := config.ParseString(printed)
+		if err != nil {
+			t.Fatalf("the print of an accepted network does not parse: %v\n%s", err, printed)
+		}
+		if reprinted := config.PrintString(again); reprinted != printed {
+			t.Fatalf("print -> parse -> print is not a fixed point:\n%s\n--- became ---\n%s", printed, reprinted)
+		}
+	})
+}

@@ -7,12 +7,17 @@
 package ec
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 
 	"bonsai/internal/config"
 	"bonsai/internal/trie"
 )
+
+// ErrNoClass is wrapped by every lookup of a destination that is not a
+// prefix or that no class owns: the asker's mistake, not a fault.
+var ErrNoClass = errors.New("ec: no destination class")
 
 // Class re-exports trie.Class: a representative prefix plus origin routers.
 type Class = trie.Class
@@ -44,7 +49,7 @@ func (x Index) ClassFor(prefix string) (Class, error) {
 			return c, nil
 		}
 	}
-	return Class{}, fmt.Errorf("ec: no destination class for %q", prefix)
+	return Class{}, fmt.Errorf("%w for %q", ErrNoClass, prefix)
 }
 
 // Classes returns the destination equivalence classes of the network.

@@ -19,7 +19,9 @@ import (
 type metricSet struct {
 	reg *metrics.Registry
 
-	// HTTP layer.
+	// HTTP layer. ops is the closed set of op labels, filled as the router
+	// registers its handlers.
+	ops        []string
 	reqSeconds *metrics.HistogramVec // {tenant, op}
 	rejected   *metrics.CounterVec   // {tenant, reason}
 	inflight   *metrics.GaugeVec     // {tenant}
@@ -39,7 +41,6 @@ type metricSet struct {
 	coalesceRatio   *metrics.GaugeVec
 	reachMemoHits   *metrics.GaugeVec
 	reachMemoMisses *metrics.GaugeVec
-	reachIndexDiff  *metrics.GaugeVec
 
 	// BDD layer, refreshed from Engine.BDDStats at scrape time: live
 	// unique-table footprint and op-cache behaviour per tenant.
@@ -114,8 +115,6 @@ func newMetricSet() *metricSet {
 			"Reach queries answered from a class already solved in their snapshot.", "tenant"),
 		reachMemoMisses: r.GaugeVec("bonsai_reach_memo_misses_total",
 			"Reach queries that solved their class (first of a class per snapshot).", "tenant"),
-		reachIndexDiff: r.GaugeVec("bonsai_reach_index_mismatches_total",
-			"Cross-checked reach queries (one in four, by the engine's query count) whose indexed class differed from a fresh class enumeration (0 in a healthy engine).", "tenant"),
 
 		bddNodes: r.GaugeVec("bonsai_bdd_nodes_live",
 			"Live BDD nodes across the engine's compiler pool.", "tenant"),
@@ -164,13 +163,24 @@ func newMetricSet() *metricSet {
 	return m
 }
 
+// rejectReasons is the closed set of bonsaid_rejected_total's reason label.
+var rejectReasons = []string{"draining", "query_quota", "apply_queue"}
+
 // dropTenant removes a closed tenant's series.
 func (m *metricSet) dropTenant(name string) {
+	for _, op := range m.ops {
+		m.reqSeconds.Delete(name, op)
+	}
+	for _, reason := range rejectReasons {
+		m.rejected.Delete(name, reason)
+	}
+	for _, v := range []*metrics.CounterVec{m.invalidated, m.journalReplayed, m.journalGaps} {
+		v.Delete(name)
+	}
 	for _, v := range []*metrics.GaugeVec{
 		m.inflight, m.queueDepth, m.cacheServed, m.cacheMisses, m.cacheHitRate,
 		m.cacheEvictions, m.cacheLive, m.cachePeak, m.adopted, m.adoptionRatio,
 		m.nsPerClass, m.coalesceRatio, m.reachMemoHits, m.reachMemoMisses,
-		m.reachIndexDiff,
 		m.bddNodes, m.bddLoad, m.bddManagers, m.bddHits, m.bddMisses,
 		m.bddOverwrites, m.journalAppends, m.journalFsyncs, m.journalCkpts,
 		m.journalTail, m.journalBytes,
@@ -205,7 +215,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		m.adopted.With(t.name).Set(float64(st.Adopted))
 		m.reachMemoHits.With(t.name).Set(float64(st.ReachMemoHits))
 		m.reachMemoMisses.With(t.name).Set(float64(st.ReachMemoMisses))
-		m.reachIndexDiff.With(t.name).Set(float64(st.ReachIndexMismatches))
 		if inv := m.invalidated.With(t.name).Value(); st.Adopted > 0 || inv > 0 {
 			m.adoptionRatio.With(t.name).Set(float64(st.Adopted) / (float64(st.Adopted) + float64(inv)))
 		}

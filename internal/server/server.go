@@ -37,7 +37,9 @@ import (
 	"time"
 
 	"bonsai"
+	"bonsai/internal/ec"
 	"bonsai/internal/journal"
+	"bonsai/internal/verify"
 )
 
 // Config sizes the daemon's shared resources and per-tenant quotas. The
@@ -183,24 +185,32 @@ func (s *Server) routes() {
 }
 
 // instrument wraps a handler with drain admission and the latency
-// histogram. The tenant label comes from the path ("-" for /v1/tenants).
+// histogram, and records op in the closed set dropTenant deletes by.
 func (s *Server) instrument(op string, h http.HandlerFunc) http.HandlerFunc {
+	s.metrics.ops = append(s.metrics.ops, op)
 	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		if name == "" {
-			name = "-"
-		}
 		done, err := s.reg.admit()
 		if err != nil {
-			s.metrics.rejected.With(name, "draining").Inc()
+			s.metrics.rejected.With(s.tenantLabel(r), "draining").Inc()
 			s.httpError(w, err)
 			return
 		}
 		defer done()
 		start := time.Now()
 		h(w, r)
-		s.metrics.reqSeconds.With(name, op).Observe(time.Since(start).Seconds())
+		s.metrics.reqSeconds.With(s.tenantLabel(r), op).Observe(time.Since(start).Seconds())
 	}
+}
+
+// tenantLabel is the tenant label of a request's series: the path's tenant
+// if the registry holds it now, else "-" (/v1/tenants, a 404, a tenant its
+// own DELETE just closed), so a name a client invents never becomes a series.
+func (s *Server) tenantLabel(r *http.Request) string {
+	name := r.PathValue("name")
+	if _, err := s.reg.get(name); err != nil {
+		return "-"
+	}
+	return name
 }
 
 // tenantQuery resolves the tenant and admits the request against its
@@ -530,7 +540,7 @@ func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) error {
 func (s *Server) httpError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, ErrTenantNotFound):
+	case errors.Is(err, ErrTenantNotFound), errors.Is(err, ec.ErrNoClass), errors.Is(err, verify.ErrUnknownRouter):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrTenantExists):
 		code = http.StatusConflict

@@ -567,3 +567,81 @@ func TestRegistryApplyCloseRace(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// getStatus is the status code of one plain GET.
+func getStatus(t *testing.T, c *Client, path string) int {
+	t.Helper()
+	resp, err := http.Get(c.base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestReachClientErrorsAreNot5xx: a router the network does not have, a
+// destination no class owns and a destination that is not a prefix are the
+// asker's mistakes. Answering 500 would make a typo look like an outage.
+func TestReachClientErrorsAreNot5xx(t *testing.T) {
+	_, c := newTestServer(t, Config{MaxQueriesPerTenant: 4})
+	openFattree(t, c, "ft4", 4)
+	const reach, routes = "/v1/tenants/ft4/reach", "/v1/tenants/ft4/routes"
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{reach + "?src=edge-0-0&dest=10.0.0.0/24", 200},
+		{reach + "?src=edge-9-9&dest=10.0.0.0/24", 404},
+		{reach + "?src=edge-0-0&dest=192.0.2.0/24", 404},
+		{reach + "?src=edge-0-0&dest=not-a-prefix", 404},
+		{reach + "?src=edge-0-0&dest=not-a-prefix&concrete=1", 404},
+		{routes + "?dest=192.0.2.0/24", 404},
+		{routes + "?dest=10.0.0.0/24", 200},
+		{reach + "?src=edge-0-0&dest=10.0.0.0/24&concrete=maybe", 400},
+	} {
+		if got := getStatus(t, c, tc.path); got != tc.want {
+			t.Errorf("GET %s: status %d, want %d", tc.path, got, tc.want)
+		}
+	}
+}
+
+// TestMetricsCardinalityIsBoundedByTenants: /metrics has series for the
+// tenants the registry holds and for no other name, whatever clients ask for
+// and whichever tenants have come and gone.
+func TestMetricsCardinalityIsBoundedByTenants(t *testing.T) {
+	_, c := newTestServer(t, Config{MaxQueriesPerTenant: 4})
+	ctx := context.Background()
+	for i := 0; i < 1000; i++ {
+		if got := getStatus(t, c, fmt.Sprintf("/v1/tenants/ghost-%d/reach?src=a&dest=10.0.0.0/24", i)); got != 404 {
+			t.Fatalf("reach on a tenant nobody opened: status %d", got)
+		}
+	}
+	exp, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(exp, "ghost-") {
+		t.Fatalf("/metrics carries names no tenant ever had (%d bytes)", len(exp))
+	}
+	if !strings.Contains(exp, `bonsaid_request_seconds_count{tenant="-",op="reach"} 1000`) {
+		t.Fatalf("the 1000 refused requests are not counted under the tenant-less label:\n%s", exp)
+	}
+
+	openFattree(t, c, "passing", 4)
+	l := netgen.Fattree(4, netgen.PolicyShortestPath).Links[0]
+	if _, err := c.Apply(ctx, "passing", bonsai.Delta{LinkDown: []bonsai.LinkRef{{A: l.A, B: l.B}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Reach(ctx, "passing", "edge-0-0", "10.0.0.0/24", false); err != nil {
+		t.Fatal(err)
+	}
+	if exp, err = c.Metrics(ctx); err != nil || !strings.Contains(exp, `bonsaid_request_seconds_count{tenant="passing",op="open"} 1`) {
+		t.Fatalf("a live tenant's requests are not labelled with it (%v):\n%s", err, exp)
+	}
+	if err := c.Close(ctx, "passing"); err != nil {
+		t.Fatal(err)
+	}
+	if exp, err = c.Metrics(ctx); err != nil || strings.Contains(exp, "passing") {
+		t.Fatalf("a closed tenant's series outlive it (%v):\n%s", err, exp)
+	}
+}

@@ -18,6 +18,7 @@ package verify
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"runtime"
@@ -263,6 +264,10 @@ func ClassReach(ctx context.Context, b *build.Builder, comp *policy.Compiler, cl
 	return s.reach, err
 }
 
+// ErrUnknownRouter is wrapped when a query names a source router the network
+// does not have.
+var ErrUnknownRouter = errors.New("verify: unknown source router")
+
 // ResolveQuery names the class and the source router of a reachability
 // query: an index walk and a name lookup, no allocation.
 func ResolveQuery(b *build.Builder, srcName, destPrefix string) (ec.Class, topo.NodeID, error) {
@@ -272,7 +277,7 @@ func ResolveQuery(b *build.Builder, srcName, destPrefix string) (ec.Class, topo.
 	}
 	src, ok := b.G.Lookup(srcName)
 	if !ok {
-		return ec.Class{}, 0, fmt.Errorf("verify: unknown source router %q", srcName)
+		return ec.Class{}, 0, fmt.Errorf("%w %q", ErrUnknownRouter, srcName)
 	}
 	return cls, src, nil
 }

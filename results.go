@@ -49,12 +49,6 @@ type CacheStats struct {
 	// only (a report's Cache snapshot leaves them zero).
 	ReachMemoHits   int64 `json:"reach_memo_hits,omitempty"`
 	ReachMemoMisses int64 `json:"reach_memo_misses,omitempty"`
-	// ReachIndexMismatches counts the Reach/ReachConcrete queries whose class
-	// by index lookup differed from a fresh enumeration of the snapshot's
-	// classes (one query in four, by the engine's query count, is
-	// cross-checked at this stage of the indexed read path's rollout) — zero
-	// in a healthy engine.
-	ReachIndexMismatches int64 `json:"reach_index_mismatches,omitempty"`
 }
 
 // BDDStats is a snapshot of the engine's BDD layer: the live footprint of
