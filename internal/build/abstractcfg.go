@@ -58,10 +58,10 @@ func (b *Builder) AbstractConfig(cls ec.Class, abs *core.Abstraction) (*config.N
 	// neighbor in the peer group (transfer-equivalence makes any live choice
 	// behave identically; the representative edge is preferred because it is
 	// known live for this class).
-	for _, e := range abs.AbsG.Edges() {
+	for k, e := range abs.AbsG.Edges() {
 		gu, gv := groupOf[e.U], groupOf[e.V]
 		repID := abs.Groups[gu][0]
-		cand, ok := b.neighborInGroup(abs, e, repID, gv)
+		cand, ok := b.neighborInGroup(abs, k, repID, gv)
 		if !ok {
 			continue
 		}
@@ -94,7 +94,7 @@ func (b *Builder) AbstractConfig(cls ec.Class, abs *core.Abstraction) (*config.N
 	// constant drop and omitted from the abstract graph). Backfill missing
 	// peer-side neighbor entries, again resolving names through the peer
 	// group's own representative.
-	for _, e := range abs.AbsG.Edges() {
+	for k, e := range abs.AbsG.Edges() {
 		peerR := out.Routers[abs.AbsG.Name(e.V)]
 		self := abs.AbsG.Name(e.U)
 		if peerR.BGP == nil || peerR.BGP.Neighbors[self] != nil {
@@ -103,7 +103,7 @@ func (b *Builder) AbstractConfig(cls ec.Class, abs *core.Abstraction) (*config.N
 		gv := groupOf[e.V]
 		vRepID := abs.Groups[gv][0]
 		vRep := b.routers[vRepID]
-		cand, ok := b.neighborInGroup(abs, topo.Edge{U: e.V, V: e.U}, vRepID, groupOf[e.U])
+		cand, ok := b.neighborInGroup(abs, int(rev[k]), vRepID, groupOf[e.U])
 		if !ok || vRep.BGP == nil {
 			continue
 		}
@@ -119,11 +119,14 @@ func (b *Builder) AbstractConfig(cls ec.Class, abs *core.Abstraction) (*config.N
 }
 
 // neighborInGroup returns a concrete neighbor of node u belonging to group
-// gi, preferring the representative edge of abstract edge e (known live for
-// the class) and falling back to the first successor in the group.
-func (b *Builder) neighborInGroup(abs *core.Abstraction, e topo.Edge, u topo.NodeID, gi int) (topo.NodeID, bool) {
-	if re, ok := abs.RepEdge[e]; ok && re.U == u && abs.F[re.V] == gi {
-		return re.V, true
+// gi, preferring the representative edge of abstract edge k (known live for
+// the class; k < 0 when the abstract graph lacks the edge) and falling back
+// to the first successor in the group.
+func (b *Builder) neighborInGroup(abs *core.Abstraction, k int, u topo.NodeID, gi int) (topo.NodeID, bool) {
+	if k >= 0 {
+		if re := abs.RepEdge[k]; re.U == u && abs.F[re.V] == gi {
+			return re.V, true
+		}
 	}
 	for _, v := range b.G.Succ(u) {
 		if abs.F[v] == gi {

@@ -8,7 +8,6 @@ package build
 
 import (
 	"fmt"
-	"net/netip"
 
 	"bonsai/internal/config"
 	"bonsai/internal/core"
@@ -23,9 +22,16 @@ type redistFlags struct {
 	ospf, static bool
 }
 
+func redistOf(r *config.Router) redistFlags {
+	if r.BGP == nil {
+		return redistFlags{}
+	}
+	return redistFlags{ospf: r.BGP.RedistributeOSPF, static: r.BGP.RedistributeStatic}
+}
+
 // copyGroups inverts abs.Copies: abstract node -> group index.
-func copyGroups(abs *core.Abstraction) map[topo.NodeID]int {
-	groupOf := make(map[topo.NodeID]int, abs.AbsG.NumNodes())
+func copyGroups(abs *core.Abstraction) []int {
+	groupOf := make([]int, abs.AbsG.NumNodes())
 	for gi, copies := range abs.Copies {
 		for _, c := range copies {
 			groupOf[c] = gi
@@ -39,19 +45,6 @@ func (b *Builder) groupRep(abs *core.Abstraction, gi int) *config.Router {
 	return b.routers[abs.Groups[gi][0]]
 }
 
-// instanceTables collects the per-edge protocol state of one SRP instance.
-type instanceTables struct {
-	bgpEdges  map[topo.Edge]bool
-	ibgp      map[topo.Edge]bool
-	expPol    map[topo.Edge]rmRef
-	impPol    map[topo.Edge]rmRef
-	ospfEdges map[topo.Edge]bool
-	ospfCost  map[topo.Edge]int
-	ospfCross map[topo.Edge]bool
-	statics   map[topo.Edge]bool
-	redist    map[topo.NodeID]redistFlags
-}
-
 // Instance builds the concrete SRP instance of one destination class: the
 // full topology, the class's origin router as destination, and the §6
 // multi-protocol attribute combining BGP, OSPF and static routing through
@@ -61,17 +54,11 @@ func (b *Builder) Instance(cls ec.Class) (*srp.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	statics := b.staticMask(cls)
-	t := newInstanceTables()
-	for i, e := range b.tab.edges {
-		t.add(e, b.tab, i, statics.has(i))
+	redist := make([]redistFlags, len(b.routers))
+	for u, r := range b.routers {
+		redist[u] = redistOf(r)
 	}
-	for _, u := range b.G.Nodes() {
-		if bgp := b.routers[u].BGP; bgp != nil {
-			t.redist[u] = redistFlags{ospf: bgp.RedistributeOSPF, static: bgp.RedistributeStatic}
-		}
-	}
-	return &srp.Instance{G: b.G, Dest: dest, P: t.protocol(cls.Prefix, b.routers[dest])}, nil
+	return &srp.Instance{G: b.G, Dest: dest, P: b.protocol(cls, nil, redist, b.routers[dest])}, nil
 }
 
 // AbstractInstance builds the SRP instance of the compressed network for the
@@ -82,29 +69,22 @@ func (b *Builder) AbstractInstance(cls ec.Class, abs *core.Abstraction) (*srp.In
 	if _, err := b.destOf(cls); err != nil {
 		return nil, err
 	}
-	statics := b.staticMask(cls)
-	groupOf := copyGroups(abs)
-	t := newInstanceTables()
-	for _, e := range abs.AbsG.Edges() {
-		rep, ok := abs.RepEdge[e]
-		if !ok {
-			return nil, fmt.Errorf("build: abstract edge %s->%s has no representative",
-				abs.AbsG.Name(e.U), abs.AbsG.Name(e.V))
-		}
+	// of[k] is the concrete edge abstract edge k behaves like.
+	of := make([]int32, len(abs.RepEdge))
+	for k, rep := range abs.RepEdge {
 		i, ok := b.G.EdgeIndex(rep.U, rep.V)
 		if !ok {
+			e := abs.AbsG.Edges()[k]
 			return nil, fmt.Errorf("build: abstract edge %s->%s: representative (%d,%d) is not an edge of this network",
 				abs.AbsG.Name(e.U), abs.AbsG.Name(e.V), rep.U, rep.V)
 		}
-		t.add(e, b.tab, i, statics.has(i))
+		of[k] = int32(i)
 	}
-	for _, c := range abs.AbsG.Nodes() {
-		if bgp := b.groupRep(abs, groupOf[c]).BGP; bgp != nil {
-			t.redist[c] = redistFlags{ospf: bgp.RedistributeOSPF, static: bgp.RedistributeStatic}
-		}
+	redist := make([]redistFlags, abs.AbsG.NumNodes())
+	for c, gi := range copyGroups(abs) {
+		redist[c] = redistOf(b.groupRep(abs, gi))
 	}
-	destRouter := b.routers[abs.Dest]
-	return &srp.Instance{G: abs.AbsG, Dest: abs.AbsDest, P: t.protocol(cls.Prefix, destRouter)}, nil
+	return &srp.Instance{G: abs.AbsG, Dest: abs.AbsDest, P: b.protocol(cls, of, redist, b.routers[abs.Dest])}, nil
 }
 
 // AbstractACLPermitFunc returns the dataplane ACL verdict function for the
@@ -113,91 +93,75 @@ func (b *Builder) AbstractInstance(cls ec.Class, abs *core.Abstraction) (*srp.In
 // together to share the verdict, which the edge key guarantees).
 func (b *Builder) AbstractACLPermitFunc(cls ec.Class, abs *core.Abstraction) func(u, v topo.NodeID) bool {
 	return func(u, v topo.NodeID) bool {
-		rep, ok := abs.RepEdge[topo.Edge{U: u, V: v}]
+		k, ok := abs.AbsG.EdgeIndex(u, v)
 		if !ok {
 			return true
 		}
+		rep := abs.RepEdge[k]
 		return b.aclPermit(rep.U, rep.V, cls)
 	}
 }
 
-func newInstanceTables() *instanceTables {
-	return &instanceTables{
-		bgpEdges:  make(map[topo.Edge]bool),
-		ibgp:      make(map[topo.Edge]bool),
-		expPol:    make(map[topo.Edge]rmRef),
-		impPol:    make(map[topo.Edge]rmRef),
-		ospfEdges: make(map[topo.Edge]bool),
-		ospfCost:  make(map[topo.Edge]int),
-		ospfCross: make(map[topo.Edge]bool),
-		statics:   make(map[topo.Edge]bool),
-		redist:    make(map[topo.NodeID]redistFlags),
+// gather lays src out along an instance's edges: out[k] = src[of[k]]. A nil
+// of is the concrete instance, whose edge k is concrete edge k, so it shares
+// the Builder's vector instead of copying it.
+func gather[T any](src []T, of []int32) []T {
+	if of == nil || src == nil {
+		return src
 	}
+	out := make([]T, len(of))
+	for k, i := range of {
+		out[k] = src[i]
+	}
+	return out
 }
 
-// add gives instance edge e the protocol behaviour of concrete edge i: e
-// itself in a concrete instance, e's representative in an abstract one.
-func (t *instanceTables) add(e topo.Edge, tab *edgeTables, i int, static bool) {
-	if si := tab.shapeOf[i]; si >= 0 {
-		sess := &tab.shapes[si]
-		t.bgpEdges[e] = true
-		if sess.ibgp {
-			t.ibgp[e] = true
+// protocol assembles the §6 multi-protocol SRP protocol of an instance whose
+// edge k behaves like concrete edge of[k] — k itself when of is nil (the
+// concrete instance), the representative's index in an abstract one — and
+// whose node v redistributes as redist[v] says. Every per-edge table is the
+// Builder's own vector gathered through of.
+func (b *Builder) protocol(cls ec.Class, of []int32, redist []redistFlags, destRouter *config.Router) srp.Protocol {
+	tab, pfx := b.tab, cls.Prefix
+	shapeOf := gather(tab.shapeOf, of)
+	cost := gather(tab.ospfCost, of)
+	n := len(shapeOf)
+	bgpEdges, ibgp, ospfEdges := make([]bool, n), make([]bool, n), make([]bool, n)
+	for k, si := range shapeOf {
+		if si >= 0 {
+			bgpEdges[k], ibgp[k] = true, tab.shapes[si].ibgp
 		}
-		if sess.expMap != "" {
-			t.expPol[e] = rmRef{env: sess.expEnv, name: sess.expMap}
-		}
-		if sess.impMap != "" {
-			t.impPol[e] = rmRef{env: sess.impEnv, name: sess.impMap}
-		}
+		ospfEdges[k] = cost[k] >= 0
 	}
-	if c := tab.ospfCost[i]; c >= 0 {
-		t.ospfEdges[e] = true
-		t.ospfCost[e] = int(c)
-		if tab.ospfCross[i] {
-			t.ospfCross[e] = true
-		}
-	}
-	if static {
-		t.statics[e] = true
-	}
-}
-
-// protocol assembles the §6 multi-protocol SRP protocol from the tables.
-func (t *instanceTables) protocol(pfx netip.Prefix, destRouter *config.Router) srp.Protocol {
-	exp := func(e topo.Edge, a *protocols.BGPAttr) *protocols.BGPAttr {
-		if r, ok := t.expPol[e]; ok {
-			return r.env.EvalRouteMap(r.name, pfx, a)
+	exp := func(k int, _ topo.Edge, a *protocols.BGPAttr) *protocols.BGPAttr {
+		if sess := &tab.shapes[shapeOf[k]]; sess.expMap != "" {
+			return sess.expEnv.EvalRouteMap(sess.expMap, pfx, a)
 		}
 		return a
 	}
-	imp := func(e topo.Edge, a *protocols.BGPAttr) *protocols.BGPAttr {
-		if r, ok := t.impPol[e]; ok {
-			return r.env.EvalRouteMap(r.name, pfx, a)
+	imp := func(k int, _ topo.Edge, a *protocols.BGPAttr) *protocols.BGPAttr {
+		if sess := &tab.shapes[shapeOf[k]]; sess.impMap != "" {
+			return sess.impEnv.EvalRouteMap(sess.impMap, pfx, a)
 		}
 		return a
 	}
-	redist := func(v topo.NodeID, src protocols.RouteSource) bool {
-		r, ok := t.redist[v]
-		if !ok {
-			return false
-		}
+	redistributes := func(v topo.NodeID, src protocols.RouteSource) bool {
 		switch src {
 		case protocols.SrcOSPF:
-			return r.ospf
+			return redist[v].ospf
 		case protocols.SrcStatic:
-			return r.static
+			return redist[v].static
 		default:
 			return false
 		}
 	}
 	return &protocols.Multi{
-		BGP:        &protocols.BGP{Export: exp, Import: imp, IBGP: t.ibgp},
-		OSPF:       &protocols.OSPF{Cost: t.ospfCost, CrossArea: t.ospfCross},
-		Static:     &protocols.Static{Routes: t.statics},
-		BGPEdges:   t.bgpEdges,
-		OSPFEdges:  t.ospfEdges,
-		Redist:     redist,
+		BGP:        &protocols.BGP{Export: exp, Import: imp, IBGP: ibgp},
+		OSPF:       &protocols.OSPF{Cost: cost, CrossArea: gather(tab.ospfCross, of)},
+		Static:     &protocols.Static{Routes: gather([]bool(b.staticMask(cls)), of)},
+		BGPEdges:   bgpEdges,
+		OSPFEdges:  ospfEdges,
+		Redist:     redistributes,
 		OriginBGP:  destRouter.BGP != nil,
 		OriginOSPF: destRouter.OSPF != nil,
 	}

@@ -126,30 +126,58 @@ func newBuilder(t *testing.T, cfg *config.Network) (*Builder, *policy.Compiler) 
 	return b, comp
 }
 
-// TestAdoptedAbstractionsSatisfyConditions: every abstraction carried across
-// one core-link-down by AdoptFrom, on the successor's graph and edge keys.
-func TestAdoptedAbstractionsSatisfyConditions(t *testing.T) {
-	cfg := netgen.Fattree(6, netgen.PolicyShortestPath)
-	old, oldComp := newBuilder(t, cfg)
-	compressAll(t, old, oldComp)
-
-	next := cfg.Clone()
-	down := -1
-	for i, l := range next.Links {
+// fattreeCoreLinkFlap returns Fattree(6) twice, alike but for the state of
+// its first core link.
+func fattreeCoreLinkFlap(t *testing.T) (up, down *config.Network) {
+	t.Helper()
+	up = netgen.Fattree(6, netgen.PolicyShortestPath)
+	down = up.Clone()
+	for i, l := range down.Links {
 		if strings.HasPrefix(l.A, "core-") || strings.HasPrefix(l.B, "core-") {
-			down = i
-			break
+			down.Links[i].Down = true
+			return up, down
 		}
 	}
-	if down < 0 {
-		t.Fatal("the fat-tree has no core link")
-	}
-	next.Links[down].Down = true
-	b, comp := newBuilder(t, next)
+	t.Fatal("the fat-tree has no core link")
+	return nil, nil
+}
+
+// checkAdopted compresses every class of from, adopts what it can into a
+// Builder of to, and checks everything adopted on to's graph and edge keys.
+func checkAdopted(t *testing.T, cell string, from, to *config.Network) {
+	t.Helper()
+	old, oldComp := newBuilder(t, from)
+	compressAll(t, old, oldComp)
+	b, comp := newBuilder(t, to)
 	if _, err := b.AdoptFrom(context.Background(), comp, old, AdoptDelta{}); err != nil {
 		t.Fatal(err)
 	}
-	checkHeld(t, b, comp, "adopted", func(_ int, e *absEntry) bool { return e.src == ProvAdopted })
+	checkHeld(t, b, comp, cell, func(_ int, e *absEntry) bool { return e.src == ProvAdopted })
+}
+
+// TestAdoptedAbstractionsSatisfyConditions: every abstraction carried across
+// one core-link-down by AdoptFrom.
+func TestAdoptedAbstractionsSatisfyConditions(t *testing.T) {
+	up, down := fattreeCoreLinkFlap(t)
+	checkAdopted(t, "adopted", up, down)
+}
+
+// TestAdoptedAfterLinkUpSatisfyConditions: the other direction — the network
+// compressed with the core link down, everything AdoptFrom carries across its
+// coming up (the successor gains edges no representative names).
+func TestAdoptedAfterLinkUpSatisfyConditions(t *testing.T) {
+	up, down := fattreeCoreLinkFlap(t)
+	checkAdopted(t, "adopted-after-link-up", down, up)
+}
+
+// TestColourSplitAbstractionsSatisfyConditions: every abstraction whose
+// groups the greedy self-loop-freedom colouring divided. An odd ring splits
+// in every class: each non-destination group is a pair of routers equidistant
+// from the destination, and the pair farthest from it is adjacent.
+func TestColourSplitAbstractionsSatisfyConditions(t *testing.T) {
+	b, comp := newBuilder(t, netgen.Ring(13))
+	compressAll(t, b, comp)
+	checkHeld(t, b, comp, "colour-split", func(_ int, e *absEntry) bool { return e.abs.ColorSplits > 0 })
 }
 
 // TestTransportedAbstractionsSatisfyConditions: every abstraction a verified

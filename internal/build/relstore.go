@@ -275,21 +275,12 @@ func appendEntry(p []byte, e *absEntry, prefix string) []byte {
 		p = binary.AppendUvarint(p, uint64(e.U))
 		p = binary.AppendUvarint(p, uint64(e.V))
 	}
+	// Representatives, each beside the abstract edge it stands for, in
+	// AbsG.Edges() order.
 	p = binary.AppendUvarint(p, uint64(len(a.RepEdge)))
-	reps := make([]topo.Edge, 0, len(a.RepEdge))
-	for ae := range a.RepEdge {
-		reps = append(reps, ae)
-	}
-	slices.SortFunc(reps, func(x, y topo.Edge) int {
-		if x.U != y.U {
-			return int(x.U) - int(y.U)
-		}
-		return int(x.V) - int(y.V)
-	})
-	for _, ae := range reps {
-		ce := a.RepEdge[ae]
-		p = binary.AppendUvarint(p, uint64(ae.U))
-		p = binary.AppendUvarint(p, uint64(ae.V))
+	for k, ce := range a.RepEdge {
+		p = binary.AppendUvarint(p, uint64(absEdges[k].U))
+		p = binary.AppendUvarint(p, uint64(absEdges[k].V))
 		p = binary.AppendUvarint(p, uint64(ce.U))
 		p = binary.AppendUvarint(p, uint64(ce.V))
 	}
@@ -513,20 +504,33 @@ func (b *Builder) decodeEntry(d *relDec) (*stagedClass, error) {
 		}
 		g.AddEdge(topo.NodeID(u), topo.NodeID(v))
 	}
+	if g.NumEdges() != nAbsEdges {
+		// AddEdge folds a repeated edge onto the first.
+		return nil, fmt.Errorf("build: relation store: repeated abstract edge")
+	}
 	a.AbsG = g
+	// One representative per abstract edge, in Edges() order, each an edge of
+	// this network: AbstractInstance would refuse anything else on every
+	// query, and a loaded entry is never recompressed.
+	absEdges := g.Edges()
 	nRep := d.count(4)
-	a.RepEdge = make(map[topo.Edge]topo.Edge, nRep)
-	for i := 0; i < nRep; i++ {
+	if nRep != nAbsEdges {
+		return nil, fmt.Errorf("build: relation store: %d representatives for %d abstract edges", nRep, nAbsEdges)
+	}
+	a.RepEdge = make([]topo.Edge, nRep)
+	for k := range a.RepEdge {
 		aU, aV := d.uv(), d.uv()
 		cU, cV := d.uv(), d.uv()
 		if d.err != nil {
 			return nil, d.err
 		}
-		if aU >= uint64(nAbs) || aV >= uint64(nAbs) || cU >= uint64(numNodes) || cV >= uint64(numNodes) {
-			return nil, fmt.Errorf("build: relation store: representative edge out of range")
+		if ae := absEdges[k]; aU != uint64(ae.U) || aV != uint64(ae.V) {
+			return nil, fmt.Errorf("build: relation store: representative %d is out of abstract edge order", k)
 		}
-		a.RepEdge[topo.Edge{U: topo.NodeID(aU), V: topo.NodeID(aV)}] =
-			topo.Edge{U: topo.NodeID(cU), V: topo.NodeID(cV)}
+		if cU >= uint64(numNodes) || cV >= uint64(numNodes) || !b.G.HasEdge(topo.NodeID(cU), topo.NodeID(cV)) {
+			return nil, fmt.Errorf("build: relation store: representative (%d,%d) is not an edge of this network", cU, cV)
+		}
+		a.RepEdge[k] = topo.Edge{U: topo.NodeID(cU), V: topo.NodeID(cV)}
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -548,6 +552,10 @@ func (b *Builder) decodeEntry(d *relDec) (*stagedClass, error) {
 		}
 	}
 	for _, grp := range a.Groups {
+		if len(grp) == 0 {
+			// A group's first member is its representative router.
+			return nil, fmt.Errorf("build: relation store: class %q: empty group", sc.prefix)
+		}
 		for _, u := range grp {
 			if int(u) >= numNodes {
 				return nil, fmt.Errorf("build: relation store: class %q: group member out of range", sc.prefix)

@@ -3,12 +3,15 @@ package build
 import (
 	"bytes"
 	"context"
-	"maps"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"bonsai/internal/config"
+	"bonsai/internal/frame"
 	"bonsai/internal/netgen"
 )
 
@@ -88,7 +91,7 @@ func TestRelationStoreRoundTrip(t *testing.T) {
 			abs1.ColorSplits != abs2.ColorSplits {
 			t.Fatalf("class %v: loaded abstraction differs from original", cls.Prefix)
 		}
-		if !maps.Equal(abs1.RepEdge, abs2.RepEdge) {
+		if !slices.Equal(abs1.RepEdge, abs2.RepEdge) {
 			t.Fatalf("class %v: representative edges differ", cls.Prefix)
 		}
 		if abs1.AbsG.NumNodes() != abs2.AbsG.NumNodes() || abs1.AbsG.NumLinks() != abs2.AbsG.NumLinks() {
@@ -169,6 +172,54 @@ func TestRelationStoreRejectsCorruption(t *testing.T) {
 				t.Fatalf("partial install after rejected load: n=%d live=%d", n, st.LiveBytes)
 			}
 		})
+	}
+}
+
+// TestRelationStoreRejectsUnusableAbstractions: a store whose representatives
+// do not line up with its abstract edges or name a pair of routers that is
+// not an edge, or one with a memberless group, is a writer bug or a crafted
+// file behind a valid CRC and config hash. No abstract instance can be built
+// from such an abstraction and a loaded entry is never recompressed, so the
+// load is refused whole and the Builder stays cold.
+func TestRelationStoreRejectsUnusableAbstractions(t *testing.T) {
+	count, payload := relstorePayload(t)
+	net := netgen.Fattree(4, netgen.PolicyShortestPath)
+	for name, bad := range unusableAbstractions(t, payload) {
+		t.Run(name, func(t *testing.T) {
+			b, comp := newBuilder(t, net)
+			before := b.AbstractionCacheStats()
+			n, err := b.loadRelationStore(frame.Encode(relStoreMagic, relStoreEnd, count, bad))
+			if err == nil {
+				t.Fatalf("the store loaded (%d entries)", n)
+			}
+			if after := b.AbstractionCacheStats(); n != 0 || after != before {
+				t.Fatalf("refused load (%v) installed %d entries; stats %+v, were %+v", err, n, after, before)
+			}
+			if _, prov, err := b.CompressTagged(context.Background(), comp, b.Classes()[0]); err != nil || prov != ProvFresh {
+				t.Fatalf("first Compress after the refused load: provenance %v, err %v; want fresh", prov, err)
+			}
+		})
+	}
+}
+
+// TestRelationStoreBytesUnchanged: representatives became a vector without
+// the file moving a byte. The hash is the Fattree(4, shortest-path) store's
+// as PR 22 wrote it (1 790 bytes), so a store sealed before the change loads
+// after it and the magic keeps its version.
+func TestRelationStoreBytesUnchanged(t *testing.T) {
+	const want = "351106c40274fd6bc9fa9cd0338005e2445dbaa73ff197e6627f6262a3387698"
+	b, err := New(netgen.Fattree(4, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := saveToBuffer(t, b)
+	if got := fmt.Sprintf("%x", sha256.Sum256(first)); got != want {
+		t.Fatalf("store is %d bytes with SHA-256 %s, want %s", len(first), got, want)
+	}
+	for i := 0; i < 4; i++ {
+		if !bytes.Equal(b.encodeRelationStore(), first) {
+			t.Fatalf("encode %d differs from the first", i+2)
+		}
 	}
 }
 

@@ -178,9 +178,8 @@ func (b *Builder) SetAbstractionBudget(bytes int64) {
 // store's job is to bound what *retention of entries* adds.
 func entryBytes(e *absEntry) int64 {
 	const (
-		word   = 8
-		slice  = 24 // slice header
-		mapEnt = 48 // conservative per-map-entry overhead
+		word  = 8
+		slice = 24 // slice header
 	)
 	n := int64(160) // entry struct + LRU links + channel
 	n += int64(len(e.fp))
@@ -205,7 +204,7 @@ func entryBytes(e *absEntry) int64 {
 		for _, c := range a.Copies {
 			n += word * int64(cap(c))
 		}
-		n += mapEnt * int64(len(a.RepEdge))
+		n += slice + 2*word*int64(cap(a.RepEdge))
 		n += slice + int64(cap(a.Live))
 		if a.AbsG != nil {
 			n += graphBytes(a.AbsG)

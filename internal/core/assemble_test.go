@@ -168,7 +168,7 @@ func assembleReference(g *topo.Graph, dest topo.NodeID, groupOf []int, opt core.
 			pairs++
 		}
 	}
-	abs.RepEdge = make(map[topo.Edge]topo.Edge, pairs)
+	repOf := make(map[topo.Edge]topo.Edge, pairs)
 	for s := 0; s < len(prs); {
 		t := s + 1
 		for t < len(prs) && prs[t].pair == prs[s].pair {
@@ -182,14 +182,20 @@ func assembleReference(g *topo.Graph, dest topo.NodeID, groupOf []int, opt core.
 					continue
 				}
 				absG.AddEdge(ca, cb)
-				if _, ok := abs.RepEdge[topo.Edge{U: ca, V: cb}]; !ok {
-					abs.RepEdge[topo.Edge{U: ca, V: cb}] = rep
+				if _, ok := repOf[topo.Edge{U: ca, V: cb}]; !ok {
+					repOf[topo.Edge{U: ca, V: cb}] = rep
 				}
 			}
 		}
 		s = t
 	}
 	abs.AbsG = absG
+	// The reference keys representatives by abstract edge; production holds
+	// them as the vector aligned with AbsG.Edges().
+	abs.RepEdge = make([]topo.Edge, 0, len(repOf))
+	for _, e := range absG.Edges() {
+		abs.RepEdge = append(abs.RepEdge, repOf[e])
+	}
 	return abs
 }
 

@@ -102,10 +102,13 @@ type Abstraction struct {
 	// Copies[g] lists the abstract node IDs for group g (one per BGP split
 	// case; a single entry for unsplit groups).
 	Copies [][]topo.NodeID
-	// RepEdge maps each abstract directed edge to a representative concrete
-	// edge; by transfer-equivalence any representative defines the abstract
-	// transfer function.
-	RepEdge map[topo.Edge]topo.Edge
+	// RepEdge gives, aligned with AbsG.Edges(), a representative concrete
+	// edge of each abstract directed edge; by transfer-equivalence any
+	// representative defines the abstract transfer function. The values are
+	// node pairs, not concrete edge indices: an abstraction adopted across a
+	// delta is its predecessor's object, and a link-down shifts the indices
+	// of the edges that survive it.
+	RepEdge []topo.Edge
 
 	// Live records, per edge index of the graph this abstraction was
 	// computed over, whether the directed edge can carry the destination
@@ -567,40 +570,36 @@ func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOption
 	// group's members ascend and so does each member's out-span, so the
 	// first live edge met toward a target group is that pair's first edge in
 	// g.Edges() order: its representative. A source group's few targets are
-	// then sorted, so pairs come out in ascending (source, target) order —
-	// AddEdge order is Succ order, which srp.Solve breaks ties by.
-	type absPair struct {
-		a, b int
-		rep  topo.Edge
+	// then sorted — AddEdge order is Succ order, which srp.Solve breaks ties
+	// by — and copy IDs ascend with the group index, so walking each copy of
+	// the source across the sorted targets adds the edges in AbsG.Edges()
+	// order: RepEdge grows aligned with it. (Targets are distinct and each
+	// group owns its copies, so no edge is added twice.)
+	type target struct {
+		b   int
+		rep topo.Edge
 	}
-	var pairs []absPair
+	var targets []target
 	reached := make([]int, ng) // reached[b] == a+1: source group a already has its edge into b
 	for a, ms := range groups {
-		first := len(pairs)
+		targets = targets[:0]
 		for _, u := range ms {
 			lo, hi := g.OutEdges(u)
 			for i := lo; i < hi; i++ {
 				if b := idx[edges[i].V]; live[i] && reached[b] != a+1 {
 					reached[b] = a + 1
-					pairs = append(pairs, absPair{a, b, edges[i]})
+					targets = append(targets, target{b, edges[i]})
 				}
 			}
 		}
-		slices.SortFunc(pairs[first:], func(x, y absPair) int { return x.b - y.b })
-	}
-	// Size RepEdge by distinct group pairs, not live edges: regular
-	// networks map tens of thousands of concrete edges onto a handful of
-	// abstract ones, and an over-sized map here dominates assembly cost.
-	abs.RepEdge = make(map[topo.Edge]topo.Edge, len(pairs))
-	for _, p := range pairs {
-		for _, ca := range abs.Copies[p.a] {
-			for _, cb := range abs.Copies[p.b] {
-				if ca == cb {
-					continue
-				}
-				absG.AddEdge(ca, cb)
-				if _, ok := abs.RepEdge[topo.Edge{U: ca, V: cb}]; !ok {
-					abs.RepEdge[topo.Edge{U: ca, V: cb}] = p.rep
+		slices.SortFunc(targets, func(x, y target) int { return x.b - y.b })
+		for _, ca := range abs.Copies[a] {
+			for _, t := range targets {
+				for _, cb := range abs.Copies[t.b] {
+					if ca != cb {
+						absG.AddEdge(ca, cb)
+						abs.RepEdge = append(abs.RepEdge, t.rep)
+					}
 				}
 			}
 		}

@@ -238,10 +238,13 @@ func TestRepEdgeConsistency(t *testing.T) {
 	g.AddLink(a, d)
 	g.AddLink(b, d)
 	abs := FindAbstraction(g, d, Options{Mode: ModeEffective, EdgeKey: uniformKey})
-	for _, e := range abs.AbsG.Edges() {
-		rep, ok := abs.RepEdge[e]
-		if !ok {
-			t.Fatalf("abstract edge %v has no representative", e)
+	if len(abs.RepEdge) != abs.AbsG.NumEdges() {
+		t.Fatalf("%d representatives for %d abstract edges", len(abs.RepEdge), abs.AbsG.NumEdges())
+	}
+	for k, e := range abs.AbsG.Edges() {
+		rep := abs.RepEdge[k]
+		if !g.HasEdge(rep.U, rep.V) {
+			t.Fatalf("abstract edge %v: representative %v is not an edge", e, rep)
 		}
 		if abs.FAbs(rep.U) != e.U || abs.FAbs(rep.V) != e.V {
 			t.Fatalf("representative %v does not map to %v", rep, e)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bonsai/internal/bdd"
@@ -36,7 +37,7 @@ func requireIdentical(t *testing.T, tag string, got, want *core.Abstraction) {
 	if !reflect.DeepEqual(got.Copies, want.Copies) {
 		t.Fatalf("%s: copies differ:\n got %v\nwant %v", tag, got.Copies, want.Copies)
 	}
-	if !reflect.DeepEqual(got.RepEdge, want.RepEdge) {
+	if !slices.Equal(got.RepEdge, want.RepEdge) {
 		t.Fatalf("%s: representative edges differ:\n got %v\nwant %v", tag, got.RepEdge, want.RepEdge)
 	}
 	if !reflect.DeepEqual(got.Live, want.Live) {

@@ -16,11 +16,10 @@ import (
 type FIB struct {
 	G    *topo.Graph
 	Dest topo.NodeID
-	// Next[u] lists u's forwarding next hops (possibly several under
-	// multipath).
+	// Next[u] lists the next hops traffic at u progresses to (possibly
+	// several under multipath): the control plane's forwarding edges less
+	// those whose ACL drops traffic to this destination.
 	Next [][]topo.NodeID
-	// Blocked marks edges whose ACL drops traffic to this destination.
-	Blocked map[topo.Edge]bool
 	// HasRoute[u] reports a non-⊥ control plane label at u.
 	HasRoute []bool
 }
@@ -32,26 +31,31 @@ func New(inst *srp.Instance, sol *srp.Solution, aclPermit func(u, v topo.NodeID)
 		G:        inst.G,
 		Dest:     inst.Dest,
 		Next:     sol.Fwd,
-		Blocked:  make(map[topo.Edge]bool),
 		HasRoute: make([]bool, inst.G.NumNodes()),
 	}
-	for _, u := range inst.G.Nodes() {
-		f.HasRoute[u] = sol.Label[u] != nil
-		if aclPermit == nil {
-			continue
+	for u, l := range sol.Label {
+		f.HasRoute[u] = l != nil
+	}
+	if aclPermit != nil {
+		// The permitted hops of every node, carved from one array; the
+		// solution keeps its own lists.
+		total := 0
+		for _, hops := range sol.Fwd {
+			total += len(hops)
 		}
-		for _, v := range sol.Fwd[u] {
-			if !aclPermit(u, v) {
-				f.Blocked[topo.Edge{U: u, V: v}] = true
+		buf := make([]topo.NodeID, 0, total)
+		f.Next = make([][]topo.NodeID, len(sol.Fwd))
+		for u, hops := range sol.Fwd {
+			start := len(buf)
+			for _, v := range hops {
+				if aclPermit(topo.NodeID(u), v) {
+					buf = append(buf, v)
+				}
 			}
+			f.Next[u] = buf[start:len(buf):len(buf)]
 		}
 	}
 	return f
-}
-
-// usable reports whether traffic at u progresses to v.
-func (f *FIB) usable(u, v topo.NodeID) bool {
-	return !f.Blocked[topo.Edge{U: u, V: v}]
 }
 
 // Reachable reports whether traffic from src can reach the destination
@@ -67,9 +71,6 @@ func (f *FIB) Reachable(src topo.NodeID) bool {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, v := range f.Next[u] {
-			if !f.usable(u, v) {
-				continue
-			}
 			if v == f.Dest {
 				return true
 			}
@@ -90,9 +91,7 @@ func (f *FIB) ReachableSet() []bool {
 	rev := make([][]topo.NodeID, n)
 	for u := 0; u < n; u++ {
 		for _, v := range f.Next[u] {
-			if f.usable(topo.NodeID(u), v) {
-				rev[v] = append(rev[v], topo.NodeID(u))
-			}
+			rev[v] = append(rev[v], topo.NodeID(u))
 		}
 	}
 	out := make([]bool, n)
@@ -124,9 +123,6 @@ func (f *FIB) HasLoop() bool {
 	visit = func(u topo.NodeID) bool {
 		color[u] = gray
 		for _, v := range f.Next[u] {
-			if !f.usable(u, v) {
-				continue
-			}
 			switch color[v] {
 			case gray:
 				return true
@@ -155,13 +151,7 @@ func (f *FIB) BlackHoles() []topo.NodeID {
 		if u == f.Dest {
 			continue
 		}
-		usable := 0
-		for _, v := range f.Next[u] {
-			if f.usable(u, v) {
-				usable++
-			}
-		}
-		if usable == 0 {
+		if len(f.Next[u]) == 0 {
 			out = append(out, u)
 		}
 	}
@@ -189,7 +179,7 @@ func (f *FIB) PathLengths(src topo.NodeID) (minLen, maxLen int, ok, maxOK bool) 
 			break
 		}
 		for _, v := range f.Next[s.u] {
-			if f.usable(s.u, v) && !seen[v] {
+			if !seen[v] {
 				seen[v] = true
 				queue = append(queue, state{v, s.depth + 1})
 			}
@@ -209,9 +199,6 @@ func (f *FIB) PathLengths(src topo.NodeID) (minLen, maxLen int, ok, maxOK bool) 
 		onPath[u] = true
 		best := -1
 		for _, v := range f.Next[u] {
-			if !f.usable(u, v) {
-				continue
-			}
 			if onPath[v] {
 				cyclic = true
 				continue
@@ -251,7 +238,7 @@ func (f *FIB) MultipathConsistent(src topo.NodeID) bool {
 			return false
 		}
 		for _, v := range f.Next[u] {
-			if f.usable(u, v) && !seen[v] {
+			if !seen[v] {
 				seen[v] = true
 				stack = append(stack, v)
 			}
@@ -277,7 +264,7 @@ func (f *FIB) Waypointed(src topo.NodeID, waypoints map[topo.NodeID]bool) bool {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, v := range f.Next[u] {
-			if !f.usable(u, v) || waypoints[v] {
+			if waypoints[v] {
 				continue
 			}
 			if v == f.Dest {

@@ -78,10 +78,12 @@ func TestLoopDetection(t *testing.T) {
 	g.AddLink(a, b)
 	g.AddLink(b, a)
 	g.AddLink(b, d)
-	p := &protocols.Static{Routes: map[topo.Edge]bool{
-		{U: a, V: b}: true,
-		{U: b, V: a}: true,
-	}}
+	routes := make([]bool, g.NumEdges())
+	for _, e := range []topo.Edge{{U: a, V: b}, {U: b, V: a}} {
+		i, _ := g.EdgeIndex(e.U, e.V)
+		routes[i] = true
+	}
+	p := &protocols.Static{Routes: routes}
 	inst := &srp.Instance{G: g, Dest: d, P: p}
 	sol, err := srp.Solve(inst)
 	if err != nil {

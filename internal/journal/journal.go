@@ -199,7 +199,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
 		path := filepath.Join(dir, last.name)
-		end, lastSeq, _, err := scanSegment(path, nil)
+		end, lastSeq, _, err := scanSegment(path, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -463,15 +463,20 @@ func syncDir(dir string) error {
 // scanSegment walks one segment's records, calling fn (when non-nil) for
 // each valid one, and returns the offset just past the last valid record
 // plus the last valid sequence seen (0 if none). Invalid framing — short
-// header, absurd length, CRC mismatch, truncated payload — ends the scan at
-// the last valid boundary; the caller decides whether that is a repairable
+// header, a length the file cannot hold, CRC mismatch, a sequence not above
+// the one before it (after, for the segment's first record) — ends the scan
+// at the last valid boundary; the caller decides whether that is a repairable
 // torn tail (final segment) or a reportable gap (records known to follow).
-func scanSegment(path string, fn func(seq uint64, payload []byte) error) (end int64, lastSeq uint64, nrec int, err error) {
+func scanSegment(path string, after uint64, fn func(seq uint64, payload []byte) error) (end int64, lastSeq uint64, nrec int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	var off int64
 	hdr := make([]byte, headerSize)
 	var payload []byte
@@ -480,10 +485,16 @@ func scanSegment(path string, fn func(seq uint64, payload []byte) error) (end in
 			return off, lastSeq, nrec, nil // clean EOF or torn header
 		}
 		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		if plen > maxRecordBytes {
-			return off, lastSeq, nrec, nil // corrupt length
+		if plen > maxRecordBytes || int64(plen) > fi.Size()-off-headerSize {
+			// Corrupt length or torn payload; either way it sizes no buffer.
+			return off, lastSeq, nrec, nil
 		}
 		seq := binary.LittleEndian.Uint64(hdr[4:12])
+		if seq <= after {
+			// An intact record out of order (a repeated block, a stale
+			// segment's bytes): delivering it would apply a delta twice.
+			return off, lastSeq, nrec, nil
+		}
 		want := binary.LittleEndian.Uint32(hdr[12:16])
 		if cap(payload) < int(plen) {
 			payload = make([]byte, plen)
@@ -503,7 +514,7 @@ func scanSegment(path string, fn func(seq uint64, payload []byte) error) (end in
 			}
 		}
 		off += int64(headerSize) + int64(plen)
-		lastSeq = seq
+		lastSeq, after = seq, seq
 		nrec++
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -211,6 +212,46 @@ func TestCorruptRecordGap(t *testing.T) {
 	}
 	if info.DroppedBytes != int64(len(data)) {
 		t.Fatalf("DroppedBytes=%d, want %d", info.DroppedBytes, len(data))
+	}
+}
+
+// TestReplayStopsAtOutOfOrderRecord: intact records whose sequence does not
+// rise — the log's first record written again at its end, or a stale copy of
+// the segment under a later name — are damage, not history: replay delivers
+// each delta once and reports the rest dropped.
+func TestReplayStopsAtOutOfOrderRecord(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Sync: SyncNever})
+	appendN(t, j, 3)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(dir, segName(1))
+	seg, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range map[string]func(){
+		"first record repeated": func() {
+			rec := seg[:headerSize+len("delta-001:")] // appendN's first record
+			if err := os.WriteFile(first, append(bytes.Clone(seg), rec...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"stale segment copy": func() {
+			if err := os.WriteFile(first, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, segName(4)), seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		damage()
+		seqs, _, info := collect(t, dir, 0)
+		if !slices.Equal(seqs, []uint64{1, 2, 3}) || !info.Truncated || info.DroppedBytes == 0 {
+			t.Fatalf("%s: delivered %v, info %+v; want 1 2 3 and the rest dropped", name, seqs, info)
+		}
 	}
 }
 

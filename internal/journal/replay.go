@@ -12,8 +12,8 @@ type ReplayInfo struct {
 	Records int    `json:"records"`
 	LastSeq uint64 `json:"last_seq"`
 	// Truncated reports that the scan stopped before the physical end of a
-	// segment: a torn final record (the benign kill -9 shape) or a corrupt
-	// one. Gap additionally reports that valid data is known to exist past
+	// segment: a torn final record (the benign kill -9 shape), a corrupt
+	// one, or an intact one whose sequence does not rise. Gap additionally reports that valid data is known to exist past
 	// the stop point — a corrupt record with intact records after it, or a
 	// whole unreadable segment followed by a later one — so the recovered
 	// prefix provably misses history. Gap is the soundness alarm; Truncated
@@ -47,6 +47,7 @@ func replayDir(dir string, fromSeq uint64, fn func(seq uint64, payload []byte) e
 	if err != nil {
 		return info, err
 	}
+	var after uint64 // the newest valid sequence of the segments scanned so far
 	for i, s := range segs {
 		path := filepath.Join(dir, s.name)
 		fi, statErr := os.Stat(path)
@@ -70,13 +71,14 @@ func replayDir(dir string, fromSeq uint64, fn func(seq uint64, payload []byte) e
 			info.LastSeq = seq
 			return nil
 		}
-		end, _, _, err := scanSegment(path, wrapped)
+		end, last, _, err := scanSegment(path, after, wrapped)
 		if os.IsNotExist(err) {
 			continue // reclaimed between stat and open; see above
 		}
 		if err != nil {
 			return info, err // fn's error, or the segment is unreadable
 		}
+		after = max(after, last)
 		if end < size {
 			info.Truncated = true
 			info.DroppedBytes += size - end

@@ -126,9 +126,10 @@ func (a *BGPAttr) String() string {
 // DefaultLocalPref is the BGP default local preference.
 const DefaultLocalPref uint32 = 100
 
-// PolicyFunc transforms an attribute crossing edge e, returning nil to drop
-// the route. Implementations must not mutate the argument.
-type PolicyFunc func(e topo.Edge, a *BGPAttr) *BGPAttr
+// PolicyFunc transforms an attribute crossing edge e, the i-th of the
+// instance graph's Edges(), returning nil to drop the route. Implementations
+// must not mutate the argument.
+type PolicyFunc func(i int, e topo.Edge, a *BGPAttr) *BGPAttr
 
 // BGP models eBGP. For an SRP edge e = (u, v) (u learns from v), Transfer
 // applies, in order: loop prevention (reject if u is on the path), the
@@ -144,22 +145,23 @@ type BGP struct {
 	// BGP-effective theory exists precisely because this mechanism breaks
 	// transfer-equivalence; disabling it is used in tests and ablations.
 	DisableLoopPrevention bool
-	// OriginComms are communities attached at the destination.
-	OriginComms CommSet
 	// IBGP marks edges carrying iBGP sessions (same AS on both ends): the
 	// AS path is not extended, local preference crosses the session (it is
 	// internal), and routes learned from iBGP are not re-advertised to
 	// other iBGP peers — the §6 simplification that lets iBGP neighbors
 	// compress together.
-	IBGP map[topo.Edge]bool
+	IBGP []bool
 }
+
+// marked reads a per-edge flag vector, nil meaning no edge is marked.
+func marked(v []bool, i int) bool { return v != nil && v[i] }
 
 // Name implements srp.Protocol.
 func (p *BGP) Name() string { return "bgp" }
 
-// Origin implements srp.Protocol: ad = (100, OriginComms, []).
+// Origin implements srp.Protocol: ad = (100, {}, []).
 func (p *BGP) Origin() srp.Attr {
-	return &BGPAttr{LP: DefaultLocalPref, Comms: p.OriginComms}
+	return &BGPAttr{LP: DefaultLocalPref}
 }
 
 // Compare implements srp.Protocol: local preference descending, then AS
@@ -193,12 +195,12 @@ func (p *BGP) Equal(x, y srp.Attr) bool {
 }
 
 // Transfer implements srp.Protocol.
-func (p *BGP) Transfer(e topo.Edge, x srp.Attr) srp.Attr {
+func (p *BGP) Transfer(i int, e topo.Edge, x srp.Attr) srp.Attr {
 	if x == nil {
 		return nil
 	}
 	a := x.(*BGPAttr)
-	ibgp := p.IBGP[e]
+	ibgp := marked(p.IBGP, i)
 	if ibgp && a.FromIBGP {
 		return nil // iBGP-learned routes are not re-advertised over iBGP
 	}
@@ -207,7 +209,7 @@ func (p *BGP) Transfer(e topo.Edge, x srp.Attr) srp.Attr {
 	}
 	cur := a
 	if p.Export != nil {
-		cur = p.Export(e, cur)
+		cur = p.Export(i, e, cur)
 		if cur == nil {
 			return nil
 		}
@@ -225,7 +227,7 @@ func (p *BGP) Transfer(e topo.Edge, x srp.Attr) srp.Attr {
 		next.LP = DefaultLocalPref
 	}
 	if p.Import != nil {
-		out := p.Import(e, next)
+		out := p.Import(i, e, next)
 		if out == nil {
 			return nil
 		}

@@ -75,8 +75,8 @@ type Multi struct {
 
 	// BGPEdges and OSPFEdges give the session/adjacency topology of each
 	// protocol; an SRP edge may carry several protocols.
-	BGPEdges  map[topo.Edge]bool
-	OSPFEdges map[topo.Edge]bool
+	BGPEdges  []bool
+	OSPFEdges []bool
 
 	// Redist reports whether router v redistributes routes learned from
 	// src into BGP (paper §6, route redistribution). nil means never.
@@ -86,18 +86,6 @@ type Multi struct {
 	// prefix into; SrcConnected is implied for the RIB winner.
 	OriginBGP  bool
 	OriginOSPF bool
-
-	// AD overrides administrative distances per source (nil = defaults).
-	AD map[RouteSource]int
-}
-
-func (p *Multi) ad(s RouteSource) int {
-	if p.AD != nil {
-		if d, ok := p.AD[s]; ok {
-			return d
-		}
-	}
-	return DefaultAD(s)
 }
 
 // Name implements srp.Protocol.
@@ -121,7 +109,7 @@ func (p *Multi) Origin() srp.Attr {
 // winner first, then the winning protocol's own comparison.
 func (p *Multi) Compare(x, y srp.Attr) int {
 	a, b := x.(*MultiAttr), y.(*MultiAttr)
-	da, db := p.ad(a.Best), p.ad(b.Best)
+	da, db := DefaultAD(a.Best), DefaultAD(b.Best)
 	if da != db {
 		return da - db
 	}
@@ -161,7 +149,7 @@ func (p *Multi) Equal(x, y srp.Attr) bool {
 
 // Transfer implements srp.Protocol: run each protocol over the edge, then
 // recompute the RIB winner by administrative distance.
-func (p *Multi) Transfer(e topo.Edge, x srp.Attr) srp.Attr {
+func (p *Multi) Transfer(i int, e topo.Edge, x srp.Attr) srp.Attr {
 	var in *MultiAttr
 	if x != nil {
 		in = x.(*MultiAttr)
@@ -169,8 +157,8 @@ func (p *Multi) Transfer(e topo.Edge, x srp.Attr) srp.Attr {
 	out := &MultiAttr{}
 
 	// OSPF propagates its own best route over OSPF adjacencies.
-	if p.OSPFEdges[e] && in != nil && in.OSPF != nil {
-		if r := p.OSPF.Transfer(e, *in.OSPF); r != nil {
+	if marked(p.OSPFEdges, i) && in != nil && in.OSPF != nil {
+		if r := p.OSPF.Transfer(i, e, *in.OSPF); r != nil {
 			o := r.(OSPFAttr)
 			out.OSPF = &o
 		}
@@ -178,7 +166,7 @@ func (p *Multi) Transfer(e topo.Edge, x srp.Attr) srp.Attr {
 
 	// BGP advertises the neighbor's RIB winner: a BGP route if BGP won, or
 	// a redistributed route when configured.
-	if p.BGPEdges[e] && in != nil {
+	if marked(p.BGPEdges, i) && in != nil {
 		var candidate *BGPAttr
 		switch {
 		case in.Best == SrcBGP || in.Best == SrcConnected:
@@ -189,29 +177,29 @@ func (p *Multi) Transfer(e topo.Edge, x srp.Attr) srp.Attr {
 			candidate = &BGPAttr{LP: DefaultLocalPref}
 		}
 		if candidate != nil {
-			if r := p.BGP.Transfer(e, candidate); r != nil {
+			if r := p.BGP.Transfer(i, e, candidate); r != nil {
 				out.BGP = r.(*BGPAttr)
 			}
 		}
 	}
 
 	// Static routes are local configuration and spontaneous.
-	if p.Static != nil && p.Static.Routes[e] {
+	if p.Static != nil && marked(p.Static.Routes, i) {
 		out.Static = true
 	}
 
-	out.Best = p.ribWinner(out)
+	out.Best = ribWinner(out)
 	if out.Best == SrcNone {
 		return nil
 	}
 	return out
 }
 
-func (p *Multi) ribWinner(a *MultiAttr) RouteSource {
+func ribWinner(a *MultiAttr) RouteSource {
 	best, bestAD := SrcNone, 1<<30
 	consider := func(s RouteSource, present bool) {
-		if present && p.ad(s) < bestAD {
-			best, bestAD = s, p.ad(s)
+		if present && DefaultAD(s) < bestAD {
+			best, bestAD = s, DefaultAD(s)
 		}
 	}
 	consider(SrcStatic, a.Static)

@@ -26,24 +26,12 @@ func (a OSPFAttr) String() string {
 // configured link cost, and crossing an inter-area edge sets the inter-area
 // flag.
 type OSPF struct {
-	// Cost maps an SRP edge (u, v) to the cost u pays to reach via v.
-	// Missing edges default to DefaultCost; edges absent from the OSPF
-	// process entirely should not be presented to Transfer.
-	Cost map[topo.Edge]int
+	// Cost gives, per edge (u, v), the cost u pays to reach via v; nil
+	// means every edge costs 1. Edges absent from the OSPF process entirely
+	// should not be presented to Transfer.
+	Cost []int32
 	// CrossArea marks edges that cross an area boundary.
-	CrossArea map[topo.Edge]bool
-	// DefaultCost is used for edges missing from Cost (zero means 1).
-	DefaultCost int
-}
-
-func (p *OSPF) cost(e topo.Edge) int {
-	if c, ok := p.Cost[e]; ok {
-		return c
-	}
-	if p.DefaultCost == 0 {
-		return 1
-	}
-	return p.DefaultCost
+	CrossArea []bool
 }
 
 // Name implements srp.Protocol.
@@ -73,12 +61,16 @@ func (p *OSPF) Equal(x, y srp.Attr) bool {
 }
 
 // Transfer implements srp.Protocol.
-func (p *OSPF) Transfer(e topo.Edge, x srp.Attr) srp.Attr {
+func (p *OSPF) Transfer(i int, e topo.Edge, x srp.Attr) srp.Attr {
 	if x == nil {
 		return nil
 	}
 	a := x.(OSPFAttr)
-	return OSPFAttr{Cost: a.Cost + p.cost(e), InterArea: a.InterArea || p.CrossArea[e]}
+	cost := 1
+	if p.Cost != nil {
+		cost = int(p.Cost[i])
+	}
+	return OSPFAttr{Cost: a.Cost + cost, InterArea: a.InterArea || marked(p.CrossArea, i)}
 }
 
 // MapNodes implements srp.NodeMapper; OSPF attributes carry no node names.

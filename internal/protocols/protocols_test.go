@@ -1,11 +1,26 @@
 package protocols
 
 import (
+	"fmt"
 	"testing"
 
 	"bonsai/internal/srp"
 	"bonsai/internal/topo"
 )
+
+// edgeVec lays a map-keyed edge table out as the vector aligned with
+// g.Edges() that the protocols read.
+func edgeVec[T any](g *topo.Graph, m map[topo.Edge]T) []T {
+	v := make([]T, g.NumEdges())
+	for e, x := range m {
+		i, ok := g.EdgeIndex(e.U, e.V)
+		if !ok {
+			panic(fmt.Sprintf("edgeVec: (%d,%d) is not an edge", e.U, e.V))
+		}
+		v[i] = x
+	}
+	return v
+}
 
 // chainGraph builds the Figure 1 topology: a - b1 - d, a - b2 - d.
 func chainGraph() (*topo.Graph, topo.NodeID, topo.NodeID, topo.NodeID, topo.NodeID) {
@@ -75,11 +90,11 @@ func TestOSPFCostsAndAreas(t *testing.T) {
 	g.AddLink(a, c)
 	g.AddLink(c, d)
 	p := &OSPF{
-		Cost: map[topo.Edge]int{
+		Cost: edgeVec(g, map[topo.Edge]int32{
 			{U: a, V: b}: 10, {U: b, V: d}: 10, // expensive path
 			{U: a, V: c}: 1, {U: c, V: d}: 1, // cheap path
-		},
-		CrossArea: map[topo.Edge]bool{{U: a, V: c}: true}, // but inter-area
+		}),
+		CrossArea: edgeVec(g, map[topo.Edge]bool{{U: a, V: c}: true}), // but inter-area
 	}
 	inst := &srp.Instance{G: g, Dest: d, P: p}
 	sol, err := srp.Solve(inst)
@@ -108,7 +123,7 @@ func TestBGPFigure5(t *testing.T) {
 	g.AddLink(b2, d)
 
 	tag := MakeCommunity(65001, 1)
-	export := func(e topo.Edge, at *BGPAttr) *BGPAttr {
+	export := func(_ int, e topo.Edge, at *BGPAttr) *BGPAttr {
 		if e.V == a { // a exporting (to anyone): add tag 1
 			out := at.Clone()
 			out.Comms = out.Comms.With(tag)
@@ -116,7 +131,7 @@ func TestBGPFigure5(t *testing.T) {
 		}
 		return at
 	}
-	imp := func(e topo.Edge, at *BGPAttr) *BGPAttr {
+	imp := func(_ int, e topo.Edge, at *BGPAttr) *BGPAttr {
 		if e.U == b2 && at.Comms.Has(tag) { // b2 prefers tagged routes
 			out := at.Clone()
 			out.LP = 200
@@ -171,7 +186,7 @@ func figure2() (*topo.Graph, *BGP, topo.NodeID, []topo.NodeID, topo.NodeID) {
 	g.AddLink(b2, b3)
 	g.AddLink(b1, b3)
 	isB := func(x topo.NodeID) bool { return x == b1 || x == b2 || x == b3 }
-	imp := func(e topo.Edge, at *BGPAttr) *BGPAttr {
+	imp := func(_ int, e topo.Edge, at *BGPAttr) *BGPAttr {
 		if isB(e.U) && isB(e.V) { // bi prefers routes via peer bj
 			out := at.Clone()
 			out.LP = 200
@@ -235,10 +250,10 @@ func TestStaticRoutes(t *testing.T) {
 	g.AddLink(a, b)
 	g.AddLink(b, d)
 	g.AddLink(c, d)
-	p := &Static{Routes: map[topo.Edge]bool{
+	p := &Static{Routes: edgeVec(g, map[topo.Edge]bool{
 		{U: a, V: b}: true,
 		{U: b, V: d}: true,
-	}}
+	})}
 	inst := &srp.Instance{G: g, Dest: d, P: p}
 	sol, err := srp.Solve(inst)
 	if err != nil {
@@ -263,10 +278,10 @@ func TestStaticLoopIsStable(t *testing.T) {
 	g.AddLink(a, b)
 	g.AddLink(b, a)
 	g.AddLink(b, d)
-	p := &Static{Routes: map[topo.Edge]bool{
+	p := &Static{Routes: edgeVec(g, map[topo.Edge]bool{
 		{U: a, V: b}: true,
 		{U: b, V: a}: true, // loop a <-> b
-	}}
+	})}
 	inst := &srp.Instance{G: g, Dest: d, P: p}
 	sol, err := srp.Solve(inst)
 	if err != nil {
@@ -313,14 +328,14 @@ func TestMultiProtocolADPreference(t *testing.T) {
 	m := &Multi{
 		BGP:    &BGP{},
 		OSPF:   &OSPF{},
-		Static: &Static{Routes: map[topo.Edge]bool{{U: b, V: a}: true}},
-		BGPEdges: map[topo.Edge]bool{
+		Static: &Static{Routes: edgeVec(g, map[topo.Edge]bool{{U: b, V: a}: true})},
+		BGPEdges: edgeVec(g, map[topo.Edge]bool{
 			{U: a, V: d}: true, {U: d, V: a}: true,
 			{U: b, V: a}: true, {U: a, V: b}: true,
-		},
-		OSPFEdges: map[topo.Edge]bool{
+		}),
+		OSPFEdges: edgeVec(g, map[topo.Edge]bool{
 			{U: a, V: d}: true, {U: d, V: a}: true,
-		},
+		}),
 		OriginBGP:  true,
 		OriginOSPF: true,
 	}
@@ -357,8 +372,8 @@ func TestMultiRedistribution(t *testing.T) {
 			BGP:        &BGP{},
 			OSPF:       &OSPF{},
 			Static:     &Static{},
-			BGPEdges:   map[topo.Edge]bool{{U: b, V: a}: true, {U: a, V: b}: true},
-			OSPFEdges:  map[topo.Edge]bool{{U: a, V: d}: true, {U: d, V: a}: true},
+			BGPEdges:   edgeVec(g, map[topo.Edge]bool{{U: b, V: a}: true, {U: a, V: b}: true}),
+			OSPFEdges:  edgeVec(g, map[topo.Edge]bool{{U: a, V: d}: true, {U: d, V: a}: true}),
 			OriginOSPF: true,
 		}
 	}

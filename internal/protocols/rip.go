@@ -2,6 +2,10 @@
 // treated in the paper (§3.2): RIP (distance vector), OSPF (link state with
 // areas), eBGP (path vector with policy and loop prevention), static routes,
 // and the multi-protocol main-RIB combination of §6.
+//
+// Every per-edge table here is a vector aligned with the instance graph's
+// Edges(), read at the index srp.Protocol.Transfer receives beside the edge;
+// a nil vector is the empty table.
 package protocols
 
 import (
@@ -44,7 +48,7 @@ func (r *RIP) Equal(a, b srp.Attr) bool {
 }
 
 // Transfer implements srp.Protocol: add one hop, drop at the limit.
-func (r *RIP) Transfer(e topo.Edge, a srp.Attr) srp.Attr {
+func (r *RIP) Transfer(i int, e topo.Edge, a srp.Attr) srp.Attr {
 	if a == nil {
 		return nil
 	}

@@ -15,7 +15,7 @@ import (
 type Static struct {
 	// Routes marks the SRP edges (u, v) on which u has a static route for
 	// the destination via v.
-	Routes map[topo.Edge]bool
+	Routes []bool
 }
 
 // Name implements srp.Protocol.
@@ -36,8 +36,8 @@ func (p *Static) Equal(a, b srp.Attr) bool {
 }
 
 // Transfer implements srp.Protocol. Note it does not consult a.
-func (p *Static) Transfer(e topo.Edge, a srp.Attr) srp.Attr {
-	if p.Routes[e] {
+func (p *Static) Transfer(i int, e topo.Edge, a srp.Attr) srp.Attr {
+	if marked(p.Routes, i) {
 		return true
 	}
 	return nil

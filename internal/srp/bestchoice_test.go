@@ -4,10 +4,22 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bonsai/internal/topo"
 )
+
+// scanIndex finds an edge's position in Edges() by walking the list, so the
+// references below owe nothing to Graph.EdgeIndex.
+func scanIndex(g *topo.Graph, u, v topo.NodeID) int {
+	for i, e := range g.Edges() {
+		if e.U == u && e.V == v {
+			return i
+		}
+	}
+	panic("scanIndex: not an edge")
+}
 
 // bestChoiceReference is bestChoice as it was while it evaluated Transfer
 // twice per neighbor — once to rank, once to pick. The production version
@@ -17,7 +29,7 @@ func bestChoiceReference(inst *Instance, label []Attr, u topo.NodeID, tieRng *ra
 	// Pass 1: find the minimal rank.
 	var best Attr
 	for _, v := range inst.G.Succ(u) {
-		a := inst.P.Transfer(topo.Edge{U: u, V: v}, label[v])
+		a := inst.P.Transfer(scanIndex(inst.G, u, v), topo.Edge{U: u, V: v}, label[v])
 		if a == nil {
 			continue
 		}
@@ -33,7 +45,7 @@ func bestChoiceReference(inst *Instance, label []Attr, u topo.NodeID, tieRng *ra
 	var pick Attr
 	ties := 0
 	for _, v := range inst.G.Succ(u) {
-		a := inst.P.Transfer(topo.Edge{U: u, V: v}, label[v])
+		a := inst.P.Transfer(scanIndex(inst.G, u, v), topo.Edge{U: u, V: v}, label[v])
 		if a == nil || inst.P.Compare(a, best) != 0 {
 			continue
 		}
@@ -118,5 +130,87 @@ func TestSolveMatchesTwoPassReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// indexProto forwards to the protocol it wraps after holding every Transfer
+// to the contract: i is e's position in the instance graph's Edges().
+type indexProto struct {
+	Protocol
+	t     *testing.T
+	g     *topo.Graph
+	calls int
+}
+
+func (p *indexProto) Transfer(i int, e topo.Edge, a Attr) Attr {
+	p.calls++
+	if want := scanIndex(p.g, e.U, e.V); i != want {
+		p.t.Fatalf("Transfer(%d, (%d,%d)): the edge's index is %d", i, e.U, e.V, want)
+	}
+	return p.Protocol.Transfer(i, e, a)
+}
+
+// TestTransferReceivesEdgeIndex: every Transfer that Solve, forwarding and
+// Instance.Check make carries the edge's own index, on graphs whose links
+// were inserted in shuffled order — so Succ order is not Edges() order, and
+// a solver that walked a node's out-span instead of Succ would either pass
+// the wrong index here or break ties unlike the reference.
+func TestTransferReceivesEdgeIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	unsorted := 0
+	for trial := 0; trial < 50; trial++ {
+		n := 4 + rng.Intn(10)
+		g := topo.New()
+		for i := 0; i < n; i++ {
+			g.AddNode(string(rune('a' + i)))
+		}
+		var links [][2]topo.NodeID
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Intn(3) == 0 {
+					links = append(links, [2]topo.NodeID{topo.NodeID(i), topo.NodeID(j)})
+				}
+			}
+		}
+		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+		for _, l := range links {
+			g.AddLink(l[0], l[1])
+		}
+		for _, u := range g.Nodes() {
+			if !slices.IsSorted(g.Succ(u)) {
+				unsorted++
+			}
+		}
+		dest := topo.NodeID(rng.Intn(n))
+		for _, base := range []Protocol{&hopProto{}, &hopProto{limit: 2}, pathProto{}} {
+			p := &indexProto{Protocol: base, t: t, g: g}
+			inst := &Instance{G: g, Dest: dest, P: p}
+			for seed := int64(-1); seed < 4; seed++ {
+				var opts []Option
+				if seed >= 0 {
+					opts = append(opts, WithOrder(seed))
+				}
+				sol, err := Solve(inst, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := solveReference(inst, seed, seed >= 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for u := range want {
+					if !p.Equal(sol.Label[u], want[u]) {
+						t.Fatalf("trial %d %s seed %d: label[%d] = %v, reference %v",
+							trial, p.Name(), seed, u, sol.Label[u], want[u])
+					}
+				}
+			}
+			if g.NumEdges() > 0 && p.calls == 0 {
+				t.Fatalf("trial %d %s: no Transfer went through the wrapper", trial, p.Name())
+			}
+		}
+	}
+	if unsorted == 0 {
+		t.Fatal("no node's Succ order differs from sorted order: the test distinguishes nothing")
 	}
 }

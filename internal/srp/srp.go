@@ -32,10 +32,12 @@ type Protocol interface {
 	// Equal reports semantic equality of two attributes (nil == nil).
 	Equal(a, b Attr) bool
 	// Transfer maps the attribute a at neighbor v across the edge e=(u,v)
-	// into the attribute received at u, or nil if the route is dropped.
+	// into the attribute received at u, or nil if the route is dropped. i is
+	// e's position in the instance graph's Edges(): the key of every
+	// per-edge table a protocol holds.
 	// Implementations other than static routing must be non-spontaneous:
-	// Transfer(e, nil) == nil.
-	Transfer(e topo.Edge, a Attr) Attr
+	// Transfer(i, e, nil) == nil.
+	Transfer(i int, e topo.Edge, a Attr) Attr
 }
 
 // NodeMapper is implemented by protocols whose attributes embed topology
@@ -61,6 +63,12 @@ type Instance struct {
 	G    *topo.Graph
 	Dest topo.NodeID
 	P    Protocol
+}
+
+// transfer runs the protocol over the edge (u, v), v a member of Succ(u).
+func (inst *Instance) transfer(u, v topo.NodeID, a Attr) Attr {
+	i, _ := inst.G.EdgeIndex(u, v)
+	return inst.P.Transfer(i, topo.Edge{U: u, V: v}, a)
 }
 
 // Solution is a stable labelling L : V → A⊥ along with the forwarding
@@ -163,7 +171,7 @@ func bestChoice(inst *Instance, label []Attr, u topo.NodeID, tieRng *rand.Rand) 
 	offers := buf[:0]
 	var best Attr
 	for _, v := range inst.G.Succ(u) {
-		a := inst.P.Transfer(topo.Edge{U: u, V: v}, label[v])
+		a := inst.transfer(u, v, label[v])
 		if a == nil {
 			continue
 		}
@@ -204,7 +212,7 @@ func forwarding(inst *Instance, label []Attr) [][]topo.NodeID {
 			continue
 		}
 		for _, v := range inst.G.Succ(u) {
-			a := inst.P.Transfer(topo.Edge{U: u, V: v}, label[v])
+			a := inst.transfer(u, v, label[v])
 			if a == nil {
 				continue
 			}
@@ -233,7 +241,7 @@ func (inst *Instance) Check(sol *Solution) error {
 		}
 		var attrs []Attr
 		for _, v := range inst.G.Succ(u) {
-			if a := inst.P.Transfer(topo.Edge{U: u, V: v}, sol.Label[v]); a != nil {
+			if a := inst.transfer(u, v, sol.Label[v]); a != nil {
 				attrs = append(attrs, a)
 			}
 		}

@@ -22,7 +22,7 @@ func (p *hopProto) Equal(a, b Attr) bool {
 	}
 	return a.(int) == b.(int)
 }
-func (p *hopProto) Transfer(e topo.Edge, a Attr) Attr {
+func (p *hopProto) Transfer(_ int, e topo.Edge, a Attr) Attr {
 	if a == nil {
 		return nil
 	}
@@ -50,7 +50,7 @@ func (growProto) Equal(a, b Attr) bool {
 	}
 	return a.(int) == b.(int)
 }
-func (growProto) Transfer(e topo.Edge, a Attr) Attr {
+func (growProto) Transfer(_ int, e topo.Edge, a Attr) Attr {
 	if a == nil {
 		return nil
 	}

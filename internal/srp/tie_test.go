@@ -52,7 +52,7 @@ func (pathProto) Equal(a, b Attr) bool {
 	}
 	return true
 }
-func (pathProto) Transfer(e topo.Edge, a Attr) Attr {
+func (pathProto) Transfer(_ int, e topo.Edge, a Attr) Attr {
 	if a == nil {
 		return nil
 	}
