@@ -40,9 +40,9 @@
 //
 // Compress is the batch face of a streaming pipeline. CompressStream
 // yields per-class results as they complete, with classes taken from the
-// snapshot's class index and scheduled onto sharded work-stealing workers
-// grouped by deduplication fingerprint (one refinement per group;
-// followers ride the cache):
+// snapshot's class index by a worker pool that hands out every
+// deduplication fingerprint's first class before any repeat (one
+// refinement per fingerprint; the repeats ride the cache):
 //
 //	s, err := eng.CompressStream(ctx, bonsai.ClassSelector{})
 //	for r := range s.Results() {

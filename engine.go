@@ -442,8 +442,10 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 	if req.Concrete {
 		res, err = verify.AllPairsConcrete(ctx, st.b, opts)
 	} else {
-		comps := make([]*pooledCompiler, workers)
-		opts.Compilers = make([]*policy.Compiler, workers)
+		// The pool runs no more workers than classes, so no more compilers
+		// are checked out either.
+		comps := make([]*pooledCompiler, opts.Fanout(st.b))
+		opts.Compilers = make([]*policy.Compiler, len(comps))
 		for i := range comps {
 			comps[i] = e.acquire(st)
 			opts.Compilers[i] = comps[i].comp

@@ -3,6 +3,7 @@ package bonsai_test
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"bonsai"
@@ -91,6 +92,27 @@ func TestEngineVerifyAndReach(t *testing.T) {
 	}
 	if _, err := eng.Reach(ctx, "no-such-router", "10.0.0.0/24"); err == nil {
 		t.Fatal("unknown source accepted")
+	}
+}
+
+// TestVerifyWorkersBoundedByClasses: each verify worker checks out a policy
+// compiler of a few MiB, so asking for more workers than there are classes
+// must cost no more than one worker per class (Fattree(4) has 8).
+func TestVerifyWorkersBoundedByClasses(t *testing.T) {
+	allocated := func(workers int) uint64 {
+		eng := openFattree(t, 4, netgen.PolicyShortestPath)
+		defer eng.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := eng.Verify(context.Background(), bonsai.VerifyRequest{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	eight, many := allocated(8), allocated(200)
+	if many > 2*eight {
+		t.Fatalf("Verify with 200 workers allocated %d MiB, with 8 workers %d MiB", many>>20, eight>>20)
 	}
 }
 

@@ -37,7 +37,7 @@ func main() {
 	defer eng.Close() // frees the pooled BDD tables
 
 	// Stream the first compression: the per-class results arrive as the
-	// sharded scheduler completes them — the batch Compress below is this
+	// worker pool completes them — the batch Compress below is this
 	// same pipeline plus a drain.
 	s, err := eng.CompressStream(ctx, bonsai.ClassSelector{})
 	if err != nil {

@@ -221,7 +221,7 @@ func TestGauntletSchedPanicFailsQueryNotProcess(t *testing.T) {
 	ctx := context.Background()
 	// Poison exactly one class's compression task; a parallel Verify must
 	// fail with a PanicError naming it — not kill the process or wedge the
-	// scheduler.
+	// worker pool.
 	victim := eng.Classes()[0]
 	disarm := faultinject.Arm(faultinject.SchedTask, func(key string) {
 		if strings.Contains(key, victim) {

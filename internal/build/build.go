@@ -71,14 +71,7 @@ type Builder struct {
 	internMu   sync.Mutex
 	fpIntern   map[string]int32
 	fpByPrefix map[netip.Prefix]string
-	// sigMemo stashes, per fingerprint, one signature computed by
-	// ClassFingerprint (the scheduler's grouping key) for the group's
-	// leader to consume inside Compress — the leader would otherwise
-	// recompute the identical signature. Entries are deleted on
-	// consumption, so the memo holds at most one signature per in-flight
-	// group.
-	sigMemo map[string]*classSig
-	store   absStore
+	store      absStore
 }
 
 // New validates the network and constructs its Builder: the SRP graph, the
@@ -95,7 +88,6 @@ func New(net *config.Network) (*Builder, error) {
 		G:          topo.New(),
 		fpIntern:   make(map[string]int32),
 		fpByPrefix: make(map[netip.Prefix]string),
-		sigMemo:    make(map[string]*classSig),
 		store:      newAbsStore(),
 	}
 	names := net.RouterNames()
@@ -148,12 +140,13 @@ func (b *Builder) ClassFor(prefix string) (ec.Class, error) {
 }
 
 // ClassFingerprint returns the class's deduplication fingerprint — the
-// grouping key of the streaming scheduler: classes with equal fingerprints
-// share one abstraction, so the scheduler runs one leader per fingerprint
-// and parks the rest until the leader's result is cached. The prefix ->
-// fingerprint memo is Builder-lifetime (eviction from the abstraction
-// store never invalidates it: the mapping is deterministic), so repeated
-// streams pay the signature computation once per class.
+// parallel fan-out's ordering key: classes with equal fingerprints share
+// one abstraction, so the worker pool hands out every fingerprint's first
+// class before any repeat, and a repeat finds its leader's result cached or
+// in flight. The prefix -> fingerprint memo is Builder-lifetime (eviction
+// from the abstraction store never invalidates it: the mapping is
+// deterministic), so repeated fan-outs pay the signature once per class
+// (Compress computes its own on a miss).
 func (b *Builder) ClassFingerprint(cls ec.Class) (string, error) {
 	b.internMu.Lock()
 	fp, ok := b.fpByPrefix[cls.Prefix]
@@ -165,26 +158,7 @@ func (b *Builder) ClassFingerprint(cls ec.Class) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// Stash the signature for the group's leader (first one per
-	// fingerprint wins; group members share fingerprint semantics, so any
-	// member's signature serves the leader).
-	b.internMu.Lock()
-	if _, ok := b.sigMemo[sig.fp]; !ok {
-		b.sigMemo[sig.fp] = sig
-	}
-	b.internMu.Unlock()
 	return sig.fp, nil
-}
-
-// takeSig consumes a stashed signature for fp, if one exists.
-func (b *Builder) takeSig(fp string) *classSig {
-	b.internMu.Lock()
-	defer b.internMu.Unlock()
-	s := b.sigMemo[fp]
-	if s != nil {
-		delete(b.sigMemo, fp)
-	}
-	return s
 }
 
 // HasBGP reports whether any router runs BGP; if so, compression uses the

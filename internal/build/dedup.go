@@ -131,18 +131,9 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 			st.mu.Unlock()
 		}
 	}
-	var sig *classSig
-	if memoOK {
-		// The scheduler's grouping key already computed this class's
-		// signature; consume it instead of recomputing.
-		sig = b.takeSig(fpMemo)
-	}
-	if sig == nil {
-		var err error
-		sig, err = b.classSignature(cls)
-		if err != nil {
-			return nil, ProvCached, err
-		}
+	sig, err := b.classSignature(cls)
+	if err != nil {
+		return nil, ProvCached, err
 	}
 	var e *absEntry
 	for {
@@ -218,9 +209,9 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		} else {
 			if cur, ok := st.entries[sig.fp]; ok && cur != e && cur.done {
 				// A second fresh refinement completed for a fingerprint that
-				// already has a live result: single-flight (or the
-				// scheduler's leader-first ordering) has been broken and
-				// work was duplicated. Recorded, and asserted zero in tests.
+				// already has a live result: single-flight has been broken
+				// and work was duplicated. Recorded, and asserted zero in
+				// tests.
 				st.dupFresh++
 			}
 			st.fresh++
@@ -313,8 +304,8 @@ type CacheStats struct {
 	BudgetBytes int64
 	// DuplicateFresh counts fresh refinements that completed for a
 	// fingerprint already holding a live result — duplicated work that the
-	// single-flight protocol and the scheduler's leader-first ordering
-	// exist to prevent. Zero in a healthy engine; tests assert it.
+	// single-flight protocol exists to prevent. Zero in a healthy engine;
+	// tests assert it.
 	DuplicateFresh int64
 }
 

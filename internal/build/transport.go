@@ -194,7 +194,7 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 	}
 	s.fp = string(fp)
 	// Memoize prefix -> fingerprint for the Builder's lifetime: the mapping
-	// is deterministic, so warm-hit paths and the scheduler's grouping key
+	// is deterministic, so warm-hit paths and the worker pool's ordering key
 	// never need to recompute a signature for a class seen before — even
 	// after its store entry is evicted.
 	b.internMu.Lock()

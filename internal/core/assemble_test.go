@@ -74,15 +74,7 @@ func assembleReference(g *topo.Graph, dest topo.NodeID, groupOf []int, opt core.
 		groups[idx[u]] = append(groups[idx[u]], topo.NodeID(u))
 	}
 
-	edges := g.Edges()
-	live := opt.LiveEdges
-	if live == nil {
-		live = make([]bool, len(edges))
-		for i, e := range edges {
-			live[i] = opt.Live(e.U, e.V)
-		}
-	}
-
+	edges, live := g.Edges(), opt.LiveEdges
 	abs := &core.Abstraction{
 		Dest:        dest,
 		F:           idx,

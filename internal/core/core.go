@@ -436,12 +436,8 @@ type AssembleOptions struct {
 	Mode Mode
 	// Prefs returns |prefs(u)| (≥ 1); nil means 1.
 	Prefs func(u topo.NodeID) int
-	// Live reports whether the directed concrete edge (u, v) can carry the
-	// destination (the negation of EdgeKey.Dead).
-	Live func(u, v topo.NodeID) bool
-	// LiveEdges, when non-nil, supplies the same information aligned with
-	// g.Edges() order and takes precedence over Live — the per-edge lookup
-	// disappears from the assembly loop.
+	// LiveEdges reports, aligned with g.Edges(), whether each directed
+	// concrete edge can carry the destination (the negation of EdgeKey.Dead).
 	LiveEdges []bool
 	// Iterations and ColorSplits are recorded on the result.
 	Iterations  int
@@ -506,15 +502,7 @@ func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOption
 		groups[idx[u]] = append(groups[idx[u]], topo.NodeID(u))
 	}
 
-	edges := g.Edges()
-	live := opt.LiveEdges
-	if live == nil {
-		live = make([]bool, len(edges))
-		for i, e := range edges {
-			live[i] = opt.Live(e.U, e.V)
-		}
-	}
-
+	edges, live := g.Edges(), opt.LiveEdges
 	abs := &Abstraction{
 		Dest:        dest,
 		F:           idx,

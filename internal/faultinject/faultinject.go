@@ -15,7 +15,7 @@ import (
 type Point string
 
 const (
-	// SchedTask fires in a scheduler worker just before it runs a task;
+	// SchedTask fires in a fan-out worker just before it runs a task;
 	// the key is the task's item rendering.
 	SchedTask Point = "sched.task"
 	// AdoptClass fires before each class's adoption check during an

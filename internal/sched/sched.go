@@ -1,36 +1,21 @@
-// Package sched is the sharded scheduler of the streaming compression
-// pipeline. It fans work items out over per-worker deques with
-// work-stealing (each worker pops its own deque newest-first and steals
-// oldest-first from the others), and — its reason to exist over a plain
-// worker pool — understands *fingerprint groups*: items sharing a group key
-// are known in advance to reduce to the same computation, so only the first
-// item of a group (its leader) is scheduled immediately, and the rest wait
-// parked off-queue until the leader completes. Followers then run on the
-// warm result (an identity cache hit in the compression pipeline) without
-// ever occupying a worker while the leader is still computing.
+// Package sched is the parallel fan-out of the compression pipeline: a fixed
+// worker pool over a slice of items, handed out leaders-first. Items sharing
+// a non-empty key reduce to one computation (in the pipeline, classes with
+// equal deduplication fingerprints share one abstraction), and the first
+// item of every key (its leader) is handed out before any repeat (a
+// follower), both in input order. A follower is thus handed out only after
+// every leader, and finds its leader's result cached or in flight instead of
+// holding a second worker in the store's single flight while a leader of
+// another key still waits for one.
 //
-// Before this package, that ordering was accidental: the fan-out in
-// internal/verify dispatched every class immediately and duplicate-
-// fingerprint classes simply blocked on the Builder's single-flight slot,
-// holding a worker (and its policy compiler) hostage for the leader's whole
-// refinement run. Here the ordering is deliberate: a group's followers
-// consume no worker until their result is already cached, so workers stay
-// busy with classes that still need computing. Run never executes two
-// leaders of one group, which the Builder's DuplicateFresh statistic
-// (asserted zero in the tests) makes observable.
-//
-// Items are consumed from an iter.Seq, so the caller can stream them (e.g.
-// from the prefix-trie walk of internal/ec) without materializing a slice;
-// dispatch happens on the calling goroutine and blocks once the in-flight
-// count (queued tasks plus parked followers) reaches a small per-shard
-// bound, so memory stays O(shards) however long the sequence is — the
-// backpressure the pipeline's bounded-memory claim rests on.
+// That order is the pool's only measured gain (docs/audit.md §12): the same
+// pool in plain input order makes a datacenter verdict on two CPUs about a
+// third slower.
 package sched
 
 import (
 	"context"
 	"fmt"
-	"iter"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -40,8 +25,7 @@ import (
 
 // PanicError is the error a Run returns when a task panicked: the worker
 // recovers, captures the item and stack, and fails the run like any task
-// error — the process survives, the scheduler drains and stays usable for
-// subsequent runs.
+// error — the process survives, and later runs are unaffected.
 type PanicError struct {
 	// Item renders the panicking work item (for compression tasks, the
 	// class); Value is the recovered panic value.
@@ -56,9 +40,9 @@ func (e *PanicError) Error() string {
 }
 
 // Protect runs do(worker, item), converting a panic into a *PanicError and
-// firing the sched.task fault-injection seam. Exported so serial fallback
-// paths that bypass the scheduler (e.g. single-worker verification) get the
-// same containment contract.
+// firing the sched.task fault-injection seam. Exported so serial paths that
+// bypass the pool (e.g. single-worker verification) get the same
+// containment contract.
 func Protect[T any](worker int, item T, do func(worker int, item T) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -71,258 +55,78 @@ func Protect[T any](worker int, item T, do func(worker int, item T) error) (err 
 	return do(worker, item)
 }
 
-// Options configures one Run.
-type Options struct {
-	// Shards is the number of worker goroutines, each owning one deque (and,
-	// in the compression pipeline, one policy compiler). Values below 1 mean
-	// 1.
-	Shards int
-}
-
-// Stats reports what one Run did.
+// Stats is the process-wide account of every Run, for long-lived embedders
+// (bonsaid's /metrics) and the per-layer benchmark.
 type Stats struct {
-	// Items counts work items consumed from the sequence; Groups counts
-	// distinct group keys among them (ungrouped items count as their own
-	// group). Followers counts items that waited for a leader.
+	// Items counts items handed to Run; Followers counts those handed out
+	// after their key's leader.
 	Items     int64
-	Groups    int64
 	Followers int64
-	// Steals counts tasks a worker took from another worker's deque.
+	// Steals is always 0: the pool has one shared queue and nothing to
+	// steal from. It stays because bench/layers.go reports it.
 	Steals int64
 }
 
-// Process-wide accumulators across every Run, for long-lived embedders
-// (bonsaid's /metrics) whose callers discard per-run Stats.
-var global struct {
-	items, groups, followers, steals atomic.Int64
-}
+var global struct{ items, followers atomic.Int64 }
 
-// GlobalStats returns the process-wide totals accumulated across all Runs.
+// GlobalStats returns the totals accumulated across all Runs.
 func GlobalStats() Stats {
-	return Stats{
-		Items:     global.items.Load(),
-		Groups:    global.groups.Load(),
-		Followers: global.followers.Load(),
-		Steals:    global.steals.Load(),
+	return Stats{Items: global.items.Load(), Followers: global.followers.Load()}
+}
+
+// Run executes do(worker, item) for every item on min(workers, len(items))
+// goroutines, worker identifying the executing goroutine (callers attach
+// per-worker state — policy compilers — by index). key, when non-nil, orders
+// the items leaders-first as the package comment describes; an empty key
+// makes an item its own leader. The first error from do stops the run (items
+// not yet handed out are skipped), as does ctx cancellation, which wins over
+// any concurrent task error.
+func Run[T any](ctx context.Context, items []T, workers int, key func(T) string, do func(worker int, item T) error) error {
+	order := items
+	if key != nil {
+		order = make([]T, 0, len(items))
+		var followers []T
+		seen := make(map[string]bool)
+		for _, it := range items {
+			k := key(it)
+			if k != "" && seen[k] {
+				followers = append(followers, it)
+				continue
+			}
+			seen[k] = true
+			order = append(order, it)
+		}
+		order = append(order, followers...)
+		global.followers.Add(int64(len(followers)))
 	}
-}
+	global.items.Add(int64(len(items)))
 
-// accumulate folds one Run's stats into the process-wide totals.
-func (st Stats) accumulate() {
-	global.items.Add(st.Items)
-	global.groups.Add(st.Groups)
-	global.followers.Add(st.Followers)
-	global.steals.Add(st.Steals)
-}
-
-// task is one schedulable unit.
-type task[T any] struct {
-	item   T
-	g      *group[T] // nil for ungrouped items
-	leader bool
-}
-
-// group tracks one fingerprint group's single-flight state. pending holds
-// followers that arrived before the leader completed; they are flushed onto
-// the finishing worker's deque (the shard whose caches are warmest).
-type group[T any] struct {
-	done    bool
-	pending []T
-}
-
-// Run consumes items from seq and executes do(worker, item) for each, with
-// worker < opts.Shards identifying the executing shard (callers attach
-// per-worker state — policy compilers — by index). key, when non-nil,
-// assigns each item its fingerprint group; items with equal non-empty keys
-// are single-flighted as described in the package comment, and an empty key
-// means ungrouped. The first error from do stops the run (remaining tasks
-// are drained, not executed), as does ctx cancellation, which wins over any
-// concurrent task error.
-func Run[T any](ctx context.Context, seq iter.Seq[T], opts Options, key func(T) string, do func(worker int, item T) error) (Stats, error) {
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	s := &state[T]{
-		deques: make([][]task[T], shards),
-	}
-	s.cond = sync.NewCond(&s.mu)
-
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
+	var (
+		next    atomic.Int64
+		stopped atomic.Bool
+		errOnce sync.Once
+		runErr  error
+		wg      sync.WaitGroup
+	)
+	for w := range min(max(workers, 1), len(order)) {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			s.work(ctx, worker, do)
-		}(w)
+			for !stopped.Load() && ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(order) {
+					return
+				}
+				if err := Protect(w, order[i], do); err != nil {
+					errOnce.Do(func() { runErr = err })
+					stopped.Store(true)
+				}
+			}
+		}()
 	}
-
-	// Dispatch throttle: enough tasks to keep every shard busy and give
-	// steals a choice, few enough that an arbitrarily long sequence never
-	// accumulates in the deques.
-	limit := 8 * shards
-	groups := make(map[string]*group[T])
-	next := 0 // round-robin dispatch shard
-	for item := range seq {
-		if !s.throttle(ctx, limit) {
-			break
-		}
-		s.stats.Items++
-		k := ""
-		if key != nil {
-			k = key(item)
-		}
-		if k == "" {
-			s.stats.Groups++
-			s.enqueue(next, task[T]{item: item})
-			next = (next + 1) % shards
-			continue
-		}
-		g, ok := groups[k]
-		if !ok {
-			g = &group[T]{}
-			groups[k] = g
-			s.stats.Groups++
-			s.enqueue(next, task[T]{item: item, g: g, leader: true})
-			next = (next + 1) % shards
-			continue
-		}
-		s.stats.Followers++
-		// The group lock is s.mu: leaders flip g.done under it.
-		s.mu.Lock()
-		if g.done {
-			s.pushLocked(next, task[T]{item: item, g: g})
-			next = (next + 1) % shards
-			s.inflight++
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			continue
-		}
-		g.pending = append(g.pending, item)
-		s.inflight++ // parked followers still count toward termination
-		s.mu.Unlock()
-	}
-	s.mu.Lock()
-	s.dispatchDone = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
 	wg.Wait()
-
-	s.stats.accumulate()
 	if err := ctx.Err(); err != nil {
-		return s.stats, err
+		return err
 	}
-	return s.stats, s.err
-}
-
-// state is the shared side of one Run. One mutex guards the deques, the
-// termination counters and the group flags: tasks are coarse (a compression
-// run is milliseconds; queue operations are nanoseconds), so sharding the
-// *data* — each worker preferring its own deque — matters for locality and
-// fairness, while sharding the lock would buy nothing measurable.
-type state[T any] struct {
-	mu           sync.Mutex
-	cond         *sync.Cond
-	deques       [][]task[T]
-	inflight     int // enqueued or parked, not yet completed
-	dispatchDone bool
-	err          error
-	stopped      bool
-	stats        Stats
-}
-
-// throttle blocks until fewer than limit tasks are in flight (workers
-// broadcast on every completion), reporting false when dispatch should
-// stop instead. Progress is guaranteed: every in-flight task is queued,
-// running, or parked behind a queued or running leader, so workers always
-// drain the count. ctx is only polled — a worker observes the cancellation
-// and sets stopped, which is broadcast.
-func (s *state[T]) throttle(ctx context.Context, limit int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.inflight >= limit && !s.stopped && ctx.Err() == nil {
-		s.cond.Wait()
-	}
-	return !s.stopped && ctx.Err() == nil
-}
-
-// enqueue pushes a task onto a shard's deque and accounts it in-flight.
-func (s *state[T]) enqueue(shard int, t task[T]) {
-	s.mu.Lock()
-	s.pushLocked(shard, t)
-	s.inflight++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-func (s *state[T]) pushLocked(shard int, t task[T]) {
-	s.deques[shard] = append(s.deques[shard], t)
-}
-
-// take pops the worker's own deque newest-first, else steals oldest-first
-// from another shard, scanning from the next shard up for fairness. ok is
-// false when every deque is empty.
-func (s *state[T]) take(worker int) (task[T], bool) {
-	if d := s.deques[worker]; len(d) > 0 {
-		t := d[len(d)-1]
-		s.deques[worker] = d[:len(d)-1]
-		return t, true
-	}
-	for i := 1; i < len(s.deques); i++ {
-		v := (worker + i) % len(s.deques)
-		if d := s.deques[v]; len(d) > 0 {
-			t := d[0]
-			s.deques[v] = d[1:]
-			s.stats.Steals++
-			return t, true
-		}
-	}
-	var zero task[T]
-	return zero, false
-}
-
-// work is one worker's loop: take (own deque, then steal), run, flush the
-// task's group on leader completion, until dispatch has finished and no
-// task is in flight.
-func (s *state[T]) work(ctx context.Context, worker int, do func(worker int, item T) error) {
-	for {
-		s.mu.Lock()
-		t, ok := s.take(worker)
-		for !ok {
-			if s.inflight == 0 && s.dispatchDone {
-				s.mu.Unlock()
-				return
-			}
-			s.cond.Wait()
-			t, ok = s.take(worker)
-		}
-		run := !s.stopped && ctx.Err() == nil
-		s.mu.Unlock()
-
-		var err error
-		if run {
-			err = Protect(worker, t.item, do)
-		}
-		s.mu.Lock()
-		if err != nil && s.err == nil {
-			s.err = err
-			s.stopped = true
-		}
-		if ctx.Err() != nil {
-			s.stopped = true
-		}
-		if t.leader {
-			// Flush parked followers onto this worker's deque even when
-			// stopping: they are in-flight and must be drained for
-			// termination; run=false skips their execution.
-			t.g.done = true
-			for _, item := range t.g.pending {
-				s.pushLocked(worker, task[T]{item: item, g: t.g})
-			}
-			t.g.pending = nil
-		}
-		s.inflight--
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
+	return runErr
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,91 +11,131 @@ import (
 	"time"
 )
 
-func seqOf(n int) iter.Seq[int] {
-	return func(yield func(int) bool) {
-		for i := 0; i < n; i++ {
-			if !yield(i) {
-				return
+func itemsOf(n int) []int {
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
+	}
+	return items
+}
+
+func TestRunExecutesEveryItem(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		for _, n := range []int{0, 5, 100} { // 5 < 8: more workers than items
+			var mu sync.Mutex
+			var got []int
+			maxWorker := -1
+			err := Run(context.Background(), itemsOf(n), workers, nil,
+				func(w int, item int) error {
+					mu.Lock()
+					got = append(got, item)
+					maxWorker = max(maxWorker, w)
+					mu.Unlock()
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, itemsOf(n)) {
+				t.Fatalf("workers=%d n=%d: ran %v", workers, n, got)
+			}
+			if maxWorker >= min(workers, n) {
+				t.Fatalf("workers=%d n=%d: worker index %d", workers, n, maxWorker)
 			}
 		}
 	}
 }
 
-func TestRunExecutesEveryItem(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+// TestLeaderRunsBeforeFollowers is the leaders-first order: each key's
+// first item in input order is its leader, every leader is handed out
+// before any follower, and both keep input order. One worker runs exactly
+// that order; on four, each worker still meets its items in it.
+func TestLeaderRunsBeforeFollowers(t *testing.T) {
+	const keys, per = 7, 9
+	key := func(i int) string {
+		if i%keys == 0 {
+			return "" // its own leader, every time
+		}
+		return fmt.Sprintf("g%d", i%keys)
+	}
+	var want []int
+	for i := range keys * per {
+		if i < keys || key(i) == "" {
+			want = append(want, i)
+		}
+	}
+	for i := keys; i < keys*per; i++ {
+		if key(i) != "" {
+			want = append(want, i)
+		}
+	}
+	pos := make(map[int]int)
+	for p, item := range want {
+		pos[item] = p
+	}
+	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
-		var got []int
-		st, err := Run(context.Background(), seqOf(100), Options{Shards: shards}, nil,
-			func(_ int, item int) error {
+		perWorker := make(map[int][]int)
+		err := Run(context.Background(), itemsOf(keys*per), workers, key,
+			func(w int, item int) error {
 				mu.Lock()
-				got = append(got, item)
+				perWorker[w] = append(perWorker[w], item)
 				mu.Unlock()
 				return nil
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		slices.Sort(got)
-		if len(got) != 100 || got[0] != 0 || got[99] != 99 {
-			t.Fatalf("shards=%d: ran %d items", shards, len(got))
+		if workers == 1 && !slices.Equal(perWorker[0], want) {
+			t.Fatalf("one worker ran %v, want %v", perWorker[0], want)
 		}
-		if st.Items != 100 || st.Groups != 100 || st.Followers != 0 {
-			t.Fatalf("shards=%d: stats %+v", shards, st)
+		n := 0
+		for w, got := range perWorker {
+			n += len(got)
+			if !slices.IsSortedFunc(got, func(a, b int) int { return pos[a] - pos[b] }) {
+				t.Fatalf("workers=%d: worker %d ran %v out of leaders-first order", workers, w, got)
+			}
+		}
+		if n != keys*per {
+			t.Fatalf("workers=%d: ran %d items", workers, n)
 		}
 	}
 }
 
-// TestLeaderRunsBeforeFollowers is the single-flight ordering property: for
-// every group, the leader's do call must have completed before any
-// follower's begins, and exactly one item per group is the leader.
-func TestLeaderRunsBeforeFollowers(t *testing.T) {
-	const groups, per = 7, 9
-	var mu sync.Mutex
-	leaderDone := make(map[string]bool)
-	firstPerGroup := make(map[string]int)
-	items := func(yield func(int) bool) {
-		for i := 0; i < groups*per; i++ {
-			if !yield(i) {
-				return
+// TestLeadersFirstUnblocksBarrier is the ablation as a test: on three
+// workers, the three leaders of keys a,a,b,b,c,c wait for each other and
+// every follower waits for all of them. Leaders-first hands the three
+// leaders to the three workers; an in-order pool hands the second a before
+// the last leader, fills every worker with a waiter, and deadlocks.
+func TestLeadersFirstUnblocksBarrier(t *testing.T) {
+	keys := []string{"a", "a", "b", "b", "c", "c"}
+	var arrived sync.WaitGroup
+	arrived.Add(3)
+	released := make(chan struct{})
+	go func() { arrived.Wait(); close(released) }()
+	err := Run(context.Background(), itemsOf(len(keys)), 3,
+		func(i int) string { return keys[i] },
+		func(_ int, i int) error {
+			if i%2 == 0 { // the first of its key in input order
+				arrived.Done()
 			}
-		}
-	}
-	key := func(i int) string { return fmt.Sprintf("g%d", i%groups) }
-	st, err := Run(context.Background(), items, Options{Shards: 4}, key,
-		func(_ int, item int) error {
-			k := key(item)
-			mu.Lock()
-			if !leaderDone[k] {
-				// We must be the group's leader: no other item of the group
-				// may run concurrently with or before us.
-				if n, ok := firstPerGroup[k]; ok {
-					mu.Unlock()
-					return fmt.Errorf("two leaders for %s: %d and %d", k, n, item)
-				}
-				firstPerGroup[k] = item
-				mu.Unlock()
-				time.Sleep(time.Millisecond) // widen the race window
-				mu.Lock()
-				leaderDone[k] = true
+			select {
+			case <-released:
+				return nil
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("item %d (%s): deadlocked behind a follower", i, keys[i])
 			}
-			mu.Unlock()
-			return nil
 		})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.Groups != groups || st.Items != groups*per {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.Followers == 0 {
-		t.Fatal("no followers parked; grouping inert")
 	}
 }
 
 func TestErrorStopsRun(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	_, err := Run(context.Background(), seqOf(1000), Options{Shards: 4}, nil,
+	err := Run(context.Background(), itemsOf(1000), 4, nil,
 		func(_ int, item int) error {
 			if ran.Add(1) == 5 {
 				return boom
@@ -114,7 +153,7 @@ func TestErrorStopsRun(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err := Run(ctx, seqOf(10000), Options{Shards: 2}, nil,
+	err := Run(ctx, itemsOf(10000), 2, nil,
 		func(_ int, item int) error {
 			if ran.Add(1) == 3 {
 				cancel()
@@ -129,15 +168,29 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestLeaderErrorDrainsFollowers: a failing leader must not deadlock its
-// parked followers — the run terminates and reports the leader's error.
+// TestCancellationWinsOverTaskError: a task that cancels and then fails
+// reports the cancellation, which is what the caller asked for.
+func TestCancellationWinsOverTaskError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	err := Run(ctx, itemsOf(50), 2, nil,
+		func(_ int, item int) error {
+			cancel()
+			return errors.New("task failed after cancel")
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestLeaderErrorDrainsFollowers: a failing leader must not strand its
+// followers — the run terminates and reports the leader's error.
 func TestLeaderErrorDrainsFollowers(t *testing.T) {
 	boom := errors.New("leader failed")
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Run(context.Background(), seqOf(50), Options{Shards: 2},
-			func(i int) string { return "all-one-group" },
+		err := Run(context.Background(), itemsOf(50), 2,
+			func(i int) string { return "all-one-key" },
 			func(_ int, item int) error { return boom })
 		if !errors.Is(err, boom) {
 			t.Errorf("err = %v", err)
@@ -146,110 +199,14 @@ func TestLeaderErrorDrainsFollowers(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("run deadlocked on parked followers")
-	}
-}
-
-// TestStealing: a deliberately skewed dispatch (everything grouped onto few
-// leaders completing on one shard) must still use all workers via steals.
-func TestStealing(t *testing.T) {
-	var workers sync.Map
-	st, err := Run(context.Background(), seqOf(64), Options{Shards: 4}, nil,
-		func(w int, item int) error {
-			workers.Store(w, true)
-			time.Sleep(200 * time.Microsecond)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	workers.Range(func(_, _ any) bool { n++; return true })
-	if n < 2 {
-		t.Skipf("only %d workers ran (single-CPU scheduling); steals=%d", n, st.Steals)
-	}
-}
-
-// TestFollowersAfterDoneDispatchImmediately: items of a group arriving after
-// the leader completed must not park forever.
-func TestFollowersAfterDoneDispatchImmediately(t *testing.T) {
-	release := make(chan struct{})
-	var first atomic.Bool
-	first.Store(true)
-	seq := func(yield func(int) bool) {
-		if !yield(0) { // leader
-			return
-		}
-		<-release // leader has certainly completed
-		for i := 1; i < 10; i++ {
-			if !yield(i) {
-				return
-			}
-		}
-	}
-	st, err := Run(context.Background(), seq, Options{Shards: 2},
-		func(int) string { return "g" },
-		func(_ int, item int) error {
-			if first.CompareAndSwap(true, false) {
-				close(release)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Items != 10 || st.Groups != 1 || st.Followers != 9 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-// TestDispatchBackpressure: with workers blocked, the dispatcher must stop
-// consuming the sequence once the in-flight bound is reached — the
-// bounded-memory property of streaming dispatch.
-func TestDispatchBackpressure(t *testing.T) {
-	const shards = 2
-	release := make(chan struct{})
-	var yielded atomic.Int64
-	seq := func(yield func(int) bool) {
-		for i := 0; i < 100000; i++ {
-			if !yield(i) {
-				return
-			}
-			yielded.Add(1)
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, err := Run(context.Background(), seq, Options{Shards: shards}, nil,
-			func(_ int, item int) error {
-				<-release
-				return nil
-			})
-		if err != nil {
-			t.Error(err)
-		}
-	}()
-	// Give the dispatcher ample time to run ahead if it were unbounded.
-	time.Sleep(100 * time.Millisecond)
-	if n := yielded.Load(); n > 8*shards+shards {
-		t.Errorf("dispatcher ran ahead: %d items consumed while workers blocked", n)
-	}
-	close(release)
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("run did not finish after release")
-	}
-	if n := yielded.Load(); n != 100000 {
-		t.Fatalf("consumed %d items", n)
+		t.Fatal("run deadlocked on followers")
 	}
 }
 
 func TestPanicContainedAsError(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		_, err := Run(context.Background(), seqOf(50), Options{Shards: shards}, nil,
+		err := Run(context.Background(), itemsOf(50), workers, nil,
 			func(_ int, item int) error {
 				if item == 7 {
 					panic("poisoned item")
@@ -259,32 +216,55 @@ func TestPanicContainedAsError(t *testing.T) {
 			})
 		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("shards=%d: err = %v, want *PanicError", shards, err)
+			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
 		}
 		if pe.Item != "7" || pe.Value != "poisoned item" || len(pe.Stack) == 0 {
-			t.Fatalf("shards=%d: panic error = item %q value %v stack %d bytes", shards, pe.Item, pe.Value, len(pe.Stack))
+			t.Fatalf("workers=%d: panic error = item %q value %v stack %d bytes", workers, pe.Item, pe.Value, len(pe.Stack))
 		}
-		// The scheduler drained and stays healthy: a fresh run over the
-		// same shard count completes cleanly.
+		// A fresh run over the same worker count completes cleanly.
 		ran.Store(0)
-		if _, err := Run(context.Background(), seqOf(50), Options{Shards: shards}, nil,
+		if err := Run(context.Background(), itemsOf(50), workers, nil,
 			func(_ int, item int) error { ran.Add(1); return nil }); err != nil {
-			t.Fatalf("shards=%d: run after contained panic: %v", shards, err)
+			t.Fatalf("workers=%d: run after contained panic: %v", workers, err)
 		}
 		if ran.Load() != 50 {
-			t.Fatalf("shards=%d: %d of 50 items ran after contained panic", shards, ran.Load())
+			t.Fatalf("workers=%d: %d of 50 items ran after contained panic", workers, ran.Load())
 		}
 	}
 }
 
 func TestLeaderPanicReleasesFollowers(t *testing.T) {
-	// A panicking leader must still flush its parked followers so the run
-	// terminates (they drain unexecuted once the error stops the run).
-	key := func(int) string { return "same-group" }
-	_, err := Run(context.Background(), seqOf(20), Options{Shards: 2}, key,
+	// A panicking leader fails the run; its followers do not hang it.
+	key := func(int) string { return "same-key" }
+	err := Run(context.Background(), itemsOf(20), 2, key,
 		func(_ int, item int) error { panic(fmt.Sprintf("leader %d", item)) })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
+	}
+}
+
+func TestGlobalStatsCountsItemsAndFollowers(t *testing.T) {
+	keys := []string{"a", "b", "a", "", "", "b", "a", "c"} // 3 followers
+	before := GlobalStats()
+	err := Run(context.Background(), itemsOf(len(keys)), 2,
+		func(i int) string { return keys[i] },
+		func(int, int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(context.Background(), itemsOf(4), 2, nil,
+		func(int, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	after := GlobalStats()
+	if d := after.Items - before.Items; d != int64(len(keys))+4 {
+		t.Fatalf("items grew by %d, want %d", d, len(keys)+4)
+	}
+	if d := after.Followers - before.Followers; d != 3 {
+		t.Fatalf("followers grew by %d, want 3", d)
+	}
+	if after.Steals != 0 {
+		t.Fatalf("steals = %d, want 0", after.Steals)
 	}
 }

@@ -67,9 +67,8 @@ type metricSet struct {
 	poolCeiling *metrics.Gauge
 	poolCross   *metrics.Gauge
 
-	// Scheduler layer (process-wide).
+	// Fan-out layer (process-wide).
 	schedItems     *metrics.Gauge
-	schedSteals    *metrics.Gauge
 	schedFollowers *metrics.Gauge
 }
 
@@ -154,11 +153,9 @@ func newMetricSet() *metricSet {
 			"Shared pool: entries evicted by cross-tenant pressure."),
 
 		schedItems: r.Gauge("bonsai_sched_items_total",
-			"Work items executed by the compression scheduler."),
-		schedSteals: r.Gauge("bonsai_sched_steals_total",
-			"Tasks stolen between scheduler shards."),
+			"Classes handed to the parallel compression worker pool."),
 		schedFollowers: r.Gauge("bonsai_sched_followers_total",
-			"Classes that waited for a fingerprint-group leader."),
+			"Pooled classes handed out after every fingerprint's first class."),
 	}
 	return m
 }
@@ -190,7 +187,7 @@ func (m *metricSet) dropTenant(name string) {
 }
 
 // collect refreshes scrape-time gauges from the live tenants, the pool and
-// the scheduler, then renders the registry.
+// the fan-out, then renders the registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.mu.Lock()
 	tenants := make([]*tenant, 0, len(s.reg.tenants))
@@ -251,7 +248,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	sc := sched.GlobalStats()
 	s.metrics.schedItems.Set(float64(sc.Items))
-	s.metrics.schedSteals.Set(float64(sc.Steals))
 	s.metrics.schedFollowers.Set(float64(sc.Followers))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

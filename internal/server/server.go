@@ -32,6 +32,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -360,6 +361,12 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, t *tenant)
 	var req bonsai.VerifyRequest
 	if err := decodeOptionalBody(w, r, &req); err != nil {
 		s.httpError(w, err)
+		return
+	}
+	// Every worker is a policy compiler of a few MiB: a body may ask for
+	// fewer than the engine's default, never for more.
+	if n := runtime.GOMAXPROCS(0); req.Workers > n {
+		s.httpError(w, fmt.Errorf("%w: workers %d above GOMAXPROCS %d", errBadRequest, req.Workers, n))
 		return
 	}
 	rep, err := t.eng.Verify(r.Context(), req)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -602,6 +603,23 @@ func TestReachClientErrorsAreNot5xx(t *testing.T) {
 		if got := getStatus(t, c, tc.path); got != tc.want {
 			t.Errorf("GET %s: status %d, want %d", tc.path, got, tc.want)
 		}
+	}
+}
+
+// TestVerifyWorkersBoundedByGOMAXPROCS: every verify worker is a policy
+// compiler of a few MiB, so a body asking for more workers than the
+// engine's default is refused by name instead of allocated.
+func TestVerifyWorkersBoundedByGOMAXPROCS(t *testing.T) {
+	_, c := newTestServer(t, Config{MaxQueriesPerTenant: 4})
+	openFattree(t, c, "ft4", 4)
+	ctx := context.Background()
+	n := runtime.GOMAXPROCS(0)
+	_, err := c.Verify(ctx, "ft4", bonsai.VerifyRequest{Workers: n + 1})
+	if StatusCode(err) != http.StatusBadRequest || !strings.Contains(err.Error(), fmt.Sprintf("GOMAXPROCS %d", n)) {
+		t.Fatalf("workers=%d: want 400 naming GOMAXPROCS %d, got %v", n+1, n, err)
+	}
+	if _, err := c.Verify(ctx, "ft4", bonsai.VerifyRequest{Workers: n, MaxClasses: 2}); err != nil {
+		t.Fatalf("workers=%d: %v", n, err)
 	}
 }
 

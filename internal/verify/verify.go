@@ -20,10 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"runtime"
-	"slices"
-	"sync"
 	"time"
 
 	"bonsai/internal/build"
@@ -76,7 +73,7 @@ type Options struct {
 	// shared by all sources of a class (Batfish-style), the cheapest
 	// possible baseline.
 	PerPairCertification bool
-	// Compilers, when it holds exactly workers() entries, supplies the
+	// Compilers, when it holds exactly Fanout(b) entries, supplies the
 	// per-worker policy compilers for the bonsai engine instead of fresh
 	// ones — long-lived callers pass pooled compilers so their BDD tables
 	// survive across calls. Each compiler is used by one worker goroutine
@@ -84,25 +81,22 @@ type Options struct {
 	Compilers []*policy.Compiler
 }
 
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
+// Fanout is how many workers an AllPairs call over b runs, and so how many
+// compilers it uses: Workers (0 means GOMAXPROCS), but never more than the
+// classes it verifies.
+func (o Options) Fanout(b *build.Builder) int {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return o.Workers
+	return min(workers, len(clip(b.Classes(), o.MaxClasses)))
 }
 
 // AllPairsConcrete verifies all-pairs reachability on the concrete network.
 // Cancelling ctx stops the worker goroutines promptly and returns the
 // context's error.
 func AllPairsConcrete(ctx context.Context, b *build.Builder, opts Options) (*Result, error) {
-	classes := clip(b.Classes(), opts.MaxClasses)
-	res := &Result{Mode: "concrete", Classes: len(classes)}
-	start := time.Now()
-	err := ForEachClass(ctx, classes, opts.workers(), func(_ int, cls ec.Class) error {
-		return res.addClass(ctx, b, nil, cls, false, opts.PerPairCertification)
-	})
-	res.Total = time.Since(start)
-	return res, err
+	return allPairs(ctx, b, opts, false, nil)
 }
 
 // AllPairsBonsai verifies all-pairs reachability after compressing each
@@ -110,37 +104,68 @@ func AllPairsConcrete(ctx context.Context, b *build.Builder, opts Options) (*Res
 // Figure 12. Cancelling ctx stops the worker goroutines promptly (including
 // mid-compression) and returns the context's error.
 func AllPairsBonsai(ctx context.Context, b *build.Builder, opts Options) (*Result, error) {
-	classes := clip(b.Classes(), opts.MaxClasses)
-	res := &Result{Mode: "bonsai", Classes: len(classes)}
-	start := time.Now()
 	// One policy compiler per worker: BDD managers are not safe for
 	// concurrent use, but sharing one across a worker's classes amortises
 	// BDD construction exactly as the paper's implementation does (§7:
 	// BDDs are built once, classes are compressed in parallel). On top of
 	// that, Builder.Compress deduplicates whole abstractions across classes,
-	// and the fan-out groups classes by fingerprint so each group's leader
-	// compresses exactly once while its followers wait off-worker until the
-	// result is cached.
+	// and the fan-out hands out every fingerprint's first class before any
+	// repeat, so each fingerprint compresses once and its repeats find the
+	// result cached or in flight.
 	compilers := opts.Compilers
-	if len(compilers) != opts.workers() {
-		compilers = make([]*policy.Compiler, opts.workers())
+	if n := opts.Fanout(b); len(compilers) != n {
+		compilers = make([]*policy.Compiler, n)
 		for i := range compilers {
 			compilers[i] = b.NewCompiler(true)
 		}
 	}
-	err := ForEachClassKeyed(ctx, slices.Values(classes), opts.workers(), FingerprintKey(b), func(worker int, cls ec.Class) error {
-		return res.addClass(ctx, b, compilers[worker], cls, true, opts.PerPairCertification)
-	})
-	res.Total = time.Since(start)
+	res, err := allPairs(ctx, b, opts, true, compilers)
 	res.DistinctAbstractions = b.AbstractionCacheStats().Fresh
 	return res, err
 }
 
-// addClass solves one class and folds its counts into the result. With
+// allPairs fans b's classes out over opts.Fanout(b) workers, compressing
+// each class with its worker's compiler or, unless compressed, solving it
+// concretely. Each worker folds its classes into its own tally and the
+// tallies are summed after the run, so no lock is shared between workers or
+// between calls.
+func allPairs(ctx context.Context, b *build.Builder, opts Options, compressed bool, compilers []*policy.Compiler) (*Result, error) {
+	classes := clip(b.Classes(), opts.MaxClasses)
+	res := &Result{Mode: "concrete", Classes: len(classes)}
+	var key func(ec.Class) string
+	if compressed {
+		res.Mode, key = "bonsai", FingerprintKey(b)
+	}
+	tallies := make([]tally, opts.Fanout(b))
+	start := time.Now()
+	err := ForEachClassKeyed(ctx, classes, len(tallies), key, func(worker int, cls ec.Class) error {
+		var comp *policy.Compiler
+		if compressed {
+			comp = compilers[worker]
+		}
+		return tallies[worker].addClass(ctx, b, comp, cls, compressed, opts.PerPairCertification)
+	})
+	res.Total = time.Since(start)
+	for _, t := range tallies {
+		res.Pairs += t.pairs
+		res.ReachablePairs += t.reachable
+		res.AbstractNodeSum += t.absNodes
+		res.Compress += t.compress
+	}
+	return res, err
+}
+
+// tally is one worker's share of a Result's counts.
+type tally struct {
+	pairs, reachable, absNodes int64
+	compress                   time.Duration
+}
+
+// addClass solves one class and folds its counts into the tally. With
 // perPair the control plane is re-analysed once per source, modelling a
 // per-query verifier; that loop observes ctx so cancellation interrupts even
 // a single large class promptly.
-func (r *Result) addClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed, perPair bool) error {
+func (t *tally) addClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed, perPair bool) error {
 	s, err := solveClass(ctx, b, comp, cls, compressed)
 	if err != nil {
 		return err
@@ -153,13 +178,11 @@ func (r *Result) addClass(ctx context.Context, b *build.Builder, comp *policy.Co
 			return err
 		}
 	}
-	resMu.Lock()
-	defer resMu.Unlock()
-	r.Pairs += s.sources
-	r.ReachablePairs += s.delivered
-	r.Compress += s.compress
+	t.pairs += s.sources
+	t.reachable += s.delivered
+	t.compress += s.compress
 	if s.abs != nil {
-		r.AbstractNodeSum += int64(s.abs.NumAbstractNodes())
+		t.absNodes += int64(s.abs.NumAbstractNodes())
 	}
 	return nil
 }
@@ -311,22 +334,20 @@ func clip(classes []ec.Class, max int) []ec.Class {
 	return classes
 }
 
-var resMu sync.Mutex
-
-// ForEachClassKeyed fans f out over a (possibly lazily enumerated) class
-// sequence. With workers <= 1 it runs serially in sequence order — the
-// batch reference shape the differential tests compare the scheduler
-// against; otherwise it hands the sequence to the sharded work-stealing
-// scheduler of internal/sched, with key (when non-nil) grouping classes by
-// deduplication fingerprint so each group's leader computes once and its
-// followers run on the warm cache. Each invocation of f receives its
-// worker index (compilers are per-worker). Cancelling ctx stops dispatch,
-// drains the workers promptly and returns the context's error. It is the
-// shared fan-out primitive of the verify engines and the public bonsai
-// Engine.
-func ForEachClassKeyed(ctx context.Context, classes iter.Seq[ec.Class], workers int, key func(ec.Class) string, f func(worker int, cls ec.Class) error) error {
+// ForEachClassKeyed fans f out over classes. With workers <= 1 it runs
+// serially in slice order — the batch reference shape the differential
+// tests compare the pool against; otherwise it hands the classes to the
+// worker pool of internal/sched, with key (when non-nil) ordering them
+// leaders-first by deduplication fingerprint so each fingerprint's first
+// class computes once and the repeats, handed out after every first class,
+// run on the warm cache. Each invocation of f receives its worker index
+// (compilers are per-worker) and runs at most min(workers, len(classes))
+// at a time. Cancelling ctx stops the workers promptly and returns the
+// context's error. It is the shared fan-out primitive of the verify engines
+// and the public bonsai Engine.
+func ForEachClassKeyed(ctx context.Context, classes []ec.Class, workers int, key func(ec.Class) string, f func(worker int, cls ec.Class) error) error {
 	if workers <= 1 {
-		for cls := range classes {
+		for _, cls := range classes {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -338,18 +359,11 @@ func ForEachClassKeyed(ctx context.Context, classes iter.Seq[ec.Class], workers 
 		}
 		return ctx.Err()
 	}
-	_, err := sched.Run(ctx, classes, sched.Options{Shards: workers}, key, f)
-	return err
+	return sched.Run(ctx, classes, workers, key, f)
 }
 
-// ForEachClass is ForEachClassKeyed over a class slice without fingerprint
-// grouping.
-func ForEachClass(ctx context.Context, classes []ec.Class, workers int, f func(worker int, cls ec.Class) error) error {
-	return ForEachClassKeyed(ctx, slices.Values(classes), workers, nil, f)
-}
-
-// FingerprintKey returns the scheduler grouping key for b's classes: the
-// deduplication fingerprint, or "" (ungrouped) for classes whose
+// FingerprintKey returns the pool's ordering key for b's classes: the
+// deduplication fingerprint, or "" (its own leader) for classes whose
 // fingerprint cannot be computed — those fail identically inside Compress,
 // which reports the actual error.
 func FingerprintKey(b *build.Builder) func(ec.Class) string {

@@ -39,8 +39,8 @@ type CacheStats struct {
 	PeakBytes   int64 `json:"peak_bytes"`
 	BudgetBytes int64 `json:"budget_bytes,omitempty"`
 	// DuplicateFresh counts duplicated refinements for one fingerprint —
-	// zero in a healthy engine (the scheduler runs one leader per
-	// fingerprint group; tests assert it).
+	// zero in a healthy engine (the abstraction store single-flights each
+	// fingerprint; tests assert it).
 	DuplicateFresh int64 `json:"duplicate_fresh,omitempty"`
 	// ReachMemoHits counts Reach/ReachConcrete queries answered from a class
 	// already solved in their snapshot (or by joining its solve in flight);

@@ -3,7 +3,6 @@ package bonsai
 import (
 	"context"
 	"iter"
-	"slices"
 	"sync"
 	"time"
 
@@ -28,12 +27,11 @@ type ClassResult struct {
 }
 
 // Stream is an in-flight streaming compression: per-class results arrive
-// through Results as workers complete them, while the pipeline — lazy class
-// enumeration feeding the sharded, fingerprint-grouped scheduler — stays
-// bounded: an O(shards) result buffer, dispatch throttled to O(shards)
-// in-flight classes, and (under WithMemoryBudget) a capped abstraction
-// store. Results must be drained (ranged to completion, or broken out of,
-// which cancels the remaining work); Err and Report are valid afterwards.
+// through Results as workers complete them. Beyond the snapshot's class
+// slice, which already exists, the pipeline holds an O(workers) result
+// buffer and (under WithMemoryBudget) a capped abstraction store. Results
+// must be drained (ranged to completion, or broken out of, which cancels the
+// remaining work); Err and Report are valid afterwards.
 type Stream struct {
 	results chan ClassResult
 	done    chan struct{} // closed after workers exit and err/elapsed are set
@@ -53,11 +51,11 @@ type Stream struct {
 
 // CompressStream starts compressing the selected destination classes and
 // returns a Stream of per-class results, yielded as they complete. Classes
-// come from the snapshot's class index and are dispatched to a sharded
-// work-stealing scheduler that groups them by deduplication fingerprint:
-// each group's leader compresses once, its followers are parked until the
-// leader's result is cached and then served without refinement. Batch
-// entry points (Compress) are this pipeline plus a drain.
+// come from the snapshot's class index and go to a pool of at most one
+// worker per class, which hands out every deduplication fingerprint's first
+// class before any repeat: each fingerprint compresses once, and its
+// repeats find the result cached or in flight and are served without
+// refinement. Batch entry points (Compress) are this pipeline plus a drain.
 func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector) (*Stream, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -74,15 +72,7 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector) (*Stream
 	} else if max := sel.MaxClasses; max > 0 && len(classes) > max {
 		classes = classes[:max]
 	}
-	total := len(classes)
-
-	shards := e.opts.workerCount()
-	if shards > total {
-		shards = total
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards := min(e.opts.workerCount(), len(classes))
 
 	bddStart := time.Now()
 	comps := make([]*pooledCompiler, shards)
@@ -106,7 +96,7 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector) (*Stream
 	key := verify.FingerprintKey(st.b)
 	go func() {
 		defer cancel()
-		err := verify.ForEachClassKeyed(ctx, slices.Values(classes), shards, key, func(w int, cls ec.Class) error {
+		err := verify.ForEachClassKeyed(ctx, classes, shards, key, func(w int, cls ec.Class) error {
 			t0 := time.Now()
 			abs, prov, err := st.b.CompressTagged(ctx, comps[w].comp, cls)
 			if err != nil {

@@ -64,8 +64,8 @@ func collectRows(t *testing.T, s *bonsai.Stream) map[string]bonsai.ClassResult {
 }
 
 // TestStreamMatchesBatch is the stream-vs-batch differential gauntlet: on
-// every netgen scenario the parallel streaming pipeline (lazy enumeration ->
-// sharded fingerprint-grouped scheduler) must produce a CompressReport
+// every netgen scenario the parallel streaming pipeline (the leaders-first
+// worker pool) must produce a CompressReport
 // field-identical to the serial batch shape (workers=1 runs the plain
 // in-order loop), and identical per-class topology sizes. Cached against
 // uncached compression is TestDedupMatchesIndependentCompression's, per
@@ -158,7 +158,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamZeroDuplicateFresh asserts the scheduler's reason to exist: on
+// TestStreamZeroDuplicateFresh asserts the deduplication contract: on
 // a network with identity-shared classes (each spine-leaf external
 // originates several prefixes with equal fingerprints), parallel streaming
 // compression performs exactly one fresh refinement for the whole fabric,
