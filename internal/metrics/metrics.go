@@ -1,11 +1,8 @@
-// Package metrics is a dependency-free Prometheus-style instrumentation
-// layer: counters, gauges and histograms, optionally labeled, collected in a
-// Registry that renders the text exposition format (version 0.0.4) for a
-// /metrics endpoint. It implements exactly the subset bonsaid needs —
-// monotonic counters, set/func gauges, fixed-bucket histograms and
-// label-vector variants with dynamic label values (tenants come and go) —
-// with lock-free hot paths: a counter increment is one atomic add, a
-// histogram observation is two adds and a CAS loop on the sum.
+// Package metrics hides the Prometheus text exposition format (version
+// 0.0.4): a Writer that renders families sample by sample, and Histogram,
+// the one kind of number that has to accumulate between scrapes. It keeps
+// no registry: a caller writes every value from the state that owns it at
+// scrape time, so a series cannot outlive its subject.
 package metrics
 
 import (
@@ -13,55 +10,15 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing value.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n; negative n is ignored (counters never decrease).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down. Read is atomic; Set/Add are
-// safe from any goroutine.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (CAS loop; fine for low-rate gauges).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram counts observations into cumulative buckets, with a running sum
-// and count, matching Prometheus histogram semantics (<basename>_bucket with
-// le labels, _sum, _count).
+// Histogram counts observations into fixed buckets, with a running sum and
+// count, matching Prometheus histogram semantics (<basename>_bucket with le
+// labels, _sum, _count). Observe is lock-free: two adds and a CAS loop on
+// the sum.
 type Histogram struct {
 	bounds []float64 // upper bounds, sorted ascending; +Inf implicit
 	counts []atomic.Int64
@@ -69,7 +26,9 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
-func newHistogram(bounds []float64) *Histogram {
+// NewHistogram returns an empty histogram over the given bucket upper
+// bounds.
+func NewHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
@@ -107,207 +66,83 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// metricKind discriminates exposition TYPE lines.
-type metricKind int
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-)
-
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
+// Writer renders one family after another. Family names the current one;
+// its HELP and TYPE lines go out with its first sample, so a family with
+// nothing to say renders nothing. Labels are passed as alternating names
+// and values. After a failed write the rest is dropped: the reader is gone.
+type Writer struct {
+	w               io.Writer
+	name, typ, help string
+	headed          bool
+	err             error
 }
 
-// family is one named metric with zero or more label dimensions.
-type family struct {
-	name, help string
-	kind       metricKind
-	labels     []string
-	bounds     []float64 // histogram families
+// NewWriter returns a Writer rendering to w.
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-	mu       sync.Mutex
-	children map[string]*child // label-values key -> child
-	order    []string          // insertion order, for stable output
-	gaugeFn  func() float64    // unlabeled callback gauge
+// Family starts a family; typ is counter, gauge or histogram.
+func (w *Writer) Family(name, typ, help string) {
+	w.name, w.typ, w.help, w.headed = name, typ, help, false
 }
 
-type child struct {
-	labelVals []string
-	counter   *Counter
-	gauge     *Gauge
-	hist      *Histogram
+// Sample writes one sample of the current family.
+func (w *Writer) Sample(v float64, labels ...string) {
+	w.line("", labels, fmtFloat(v))
 }
 
-// Registry collects metric families and renders them.
-type Registry struct {
-	mu   sync.Mutex
-	fams []*family
-	byN  map[string]*family
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byN: make(map[string]*family)}
-}
-
-func (r *Registry) family(name, help string, kind metricKind, labels []string, bounds []float64) *family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.byN[name]; ok {
-		return f // registration is idempotent by name
-	}
-	f := &family{name: name, help: help, kind: kind, labels: labels,
-		bounds: bounds, children: make(map[string]*child)}
-	r.fams = append(r.fams, f)
-	r.byN[name] = f
-	return f
-}
-
-// key joins label values; \xff never appears in sane label values.
-func key(vals []string) string { return strings.Join(vals, "\xff") }
-
-func (f *family) child(vals []string) *child {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	k := key(vals)
-	c, ok := f.children[k]
-	if !ok {
-		c = &child{labelVals: append([]string(nil), vals...)}
-		switch f.kind {
-		case kindCounter:
-			c.counter = &Counter{}
-		case kindGauge:
-			c.gauge = &Gauge{}
-		case kindHistogram:
-			c.hist = newHistogram(f.bounds)
+// Histogram writes h's cumulative buckets, sum and count under the current
+// family.
+func (w *Writer) Histogram(h *Histogram, labels ...string) {
+	le := append(labels[:len(labels):len(labels)], "le", "")
+	cum := int64(0)
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		le[len(le)-1] = "+Inf"
+		if i < len(h.bounds) {
+			le[len(le)-1] = fmtFloat(h.bounds[i])
 		}
-		f.children[k] = c
-		f.order = append(f.order, k)
+		w.line("_bucket", le, strconv.FormatInt(cum, 10))
 	}
-	return c
+	w.line("_sum", labels, fmtFloat(h.Sum()))
+	w.line("_count", labels, strconv.FormatInt(h.Count(), 10))
 }
 
-// deleteChild removes one label combination (a closed tenant).
-func (f *family) deleteChild(vals []string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	k := key(vals)
-	if _, ok := f.children[k]; !ok {
+func (w *Writer) line(suffix string, labels []string, value string) {
+	if w.err != nil {
 		return
 	}
-	delete(f.children, k)
-	for i, o := range f.order {
-		if o == k {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
+	var b strings.Builder
+	if !w.headed {
+		w.headed = true
+		if w.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", w.name, w.help)
 		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", w.name, w.typ)
 	}
+	b.WriteString(w.name)
+	b.WriteString(suffix)
+	for i := 0; i+1 < len(labels); i += 2 {
+		sep := byte(',')
+		if i == 0 {
+			sep = '{'
+		}
+		fmt.Fprintf(&b, `%c%s="%s"`, sep, labels[i], escapeLabel(labels[i+1]))
+	}
+	if len(labels) > 0 {
+		b.WriteByte('}')
+	}
+	b.WriteByte(' ')
+	b.WriteString(value)
+	b.WriteByte('\n')
+	_, w.err = io.WriteString(w.w, b.String())
 }
 
-// Counter registers (or returns) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.family(name, help, kindCounter, nil, nil).child(nil).counter
-}
-
-// Gauge registers (or returns) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, kindGauge, nil, nil).child(nil).gauge
-}
-
-// GaugeFunc registers a gauge whose value is computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.family(name, help, kindGauge, nil, nil)
-	f.mu.Lock()
-	f.gaugeFn = fn
-	f.mu.Unlock()
-}
-
-// Histogram registers (or returns) an unlabeled histogram with the given
-// bucket upper bounds.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	return r.family(name, help, kindHistogram, nil, bounds).child(nil).hist
-}
-
-// CounterVec is a counter family with label dimensions.
-type CounterVec struct{ f *family }
-
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.family(name, help, kindCounter, labels, nil)}
-}
-
-// With returns the counter for the given label values.
-func (v *CounterVec) With(vals ...string) *Counter { return v.f.child(vals).counter }
-
-// Delete drops the series for the given label values.
-func (v *CounterVec) Delete(vals ...string) { v.f.deleteChild(vals) }
-
-// GaugeVec is a gauge family with label dimensions.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, kindGauge, labels, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(vals ...string) *Gauge { return v.f.child(vals).gauge }
-
-// Delete drops the series for the given label values.
-func (v *GaugeVec) Delete(vals ...string) { v.f.deleteChild(vals) }
-
-// HistogramVec is a histogram family with label dimensions.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{r.family(name, help, kindHistogram, labels, bounds)}
-}
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(vals ...string) *Histogram { return v.f.child(vals).hist }
-
-// Delete drops the series for the given label values.
-func (v *HistogramVec) Delete(vals ...string) { v.f.deleteChild(vals) }
-
-// escapeLabel escapes a label value per the exposition format.
+// escapeLabel escapes a label value per the exposition format: backslash,
+// double quote and newline, nothing else.
 func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, "\n", `\n`)
 	return strings.ReplaceAll(s, `"`, `\"`)
-}
-
-// labelString renders {k1="v1",...} (with an optional extra pair appended),
-// or "" when empty.
-func labelString(names, vals []string, extraK, extraV string) string {
-	if len(names) == 0 && extraK == "" {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s=%q`, n, escapeLabel(vals[i]))
-	}
-	if extraK != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s=%q`, extraK, extraV)
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // fmtFloat renders a sample value the way Prometheus expects.
@@ -316,78 +151,4 @@ func fmtFloat(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// WritePrometheus renders every family in registration order.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
-	r.mu.Unlock()
-	for _, f := range fams {
-		if err := f.write(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *family) write(w io.Writer) error {
-	f.mu.Lock()
-	children := make([]*child, 0, len(f.order))
-	for _, k := range f.order {
-		children = append(children, f.children[k])
-	}
-	fn := f.gaugeFn
-	f.mu.Unlock()
-	if len(children) == 0 && fn == nil {
-		return nil
-	}
-	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-		return err
-	}
-	if fn != nil {
-		_, err := fmt.Fprintf(w, "%s %s\n", f.name, fmtFloat(fn()))
-		return err
-	}
-	for _, c := range children {
-		ls := labelString(f.labels, c.labelVals, "", "")
-		switch f.kind {
-		case kindCounter:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, ls, c.counter.Value()); err != nil {
-				return err
-			}
-		case kindGauge:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, ls, fmtFloat(c.gauge.Value())); err != nil {
-				return err
-			}
-		case kindHistogram:
-			h := c.hist
-			cum := int64(0)
-			for i, ub := range h.bounds {
-				cum += h.counts[i].Load()
-				le := fmtFloat(ub)
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-					f.name, labelString(f.labels, c.labelVals, "le", le), cum); err != nil {
-					return err
-				}
-			}
-			cum += h.counts[len(h.bounds)].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				f.name, labelString(f.labels, c.labelVals, "le", "+Inf"), cum); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, ls, fmtFloat(h.Sum())); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, ls, h.Count()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -6,61 +6,41 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeExposition(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("reqs_total", "total requests")
-	c.Add(3)
-	c.Inc()
-	c.Add(-5) // ignored: counters are monotonic
-	g := r.Gauge("depth", "queue depth")
-	g.Set(2)
-	g.Add(1.5)
-	r.GaugeFunc("live_bytes", "live bytes", func() float64 { return 42 })
-
+func TestWriterExposition(t *testing.T) {
+	h := NewHistogram([]float64{0.5, 1})
+	h.Observe(0.25)
+	h.Observe(2)
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE reqs_total counter",
-		"reqs_total 4",
-		"# TYPE depth gauge",
-		"depth 3.5",
-		"live_bytes 42",
-		"# HELP reqs_total total requests",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestVecLabelsAndDelete(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("ops_total", "ops", "tenant", "op")
-	v.With("a", "reach").Add(2)
-	v.With("b", "verify").Inc()
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	out := b.String()
-	if !strings.Contains(out, `ops_total{tenant="a",op="reach"} 2`) {
-		t.Errorf("missing labeled sample:\n%s", out)
-	}
-	if !strings.Contains(out, `ops_total{tenant="b",op="verify"} 1`) {
-		t.Errorf("missing labeled sample:\n%s", out)
-	}
-	v.Delete("a", "reach")
-	b.Reset()
-	r.WritePrometheus(&b)
-	if strings.Contains(b.String(), `tenant="a"`) {
-		t.Errorf("deleted series still exposed:\n%s", b.String())
+	w := NewWriter(&b)
+	w.Family("reqs_total", "counter", "total requests")
+	w.Sample(4, "tenant", `a\b"c`+"\nd", "op", "reach")
+	w.Family("silent", "gauge", "a family with no sample renders nothing")
+	w.Family("ratio", "gauge", "")
+	w.Sample(0.75)
+	w.Sample(3e15)
+	w.Family("lat_seconds", "histogram", "latency")
+	w.Histogram(h, "tenant", "-")
+	want := `# HELP reqs_total total requests
+# TYPE reqs_total counter
+reqs_total{tenant="a\\b\"c\nd",op="reach"} 4
+# TYPE ratio gauge
+ratio 0.75
+ratio 3e+15
+# HELP lat_seconds latency
+# TYPE lat_seconds histogram
+lat_seconds_bucket{tenant="-",le="0.5"} 1
+lat_seconds_bucket{tenant="-",le="1"} 1
+lat_seconds_bucket{tenant="-",le="+Inf"} 2
+lat_seconds_sum{tenant="-"} 2.25
+lat_seconds_count{tenant="-"} 2
+`
+	if got := b.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "latency", []float64{0.01, 0.1, 1})
+	h := NewHistogram([]float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
@@ -71,7 +51,9 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("sum = %v", got)
 	}
 	var b strings.Builder
-	r.WritePrometheus(&b)
+	w := NewWriter(&b)
+	w.Family("lat_seconds", "histogram", "latency")
+	w.Histogram(h)
 	out := b.String()
 	for _, want := range []string{
 		`lat_seconds_bucket{le="0.01"} 1`,
@@ -87,7 +69,7 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestHistogramBoundaryInclusive(t *testing.T) {
-	h := newHistogram([]float64{1, 2})
+	h := NewHistogram([]float64{1, 2})
 	h.Observe(1) // le="1" is inclusive
 	if h.counts[0].Load() != 1 {
 		t.Fatalf("observation on boundary fell in bucket %v", h.counts)
@@ -104,41 +86,23 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
+// TestConcurrentUse: eight goroutines observing one histogram lose nothing,
+// in the count, the buckets or the sum.
 func TestConcurrentUse(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("c_total", "", "k")
-	hv := r.HistogramVec("h_seconds", "", []float64{0.5}, "k")
+	h := NewHistogram([]float64{0.5})
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for range 8 {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			k := string(rune('a' + i%3))
-			for j := 0; j < 1000; j++ {
-				v.With(k).Inc()
-				hv.With(k).Observe(float64(j % 2))
+			for j := range 1000 {
+				h.Observe(float64(j % 2))
 			}
-		}(i)
+		}()
 	}
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				var b strings.Builder
-				r.WritePrometheus(&b)
-			}
-		}
-	}()
 	wg.Wait()
-	close(done)
-	total := int64(0)
-	for _, k := range []string{"a", "b", "c"} {
-		total += v.With(k).Value()
-	}
-	if total != 8000 {
-		t.Fatalf("lost increments: %d", total)
+	if h.Count() != 8000 || h.Sum() != 4000 || h.counts[0].Load() != 4000 || h.counts[1].Load() != 4000 {
+		t.Fatalf("lost observations: count %d, sum %v, buckets %d/%d",
+			h.Count(), h.Sum(), h.counts[0].Load(), h.counts[1].Load())
 	}
 }

@@ -276,7 +276,7 @@ var errSkipTenant = errors.New("skip")
 // are logged and skipped — one corrupt tenant must not keep the daemon from
 // serving the others — and the damaged directory is left in place for
 // inspection.
-func (r *registry) recoverAll(m *metricSet) {
+func (r *registry) recoverAll() {
 	ents, err := os.ReadDir(r.cfg.DataDir)
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -293,7 +293,7 @@ func (r *registry) recoverAll(m *metricSet) {
 			log.Printf("bonsaid: recovery: skipping %q: bad name", e.Name())
 			continue
 		}
-		if err := r.recoverOne(name, m); err != nil {
+		if err := r.recoverOne(name); err != nil {
 			if !errors.Is(err, errSkipTenant) {
 				log.Printf("bonsaid: recovery: tenant %s: %v", name, err)
 			}
@@ -307,7 +307,7 @@ func (r *registry) recoverAll(m *metricSet) {
 // stream path, then attach the journal for new appends. The read-only tail
 // scan runs before journal.Open because Open repairs (truncates) a torn
 // tail — scanning first preserves the damage evidence for /stats.
-func (r *registry) recoverOne(name string, m *metricSet) error {
+func (r *registry) recoverOne(name string) error {
 	dir := r.tenantDir(name)
 	ck, err := journal.LoadCheckpoint(dir)
 	if errors.Is(err, journal.ErrNoCheckpoint) {
@@ -394,10 +394,6 @@ func (r *registry) recoverOne(name string, m *metricSet) error {
 	r.tenants[name] = t
 	r.mu.Unlock()
 
-	m.journalReplayed.With(name).Add(int64(info.Records))
-	if info.Gap {
-		m.journalGaps.With(name).Inc()
-	}
 	if info.Records > 0 || info.Truncated {
 		log.Printf("bonsaid: recovery: tenant %s: checkpoint seq %d, replayed %d deltas (truncated=%v gap=%v dropped=%dB)",
 			name, ck.Seq, info.Records, info.Truncated, info.Gap, info.DroppedBytes)

@@ -59,11 +59,16 @@ type tenant struct {
 	// observe it and 404 rather than racing the engine teardown.
 	closed atomic.Bool
 
-	// Aggregates for /metrics: compression work (ns/class), coalescing.
+	// Aggregates for /metrics: compression work (ns/class), coalescing, the
+	// adopted and invalidated classes of every /apply and /replay report, and
+	// the requests counted under this tenant's name.
 	compressClasses atomic.Int64
 	compressNs      atomic.Int64
 	editsReceived   atomic.Int64
 	editsApplied    atomic.Int64
+	adopted         atomic.Int64
+	invalidated     atomic.Int64
+	ops             *opStats
 
 	// Durability (nil jrnl = ephemeral tenant). appliedSeq is the newest
 	// journal sequence known to be reflected in the live engine — a
@@ -295,6 +300,7 @@ func (r *registry) buildTenant(name string, net *bonsai.Network) (*tenant, error
 		queries:   make(chan struct{}, max(1, r.cfg.MaxQueriesPerTenant)),
 		writes:    make(chan struct{}, max(1, r.cfg.ApplyQueueDepth)+1),
 		ckptEvery: r.checkpointEvery(),
+		ops:       newOpStats(),
 	}
 	t.touch()
 	return t, nil
@@ -414,10 +420,10 @@ func (r *registry) close(name string, deleteData bool) error {
 	return t.eng.Close()
 }
 
-// idleNames lists tenants idle past ttl; the caller closes them (and drops
-// their metric series). Tenants with in-flight work are never idle, however
-// stale their lastUsed stamp — closing one would block the janitor behind
-// its write lock and tear the engine down under live requests.
+// idleNames lists tenants idle past ttl; the caller closes them. Tenants
+// with in-flight work are never idle, however stale their lastUsed stamp —
+// closing one would block the janitor behind its write lock and tear the
+// engine down under live requests.
 func (r *registry) idleNames(ttl time.Duration) []string {
 	if ttl <= 0 {
 		return nil

@@ -33,6 +33,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -85,11 +86,11 @@ type Config struct {
 // Server is the daemon core: registry + pool + metrics behind an
 // http.Handler. Create with New, serve with ServeHTTP, stop with Drain.
 type Server struct {
-	cfg     Config
-	pool    *bonsai.SharedPool
-	reg     *registry
-	metrics *metricSet
-	mux     *http.ServeMux
+	cfg  Config
+	pool *bonsai.SharedPool
+	reg  *registry
+	ops  *opStats // requests no held tenant owns: tenant="-"
+	mux  *http.ServeMux
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -106,7 +107,7 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		pool:        pool,
 		reg:         newRegistry(cfg, pool),
-		metrics:     newMetricSet(),
+		ops:         newOpStats(),
 		mux:         http.NewServeMux(),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -115,7 +116,7 @@ func New(cfg Config) *Server {
 	if cfg.DataDir != "" {
 		// Recover journaled tenants before serving: requests arriving after
 		// New returns see every tenant that survived the previous process.
-		s.reg.recoverAll(s.metrics)
+		s.reg.recoverAll()
 	}
 	go s.janitor()
 	return s
@@ -153,9 +154,7 @@ func (s *Server) janitor() {
 		case <-tick.C:
 			for _, name := range s.reg.idleNames(s.cfg.IdleTTL) {
 				// Keep data: eviction reclaims memory, not history.
-				if s.reg.close(name, false) == nil {
-					s.metrics.dropTenant(name)
-				}
+				s.reg.close(name, false)
 			}
 		}
 	}
@@ -186,32 +185,32 @@ func (s *Server) routes() {
 }
 
 // instrument wraps a handler with drain admission and the latency
-// histogram, and records op in the closed set dropTenant deletes by.
+// histogram.
 func (s *Server) instrument(op string, h http.HandlerFunc) http.HandlerFunc {
-	s.metrics.ops = append(s.metrics.ops, op)
+	i := slices.Index(ops[:], op)
 	return func(w http.ResponseWriter, r *http.Request) {
 		done, err := s.reg.admit()
 		if err != nil {
-			s.metrics.rejected.With(s.tenantLabel(r), "draining").Inc()
+			s.opsFor(r).rejected[rejectDraining].Add(1)
 			s.httpError(w, err)
 			return
 		}
 		defer done()
 		start := time.Now()
 		h(w, r)
-		s.metrics.reqSeconds.With(s.tenantLabel(r), op).Observe(time.Since(start).Seconds())
+		s.opsFor(r).seconds[i].Observe(time.Since(start).Seconds())
 	}
 }
 
-// tenantLabel is the tenant label of a request's series: the path's tenant
-// if the registry holds it now, else "-" (/v1/tenants, a 404, a tenant its
-// own DELETE just closed), so a name a client invents never becomes a series.
-func (s *Server) tenantLabel(r *http.Request) string {
-	name := r.PathValue("name")
-	if _, err := s.reg.get(name); err != nil {
-		return "-"
+// opsFor is where a request is counted: the path's tenant if the registry
+// holds it now, else the Server's tenant="-" (/v1/tenants, a 404, a tenant
+// its own DELETE just closed), so a name a client invents never becomes a
+// series.
+func (s *Server) opsFor(r *http.Request) *opStats {
+	if t, err := s.reg.get(r.PathValue("name")); err == nil {
+		return t.ops
 	}
-	return name
+	return s.ops
 }
 
 // tenantQuery resolves the tenant and admits the request against its
@@ -226,17 +225,12 @@ func (s *Server) tenantQuery(h func(http.ResponseWriter, *http.Request, *tenant)
 		}
 		if err := t.acquire(t.queries, ErrQueryBusy); err != nil {
 			if errors.Is(err, ErrQueryBusy) {
-				s.metrics.rejected.With(name, "query_quota").Inc()
+				t.ops.rejected[rejectQueryQuota].Add(1)
 			}
 			s.httpError(w, err)
 			return
 		}
-		g := s.metrics.inflight.With(name)
-		g.Add(1)
-		defer func() {
-			g.Add(-1)
-			<-t.queries
-		}()
+		defer func() { <-t.queries }()
 		h(w, r, t)
 	}
 }
@@ -281,7 +275,6 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, err)
 		return
 	}
-	s.metrics.dropTenant(name)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "closed"})
 }
 
@@ -298,7 +291,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := t.acquire(t.writes, ErrApplyQueueFull); err != nil {
 		if errors.Is(err, ErrApplyQueueFull) {
-			s.metrics.rejected.With(t.name, "apply_queue").Inc()
+			t.ops.rejected[rejectApplyQueue].Add(1)
 		}
 		s.httpError(w, err)
 		return
@@ -309,7 +302,8 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, err)
 		return
 	}
-	s.metrics.recordApply(t, rep)
+	t.adopted.Add(int64(rep.Adopted))
+	t.invalidated.Add(int64(rep.Invalidated))
 	writeJSON(w, http.StatusOK, rep)
 }
 
@@ -348,7 +342,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if rep != nil {
 		t.editsReceived.Add(int64(rep.EditsReceived))
 		t.editsApplied.Add(int64(rep.EditsApplied))
-		s.metrics.invalidated.With(t.name).Add(int64(rep.Invalidated))
+		t.adopted.Add(int64(rep.Adopted))
+		t.invalidated.Add(int64(rep.Invalidated))
 	}
 	if err != nil {
 		s.httpError(w, err)
