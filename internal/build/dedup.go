@@ -32,6 +32,7 @@ import (
 	"bonsai/internal/core"
 	"bonsai/internal/ec"
 	"bonsai/internal/policy"
+	"bonsai/internal/topo"
 )
 
 // Provenance reports where a Compress result came from: computed by full
@@ -176,12 +177,11 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		}
 	}
 	if !transported {
-		e.abs, e.err = b.CompressFresh(ctx, comp, cls)
+		e.abs, e.prefs, e.err = b.compressFresh(ctx, comp, cls)
 		if e.err == nil {
 			// The liveness vector refinement ran against, aligned with
 			// G.Edges() — no re-derivation of edge keys.
 			e.live = e.abs.Live
-			e.prefs = b.prefsVec(cls)
 			if e.abs.ColorSplits == 0 {
 				// This entry will be pinned as a transport seed: future
 				// transports read its colors concurrently, so compute them
@@ -260,23 +260,31 @@ func waitEntry(ctx context.Context, e *absEntry) (abs *core.Abstraction, err err
 // implementation Compress is tested against, and what benchmarks use to
 // measure undeduplicated cost.
 func (b *Builder) CompressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class) (*core.Abstraction, error) {
+	abs, _, err := b.compressFresh(ctx, comp, cls)
+	return abs, err
+}
+
+// compressFresh is CompressFresh, also returning the prefs vector refinement
+// ran with, which a store entry keeps.
+func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class) (*core.Abstraction, []int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	dest, err := b.destOf(cls)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mode := core.ModeEffective
 	if b.hasBGP {
 		mode = core.ModeBGP
 	}
+	prefs := b.prefsVec(cls)
 	abs := core.FindAbstraction(b.G, dest, core.Options{
 		Mode:     mode,
 		EdgeKeys: b.EdgeKeyVec(comp, cls),
-		Prefs:    b.PrefsFunc(cls),
+		Prefs:    func(u topo.NodeID) int { return prefs[u] },
 	})
-	return abs, nil
+	return abs, prefs, nil
 }
 
 // CacheStats is the state of the cross-EC abstraction store.

@@ -186,7 +186,7 @@ func entryBytes(e *absEntry) int64 {
 	n += slice + int64(cap(e.live))
 	n += slice + word*int64(cap(e.prefs))
 	if s := e.sig; s != nil {
-		n += 96 + int64(len(s.fp)) // the struct; fp string shared with e.fp when equal
+		n += 96 // the struct; its fp is the string e.fp, charged above
 		n += slice + int64(cap(s.origin))
 		n += slice + 4*int64(cap(s.fpIDs))
 		n += slice + int64(cap(s.aclV))
@@ -205,7 +205,10 @@ func entryBytes(e *absEntry) int64 {
 			n += word * int64(cap(c))
 		}
 		n += slice + 2*word*int64(cap(a.RepEdge))
-		n += slice + int64(cap(a.Live))
+		if len(a.Live) == 0 || len(e.live) == 0 || &a.Live[0] != &e.live[0] {
+			// an adopted entry: its abstraction is its predecessor's
+			n += slice + int64(cap(a.Live))
+		}
 		if a.AbsG != nil {
 			n += graphBytes(a.AbsG)
 		}

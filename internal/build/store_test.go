@@ -188,3 +188,63 @@ func TestStoreChargesStaticMaskAsSlice(t *testing.T) {
 	}
 	t.Fatal("no datacenter class has an applicable static")
 }
+
+// TestStoreChargesSharedVectorsOnce: a fresh entry keeps its abstraction's
+// liveness vector, a transported entry's abstraction is assembled over the
+// entry's mapped vector, and a store-loaded entry decodes one vector for
+// both; every entry's fingerprint is its signature's string. Each array is
+// charged once. A copy of the entry whose own vector is a second array (as
+// an adopted entry's is: its abstraction is its predecessor's) costs exactly
+// the abstraction's vector more, and dropping the signature's fingerprint
+// costs nothing.
+func TestStoreChargesSharedVectorsOnce(t *testing.T) {
+	ctx := context.Background()
+	check := func(tag string, b *Builder, want Provenance) {
+		t.Helper()
+		for _, cls := range b.Classes() {
+			e := b.store.entries[b.fpByPrefix[cls.Prefix]]
+			if e == nil || e.src != want {
+				continue
+			}
+			if &e.live[0] != &e.abs.Live[0] {
+				t.Fatalf("%s: entry and abstraction hold two liveness vectors", tag)
+			}
+			own := *e
+			own.live = make([]bool, len(e.live), cap(e.live))
+			if got, want := entryBytes(&own)-entryBytes(e), 24+int64(cap(e.abs.Live)); got != want {
+				t.Fatalf("%s: a second liveness array adds %d bytes, want %d: the shared one is charged twice", tag, got, want)
+			}
+			sig := *e.sig
+			sig.fp = ""
+			bare := *e
+			bare.sig = &sig
+			if extra := entryBytes(e) - entryBytes(&bare); extra != 0 {
+				t.Fatalf("%s: the signature's fingerprint, e.fp's string, is charged %d bytes again", tag, extra)
+			}
+			return
+		}
+		t.Fatalf("%s: no %v entry", tag, want)
+	}
+
+	dc, err := New(netgen.Datacenter(netgen.DCOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dc.Compress(ctx, dc.NewCompiler(true), dc.Classes()[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("fresh datacenter entry", dc, ProvFresh)
+
+	ft, err := New(netgen.Fattree(6, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := saveToBuffer(t, ft)
+	check("transported Fattree(6) entry", ft, ProvTransported)
+
+	loaded := rebuilt(t, ft)
+	if _, err := loaded.loadRelationStore(data); err != nil {
+		t.Fatal(err)
+	}
+	check("store-loaded Fattree(6) entry", loaded, ProvCached)
+}

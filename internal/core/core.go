@@ -54,8 +54,8 @@ type EdgeKey struct {
 func (k EdgeKey) Dead() bool { return !k.BGP && !k.OSPF && !k.Static }
 
 // EdgeKey is comparable, so refinement does not render it at all: the
-// adjacency builder interns each distinct key to a dense int32 ID and
-// signatures are built from those IDs (see buildAdjacency).
+// adjacency builder numbers each distinct key with a dense int32 token and
+// signatures are built from those tokens (see buildAdjacency).
 
 // Mode selects the abstraction conditions targeted by refinement.
 type Mode int
@@ -239,8 +239,8 @@ type engine struct {
 	created []int   // scratch: groups created by the last split
 	canon   []int   // scratch: canonically ordered group ids for phase 2
 	colorOK []int32 // per group id: member count at the last no-split coloring
-	buckets [][]int // scratch: first-fit color classes
-	color   []int32 // per node: color index within the group being colored
+	color   []int32 // per node: color within the group being colored, else 0
+	taken   []int32 // scratch: per color - 1, the last member (index + 1) that saw it on a neighbor
 }
 
 // markDirty flags a group for (re-)refinement.
@@ -257,7 +257,8 @@ func (e *engine) markDirty(id int) {
 // afterSplit updates the worklist after a split moved the members of the
 // created groups out of parent. A node's ∀∃ signature reads the group ids of
 // its live in/out-neighbors, so exactly the groups holding a neighbor of a
-// moved member may have become unstable (adj.nbrs is that neighbor set). A
+// moved member may have become unstable: those reached by walking the
+// member's live out- and in-lists (markDirty absorbs the repeats). A
 // pending dirty mark on the parent extends to the created groups: their
 // members inherit whatever staleness the parent had accumulated before the
 // split, and a flag left on the parent alone would no longer cover them.
@@ -267,8 +268,10 @@ func (e *engine) afterSplit(parent int, created []int) {
 	}
 	for _, c := range created {
 		for _, m := range e.p.Members(c) {
-			for _, v := range e.adj.nbrs[m] {
-				e.markDirty(e.p.Find(int(v)))
+			for _, les := range [2][]liveEdge{e.adj.out[m], e.adj.in[m]} {
+				for _, le := range les {
+					e.markDirty(e.p.Find(int(le.nbr)))
+				}
 			}
 		}
 	}
@@ -383,51 +386,47 @@ func (e *engine) phase2b(mode Mode, groupPrefs func([]int) int) int {
 }
 
 // colorSplit divides a group so that no two live-adjacent members remain
-// together: first-fit coloring in member order (deterministic), then one
-// multi-way split keyed by color class. It reports whether the group split.
+// together, and reports whether it split. Coloring is first-fit in member
+// order (deterministic): each member takes the smallest color that no
+// already-colored member among its live out- or in-neighbors holds. Colors
+// count from 1, so every node outside the group, and every member not yet
+// reached, reads 0. One multi-way split keyed by color follows.
 func (e *engine) colorSplit(id int, members []int) bool {
-	buckets := e.buckets[:0]
-	for _, u := range members {
-		placed := false
-		for ci := range buckets {
-			ok := true
-			for _, v := range buckets[ci] {
-				if e.adj.adjacent(u, v) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				buckets[ci] = append(buckets[ci], u)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			if len(buckets) < cap(buckets) {
-				buckets = buckets[:len(buckets)+1]
-				buckets[len(buckets)-1] = append(buckets[len(buckets)-1][:0], u)
-			} else {
-				buckets = append(buckets, []int{u})
-			}
-		}
-	}
-	e.buckets = buckets
-	if len(buckets) <= 1 {
-		return false
-	}
 	if e.color == nil {
 		e.color = make([]int32, e.p.Len())
 	}
-	for ci, b := range buckets {
-		for _, u := range b {
-			e.color[u] = int32(ci)
+	taken := e.taken[:0]
+	for i, u := range members {
+		stamp := int32(i + 1)
+		for _, les := range [2][]liveEdge{e.adj.out[u], e.adj.in[u]} {
+			for _, le := range les {
+				if c := e.color[le.nbr]; c > 0 {
+					taken[c-1] = stamp
+				}
+			}
 		}
+		c := 0
+		for c < len(taken) && taken[c] == stamp {
+			c++
+		}
+		if c == len(taken) {
+			taken = append(taken, 0)
+		}
+		e.color[u] = int32(c + 1)
 	}
-	created, _ := e.p.RefineCollect(id, func(x int) int64 { return int64(e.color[x]) }, e.created[:0])
-	e.created = created
-	e.afterSplit(id, created)
-	return true
+	e.taken = taken
+	split := len(taken) > 1
+	if split {
+		created, _ := e.p.RefineCollect(id, func(x int) int64 { return int64(e.color[x]) }, e.created[:0])
+		e.created = created
+		e.afterSplit(id, created)
+	}
+	// The split permuted the members within their backing array, so this
+	// still visits each of them once.
+	for _, u := range members {
+		e.color[u] = 0
+	}
+	return split
 }
 
 // AssembleOptions configures Assemble: the inputs of the post-refinement
@@ -597,41 +596,44 @@ func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOption
 }
 
 // liveEdge is a precomputed neighbor entry: the neighbor node and the
-// interned ID of the edge's canonical policy key.
+// token of the edge's canonical policy key.
 type liveEdge struct {
 	nbr topo.NodeID
 	tok int32
 }
 
-// adjacency holds, per node, the live out- and in-edges with their interned
-// policy-key IDs, computed once per destination class, plus the sorted
-// live-neighbor lists used by the self-loop-freedom coloring.
+// adjacency holds, per node, the live out- and in-edges with their policy
+// tokens, computed once per destination class. Refinement signatures,
+// worklist propagation and the self-loop-freedom coloring all walk these
+// two lists.
 type adjacency struct {
-	out  [][]liveEdge
-	in   [][]liveEdge
-	nbrs [][]topo.NodeID // union of live out/in neighbors, sorted, deduped
+	out [][]liveEdge
+	in  [][]liveEdge
 }
 
 // buildAdjacency derives each edge's canonical key exactly once — from the
-// keys vector when supplied, else via the callback — interning distinct keys
-// to dense IDs (EdgeKey is comparable, so the refinement loop never renders
-// a key). It returns the adjacency plus the liveness vector aligned with
-// g.Edges(), which the final Assemble reuses. Per-node lists are carved from
-// three exact-size backing arrays sized by a counting pass, so adjacency
+// keys vector when supplied, else via the callback — and numbers the
+// distinct keys with dense tokens in first-seen order. A class has a handful
+// of distinct keys (at most six on the evaluation networks) and consecutive
+// edges usually share one, so a token is found by comparing with the
+// previous edge's key, then scanning the distinct keys; no key is hashed. It
+// returns the adjacency plus the liveness vector aligned with g.Edges(),
+// which the final Assemble reuses. Per-node lists are carved from two
+// exact-size backing arrays sized by a counting pass, so adjacency
 // construction performs O(1) slice allocations.
 func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID) EdgeKey) (*adjacency, []bool) {
 	n := g.NumNodes()
 	edges := g.Edges()
 	a := &adjacency{
-		out:  make([][]liveEdge, n),
-		in:   make([][]liveEdge, n),
-		nbrs: make([][]topo.NodeID, n),
+		out: make([][]liveEdge, n),
+		in:  make([][]liveEdge, n),
 	}
 	live := make([]bool, len(edges))
 	toks := make([]int32, len(edges))
 	outDeg := make([]int32, n)
 	inDeg := make([]int32, n)
-	keyIDs := make(map[EdgeKey]int32, 16)
+	var distinct []EdgeKey // token -> key
+	tok := int32(-1)       // the previous live edge's token
 	nLive := 0
 	for i, e := range edges {
 		var k EdgeKey
@@ -645,10 +647,11 @@ func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID
 		}
 		live[i] = true
 		nLive++
-		tok, ok := keyIDs[k]
-		if !ok {
-			tok = int32(len(keyIDs))
-			keyIDs[k] = tok
+		if tok < 0 || k != distinct[tok] {
+			if tok = int32(slices.Index(distinct, k)); tok < 0 {
+				tok = int32(len(distinct))
+				distinct = append(distinct, k)
+			}
 		}
 		toks[i] = tok
 		outDeg[e.U]++
@@ -656,16 +659,13 @@ func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID
 	}
 	outBuf := make([]liveEdge, nLive)
 	inBuf := make([]liveEdge, nLive)
-	nbrBuf := make([]topo.NodeID, 2*nLive)
-	oo, io, no := 0, 0, 0
+	oo, io := 0, 0
 	for u := 0; u < n; u++ {
 		od, id := int(outDeg[u]), int(inDeg[u])
 		a.out[u] = outBuf[oo : oo : oo+od]
 		a.in[u] = inBuf[io : io : io+id]
-		a.nbrs[u] = nbrBuf[no : no : no+od+id]
 		oo += od
 		io += id
-		no += od + id
 	}
 	for i, e := range edges {
 		if !live[i] {
@@ -673,20 +673,8 @@ func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID
 		}
 		a.out[e.U] = append(a.out[e.U], liveEdge{e.V, toks[i]})
 		a.in[e.V] = append(a.in[e.V], liveEdge{e.U, toks[i]})
-		a.nbrs[e.U] = append(a.nbrs[e.U], e.V)
-		a.nbrs[e.V] = append(a.nbrs[e.V], e.U)
-	}
-	for i, ns := range a.nbrs {
-		slices.Sort(ns)
-		a.nbrs[i] = slices.Compact(ns)
 	}
 	return a, live
-}
-
-// adjacent reports whether a live edge joins u and v in either direction.
-func (a *adjacency) adjacent(u, v int) bool {
-	_, found := slices.BinarySearch(a.nbrs[u], topo.NodeID(v))
-	return found
 }
 
 // interner assigns dense int32 IDs to uint64 sequences. Its byte buffer is
