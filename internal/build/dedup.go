@@ -192,6 +192,9 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		}
 	}
 
+	if e.err != nil || transported || e.abs.ColorSplits > 0 {
+		sig.el, sig.colors = nil, nil // only a pinned seed is ever findIso's sa
+	}
 	prov := ProvFresh
 	if transported {
 		prov = ProvTransported

@@ -207,3 +207,42 @@ func TestDedupCacheRace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOnlySeedsKeepSearchVectors: a pinned transport seed keeps its label
+// and colour vectors, the only ones findIso ever reads from a stored entry;
+// a transported entry and a colour-split fresh one keep neither, since no
+// search can start from them and adoption reads only the signature's
+// fingerprint IDs, ACL verdicts and statics. Fattree(6) has one seed and
+// transports the rest; Ring(13)'s classes all colour-split.
+func TestOnlySeedsKeepSearchVectors(t *testing.T) {
+	cells := map[string]int{}
+	for _, net := range []*config.Network{netgen.Fattree(6, netgen.PolicyShortestPath), netgen.Ring(13)} {
+		b, err := New(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp := b.NewCompiler(true)
+		for _, cls := range b.Classes() {
+			if _, err := b.Compress(context.Background(), comp, cls); err != nil {
+				t.Fatal(err)
+			}
+		}
+		comp.Close()
+		for _, e := range b.store.entries {
+			cell := e.src.String()
+			if e.abs.ColorSplits > 0 {
+				cell = "colour-split"
+			}
+			cells[cell]++
+			el, colors := e.sig.el != nil, e.sig.colors != nil
+			if e.pinned != el || e.pinned != colors {
+				t.Fatalf("%s %s entry (pinned %v) keeps labels %v, colours %v", net.Name, cell, e.pinned, el, colors)
+			}
+		}
+	}
+	for _, cell := range []string{"fresh", "transported", "colour-split"} {
+		if cells[cell] == 0 {
+			t.Fatalf("no %s entry: %v", cell, cells)
+		}
+	}
+}

@@ -59,7 +59,7 @@ type edgeTables struct {
 	expRM     []int32      // per edge: sigRMs index of the export map, -1 none
 	impRM     []int32      // per edge: sigRMs index of the import map, -1 none
 	aclIdx    []int32      // per edge: sigACLs index of u's egress ACL toward v, -1 none
-	content   []uint64     // per edge: content label, equal where the class-independent behaviour is (transport.go)
+	content   []uint64     // per edge: mix64 of the content label, equal where the class-independent behaviour is (transport.go)
 
 	// sigRMs and sigACLs enumerate the policy objects whose class-dependent
 	// behaviour a class fingerprint records — every route map on a live
@@ -76,15 +76,6 @@ type edgeTables struct {
 func (t *edgeTables) out(u topo.NodeID) (lo, hi int32) {
 	l, h := t.g.OutEdges(u)
 	return int32(l), int32(h)
-}
-
-// edgeOf returns the indices of the directed edges (u, v) and (v, u).
-func (t *edgeTables) edgeOf(u, v topo.NodeID) (out, in_ int32, ok bool) {
-	i, ok := t.g.EdgeIndex(u, v)
-	if !ok {
-		return 0, 0, false
-	}
-	return int32(i), t.rev[i], true
 }
 
 // newEdgeTables derives every per-edge vector in two sweeps of the edge
@@ -207,7 +198,7 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router) *edgeTables {
 				label |= 1
 			}
 		}
-		t.content[i] = label
+		t.content[i] = mix64(label + 1) // a bijection: equal words, equal content
 	}
 
 	// Per route map, the prefix lists its clauses match, in clause/match

@@ -207,16 +207,16 @@ func TestBuilderTablesMatchReference(t *testing.T) {
 				for i := lo; i < hi; i++ {
 					v := tab.edges[i].V
 					got = append(got, v)
-					if o, in, ok := tab.edgeOf(u, v); !ok || o != i || tab.edges[in] != (topo.Edge{U: v, V: u}) {
-						t.Fatalf("edgeOf(%d, %d) = %d, %d, %v", u, v, o, in, ok)
+					if o, ok := b.G.EdgeIndex(u, v); !ok || int32(o) != i {
+						t.Fatalf("EdgeIndex(%d, %d) = %d, %v", u, v, o, ok)
 					}
 				}
 				if !slices.Equal(got, ref.nbrs[u]) {
 					t.Fatalf("node %d: neighbours %v, reference %v", u, got, ref.nbrs[u])
 				}
 			}
-			if _, _, ok := tab.edgeOf(0, 0); ok {
-				t.Fatal("edgeOf found a self loop")
+			if _, ok := b.G.EdgeIndex(0, 0); ok {
+				t.Fatal("EdgeIndex found a self loop")
 			}
 			for _, refs := range [][]int32{tab.expRM, tab.impRM} {
 				for _, idx := range refs {

@@ -26,11 +26,14 @@
 // (verifyIso), and any failure (or exceeding the search budget) falls back
 // to CompressFresh. That sweep is also where the image of every edge is
 // found, so it yields the edge permutation the transport then maps the
-// seed's liveness through: one pass over the edges per transport, and no
-// edge looked up outside the search's own forward checking.
+// seed's liveness through: one pass over the edges per transport. No edge is
+// looked up by its endpoints anywhere: the search and the sweep both scatter
+// an image's out-span into a per-node table and read it back.
 package build
 
 import (
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"bonsai/internal/core"
@@ -115,8 +118,8 @@ type classSig struct {
 	fpIDs   []int32  // per sigRMs: interned match-outcome string
 	aclV    []bool   // per sigACLs: verdict for the class prefix
 	statics edgeMask // edges an applicable static rides
-	el      []uint64 // per edge: hashed full label (content + class bits)
-	colors  []uint64 // per node: iterated neighborhood colors (lazy)
+	el      []uint64 // per edge: hashed full label folded with its reverse edge's (seeds only, once stored)
+	colors  []uint64 // per node: iterated neighborhood colors (lazy; seeds only, once stored)
 	colHash uint64   // commutative hash of the color multiset
 }
 
@@ -205,23 +208,45 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 
 // ensureLabels computes (once per classSig) the per-edge label vector and
 // its relabeling-invariant histogram hash. Deferred off the identity-hit
-// path: cache hits only read sig.fp, so the O(E) hashing runs on misses
-// alone. Like ensureColors, the lazy write is unsynchronised — callers must
-// only invoke it on a classSig not yet shared with other goroutines.
+// path: cache hits only read sig.fp, so the O(E) pass runs on misses alone.
+// A label starts as the edge's mixed content word; only edges a route map,
+// an ACL or a static can reach are rehashed, and the histogram moves by each
+// patch, so it is off a sum over every label by a class-independent constant.
+// Each label is then folded with its reverse's, el[i] ^ rot(el[rev[i]]): one
+// word per edge that the colours and the search read for both directions.
+// Like ensureColors, the lazy write is unsynchronised — callers must only
+// invoke it on a classSig not yet shared with other goroutines.
 func (b *Builder) ensureLabels(s *classSig) {
 	if s.el != nil {
 		return
 	}
 	t := b.tab
+	el := slices.Clone(t.content)
 	// Addition is commutative, so summing the mixed labels is invariant
 	// under any edge reordering — no sort needed.
-	s.el = make([]uint64, len(t.edges))
 	h := uint64(14695981039346656037)
-	for i := range t.edges {
+	patch := func(i int) {
 		w := t.edgeLabel(s, int32(i))
-		s.el[i] = w
-		h += mix64(w)
+		h += mix64(w) - mix64(el[i])
+		el[i] = w
 	}
+	for i := range el {
+		if t.expRM[i]&t.impRM[i]&t.aclIdx[i] >= 0 { // any of the three is present
+			patch(i)
+		}
+	}
+	for i, on := range s.statics {
+		if on {
+			patch(i)
+		}
+	}
+	for i, j := range t.rev {
+		if int(j) > i {
+			out, in := el[i], el[j]
+			el[i], el[j] = out^bits.RotateLeft64(in, 31), in^bits.RotateLeft64(out, 31)
+		}
+	}
+	s.el = el
 	norig := 0
 	for _, o := range s.origin {
 		if o {
@@ -235,7 +260,7 @@ func (b *Builder) ensureLabels(s *classSig) {
 // i under class signature s into one word. Used for pruning and histograms;
 // exact comparisons go through edgeEq.
 func (t *edgeTables) edgeLabel(s *classSig, i int32) uint64 {
-	w := mix64(t.content[i] + 1)
+	w := t.content[i]
 	if rm := t.expRM[i]; rm >= 0 {
 		w = mix64(w ^ (uint64(uint32(s.fpIDs[rm])) + 0x9e3779b97f4a7c15))
 	}
@@ -321,22 +346,20 @@ func (b *Builder) ensureColors(s *classSig) []uint64 {
 		col[u] = mix64(w + 0x9e3779b97f4a7c15)
 	}
 	next := make([]uint64, n)
-	mixed := make([]uint64, n)
 	for r := 0; r < colorRounds; r++ {
 		for u, c := range col {
-			mixed[u] = mix64(c)
+			col[u] = mix64(c)
 		}
 		for u := 0; u < n; u++ {
 			// Commutative combine (sum of mixed tuples) keeps the color a
 			// multiset invariant of the labeled neighborhood without sorting.
 			// One mix per edge: the neighbour's color is mixed once per round
-			// above, and the two direction labels are mix64 outputs already, so
-			// a rotation is enough to keep (out, in) apart from (in, out).
-			h := mixed[u]
+			// above, and the folded label covers both directions (the rotation
+			// in ensureLabels keeps (out, in) apart from (in, out)).
+			h := col[u]
 			lo, hi := t.out(topo.NodeID(u))
 			for i := lo; i < hi; i++ {
-				in := s.el[t.rev[i]]
-				h += mix64(s.el[i] ^ (in<<31 | in>>33) ^ mixed[t.edges[i].V])
+				h += mix64(s.el[i] ^ col[t.edges[i].V])
 			}
 			next[u] = mix64(h)
 		}
@@ -372,20 +395,23 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	if sa.colHash != sb.colHash {
 		return nil, nil
 	}
-	// BFS order from the destination; every node processed after its parent
-	// so candidates are constrained by at least one mapped neighbor.
+	pi = make([]topo.NodeID, n)
+	rev := make([]topo.NodeID, n)
+	parent := make([]topo.NodeID, n) // -1 until the BFS reaches a node
+	for i := range pi {
+		pi[i], rev[i], parent[i] = -1, -1, -1
+	}
+	// BFS order from the destination, which is its own parent; every node
+	// processed after its parent so candidates are constrained by at least
+	// one mapped neighbor.
 	order := make([]topo.NodeID, 0, n)
-	seen := make([]bool, n)
-	parent := make([]topo.NodeID, n)
 	order = append(order, sa.dest)
-	seen[sa.dest] = true
-	parent[sa.dest] = -1
+	parent[sa.dest] = sa.dest
 	for qi := 0; qi < len(order); qi++ {
 		u := order[qi]
 		lo, hi := t.out(u)
 		for _, e := range t.edges[lo:hi] {
-			if v := e.V; !seen[v] {
-				seen[v] = true
+			if v := e.V; parent[v] < 0 {
 				parent[v] = u
 				order = append(order, v)
 			}
@@ -394,33 +420,34 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	if len(order) != n {
 		return nil, nil // disconnected from dest; transport not attempted
 	}
-	pi = make([]topo.NodeID, n)
-	rev := make([]topo.NodeID, n)
-	for i := range pi {
-		pi[i], rev[i] = -1, -1
-	}
 	budget := isoBudgetFactor * n
 	steps := 0
-	// compatible checks u→w against all already-mapped neighbors of u.
+	// compatible checks u→w against all already-mapped neighbors of u: each
+	// image must be w's neighbour (w's out-span is scattered into at, then
+	// cleared) over an edge with an equal folded label word. Equal labels give
+	// equal words, so this never refuses what verifyIso would accept, and a
+	// hash collision only admits a π that verifyIso refuses.
+	at := make([]int32, n)
 	compatible := func(u, w topo.NodeID) bool {
 		if colA[u] != colB[w] || sa.origin[u] != sb.origin[w] {
 			return false
 		}
+		wlo, whi := t.out(w)
+		for j := wlo; j < whi; j++ {
+			at[t.edges[j].V] = j + 1
+		}
+		ok := true
 		lo, hi := t.out(u)
-		for i := lo; i < hi; i++ {
-			pv := pi[t.edges[i].V]
-			if pv < 0 {
-				continue
-			}
-			fo, fi, ok := t.edgeOf(w, pv)
-			if !ok {
-				return false
-			}
-			if !t.edgeEq(sa, sb, i, fo) || !t.edgeEq(sa, sb, t.rev[i], fi) {
-				return false
+		for i := lo; i < hi && ok; i++ {
+			if pv := pi[t.edges[i].V]; pv >= 0 {
+				j := at[pv] - 1
+				ok = j >= 0 && sa.el[i] == sb.el[j]
 			}
 		}
-		return true
+		for j := wlo; j < whi; j++ {
+			at[t.edges[j].V] = 0
+		}
+		return ok
 	}
 	var dfs func(i int) bool
 	dfs = func(i int) bool {
@@ -431,7 +458,7 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 		// Candidates: the destination's image is fixed; any other node maps
 		// to a neighbour of its BFS parent's image.
 		cands := []topo.Edge{{V: sb.dest}}
-		if parent[u] >= 0 {
+		if u != sa.dest {
 			lo, hi := t.out(pi[parent[u]])
 			cands = t.edges[lo:hi]
 		}

@@ -486,18 +486,20 @@ func TestConcurrentAppendCheckpointReplay(t *testing.T) {
 		}
 	}()
 
-	// Wait for the appender, then stop the background loops.
+	// Wait for the appender and for at least one checkpoint, then stop the
+	// background loops: a checkpointer not yet scheduled when the last
+	// append lands would otherwise see stop first and write nothing.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for j.LastSeq() < total {
+		for j.LastSeq() < total || j.CheckpointSeq() == 0 {
 			time.Sleep(time.Millisecond)
 		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("appender did not finish")
+		t.Fatal("appender or checkpointer did not finish")
 	}
 	close(stop)
 	wg.Wait()
