@@ -3,8 +3,6 @@ package bonsai
 import (
 	"context"
 	"time"
-
-	"bonsai/internal/ingest"
 )
 
 // streamOpts collects ApplyStream's tunables.
@@ -130,22 +128,27 @@ func (e *Engine) ApplyAll(ctx context.Context, deltas []Delta, opts ...StreamApp
 // topology rebuild plus one adoption pass. The robustness contract:
 //
 //   - Backpressure: the channel is read only as fast as rebuilds complete —
-//     while a batch is applying, producers block (or buffer in the channel),
-//     and the queue depth is observable via ApplyStats.
-//   - Bounded staleness: WithMaxPending / WithMaxStaleness force a flush;
-//     with neither, a batch flushes as soon as the channel is momentarily
-//     empty.
+//     a batch applies on the stream's goroutine, so while it does, producers
+//     block (or buffer in the channel). ApplyStats reports the queue depth
+//     and the counts of every delta read so far, rejected ones included.
+//   - Bounded staleness: a batch is cut, in this order of checks, once it
+//     holds WithMaxPending deltas (pending); without WithMaxStaleness, as soon
+//     as a non-blocking poll finds the channel empty (drain); with it, once
+//     the window opened by the batch's first delta expires (stale); or when
+//     the channel closes (close).
 //   - Graceful degradation: an oversized burst swaps to a cold snapshot
 //     (classes recompress lazily) instead of erroring or buffering without
-//     bound; invalid deltas are counted and skipped, never fatal.
+//     bound; invalid deltas are counted and skipped, never fatal, and one
+//     that arrives alone starts no batch.
 //
 // ApplyStream serializes with Apply (and other ApplyStream calls): it holds
 // the engine's apply lock for its whole run. Queries are never blocked —
 // they serve the latest published snapshot throughout. The call returns
-// when the channel closes (flushing any pending batch first), the context
-// is cancelled, or the engine is closed mid-stream (ErrClosed; the pending
-// batch is abandoned, the last published snapshot stands). The report is
-// non-nil even on error, covering the work done up to the failure.
+// when the channel closes (applying any pending batch first), a batch fails
+// to apply, the context is cancelled, or the engine is closed mid-stream
+// (ErrClosed). Cancel and Close abandon the pending batch: the last
+// published snapshot stands. The report is non-nil even on error, covering
+// the work done up to the failure.
 func (e *Engine) ApplyStream(ctx context.Context, deltas <-chan Delta, opts ...StreamApplyOption) (*ApplyStreamReport, error) {
 	var o streamOpts
 	for _, opt := range opts {
@@ -159,99 +162,139 @@ func (e *Engine) ApplyStream(ctx context.Context, deltas <-chan Delta, opts ...S
 	defer e.applyMu.Unlock()
 	start := time.Now()
 
-	var live ApplyStats
+	// The report's counters are the live stats: every change is published.
+	pending := 0
 	publish := func() {
-		snap := live
-		e.streamStats.Store(&snap)
+		e.streamStats.Store(&ApplyStats{
+			Pending:    pending,
+			Received:   rep.Deltas,
+			Rejected:   rep.Rejected,
+			Batches:    rep.Batches,
+			MaxPending: rep.MaxPending,
+		})
 	}
 	publish()
-
-	var c *coalescer
-	add := func(d Delta) error {
-		if c == nil {
-			c = newCoalescer(e.state.Load().cfg)
+	finish := func(err error) (*ApplyStreamReport, error) {
+		if rep.EditsApplied > 0 {
+			rep.CoalesceRatio = float64(rep.EditsReceived) / float64(rep.EditsApplied)
 		}
-		return c.add(d)
+		rep.Duration = time.Since(start)
+		pending = 0
+		publish()
+		return rep, err
 	}
-	flush := func(reason ingest.FlushReason, batched int) error {
-		if c == nil {
-			return nil
+
+	c := newCoalescer(e.state.Load().cfg)
+	take := func(d Delta) {
+		rep.Deltas++
+		if c.add(d) != nil {
+			rep.Rejected++
+		} else if pending++; pending > rep.MaxPending {
+			rep.MaxPending = pending
 		}
+		publish()
+	}
+	// cut applies the pending batch as one canonical delta, counts the cut
+	// under reason, and starts the next batch against the new snapshot.
+	cut := func(reason *int) error {
+		rep.Batches++
+		*reason++
 		d, cst := c.build()
-		c = nil
 		rep.EditsReceived += cst.EditsIn
 		rep.EditsApplied += cst.EditsOut
 		rep.Coalesced += cst.Coalesced
+		var br *ApplyReport
+		var err error
 		if d.empty() {
 			rep.EmptyBatches++
 			if o.observer != nil {
-				o.observer(&ApplyReport{
-					Classes:       len(e.state.Load().b.Classes()),
-					CoalescedAway: cst.CoalescedAway,
-					Coalesced:     cst.Coalesced,
-				})
+				br = &ApplyReport{Classes: len(e.state.Load().b.Classes())}
 			}
-			return nil
+		} else if br, err = e.applyDelta(ctx, d); err == nil {
+			rep.Adopted += br.Adopted
+			rep.Invalidated += br.Invalidated
+			rep.NewClasses += br.NewClasses
+			rep.RemovedClasses += br.RemovedClasses
+			if br.Degraded {
+				rep.DegradedBatches++
+			}
 		}
-		br, err := e.applyDelta(ctx, d)
-		if err != nil {
-			return err
-		}
-		br.CoalescedAway = cst.CoalescedAway
-		br.Coalesced = cst.Coalesced
-		rep.Adopted += br.Adopted
-		rep.Invalidated += br.Invalidated
-		rep.NewClasses += br.NewClasses
-		rep.RemovedClasses += br.RemovedClasses
-		if br.Degraded {
-			rep.DegradedBatches++
-		}
-		if o.observer != nil {
+		if err == nil && o.observer != nil {
+			br.CoalescedAway, br.Coalesced = cst.CoalescedAway, cst.Coalesced
 			o.observer(br)
 		}
-		return nil
+		pending = 0
+		c = newCoalescer(e.state.Load().cfg)
+		publish()
+		return err
 	}
 
-	st, err := ingest.Run(ctx, deltas, ingest.Options{
-		MaxPending:   o.maxPending,
-		MaxStaleness: o.maxStaleness,
-		Stop:         e.closeCh,
-		OnPending: func(n int) {
-			live.Pending = n
-			if n == 0 {
-				live.Batches++
-			} else {
-				live.Received++
-				if n > live.MaxPending {
-					live.MaxPending = n
+	for {
+		// Block for the first delta of the next batch.
+		select {
+		case <-ctx.Done():
+			return finish(ctx.Err())
+		case <-e.closeCh:
+			return finish(ErrClosed)
+		case d, ok := <-deltas:
+			if !ok {
+				return finish(nil)
+			}
+			take(d)
+		}
+		if pending == 0 {
+			continue
+		}
+
+		// Gather until a cut rule fires.
+		var (
+			timer *time.Timer
+			cutBy *int
+			err   error
+		)
+		if o.maxStaleness > 0 {
+			timer = time.NewTimer(o.maxStaleness)
+		}
+		for cutBy == nil && err == nil {
+			switch {
+			case o.maxPending > 0 && pending >= o.maxPending:
+				cutBy = &rep.FlushPending
+			case timer == nil:
+				select {
+				case d, ok := <-deltas:
+					if !ok {
+						cutBy = &rep.FlushClose
+					} else {
+						take(d)
+					}
+				default:
+					cutBy = &rep.FlushDrain
+				}
+			default:
+				select {
+				case <-ctx.Done():
+					err = ctx.Err()
+				case <-e.closeCh:
+					err = ErrClosed
+				case <-timer.C:
+					cutBy = &rep.FlushStale
+				case d, ok := <-deltas:
+					if !ok {
+						cutBy = &rep.FlushClose
+					} else {
+						take(d)
+					}
 				}
 			}
-			publish()
-		},
-	}, add, flush)
-
-	rep.Deltas = st.Received
-	rep.Rejected = st.Rejected
-	rep.Batches = st.Batches
-	rep.MaxPending = st.MaxPending
-	rep.FlushDrain = st.FlushDrain
-	rep.FlushPending = st.FlushPending
-	rep.FlushStale = st.FlushStale
-	rep.FlushClose = st.FlushClose
-	if rep.EditsApplied > 0 {
-		rep.CoalesceRatio = float64(rep.EditsReceived) / float64(rep.EditsApplied)
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+		if err == nil {
+			err = cut(cutBy)
+		}
+		if err != nil || cutBy == &rep.FlushClose {
+			return finish(err)
+		}
 	}
-	rep.Duration = time.Since(start)
-
-	live.Pending = 0
-	live.Received = st.Received
-	live.Rejected = st.Rejected
-	live.Batches = st.Batches
-	live.MaxPending = st.MaxPending
-	publish()
-
-	if err == ingest.ErrStopped {
-		err = ErrClosed
-	}
-	return rep, err
 }

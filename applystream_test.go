@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bonsai"
+	"bonsai/internal/faultinject"
 	"bonsai/internal/netgen"
 )
 
@@ -432,4 +434,307 @@ func TestApplyStreamConcurrentQueries(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	verifyCounts(t, eng)
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestApplyStreamContract induces, through the public API, each clause of
+// ApplyStream's contract, each cut rule by the counts it reports. Also
+// covered elsewhere: TestApplyStreamBackpressure (the queue never outgrows
+// WithMaxPending under a live producer) and internal/server's
+// TestServerReplay (the drain cut lets a streamed flap storm coalesce).
+func TestApplyStreamContract(t *testing.T) {
+	down := bonsai.Delta{LinkDown: []bonsai.LinkRef{{A: "agg-0-0", B: "core-0"}}}
+	up := bonsai.Delta{LinkUp: []bonsai.LinkRef{{A: "agg-0-0", B: "core-0"}}}
+	invalid := bonsai.Delta{LinkDown: []bonsai.LinkRef{{A: "no-such", B: "router"}}}
+	// flaps returns n deltas taking one link down and up in turn.
+	flaps := func(n int) []bonsai.Delta {
+		out := make([]bonsai.Delta, n)
+		for i := range out {
+			out[i] = down
+			if i%2 == 1 {
+				out[i] = up
+			}
+		}
+		return out
+	}
+	open := func(t *testing.T) *bonsai.Engine {
+		eng := openFattree(t, 4, netgen.PolicyShortestPath)
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	type result struct {
+		rep *bonsai.ApplyStreamReport
+		err error
+	}
+	// start runs the stream on its own goroutine.
+	start := func(ctx context.Context, eng *bonsai.Engine, ch <-chan bonsai.Delta, opts ...bonsai.StreamApplyOption) <-chan result {
+		done := make(chan result, 1)
+		go func() {
+			rep, err := eng.ApplyStream(ctx, ch, opts...)
+			done <- result{rep, err}
+		}()
+		return done
+	}
+	// checkCuts compares how many batches each rule cut.
+	checkCuts := func(t *testing.T, rep *bonsai.ApplyStreamReport, drain, pending, stale, closed int) {
+		t.Helper()
+		got := [5]int{rep.Batches, rep.FlushDrain, rep.FlushPending, rep.FlushStale, rep.FlushClose}
+		if want := [5]int{drain + pending + stale + closed, drain, pending, stale, closed}; got != want {
+			t.Fatalf("batches, drain, pending, stale, close cuts = %v, want %v (%+v)", got, want, rep)
+		}
+	}
+	ctx := context.Background()
+
+	t.Run("close-cut-burst", func(t *testing.T) {
+		// A fully buffered burst never leaves the channel empty: it is one
+		// batch, cut when the channel closes.
+		rep, err := open(t).ApplyStream(ctx, feed(flaps(5)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCuts(t, rep, 0, 0, 0, 1)
+		if rep.Deltas != 5 || rep.MaxPending != 5 {
+			t.Fatalf("report = %+v, want 5 deltas in one batch", rep)
+		}
+	})
+
+	t.Run("pending-cut", func(t *testing.T) {
+		// The count bound is checked before the channel is polled: ten
+		// buffered deltas under WithMaxPending(3) cut 3+3+3, then 1 at close.
+		rep, err := open(t).ApplyStream(ctx, feed(flaps(10)...), bonsai.WithMaxPending(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCuts(t, rep, 0, 3, 0, 1)
+		if rep.Deltas != 10 || rep.MaxPending != 3 {
+			t.Fatalf("report = %+v, want 10 deltas, queue depth 3", rep)
+		}
+	})
+
+	t.Run("drain-cut", func(t *testing.T) {
+		// Without a staleness window a batch is cut once a non-blocking poll
+		// finds the channel empty: a producer that waits for each batch to
+		// land before it sends again gets one batch per delta.
+		eng := open(t)
+		ch := make(chan bonsai.Delta)
+		landed := make(chan struct{}, 1)
+		done := start(ctx, eng, ch, bonsai.WithBatchObserver(func(*bonsai.ApplyReport) { landed <- struct{}{} }))
+		for _, d := range flaps(3) {
+			ch <- d
+			<-landed
+		}
+		close(ch)
+		res := <-done
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		checkCuts(t, res.rep, 3, 0, 0, 0)
+	})
+
+	t.Run("staleness-gathers", func(t *testing.T) {
+		// A staleness window keeps gathering across gaps that would each
+		// cut a batch by drain: four spaced deltas are one batch.
+		eng := open(t)
+		ch := make(chan bonsai.Delta)
+		done := start(ctx, eng, ch, bonsai.WithMaxStaleness(time.Minute))
+		for _, d := range flaps(4) {
+			ch <- d
+			time.Sleep(2 * time.Millisecond)
+		}
+		close(ch)
+		res := <-done
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		checkCuts(t, res.rep, 0, 0, 0, 1)
+		if res.rep.Deltas != 4 || res.rep.MaxPending != 4 {
+			t.Fatalf("report = %+v, want 4 deltas in one batch", res.rep)
+		}
+	})
+
+	t.Run("cancel-abandons", func(t *testing.T) {
+		eng := open(t)
+		before := eng.Network()
+		ctx, cancel := context.WithCancel(ctx)
+		ch := make(chan bonsai.Delta)
+		done := start(ctx, eng, ch, bonsai.WithMaxStaleness(time.Minute))
+		ch <- down
+		waitFor(t, "the delta to be pending", func() bool { return eng.ApplyStats().Pending == 1 })
+		cancel()
+		res := <-done
+		if !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", res.err)
+		}
+		checkCuts(t, res.rep, 0, 0, 0, 0)
+		if res.rep.Deltas != 1 || eng.Network() != before {
+			t.Fatalf("report = %+v; the pending delta must be read and abandoned", res.rep)
+		}
+		if st := eng.ApplyStats(); st.Pending != 0 {
+			t.Fatalf("ApplyStats after cancel = %+v, want nothing pending", st)
+		}
+	})
+
+	t.Run("stale-cut-open-channel", func(t *testing.T) {
+		// One delta on a channel that stays open: only the staleness window
+		// cuts it, as a batch of one.
+		eng := open(t)
+		ctx, cancel := context.WithCancel(ctx)
+		ch := make(chan bonsai.Delta)
+		landed := make(chan struct{}, 1)
+		done := start(ctx, eng, ch, bonsai.WithMaxStaleness(5*time.Millisecond),
+			bonsai.WithBatchObserver(func(*bonsai.ApplyReport) { landed <- struct{}{} }))
+		ch <- down
+		select {
+		case <-landed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("staleness window never cut the batch")
+		}
+		cancel()
+		res := <-done
+		if !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", res.err)
+		}
+		checkCuts(t, res.rep, 0, 0, 1, 0)
+		if res.rep.Deltas != 1 || res.rep.MaxPending != 1 {
+			t.Fatalf("report = %+v, want a stale cut of 1 delta", res.rep)
+		}
+	})
+
+	t.Run("close-abandons", func(t *testing.T) {
+		// Engine.Close stops the stream: the pending batch is read, never
+		// landed, and the stream returns ErrClosed.
+		eng := open(t)
+		ch := make(chan bonsai.Delta)
+		done := start(ctx, eng, ch, bonsai.WithMaxStaleness(time.Minute),
+			bonsai.WithBatchObserver(func(r *bonsai.ApplyReport) {
+				t.Errorf("a batch landed after Close: %+v", r)
+			}))
+		ch <- down
+		waitFor(t, "the delta to be pending", func() bool { return eng.ApplyStats().Pending == 1 })
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		res := <-done
+		if !errors.Is(res.err, bonsai.ErrClosed) {
+			t.Fatalf("err = %v, want ErrClosed", res.err)
+		}
+		checkCuts(t, res.rep, 0, 0, 0, 0)
+		if res.rep.Deltas != 1 {
+			t.Fatalf("report = %+v, want 1 delta read and abandoned", res.rep)
+		}
+	})
+
+	t.Run("rejected-do-not-batch", func(t *testing.T) {
+		// Rejected deltas are counted but never queued: of six buffered
+		// deltas, alternately valid and invalid, only the three valid ones
+		// make up the close-cut batch.
+		var log []bonsai.Delta
+		for _, d := range flaps(3) {
+			log = append(log, d, invalid)
+		}
+		rep, err := open(t).ApplyStream(ctx, feed(log...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCuts(t, rep, 0, 0, 0, 1)
+		if rep.Deltas != 6 || rep.Rejected != 3 || rep.MaxPending != 3 {
+			t.Fatalf("report = %+v, want 6 read, 3 rejected, 3 batched", rep)
+		}
+	})
+
+	t.Run("lone-rejected-flushes-nothing", func(t *testing.T) {
+		eng := open(t)
+		rep, err := eng.ApplyStream(ctx, feed(invalid), bonsai.WithBatchObserver(func(r *bonsai.ApplyReport) {
+			t.Errorf("a lone rejected delta landed a batch: %+v", r)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCuts(t, rep, 0, 0, 0, 0)
+		if rep.Deltas != 1 || rep.Rejected != 1 || rep.MaxPending != 0 {
+			t.Fatalf("report = %+v, want 1 delta read and rejected", rep)
+		}
+	})
+
+	t.Run("apply-error-aborts", func(t *testing.T) {
+		eng := open(t)
+		before := eng.Network()
+		t.Cleanup(faultinject.Reset)
+		faultinject.Arm(faultinject.ApplySwap, func(string) { panic("swap poisoned") })
+		rep, err := eng.ApplyStream(ctx, feed(flaps(3)...), bonsai.WithMaxPending(1))
+		if err == nil || !strings.Contains(err.Error(), "apply panicked") {
+			t.Fatalf("err = %v, want the contained apply panic", err)
+		}
+		checkCuts(t, rep, 0, 1, 0, 0)
+		if rep.Deltas != 1 || eng.Network() != before {
+			t.Fatalf("report = %+v; the stream must stop reading at the failed batch, snapshot unchanged", rep)
+		}
+	})
+
+	t.Run("no-read-ahead", func(t *testing.T) {
+		// A batch lands on the stream's goroutine: while its observer is
+		// held, a send into an unbuffered channel cannot complete.
+		eng := open(t)
+		ch := make(chan bonsai.Delta)
+		inObserver, release := make(chan struct{}), make(chan struct{})
+		done := start(ctx, eng, ch, bonsai.WithBatchObserver(func(*bonsai.ApplyReport) {
+			inObserver <- struct{}{}
+			<-release
+		}))
+		ch <- down
+		<-inObserver
+		sent := make(chan struct{})
+		go func() {
+			ch <- up
+			close(sent)
+		}()
+		select {
+		case <-sent:
+			t.Fatal("a send completed while a batch was landing: the stream read ahead")
+		case <-time.After(20 * time.Millisecond):
+		}
+		release <- struct{}{}
+		<-sent
+		close(ch)
+		<-inObserver // the second batch, drain- or close-cut by timing
+		release <- struct{}{}
+		res := <-done
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		if res.rep.Deltas != 2 || res.rep.Batches != 2 {
+			t.Fatalf("report = %+v, want 2 deltas in 2 batches", res.rep)
+		}
+	})
+
+	t.Run("live-stats-count-rejected", func(t *testing.T) {
+		// ApplyStats counts every delta read so far, rejected ones included,
+		// while the stream runs.
+		eng := open(t)
+		ctx, cancel := context.WithCancel(ctx)
+		ch := make(chan bonsai.Delta)
+		done := start(ctx, eng, ch, bonsai.WithMaxStaleness(time.Minute))
+		ch <- invalid
+		waitFor(t, "the rejected delta to be counted", func() bool {
+			st := eng.ApplyStats()
+			return st.Received == 1 && st.Rejected == 1
+		})
+		ch <- down
+		waitFor(t, "the valid delta to be pending", func() bool { return eng.ApplyStats().Pending == 1 })
+		got := eng.ApplyStats()
+		cancel()
+		<-done
+		if want := (bonsai.ApplyStats{Pending: 1, Received: 2, Rejected: 1, MaxPending: 1}); got != want {
+			t.Fatalf("mid-stream ApplyStats = %+v, want %+v", got, want)
+		}
+	})
 }

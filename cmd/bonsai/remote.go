@@ -1,9 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -76,40 +76,22 @@ func remoteReplay(ctx context.Context, ef engineFlags, c *server.Client, tenant,
 			return err
 		}
 	}
-	in := os.Stdin
-	if logPath != "-" {
-		f, err := os.Open(logPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
+	in, err := openLog(logPath)
+	if err != nil {
+		return err
 	}
+	defer in.Close()
 	// Strip comments/blank lines but validate JSON client-side so a typo'd
 	// log fails with a line number instead of a mid-stream 400.
 	pr, pw := io.Pipe()
 	go func() {
-		sc := bufio.NewScanner(in)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-		line, nth := 0, int64(0)
-		for sc.Scan() {
-			line++
-			raw := sc.Bytes()
-			if len(raw) == 0 || raw[0] == '#' {
-				continue
-			}
-			if nth++; nth <= resumeFrom {
-				continue
-			}
+		pw.CloseWithError(scanLog(in, logPath, resumeFrom, func(raw []byte) error {
 			if !json.Valid(raw) {
-				pw.CloseWithError(fmt.Errorf("replay: %s:%d: invalid JSON", logPath, line))
-				return
+				return errors.New("invalid JSON")
 			}
-			if _, err := pw.Write(append(raw, '\n')); err != nil {
-				return
-			}
-		}
-		pw.CloseWithError(sc.Err())
+			_, err := pw.Write(append(raw, '\n'))
+			return err
+		}))
 	}()
 	rep, err := c.Replay(ctx, tenant, pr, pending, staleness)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -55,15 +56,11 @@ func cmdReplay(args []string) error {
 		}
 	}
 
-	in := os.Stdin
-	if *logPath != "-" {
-		f, err := os.Open(*logPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
+	in, err := openLog(*logPath)
+	if err != nil {
+		return err
 	}
+	defer in.Close()
 
 	// The producer decodes lines onto an unbuffered channel: ApplyStream's
 	// backpressure contract means the file is read only as fast as batches
@@ -72,26 +69,14 @@ func cmdReplay(args []string) error {
 	prodErr := make(chan error, 1)
 	go func() {
 		defer close(deltas)
-		sc := bufio.NewScanner(in)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-		line, nth := 0, int64(0)
-		for sc.Scan() {
-			line++
-			raw := sc.Bytes()
-			if len(raw) == 0 || raw[0] == '#' {
-				continue
-			}
-			if nth++; nth <= *resumeFrom {
-				continue
-			}
+		prodErr <- scanLog(in, *logPath, *resumeFrom, func(raw []byte) error {
 			var d bonsai.Delta
 			if err := json.Unmarshal(raw, &d); err != nil {
-				prodErr <- fmt.Errorf("replay: %s:%d: %w", *logPath, line, err)
-				return
+				return err
 			}
 			deltas <- d
-		}
-		prodErr <- sc.Err()
+			return nil
+		})
 	}()
 
 	opts := []bonsai.StreamApplyOption{
@@ -120,6 +105,37 @@ func cmdReplay(args []string) error {
 	}
 	printReplayReport(rep)
 	return nil
+}
+
+// openLog opens a delta log; "-" is stdin.
+func openLog(path string) (*os.File, error) {
+	if path == "-" {
+		return os.Stdin, nil
+	}
+	return os.Open(path)
+}
+
+// scanLog hands step each delta line of a JSON-lines log, skipping blank
+// lines, lines starting with '#' and the first resumeFrom deltas. A line may
+// be up to 16 MiB long. A step error ends the scan, reported as path:line.
+func scanLog(in io.Reader, path string, resumeFrom int64, step func(raw []byte) error) error {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	line, nth := 0, int64(0)
+	for sc.Scan() {
+		line++
+		raw := sc.Bytes()
+		if len(raw) == 0 || raw[0] == '#' {
+			continue
+		}
+		if nth++; nth <= resumeFrom {
+			continue
+		}
+		if err := step(raw); err != nil {
+			return fmt.Errorf("replay: %s:%d: %w", path, line, err)
+		}
+	}
+	return sc.Err()
 }
 
 // printReplayReport renders the stream report for text output (shared by

@@ -28,20 +28,9 @@ type linkAcc struct {
 	baseIdx  int     // index into base.Links, or -1 when the batch creates it
 	baseDown bool
 	down     bool // desired final administrative state
-	edits    int
 }
 
 type editKey struct{ router, name string }
-
-type rmAcc struct {
-	edit  RouteMapEdit
-	edits int
-}
-
-type plAcc struct {
-	edit  PrefixListEdit
-	edits int
-}
 
 type originKey struct {
 	router string
@@ -51,14 +40,11 @@ type originKey struct {
 type originAcc struct {
 	edit       OriginEdit
 	originated bool // desired final state
-	edits      int
 }
 
 // coalesceStats summarizes one coalescing window.
 type coalesceStats struct {
-	// Deltas is how many deltas were folded into the batch.
-	Deltas int
-	// EditsIn counts individual edits received across those deltas;
+	// EditsIn counts individual edits received across the batch's deltas;
 	// EditsOut counts edits surviving into the canonical delta.
 	EditsIn  int
 	EditsOut int
@@ -83,16 +69,15 @@ type coalescer struct {
 	links     map[linkKey]*linkAcc
 	linkOrder []linkKey
 
-	rms     map[editKey]*rmAcc
+	rms     map[editKey]RouteMapEdit
 	rmOrder []editKey
 
-	pls     map[editKey]*plAcc
+	pls     map[editKey]PrefixListEdit
 	plOrder []editKey
 
 	origins     map[originKey]*originAcc
 	originOrder []originKey
 
-	deltas   int
 	editsIn  int
 	dropped  []string
 	droppedN int
@@ -102,8 +87,8 @@ func newCoalescer(base *config.Network) *coalescer {
 	return &coalescer{
 		base:    base,
 		links:   make(map[linkKey]*linkAcc),
-		rms:     make(map[editKey]*rmAcc),
-		pls:     make(map[editKey]*plAcc),
+		rms:     make(map[editKey]RouteMapEdit),
+		pls:     make(map[editKey]PrefixListEdit),
 		origins: make(map[originKey]*originAcc),
 	}
 }
@@ -129,7 +114,6 @@ func (c *coalescer) add(d Delta) error {
 	if err != nil {
 		return err
 	}
-	c.deltas++
 	for _, l := range d.LinkDown {
 		c.foldLink(l, true)
 	}
@@ -139,26 +123,22 @@ func (c *coalescer) add(d Delta) error {
 	for _, e := range d.SetRouteMaps {
 		c.editsIn++
 		k := editKey{e.Router, e.Name}
-		if acc, ok := c.rms[k]; ok {
-			c.drop(fmt.Sprintf("set_route_map %s/%s", acc.edit.Router, acc.edit.Name))
-			acc.edit = e
-			acc.edits++
+		if prev, ok := c.rms[k]; ok {
+			c.drop(fmt.Sprintf("set_route_map %s/%s", prev.Router, prev.Name))
 		} else {
-			c.rms[k] = &rmAcc{edit: e, edits: 1}
 			c.rmOrder = append(c.rmOrder, k)
 		}
+		c.rms[k] = e
 	}
 	for _, e := range d.SetPrefixLists {
 		c.editsIn++
 		k := editKey{e.Router, e.Name}
-		if acc, ok := c.pls[k]; ok {
-			c.drop(fmt.Sprintf("set_prefix_list %s/%s", acc.edit.Router, acc.edit.Name))
-			acc.edit = e
-			acc.edits++
+		if prev, ok := c.pls[k]; ok {
+			c.drop(fmt.Sprintf("set_prefix_list %s/%s", prev.Router, prev.Name))
 		} else {
-			c.pls[k] = &plAcc{edit: e, edits: 1}
 			c.plOrder = append(c.plOrder, k)
 		}
+		c.pls[k] = e
 	}
 	for _, e := range d.AddOriginated {
 		c.foldOrigin(e, true)
@@ -185,7 +165,6 @@ func (c *coalescer) foldLink(l LinkRef, down bool) {
 		c.drop(linkEditDesc(acc.ref, acc.down))
 	}
 	acc.down = down
-	acc.edits++
 }
 
 func (c *coalescer) foldOrigin(e OriginEdit, add bool) {
@@ -206,7 +185,6 @@ func (c *coalescer) foldOrigin(e OriginEdit, add bool) {
 	}
 	acc.edit = e
 	acc.originated = add
-	acc.edits++
 }
 
 func linkEditDesc(l LinkRef, down bool) string {
@@ -267,10 +245,10 @@ func (c *coalescer) build() (Delta, coalesceStats) {
 		}
 	}
 	for _, k := range c.rmOrder {
-		out.SetRouteMaps = append(out.SetRouteMaps, c.rms[k].edit)
+		out.SetRouteMaps = append(out.SetRouteMaps, c.rms[k])
 	}
 	for _, k := range c.plOrder {
-		out.SetPrefixLists = append(out.SetPrefixLists, c.pls[k].edit)
+		out.SetPrefixLists = append(out.SetPrefixLists, c.pls[k])
 	}
 	for _, k := range c.originOrder {
 		acc := c.origins[k]
@@ -288,7 +266,6 @@ func (c *coalescer) build() (Delta, coalesceStats) {
 		len(out.SetRouteMaps) + len(out.SetPrefixLists) +
 		len(out.AddOriginated) + len(out.RemoveOriginated)
 	return out, coalesceStats{
-		Deltas:        c.deltas,
 		EditsIn:       c.editsIn,
 		EditsOut:      editsOut,
 		CoalescedAway: c.dropped,

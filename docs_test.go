@@ -16,6 +16,7 @@ var (
 	docBench  = regexp.MustCompile(`\bBenchmark[A-Z][A-Za-z0-9_]*`)
 	docOption = regexp.MustCompile(`\bbonsai\.(With[A-Za-z0-9]+)`)
 	docTest   = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z][A-Za-z0-9_]*`)
+	docPkg    = regexp.MustCompile(`\binternal/([a-z0-9_]+)`)
 	// A metric name, or a family of them written with a trailing "*".
 	docMetric = regexp.MustCompile(`\bbonsaid?_[a-z0-9_]+\*?`)
 	regMetric = regexp.MustCompile(`"(bonsaid?_[a-z0-9_]+)"`)
@@ -58,10 +59,10 @@ func declaredFuncs(t *testing.T, files []string, pattern string) []string {
 // TestDocsCiteWhatExists: the living documents may only name commands,
 // files, benchmarks, options and metrics the tree has, and README's metric
 // catalog names every metric the daemon registers. README and the verify
-// skill, which tell a reader what to run, may also only name tests and fuzz
-// targets that exist; EXPERIMENTS.md and docs/audit.md are records and name
-// tests that were deleted. CHANGES.md and ROADMAP.md are history and are not
-// scanned.
+// skill, which tell a reader what to run, may also only name tests, fuzz
+// targets and internal/ packages that exist; EXPERIMENTS.md and
+// docs/audit.md are records and name tests and packages that were deleted.
+// CHANGES.md and ROADMAP.md are history and are not scanned.
 func TestDocsCiteWhatExists(t *testing.T) {
 	docs, _ := filepath.Glob("docs/*.md")
 	docs = append(docs, "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
@@ -117,6 +118,11 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			for _, cited := range docTest.FindAllString(text, -1) {
 				if !slices.ContainsFunc(tests, func(n string) bool { return strings.HasPrefix(n, cited) }) {
 					t.Errorf("%s: no test or fuzz function starts with %s", doc, cited)
+				}
+			}
+			for _, m := range docPkg.FindAllStringSubmatch(text, -1) {
+				if st, err := os.Stat(filepath.Join("internal", m[1])); err != nil || !st.IsDir() {
+					t.Errorf("%s: %s is not a directory", doc, m[0])
 				}
 			}
 		}

@@ -44,7 +44,7 @@ type Engine struct {
 	// closed is set by Close; operations observe it and return ErrClosed.
 	closed atomic.Bool
 	// closeCh is closed by Close so blocking operations (ApplyStream's
-	// ingestion pump) observe shutdown without polling.
+	// read loop) observe shutdown without polling.
 	closeCh chan struct{}
 	// streamStats is the live ApplyStats snapshot of the most recent
 	// ApplyStream (nil before the first stream).

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -24,26 +25,8 @@ import (
 
 // Client talks to one bonsaid instance.
 type Client struct {
-	base       string
-	hc         *http.Client
-	timeout    time.Duration
-	maxRetries int
-}
-
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithTimeout bounds each unary call (everything except Replay and
-// CompressStream, which legitimately run as long as their streams). Zero
-// means no per-call bound beyond the caller's context.
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.timeout = d }
-}
-
-// WithRetries caps the 429 retries per idempotent call (default 3; 0
-// disables retrying).
-func WithRetries(n int) ClientOption {
-	return func(c *Client) { c.maxRetries = n }
+	base string
+	hc   *http.Client
 }
 
 // NewClient returns a client for the daemon at base (e.g.
@@ -52,10 +35,12 @@ func WithRetries(n int) ClientOption {
 // deadline: replay and compress streams legitimately run long. Idempotent
 // requests (reads, plus the read-only verify/compress POSTs) that hit 429
 // admission control are retried with capped exponential backoff and jitter,
-// honoring a Retry-After header when the daemon sends one. Apply and Replay
-// are never retried: the caller owns the ack bookkeeping for mutations.
-func NewClient(base string, opts ...ClientOption) *Client {
-	c := &Client{
+// honoring a Retry-After header when the daemon sends one, at most
+// maxRetries times. Mutations (Open, Apply, Close, Replay) are never
+// retried: a retry after an ambiguous failure could double-submit, and the
+// caller owns the ack bookkeeping.
+func NewClient(base string) *Client {
+	return &Client{
 		base: strings.TrimRight(base, "/"),
 		hc: &http.Client{Transport: &http.Transport{
 			DialContext: (&net.Dialer{
@@ -65,12 +50,7 @@ func NewClient(base string, opts ...ClientOption) *Client {
 			ResponseHeaderTimeout: 2 * time.Minute,
 			MaxIdleConnsPerHost:   4,
 		}},
-		maxRetries: 3,
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // apiError is a non-2xx response, preserving the status code so callers can
@@ -89,25 +69,10 @@ func (e *apiError) Error() string {
 // StatusCode returns err's HTTP status if it came from the daemon, else 0.
 func StatusCode(err error) int {
 	var ae *apiError
-	if ok := asAPIError(err, &ae); ok {
+	if errors.As(err, &ae) {
 		return ae.Status
 	}
 	return 0
-}
-
-func asAPIError(err error, out **apiError) bool {
-	for err != nil {
-		if ae, ok := err.(*apiError); ok {
-			*out = ae
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // once issues a single request and decodes the JSON response into out
@@ -161,39 +126,23 @@ func parseRetryAfter(v string) time.Duration {
 	return 0
 }
 
-// unaryCtx applies the configured per-call timeout.
-func (c *Client) unaryCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.timeout > 0 {
-		return context.WithTimeout(ctx, c.timeout)
-	}
-	return ctx, func() {}
-}
-
-// do is the non-idempotent unary path: one attempt, bounded by WithTimeout.
-// Mutations (Open, Apply, Close) land here — a retry after an ambiguous
-// failure could double-submit, and for Apply the ack sequence is the
-// caller's durability contract.
-func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out any) error {
-	ctx, cancel := c.unaryCtx(ctx)
-	defer cancel()
-	return c.once(ctx, method, path, body, out)
-}
-
-// retryBackoffCap bounds the exponential backoff between 429 retries.
-const retryBackoffCap = 2 * time.Second
+// maxRetries caps the 429 retries of one idempotent call, and
+// retryBackoffCap the exponential backoff between them.
+const (
+	maxRetries      = 3
+	retryBackoffCap = 2 * time.Second
+)
 
 // doIdem is the idempotent unary path: on 429 it backs off (Retry-After when
 // the daemon provides it, else capped exponential with full jitter) and
-// retries up to the configured cap, all inside the WithTimeout window.
+// retries up to maxRetries times.
 func (c *Client) doIdem(ctx context.Context, method, path string, body io.Reader, out any) error {
-	ctx, cancel := c.unaryCtx(ctx)
-	defer cancel()
 	backoff := 50 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		err := c.once(ctx, method, path, body, out)
 		var ae *apiError
-		if err == nil || !asAPIError(err, &ae) ||
-			ae.Status != http.StatusTooManyRequests || attempt >= c.maxRetries {
+		if err == nil || !errors.As(err, &ae) ||
+			ae.Status != http.StatusTooManyRequests || attempt >= maxRetries {
 			return err
 		}
 		if body != nil {
@@ -244,7 +193,7 @@ func (c *Client) Version(ctx context.Context) (bonsai.VersionInfo, error) {
 
 // Open creates tenant name over the network's text serialization.
 func (c *Client) Open(ctx context.Context, name string, network io.Reader) error {
-	return c.do(ctx, http.MethodPut, "/v1/tenants/"+url.PathEscape(name), network, nil)
+	return c.once(ctx, http.MethodPut, "/v1/tenants/"+url.PathEscape(name), network, nil)
 }
 
 // OpenNetwork serializes net and opens it as tenant name.
@@ -258,7 +207,7 @@ func (c *Client) OpenNetwork(ctx context.Context, name string, net *bonsai.Netwo
 
 // Close deletes tenant name.
 func (c *Client) Close(ctx context.Context, name string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/tenants/"+url.PathEscape(name), nil, nil)
+	return c.once(ctx, http.MethodDelete, "/v1/tenants/"+url.PathEscape(name), nil, nil)
 }
 
 // Tenants lists open tenants.
@@ -271,7 +220,7 @@ func (c *Client) Tenants(ctx context.Context) ([]TenantInfo, error) {
 // Apply sends one delta and returns its report.
 func (c *Client) Apply(ctx context.Context, name string, d bonsai.Delta) (*bonsai.ApplyReport, error) {
 	var rep bonsai.ApplyReport
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+url.PathEscape(name)+"/apply", jsonBody(d), &rep)
+	err := c.once(ctx, http.MethodPost, "/v1/tenants/"+url.PathEscape(name)+"/apply", jsonBody(d), &rep)
 	if err != nil {
 		return nil, err
 	}

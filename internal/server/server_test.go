@@ -391,7 +391,7 @@ func TestServerOverload(t *testing.T) {
 		t.Fatalf("want 503, got %v", rejected)
 	}
 	var ae *apiError
-	if !asAPIError(rejected, &ae) || ae.RetryAfter <= 0 {
+	if !errors.As(rejected, &ae) || ae.RetryAfter <= 0 {
 		t.Fatalf("503 without Retry-After: %v", rejected)
 	}
 	tn.writeMu.Unlock()
