@@ -72,6 +72,11 @@ type Builder struct {
 	fpIntern   map[string]int32
 	fpByPrefix map[netip.Prefix]string
 	store      absStore
+
+	// onTransport, set by tests only, observes every transport as it lands:
+	// the seed, the class, the π and edge permutation it was served under,
+	// and whether the seed's orbit proposed π (or the search found it).
+	onTransport func(seed *absEntry, sig *classSig, pi []topo.NodeID, epi []int32, fromOrbit bool)
 }
 
 // New validates the network and constructs its Builder: the SRP graph, the

@@ -82,11 +82,18 @@ type absEntry struct {
 	done  bool   // set under store.mu once abs/err are final
 	src   Provenance
 
-	// Bounded-store bookkeeping (store.go), guarded by store.mu.
-	bytes      int64
+	// Bounded-store bookkeeping (store.go), guarded by store.mu. The flags
+	// sit beside done and src so that the orbit pointer below costs no
+	// larger allocation size class.
 	pinned     bool // transport seed: never evicted
 	inLRU      bool
+	bytes      int64
 	prev, next *absEntry
+
+	// orbit is a transport seed's generators and Schreier vector (transport.go),
+	// nil until its first searched transport. Replaced, never mutated, under
+	// store.mu; neither persisted nor carried across an adoption.
+	orbit *orbit
 }
 
 // Compress runs the full per-class pipeline (Algorithm 1) with cross-EC
@@ -155,25 +162,61 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		break
 	}
 
-	// Miss path: only now pay for the O(E) edge-label vector (identity hits
-	// never need it), then snapshot completed transport seeds with a
-	// matching label histogram.
-	b.ensureLabels(sig)
-	var cands []*absEntry
+	// Miss path. First, every seed whose orbit reaches the class's
+	// destination proposes the product of its generators along the Schreier
+	// vector, and the unchanged verifyIso decides, as it does for a searched
+	// π: no labels, colours or search. Orbits are immutable once published,
+	// so the snapshot taken under the lock is read without it.
+	type proposal struct {
+		seed *absEntry
+		o    *orbit
+	}
+	var pbuf [4]proposal
+	props := pbuf[:0]
 	st.mu.Lock()
-	for _, c := range st.isoIndex[sig.histo] {
-		if c.done && c.err == nil && c.abs.ColorSplits == 0 {
-			cands = append(cands, c)
+	for _, c := range st.orbits {
+		if c.orbit.reaches(sig.dest) {
+			props = append(props, proposal{c, c.orbit})
 		}
 	}
 	st.mu.Unlock()
-
-	var transported bool
-	for _, c := range cands {
-		if pi, epi := b.findIso(c.sig, sig); pi != nil {
-			e.abs, e.live, e.prefs = b.transportAbs(c, sig, pi, epi)
-			transported = true
+	var seed *absEntry // the transport's source, nil if none
+	var pi []topo.NodeID
+	var epi []int32
+	fromOrbit := false
+	for _, p := range props {
+		composed := p.o.compose(sig.dest)
+		if f, ok := b.verifyIso(p.seed.sig, sig, composed); ok {
+			seed, pi, epi, fromOrbit = p.seed, composed, f, true
 			break
+		}
+	}
+
+	// Then the search: only now pay for the O(E) edge-label vector (identity
+	// hits and orbit hits never need it), and snapshot completed transport
+	// seeds with a matching label histogram.
+	if seed == nil {
+		b.ensureLabels(sig)
+		var cands []*absEntry
+		st.mu.Lock()
+		for _, c := range st.isoIndex[sig.histo] {
+			if c.done && c.err == nil && c.abs.ColorSplits == 0 {
+				cands = append(cands, c)
+			}
+		}
+		st.mu.Unlock()
+		for _, c := range cands {
+			if pi, epi = b.findIso(c.sig, sig); pi != nil {
+				seed = c
+				break
+			}
+		}
+	}
+	transported := seed != nil
+	if transported {
+		e.abs, e.live, e.prefs = b.transportAbs(seed, sig, pi, epi)
+		if b.onTransport != nil {
+			b.onTransport(seed, sig, pi, epi, fromOrbit)
 		}
 	}
 	if !transported {
@@ -209,6 +252,9 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		e.src = prov
 		if transported {
 			st.transported++
+			if !fromOrbit {
+				st.addGenerator(seed, pi) // a searched π: a candidate generator
+			}
 		} else {
 			if cur, ok := st.entries[sig.fp]; ok && cur != e && cur.done {
 				// A second fresh refinement completed for a fingerprint that

@@ -20,9 +20,14 @@
 //     histogram — are pinned (but charged). One seed exists per symmetry
 //     family, it is the entry every symmetric class's multi-millisecond
 //     refinement is skipped through, and evicting it would make
-//     compression cost resurge for the whole family. A budget below the
-//     seed working set therefore degrades gracefully: everything else is
-//     evicted and the store floats at the seed footprint.
+//     compression cost resurge for the whole family. A seed also keeps the
+//     orbit its searched transports proved (transport.go): the generators
+//     and the Schreier vector through which most of the family is served
+//     with no search at all. Both are charged to the seed, which is
+//     recharged each time a generator extends its orbit (addGenerator). A
+//     budget below the seed working set therefore degrades gracefully:
+//     everything else is evicted and the store floats at the seed
+//     footprint.
 package build
 
 import (
@@ -39,8 +44,10 @@ import (
 type absStore struct {
 	mu      sync.Mutex
 	entries map[string]*absEntry // fingerprint -> single-flight slot
-	// isoIndex holds the pinned transport seeds per label-histogram hash.
+	// isoIndex holds the pinned transport seeds per label-histogram hash;
+	// orbits holds the seeds that have an orbit, in the order they got one.
 	isoIndex map[uint64][]*absEntry
+	orbits   []*absEntry
 
 	// budget is the byte ceiling (0 = unbounded); bytes is the accounted
 	// footprint of completed entries, peak its high-water mark.
@@ -74,6 +81,7 @@ func (s *absStore) reset() {
 	}
 	s.entries = make(map[string]*absEntry)
 	s.isoIndex = make(map[uint64][]*absEntry)
+	s.orbits = nil
 	s.bytes, s.peak = 0, 0
 	s.head, s.tail = nil, nil
 	s.served, s.transported, s.misses, s.evictions, s.dupFresh = 0, 0, 0, 0, 0
@@ -127,6 +135,30 @@ func (s *absStore) account(e *absEntry) {
 		s.pool.charge(e.bytes)
 	}
 	s.lruTouch(e)
+}
+
+// addGenerator gives seed the orbit a searched π extends its own to and
+// charges the seed for it. A π that adds no point is dropped, so a seed keeps
+// at most |orbit| − 1 generators; a seed the store no longer holds (reset ran
+// while its search did) gets none. Callers hold mu.
+func (s *absStore) addGenerator(seed *absEntry, pi []topo.NodeID) {
+	if s.entries[seed.fp] != seed {
+		return
+	}
+	o := seed.orbit.extend(seed.sig.dest, pi)
+	if o == nil {
+		return
+	}
+	if seed.orbit == nil {
+		s.orbits = append(s.orbits, seed)
+	}
+	seed.orbit = o
+	old := seed.bytes
+	seed.bytes = entryBytes(seed)
+	s.bytes += seed.bytes - old
+	if s.pool != nil {
+		s.pool.charge(seed.bytes - old)
+	}
 }
 
 // evict removes coldest entries until the store fits its budget. Entries
@@ -193,6 +225,13 @@ func entryBytes(e *absEntry) int64 {
 		n += slice + int64(cap(s.statics))
 		n += slice + word*int64(cap(s.el))
 		n += slice + word*int64(cap(s.colors))
+	}
+	if o := e.orbit; o != nil {
+		n += 8 + 3*slice + slice*int64(cap(o.gens)) // the struct, its gens' headers
+		for _, g := range o.gens {
+			n += word * int64(cap(g))
+		}
+		n += 4 * int64(cap(o.via)+cap(o.pre))
 	}
 	if a := e.abs; a != nil {
 		n += 128 // struct

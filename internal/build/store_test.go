@@ -248,3 +248,64 @@ func TestStoreChargesSharedVectorsOnce(t *testing.T) {
 	}
 	check("store-loaded Fattree(6) entry", loaded, ProvCached)
 }
+
+// TestStoreChargesGenerators: a seed's orbit is charged with it, and the
+// store's total follows every recharge. After each class of Fattree(12) the
+// store's bytes are the sum of its entries' charges, each charge is what
+// entryBytes prices the entry at now, and the pool the store belongs to holds
+// the same total. The seed's charge covers its 14 generators (|V| words
+// each) and its Schreier vector; InvalidateAbstractionCache drops the
+// orbits with the entries, so the next seed starts with none.
+func TestStoreChargesGenerators(t *testing.T) {
+	b, err := New(netgen.Fattree(12, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(0)
+	pool.Attach(b, "fattree-12", 0)
+	ctx := context.Background()
+	comp := b.NewCompiler(true)
+	st := &b.store
+	for _, cls := range b.Classes() {
+		if _, err := b.Compress(ctx, comp, cls); err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, e := range st.entries {
+			if e.bytes != entryBytes(e) {
+				t.Fatalf("%s: entry charged %d bytes, priced at %d", cls.Prefix, e.bytes, entryBytes(e))
+			}
+			sum += e.bytes
+		}
+		if st.bytes != sum {
+			t.Fatalf("%s: store holds %d bytes, its entries %d", cls.Prefix, st.bytes, sum)
+		}
+		if got := pool.Stats().LiveBytes; got != st.bytes {
+			t.Fatalf("%s: pool holds %d bytes, the store %d", cls.Prefix, got, st.bytes)
+		}
+	}
+	if len(st.orbits) != 1 {
+		t.Fatalf("%d seeds have an orbit, want 1", len(st.orbits))
+	}
+	seed := st.orbits[0]
+	n := int64(b.G.NumNodes())
+	bare := *seed
+	bare.orbit = nil
+	gens := int64(len(seed.orbit.gens))
+	if extra := entryBytes(seed) - entryBytes(&bare); gens != 14 || extra < gens*8*n+2*4*n {
+		t.Fatalf("the orbit's %d generators over %d routers are charged %d bytes", gens, n, extra)
+	}
+
+	b.InvalidateAbstractionCache()
+	if len(st.orbits) != 0 || st.bytes != 0 || pool.Stats().LiveBytes != 0 {
+		t.Fatalf("after invalidation: %d orbits, %d store bytes, %d pool bytes", len(st.orbits), st.bytes, pool.Stats().LiveBytes)
+	}
+	for _, cls := range b.Classes()[:2] {
+		if _, err := b.Compress(ctx, comp, cls); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(st.orbits) != 1 || len(st.orbits[0].orbit.gens) != 1 {
+		t.Fatalf("a new seed's first search left %d orbits", len(st.orbits))
+	}
+}

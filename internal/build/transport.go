@@ -29,6 +29,16 @@
 // seed's liveness through: one pass over the edges per transport. No edge is
 // looked up by its endpoints anywhere: the search and the sweep both scatter
 // an image's out-span into a per-node table and read it back.
+//
+// Most searches need not run at all. Each seed keeps an orbit: the π's its
+// searched transports were accepted under, as generators, and a Schreier
+// vector over the nodes rooted at its destination (the first half of
+// Schreier–Sims). A class whose destination the orbit reaches gets the
+// product of the generators along the vector's path as its π, with no labels,
+// colours or search. A composed π only proposes, exactly as a searched one
+// does: the same verifyIso decides, and a refusal falls through to the
+// labels, the search and CompressFresh. On Fattree(20) 18 generators serve
+// all 199 transports, 181 of them without a search.
 package build
 
 import (
@@ -532,6 +542,77 @@ func (b *Builder) verifyIso(sa, sb *classSig, pi []topo.NodeID) (epi []int32, ok
 		}
 	}
 	return epi, true
+}
+
+// orbit is what a transport seed keeps of the symmetries its searches
+// proved: gens are the node permutations its searched transports were
+// accepted under, and via/pre are a Schreier vector over the nodes, rooted
+// at the seed's destination. An orbit never changes once published; a
+// searched π that extends it gives the seed a new one (store.addGenerator).
+type orbit struct {
+	gens [][]topo.NodeID
+	via  []int32 // per node: index in gens of the generator that reached it; -1 at the root, -2 outside the orbit
+	pre  []int32 // per node reached: its preimage under gens[via[w]]
+	size int     // nodes in the orbit
+}
+
+// extend returns the orbit of root under o's generators and g, or nil when
+// g adds no point to it; a nil o stands for the orbit {root}. The BFS follows
+// forward images only, which closes the orbit of the generated group: in a
+// finite group every inverse is a forward power.
+func (o *orbit) extend(root topo.NodeID, g []topo.NodeID) *orbit {
+	size, gens := 1, [][]topo.NodeID(nil)
+	if o != nil {
+		size, gens = o.size, slices.Clip(o.gens)
+	}
+	n := len(g)
+	next := &orbit{gens: append(gens, g), via: make([]int32, n), pre: make([]int32, n)}
+	for i := range next.via {
+		next.via[i] = -2
+	}
+	next.via[root] = -1
+	queue := make([]topo.NodeID, 1, n)
+	queue[0] = root
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for gi, gen := range next.gens {
+			if w := gen[u]; next.via[w] == -2 {
+				next.via[w], next.pre[w] = int32(gi), int32(u)
+				queue = append(queue, w)
+			}
+		}
+	}
+	if len(queue) == size {
+		return nil
+	}
+	next.size = len(queue)
+	return next
+}
+
+// reaches reports whether w is in the orbit other than at its root. The
+// root's path is empty, and the identity it would propose verifies only for
+// a class with the seed's own fingerprint, which the identity cache serves.
+func (o *orbit) reaches(w topo.NodeID) bool { return o.via[w] >= 0 }
+
+// compose returns the product of the generators along the vector's path from
+// the root to w (which o reaches): a permutation mapping the root onto w, in
+// |V| index loads per generator on the path and no hashing. It only proposes;
+// verifyIso decides whether the class at w is the seed's image under it.
+func (o *orbit) compose(w topo.NodeID) []topo.NodeID {
+	var buf [16]int32
+	path := buf[:0] // generator indices, w's end first
+	for o.via[w] >= 0 {
+		path = append(path, o.via[w])
+		w = topo.NodeID(o.pre[w])
+	}
+	pi := slices.Clone(o.gens[path[len(path)-1]])
+	for k := len(path) - 2; k >= 0; k-- {
+		g := o.gens[path[k]]
+		for u, x := range pi {
+			pi[u] = g[x]
+		}
+	}
+	return pi
 }
 
 // transportAbs rebuilds class sig's abstraction from a cached entry by

@@ -35,64 +35,117 @@ func transportNetworks() []namedNetwork {
 	}
 }
 
+// transportPaths compresses every class of b in order and returns how many
+// came out fresh and transported, and of the transports how many the search
+// served and how many an orbit did. Each transport is handed to seen with the
+// prefixes of its class and seed.
+func transportPaths(t *testing.T, b *Builder, seen func(prefix, seed string, pi []topo.NodeID, epi []int32, fromOrbit bool)) (fresh, transported, searched, orbitHits int) {
+	t.Helper()
+	seedPrefix := make(map[*absEntry]string)
+	var cur string
+	b.onTransport = func(seed *absEntry, _ *classSig, pi []topo.NodeID, epi []int32, fromOrbit bool) {
+		if fromOrbit {
+			orbitHits++
+		} else {
+			searched++
+		}
+		if seen != nil {
+			seen(cur, seedPrefix[seed], pi, epi, fromOrbit)
+		}
+	}
+	defer func() { b.onTransport = nil }()
+	comp := b.NewCompiler(true)
+	defer comp.Close()
+	for _, cls := range b.Classes() {
+		cur = cls.Prefix.String()
+		_, prov, err := b.CompressTagged(context.Background(), comp, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch prov {
+		case ProvFresh:
+			fresh++
+			seedPrefix[b.store.entries[b.fpByPrefix[cls.Prefix]]] = cur
+		case ProvTransported:
+			transported++
+		}
+	}
+	return fresh, transported, searched, orbitHits
+}
+
 // TestTransportPermutationsMatchParent compresses every class of each
-// network in order and, for each transported class, repeats the candidate
-// scan Compress ran: the first seed in the class's histogram bucket the
-// search relates it to, the permutation π and the edge permutation the sweep
-// yields are hashed with the two prefixes. The digests in
-// testdata/transport_digests.txt were captured before the search compared
-// one folded label word per placed neighbour instead of two exact edge
-// labels, so a search that prunes differently, or picks another seed, fails
-// here (a mismatch prints the new lines).
+// network in order and hashes what Compress served each transported class
+// under: the class's and its seed's prefixes, whether the seed's orbit
+// proposed π or the search found it, π and the edge permutation the sweep
+// yielded. The digests in testdata/transport_digests.txt were re-captured
+// when orbits arrived, because a composed π may differ from the searched one
+// by an element of the destination's stabiliser; the contract is the
+// abstraction, which TestAbstractionsMatchParentDigest pins. A search that
+// prunes differently, another seed, or a generator kept or dropped
+// differently fails here (a mismatch prints the new lines).
 func TestTransportPermutationsMatchParent(t *testing.T) {
 	want, err := os.ReadFile("testdata/transport_digests.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	var got strings.Builder
 	for _, tc := range transportNetworks() {
 		b, err := New(tc.net)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp := b.NewCompiler(true)
 		h := sha256.New()
-		seedPrefix := make(map[*absEntry]string)
-		transported := 0
-		for _, cls := range b.Classes() {
-			_, prov, err := b.CompressTagged(ctx, comp, cls)
-			if err != nil {
-				t.Fatal(err)
+		_, transported, _, orbitHits := transportPaths(t, b, func(prefix, seed string, pi []topo.NodeID, epi []int32, fromOrbit bool) {
+			path := "search"
+			if fromOrbit {
+				path = "orbit"
 			}
-			switch prov {
-			case ProvFresh:
-				seedPrefix[b.store.entries[b.fpByPrefix[cls.Prefix]]] = cls.Prefix.String()
-			case ProvTransported:
-				sig, err := b.classSignature(cls)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b.ensureLabels(sig)
-				found := false
-				for _, c := range b.store.isoIndex[sig.histo] {
-					if pi, epi := b.findIso(c.sig, sig); pi != nil {
-						fmt.Fprintln(h, cls.Prefix, seedPrefix[c], pi, epi)
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("%s: %s was transported, but no seed relates to it on a second search", tc.name, cls.Prefix)
-				}
-				transported++
-			}
-		}
-		comp.Close()
-		fmt.Fprintf(&got, "%s classes=%d transported=%d sha256=%x\n", tc.name, len(b.Classes()), transported, h.Sum(nil))
+			fmt.Fprintln(h, prefix, seed, path, pi, epi)
+		})
+		fmt.Fprintf(&got, "%s classes=%d transported=%d orbit=%d sha256=%x\n", tc.name, len(b.Classes()), transported, orbitHits, h.Sum(nil))
 	}
 	if got.String() != string(want) {
 		t.Fatalf("transport permutations differ from testdata/transport_digests.txt:\n%s", got.String())
+	}
+}
+
+// TestOrbitCountsPerFamily pins how each family's transports are served.
+// Fresh and transported counts are those before orbits existed: a refused
+// composed π falls back to the search, so an orbit only ever replaces a
+// search. Searches, orbit hits and generators are logged and pinned.
+// FullMesh searches every class: its π's are transpositions, and each one
+// adds a single point to the orbit, so no destination is in an orbit before
+// its own search.
+func TestOrbitCountsPerFamily(t *testing.T) {
+	for _, tc := range []struct {
+		name                                      string
+		net                                       *config.Network
+		fresh, transported, searched, orbit, gens int
+	}{
+		{"fattree-20", netgen.Fattree(20, netgen.PolicyShortestPath), 1, 199, 18, 181, 18},
+		{"fattree-12", netgen.Fattree(12, netgen.PolicyShortestPath), 1, 71, 14, 57, 14},
+		{"fattree-8-pb", netgen.Fattree(8, netgen.PolicyPreferBottom), 1, 31, 10, 21, 10},
+		{"ring-24", netgen.Ring(24), 1, 23, 2, 21, 2},
+		{"mesh-12", netgen.FullMesh(12), 1, 11, 11, 0, 11},
+		{"spineleaf", netgen.SpineLeaf(netgen.SpineLeafOptions{}), 1, 15, 8, 7, 8},
+		{"wan-10-20-3", netgen.WAN(netgen.WANOptions{Backbone: 10, Sites: 20, SwitchesPerSite: 3}), 16, 44, 14, 30, 14},
+		{"datacenter", netgen.Datacenter(netgen.DCOptions{}), 171, 0, 0, 0, 0},
+	} {
+		b, err := New(tc.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, transported, searched, orbitHits := transportPaths(t, b, nil)
+		gens := 0
+		for _, seed := range b.store.orbits {
+			gens += len(seed.orbit.gens)
+		}
+		t.Logf("%s: %d classes, %d fresh, %d transported: %d searched, %d orbit hits; %d generators over %d seeds",
+			tc.name, len(b.Classes()), fresh, transported, searched, orbitHits, gens, len(b.store.orbits))
+		if fresh != tc.fresh || transported != tc.transported || searched != tc.searched || orbitHits != tc.orbit || gens != tc.gens {
+			t.Errorf("%s: fresh %d transported %d searched %d orbit %d generators %d, want %d %d %d %d %d",
+				tc.name, fresh, transported, searched, orbitHits, gens, tc.fresh, tc.transported, tc.searched, tc.orbit, tc.gens)
+		}
 	}
 }
 

@@ -2,12 +2,15 @@ package build
 
 import (
 	"context"
+	"net/netip"
 	"runtime"
 	"slices"
 	"testing"
 
 	"bonsai/internal/config"
+	"bonsai/internal/ec"
 	"bonsai/internal/netgen"
+	"bonsai/internal/policy"
 	"bonsai/internal/topo"
 )
 
@@ -136,10 +139,11 @@ func TestVerifyIsoRefusesWrongPermutations(t *testing.T) {
 
 // TestTransportBytes is a ceiling on what one symmetry transport allocates,
 // in bytes per directed edge: on Fattree(12) (1 728 edges) every class after
-// the first is transported, 27.0 × |E| bytes each as measured when transport
-// stopped building per-edge records, 50.3 × |E| while core.Assemble still
-// sorted one 24-byte record per live edge. A per-edge record array coming
-// back, there or in the sweep, fails here by name.
+// the first is transported, 16.0 × |E| bytes each since 57 of the 71 are
+// orbit hits that build no label vector, colours or search tables (27.0 when
+// every transport searched, 50.3 while core.Assemble still sorted one 24-byte
+// record per live edge). A per-edge record array coming back, there or in
+// the sweep, fails here by name.
 func TestTransportBytes(t *testing.T) {
 	b, err := New(netgen.Fattree(12, netgen.PolicyShortestPath))
 	if err != nil {
@@ -168,5 +172,131 @@ func TestTransportBytes(t *testing.T) {
 	t.Logf("one transport allocates %.1f × |E| bytes (|E| = %d)", perEdge, b.G.NumEdges())
 	if perEdge > ceiling {
 		t.Fatalf("one transport on Fattree(12) allocates %.1f × |E| bytes, ceiling %d × |E|", perEdge, ceiling)
+	}
+}
+
+// TestLyingOrbitFallsBack corrupts one generator of a Fattree(8) seed once
+// its orbit exists. The generator g is the last on the Schreier path to the
+// destination w of a class not yet compressed; the images of w's preimage and
+// of the router g sends onto w's pod twin trade places. g stays a bijection,
+// and even a symmetry of the bare graph (twins share every neighbour), but
+// the π composed through it now maps the seed's destination onto the twin.
+// That class must be refused by verifyIso and served by the search instead
+// (or fresh), with the abstraction CompressFresh computes, and so must every
+// class after it. An orbit path that skipped verifyIso, or checked only that
+// edges map onto edges, would transport through the lie.
+func TestLyingOrbitFallsBack(t *testing.T) {
+	b, err := New(netgen.Fattree(8, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	comp := b.NewCompiler(true)
+	fromOrbit := make(map[topo.NodeID]bool)
+	b.onTransport = func(_ *absEntry, sig *classSig, _ []topo.NodeID, _ []int32, o bool) { fromOrbit[sig.dest] = o }
+	check := func(cls ec.Class) Provenance {
+		t.Helper()
+		got, prov, err := b.CompressTagged(ctx, comp, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := b.CompressFresh(ctx, comp, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		absEqual(t, cls.Prefix.String(), got, want)
+		return prov
+	}
+	neighbours := func(u topo.NodeID) []topo.NodeID { return slices.Sorted(slices.Values(b.G.Succ(u))) }
+
+	classes := b.Classes()
+	lied := false
+	for i := 0; i < len(classes); i++ {
+		check(classes[i])
+		if lied || len(b.store.orbits) == 0 {
+			continue
+		}
+		o := b.store.orbits[0].orbit
+		for j := i + 1; j < len(classes) && !lied; j++ {
+			w, err := b.destOf(classes[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !o.reaches(w) {
+				continue
+			}
+			g := o.gens[o.via[w]]
+			for z, x := range g {
+				if x != w && slices.Equal(neighbours(x), neighbours(w)) {
+					p := o.pre[w]
+					g[p], g[z] = g[z], g[p]
+					lied = true
+					break
+				}
+			}
+			if !lied {
+				t.Fatalf("%s has no twin", b.G.Name(w))
+			}
+			classes[i+1], classes[j] = classes[j], classes[i+1]
+			if prov := check(classes[i+1]); (prov != ProvTransported && prov != ProvFresh) || fromOrbit[w] {
+				t.Fatalf("%s: served %v (from the orbit: %v) through a corrupted generator", classes[i+1].Prefix, prov, fromOrbit[w])
+			}
+			i++
+		}
+	}
+	if !lied {
+		t.Fatal("no class's destination was ever in the seed's orbit")
+	}
+}
+
+// TestVerifiedPermutationsMoveACLs pins a finding about what verifyIso
+// preserves: not whether an edge carries an ACL. edgeEq reads a missing ACL
+// as one that permits the class, so an ACL that permits it is equal to none.
+// On Ring(6) with a permit-all ACL on r-0000's interface toward r-0001, every
+// π the search finds from r-0000's class verifies (five of them), and each
+// maps that edge onto an edge with no ACL. A sweep restricted to the edges
+// that carry a policy must therefore also look at the edges whose image
+// carries one.
+func TestVerifiedPermutationsMoveACLs(t *testing.T) {
+	net := netgen.Ring(6)
+	r := net.Routers["r-0000"]
+	r.Env.ACLs["PERMIT-ALL"] = &policy.ACL{Name: "PERMIT-ALL", Entries: []policy.PrefixEntry{
+		{Action: policy.Permit, Prefix: netip.MustParsePrefix("0.0.0.0/0"), Le: 32},
+	}}
+	r.IfaceACL["r-0001"] = "PERMIT-ALL"
+	b, err := New(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acl, ok := b.G.EdgeIndex(b.G.MustLookup("r-0000"), b.G.MustLookup("r-0001"))
+	if !ok || b.tab.aclIdx[acl] < 0 {
+		t.Fatal("the edge toward r-0001 carries no ACL in the Builder's tables")
+	}
+	var sa *classSig
+	var others []*classSig
+	for _, cls := range b.Classes() {
+		s, err := b.classSignature(cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.G.Name(s.dest) == "r-0000" {
+			sa = s
+		} else {
+			others = append(others, s)
+		}
+	}
+	verified, moved := 0, 0
+	for _, sb := range others {
+		pi, epi := b.findIso(sa, sb)
+		if pi == nil {
+			continue
+		}
+		verified++
+		if b.tab.aclIdx[epi[acl]] < 0 {
+			moved++
+		}
+	}
+	if verified != 5 || moved != verified {
+		t.Fatalf("%d verified permutations, %d map the ACL edge onto an ACL-free edge; want 5 and 5", verified, moved)
 	}
 }
