@@ -651,8 +651,8 @@ func (ad *adoption) repEdgesSurvive(abs *core.Abstraction) bool {
 
 // install records an adopted abstraction in b's store under sig. Adopted
 // entries serve identity hits and future adoptions but are not symmetry
-// transport seeds (their label/color tables are left uncomputed to keep
-// Apply fast), so they are evictable like any other entry — an evicted
+// transport seeds (their colour keys are left uncomputed to keep Apply
+// fast), so they are evictable like any other entry — an evicted
 // adoption recompresses on its next query.
 func (ad *adoption) install(cls ec.Class, sig *classSig, abs *core.Abstraction, live []bool, prefs []int, out adoptOutcome) adoptOutcome {
 	b := ad.b

@@ -164,9 +164,9 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 
 	// Miss path. First, every seed whose orbit reaches the class's
 	// destination proposes the product of its generators along the Schreier
-	// vector, and the unchanged verifyIso decides, as it does for a searched
-	// π: no labels, colours or search. Orbits are immutable once published,
-	// so the snapshot taken under the lock is read without it.
+	// vector, and verifyIso decides, as it does for a searched π: no colour
+	// key and no search. Orbits are immutable once published, so the
+	// snapshot taken under the lock is read without it.
 	type proposal struct {
 		seed *absEntry
 		o    *orbit
@@ -192,18 +192,14 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		}
 	}
 
-	// Then the search: only now pay for the O(E) edge-label vector (identity
-	// hits and orbit hits never need it), and snapshot completed transport
-	// seeds with a matching label histogram.
+	// Then the search: only now pay for the O(E) colour key (identity hits
+	// and orbit hits never need it), and try the seeds that share it. A
+	// bucket only ever has completed seeds appended, so the slice taken under
+	// the lock is read without it.
 	if seed == nil {
-		b.ensureLabels(sig)
-		var cands []*absEntry
+		sig.key = b.colorKey(sig)
 		st.mu.Lock()
-		for _, c := range st.isoIndex[sig.histo] {
-			if c.done && c.err == nil && c.abs.ColorSplits == 0 {
-				cands = append(cands, c)
-			}
-		}
+		cands := st.isoIndex[sig.key]
 		st.mu.Unlock()
 		for _, c := range cands {
 			if pi, epi = b.findIso(c.sig, sig); pi != nil {
@@ -212,35 +208,15 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 			}
 		}
 	}
-	transported := seed != nil
+	transported, prov := seed != nil, ProvFresh
 	if transported {
+		prov = ProvTransported
 		e.abs, e.live, e.prefs = b.transportAbs(seed, sig, pi, epi)
 		if b.onTransport != nil {
 			b.onTransport(seed, sig, pi, epi, fromOrbit)
 		}
-	}
-	if !transported {
-		e.abs, e.prefs, e.err = b.compressFresh(ctx, comp, cls)
-		if e.err == nil {
-			// The liveness vector refinement ran against, aligned with
-			// G.Edges() — no re-derivation of edge keys.
-			e.live = e.abs.Live
-			if e.abs.ColorSplits == 0 {
-				// This entry will be pinned as a transport seed: future
-				// transports read its colors concurrently, so compute them
-				// now, while the entry is still private, so no lazy write
-				// can race with candidate reads.
-				b.ensureColors(sig)
-			}
-		}
-	}
-
-	if e.err != nil || transported || e.abs.ColorSplits > 0 {
-		sig.el, sig.colors = nil, nil // only a pinned seed is ever findIso's sa
-	}
-	prov := ProvFresh
-	if transported {
-		prov = ProvTransported
+	} else {
+		e.abs, e.live, e.prefs, e.err = b.compressFresh(ctx, comp, cls)
 	}
 	st.mu.Lock()
 	if e.err != nil {
@@ -265,12 +241,12 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 			}
 			st.fresh++
 			if e.abs.ColorSplits == 0 {
-				// Only ColorSplits-free fresh entries seed transports (the
-				// candidate scan would skip others anyway): one pinned seed
-				// per symmetry family keeps the index small and eviction
-				// away from the entries the whole family depends on.
+				// Only ColorSplits-free fresh entries seed transports (only
+				// their partitions commute with π): one pinned seed per
+				// symmetry family keeps the index small and eviction away
+				// from the entries the whole family depends on.
 				e.pinned = true
-				st.isoIndex[sig.histo] = append(st.isoIndex[sig.histo], e)
+				st.isoIndex[sig.key] = append(st.isoIndex[sig.key], e)
 			}
 		}
 		st.account(e)
@@ -309,31 +285,37 @@ func waitEntry(ctx context.Context, e *absEntry) (abs *core.Abstraction, err err
 // implementation Compress is tested against, and what benchmarks use to
 // measure undeduplicated cost.
 func (b *Builder) CompressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class) (*core.Abstraction, error) {
-	abs, _, err := b.compressFresh(ctx, comp, cls)
+	abs, _, _, err := b.compressFresh(ctx, comp, cls)
 	return abs, err
 }
 
-// compressFresh is CompressFresh, also returning the prefs vector refinement
-// ran with, which a store entry keeps.
-func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class) (*core.Abstraction, []int, error) {
+// compressFresh is CompressFresh, also returning what a store entry keeps:
+// the liveness vector refinement ran against (aligned with G.Edges()) and
+// the prefs vector it ran with.
+func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class) (*core.Abstraction, []bool, []int, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	dest, err := b.destOf(cls)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	mode := core.ModeEffective
 	if b.hasBGP {
 		mode = core.ModeBGP
 	}
+	keys := b.EdgeKeyVec(comp, cls)
+	live := make([]bool, len(keys))
+	for i, k := range keys {
+		live[i] = !k.Dead()
+	}
 	prefs := b.prefsVec(cls)
 	abs := core.FindAbstraction(b.G, dest, core.Options{
 		Mode:     mode,
-		EdgeKeys: b.EdgeKeyVec(comp, cls),
+		EdgeKeys: keys,
 		Prefs:    func(u topo.NodeID) int { return prefs[u] },
 	})
-	return abs, prefs, nil
+	return abs, live, prefs, nil
 }
 
 // CacheStats is the state of the cross-EC abstraction store.

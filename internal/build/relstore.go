@@ -236,10 +236,6 @@ func appendEntry(p []byte, e *absEntry, prefix string) []byte {
 		p = binary.AppendUvarint(p, uint64(v))
 	}
 	// The entry's live vector is the one aligned with this Builder's edges.
-	// a.Live is not written: an entry adopted across a delta reuses its
-	// predecessor's *core.Abstraction, whose Live is aligned with the
-	// predecessor's graph, and nothing reads it once the entry is complete;
-	// load points a.Live at the entry's vector.
 	p = appendBits(p, e.live)
 
 	p = binary.AppendUvarint(p, uint64(a.Dest))
@@ -371,12 +367,11 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 			return 0, fmt.Errorf("build: relation store: class %q: duplicate fingerprint", sc.prefix)
 		}
 		seen[sig.fp] = true
-		if sc.pinned {
-			// Transport seeds serve concurrent candidate scans; their labels
-			// and colors must be computed while the signature is still
+		if sc.pinned && sc.abs.ColorSplits == 0 {
+			// An entry that will be indexed as a transport seed is filed
+			// under its colour key, computed while the signature is still
 			// private to this goroutine.
-			b.ensureLabels(sig)
-			b.ensureColors(sig)
+			sig.key = b.colorKey(sig)
 		}
 		sc.sig = sig
 	}
@@ -407,7 +402,7 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 		st.entries[sig.fp] = e
 		if sc.pinned && sc.abs.ColorSplits == 0 {
 			e.pinned = true
-			st.isoIndex[sig.histo] = append(st.isoIndex[sig.histo], e)
+			st.isoIndex[sig.key] = append(st.isoIndex[sig.key], e)
 		}
 		st.account(e)
 		st.evict()
@@ -455,7 +450,7 @@ func (b *Builder) decodeEntry(d *relDec) (*stagedClass, error) {
 	}
 	sc.live = d.bits()
 
-	a := &core.Abstraction{Live: sc.live}
+	a := &core.Abstraction{}
 	a.Dest = topo.NodeID(d.uv())
 	a.AbsDest = topo.NodeID(d.uv())
 	a.Iterations = int(d.uv())

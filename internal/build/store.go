@@ -16,8 +16,8 @@
 //     charge lands on completion; the budget therefore bounds *retained*
 //     results, and transient overshoot is at most the abstractions
 //     currently being computed (one per shard).
-//   - Transport seeds — fresh, ColorSplits-free entries indexed by label
-//     histogram — are pinned (but charged). One seed exists per symmetry
+//   - Transport seeds — fresh, ColorSplits-free entries indexed by colour
+//     key — are pinned (but charged). One seed exists per symmetry
 //     family, it is the entry every symmetric class's multi-millisecond
 //     refinement is skipped through, and evicting it would make
 //     compression cost resurge for the whole family. A seed also keeps the
@@ -44,8 +44,11 @@ import (
 type absStore struct {
 	mu      sync.Mutex
 	entries map[string]*absEntry // fingerprint -> single-flight slot
-	// isoIndex holds the pinned transport seeds per label-histogram hash;
-	// orbits holds the seeds that have an orbit, in the order they got one.
+	// isoIndex holds the pinned transport seeds per colour key (colorKey): a
+	// missed class searches only from the seeds filed under its own key, and
+	// on every family measured each key holds one seed. Buckets are
+	// append-only. orbits holds the seeds that have an orbit, in the order
+	// they got one.
 	isoIndex map[uint64][]*absEntry
 	orbits   []*absEntry
 
@@ -223,8 +226,6 @@ func entryBytes(e *absEntry) int64 {
 		n += slice + 4*int64(cap(s.fpIDs))
 		n += slice + int64(cap(s.aclV))
 		n += slice + int64(cap(s.statics))
-		n += slice + word*int64(cap(s.el))
-		n += slice + word*int64(cap(s.colors))
 	}
 	if o := e.orbit; o != nil {
 		n += 8 + 3*slice + slice*int64(cap(o.gens)) // the struct, its gens' headers
@@ -244,10 +245,6 @@ func entryBytes(e *absEntry) int64 {
 			n += word * int64(cap(c))
 		}
 		n += slice + 2*word*int64(cap(a.RepEdge))
-		if len(a.Live) == 0 || len(e.live) == 0 || &a.Live[0] != &e.live[0] {
-			// an adopted entry: its abstraction is its predecessor's
-			n += slice + int64(cap(a.Live))
-		}
 		if a.AbsG != nil {
 			n += graphBytes(a.AbsG)
 		}

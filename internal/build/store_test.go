@@ -189,13 +189,11 @@ func TestStoreChargesStaticMaskAsSlice(t *testing.T) {
 	t.Fatal("no datacenter class has an applicable static")
 }
 
-// TestStoreChargesSharedVectorsOnce: a fresh entry keeps its abstraction's
-// liveness vector, a transported entry's abstraction is assembled over the
-// entry's mapped vector, and a store-loaded entry decodes one vector for
-// both; every entry's fingerprint is its signature's string. Each array is
-// charged once. A copy of the entry whose own vector is a second array (as
-// an adopted entry's is: its abstraction is its predecessor's) costs exactly
-// the abstraction's vector more, and dropping the signature's fingerprint
+// TestStoreChargesSharedVectorsOnce: a fresh, a transported and a
+// store-loaded entry each keep one liveness vector, the entry's own (the
+// abstraction holds none), and every entry's fingerprint is its signature's
+// string. Each array is charged once: the entry without its vector costs
+// exactly the vector's bytes less, and dropping the signature's fingerprint
 // costs nothing.
 func TestStoreChargesSharedVectorsOnce(t *testing.T) {
 	ctx := context.Background()
@@ -206,13 +204,13 @@ func TestStoreChargesSharedVectorsOnce(t *testing.T) {
 			if e == nil || e.src != want {
 				continue
 			}
-			if &e.live[0] != &e.abs.Live[0] {
-				t.Fatalf("%s: entry and abstraction hold two liveness vectors", tag)
+			if len(e.live) != b.G.NumEdges() {
+				t.Fatalf("%s: liveness vector over %d edges, want %d", tag, len(e.live), b.G.NumEdges())
 			}
 			own := *e
-			own.live = make([]bool, len(e.live), cap(e.live))
-			if got, want := entryBytes(&own)-entryBytes(e), 24+int64(cap(e.abs.Live)); got != want {
-				t.Fatalf("%s: a second liveness array adds %d bytes, want %d: the shared one is charged twice", tag, got, want)
+			own.live = nil
+			if got, want := entryBytes(e)-entryBytes(&own), int64(cap(e.live)); got != want {
+				t.Fatalf("%s: the liveness vector adds %d bytes, want %d", tag, got, want)
 			}
 			sig := *e.sig
 			sig.fp = ""

@@ -20,25 +20,30 @@
 // is byte-identical to compressing B from scratch, which the property tests
 // assert.
 //
-// Soundness does not rest on the search heuristics: hash collisions in the
-// color-refinement pruning can only admit extra candidates, every candidate
-// π is verified edge-by-edge against the exact label conditions before use
-// (verifyIso), and any failure (or exceeding the search budget) falls back
-// to CompressFresh. That sweep is also where the image of every edge is
-// found, so it yields the edge permutation the transport then maps the
-// seed's liveness through: one pass over the edges per transport. No edge is
-// looked up by its endpoints anywhere: the search and the sweep both scatter
-// an image's out-span into a per-node table and read it back.
+// One word picks the candidates: a class's colour key, the multiset hash of
+// three rounds of colour refinement with its destination individualised
+// (colorKey), computed once and the only search input a signature keeps.
+// Seeds are indexed by it, and a class searches only from the seeds that
+// share it. The search itself compares edges exactly, with edgeEq.
+// Soundness does not rest on the key: a collision only admits a doomed
+// search, every candidate π is verified edge-by-edge against the exact label
+// conditions before use (verifyIso), and any failure (or exceeding the
+// search budget) falls back to CompressFresh. That sweep is also where the
+// image of every edge is found, so it yields the edge permutation the
+// transport then maps the seed's liveness through: one pass over the edges
+// per transport. No edge is looked up by its endpoints anywhere: the search
+// and the sweep both scatter an image's out-span into a per-node table and
+// read it back.
 //
 // Most searches need not run at all. Each seed keeps an orbit: the π's its
 // searched transports were accepted under, as generators, and a Schreier
 // vector over the nodes rooted at its destination (the first half of
 // Schreier–Sims). A class whose destination the orbit reaches gets the
-// product of the generators along the vector's path as its π, with no labels,
-// colours or search. A composed π only proposes, exactly as a searched one
-// does: the same verifyIso decides, and a refusal falls through to the
-// labels, the search and CompressFresh. On Fattree(20) 18 generators serve
-// all 199 transports, 181 of them without a search.
+// product of the generators along the vector's path as its π, with no colour
+// key and no search. A composed π only proposes, exactly as a searched one
+// does: the same verifyIso decides, and a refusal falls through to the key,
+// the search and CompressFresh. On Fattree(20) 18 generators serve all 199
+// transports, 181 of them without a search.
 package build
 
 import (
@@ -122,15 +127,12 @@ func mapContentSig(cache map[rmRef]string, env *policy.Env, name string) string 
 // form: the identity fingerprint plus the per-object tables transport needs.
 type classSig struct {
 	fp      string // identity fingerprint (absCache key)
-	histo   uint64 // relabeling-invariant edge-label histogram hash
 	dest    topo.NodeID
 	origin  []bool   // per node: origin of the class
 	fpIDs   []int32  // per sigRMs: interned match-outcome string
 	aclV    []bool   // per sigACLs: verdict for the class prefix
 	statics edgeMask // edges an applicable static rides
-	el      []uint64 // per edge: hashed full label folded with its reverse edge's (seeds only, once stored)
-	colors  []uint64 // per node: iterated neighborhood colors (lazy; seeds only, once stored)
-	colHash uint64   // commutative hash of the color multiset
+	key     uint64   // colorKey: the isoIndex bucket, set while the signature is private
 }
 
 // classSignature computes the class's fingerprint and transport tables.
@@ -216,58 +218,8 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 	return s, nil
 }
 
-// ensureLabels computes (once per classSig) the per-edge label vector and
-// its relabeling-invariant histogram hash. Deferred off the identity-hit
-// path: cache hits only read sig.fp, so the O(E) pass runs on misses alone.
-// A label starts as the edge's mixed content word; only edges a route map,
-// an ACL or a static can reach are rehashed, and the histogram moves by each
-// patch, so it is off a sum over every label by a class-independent constant.
-// Each label is then folded with its reverse's, el[i] ^ rot(el[rev[i]]): one
-// word per edge that the colours and the search read for both directions.
-// Like ensureColors, the lazy write is unsynchronised — callers must only
-// invoke it on a classSig not yet shared with other goroutines.
-func (b *Builder) ensureLabels(s *classSig) {
-	if s.el != nil {
-		return
-	}
-	t := b.tab
-	el := slices.Clone(t.content)
-	// Addition is commutative, so summing the mixed labels is invariant
-	// under any edge reordering — no sort needed.
-	h := uint64(14695981039346656037)
-	patch := func(i int) {
-		w := t.edgeLabel(s, int32(i))
-		h += mix64(w) - mix64(el[i])
-		el[i] = w
-	}
-	for i := range el {
-		if t.expRM[i]&t.impRM[i]&t.aclIdx[i] >= 0 { // any of the three is present
-			patch(i)
-		}
-	}
-	for i, on := range s.statics {
-		if on {
-			patch(i)
-		}
-	}
-	for i, j := range t.rev {
-		if int(j) > i {
-			out, in := el[i], el[j]
-			el[i], el[j] = out^bits.RotateLeft64(in, 31), in^bits.RotateLeft64(out, 31)
-		}
-	}
-	s.el = el
-	norig := 0
-	for _, o := range s.origin {
-		if o {
-			norig++
-		}
-	}
-	s.histo = mix64(h ^ uint64(norig))
-}
-
 // edgeLabel hashes the full (content + class-dependent) label of edge index
-// i under class signature s into one word. Used for pruning and histograms;
+// i under class signature s into one word. Only the colour key reads it;
 // exact comparisons go through edgeEq.
 func (t *edgeTables) edgeLabel(s *classSig, i int32) uint64 {
 	w := t.content[i]
@@ -323,26 +275,40 @@ func (t *edgeTables) edgeEq(sa, sb *classSig, e, f int32) bool {
 	return sa.statics.has(int(e)) == sb.statics.has(int(f))
 }
 
-// colorRounds bounds the color-refinement preprocessing. Three rounds
-// separate structural roles in the evaluation networks; under-refinement
-// only enlarges candidate sets (the search's forward checking and the final
-// sweep keep wrong permutations out), so fewer rounds trade search effort
-// for a cheaper per-class preprocessing pass.
+// colorRounds bounds the colour refinement behind the colour key. Three
+// rounds separate structural roles in the evaluation networks;
+// under-refinement only lets classes of different roles share a key, so a
+// search starts from a seed it cannot map (the forward checks and the final
+// sweep keep wrong permutations out), and fewer rounds trade doomed searches
+// for a cheaper key.
 const colorRounds = 3
 
-// ensureColors computes (once per classSig) iterated neighborhood colors:
-// hash-based 1-WL refinement over the labeled graph with the destination
-// individualised. Colors are plain hashes, so they are comparable across
-// classes without shared state and cacheable per entry. The lazy write is
-// not synchronised: callers must only invoke this on a classSig that no
-// other goroutine can reach (Compress precomputes colors on fresh entries
-// before publishing them as transport seeds).
-func (b *Builder) ensureColors(s *classSig) []uint64 {
-	if s.colors != nil {
-		return s.colors
-	}
-	b.ensureLabels(s)
+// colorKey computes a class's colour key: the multiset hash of iterated
+// neighbourhood colours, hash-based 1-WL over the labelled graph with the
+// destination individualised. It is invariant under relabelling the routers,
+// so a π can relate two classes only if their keys are equal, and the store
+// indexes its transport seeds by it. It runs once per signature, on a miss
+// that no orbit served (or when a store load installs a seed), and keeps
+// nothing but the word it returns.
+//
+// A label starts as the edge's mixed content word; only edges a route map,
+// an ACL or a static can reach are rehashed. Each label is then folded with
+// its reverse's, el[i] ^ rot(el[rev[i]]): one word per edge that covers
+// both directions, the rotation keeping (out, in) apart from (in, out).
+func (b *Builder) colorKey(s *classSig) uint64 {
 	t := b.tab
+	el := slices.Clone(t.content)
+	for i := range el {
+		if t.expRM[i]&t.impRM[i]&t.aclIdx[i] >= 0 || s.statics.has(i) { // a route map, an ACL or a static
+			el[i] = t.edgeLabel(s, int32(i))
+		}
+	}
+	for i, j := range t.rev {
+		if int(j) > i {
+			out, in := el[i], el[j]
+			el[i], el[j] = out^bits.RotateLeft64(in, 31), in^bits.RotateLeft64(out, 31)
+		}
+	}
 	n := b.G.NumNodes()
 	col := make([]uint64, n)
 	for u := 0; u < n; u++ {
@@ -361,15 +327,14 @@ func (b *Builder) ensureColors(s *classSig) []uint64 {
 			col[u] = mix64(c)
 		}
 		for u := 0; u < n; u++ {
-			// Commutative combine (sum of mixed tuples) keeps the color a
-			// multiset invariant of the labeled neighborhood without sorting.
-			// One mix per edge: the neighbour's color is mixed once per round
-			// above, and the folded label covers both directions (the rotation
-			// in ensureLabels keeps (out, in) apart from (in, out)).
+			// Commutative combine (sum of mixed tuples) keeps the colour a
+			// multiset invariant of the labelled neighbourhood without
+			// sorting. One mix per edge: the neighbour's colour is mixed once
+			// per round above, and the folded label covers both directions.
 			h := col[u]
 			lo, hi := t.out(topo.NodeID(u))
 			for i := lo; i < hi; i++ {
-				h += mix64(s.el[i] ^ col[t.edges[i].V])
+				h += mix64(el[i] ^ col[t.edges[i].V])
 			}
 			next[u] = mix64(h)
 		}
@@ -379,9 +344,7 @@ func (b *Builder) ensureColors(s *classSig) []uint64 {
 	for _, c := range col {
 		h += mix64(c)
 	}
-	s.colHash = h
-	s.colors = col
-	return col
+	return h
 }
 
 // isoBudgetFactor bounds the backtracking search to factor×V node
@@ -391,20 +354,13 @@ const isoBudgetFactor = 64
 // findIso searches for a node permutation π with π(sa.dest) = sb.dest that
 // maps every directed edge onto an edge with an equal label (edgeEq) and
 // preserves the origin marking, and returns it with the edge permutation it
-// induces (verifyIso). Returns nil if none is found within budget. The result
-// is whatever verifyIso accepts, so heuristic failure or hash collisions are
-// only missed optimisations, never wrong answers.
+// induces (verifyIso). Returns nil if none is found within budget. It keeps
+// and writes nothing on either signature; the colour key chose the pair, and
+// the result is whatever verifyIso accepts, so a heuristic failure or a key
+// collision is only a missed optimisation, never a wrong answer.
 func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	t := b.tab
 	n := b.G.NumNodes()
-	colA := b.ensureColors(sa)
-	colB := b.ensureColors(sb)
-	// Color-multiset check (commutative hash): a mismatch means no π can
-	// exist; a collision only admits a doomed search that the forward
-	// checking rejects.
-	if sa.colHash != sb.colHash {
-		return nil, nil
-	}
 	pi = make([]topo.NodeID, n)
 	rev := make([]topo.NodeID, n)
 	parent := make([]topo.NodeID, n) // -1 until the BFS reaches a node
@@ -434,12 +390,12 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	steps := 0
 	// compatible checks u→w against all already-mapped neighbors of u: each
 	// image must be w's neighbour (w's out-span is scattered into at, then
-	// cleared) over an edge with an equal folded label word. Equal labels give
-	// equal words, so this never refuses what verifyIso would accept, and a
-	// hash collision only admits a π that verifyIso refuses.
+	// cleared) over an edge whose label, and whose reverse's, edgeEq finds
+	// equal. These are verifyIso's own conditions on the edges between placed
+	// nodes, so the search never refuses what verifyIso would accept.
 	at := make([]int32, n)
 	compatible := func(u, w topo.NodeID) bool {
-		if colA[u] != colB[w] || sa.origin[u] != sb.origin[w] {
+		if sa.origin[u] != sb.origin[w] {
 			return false
 		}
 		wlo, whi := t.out(w)
@@ -451,7 +407,7 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 		for i := lo; i < hi && ok; i++ {
 			if pv := pi[t.edges[i].V]; pv >= 0 {
 				j := at[pv] - 1
-				ok = j >= 0 && sa.el[i] == sb.el[j]
+				ok = j >= 0 && t.edgeEq(sa, sb, i, j) && t.edgeEq(sa, sb, t.rev[i], t.rev[j])
 			}
 		}
 		for j := wlo; j < whi; j++ {

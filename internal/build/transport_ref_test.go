@@ -109,19 +109,18 @@ func TestTransportPermutationsMatchParent(t *testing.T) {
 	}
 }
 
-// TestOrbitCountsPerFamily pins how each family's transports are served.
-// Fresh and transported counts are those before orbits existed: a refused
-// composed π falls back to the search, so an orbit only ever replaces a
-// search. Searches, orbit hits and generators are logged and pinned.
-// FullMesh searches every class: its π's are transpositions, and each one
-// adds a single point to the orbit, so no destination is in an orbit before
-// its own search.
-func TestOrbitCountsPerFamily(t *testing.T) {
-	for _, tc := range []struct {
-		name                                      string
-		net                                       *config.Network
-		fresh, transported, searched, orbit, gens int
-	}{
+// orbitFamily is one of the eight families whose transport paths are
+// pinned, with its counts: classes fresh and transported, and of the
+// transports how many the search served and how many an orbit did, from how
+// many generators.
+type orbitFamily struct {
+	name                                      string
+	net                                       *config.Network
+	fresh, transported, searched, orbit, gens int
+}
+
+func orbitFamilies() []orbitFamily {
+	return []orbitFamily{
 		{"fattree-20", netgen.Fattree(20, netgen.PolicyShortestPath), 1, 199, 18, 181, 18},
 		{"fattree-12", netgen.Fattree(12, netgen.PolicyShortestPath), 1, 71, 14, 57, 14},
 		{"fattree-8-pb", netgen.Fattree(8, netgen.PolicyPreferBottom), 1, 31, 10, 21, 10},
@@ -130,7 +129,18 @@ func TestOrbitCountsPerFamily(t *testing.T) {
 		{"spineleaf", netgen.SpineLeaf(netgen.SpineLeafOptions{}), 1, 15, 8, 7, 8},
 		{"wan-10-20-3", netgen.WAN(netgen.WANOptions{Backbone: 10, Sites: 20, SwitchesPerSite: 3}), 16, 44, 14, 30, 14},
 		{"datacenter", netgen.Datacenter(netgen.DCOptions{}), 171, 0, 0, 0, 0},
-	} {
+	}
+}
+
+// TestOrbitCountsPerFamily pins how each family's transports are served.
+// Fresh and transported counts are those before orbits existed: a refused
+// composed π falls back to the search, so an orbit only ever replaces a
+// search. Searches, orbit hits and generators are logged and pinned.
+// FullMesh searches every class: its π's are transpositions, and each one
+// adds a single point to the orbit, so no destination is in an orbit before
+// its own search.
+func TestOrbitCountsPerFamily(t *testing.T) {
+	for _, tc := range orbitFamilies() {
 		b, err := New(tc.net)
 		if err != nil {
 			t.Fatal(err)
@@ -149,27 +159,41 @@ func TestOrbitCountsPerFamily(t *testing.T) {
 	}
 }
 
-// referenceSearchVectors is the per-class preprocessing as it was before
+// TestColorKeyBucketsHoldOneSeed: on each of the eight families, once every
+// class is compressed, every isoIndex bucket holds exactly one seed. A class
+// searches only from the seeds filed under its colour key, so no search
+// starts from a seed of another role, where it could only fail or exhaust
+// its budget. Label-histogram buckets held several seeds on Datacenter{}
+// and WAN{10,20,3}, each of which a colour hash then refused.
+func TestColorKeyBucketsHoldOneSeed(t *testing.T) {
+	for _, tc := range orbitFamilies() {
+		b, err := New(tc.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		transportPaths(t, b, nil)
+		seeds := 0
+		for key, bucket := range b.store.isoIndex {
+			if len(bucket) != 1 {
+				t.Errorf("%s: bucket %#x holds %d seeds", tc.name, key, len(bucket))
+			}
+			seeds += len(bucket)
+		}
+		t.Logf("%s: %d seeds in %d buckets", tc.name, seeds, len(b.store.isoIndex))
+	}
+}
+
+// referenceSearchVectors is the per-class colour refinement as it was before
 // labels were patched from the content word and folded with the reverse
-// edge: every edge's label hashed in full, the histogram summed over all of
-// them, and colour refinement reading both direction labels of an edge and
-// rotating one, through three n-vectors.
-func referenceSearchVectors(b *Builder, s *classSig) (histo uint64, colors []uint64, colHash uint64) {
+// edge: every edge's label hashed in full, and each round reading both
+// direction labels of an edge and rotating one, through three n-vectors. It
+// returns the colours and their multiset hash; colorKey keeps only the hash.
+func referenceSearchVectors(b *Builder, s *classSig) (colors []uint64, colHash uint64) {
 	t := b.tab
 	el := make([]uint64, len(t.edges))
-	h := uint64(14695981039346656037)
 	for i := range t.edges {
-		w := t.edgeLabel(s, int32(i))
-		el[i] = w
-		h += mix64(w)
+		el[i] = t.edgeLabel(s, int32(i))
 	}
-	norig := 0
-	for _, o := range s.origin {
-		if o {
-			norig++
-		}
-	}
-	histo = mix64(h ^ uint64(norig))
 
 	n := b.G.NumNodes()
 	col := make([]uint64, n)
@@ -203,7 +227,7 @@ func referenceSearchVectors(b *Builder, s *classSig) (histo uint64, colors []uin
 	for _, c := range col {
 		colHash += mix64(c)
 	}
-	return histo, col, colHash
+	return col, colHash
 }
 
 // aclDiamond is the BGP diamond with a second destination and an egress ACL
@@ -222,11 +246,9 @@ func aclDiamond() *config.Network {
 	return n
 }
 
-// TestColorsMatchReference holds ensureLabels and ensureColors to the
-// reference above on every class of the transport networks, the operational
-// datacenter and aclDiamond: the colours and their multiset hash are
-// bit-identical, and the label histograms group the classes into the same
-// buckets (the histogram itself moves by a class-independent constant).
+// TestColorsMatchReference holds colorKey to the reference above on every
+// class of the transport networks, the operational datacenter and
+// aclDiamond: the key is the reference's colour-multiset hash, bit for bit.
 func TestColorsMatchReference(t *testing.T) {
 	nets := append(transportNetworks(),
 		namedNetwork{"datacenter", netgen.Datacenter(netgen.DCOptions{})},
@@ -236,31 +258,14 @@ func TestColorsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotBucket, refBucket := make(map[uint64]int), make(map[uint64]int)
-		for ci, cls := range b.Classes() {
+		for _, cls := range b.Classes() {
 			s, err := b.classSignature(cls)
 			if err != nil {
 				t.Fatal(err)
 			}
-			histo, colors, colHash := referenceSearchVectors(b, s)
-			got := b.ensureColors(s)
-			for u := range colors {
-				if got[u] != colors[u] {
-					t.Fatalf("%s %s: node %d colour %#x, reference %#x", tc.name, cls.Prefix, u, got[u], colors[u])
-				}
-			}
-			if s.colHash != colHash {
-				t.Fatalf("%s %s: colour hash %#x, reference %#x", tc.name, cls.Prefix, s.colHash, colHash)
-			}
-			// Class ci opens a bucket or joins one; both sides must agree on
-			// which.
-			g, gok := gotBucket[s.histo]
-			r, rok := refBucket[histo]
-			if gok != rok || g != r {
-				t.Fatalf("%s %s: histogram bucket (%d, %v), reference (%d, %v)", tc.name, cls.Prefix, g, gok, r, rok)
-			}
-			if !gok {
-				gotBucket[s.histo], refBucket[histo] = ci, ci
+			_, colHash := referenceSearchVectors(b, s)
+			if got := b.colorKey(s); got != colHash {
+				t.Fatalf("%s %s: colour key %#x, reference %#x", tc.name, cls.Prefix, got, colHash)
 			}
 		}
 	}

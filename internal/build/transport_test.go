@@ -78,13 +78,14 @@ func TestVerifyIsoRefusesWrongPermutations(t *testing.T) {
 					t.Fatalf("%s: accepted", what)
 				}
 			}
-			// Two routers of different role trade images. Colors are
-			// isomorphism invariants, so a differing pair has no automorphism
-			// between its images and the swapped π is a bijection that must
-			// fail on some edge.
+			// Two routers of different role trade images. The reference
+			// colours are isomorphism invariants, so a differing pair has no
+			// automorphism between its images and the swapped π is a
+			// bijection that must fail on some edge.
+			colors, _ := referenceSearchVectors(b, sa)
 			for u := 0; u < n; u++ {
 				for d := 1; d < n; d++ {
-					if v := (u + d) % n; sa.colors[u] != sa.colors[v] {
+					if v := (u + d) % n; colors[u] != colors[v] {
 						bad := slices.Clone(pi)
 						bad[u], bad[v] = pi[v], pi[u]
 						refused("routers of different role swapped", sb, bad)

@@ -79,7 +79,6 @@ func assembleReference(g *topo.Graph, dest topo.NodeID, groupOf []int, opt core.
 		Dest:        dest,
 		F:           idx,
 		Groups:      groups,
-		Live:        live,
 		Iterations:  opt.Iterations,
 		ColorSplits: opt.ColorSplits,
 	}
@@ -281,11 +280,16 @@ func TestAssembleMatchesReference(t *testing.T) {
 		}
 		for _, cls := range classes {
 			dest := bd.G.MustLookup(cls.Origins[0])
+			keys := bd.EdgeKeyVec(comp, cls)
 			abs := core.FindAbstraction(bd.G, dest, core.Options{
-				Mode: mode, EdgeKeys: bd.EdgeKeyVec(comp, cls), Prefs: bd.PrefsFunc(cls),
+				Mode: mode, EdgeKeys: keys, Prefs: bd.PrefsFunc(cls),
 			})
+			live := make([]bool, len(keys))
+			for i, k := range keys {
+				live[i] = !k.Dead()
+			}
 			opt := core.AssembleOptions{
-				Mode: mode, Prefs: bd.PrefsFunc(cls), LiveEdges: abs.Live,
+				Mode: mode, Prefs: bd.PrefsFunc(cls), LiveEdges: live,
 				Iterations: abs.Iterations, ColorSplits: abs.ColorSplits,
 			}
 			tag := fmt.Sprintf("%s %v", net.Name, cls.Prefix)

@@ -110,13 +110,6 @@ type Abstraction struct {
 	// of the edges that survive it.
 	RepEdge []topo.Edge
 
-	// Live records, per edge index of the graph this abstraction was
-	// computed over, whether the directed edge can carry the destination
-	// class (the negation of EdgeKey.Dead): the liveness vector refinement
-	// ran against. Consumers (internal/build's dedup cache) read it instead
-	// of re-deriving edge keys.
-	Live []bool
-
 	// Iterations counts group refinements until fixpoint (sweep passes for
 	// the reference scheduler, worklist pops for the production one); it is
 	// diagnostic only and, unlike every other field, scheduling-dependent.
@@ -506,7 +499,6 @@ func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOption
 		Dest:        dest,
 		F:           idx,
 		Groups:      groups,
-		Live:        live,
 		Iterations:  opt.Iterations,
 		ColorSplits: opt.ColorSplits,
 	}
