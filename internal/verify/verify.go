@@ -48,6 +48,10 @@ type Result struct {
 	// an earlier Compress, adoption across a delta — so two engines over the
 	// same configuration may report different values for the same verdict.
 	DistinctAbstractions int
+	// solves counts the classes whose control plane was solved, per-pair
+	// certification's re-analyses aside: one per fingerprint group in bonsai
+	// mode, one per class in concrete mode.
+	solves int64
 }
 
 func (r *Result) String() string {
@@ -99,19 +103,16 @@ func AllPairsConcrete(ctx context.Context, b *build.Builder, opts Options) (*Res
 	return allPairs(ctx, b, opts, false, nil)
 }
 
-// AllPairsBonsai verifies all-pairs reachability after compressing each
-// class with Bonsai. The reported time includes compression, as in
-// Figure 12. Cancelling ctx stops the worker goroutines promptly (including
+// AllPairsBonsai verifies all-pairs reachability after compressing the
+// classes with Bonsai: classes with equal deduplication fingerprints share
+// one compression and one solve, counted once per class. The reported time
+// includes compression, as in Figure 12. Cancelling ctx stops the worker goroutines promptly (including
 // mid-compression) and returns the context's error.
 func AllPairsBonsai(ctx context.Context, b *build.Builder, opts Options) (*Result, error) {
 	// One policy compiler per worker: BDD managers are not safe for
 	// concurrent use, but sharing one across a worker's classes amortises
 	// BDD construction exactly as the paper's implementation does (§7:
-	// BDDs are built once, classes are compressed in parallel). On top of
-	// that, Builder.Compress deduplicates whole abstractions across classes,
-	// and the fan-out hands out every fingerprint's first class before any
-	// repeat, so each fingerprint compresses once and its repeats find the
-	// result cached or in flight.
+	// BDDs are built once, classes are compressed in parallel).
 	compilers := opts.Compilers
 	if n := opts.Fanout(b); len(compilers) != n {
 		compilers = make([]*policy.Compiler, n)
@@ -126,24 +127,54 @@ func AllPairsBonsai(ctx context.Context, b *build.Builder, opts Options) (*Resul
 
 // allPairs fans b's classes out over opts.Fanout(b) workers, compressing
 // each class with its worker's compiler or, unless compressed, solving it
-// concretely. Each worker folds its classes into its own tally and the
+// concretely. Compressed, only the first class of each fingerprint group is
+// fanned out and solved: a fingerprint is everything AbstractInstance and
+// AbstractACLPermitFunc read of a class (destination, origins, statics,
+// route-map matches, ACL verdicts), so the group's other members would
+// build the same instance from the same abstraction and get the same
+// answer. Concrete mode stays per class; it is the oracle the grouping is
+// tested against. Each worker folds its classes into its own tally and the
 // tallies are summed after the run, so no lock is shared between workers or
 // between calls.
 func allPairs(ctx context.Context, b *build.Builder, opts Options, compressed bool, compilers []*policy.Compiler) (*Result, error) {
 	classes := clip(b.Classes(), opts.MaxClasses)
 	res := &Result{Mode: "concrete", Classes: len(classes)}
+	items := classes
 	var key func(ec.Class) string
+	var groups [][]ec.Class // in first-occurrence order; items holds each one's first class
+	var groupOf map[string]int
 	if compressed {
 		res.Mode, key = "bonsai", FingerprintKey(b)
+		items, groupOf = make([]ec.Class, 0, len(classes)), make(map[string]int)
+		groups = make([][]ec.Class, 0, len(classes))
+		for i, cls := range classes {
+			k := key(cls)
+			if g, ok := groupOf[k]; ok {
+				groups[g] = append(groups[g], cls)
+				continue
+			}
+			if k != "" {
+				groupOf[k] = len(groups)
+			}
+			// Capped at one, so a second member copies instead of
+			// overwriting classes[i+1].
+			groups = append(groups, classes[i:i+1:i+1])
+			items = append(items, cls)
+		}
 	}
 	tallies := make([]tally, opts.Fanout(b))
 	start := time.Now()
-	err := ForEachClassKeyed(ctx, classes, len(tallies), key, func(worker int, cls ec.Class) error {
+	// No item shares a key with another, so the pool gets no key.
+	err := ForEachClassKeyed(ctx, items, len(tallies), nil, func(worker int, cls ec.Class) error {
+		members := []ec.Class{cls}
 		var comp *policy.Compiler
 		if compressed {
 			comp = compilers[worker]
+			if k := key(cls); k != "" {
+				members = groups[groupOf[k]]
+			}
 		}
-		return tallies[worker].addClass(ctx, b, comp, cls, compressed, opts.PerPairCertification)
+		return tallies[worker].addGroup(ctx, b, comp, members, compressed, opts.PerPairCertification)
 	})
 	res.Total = time.Since(start)
 	for _, t := range tallies {
@@ -151,38 +182,44 @@ func allPairs(ctx context.Context, b *build.Builder, opts Options, compressed bo
 		res.ReachablePairs += t.reachable
 		res.AbstractNodeSum += t.absNodes
 		res.Compress += t.compress
+		res.solves += t.solves
 	}
 	return res, err
 }
 
 // tally is one worker's share of a Result's counts.
 type tally struct {
-	pairs, reachable, absNodes int64
-	compress                   time.Duration
+	pairs, reachable, absNodes, solves int64
+	compress                           time.Duration
 }
 
-// addClass solves one class and folds its counts into the tally. With
-// perPair the control plane is re-analysed once per source, modelling a
-// per-query verifier; that loop observes ctx so cancellation interrupts even
-// a single large class promptly.
-func (t *tally) addClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed, perPair bool) error {
-	s, err := solveClass(ctx, b, comp, cls, compressed)
+// addGroup solves the group's first class and folds its counts into the
+// tally once per member. With perPair the control plane is re-analysed once
+// per source of every member, modelling a per-query verifier; that loop
+// observes ctx so cancellation interrupts even a single large class
+// promptly.
+func (t *tally) addGroup(ctx context.Context, b *build.Builder, comp *policy.Compiler, members []ec.Class, compressed, perPair bool) error {
+	s, err := solveClass(ctx, b, comp, members[0], compressed)
 	if err != nil {
 		return err
 	}
-	for i := int64(0); perPair && i < s.sources; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if _, err := analyse(b, cls, s.abs); err != nil {
-			return err
+	for _, cls := range members {
+		for i := int64(0); perPair && i < s.sources; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if _, err := analyse(b, cls, s.abs); err != nil {
+				return err
+			}
 		}
 	}
-	t.pairs += s.sources
-	t.reachable += s.delivered
+	n := int64(len(members))
+	t.solves++
+	t.pairs += n * s.sources
+	t.reachable += n * s.delivered
 	t.compress += s.compress
 	if s.abs != nil {
-		t.absNodes += int64(s.abs.NumAbstractNodes())
+		t.absNodes += n * int64(s.abs.NumAbstractNodes())
 	}
 	return nil
 }
@@ -362,8 +399,9 @@ func ForEachClassKeyed(ctx context.Context, classes []ec.Class, workers int, key
 	return sched.Run(ctx, classes, workers, key, f)
 }
 
-// FingerprintKey returns the pool's ordering key for b's classes: the
-// deduplication fingerprint, or "" (its own leader) for classes whose
+// FingerprintKey returns the key that groups b's classes, for the pool's
+// leaders-first order and for AllPairsBonsai's one solve per group: the
+// deduplication fingerprint, or "" (a group of its own) for classes whose
 // fingerprint cannot be computed — those fail identically inside Compress,
 // which reports the actual error.
 func FingerprintKey(b *build.Builder) func(ec.Class) string {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bonsai/internal/build"
+	"bonsai/internal/config"
 	"bonsai/internal/netgen"
 )
 
@@ -167,5 +168,90 @@ func TestBonsaiSpeedupOnLargerNetwork(t *testing.T) {
 	t.Logf("concrete=%v bonsai=%v (incl. compression %v)", conc.Total, bon.Total, bon.Compress)
 	if conc.ReachablePairs != conc.Pairs || bon.ReachablePairs != bon.Pairs {
 		t.Fatal("reachability broken")
+	}
+}
+
+// TestAllPairsBonsaiSolvesEachFingerprintOnce holds AllPairsBonsai to one
+// abstract solve per fingerprint group, at every worker count, and its
+// counts to the sums of solving every class on its own. The datacenter and
+// SpineLeaf share fingerprints; WAN{10,20,3} and Fattree(8) have no two
+// classes with one. The concrete oracle stays at one solve per class; it is
+// clipped to a few classes because a concrete datacenter class takes
+// milliseconds.
+func TestAllPairsBonsaiSolvesEachFingerprintOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		net    func() *config.Network
+		groups int // 0: not pinned
+		shared bool
+	}{
+		{"datacenter", func() *config.Network { return netgen.Datacenter(netgen.DCOptions{}) }, 171, true},
+		{"wan", func() *config.Network {
+			return netgen.WAN(netgen.WANOptions{Backbone: 10, Sites: 20, SwitchesPerSite: 3})
+		}, 0, false},
+		{"spineleaf", func() *config.Network {
+			return netgen.SpineLeaf(netgen.SpineLeafOptions{PrefixesPerExt: 3})
+		}, 0, true},
+		{"fattree8", func() *config.Network { return netgen.Fattree(8, netgen.PolicyShortestPath) }, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := build.New(tc.net())
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes := ref.Classes()
+			key := FingerprintKey(ref)
+			seen := make(map[string]bool)
+			var groups int
+			var want Result
+			comp := ref.NewCompiler(true)
+			for _, cls := range classes {
+				if k := key(cls); k == "" || !seen[k] {
+					groups++
+					seen[k] = true
+				}
+				s, err := solveClass(ctx, ref, comp, cls, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Pairs += s.sources
+				want.ReachablePairs += s.delivered
+				want.AbstractNodeSum += int64(s.abs.NumAbstractNodes())
+			}
+			if tc.groups != 0 && groups != tc.groups {
+				t.Fatalf("%d fingerprint groups, want %d", groups, tc.groups)
+			}
+			if shared := groups < len(classes); shared != tc.shared {
+				t.Fatalf("%d groups of %d classes: shared = %v, want %v", groups, len(classes), shared, tc.shared)
+			}
+			t.Logf("%d classes, %d fingerprint groups", len(classes), groups)
+			for _, w := range []int{1, 2, 4} {
+				b, err := build.New(tc.net())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := AllPairsBonsai(ctx, b, Options{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.solves != int64(groups) {
+					t.Errorf("workers=%d: %d abstract solves, want one per fingerprint (%d)", w, got.solves, groups)
+				}
+				if got.Classes != len(classes) || got.Pairs != want.Pairs || got.ReachablePairs != want.ReachablePairs ||
+					got.AbstractNodeSum != want.AbstractNodeSum {
+					t.Errorf("workers=%d: classes=%d pairs=%d reachable=%d absNodes=%d, per-class solves give %d/%d/%d/%d",
+						w, got.Classes, got.Pairs, got.ReachablePairs, got.AbstractNodeSum,
+						len(classes), want.Pairs, want.ReachablePairs, want.AbstractNodeSum)
+				}
+				conc, err := AllPairsConcrete(ctx, b, Options{Workers: w, MaxClasses: 16})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if conc.solves != int64(conc.Classes) {
+					t.Errorf("workers=%d: %d concrete solves of %d classes", w, conc.solves, conc.Classes)
+				}
+			}
+		})
 	}
 }
