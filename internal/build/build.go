@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 
 	"bonsai/internal/config"
 	"bonsai/internal/ec"
@@ -30,6 +31,9 @@ import (
 type Builder struct {
 	// Cfg is the parsed network configuration.
 	Cfg *config.Network
+	// id names the Builder to the per-compiler adjacency slot (dedup.go)
+	// without keeping it alive: pooled compilers outlive their Builder.
+	id uint64
 	// G is the SRP topology: one vertex per router, a pair of directed edges
 	// per link.
 	G *topo.Graph
@@ -73,11 +77,18 @@ type Builder struct {
 	fpByPrefix map[netip.Prefix]string
 	store      absStore
 
+	// adjReused counts fresh refinements that ran on the adjacency of the
+	// fresh class before them (dedup.go's freshAdjacency); tests pin it.
+	adjReused atomic.Int64
+
 	// onTransport, set by tests only, observes every transport as it lands:
 	// the seed, the class, the π and edge permutation it was served under,
 	// and whether the seed's orbit proposed π (or the search found it).
 	onTransport func(seed *absEntry, sig *classSig, pi []topo.NodeID, epi []int32, fromOrbit bool)
 }
+
+// builderIDs issues Builder.id.
+var builderIDs atomic.Uint64
 
 // New validates the network and constructs its Builder: the SRP graph, the
 // per-edge protocol tables and the shared community universes.
@@ -90,6 +101,7 @@ func New(net *config.Network) (*Builder, error) {
 	}
 	b := &Builder{
 		Cfg:        net,
+		id:         builderIDs.Add(1),
 		G:          topo.New(),
 		fpIntern:   make(map[string]int32),
 		fpByPrefix: make(map[netip.Prefix]string),

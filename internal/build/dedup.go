@@ -1,7 +1,7 @@
 // Cross-EC abstraction deduplication. The paper's evaluation networks are
 // highly regular, and compression only ever looks at a destination class
 // through the canonical edge keys and prefs, so the Builder avoids redundant
-// refinement work at two levels:
+// refinement work at two levels, and shares part of what is left:
 //
 //  1. Identity: classes whose class-dependent inputs are byte-identical
 //     (same destination, origins, statics, prefix-list match outcomes, ACL
@@ -12,6 +12,13 @@
 //     per-edge-router classes, ring rotations, mesh stars) are served by
 //     transporting a cached partition through an explicitly verified
 //     permutation π — see transport.go.
+//
+//  3. Policy: a class that still needs a fresh refinement reuses the live
+//     adjacency of the fresh class before it on the same compiler when the
+//     two differ only in destination and origins, i.e. in the fingerprint's
+//     part before its policy part (statics, match outcomes, ACL verdicts).
+//     Its refinement still runs; only the edge keys and the adjacency are
+//     not rebuilt — see freshAdjacency.
 //
 // The class fingerprint deliberately avoids compiling anything. Everything
 // class-dependent in the pipeline reduces to: the destination vertex and
@@ -216,7 +223,7 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 			b.onTransport(seed, sig, pi, epi, fromOrbit)
 		}
 	} else {
-		e.abs, e.live, e.prefs, e.err = b.compressFresh(ctx, comp, cls)
+		e.abs, e.live, e.prefs, e.err = b.compressFresh(ctx, comp, cls, sig)
 	}
 	st.mu.Lock()
 	if e.err != nil {
@@ -285,14 +292,17 @@ func waitEntry(ctx context.Context, e *absEntry) (abs *core.Abstraction, err err
 // implementation Compress is tested against, and what benchmarks use to
 // measure undeduplicated cost.
 func (b *Builder) CompressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class) (*core.Abstraction, error) {
-	abs, _, _, err := b.compressFresh(ctx, comp, cls)
+	abs, _, _, err := b.compressFresh(ctx, comp, cls, nil)
 	return abs, err
 }
 
 // compressFresh is CompressFresh, also returning what a store entry keeps:
 // the liveness vector refinement ran against (aligned with G.Edges()) and
-// the prefs vector it ran with.
-func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class) (*core.Abstraction, []bool, []int, error) {
+// the prefs vector it ran with. The liveness vector is the adjacency's, so
+// entries that shared an adjacency share it too; nothing writes it. sig is
+// the class's signature on CompressTagged's fresh-miss branch and nil from
+// CompressFresh (see freshAdjacency).
+func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class, sig *classSig) (*core.Abstraction, []bool, []int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -304,18 +314,38 @@ func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls 
 	if b.hasBGP {
 		mode = core.ModeBGP
 	}
-	keys := b.EdgeKeyVec(comp, cls)
-	live := make([]bool, len(keys))
-	for i, k := range keys {
-		live[i] = !k.Dead()
-	}
+	adj := b.freshAdjacency(comp, cls, sig)
 	prefs := b.prefsVec(cls)
 	abs := core.FindAbstraction(b.G, dest, core.Options{
-		Mode:     mode,
-		EdgeKeys: keys,
-		Prefs:    func(u topo.NodeID) int { return prefs[u] },
+		Mode:      mode,
+		Adjacency: adj,
+		Prefs:     func(u topo.NodeID) int { return prefs[u] },
 	})
-	return abs, live, prefs, nil
+	return abs, adj.Live(), prefs, nil
+}
+
+// freshAdjacency returns the class's live adjacency. Given the class's
+// signature, it is comp's one-slot memo when the previous fresh class on comp
+// was of this Builder and had the same policy key, fp[pol:]; otherwise it is
+// built and fills the slot. Edge keys are a function of exactly that key: the
+// statics mask, each route map's match outcomes (which fix every relKey, so
+// within one compiler every relation is the same BDD node) and each ACL's
+// verdict. Equal keys therefore give identical tokens, liveness and
+// adjacency, and refinement never writes the adjacency it reads. The
+// Builder's id is part of the key because a pooled compiler outlives its
+// Builder and a successor issues the same keys over different edges.
+// Without a signature (CompressFresh, the oracle) it is always built.
+func (b *Builder) freshAdjacency(comp *policy.Compiler, cls ec.Class, sig *classSig) *core.Adjacency {
+	if sig == nil {
+		return core.NewAdjacency(b.G, b.EdgeKeyVec(comp, cls))
+	}
+	cc, pol := b.cacheFor(comp), sig.fp[sig.pol:]
+	if cc.adj != nil && cc.adjOwner == b.id && cc.adjKey == pol {
+		b.adjReused.Add(1)
+		return cc.adj
+	}
+	cc.adjOwner, cc.adjKey, cc.adj = b.id, pol, core.NewAdjacency(b.G, b.EdgeKeyVec(comp, cls))
+	return cc.adj
 }
 
 // CacheStats is the state of the cross-EC abstraction store.

@@ -59,6 +59,13 @@ type compilerCache struct {
 	// range, which real BDD nodes (non-negative manager indices) never use,
 	// so composites and plain relations can share EdgeKey.BGPRel.
 	nextSynth bdd.Node
+
+	// The last fresh class's live adjacency (dedup.go's freshAdjacency), for
+	// the Builder with id adjOwner and the class policy key adjKey: one slot,
+	// so it holds at most one adjacency per compiler.
+	adjOwner uint64
+	adjKey   string
+	adj      *core.Adjacency
 }
 
 func newCompilerCache() *compilerCache {

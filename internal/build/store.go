@@ -210,7 +210,10 @@ func (b *Builder) SetAbstractionBudget(bytes int64) {
 // abstraction's partition vectors and abstract graph plus the cached
 // liveness/preference/signature vectors. It deliberately ignores memory
 // shared with the Builder (the concrete topology, interned strings): the
-// store's job is to bound what *retention of entries* adds.
+// store's job is to bound what *retention of entries* adds. Fresh entries of
+// one policy share one liveness vector (their adjacency's, dedup.go), and
+// each of them is charged for it: that over-estimates and never
+// under-counts.
 func entryBytes(e *absEntry) int64 {
 	const (
 		word  = 8

@@ -127,6 +127,7 @@ func mapContentSig(cache map[rmRef]string, env *policy.Env, name string) string 
 // form: the identity fingerprint plus the per-object tables transport needs.
 type classSig struct {
 	fp      string // identity fingerprint (absCache key)
+	pol     int    // fp[pol:] is the policy part: statics | match outcomes | ACL verdicts
 	dest    topo.NodeID
 	origin  []bool   // per node: origin of the class
 	fpIDs   []int32  // per sigRMs: interned match-outcome string
@@ -161,6 +162,7 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		}
 	}
 	fp = append(fp, '|')
+	s.pol = len(fp)
 	for i, on := range s.statics {
 		if on {
 			fp = strconv.AppendInt(fp, int64(i), 10)

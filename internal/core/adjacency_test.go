@@ -129,9 +129,9 @@ func colorReference(a *refAdjacency, members []int) [][]int {
 // the latter split. It is exported to the differential tests of
 // package core_test, which compile real edge keys through internal/build.
 func AdjacencyMatchesReference(g *topo.Graph, dest topo.NodeID, opt Options) (int, error) {
-	adj, live := buildAdjacency(g, opt.EdgeKeys, opt.EdgeKey)
+	adj := buildAdjacency(g, opt.EdgeKeys, opt.EdgeKey)
 	ref, refLive := buildAdjacencyReference(g, opt.EdgeKeys, opt.EdgeKey)
-	if !slices.Equal(live, refLive) {
+	if !slices.Equal(adj.live, refLive) {
 		return 0, fmt.Errorf("liveness differs from the reference")
 	}
 	for u := range ref.out {

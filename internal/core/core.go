@@ -83,6 +83,12 @@ type Options struct {
 	// distinct session shape once per class) avoid per-edge policy lookups
 	// entirely.
 	EdgeKeys []EdgeKey
+	// Adjacency, when non-nil, is the class's live adjacency as NewAdjacency
+	// built it, and takes precedence over EdgeKeys and EdgeKey: refinement
+	// reads it and never writes it, so classes whose edge keys are equal may
+	// pass one shared Adjacency (internal/build does, for consecutive fresh
+	// classes on one compiler).
+	Adjacency *Adjacency
 	// Prefs returns |prefs(u)|: the number of distinct BGP local-preference
 	// values node u can assign for this destination (≥ 1). nil means 1.
 	Prefs func(u topo.NodeID) int
@@ -147,17 +153,19 @@ func FindAbstraction(g *topo.Graph, dest topo.NodeID, opt Options) *Abstraction 
 // order-sensitive phases scan groups in canonical order under either
 // scheduler.
 func findAbstraction(g *topo.Graph, dest topo.NodeID, opt Options, sweep bool) *Abstraction {
-	if opt.EdgeKey == nil && opt.EdgeKeys == nil {
-		panic("core: Options.EdgeKey or Options.EdgeKeys is required")
+	adj := opt.Adjacency
+	if adj == nil {
+		if opt.EdgeKey == nil && opt.EdgeKeys == nil {
+			panic("core: Options.Adjacency, EdgeKeys or EdgeKey is required")
+		}
+		adj = buildAdjacency(g, opt.EdgeKeys, opt.EdgeKey)
 	}
 	prefs := opt.Prefs
 	if prefs == nil {
 		prefs = func(topo.NodeID) int { return 1 }
 	}
 
-	n := g.NumNodes()
-	adj, live := buildAdjacency(g, opt.EdgeKeys, opt.EdgeKey)
-	p := usf.New(n)
+	p := usf.New(g.NumNodes())
 	eng := &engine{p: p, adj: adj, sc: newSigCtx(adj, p), worklist: !sweep}
 	p.Split([]int{int(dest)})
 	if eng.worklist {
@@ -208,7 +216,7 @@ func findAbstraction(g *topo.Graph, dest topo.NodeID, opt Options, sweep bool) *
 	return Assemble(g, dest, idx, AssembleOptions{
 		Mode:        opt.Mode,
 		Prefs:       prefs,
-		LiveEdges:   live,
+		LiveEdges:   adj.live,
 		Iterations:  iterations,
 		ColorSplits: colorSplits,
 	})
@@ -222,7 +230,7 @@ func findAbstraction(g *topo.Graph, dest topo.NodeID, opt Options, sweep bool) *
 // naive full sweep and the flags stay untouched.
 type engine struct {
 	p        *usf.Partition
-	adj      *adjacency
+	adj      *Adjacency
 	sc       *sigCtx
 	worklist bool
 
@@ -594,33 +602,45 @@ type liveEdge struct {
 	tok int32
 }
 
-// adjacency holds, per node, the live out- and in-edges with their policy
-// tokens, computed once per destination class. Refinement signatures,
-// worklist propagation and the self-loop-freedom coloring all walk these
-// two lists.
-type adjacency struct {
-	out [][]liveEdge
-	in  [][]liveEdge
+// Adjacency is one destination class's live adjacency: per node, the live
+// out- and in-edges with their policy tokens, and the liveness vector
+// aligned with g.Edges(). Refinement signatures, worklist propagation, the
+// self-loop-freedom coloring and the final Assemble all read it, and none
+// writes it, so it is read-only once built. It is a function of the class's
+// edge keys alone: classes whose keys are equal have equal adjacencies.
+type Adjacency struct {
+	out  [][]liveEdge
+	in   [][]liveEdge
+	live []bool
 }
+
+// NewAdjacency builds the live adjacency of the class whose edge keys, aligned
+// with g.Edges(), are keys.
+func NewAdjacency(g *topo.Graph, keys []EdgeKey) *Adjacency {
+	return buildAdjacency(g, keys, nil)
+}
+
+// Live returns the liveness vector aligned with g.Edges() (the negation of
+// EdgeKey.Dead). It is the Adjacency's own; callers must not modify it.
+func (a *Adjacency) Live() []bool { return a.live }
 
 // buildAdjacency derives each edge's canonical key exactly once — from the
 // keys vector when supplied, else via the callback — and numbers the
 // distinct keys with dense tokens in first-seen order. A class has a handful
 // of distinct keys (at most six on the evaluation networks) and consecutive
 // edges usually share one, so a token is found by comparing with the
-// previous edge's key, then scanning the distinct keys; no key is hashed. It
-// returns the adjacency plus the liveness vector aligned with g.Edges(),
-// which the final Assemble reuses. Per-node lists are carved from two
-// exact-size backing arrays sized by a counting pass, so adjacency
-// construction performs O(1) slice allocations.
-func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID) EdgeKey) (*adjacency, []bool) {
+// previous edge's key, then scanning the distinct keys; no key is hashed.
+// Per-node lists are carved from two exact-size backing arrays sized by a
+// counting pass, so adjacency construction performs O(1) slice allocations.
+func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID) EdgeKey) *Adjacency {
 	n := g.NumNodes()
 	edges := g.Edges()
-	a := &adjacency{
-		out: make([][]liveEdge, n),
-		in:  make([][]liveEdge, n),
-	}
 	live := make([]bool, len(edges))
+	a := &Adjacency{
+		out:  make([][]liveEdge, n),
+		in:   make([][]liveEdge, n),
+		live: live,
+	}
 	toks := make([]int32, len(edges))
 	outDeg := make([]int32, n)
 	inDeg := make([]int32, n)
@@ -666,7 +686,7 @@ func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID
 		a.out[e.U] = append(a.out[e.U], liveEdge{e.V, toks[i]})
 		a.in[e.V] = append(a.in[e.V], liveEdge{e.U, toks[i]})
 	}
-	return a, live
+	return a
 }
 
 // interner assigns dense int32 IDs to uint64 sequences. Its byte buffer is
@@ -710,7 +730,7 @@ type pgPair struct {
 // call), which keeps the tables bounded by the group size instead of growing
 // with the number of sweeps.
 type sigCtx struct {
-	adj   *adjacency
+	adj   *Adjacency
 	p     *usf.Partition
 	sigs  *interner // sorted token sequences -> signature IDs
 	toks  *interner // ∀∀ token payloads -> token IDs
@@ -719,7 +739,7 @@ type sigCtx struct {
 	pairs []pgPair  // ∀∀ scratch
 }
 
-func newSigCtx(adj *adjacency, p *usf.Partition) *sigCtx {
+func newSigCtx(adj *Adjacency, p *usf.Partition) *sigCtx {
 	return &sigCtx{adj: adj, p: p, sigs: newInterner(), toks: newInterner()}
 }
 
