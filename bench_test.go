@@ -21,7 +21,6 @@ import (
 	"bonsai/internal/build"
 	"bonsai/internal/config"
 	"bonsai/internal/core"
-	"bonsai/internal/experiments"
 	"bonsai/internal/netgen"
 	"bonsai/internal/policy"
 	"bonsai/internal/verify"
@@ -184,7 +183,7 @@ func BenchmarkFigure11(b *testing.B) {
 // benchFig12 measures Figure 12 points of one topology family, one
 // sub-benchmark per size: all-pairs reachability with per-query
 // certification on the concrete and on the compressed network (compression
-// included), as internal/experiments defines the sweep for cmd/bonsai-tables.
+// included), through allPairs, which TestPaperNumbers checks the answers of.
 // Every iteration builds the network afresh, so the compressed side always
 // starts from a cold cross-EC cache.
 func benchFig12(b *testing.B, family string, sizes []int) {
@@ -192,12 +191,12 @@ func benchFig12(b *testing.B, family string, sizes []int) {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			var concrete, compressed time.Duration
 			for i := 0; i < b.N; i++ {
-				pts, err := experiments.Figure12(family, []int{size}, 8)
+				_, conc, bon, err := allPairs(family, size, 8)
 				if err != nil {
 					b.Fatal(err)
 				}
-				concrete += pts[0].Concrete
-				compressed += pts[0].Bonsai
+				concrete += conc.Total
+				compressed += bon.Total
 			}
 			b.ReportMetric(float64(concrete.Nanoseconds())/float64(b.N), "concrete-ns")
 			b.ReportMetric(float64(compressed.Nanoseconds())/float64(b.N), "bonsai-ns")

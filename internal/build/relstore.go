@@ -184,9 +184,9 @@ func ConfigHash(n *config.Network) [32]byte {
 // encodeRelationStore renders every completed abstraction-store entry as one
 // frame bound to this Builder's configuration.
 func (b *Builder) encodeRelationStore() []byte {
-	// Snapshot completed entries and a prefix naming each, under the store
-	// and intern locks respectively; entries are immutable once done, so the
-	// encoding below runs lock-free.
+	// Snapshot completed entries and the least prefix naming each, under the
+	// store and intern locks respectively; entries are immutable once done, so
+	// the encoding below runs lock-free.
 	st := &b.store
 	st.mu.Lock()
 	entries := make([]*absEntry, 0, len(st.entries))
@@ -199,7 +199,7 @@ func (b *Builder) encodeRelationStore() []byte {
 	prefixOf := make(map[string]string, len(entries))
 	b.internMu.Lock()
 	for pfx, fp := range b.fpByPrefix {
-		if _, ok := prefixOf[fp]; !ok {
+		if s, ok := prefixOf[fp]; !ok || pfx.String() < s {
 			prefixOf[fp] = pfx.String()
 		}
 	}
