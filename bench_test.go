@@ -246,6 +246,9 @@ func BenchmarkBatfishQuery(b *testing.B) {
 // BenchmarkAblationTagErasure measures the §8 attribute-abstraction ablation
 // on the datacenter: compressing with the unused-community-erasing h versus
 // the full community universe (larger BDDs, more roles, bigger abstractions).
+// Both arms refine on every iteration (CompressFresh): through Compress, each
+// iteration after the first would be an identity-cache hit, and the arms
+// would share one abstraction.
 func BenchmarkAblationTagErasure(b *testing.B) {
 	net := netgen.Datacenter(netgen.DCOptions{})
 	bd, err := build.New(net)
@@ -264,7 +267,7 @@ func BenchmarkAblationTagErasure(b *testing.B) {
 			var absNodes int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				abs, err := bd.Compress(context.Background(), comp, cls)
+				abs, err := bd.CompressFresh(context.Background(), comp, cls)
 				if err != nil {
 					b.Fatal(err)
 				}

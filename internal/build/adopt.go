@@ -362,7 +362,9 @@ func (ad *adoption) classifyRouter(u topo.NodeID) touchedRouter {
 				}
 				seen[m] = true
 				tr.maps = append(tr.maps, m)
-				if mapContentSig(oldCache, oldR.Env, m) != mapContentSig(newCache, newR.Env, m) {
+				// Unerased: an edit to a tag no route map matches still
+				// dirties the map, which is conservative.
+				if mapContentSig(oldCache, oldR.Env, m, nil) != mapContentSig(newCache, newR.Env, m, nil) {
 					tr.contentDirty[m] = true
 				}
 			}

@@ -123,13 +123,13 @@ func New(net *config.Network) (*Builder, error) {
 		}
 		b.G.AddLink(b.G.MustLookup(l.A), b.G.MustLookup(l.B))
 	}
-	b.tab = newEdgeTables(b.G, b.routers)
 	b.erasedUniverse = net.MatchedCommunities()
 	b.fullUniverse = net.AllCommunities()
 	b.matchedSet = make(map[protocols.Community]bool, len(b.erasedUniverse))
 	for _, c := range b.erasedUniverse {
 		b.matchedSet[c] = true
 	}
+	b.tab = newEdgeTables(b.G, b.routers, b.matchedSet)
 	b.polSpaces[0] = policy.NewSpace(b.fullUniverse)
 	b.polSpaces[1] = policy.NewSpace(b.erasedUniverse)
 	return b, nil
@@ -190,6 +190,11 @@ func (b *Builder) HasBGP() bool { return b.hasBGP }
 // variable ordering is identical across compilers and the per-compiler
 // canonical edge-policy cache composes across destination classes.
 //
+// Symmetry transport reads route maps as the erasing compiler does
+// (transport.go), so Compress transports only on a compiler made with
+// eraseUnusedTags by a Builder with the same matched communities; on any
+// other it compresses every miss fresh.
+//
 // A compiler (and its BDD manager) must only be used by one goroutine at a
 // time; create one per worker for parallel compression.
 func (b *Builder) NewCompiler(eraseUnusedTags bool) *policy.Compiler {
@@ -198,7 +203,12 @@ func (b *Builder) NewCompiler(eraseUnusedTags bool) *policy.Compiler {
 		sp = b.polSpaces[1]
 	}
 	c := sp.NewCompiler()
-	c.Cache = newCompilerCache()
+	cc := newCompilerCache()
+	cc.erased = eraseUnusedTags
+	if eraseUnusedTags {
+		cc.universe = b.erasedUniverse
+	}
+	c.Cache = cc
 	return c
 }
 

@@ -169,24 +169,31 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		break
 	}
 
-	// Miss path. First, every seed whose orbit reaches the class's
-	// destination proposes the product of its generators along the Schreier
-	// vector, and verifyIso decides, as it does for a searched π: no colour
-	// key and no search. Orbits are immutable once published, so the
-	// snapshot taken under the lock is read without it.
+	// Miss path. Transport compares content labels, which describe relations
+	// only on a compiler over this Builder's erased universe; on any other
+	// the class compresses fresh and seeds nothing.
+	//
+	// First, every seed whose orbit reaches the class's destination proposes
+	// the product of its generators along the Schreier vector, and verifyIso
+	// decides, as it does for a searched π: no colour key and no search.
+	// Orbits are immutable once published, so the snapshot taken under the
+	// lock is read without it.
+	erased := b.cacheFor(comp).erasesFor(b)
 	type proposal struct {
 		seed *absEntry
 		o    *orbit
 	}
 	var pbuf [4]proposal
 	props := pbuf[:0]
-	st.mu.Lock()
-	for _, c := range st.orbits {
-		if c.orbit.reaches(sig.dest) {
-			props = append(props, proposal{c, c.orbit})
+	if erased {
+		st.mu.Lock()
+		for _, c := range st.orbits {
+			if c.orbit.reaches(sig.dest) {
+				props = append(props, proposal{c, c.orbit})
+			}
 		}
+		st.mu.Unlock()
 	}
-	st.mu.Unlock()
 	var seed *absEntry // the transport's source, nil if none
 	var pi []topo.NodeID
 	var epi []int32
@@ -199,12 +206,12 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		}
 	}
 
-	// Then the search: only now pay for the O(E) colour key (identity hits
-	// and orbit hits never need it), and try the seeds that share it. A
-	// bucket only ever has completed seeds appended, so the slice taken under
-	// the lock is read without it.
-	if seed == nil {
-		sig.key = b.colorKey(sig)
+	// Then the search: only now pay for the O(E) colour key and colours
+	// (identity hits and orbit hits never need them), and try the seeds that
+	// share the key. A bucket only ever has completed seeds appended, so the
+	// slice taken under the lock is read without it.
+	if seed == nil && erased {
+		sig.key, sig.col = b.colorKey(sig)
 		st.mu.Lock()
 		cands := st.isoIndex[sig.key]
 		st.mu.Unlock()
@@ -247,7 +254,7 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 				st.dupFresh++
 			}
 			st.fresh++
-			if e.abs.ColorSplits == 0 {
+			if erased && e.abs.ColorSplits == 0 {
 				// Only ColorSplits-free fresh entries seed transports (only
 				// their partitions commute with π): one pinned seed per
 				// symmetry family keeps the index small and eviction away
@@ -255,6 +262,9 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 				e.pinned = true
 				st.isoIndex[sig.key] = append(st.isoIndex[sig.key], e)
 			}
+		}
+		if !e.pinned {
+			sig.col = nil // only a seed is searched from
 		}
 		st.account(e)
 		st.evict()

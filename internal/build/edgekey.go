@@ -8,6 +8,7 @@ package build
 
 import (
 	"net/netip"
+	"slices"
 
 	"bonsai/internal/bdd"
 	"bonsai/internal/core"
@@ -60,6 +61,13 @@ type compilerCache struct {
 	// so composites and plain relations can share EdgeKey.BGPRel.
 	nextSynth bdd.Node
 
+	// erased is set on the caches of compilers NewCompiler made over an
+	// erased universe, and universe is that universe. Transport content
+	// labels describe the relations of such a compiler only when its
+	// universe is the Builder's own (erasesFor).
+	erased   bool
+	universe []protocols.Community
+
 	// The last fresh class's live adjacency (dedup.go's freshAdjacency), for
 	// the Builder with id adjOwner and the class policy key adjKey: one slot,
 	// so it holds at most one adjacency per compiler.
@@ -73,6 +81,14 @@ func newCompilerCache() *compilerCache {
 		rels:  make(map[relKey]relEntry),
 		synth: make(map[synthKey]bdd.Node),
 	}
+}
+
+// erasesFor reports whether the compiler erases exactly b's unmatched
+// communities, so that b's content labels describe its relations. A pooled
+// compiler that outlives its Builder passes for a successor with the same
+// matched set; one made for a different matched set does not.
+func (cc *compilerCache) erasesFor(b *Builder) bool {
+	return cc.erased && slices.Equal(cc.universe, b.erasedUniverse)
 }
 
 // withRedist maps a relation to the canonical composite signature for the

@@ -369,9 +369,9 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 		seen[sig.fp] = true
 		if sc.pinned && sc.abs.ColorSplits == 0 {
 			// An entry that will be indexed as a transport seed is filed
-			// under its colour key, computed while the signature is still
-			// private to this goroutine.
-			sig.key = b.colorKey(sig)
+			// under its colour key and keeps its colours, computed while the
+			// signature is still private to this goroutine.
+			sig.key, sig.col = b.colorKey(sig)
 		}
 		sc.sig = sig
 	}

@@ -56,22 +56,25 @@ func aclStaticNet() *config.Network {
 // outcomes or the ACL verdicts hands some class a neighbour's adjacency; the
 // datacenter and the WAN catch the first, aclStaticNet the statics and the
 // ACL verdicts. The reuse counts are pinned: a slot that stopped matching
-// would pass the comparison while saving nothing.
+// would pass the comparison while saving nothing. The datacenter runs on
+// full-universe compilers, which never transport, so all 171 of its distinct
+// classes refine (on erasing compilers 168 of them transport).
 func TestSharedAdjacencyMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		net           *config.Network
+		erase         bool
 		fresh, reused int
 	}{
-		{netgen.Datacenter(netgen.DCOptions{}), 171, 125},
-		{netgen.WAN(netgen.WANOptions{Backbone: 10, Sites: 20, SwitchesPerSite: 3}), -1, -1},
-		{aclStaticNet(), 3, 0},
+		{netgen.Datacenter(netgen.DCOptions{}), false, 171, 125},
+		{netgen.WAN(netgen.WANOptions{Backbone: 10, Sites: 20, SwitchesPerSite: 3}), true, -1, -1},
+		{aclStaticNet(), true, 3, 0},
 	} {
 		b, err := New(tc.net)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, ref := b.NewCompiler(true), b.NewCompiler(true)
+		comp, ref := b.NewCompiler(tc.erase), b.NewCompiler(tc.erase)
 		for _, cls := range b.Classes() {
 			got, _, err := b.CompressTagged(ctx, comp, cls)
 			if err != nil {
@@ -140,11 +143,16 @@ func TestPooledCompilerSkipsStaleAdjacency(t *testing.T) {
 	}
 }
 
-// TestSharedAdjacencyBytes bounds what CompressTagged allocates per fresh
-// class over every datacenter class, on a fresh Builder whose compiler's
-// relation cache is warm from a predecessor of the same network. With an
-// edge-key vector, an adjacency and a liveness vector built for each fresh
-// class, it was 119.7 × |E|.
+// TestSharedAdjacencyBytes bounds what the fresh-miss branch allocates per
+// refinement on the compiler production uses, an erasing one: every distinct
+// datacenter class refines through compressFresh with its signature, the
+// branch CompressTagged takes when no transport serves a class, on a fresh
+// Builder whose compiler's relation cache is warm from a predecessor of the
+// same network. CompressTagged itself transports 168 of those classes, so the
+// test calls the branch directly; the classes' signatures and the identity
+// hits' are computed as Compress computes them. 125 of the 171 refine on the
+// previous one's adjacency: 49.4 × |E| measured. With an edge-key vector, an
+// adjacency and a liveness vector built for each, it reads 108.8 × |E|.
 func TestSharedAdjacencyBytes(t *testing.T) {
 	ctx := context.Background()
 	net := netgen.Datacenter(netgen.DCOptions{})
@@ -164,19 +172,32 @@ func TestSharedAdjacencyBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	classes := b.Classes()
+	seen := make(map[string]bool, len(classes))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, cls := range classes {
-		if _, err := b.Compress(ctx, comp, cls); err != nil {
+		sig, err := b.classSignature(cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[sig.fp] {
+			continue
+		}
+		seen[sig.fp] = true
+		if _, _, _, err := b.compressFresh(ctx, comp, cls, sig); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	const ceiling = 75 // bytes per directed edge per fresh class
-	fresh := b.AbstractionCacheStats().Fresh
+	fresh, reused := len(seen), int(b.adjReused.Load())
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(fresh) / float64(b.G.NumEdges())
-	t.Logf("%d classes, %d fresh: %.1f × |E| bytes per fresh class (|E| = %d)", len(classes), fresh, perEdge, b.G.NumEdges())
+	t.Logf("%d classes, %d fresh, %d on a shared adjacency: %.1f × |E| bytes per fresh class (|E| = %d)",
+		len(classes), fresh, reused, perEdge, b.G.NumEdges())
+	if fresh != 171 || reused != 125 {
+		t.Fatalf("%d fresh classes, %d on a shared adjacency; want 171 and 125", fresh, reused)
+	}
 	if perEdge > ceiling {
-		t.Fatalf("compressing the datacenter allocates %.1f × |E| bytes per fresh class, ceiling %d × |E|", perEdge, ceiling)
+		t.Fatalf("refining the datacenter allocates %.1f × |E| bytes per fresh class, ceiling %d × |E|", perEdge, ceiling)
 	}
 }

@@ -229,6 +229,7 @@ func entryBytes(e *absEntry) int64 {
 		n += slice + 4*int64(cap(s.fpIDs))
 		n += slice + int64(cap(s.aclV))
 		n += slice + int64(cap(s.statics))
+		n += slice + word*int64(cap(s.col)) // a pinned seed's colours
 	}
 	if o := e.orbit; o != nil {
 		n += 8 + 3*slice + slice*int64(cap(o.gens)) // the struct, its gens' headers

@@ -9,6 +9,7 @@ package build
 import (
 	"bonsai/internal/config"
 	"bonsai/internal/policy"
+	"bonsai/internal/protocols"
 	"bonsai/internal/topo"
 )
 
@@ -82,8 +83,9 @@ func (t *edgeTables) out(u topo.NodeID) (lo, hi int32) {
 // list: the first looks up each router's configuration toward each neighbour
 // once, the second pairs every edge with its reverse — a BGP session or an
 // OSPF adjacency needs both ends configured. g must hold both directions of
-// every link, as New builds it.
-func newEdgeTables(g *topo.Graph, routers []*config.Router) *edgeTables {
+// every link, as New builds it. matched is the erased community universe,
+// which the content labels render route maps through (mapContentSig).
+func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocols.Community]bool) *edgeTables {
 	edges, rev := g.Edges(), g.ReverseEdges()
 	n := len(edges)
 	vec := make([]int32, 5*n)
@@ -175,9 +177,9 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router) *edgeTables {
 					sess.impEnv = ur.Env
 				}
 				lbl := appendFlag(appendFlag(appendFlag(nil, sess.ibgp), sess.redistOSPF), sess.redistStatic)
-				lbl = append(lbl, mapContentSig(rmContent, sess.expEnv, sess.expMap)...)
+				lbl = append(lbl, mapContentSig(rmContent, sess.expEnv, sess.expMap, matched)...)
 				lbl = append(lbl, '/')
-				lbl = append(lbl, mapContentSig(rmContent, sess.impEnv, sess.impMap)...)
+				lbl = append(lbl, mapContentSig(rmContent, sess.impEnv, sess.impMap, matched)...)
 				c, ok := sessContent[string(lbl)]
 				if !ok {
 					c = int32(len(sessContent))

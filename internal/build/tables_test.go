@@ -77,9 +77,9 @@ func referenceTables(b *Builder) *refTables {
 					lbl = appendFlag(lbl, s.ibgp)
 					lbl = appendFlag(lbl, s.redistOSPF)
 					lbl = appendFlag(lbl, s.redistStatic)
-					lbl = append(lbl, mapContentSig(rmContent, s.expEnv, s.expMap)...)
+					lbl = append(lbl, mapContentSig(rmContent, s.expEnv, s.expMap, b.matchedSet)...)
 					lbl = append(lbl, '/')
-					lbl = append(lbl, mapContentSig(rmContent, s.impEnv, s.impMap)...)
+					lbl = append(lbl, mapContentSig(rmContent, s.impEnv, s.impMap, b.matchedSet)...)
 				}
 			}
 			if ur.OSPF != nil && vr.OSPF != nil {

@@ -8,23 +8,33 @@
 // Given a cached class A and a new class B, transport searches for a
 // permutation π of the concrete nodes such that π maps every directed edge
 // onto an edge with the same class-independent content label (BGP session
-// shape, route-map *content*, OSPF cost/area, redistribution) and the same
-// class-dependent bits (prefix-list match outcomes, ACL verdicts, static
-// routes, origins, destination). Such a π is an isomorphism between the two
-// compression inputs, and every phase of Algorithm 1 that Bonsai runs —
-// partition-refinement fixpoints, ∀∀ strengthening, case splitting, and the
-// canonical assembly — commutes with it. The one exception is the greedy
-// first-fit coloring of phase 2b, whose output can depend on member order;
-// abstractions where it fired are therefore never transported
-// (Abstraction.ColorSplits > 0). Under that gate, Assemble(π(partition_A))
-// is byte-identical to compressing B from scratch, which the property tests
-// assert.
+// shape, route-map *content* with unused tags erased, OSPF cost/area,
+// redistribution) and the same class-dependent bits (prefix-list match
+// outcomes, ACL verdicts, static routes, origins, destination). Such a π is
+// an isomorphism between the two compression inputs, and every phase of
+// Algorithm 1 that Bonsai runs — partition-refinement fixpoints, ∀∀
+// strengthening, case splitting, and the canonical assembly — commutes with
+// it. The one exception is the greedy first-fit coloring of phase 2b, whose
+// output can depend on member order; abstractions where it fired are
+// therefore never transported (Abstraction.ColorSplits > 0). Under that
+// gate, Assemble(π(partition_A)) is byte-identical to compressing B from
+// scratch, which the property tests assert.
+//
+// The content label renders each route map as the erasing compiler sees it
+// (mapContentSig): a community that no route map matches gets no BDD
+// variable there (§8's unused-tag erasure), so adding or deleting it is a
+// no-op and is left out of the label. Labels therefore describe relations
+// only on a compiler over the Builder's own erased universe, and Compress
+// transports only on such a compiler (Builder.NewCompiler(true) on a Builder
+// with the same matched communities).
 //
 // One word picks the candidates: a class's colour key, the multiset hash of
 // three rounds of colour refinement with its destination individualised
-// (colorKey), computed once and the only search input a signature keeps.
-// Seeds are indexed by it, and a class searches only from the seeds that
-// share it. The search itself compares edges exactly, with edgeEq.
+// (colorKey), computed once per signature. Seeds are indexed by it, and a
+// class searches only from the seeds that share it. The per-node colours
+// behind the key prune the search: a router is tried only on routers of its
+// own colour. A pinned seed keeps its colour vector; every other signature
+// drops it. The search itself compares edges exactly, with edgeEq.
 // Soundness does not rest on the key: a collision only admits a doomed
 // search, every candidate π is verified edge-by-edge against the exact label
 // conditions before use (verifyIso), and any failure (or exceeding the
@@ -54,6 +64,7 @@ import (
 	"bonsai/internal/core"
 	"bonsai/internal/ec"
 	"bonsai/internal/policy"
+	"bonsai/internal/protocols"
 	"bonsai/internal/topo"
 )
 
@@ -67,9 +78,13 @@ func appendFlag(b []byte, v bool) []byte {
 // mapContentSig serialises everything the BDD compiler and the prefs
 // analysis read from a route map, with prefix-list matches abstracted to a
 // positional placeholder (their per-class outcomes live in the fingerprint).
-// Two maps with equal content signatures and equal match-outcome bits
-// compile to the same relation and yield the same local-preference sets.
-func mapContentSig(cache map[rmRef]string, env *policy.Env, name string) string {
+// With matched non-nil it renders the map as a compiler over that universe
+// sees it: a community added or deleted outside matched is left out, since
+// the compiler has no variable for it and skips the set. Two maps with equal
+// content signatures and equal match-outcome bits compile to the same
+// relation (on any compiler when matched is nil, on one over matched
+// otherwise) and yield the same local-preference sets.
+func mapContentSig(cache map[rmRef]string, env *policy.Env, name string, matched map[protocols.Community]bool) string {
 	if name == "" {
 		return "-"
 	}
@@ -110,6 +125,9 @@ func mapContentSig(cache map[rmRef]string, env *policy.Env, name string) string 
 			}
 			b = append(b, ':')
 			for _, s := range cl.Sets {
+				if matched != nil && (s.Kind == policy.AddCommunity || s.Kind == policy.DeleteCommunity) && !matched[s.Comm] {
+					continue // a tag nothing matches
+				}
 				b = strconv.AppendInt(b, int64(s.Kind), 10)
 				b = append(b, '=')
 				b = strconv.AppendUint(b, uint64(s.Value), 10)
@@ -134,6 +152,7 @@ type classSig struct {
 	aclV    []bool   // per sigACLs: verdict for the class prefix
 	statics edgeMask // edges an applicable static rides
 	key     uint64   // colorKey: the isoIndex bucket, set while the signature is private
+	col     []uint64 // colorKey's per-node colours: findIso's filter, kept by pinned seeds only
 }
 
 // classSignature computes the class's fingerprint and transport tables.
@@ -289,15 +308,16 @@ const colorRounds = 3
 // neighbourhood colours, hash-based 1-WL over the labelled graph with the
 // destination individualised. It is invariant under relabelling the routers,
 // so a π can relate two classes only if their keys are equal, and the store
-// indexes its transport seeds by it. It runs once per signature, on a miss
-// that no orbit served (or when a store load installs a seed), and keeps
-// nothing but the word it returns.
+// indexes its transport seeds by it. It also returns the colours: each is
+// invariant too, so a π can map u onto w only if their colours are equal,
+// and findIso tries no other candidate. It runs once per signature, on a
+// miss that no orbit served (or when a store load installs a seed).
 //
 // A label starts as the edge's mixed content word; only edges a route map,
 // an ACL or a static can reach are rehashed. Each label is then folded with
 // its reverse's, el[i] ^ rot(el[rev[i]]): one word per edge that covers
 // both directions, the rotation keeping (out, in) apart from (in, out).
-func (b *Builder) colorKey(s *classSig) uint64 {
+func (b *Builder) colorKey(s *classSig) (key uint64, col []uint64) {
 	t := b.tab
 	el := slices.Clone(t.content)
 	for i := range el {
@@ -312,7 +332,7 @@ func (b *Builder) colorKey(s *classSig) uint64 {
 		}
 	}
 	n := b.G.NumNodes()
-	col := make([]uint64, n)
+	col = make([]uint64, n)
 	for u := 0; u < n; u++ {
 		w := uint64(0)
 		if topo.NodeID(u) == s.dest {
@@ -342,11 +362,10 @@ func (b *Builder) colorKey(s *classSig) uint64 {
 		}
 		col, next = next, col
 	}
-	h := uint64(0)
 	for _, c := range col {
-		h += mix64(c)
+		key += mix64(c)
 	}
-	return h
+	return key, col
 }
 
 // isoBudgetFactor bounds the backtracking search to factor×V node
@@ -356,9 +375,14 @@ const isoBudgetFactor = 64
 // findIso searches for a node permutation π with π(sa.dest) = sb.dest that
 // maps every directed edge onto an edge with an equal label (edgeEq) and
 // preserves the origin marking, and returns it with the edge permutation it
-// induces (verifyIso). Returns nil if none is found within budget. It keeps
-// and writes nothing on either signature; the colour key chose the pair, and
-// the result is whatever verifyIso accepts, so a heuristic failure or a key
+// induces (verifyIso). Returns nil if none is found within budget. Both
+// signatures carry their colours (colorKey), and u is tried only on the w
+// whose colour equals its own: every π verifyIso accepts maps each router
+// onto one of its colour, so the filter drops only candidates that no
+// completion of the partial π could keep, and the search, still first-fit in
+// the same order, finds the π the unfiltered search would, in fewer steps. It
+// writes nothing on either signature; the colour key chose the pair, and the
+// result is whatever verifyIso accepts, so a heuristic failure or a key
 // collision is only a missed optimisation, never a wrong answer.
 func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	t := b.tab
@@ -432,7 +456,7 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 		}
 		for _, c := range cands {
 			w := c.V
-			if rev[w] >= 0 || !compatible(u, w) {
+			if rev[w] >= 0 || sb.col[w] != sa.col[u] || !compatible(u, w) {
 				continue
 			}
 			steps++

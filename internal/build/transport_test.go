@@ -14,20 +14,27 @@ import (
 	"bonsai/internal/topo"
 )
 
+// searchSignature is the class's signature with the colour key and colours
+// the search reads, as CompressTagged's miss path fills them.
+func searchSignature(t *testing.T, b *Builder, cls ec.Class) *classSig {
+	t.Helper()
+	s, err := b.classSignature(cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.key, s.col = b.colorKey(s)
+	return s
+}
+
 // isoPair returns the signatures of the Builder's first class and of the
 // last class the search relates to it (the first class itself when there is
 // no other), with the permutation found.
 func isoPair(t *testing.T, b *Builder) (sa, sb *classSig, pi []topo.NodeID) {
 	t.Helper()
 	classes := b.Classes()
-	sa, err := b.classSignature(classes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	sa = searchSignature(t, b, classes[0])
 	for i := len(classes) - 1; i >= 0; i-- {
-		if sb, err = b.classSignature(classes[i]); err != nil {
-			t.Fatal(err)
-		}
+		sb = searchSignature(t, b, classes[i])
 		if pi, _ = b.findIso(sa, sb); pi != nil {
 			return sa, sb, pi
 		}
@@ -276,10 +283,7 @@ func TestVerifiedPermutationsMoveACLs(t *testing.T) {
 	var sa *classSig
 	var others []*classSig
 	for _, cls := range b.Classes() {
-		s, err := b.classSignature(cls)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := searchSignature(t, b, cls)
 		if b.G.Name(s.dest) == "r-0000" {
 			sa = s
 		} else {
