@@ -23,6 +23,11 @@ import (
 // ErrClosed is returned by engine operations after Close.
 var ErrClosed = errors.New("bonsai: engine is closed")
 
+// ErrInvalidDelta is wrapped by the Apply and ApplyStream errors the delta
+// itself causes: it names what the network lacks, or its result does not
+// validate. The engine keeps serving the snapshot before it.
+var ErrInvalidDelta = errors.New("bonsai: invalid delta")
+
 // Engine is a long-lived compression and verification session over one
 // network. It is safe for concurrent use: queries fan out over a worker
 // pool, compiled-policy state lives in a pool of single-owner BDD
@@ -655,7 +660,7 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	// successor shares every router the delta does not edit with the
 	// snapshot still being served (Delta.apply).
 	if err := d.Validate(st.cfg); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrInvalidDelta, err)
 	}
 	cfg2 := st.cfg.Fork()
 	if err := d.apply(cfg2); err != nil {
@@ -663,7 +668,7 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	}
 	b2, err := build.New(cfg2)
 	if err != nil {
-		return nil, fmt.Errorf("bonsai: delta produces invalid network: %w", err)
+		return nil, fmt.Errorf("%w: it produces an invalid network: %w", ErrInvalidDelta, err)
 	}
 	if e.opts.memBudget > 0 {
 		b2.SetAbstractionBudget(e.opts.memBudget)

@@ -287,19 +287,23 @@ func staticCovers(sp, cls netip.Prefix) bool {
 	return sp.Bits() <= cls.Bits() && sp.Contains(cls.Addr())
 }
 
-// aclPermit reports whether traffic for the class may be forwarded by u out
-// the interface toward v (paper §6: ACLs filter traffic, not routes).
-func (b *Builder) aclPermit(u, v topo.NodeID, cls ec.Class) bool {
-	r := b.routers[u]
-	name := r.IfaceACL[b.G.Name(v)]
-	if name == "" {
+// aclPermit reports whether traffic for the class may be forwarded along
+// edge i, out the interface of its tail toward its head (paper §6: ACLs
+// filter traffic, not routes).
+func (b *Builder) aclPermit(i int, cls ec.Class) bool {
+	a := b.tab.aclIdx[i]
+	if a < 0 {
 		return true
 	}
-	return r.Env.ACLPermits(name, cls.Prefix)
+	r := b.tab.sigACLs[a]
+	return r.env.ACLPermits(r.name, cls.Prefix)
 }
 
 // ACLPermitFunc returns the dataplane ACL verdict function for the concrete
 // network and one destination class.
 func (b *Builder) ACLPermitFunc(cls ec.Class) func(u, v topo.NodeID) bool {
-	return func(u, v topo.NodeID) bool { return b.aclPermit(u, v, cls) }
+	return func(u, v topo.NodeID) bool {
+		i, ok := b.G.EdgeIndex(u, v)
+		return !ok || b.aclPermit(i, cls)
+	}
 }

@@ -23,13 +23,15 @@
 // The class fingerprint deliberately avoids compiling anything. Everything
 // class-dependent in the pipeline reduces to: the destination vertex and
 // origin set; the set of edges carrying an applicable static route; per
-// session route map, the outcome of every prefix-list match against the
-// class prefix (this determines the compiled BDD relation, AlwaysDrops,
-// LocalPrefValues and LocalPrefPassesThrough, because MatchPrefix is the
-// only prefix-dependent match kind); and per interface ACL, its verdict.
+// session route map with a prefix match, the outcome of every prefix-list
+// match against the class prefix (this determines the compiled BDD
+// relation, AlwaysDrops, LocalPrefValues and LocalPrefPassesThrough,
+// because MatchPrefix is the only prefix-dependent match kind); and per
+// interface ACL, its verdict. A route map without a prefix match compiles
+// to the same relation for every class, so it contributes nothing.
 // Everything else (sessions, iBGP flags, redistribution, OSPF costs/areas)
-// is class-independent. The cost per class is O(route maps + ACLs + statics
-// + E), orders of magnitude below one refinement run.
+// is class-independent. The cost per class is O(prefix-matching maps + ACLs
+// + statics + E), orders of magnitude below one refinement run.
 package build
 
 import (
@@ -175,7 +177,8 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	//
 	// First, every seed whose orbit reaches the class's destination proposes
 	// the product of its generators along the Schreier vector, and verifyIso
-	// decides, as it does for a searched π: no colour key and no search.
+	// decides, as it does for a searched π: no colour key and no search. A
+	// seed with another count of static-bearing edges is skipped unproposed.
 	// Orbits are immutable once published, so the snapshot taken under the
 	// lock is read without it.
 	erased := b.cacheFor(comp).erasesFor(b)
@@ -199,6 +202,9 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	var epi []int32
 	fromOrbit := false
 	for _, p := range props {
+		if p.seed.sig.nStatic != sig.nStatic {
+			continue // verifyIso would refuse: no edge bijection changes the count
+		}
 		composed := p.o.compose(sig.dest)
 		if f, ok := b.verifyIso(p.seed.sig, sig, composed); ok {
 			seed, pi, epi, fromOrbit = p.seed, composed, f, true

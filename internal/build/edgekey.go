@@ -170,11 +170,11 @@ func (b *Builder) EdgeKeyFunc(comp *policy.Compiler, cls ec.Class) func(u, v top
 	t := b.tab
 	statics := b.staticMask(cls)
 	return func(u, v topo.NodeID) core.EdgeKey {
-		k := core.EdgeKey{ACLPermit: b.aclPermit(u, v, cls)}
 		i, ok := b.G.EdgeIndex(u, v)
 		if !ok {
-			return k
+			return core.EdgeKey{ACLPermit: true}
 		}
+		k := core.EdgeKey{ACLPermit: b.aclPermit(i, cls)}
 		if si := t.shapeOf[i]; si >= 0 {
 			sess := &t.shapes[si]
 			ent := b.edgeRelation(comp, cc, sess, cls.Prefix)

@@ -98,7 +98,8 @@ func (b *Builder) AbstractACLPermitFunc(cls ec.Class, abs *core.Abstraction) fun
 			return true
 		}
 		rep := abs.RepEdge[k]
-		return b.aclPermit(rep.U, rep.V, cls)
+		i, ok := b.G.EdgeIndex(rep.U, rep.V)
+		return !ok || b.aclPermit(i, cls)
 	}
 }
 

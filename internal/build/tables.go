@@ -70,6 +70,10 @@ type edgeTables struct {
 	sigACLs []aclRef
 	rmLists [][]*policy.PrefixList // per sigRMs entry: prefix lists matched, in clause/match order
 	rmKnown []bool                 // per sigRMs entry: the route map exists
+	// matchRMs lists, ascending, the sigRMs entries with a prefix match: the
+	// only maps whose relation can differ between classes, and the only ones
+	// a fingerprint records.
+	matchRMs []int32
 }
 
 // out returns the index range of u's out-edges, which list u's neighbours in
@@ -219,6 +223,9 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 					t.rmLists[i] = append(t.rmLists[i], r.env.PrefixLists[m.Arg])
 				}
 			}
+		}
+		if len(t.rmLists[i]) > 0 {
+			t.matchRMs = append(t.matchRMs, int32(i))
 		}
 	}
 	return t

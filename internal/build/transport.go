@@ -148,15 +148,21 @@ type classSig struct {
 	pol     int    // fp[pol:] is the policy part: statics | match outcomes | ACL verdicts
 	dest    topo.NodeID
 	origin  []bool   // per node: origin of the class
-	fpIDs   []int32  // per sigRMs: interned match-outcome string
+	fpIDs   []int32  // per sigRMs: interned match-outcome string for a matchRMs entry, 0 for any other
 	aclV    []bool   // per sigACLs: verdict for the class prefix
 	statics edgeMask // edges an applicable static rides
+	nStatic int      // edges in statics: a π verifyIso accepts maps them onto the other class's
 	key     uint64   // colorKey: the isoIndex bucket, set while the signature is private
 	col     []uint64 // colorKey's per-node colours: findIso's filter, kept by pinned seeds only
 }
 
 // classSignature computes the class's fingerprint and transport tables.
-// Cost is O(route maps + ACLs + statics + E) with no BDD work.
+// Only the route maps with a prefix match (matchRMs) are evaluated and
+// written into the fingerprint: any other map compiles to one relation for
+// every prefix, so its fpIDs slot keeps the class-independent 0. That 0 can
+// equal an interned id, but edgeEq compares two slots only under equal
+// content labels, and a label's 'P' marks tell the two kinds of map apart.
+// Cost is O(prefix-matching maps + ACLs + statics + E) with no BDD work.
 func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 	dest, err := b.destOf(cls)
 	if err != nil {
@@ -170,7 +176,7 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		aclV:    make([]bool, len(t.sigACLs)),
 		statics: b.staticMask(cls),
 	}
-	fp := make([]byte, 0, 64+2*len(t.sigRMs)+len(t.sigACLs))
+	fp := make([]byte, 0, 64+2*len(t.matchRMs)+len(t.sigACLs))
 	fp = strconv.AppendInt(fp, int64(dest), 10)
 	fp = append(fp, '|')
 	for _, o := range cls.Origins {
@@ -186,6 +192,7 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		if on {
 			fp = strconv.AppendInt(fp, int64(i), 10)
 			fp = append(fp, ',')
+			s.nStatic++
 		}
 	}
 	fp = append(fp, '|')
@@ -194,11 +201,8 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 	// matching runs outside the lock (concurrent workers signature-compute
 	// in parallel); only the intern-table access is a critical section.
 	var bits []byte
-	offs := make([]int, len(t.sigRMs)+1)
-	for i := range t.sigRMs {
-		if !t.rmKnown[i] {
-			bits = append(bits, '?')
-		}
+	offs := make([]int, len(t.matchRMs)+1)
+	for k, i := range t.matchRMs {
 		for _, l := range t.rmLists[i] {
 			if l != nil && l.Matches(cls.Prefix) {
 				bits = append(bits, '1')
@@ -206,11 +210,11 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 				bits = append(bits, '0')
 			}
 		}
-		offs[i+1] = len(bits)
+		offs[k+1] = len(bits)
 	}
 	b.internMu.Lock()
-	for i := range t.sigRMs {
-		key := bits[offs[i]:offs[i+1]]
+	for k, i := range t.matchRMs {
+		key := bits[offs[k]:offs[k+1]]
 		id, ok := b.fpIntern[string(key)]
 		if !ok {
 			id = int32(len(b.fpIntern))
@@ -219,8 +223,8 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		s.fpIDs[i] = id
 	}
 	b.internMu.Unlock()
-	for _, id := range s.fpIDs {
-		fp = strconv.AppendInt(fp, int64(id), 10)
+	for _, i := range t.matchRMs {
+		fp = strconv.AppendInt(fp, int64(s.fpIDs[i]), 10)
 		fp = append(fp, ';')
 	}
 	fp = append(fp, '|')

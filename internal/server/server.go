@@ -248,6 +248,9 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	net, err := bonsai.Parse(http.MaxBytesReader(w, r.Body, 64<<20))
+	if err == nil {
+		err = net.Validate() // a dangling reference is the client's, not a 500 from Open
+	}
 	if err != nil {
 		s.httpError(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return
@@ -336,9 +339,19 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 
 	// An expired read deadline fails the body read the decode loop may be
 	// parked in; a writer without deadlines (a test recorder) has no such
-	// read to fail.
-	interrupt := func() { http.NewResponseController(w).SetReadDeadline(time.Now()) }
+	// read to fail. Once the body is read to its end, the server reads the
+	// connection in the background, and the deadline fails that read
+	// instead, which cancels the context of every later request on the
+	// connection: an interrupted replay closes it.
+	interrupted := false // written before the replay returns, on the stream's goroutine
+	interrupt := func() {
+		interrupted = true
+		http.NewResponseController(w).SetReadDeadline(time.Now())
+	}
 	rep, err := t.replay(r.Context(), r.Body, interrupt, opts...)
+	if interrupted {
+		w.Header().Set("Connection", "close")
+	}
 	if rep != nil {
 		t.editsReceived.Add(int64(rep.EditsReceived))
 		t.editsApplied.Add(int64(rep.EditsApplied))
@@ -552,7 +565,7 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrApplyQueueFull), errors.Is(err, ErrDraining):
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, bonsai.ErrInvalidDelta):
 		code = http.StatusBadRequest
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})

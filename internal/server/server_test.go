@@ -19,7 +19,7 @@ import (
 
 // newTestServer stands up a Server over httptest and returns a client for
 // it. Drain runs in cleanup so engines never leak across tests.
-func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
 	s := New(cfg)
 	hs := httptest.NewServer(s)
@@ -30,7 +30,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return s, NewClient(hs.URL)
 }
 
-func openFattree(t *testing.T, c *Client, name string, k int) {
+func openFattree(t testing.TB, c *Client, name string, k int) {
 	t.Helper()
 	if err := c.OpenNetwork(context.Background(), name, netgen.Fattree(k, netgen.PolicyShortestPath)); err != nil {
 		t.Fatalf("open %s: %v", name, err)
@@ -234,6 +234,39 @@ func TestServerReplay(t *testing.T) {
 	}
 	if rep.Coalesced == 0 {
 		t.Fatalf("flap storm did not coalesce: %+v", rep)
+	}
+}
+
+// TestInterruptedReplayKeepsNextRequestLive: a replay whose batch leaves a
+// network that does not validate is the client's mistake (400), and it
+// interrupts the body read. With the body already read to its end, that
+// failed the server's background read of the connection, which cancels the
+// context of every later request on it: the next replay over the same
+// keep-alive connection answered 500 "context canceled". Repeated, because
+// whether the body's end is reached before the batch fails is timing.
+func TestInterruptedReplayKeepsNextRequestLive(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	openFattree(t, c, "net", 4)
+	hc := &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1}}
+	defer hc.CloseIdleConnections()
+	post := func(body string) (int, string) {
+		resp, err := hc.Post(c.base+"/v1/tenants/net/replay", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	const bad = `{"set_route_maps":[{"router":"edge-1-0","name":"EXPORT-OWN","map":{"clauses":[{"seq":10,"action":0,"matches":[{"kind":1,"arg":"NOPE"}]}]}}]}` + "\n"
+	const flap = `{"link_down":[{"a":"core-0","b":"agg-0-0"}]}` + "\n" + `{"link_up":[{"a":"core-0","b":"agg-0-0"}]}` + "\n"
+	for i := 0; i < 50; i++ {
+		if code, msg := post(bad); code != http.StatusBadRequest || !strings.Contains(msg, "NOPE") {
+			t.Fatalf("round %d: a delta leaving an invalid network: status %d %s, want 400 naming the list", i, code, msg)
+		}
+		if code, msg := post(flap); code != http.StatusOK {
+			t.Fatalf("round %d: the replay after an interrupted one: status %d %s", i, code, msg)
+		}
 	}
 }
 
