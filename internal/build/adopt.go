@@ -522,7 +522,7 @@ func (ad *adoption) checkTouchedRouter(tr touchedRouter, cls ec.Class, entry *ab
 		if tr.structural {
 			return true
 		}
-		if rmDirty(t.expRM[j]) || rmDirty(t.impRM[j]) {
+		if rmDirty(t.recs[j].expRM) || rmDirty(t.recs[j].impRM) {
 			return true
 		}
 		// The router's egress ACL and statics ride its outgoing edges.

@@ -83,7 +83,8 @@ type Builder struct {
 
 	// onTransport, set by tests only, observes every transport as it lands:
 	// the seed, the class, the π and edge permutation it was served under,
-	// and whether the seed's orbit proposed π (or the search found it).
+	// and whether the seed's orbit proposed π (or the search found it). The
+	// edge permutation is the compiler's scratch: a hook that keeps it copies.
 	onTransport func(seed *absEntry, sig *classSig, pi []topo.NodeID, epi []int32, fromOrbit bool)
 }
 
@@ -291,7 +292,7 @@ func staticCovers(sp, cls netip.Prefix) bool {
 // edge i, out the interface of its tail toward its head (paper §6: ACLs
 // filter traffic, not routes).
 func (b *Builder) aclPermit(i int, cls ec.Class) bool {
-	a := b.tab.aclIdx[i]
+	a := b.tab.recs[i].acl
 	if a < 0 {
 		return true
 	}

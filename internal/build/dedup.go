@@ -102,7 +102,8 @@ type absEntry struct {
 	// orbit is a transport seed's generators and Schreier vector (transport.go),
 	// nil until its first searched transport. Replaced, never mutated, under
 	// store.mu; neither persisted nor carried across an adoption.
-	orbit *orbit
+	orbit   *orbit
+	targets []int32 // a transport seed's per-group target counts, set before it is pinned
 }
 
 // Compress runs the full per-class pipeline (Algorithm 1) with cross-EC
@@ -181,7 +182,8 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	// seed with another count of static-bearing edges is skipped unproposed.
 	// Orbits are immutable once published, so the snapshot taken under the
 	// lock is read without it.
-	erased := b.cacheFor(comp).erasesFor(b)
+	cc := b.cacheFor(comp)
+	erased, sc := cc.erasesFor(b), &cc.iso
 	type proposal struct {
 		seed *absEntry
 		o    *orbit
@@ -206,7 +208,7 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 			continue // verifyIso would refuse: no edge bijection changes the count
 		}
 		composed := p.o.compose(sig.dest)
-		if f, ok := b.verifyIso(p.seed.sig, sig, composed); ok {
+		if f, ok := b.verifyIso(sc, p.seed.sig, sig, composed); ok {
 			seed, pi, epi, fromOrbit = p.seed, composed, f, true
 			break
 		}
@@ -217,12 +219,12 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	// share the key. A bucket only ever has completed seeds appended, so the
 	// slice taken under the lock is read without it.
 	if seed == nil && erased {
-		sig.key, sig.col = b.colorKey(sig)
+		sig.key, sig.col = b.colorKey(sc, sig)
 		st.mu.Lock()
 		cands := st.isoIndex[sig.key]
 		st.mu.Unlock()
 		for _, c := range cands {
-			if pi, epi = b.findIso(c.sig, sig); pi != nil {
+			if pi, epi = b.findIso(sc, c.sig, sig); pi != nil {
 				seed = c
 				break
 			}
@@ -231,12 +233,15 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	transported, prov := seed != nil, ProvFresh
 	if transported {
 		prov = ProvTransported
-		e.abs, e.live, e.prefs = b.transportAbs(seed, sig, pi, epi)
+		e.abs, e.live, e.prefs = b.transportAbs(sc, seed, sig, pi, epi)
 		if b.onTransport != nil {
 			b.onTransport(seed, sig, pi, epi, fromOrbit)
 		}
 	} else {
 		e.abs, e.live, e.prefs, e.err = b.compressFresh(ctx, comp, cls, sig)
+		if e.err == nil && erased && e.abs.ColorSplits == 0 { // a seed: only such partitions commute with π
+			e.targets = b.tab.seedTargets(e.abs, e.live)
+		}
 	}
 	st.mu.Lock()
 	if e.err != nil {
@@ -260,11 +265,10 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 				st.dupFresh++
 			}
 			st.fresh++
-			if erased && e.abs.ColorSplits == 0 {
-				// Only ColorSplits-free fresh entries seed transports (only
-				// their partitions commute with π): one pinned seed per
-				// symmetry family keeps the index small and eviction away
-				// from the entries the whole family depends on.
+			if e.targets != nil {
+				// One pinned seed per symmetry family keeps the index small
+				// and eviction away from the entries the whole family
+				// depends on.
 				e.pinned = true
 				st.isoIndex[sig.key] = append(st.isoIndex[sig.key], e)
 			}

@@ -74,6 +74,7 @@ type compilerCache struct {
 	adjOwner uint64
 	adjKey   string
 	adj      *core.Adjacency
+	iso      isoScratch // the transport working set of this compiler's goroutine (transport.go)
 }
 
 func newCompilerCache() *compilerCache {
@@ -240,7 +241,7 @@ func (b *Builder) EdgeKeyVec(comp *policy.Compiler, cls ec.Class) []core.EdgeKey
 			k.OSPFCost = int(c)
 			k.OSPFCross = t.ospfCross[i]
 		}
-		k.ACLPermit = t.aclIdx[i] < 0 || aclV[t.aclIdx[i]]
+		k.ACLPermit = t.recs[i].acl < 0 || aclV[t.recs[i].acl]
 		k.Static = statics.has(i)
 	}
 	return keys

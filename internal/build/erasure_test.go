@@ -128,14 +128,15 @@ func TestErasedContentCompilesEqual(t *testing.T) {
 				if tab.shapeOf[i] < 0 {
 					continue
 				}
-				l := label{content: tab.content[i], exp: -1, imp: -1, onStatic: s.statics.has(int(i))}
-				if rm := tab.expRM[i]; rm >= 0 {
+				r := &tab.recs[i]
+				l := label{content: r.content, exp: -1, imp: -1, onStatic: s.statics.has(int(i))}
+				if rm := r.expRM; rm >= 0 {
 					l.exp = s.fpIDs[rm]
 				}
-				if rm := tab.impRM[i]; rm >= 0 {
+				if rm := r.impRM; rm >= 0 {
 					l.imp = s.fpIDs[rm]
 				}
-				if a := tab.aclIdx[i]; a >= 0 {
+				if a := r.acl; a >= 0 {
 					l.aclDrop = !s.aclV[a]
 				}
 				j, ok := first[l]
@@ -211,7 +212,7 @@ func TestTagMatchedByDeltaSplitsLabels(t *testing.T) {
 		if !ok {
 			t.Fatalf("no edge %s-%s", spine, leaf)
 		}
-		return b.tab.content[i]
+		return b.tab.recs[i].content
 	}
 	b1, err := New(net)
 	if err != nil {

@@ -149,7 +149,7 @@ func TestOrbitStaticFilterSkipsOnlyRefusals(t *testing.T) {
 						continue
 					}
 					proposed++
-					_, ok := b.verifyIso(c.sig, sig, c.orbit.compose(sig.dest))
+					_, ok := b.verifyIso(new(isoScratch), c.sig, sig, c.orbit.compose(sig.dest))
 					if c.sig.nStatic != sig.nStatic {
 						skipped++
 						if ok {

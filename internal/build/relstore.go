@@ -349,6 +349,7 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 	// into fpByPrefix/fpIntern, which is harmless — those memos are
 	// deterministic and Builder-lifetime regardless of how the load ends.
 	seen := make(map[string]bool, len(classes))
+	var iso isoScratch
 	for _, sc := range classes {
 		// A staged prefix must name a class exactly; the class that merely
 		// owns its address is a different class.
@@ -371,7 +372,7 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 			// An entry that will be indexed as a transport seed is filed
 			// under its colour key and keeps its colours, computed while the
 			// signature is still private to this goroutine.
-			sig.key, sig.col = b.colorKey(sig)
+			sig.key, sig.col = b.colorKey(&iso, sig)
 		}
 		sc.sig = sig
 	}
@@ -394,13 +395,16 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 			done:  true,
 			src:   ProvCached,
 		}
+		if sc.pinned && sc.abs.ColorSplits == 0 {
+			e.targets = b.tab.seedTargets(sc.abs, sc.live)
+		}
 		st.mu.Lock()
 		if _, exists := st.entries[sig.fp]; exists {
 			st.mu.Unlock()
 			continue // already warm (load raced a query, or was run twice)
 		}
 		st.entries[sig.fp] = e
-		if sc.pinned && sc.abs.ColorSplits == 0 {
+		if e.targets != nil {
 			e.pinned = true
 			st.isoIndex[sig.key] = append(st.isoIndex[sig.key], e)
 		}

@@ -238,6 +238,7 @@ func entryBytes(e *absEntry) int64 {
 		}
 		n += 4 * int64(cap(o.via)+cap(o.pre))
 	}
+	n += slice + 4*int64(cap(e.targets))
 	if a := e.abs; a != nil {
 		n += 128 // struct
 		n += slice + word*int64(cap(a.F))

@@ -44,6 +44,16 @@ type aclRef struct {
 	name string
 }
 
+// edgeRec is one directed edge's class-independent label: everything
+// transport's edge comparison (edgeEq) reads of the edge itself, in one
+// record, so that comparing two edges touches two records.
+type edgeRec struct {
+	content uint64 // mix64 of the content label, equal where the class-independent behaviour is (transport.go)
+	expRM   int32  // sigRMs index of the export map, -1 none
+	impRM   int32  // sigRMs index of the import map, -1 none
+	acl     int32  // sigACLs index of u's egress ACL toward v, -1 none
+}
+
 // edgeTables holds the per-edge vectors, all aligned with G.Edges(), and the
 // small interned tables they index. Every link contributes both directed
 // edges, so rev has no -1 entries and a node's out-edge span doubles as its
@@ -57,10 +67,7 @@ type edgeTables struct {
 	shapeOf   []int32      // per edge: index into shapes, -1 without a session
 	ospfCost  []int32      // per edge: cost u pays via v, -1 without an adjacency
 	ospfCross []bool       // per edge: the adjacency crosses an area boundary
-	expRM     []int32      // per edge: sigRMs index of the export map, -1 none
-	impRM     []int32      // per edge: sigRMs index of the import map, -1 none
-	aclIdx    []int32      // per edge: sigACLs index of u's egress ACL toward v, -1 none
-	content   []uint64     // per edge: mix64 of the content label, equal where the class-independent behaviour is (transport.go)
+	recs      []edgeRec    // per edge: its transport label
 
 	// sigRMs and sigACLs enumerate the policy objects whose class-dependent
 	// behaviour a class fingerprint records — every route map on a live
@@ -69,7 +76,6 @@ type edgeTables struct {
 	sigRMs  []rmRef
 	sigACLs []aclRef
 	rmLists [][]*policy.PrefixList // per sigRMs entry: prefix lists matched, in clause/match order
-	rmKnown []bool                 // per sigRMs entry: the route map exists
 	// matchRMs lists, ascending, the sigRMs entries with a prefix match: the
 	// only maps whose relation can differ between classes, and the only ones
 	// a fingerprint records.
@@ -92,15 +98,13 @@ func (t *edgeTables) out(u topo.NodeID) (lo, hi int32) {
 func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocols.Community]bool) *edgeTables {
 	edges, rev := g.Edges(), g.ReverseEdges()
 	n := len(edges)
-	vec := make([]int32, 5*n)
+	vec := make([]int32, 2*n)
 	for i := range vec {
 		vec[i] = -1
 	}
-	carve := func() []int32 { v := vec[:n:n]; vec = vec[n:]; return v }
 	t := &edgeTables{
 		g: g, edges: edges, rev: rev,
-		shapeOf: carve(), ospfCost: carve(), expRM: carve(), impRM: carve(), aclIdx: carve(),
-		ospfCross: make([]bool, n), content: make([]uint64, n),
+		shapeOf: vec[:n:n], ospfCost: vec[n:], ospfCross: make([]bool, n), recs: make([]edgeRec, n),
 	}
 
 	// u's own configuration on its interface toward v, per edge (u, v).
@@ -109,6 +113,7 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 	hasIfc := make([]bool, n)
 	aclIDs := make(map[aclRef]int32)
 	for i, e := range edges {
+		t.recs[i] = edgeRec{expRM: -1, impRM: -1, acl: -1}
 		r, peer := routers[e.U], g.Name(e.V)
 		if r.BGP != nil {
 			nbr[i] = r.BGP.Neighbors[peer]
@@ -124,7 +129,7 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 				aclIDs[a] = id
 				t.sigACLs = append(t.sigACLs, a)
 			}
-			t.aclIdx[i] = id
+			t.recs[i].acl = id
 		}
 	}
 
@@ -193,7 +198,7 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 				shapeIDs[k] = s
 				t.shapes = append(t.shapes, sess)
 			}
-			t.shapeOf[i], t.expRM[i], t.impRM[i] = s.id, k.expRM, k.impRM
+			t.shapeOf[i], t.recs[i].expRM, t.recs[i].impRM = s.id, k.expRM, k.impRM
 			label = uint64(s.content+1) << 33
 		}
 		if hasIfc[i] && hasIfc[j] {
@@ -204,19 +209,17 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 				label |= 1
 			}
 		}
-		t.content[i] = mix64(label + 1) // a bijection: equal words, equal content
+		t.recs[i].content = mix64(label + 1) // a bijection: equal words, equal content
 	}
 
 	// Per route map, the prefix lists its clauses match, in clause/match
 	// order — the positions whose outcomes the class fingerprint records.
 	t.rmLists = make([][]*policy.PrefixList, len(t.sigRMs))
-	t.rmKnown = make([]bool, len(t.sigRMs))
 	for i, r := range t.sigRMs {
 		rm := r.env.RouteMaps[r.name]
 		if rm == nil {
 			continue
 		}
-		t.rmKnown[i] = true
 		for ci := range rm.Clauses {
 			for _, m := range rm.Clauses[ci].Matches {
 				if m.Kind == policy.MatchPrefix {

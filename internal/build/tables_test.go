@@ -168,6 +168,7 @@ func TestBuilderTablesMatchReference(t *testing.T) {
 			idOf := make(map[string]uint64)
 			for i, e := range tab.edges {
 				i := int32(i)
+				rec := tab.recs[i]
 				if tab.rev[i] < 0 || tab.edges[tab.rev[i]] != (topo.Edge{U: e.V, V: e.U}) {
 					t.Fatalf("edge %v: rev = %d", e, tab.rev[i])
 				}
@@ -179,7 +180,7 @@ func TestBuilderTablesMatchReference(t *testing.T) {
 					idx  int32
 					env  *policy.Env
 					name string
-				}{{tab.expRM[i], want.expEnv, want.expMap}, {tab.impRM[i], want.impEnv, want.impMap}} {
+				}{{rec.expRM, want.expEnv, want.expMap}, {rec.impRM, want.impEnv, want.impMap}} {
 					if (c.idx >= 0) != (c.name != "") || (c.idx >= 0 && tab.sigRMs[c.idx] != rmRef{env: c.env, name: c.name}) {
 						t.Fatalf("edge %v: route-map ref %d, reference %q", e, c.idx, c.name)
 					}
@@ -189,17 +190,17 @@ func TestBuilderTablesMatchReference(t *testing.T) {
 					t.Fatalf("edge %v: OSPF cost %d cross %v, reference %d %v (present %v)", e, got, tab.ospfCross[i], cost, ref.cross[e], ok)
 				}
 				acl, ok := ref.acl[e]
-				if got := tab.aclIdx[i]; (got >= 0) != ok || (ok && tab.sigACLs[got] != acl) {
+				if got := rec.acl; (got >= 0) != ok || (ok && tab.sigACLs[got] != acl) {
 					t.Fatalf("edge %v: ACL ref %d, reference %+v (present %v)", e, got, acl, ok)
 				}
 				lbl := ref.content[e]
-				if l, seen := labelOf[tab.content[i]]; seen && l != lbl {
-					t.Fatalf("edge %v: content id %d labels both %q and %q", e, tab.content[i], l, lbl)
+				if l, seen := labelOf[rec.content]; seen && l != lbl {
+					t.Fatalf("edge %v: content id %d labels both %q and %q", e, rec.content, l, lbl)
 				}
-				if id, seen := idOf[lbl]; seen && id != tab.content[i] {
-					t.Fatalf("edge %v: label %q has content ids %d and %d", e, lbl, id, tab.content[i])
+				if id, seen := idOf[lbl]; seen && id != rec.content {
+					t.Fatalf("edge %v: label %q has content ids %d and %d", e, lbl, id, rec.content)
 				}
-				labelOf[tab.content[i]], idOf[lbl] = lbl, tab.content[i]
+				labelOf[rec.content], idOf[lbl] = lbl, rec.content
 			}
 			for _, u := range b.G.Nodes() {
 				lo, hi := tab.out(u)
@@ -218,11 +219,9 @@ func TestBuilderTablesMatchReference(t *testing.T) {
 			if _, ok := b.G.EdgeIndex(0, 0); ok {
 				t.Fatal("EdgeIndex found a self loop")
 			}
-			for _, refs := range [][]int32{tab.expRM, tab.impRM} {
-				for _, idx := range refs {
-					if idx >= int32(len(tab.sigRMs)) {
-						t.Fatalf("route-map ref %d out of range", idx)
-					}
+			for _, rec := range tab.recs {
+				if rec.expRM >= int32(len(tab.sigRMs)) || rec.impRM >= int32(len(tab.sigRMs)) {
+					t.Fatalf("route-map refs %d, %d out of range", rec.expRM, rec.impRM)
 				}
 			}
 			seenShape := make(map[bgpSession]bool)
@@ -244,8 +243,8 @@ func TestBuilderTablesMatchReference(t *testing.T) {
 						}
 					}
 				}
-				if tab.rmKnown[i] != (rm != nil) || !slices.Equal(tab.rmLists[i], lists) {
-					t.Fatalf("route map %s: known %v lists %v, reference %v", r.name, tab.rmKnown[i], tab.rmLists[i], lists)
+				if !slices.Equal(tab.rmLists[i], lists) {
+					t.Fatalf("route map %s: lists %v, reference %v", r.name, tab.rmLists[i], lists)
 				}
 			}
 			// The one class-dependent vector: applicable statics.

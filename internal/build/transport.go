@@ -45,6 +45,13 @@
 // and the sweep both scatter an image's out-span into a per-node table and
 // read it back.
 //
+// Per edge, a transport pays little. edgeEq reads one record per edge
+// (edgeRec). The sweep's tables and edge permutation, the key's label buffer
+// and the search's vectors are the compiler's scratch (isoScratch), so a
+// transport allocates only what its entry keeps. A seed counts each group's
+// targets once (seedTargets), and the transported assembly stops a group's
+// scan at that count.
+//
 // Most searches need not run at all. Each seed keeps an orbit: the π's its
 // searched transports were accepted under, as generators, and a Schreier
 // vector over the nodes rooted at its destination (the first half of
@@ -247,14 +254,15 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 // i under class signature s into one word. Only the colour key reads it;
 // exact comparisons go through edgeEq.
 func (t *edgeTables) edgeLabel(s *classSig, i int32) uint64 {
-	w := t.content[i]
-	if rm := t.expRM[i]; rm >= 0 {
+	r := &t.recs[i]
+	w := r.content
+	if rm := r.expRM; rm >= 0 {
 		w = mix64(w ^ (uint64(uint32(s.fpIDs[rm])) + 0x9e3779b97f4a7c15))
 	}
-	if rm := t.impRM[i]; rm >= 0 {
+	if rm := r.impRM; rm >= 0 {
 		w = mix64(w ^ (uint64(uint32(s.fpIDs[rm])) + 0xc2b2ae3d27d4eb4f))
 	}
-	if a := t.aclIdx[i]; a >= 0 && !s.aclV[a] {
+	if a := r.acl; a >= 0 && !s.aclV[a] {
 		w = mix64(w ^ 0x165667b19e3779f9)
 	}
 	if s.statics.has(int(i)) {
@@ -273,25 +281,44 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// isoScratch is one compiler's transport working set. It lives on the
+// compiler's cache, owned by the compiler's goroutine, so it needs no lock;
+// each user resizes (fit) and initialises what it reads.
+type isoScratch struct {
+	slot, stamp, epi, at []int32
+	rev, parent, order   []topo.NodeID
+	el                   []uint64
+	groupOf              []int
+}
+
+// fit returns buf at length n with stale contents, reallocating if short.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // edgeEq reports whether edge e under class sa carries exactly the same
 // label as edge f under class sb — the per-edge transport condition.
 func (t *edgeTables) edgeEq(sa, sb *classSig, e, f int32) bool {
-	if t.content[e] != t.content[f] {
+	re, rf := &t.recs[e], &t.recs[f]
+	if re.content != rf.content {
 		return false
 	}
-	rmE, rmF := t.expRM[e], t.expRM[f]
+	rmE, rmF := re.expRM, rf.expRM
 	if (rmE < 0) != (rmF < 0) || (rmE >= 0 && sa.fpIDs[rmE] != sb.fpIDs[rmF]) {
 		return false
 	}
-	rmE, rmF = t.impRM[e], t.impRM[f]
+	rmE, rmF = re.impRM, rf.impRM
 	if (rmE < 0) != (rmF < 0) || (rmE >= 0 && sa.fpIDs[rmE] != sb.fpIDs[rmF]) {
 		return false
 	}
 	aclA, aclB := true, true
-	if a := t.aclIdx[e]; a >= 0 {
+	if a := re.acl; a >= 0 {
 		aclA = sa.aclV[a]
 	}
-	if a := t.aclIdx[f]; a >= 0 {
+	if a := rf.acl; a >= 0 {
 		aclB = sb.aclV[a]
 	}
 	if aclA != aclB {
@@ -321,11 +348,13 @@ const colorRounds = 3
 // an ACL or a static can reach are rehashed. Each label is then folded with
 // its reverse's, el[i] ^ rot(el[rev[i]]): one word per edge that covers
 // both directions, the rotation keeping (out, in) apart from (in, out).
-func (b *Builder) colorKey(s *classSig) (key uint64, col []uint64) {
+func (b *Builder) colorKey(sc *isoScratch, s *classSig) (key uint64, col []uint64) {
 	t := b.tab
-	el := slices.Clone(t.content)
-	for i := range el {
-		if t.expRM[i]&t.impRM[i]&t.aclIdx[i] >= 0 || s.statics.has(i) { // a route map, an ACL or a static
+	sc.el = fit(sc.el, len(t.recs))
+	el := sc.el
+	for i, r := range t.recs {
+		el[i] = r.content
+		if r.expRM&r.impRM&r.acl >= 0 || s.statics.has(i) { // a route map, an ACL or a static
 			el[i] = t.edgeLabel(s, int32(i))
 		}
 	}
@@ -388,20 +417,19 @@ const isoBudgetFactor = 64
 // writes nothing on either signature; the colour key chose the pair, and the
 // result is whatever verifyIso accepts, so a heuristic failure or a key
 // collision is only a missed optimisation, never a wrong answer.
-func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
+func (b *Builder) findIso(sc *isoScratch, sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	t := b.tab
 	n := b.G.NumNodes()
 	pi = make([]topo.NodeID, n)
-	rev := make([]topo.NodeID, n)
-	parent := make([]topo.NodeID, n) // -1 until the BFS reaches a node
+	sc.rev, sc.parent, sc.order, sc.at = fit(sc.rev, n), fit(sc.parent, n), fit(sc.order, n), fit(sc.at, n)
+	rev, parent, at := sc.rev, sc.parent, sc.at // parent: -1 until the BFS reaches a node
 	for i := range pi {
-		pi[i], rev[i], parent[i] = -1, -1, -1
+		pi[i], rev[i], parent[i], at[i] = -1, -1, -1, 0
 	}
 	// BFS order from the destination, which is its own parent; every node
 	// processed after its parent so candidates are constrained by at least
 	// one mapped neighbor.
-	order := make([]topo.NodeID, 0, n)
-	order = append(order, sa.dest)
+	order := append(sc.order[:0], sa.dest)
 	parent[sa.dest] = sa.dest
 	for qi := 0; qi < len(order); qi++ {
 		u := order[qi]
@@ -423,7 +451,6 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	// cleared) over an edge whose label, and whose reverse's, edgeEq finds
 	// equal. These are verifyIso's own conditions on the edges between placed
 	// nodes, so the search never refuses what verifyIso would accept.
-	at := make([]int32, n)
 	compatible := func(u, w topo.NodeID) bool {
 		if sa.origin[u] != sb.origin[w] {
 			return false
@@ -481,7 +508,7 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 	if !dfs(0) {
 		return nil, nil
 	}
-	epi, ok := b.verifyIso(sa, sb, pi)
+	epi, ok := b.verifyIso(sc, sa, sb, pi)
 	if !ok {
 		return nil, nil
 	}
@@ -496,21 +523,24 @@ func (b *Builder) findIso(sa, sb *classSig) (pi []topo.NodeID, epi []int32) {
 // the index of (π(U), π(V)) for edge i. No edge is searched for: π(u)'s
 // out-span is scattered into a per-node slot table stamped with u, and each
 // out-edge (u, v) reads its image's index at π(v); a missing stamp there is
-// a non-edge and refuses π.
-func (b *Builder) verifyIso(sa, sb *classSig, pi []topo.NodeID) (epi []int32, ok bool) {
+// a non-edge and refuses π. The tables and epi are sc's: epi is valid until
+// the next sweep on sc.
+func (b *Builder) verifyIso(sc *isoScratch, sa, sb *classSig, pi []topo.NodeID) (epi []int32, ok bool) {
 	t := b.tab
 	if pi[sa.dest] != sb.dest {
 		return nil, false
 	}
-	slot := make([]int32, len(pi))  // slot[x]: index of edge (π(u), x), valid while stamp[x] is u's mark
-	stamp := make([]int32, len(pi)) // first -1 once x is an image, so a second router landing on it shows
+	sc.slot, sc.stamp, sc.epi = fit(sc.slot, len(pi)), fit(sc.stamp, len(pi)), fit(sc.epi, len(t.edges))
+	slot := sc.slot   // slot[x]: index of edge (π(u), x), valid while stamp[x] is u's mark
+	stamp := sc.stamp // first -1 once x is an image, so a second router landing on it shows
+	clear(stamp)
 	for u, w := range pi {
 		if stamp[w] != 0 || sa.origin[u] != sb.origin[w] {
 			return nil, false
 		}
 		stamp[w] = -1
 	}
-	epi = make([]int32, len(t.edges))
+	epi = sc.epi // every edge is some router's out-edge, so the sweep writes it whole
 	for u, w := range pi {
 		mark := int32(u + 1)
 		lo, hi := t.out(w)
@@ -601,18 +631,40 @@ func (o *orbit) compose(w topo.NodeID) []topo.NodeID {
 	return pi
 }
 
+// seedTargets counts, per group of a seed, the distinct groups the live
+// edges of its members reach, itself included: what core.Assemble's scan
+// finds there. A π that verifyIso accepts maps live edges onto live edges
+// and groups onto groups, so every class transported from the seed has the
+// same counts (AssembleOptions.Targets). It reads the seed's Groups, which
+// Assemble derived from F.
+func (t *edgeTables) seedTargets(abs *core.Abstraction, live []bool) []int32 {
+	cnt, seen := make([]int32, len(abs.Groups)), make([]int32, len(abs.Groups)) // seen[c] == a+1: group a reaches c
+	for a, ms := range abs.Groups {
+		for _, u := range ms {
+			for i, hi := t.out(u); i < hi; i++ {
+				if c := abs.F[t.edges[i].V]; live[i] && seen[c] != int32(a+1) {
+					seen[c], cnt[a] = int32(a+1), cnt[a]+1
+				}
+			}
+		}
+	}
+	return cnt
+}
+
 // transportAbs rebuilds class sig's abstraction from a cached entry by
 // mapping its partition, prefs and liveness through π — liveness through the
 // edge permutation verifyIso returned — and re-running the canonical
-// assembly. It returns the abstraction with the mapped live-edge vector
-// (aligned with b.G.Edges()) and prefs vector, which let the entry survive an
+// assembly, which stops scanning a group at the seed's count of targets for
+// it. It returns the abstraction with the mapped live-edge vector (aligned
+// with b.G.Edges()) and prefs vector, which let the entry survive an
 // incremental update (adopt.go) without a policy re-scan. The result is
 // exactly what CompressFresh would return for the class, because every phase
 // before assembly commutes with π and the cached entry is gated on
 // ColorSplits == 0.
-func (b *Builder) transportAbs(cand *absEntry, sig *classSig, pi []topo.NodeID, epi []int32) (*core.Abstraction, []bool, []int) {
+func (b *Builder) transportAbs(sc *isoScratch, cand *absEntry, sig *classSig, pi []topo.NodeID, epi []int32) (*core.Abstraction, []bool, []int) {
 	A := cand.abs
-	groupOf := make([]int, len(pi))
+	sc.groupOf = fit(sc.groupOf, len(pi))
+	groupOf := sc.groupOf
 	prefs := make([]int, len(pi))
 	for u, w := range pi {
 		groupOf[w] = A.F[u]
@@ -632,6 +684,7 @@ func (b *Builder) transportAbs(cand *absEntry, sig *classSig, pi []topo.NodeID, 
 		LiveEdges:   live, // t.edges shares g.Edges() order
 		Iterations:  A.Iterations,
 		ColorSplits: 0,
+		Targets:     cand.targets, // π preserves each group's target count
 	})
 	return abs, live, prefs
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bonsai/internal/config"
+	"bonsai/internal/core"
 	"bonsai/internal/netgen"
 	"bonsai/internal/policy"
 	"bonsai/internal/topo"
@@ -176,6 +177,57 @@ func TestOrbitCountsPerFamily(t *testing.T) {
 	}
 }
 
+// TestTransportAssemblyStopsExactly holds a transport's assembly, which
+// stops each group's scan at its seed's target count, to the full scan: on
+// every orbit family, each transported class's abstraction equals
+// core.Assemble of the same partition, prefs and liveness with no counts
+// (Succ order included), and each seed's counts equal a recount from its own
+// partition and live vector.
+func TestTransportAssemblyStopsExactly(t *testing.T) {
+	for _, tc := range orbitFamilies() {
+		b, err := New(tc.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		transportPaths(t, b, nil)
+		mode := core.ModeEffective
+		if b.HasBGP() {
+			mode = core.ModeBGP
+		}
+		seeds, transported := 0, 0
+		for _, e := range b.store.entries {
+			if e.pinned {
+				seeds++
+				want := make([]int32, len(e.abs.Groups))
+				seen := make(map[[2]int]bool)
+				for i, ed := range b.G.Edges() {
+					if pair := [2]int{e.abs.F[ed.U], e.abs.F[ed.V]}; e.live[i] && !seen[pair] {
+						seen[pair] = true
+						want[pair[0]]++
+					}
+				}
+				if !slices.Equal(e.targets, want) {
+					t.Fatalf("%s: seed at %s: target counts %v, recount %v", tc.name, b.G.Name(e.abs.Dest), e.targets, want)
+				}
+			}
+			if e.src != ProvTransported {
+				continue
+			}
+			transported++
+			full := core.Assemble(b.G, e.abs.Dest, e.abs.F, core.AssembleOptions{
+				Mode:       mode,
+				Prefs:      func(u topo.NodeID) int { return e.prefs[u] },
+				LiveEdges:  e.live,
+				Iterations: e.abs.Iterations,
+			})
+			absEqual(t, tc.name+" class at "+b.G.Name(e.abs.Dest), e.abs, full)
+		}
+		if seeds == 0 || transported != tc.transported {
+			t.Fatalf("%s: %d seeds, %d transported; want some and %d", tc.name, seeds, transported, tc.transported)
+		}
+	}
+}
+
 // TestColorKeyBucketsHoldOneSeed: on each orbit family, once every class is
 // compressed, every isoIndex bucket holds exactly one seed. A class searches
 // only from the seeds filed under its colour key, so no search starts from a
@@ -272,6 +324,7 @@ func TestColorsMatchReference(t *testing.T) {
 	nets := append(transportNetworks(),
 		namedNetwork{"datacenter", netgen.Datacenter(netgen.DCOptions{})},
 		namedNetwork{"bgp-diamond-acl", aclDiamond()})
+	var sc isoScratch // one label buffer across every network, as on a pooled compiler
 	for _, tc := range nets {
 		b, err := New(tc.net)
 		if err != nil {
@@ -283,7 +336,7 @@ func TestColorsMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			colors, colHash := referenceSearchVectors(b, s)
-			got, col := b.colorKey(s)
+			got, col := b.colorKey(&sc, s)
 			if got != colHash {
 				t.Fatalf("%s %s: colour key %#x, reference %#x", tc.name, cls.Prefix, got, colHash)
 			}

@@ -22,7 +22,7 @@ func searchSignature(t *testing.T, b *Builder, cls ec.Class) *classSig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.key, s.col = b.colorKey(s)
+	s.key, s.col = b.colorKey(new(isoScratch), s)
 	return s
 }
 
@@ -35,7 +35,7 @@ func isoPair(t *testing.T, b *Builder) (sa, sb *classSig, pi []topo.NodeID) {
 	sa = searchSignature(t, b, classes[0])
 	for i := len(classes) - 1; i >= 0; i-- {
 		sb = searchSignature(t, b, classes[i])
-		if pi, _ = b.findIso(sa, sb); pi != nil {
+		if pi, _ = b.findIso(new(isoScratch), sa, sb); pi != nil {
 			return sa, sb, pi
 		}
 	}
@@ -69,7 +69,8 @@ func TestVerifyIsoRefusesWrongPermutations(t *testing.T) {
 			sa, sb, pi := isoPair(t, b)
 			n := len(pi)
 
-			epi, ok := b.verifyIso(sa, sb, pi)
+			var sc isoScratch // one across every sweep below, as on a compiler
+			epi, ok := b.verifyIso(&sc, sa, sb, pi)
 			if !ok {
 				t.Fatal("the search's own permutation does not verify")
 			}
@@ -81,7 +82,7 @@ func TestVerifyIsoRefusesWrongPermutations(t *testing.T) {
 
 			refused := func(what string, sb *classSig, pi []topo.NodeID) {
 				t.Helper()
-				if _, ok := b.verifyIso(sa, sb, pi); ok {
+				if _, ok := b.verifyIso(&sc, sa, sb, pi); ok {
 					t.Fatalf("%s: accepted", what)
 				}
 			}
@@ -147,11 +148,14 @@ func TestVerifyIsoRefusesWrongPermutations(t *testing.T) {
 
 // TestTransportBytes is a ceiling on what one symmetry transport allocates,
 // in bytes per directed edge: on Fattree(12) (1 728 edges) every class after
-// the first is transported, 16.0 × |E| bytes each since 57 of the 71 are
-// orbit hits that build no label vector, colours or search tables (27.0 when
-// every transport searched, 50.3 while core.Assemble still sorted one 24-byte
-// record per live edge). A per-edge record array coming back, there or in
-// the sweep, fails here by name.
+// the first is transported, 8.1 × |E| bytes each since the sweep's tables,
+// its edge permutation, the label buffer, the search vectors and the mapped
+// partition are the compiler's scratch (16.0 before, when 57 of the 71
+// orbit hits already built no label vector, colours or search tables; 27.0
+// when every transport searched; 50.3 while core.Assemble still sorted one
+// 24-byte record per live edge). The ceiling leaves 15 % above 8.1: an
+// edge index per edge (4 × |E|) allocated per transport, in the sweep or
+// anywhere else, fails here by name.
 func TestTransportBytes(t *testing.T) {
 	b, err := New(netgen.Fattree(12, netgen.PolicyShortestPath))
 	if err != nil {
@@ -175,11 +179,11 @@ func TestTransportBytes(t *testing.T) {
 	if got := b.AbstractionCacheStats().Transported; got != int64(rest) {
 		t.Fatalf("%d of %d classes transported", got, rest)
 	}
-	const ceiling = 36 // bytes per directed edge per transport
+	const ceiling = 9.3 // bytes per directed edge per transport
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(rest) / float64(b.G.NumEdges())
 	t.Logf("one transport allocates %.1f × |E| bytes (|E| = %d)", perEdge, b.G.NumEdges())
 	if perEdge > ceiling {
-		t.Fatalf("one transport on Fattree(12) allocates %.1f × |E| bytes, ceiling %d × |E|", perEdge, ceiling)
+		t.Fatalf("one transport on Fattree(12) allocates %.1f × |E| bytes, ceiling %.1f × |E|", perEdge, ceiling)
 	}
 }
 
@@ -277,7 +281,7 @@ func TestVerifiedPermutationsMoveACLs(t *testing.T) {
 		t.Fatal(err)
 	}
 	acl, ok := b.G.EdgeIndex(b.G.MustLookup("r-0000"), b.G.MustLookup("r-0001"))
-	if !ok || b.tab.aclIdx[acl] < 0 {
+	if !ok || b.tab.recs[acl].acl < 0 {
 		t.Fatal("the edge toward r-0001 carries no ACL in the Builder's tables")
 	}
 	var sa *classSig
@@ -292,12 +296,12 @@ func TestVerifiedPermutationsMoveACLs(t *testing.T) {
 	}
 	verified, moved := 0, 0
 	for _, sb := range others {
-		pi, epi := b.findIso(sa, sb)
+		pi, epi := b.findIso(new(isoScratch), sa, sb)
 		if pi == nil {
 			continue
 		}
 		verified++
-		if b.tab.aclIdx[epi[acl]] < 0 {
+		if b.tab.recs[epi[acl]].acl < 0 {
 			moved++
 		}
 	}

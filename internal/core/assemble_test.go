@@ -202,10 +202,27 @@ func requireSameAssembly(t *testing.T, tag string, got, want *core.Abstraction) 
 	}
 }
 
+// targetCounts is, per group id of groupOf, how many distinct groups the
+// live edges of its members reach, itself included: the exact counts
+// AssembleOptions.Targets takes.
+func targetCounts(g *topo.Graph, groupOf []int, live []bool) []int32 {
+	counts := make([]int32, slices.Max(groupOf)+1)
+	seen := make(map[[2]int]bool)
+	for i, e := range g.Edges() {
+		if pair := [2]int{groupOf[e.U], groupOf[e.V]}; live[i] && !seen[pair] {
+			seen[pair] = true
+			counts[pair[0]]++
+		}
+	}
+	return counts
+}
+
 // TestAssembleMatchesReference runs both assemblies over random graphs in
 // diff_test.go's recipe — with a random partition under a sparse random
 // numbering, random liveness, and prefs that split groups into copies — and
-// over the partitions refinement finds on the generator networks.
+// over the partitions refinement finds on the generator networks. Each input
+// is assembled twice: with no target counts, and with the exact counts, at
+// which every group's scan stops early and must still meet the reference.
 func TestAssembleMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260727))
 	split := 0
@@ -245,12 +262,15 @@ func TestAssembleMatchesReference(t *testing.T) {
 				LiveEdges:  live,
 				Iterations: trial,
 			}
+			tag := fmt.Sprintf("trial %d mode %d (n=%d groups<=%d)", trial, mode, n, ngroups)
+			want := assembleReference(g, dest, groupOf, opt)
 			got := core.Assemble(g, dest, groupOf, opt)
-			requireSameAssembly(t, fmt.Sprintf("trial %d mode %d (n=%d groups<=%d)", trial, mode, n, ngroups),
-				got, assembleReference(g, dest, groupOf, opt))
+			requireSameAssembly(t, tag, got, want)
 			if got.AbsG.NumNodes() > len(got.Groups) {
 				split++
 			}
+			opt.Targets = targetCounts(g, groupOf, live)
+			requireSameAssembly(t, tag+" (target counts)", core.Assemble(g, dest, groupOf, opt), want)
 		}
 	}
 	if split < 20 {
@@ -296,6 +316,8 @@ func TestAssembleMatchesReference(t *testing.T) {
 			want := assembleReference(bd.G, dest, abs.F, opt)
 			requireSameAssembly(t, tag, abs, want)
 			requireSameAssembly(t, tag+" (reassembled)", core.Assemble(bd.G, dest, abs.F, opt), want)
+			opt.Targets = targetCounts(bd.G, abs.F, live)
+			requireSameAssembly(t, tag+" (target counts)", core.Assemble(bd.G, dest, abs.F, opt), want)
 		}
 	}
 }

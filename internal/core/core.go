@@ -442,6 +442,10 @@ type AssembleOptions struct {
 	// Iterations and ColorSplits are recorded on the result.
 	Iterations  int
 	ColorSplits int
+	// Targets, if non-nil, is per groupOf id how many distinct groups (itself
+	// included) the group's live edges reach, and its scan stops at that
+	// count: exact counts change nothing, as each target's first edge is met.
+	Targets []int32
 }
 
 // Assemble builds the Abstraction of a finished partition: BGP case
@@ -450,7 +454,8 @@ type AssembleOptions struct {
 // are re-canonicalised (ordered by smallest member) so that equal partitions
 // always assemble to identical Abstractions. FindAbstraction uses it as its
 // final step, and the cross-class transport of internal/build uses it to
-// rebuild a permuted partition exactly as a fresh compression would.
+// rebuild a permuted partition exactly as a fresh compression would, its
+// scans cut at the seed's exact target counts (AssembleOptions.Targets).
 func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOptions) *Abstraction {
 	prefs := opt.Prefs
 	if prefs == nil {
@@ -570,12 +575,16 @@ func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOption
 	reached := make([]int, ng) // reached[b] == a+1: source group a already has its edge into b
 	for a, ms := range groups {
 		targets = targets[:0]
+	scan:
 		for _, u := range ms {
 			lo, hi := g.OutEdges(u)
 			for i := lo; i < hi; i++ {
 				if b := idx[edges[i].V]; live[i] && reached[b] != a+1 {
 					reached[b] = a + 1
 					targets = append(targets, target{b, edges[i]})
+					if opt.Targets != nil && int32(len(targets)) == opt.Targets[groupOf[ms[0]]] {
+						break scan
+					}
 				}
 			}
 		}
