@@ -3,6 +3,7 @@ package bonsai_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"bonsai"
 	"bonsai/internal/config"
 	"bonsai/internal/netgen"
+	"bonsai/internal/policy"
+	"bonsai/internal/protocols"
 )
 
 // queryFingerprint renders every (source, class) reachability answer of the
@@ -516,5 +519,80 @@ func TestApplyLeavesPredecessorUntouched(t *testing.T) {
 	}
 	if snaps[0].text == snaps[len(snaps)-1].text {
 		t.Fatal("the chain did not change the configuration")
+	}
+}
+
+// classSizes compresses every class of eng and returns each one's abstract
+// node and link counts by prefix.
+func classSizes(t *testing.T, eng *bonsai.Engine) map[string][2]int {
+	t.Helper()
+	s, err := eng.CompressStream(context.Background(), bonsai.ClassSelector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make(map[string][2]int)
+	for r := range s.Results() {
+		sizes[r.Prefix] = [2]int{r.AbstractNodes, r.AbstractLinks}
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return sizes
+}
+
+// TestApplyChangingMatchedCommunities: route-map edits that make a tag
+// matched and then unmatched again change the compilers' erased universe
+// through Apply. Compilers pooled over the old universe must not serve the
+// successor: after each edit every class's abstract size and every reach
+// answer must equal a cold Open's of the same network.
+func TestApplyChangingMatchedCommunities(t *testing.T) {
+	net := netgen.Datacenter(netgen.DCOptions{Clusters: 2, SpinesPerClus: 2, LeavesPerClus: 4, Cores: 2, PrefixesPerLeaf: 2, VirtualIfaces: 1})
+	var tag protocols.Community
+	for _, nb := range net.Routers["leaf-0-01"].BGP.Neighbors { // one tag map on every session
+		tag = net.Routers["leaf-0-01"].Env.RouteMaps[nb.ExportMap].Clauses[0].Sets[0].Comm
+		break
+	}
+	spine := net.Routers["spine-0-0"]
+	spine.CloneEnv()
+	spine.Env.CommunityLists["SEEN"] = &policy.CommunityList{Name: "SEEN", Communities: []protocols.Community{tag}}
+	permitAll := &bonsai.RouteMap{Name: "DROP-SEEN", Clauses: []bonsai.Clause{{Seq: 20, Action: bonsai.Permit}}}
+	spine.Env.RouteMaps["DROP-SEEN"] = permitAll
+	for _, nb := range spine.BGP.Neighbors {
+		nb.ImportMap = "DROP-SEEN"
+	}
+	eng, err := bonsai.Open(net, bonsai.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	dropSeen := &bonsai.RouteMap{Name: "DROP-SEEN", Clauses: []bonsai.Clause{
+		{Seq: 10, Action: bonsai.Deny, Matches: []bonsai.Match{{Kind: bonsai.MatchCommunity, Arg: "SEEN"}}},
+		{Seq: 20, Action: bonsai.Permit},
+	}}
+	for _, step := range []struct {
+		m       *bonsai.RouteMap
+		matched int
+	}{{dropSeen, 1}, {permitAll, 0}} {
+		classSizes(t, eng) // warm the pool over the current universe
+		if _, err := eng.Apply(context.Background(), bonsai.Delta{SetRouteMaps: []bonsai.RouteMapEdit{
+			{Router: "spine-0-0", Name: "DROP-SEEN", Map: step.m},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(eng.Network().MatchedCommunities()); got != step.matched {
+			t.Fatalf("%d matched communities after the edit, want %d", got, step.matched)
+		}
+		cold, err := bonsai.Open(eng.Network())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := classSizes(t, eng), classSizes(t, cold); !maps.Equal(got, want) {
+			t.Fatalf("abstract sizes after the edit differ from a cold Open's:\n%v\n%v", got, want)
+		}
+		if got, want := queryFingerprint(t, eng), queryFingerprint(t, cold); got != want {
+			t.Fatal("reach after the edit differs from a cold Open's")
+		}
+		cold.Close()
 	}
 }

@@ -42,9 +42,9 @@ type Engine struct {
 	// applyMu serialises Apply calls (queries never take it).
 	applyMu sync.Mutex
 	// pool holds idle policy compilers. A compiler is owned by exactly one
-	// goroutine between acquire and release; compilers whose community
-	// universe no longer matches the current network are dropped on
-	// acquire.
+	// goroutine between acquire and release; compilers the current
+	// snapshot's Builder no longer accepts (build.Builder.Serves) are
+	// dropped on acquire.
 	pool chan *pooledCompiler
 	// closed is set by Close; operations observe it and return ErrClosed.
 	closed atomic.Bool
@@ -77,10 +77,9 @@ type Engine struct {
 // engineState is one network snapshot: configuration and builder are
 // immutable, the memo only ever gains answers that are functions of them.
 type engineState struct {
-	cfg      *config.Network
-	b        *build.Builder
-	universe string // community-universe key a compiler must match
-	memo     reachMemo
+	cfg  *config.Network
+	b    *build.Builder
+	memo reachMemo
 }
 
 // reachMemo remembers, per class of one snapshot, which routers reach it:
@@ -131,9 +130,8 @@ func (m *reachMemo) forget(key reachKey) {
 }
 
 type pooledCompiler struct {
-	comp     *policy.Compiler
-	universe string
-	last     bdd.Stats // counters as of the last fold into engine aggregates
+	comp *policy.Compiler
+	last bdd.Stats // counters as of the last fold into engine aggregates
 }
 
 // Open validates net and builds an Engine over it. The network is cloned,
@@ -157,7 +155,7 @@ func Open(net *Network, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{opts: o, closeCh: make(chan struct{})}
 	e.pool = make(chan *pooledCompiler, o.workerCount()+2)
-	e.state.Store(&engineState{cfg: cfg, b: b, universe: universeKey(cfg)})
+	e.state.Store(&engineState{cfg: cfg, b: b})
 	if o.pool != nil {
 		o.pool.Attach(b, e.poolLabel(), o.poolFloor)
 	}
@@ -207,13 +205,6 @@ func OpenFile(path string, opts ...Option) (*Engine, error) {
 	return Open(net, opts...)
 }
 
-// universeKey renders the matched-community universe; compilers compiled
-// over a different universe (different BDD variable layout) must not serve
-// the network.
-func universeKey(cfg *config.Network) string {
-	return fmt.Sprint(cfg.MatchedCommunities())
-}
-
 // Network returns the engine's current configuration snapshot. The result
 // is shared with the engine and must be treated as read-only; Clone it
 // before editing.
@@ -256,14 +247,14 @@ func cacheStats(b *build.Builder) CacheStats {
 }
 
 // acquire checks a compiler out of the pool for st, discarding pooled
-// compilers whose universe is stale and creating a fresh one when the pool
-// runs dry.
+// compilers st's Builder does not accept and creating a fresh one when the
+// pool runs dry.
 func (e *Engine) acquire(st *engineState) *pooledCompiler {
 	for {
 		select {
 		case pc := <-e.pool:
-			if pc.universe != st.universe {
-				e.retire(pc) // stale variable layout; free its tables
+			if !st.b.Serves(pc.comp) {
+				e.retire(pc) // another universe; free its tables
 				continue
 			}
 			// The compiler's relation cache rides on the compiler itself
@@ -272,10 +263,7 @@ func (e *Engine) acquire(st *engineState) *pooledCompiler {
 			return pc
 		default:
 			e.bddManagers.Add(1)
-			return &pooledCompiler{
-				comp:     st.b.NewCompiler(true),
-				universe: st.universe,
-			}
+			return &pooledCompiler{comp: st.b.NewCompiler(true)}
 		}
 	}
 }
@@ -353,30 +341,6 @@ func (e *Engine) BDDStats() BDDStats {
 		s.LoadFactor = float64(s.NodesLive) / float64(s.UniqueSlots)
 	}
 	return s
-}
-
-// SaveRelationStore writes every completed cached abstraction of the current
-// network to one CRC-framed file at path, atomically (temp + fsync + rename;
-// a crash mid-save leaves the previous file intact; one save per path at a
-// time). A later Open of the same network followed by LoadRelationStore
-// restores them, skipping refinement for every saved class.
-func (e *Engine) SaveRelationStore(path string) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	return e.state.Load().b.SaveRelationStoreFile(path, nil)
-}
-
-// LoadRelationStore restores a relation store saved by SaveRelationStore
-// into the current network's caches, returning how many class abstractions
-// were installed. The file loads whole or not at all: a truncated,
-// bit-flipped, or wrong-network file yields an error and leaves the engine
-// cold but fully consistent.
-func (e *Engine) LoadRelationStore(path string) (int, error) {
-	if e.closed.Load() {
-		return 0, ErrClosed
-	}
-	return e.state.Load().b.LoadRelationStoreFile(path, nil)
 }
 
 // Compress compresses the selected destination classes, sharing cached
@@ -677,23 +641,14 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	// relation caches ride on the compilers (policy.Compiler.Cache), and
 	// entries are keyed by policy-namespace pointer, which unchanged routers
 	// share with the old config.
-	st2 := &engineState{cfg: cfg2, b: b2, universe: universeKey(cfg2)}
+	st2 := &engineState{cfg: cfg2, b: b2}
 
 	var stats build.AdoptStats
 	degraded := oversizedDelta(st.cfg, &d)
 	if degraded {
 		// Cold successor: no adoption sweep, every class recompresses
-		// lazily. Count the class-set diff so the report stays truthful.
-		newSet := make(map[netip.Prefix]bool, len(b2.Classes()))
-		for _, cls := range b2.Classes() {
-			newSet[cls.Prefix] = true
-		}
-		stats.NewClasses = len(b2.Classes())
-		for _, cls := range st.b.Classes() {
-			if !newSet[cls.Prefix] {
-				stats.Removed++
-			}
-		}
+		// lazily.
+		stats = build.ColdStats(st.b, b2)
 	} else {
 		pc := e.acquire(st2)
 		defer e.release(pc)

@@ -150,13 +150,11 @@ type AdoptDelta struct {
 // b owned by the calling goroutine. It returns statistics and stops early
 // (state consistent, remaining classes simply cold) when ctx is cancelled.
 func (b *Builder) AdoptFrom(ctx context.Context, comp *policy.Compiler, old *Builder, delta AdoptDelta) (AdoptStats, error) {
-	var st AdoptStats
 	if !sameRouterNames(old, b) {
 		// Node IDs are not comparable; nothing can be adopted.
-		st.NewClasses = len(b.Classes())
-		st.Removed = len(old.Classes())
-		return st, nil
+		return ColdStats(old, b), nil
 	}
+	var st AdoptStats
 	ad := newAdoption(b, old, delta)
 	oldByPrefix := make(map[netip.Prefix]ec.Class, len(old.Classes()))
 	for _, cls := range old.Classes() {
@@ -195,6 +193,23 @@ func (b *Builder) AdoptFrom(ctx context.Context, comp *policy.Compiler, old *Bui
 	// here rather than per class.
 	b.store.pressure()
 	return st, nil
+}
+
+// ColdStats is the AdoptStats of a successor b that adopts nothing from
+// old: every class of b is new, and Removed counts old's prefixes b no
+// longer has.
+func ColdStats(old, b *Builder) AdoptStats {
+	kept := make(map[netip.Prefix]bool, len(b.Classes()))
+	for _, cls := range b.Classes() {
+		kept[cls.Prefix] = true
+	}
+	st := AdoptStats{NewClasses: len(b.Classes())}
+	for _, cls := range old.Classes() {
+		if !kept[cls.Prefix] {
+			st.Removed++
+		}
+	}
+	return st
 }
 
 // adoptClassSafe wraps adoptClass with the adopt.class injection seam and

@@ -213,6 +213,15 @@ func (b *Builder) NewCompiler(eraseUnusedTags bool) *policy.Compiler {
 	return c
 }
 
+// Serves reports whether comp may serve b's classes: it was made by
+// NewCompiler(true) over b's erased universe, by b or by any Builder with
+// the same matched communities. A compiler pool kept across deltas keeps
+// exactly the compilers the current snapshot's Builder accepts.
+func (b *Builder) Serves(comp *policy.Compiler) bool {
+	cc, ok := comp.Cache.(*compilerCache)
+	return ok && cc.erasesFor(b)
+}
+
 // cacheFor returns the canonical-relation cache riding on comp, creating
 // one for foreign compilers (not obtained via NewCompiler). The cache lives
 // on the compiler itself — owned by the worker goroutine that owns the

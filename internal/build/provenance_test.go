@@ -218,20 +218,35 @@ func TestRecompressedAbstractionsSatisfyConditions(t *testing.T) {
 }
 
 // TestLoadedAbstractionsSatisfyConditions: everything a fresh Builder of the
-// same configuration installs from a sealed relation store.
+// same configuration installs from a sealed relation store. The sealed
+// Builder took one link down by AdoptFrom first, so the store holds entries
+// carried across the delta beside freshly compressed ones, and every one of
+// them must install.
 func TestLoadedAbstractionsSatisfyConditions(t *testing.T) {
-	cfg := smallDatacenter()
-	sealed, sealedComp := newBuilder(t, cfg)
+	up := smallDatacenter()
+	down := up.Clone()
+	down.Links[down.FindLink("spine-0-1", "core-01")].Down = true
+	old, oldComp := newBuilder(t, up)
+	compressAll(t, old, oldComp)
+	sealed, sealedComp := newBuilder(t, down)
+	st, err := sealed.AdoptFrom(context.Background(), sealedComp, old, AdoptDelta{})
+	if err != nil || st.Unchanged == 0 {
+		t.Fatalf("the link-down adopted nothing unchanged: %+v, %v", st, err)
+	}
 	compressAll(t, sealed, sealedComp)
 	path := filepath.Join(t.TempDir(), "relstore.bin")
 	if err := sealed.SaveRelationStoreFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	b, comp := newBuilder(t, cfg)
-	installed, err := b.LoadRelationStoreFile(path, nil)
-	if err != nil || installed == 0 {
-		t.Fatalf("load installed %d abstractions: %v", installed, err)
+	b, comp := newBuilder(t, down)
+	if _, err := b.LoadRelationStoreFile(path, nil); err != nil {
+		t.Fatalf("load after adoption: %v", err)
+	}
+	for _, cls := range b.Classes() {
+		if _, ok := b.cachedEntry(cls); !ok {
+			t.Fatalf("class %v was sealed but not installed", cls.Prefix)
+		}
 	}
 	checkHeld(t, b, comp, "loaded", func(int, *absEntry) bool { return true })
 }

@@ -2,8 +2,11 @@ package build
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
+	"bonsai/internal/config"
 	"bonsai/internal/netgen"
 )
 
@@ -154,6 +157,44 @@ func TestAdoptionTreatsEvictedAsCold(t *testing.T) {
 		if _, err := b2.Compress(ctx, comp2, cls); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAdoptionAcrossRenamedRouterCountsVanishedPrefixes: a successor whose
+// router names differ adopts nothing, and its stats are the plain class diff
+// — every class new, Removed only the prefixes that vanished — as an
+// oversized delta's cold successor reports it (ColdStats), not every class
+// the predecessor had.
+func TestAdoptionAcrossRenamedRouterCountsVanishedPrefixes(t *testing.T) {
+	cfg := netgen.Fattree(4, netgen.PolicyShortestPath)
+	old, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	comp := old.NewCompiler(true)
+	for _, cls := range old.Classes() {
+		if _, err := old.Compress(ctx, comp, cls); err != nil {
+			t.Fatal(err)
+		}
+	}
+	renamed, err := config.ParseString(strings.ReplaceAll(config.PrintString(cfg), "core-0", "core-x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed.Routers["edge-0-0"].Originate = nil // its class vanishes
+	b2, err := New(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp2 := b2.NewCompiler(true)
+	stats, err := b2.AdoptFrom(ctx, comp2, old, AdoptDelta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := AdoptStats{NewClasses: len(old.Classes()) - 1, Removed: 1}
+	if !reflect.DeepEqual(stats, want) || !reflect.DeepEqual(ColdStats(old, b2), want) {
+		t.Fatalf("adoption across a renamed router: %+v, want %+v", stats, want)
 	}
 }
 

@@ -207,8 +207,8 @@ func referenceEngine(t *testing.T, ck *journal.Checkpoint, tail []seqDelta) *bon
 // answers to be field-identical to the reference engine's. Timing, cache and
 // provenance fields are excluded — they are not state: DistinctAbstractions
 // in particular counts refinements over the engine's cache history, and a
-// recovered tenant that warm-loaded its relation store has a different
-// history from a reference that never crashed.
+// recovered tenant has a different history from a reference that never
+// crashed.
 func compareRecovered(t *testing.T, ctx context.Context, ref *bonsai.Engine, c *Client, name string) {
 	t.Helper()
 	refV, err := ref.Verify(ctx, bonsai.VerifyRequest{})

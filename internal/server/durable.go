@@ -96,17 +96,8 @@ func (r *registry) initPersistence(t *tenant) error {
 		return fmt.Errorf("server: base checkpoint: %w", err)
 	}
 	t.jrnl = j
-	t.dir = dir
 	return nil
 }
-
-// relStoreFile names the sealed relation store inside a tenant's data
-// directory: the engine's completed abstractions, written at graceful
-// shutdown and loaded after recovery replay (see bonsai.Engine's relation
-// store). It is a cache beside the journal, never ground truth: recovery
-// that cannot use it (config drift after a crash, damage, an older format)
-// logs the rejection and cold-starts.
-const relStoreFile = "relstore.bin"
 
 // configText renders the engine's current network as canonical config text —
 // the checkpoint payload, chosen because it round-trips through the same
@@ -192,13 +183,6 @@ func (t *tenant) sealJournal() {
 				log.Printf("bonsaid: tenant %s: seal checkpoint: %v", t.name, err)
 			}
 		}
-	}
-	// Persist the completed abstractions beside the sealed journal so the
-	// next recovery skips refinement. The engine is still open (the
-	// caller closes it after us); a failed save only costs the next start
-	// its warm cache.
-	if err := t.eng.SaveRelationStore(filepath.Join(t.dir, relStoreFile)); err != nil {
-		log.Printf("bonsaid: tenant %s: save relation store: %v", t.name, err)
 	}
 	t.jrnl.Close()
 }
@@ -351,25 +335,12 @@ func (r *registry) recoverOne(name string) error {
 			return fmt.Errorf("replay %d deltas: %w", len(deltas), err)
 		}
 	}
-	// Load the sealed relation store after replay, so its config-hash guard
-	// checks the final recovered network: a clean shutdown matches and the
-	// engine starts warm; a crash that left journaled deltas past the seal
-	// fails the hash and cold-starts — correct either way, since the store
-	// is a cache.
-	if n, err := t.eng.LoadRelationStore(filepath.Join(dir, relStoreFile)); err != nil {
-		if !os.IsNotExist(err) {
-			log.Printf("bonsaid: recovery: tenant %s: relation store rejected (cold start): %v", name, err)
-		}
-	} else if n > 0 {
-		log.Printf("bonsaid: recovery: tenant %s: warm start, %d cached abstractions loaded", name, n)
-	}
 	j, err := journal.Open(dir, r.journalOpts())
 	if err != nil {
 		t.eng.Close()
 		return fmt.Errorf("reopen journal: %w", err)
 	}
 	t.jrnl = j
-	t.dir = dir
 	seq := ck.Seq
 	if info.LastSeq > seq {
 		seq = info.LastSeq

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -380,13 +381,15 @@ func grepLines(s, substr string) string {
 	return strings.Join(out, "\n")
 }
 
-// TestSealedRelationStoreWarmsRecovery: a drained daemon seals each durable
-// tenant's completed abstractions beside its journal; the next daemon
-// recovers the tenant warm — identical compression results with zero fresh
-// refinements — and exposes the BDD layer on /metrics. The tenant's last
-// delta takes a link down, so the sealed store holds adopted entries (the
-// case a store was once rejected whole for).
-func TestSealedRelationStoreWarmsRecovery(t *testing.T) {
+// TestDrainedTenantRecoversFromCheckpoint: a drained daemon seals each
+// durable tenant with a checkpoint and nothing else, and the next daemon
+// recovers it from that checkpoint exactly as it recovers a killed one. The
+// tenant's last delta takes a link down, and a garbage relstore.bin — the
+// abstraction cache older daemons sealed beside the journal — is planted
+// before the restart: the new daemon never opens it (no log line about it),
+// never writes it, answers as the drained one did, and exposes the BDD
+// layer on /metrics.
+func TestDrainedTenantRecoversFromCheckpoint(t *testing.T) {
 	dataDir := t.TempDir()
 	ctx := context.Background()
 	cfg := Config{DataDir: dataDir, Fsync: journal.SyncNever}
@@ -394,7 +397,8 @@ func TestSealedRelationStoreWarmsRecovery(t *testing.T) {
 	s1 := New(cfg)
 	hs1 := httptest.NewServer(s1)
 	c1 := NewClient(hs1.URL)
-	if err := c1.OpenNetwork(ctx, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
+	net := netgen.Fattree(4, netgen.PolicyShortestPath)
+	if err := c1.OpenNetwork(ctx, "ft", net); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	if _, err := c1.Compress(ctx, "ft", bonsai.ClassSelector{}); err != nil {
@@ -404,35 +408,58 @@ func TestSealedRelationStoreWarmsRecovery(t *testing.T) {
 	if err != nil || rep.Unchanged == 0 {
 		t.Fatalf("link-down adopted nothing unchanged: %+v, %v", rep, err)
 	}
-	cold, err := c1.Compress(ctx, "ft", bonsai.ClassSelector{})
+	var classes []string
+	before, err := c1.CompressStream(ctx, "ft", bonsai.ClassSelector{},
+		func(r bonsai.ClassResult) { classes = append(classes, r.Prefix) })
 	if err != nil {
 		t.Fatalf("compress after delta: %v", err)
 	}
-	if cold.Cache.Fresh == 0 {
-		t.Fatalf("cold daemon computed no abstractions: %+v", cold.Cache)
+	reaches := func(c *Client) []bonsai.ReachResult {
+		t.Helper()
+		var out []bonsai.ReachResult
+		for _, src := range net.RouterNames() {
+			for _, dest := range classes {
+				r, err := c.Reach(ctx, "ft", src, dest, false)
+				if err != nil {
+					t.Fatalf("reach %s -> %s: %v", src, dest, err)
+				}
+				out = append(out, bonsai.ReachResult{Reachable: r.Reachable, Compressed: r.Compressed})
+			}
+		}
+		return out
 	}
+	reach1 := reaches(c1)
 	s1.Drain()
 	hs1.Close()
-	if _, err := os.Stat(filepath.Join(dataDir, url.PathEscape("ft"), relStoreFile)); err != nil {
-		t.Fatalf("drain did not seal a relation store: %v", err)
+	planted := []byte("BRELST\x00\x02 whatever an older daemon sealed")
+	path := filepath.Join(dataDir, url.PathEscape("ft"), "relstore.bin")
+	if err := os.WriteFile(path, planted, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	s2 := New(cfg)
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	s2 := New(cfg) // recovery runs, and logs, inside New
+	log.SetOutput(prev)
+	defer s2.Drain() // a no-op after the Drain the test ends with
 	hs2 := httptest.NewServer(s2)
 	defer hs2.Close()
-	defer s2.Drain()
 	c2 := NewClient(hs2.URL)
-	warm, err := c2.Compress(ctx, "ft", bonsai.ClassSelector{})
+	if got := logged.String(); strings.Contains(got, "relation store") {
+		t.Fatalf("recovery looked at the relation store:\n%s", got)
+	}
+	after, err := c2.Compress(ctx, "ft", bonsai.ClassSelector{})
 	if err != nil {
-		t.Fatalf("warm compress: %v", err)
+		t.Fatalf("compress after restart: %v", err)
 	}
-	if warm.Cache.Fresh != 0 {
-		t.Fatalf("recovered daemon ran %d fresh refinements, want 0", warm.Cache.Fresh)
+	if after.ClassesCompressed != before.ClassesCompressed ||
+		after.SumAbstractNodes != before.SumAbstractNodes ||
+		after.SumAbstractLinks != before.SumAbstractLinks {
+		t.Fatalf("recovered compression differs: %+v vs %+v", after, before)
 	}
-	if warm.ClassesCompressed != cold.ClassesCompressed ||
-		warm.SumAbstractNodes != cold.SumAbstractNodes ||
-		warm.SumAbstractLinks != cold.SumAbstractLinks {
-		t.Fatalf("warm compression differs: %+v vs %+v", warm, cold)
+	if reach2 := reaches(c2); !slices.Equal(reach2, reach1) {
+		t.Fatalf("recovered reach answers differ:\n%v\n%v", reach2, reach1)
 	}
 	metricsText, err := c2.Metrics(ctx)
 	if err != nil {
@@ -447,54 +474,8 @@ func TestSealedRelationStoreWarmsRecovery(t *testing.T) {
 			t.Fatalf("metric %s missing tenant series:\n%s", name, grepLines(metricsText, name))
 		}
 	}
-}
-
-// TestOldFormatRelationStoreColdStarts: a relstore.bin left by a daemon that
-// wrote the version-1 format is refused by its magic; recovery logs the
-// rejection and the tenant starts cold, serving the same answers.
-func TestOldFormatRelationStoreColdStarts(t *testing.T) {
-	dataDir := t.TempDir()
-	ctx := context.Background()
-	cfg := Config{DataDir: dataDir, Fsync: journal.SyncNever}
-
-	s1 := New(cfg)
-	hs1 := httptest.NewServer(s1)
-	c1 := NewClient(hs1.URL)
-	if err := c1.OpenNetwork(ctx, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	first, err := c1.Compress(ctx, "ft", bonsai.ClassSelector{})
-	if err != nil {
-		t.Fatalf("compress: %v", err)
-	}
-	s1.Drain()
-	hs1.Close()
-	path := filepath.Join(dataDir, url.PathEscape("ft"), relStoreFile)
-	if err := os.WriteFile(path, []byte("BRELST\x00\x01 whatever a version-1 daemon wrote"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var logged bytes.Buffer
-	prev := log.Writer()
-	log.SetOutput(&logged)
-	s2 := New(cfg) // recovery runs, and logs, inside New
-	log.SetOutput(prev)
-	hs2 := httptest.NewServer(s2)
-	defer hs2.Close()
-	defer s2.Drain()
-	if got := logged.String(); !strings.Contains(got, "relation store rejected (cold start)") || !strings.Contains(got, "bad magic") {
-		t.Fatalf("recovery log does not report the rejection:\n%s", got)
-	}
-	again, err := NewClient(hs2.URL).Compress(ctx, "ft", bonsai.ClassSelector{})
-	if err != nil {
-		t.Fatalf("compress after cold start: %v", err)
-	}
-	if again.Cache.Fresh == 0 {
-		t.Fatalf("tenant did not start cold: %+v", again.Cache)
-	}
-	if again.ClassesCompressed != first.ClassesCompressed ||
-		again.SumAbstractNodes != first.SumAbstractNodes ||
-		again.SumAbstractLinks != first.SumAbstractLinks {
-		t.Fatalf("cold-started compression differs: %+v vs %+v", again, first)
+	s2.Drain()
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, planted) {
+		t.Fatalf("the new daemon rewrote relstore.bin (err %v)", err)
 	}
 }

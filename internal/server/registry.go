@@ -75,10 +75,7 @@ type tenant struct {
 	// conservative lower bound, safe because delta replay is
 	// prefix-idempotent. recovery is set once at startup recovery and
 	// read-only after. The ckpt* channels drive the background checkpointer.
-	jrnl *journal.Journal
-	// dir is the tenant's data directory (set with jrnl); the sealed
-	// relation store lives beside the journal segments.
-	dir        string
+	jrnl       *journal.Journal
 	appliedSeq atomic.Uint64
 	recovery   *RecoveryInfo
 	ckptEvery  int

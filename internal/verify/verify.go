@@ -44,9 +44,9 @@ type Result struct {
 	Total           time.Duration
 	// DistinctAbstractions is provenance, not an answer: the Builder's
 	// cumulative count of abstractions computed by refinement (bonsai mode).
-	// It depends on what the cache had already seen — a warm relation store,
-	// an earlier Compress, adoption across a delta — so two engines over the
-	// same configuration may report different values for the same verdict.
+	// It depends on what the cache had already seen — an earlier Compress,
+	// adoption across a delta — so two engines over the same configuration
+	// may report different values for the same verdict.
 	DistinctAbstractions int
 	// solves counts the classes whose control plane was solved, per-pair
 	// certification's re-analyses aside: one per fingerprint group in bonsai

@@ -150,9 +150,9 @@ type Report struct {
 	AbstractNodeSum int64 `json:"abstract_node_sum,omitempty"`
 	// DistinctAbstractions is provenance, not an answer: the engine's
 	// cumulative count of abstractions computed by refinement (bonsai mode).
-	// It depends on cache history — a warm relation store, an earlier
-	// Compress, adoption across a delta — so two engines over the same
-	// configuration may report different values for the same verdict.
+	// It depends on cache history — an earlier Compress, adoption across a
+	// delta — so two engines over the same configuration may report
+	// different values for the same verdict.
 	DistinctAbstractions int `json:"distinct_abstractions,omitempty"`
 	// CompressTime is the portion of Total spent compressing (bonsai mode).
 	CompressTime time.Duration `json:"compress_ns"`
