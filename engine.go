@@ -659,9 +659,7 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 			return nil, err // state not swapped; the old snapshot stays live
 		}
 	}
-	if faultinject.Active() {
-		faultinject.Fire(faultinject.ApplySwap, "")
-	}
+	faultinject.Fire(faultinject.ApplySwap, "")
 	e.state.Store(st2)
 	if e.opts.pool != nil {
 		// Pool membership follows the snapshot: the successor is attached

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"bonsai/internal/config"
-	"bonsai/internal/equiv"
 	"bonsai/internal/netgen"
+	"bonsai/internal/oracle"
 	"bonsai/internal/policy"
 	"bonsai/internal/srp"
 	"bonsai/internal/topo"
@@ -259,7 +259,7 @@ func TestPrefsExactUnderEBGPReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := equiv.CheckAcrossSolutions(conc, abst, abs, 8); err != nil {
+	if err := oracle.CheckAcrossSolutions(conc, abst, abs, 8); err != nil {
 		t.Fatalf("CP-equivalence violated on the asymmetric diamond: %v", err)
 	}
 }

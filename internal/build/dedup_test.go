@@ -3,7 +3,7 @@ package build
 import (
 	"context"
 	"fmt"
-	"net/netip"
+	"os"
 	"reflect"
 	"slices"
 	"sync"
@@ -12,42 +12,21 @@ import (
 	"bonsai/internal/config"
 	"bonsai/internal/core"
 	"bonsai/internal/netgen"
-	"bonsai/internal/policy"
 	"bonsai/internal/topo"
 )
 
-// bgpDiamond rebuilds the paper's Figure 2 gadget (examples/bgpdiamond):
-// three identically configured routers preferring peer-learned routes, the
-// central case for BGP-effective abstraction and ∀∀ refinement.
+// bgpDiamond parses the paper's Figure 2 gadget from the root regress set
+// (testdata/regress/figure2.cfg): three identically configured routers
+// preferring peer-learned routes, the central case for BGP-effective
+// abstraction and ∀∀ refinement.
 func bgpDiamond() *config.Network {
-	n := config.New("figure2")
-	for i, name := range []string{"a", "b1", "b2", "b3", "d"} {
-		n.AddRouter(name).EnsureBGP(65001 + i)
+	src, err := os.ReadFile("../../testdata/regress/figure2.cfg")
+	if err != nil {
+		panic(err)
 	}
-	peer := func(x, y string) {
-		n.AddLink(x, y)
-		n.Routers[x].BGP.Neighbors[y] = &config.Neighbor{}
-		n.Routers[y].BGP.Neighbors[x] = &config.Neighbor{}
-	}
-	for _, b := range []string{"b1", "b2", "b3"} {
-		peer("a", b)
-		peer(b, "d")
-	}
-	peer("b1", "b2")
-	peer("b2", "b3")
-	peer("b1", "b3")
-	n.Routers["d"].Originate = append(n.Routers["d"].Originate,
-		netip.MustParsePrefix("10.0.0.0/24"))
-	for _, bn := range []string{"b1", "b2", "b3"} {
-		r := n.Routers[bn]
-		r.Env.RouteMaps["PREF-PEER"] = &policy.RouteMap{Name: "PREF-PEER", Clauses: []policy.Clause{
-			{Seq: 10, Action: policy.Permit, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 200}}},
-		}}
-		for peerName, nb := range r.BGP.Neighbors {
-			if peerName[0] == 'b' {
-				nb.ImportMap = "PREF-PEER"
-			}
-		}
+	n, err := config.ParseString(string(src))
+	if err != nil {
+		panic(err)
 	}
 	return n
 }

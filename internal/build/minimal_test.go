@@ -4,10 +4,10 @@ import (
 	"context"
 	"testing"
 
-	"bonsai/internal/abstraction"
 	"bonsai/internal/config"
 	"bonsai/internal/core"
 	"bonsai/internal/netgen"
+	"bonsai/internal/oracle"
 	"bonsai/internal/topo"
 )
 
@@ -89,7 +89,7 @@ func TestFreshAbstractionsPairwiseMinimal(t *testing.T) {
 							multiPref[g] = true
 						}
 					}
-					c := &abstraction.Checker{Abs: m, G: b.G, EdgeKey: edgeKey}
+					c := &oracle.Checker{Abs: m, G: b.G, EdgeKey: edgeKey}
 					if c.CheckAll(mode, multiPref) == nil {
 						t.Errorf("%s %v: groups led by %s and %s merge and still satisfy the conditions",
 							tc.name, cls.Prefix, b.G.Name(abs.Groups[x][0]), b.G.Name(abs.Groups[y][0]))

@@ -10,12 +10,12 @@ import (
 	"strings"
 	"testing"
 
-	"bonsai/internal/abstraction"
 	"bonsai/internal/config"
 	"bonsai/internal/core"
 	"bonsai/internal/dataplane"
 	"bonsai/internal/ec"
 	"bonsai/internal/netgen"
+	"bonsai/internal/oracle"
 	"bonsai/internal/policy"
 	"bonsai/internal/srp"
 	"bonsai/internal/topo"
@@ -41,7 +41,7 @@ func checkConditions(t *testing.T, b *Builder, comp *policy.Compiler, cls ec.Cla
 			}
 		}
 	}
-	c := &abstraction.Checker{Abs: abs, G: b.G, EdgeKey: b.EdgeKeyFunc(comp, cls)}
+	c := &oracle.Checker{Abs: abs, G: b.G, EdgeKey: b.EdgeKeyFunc(comp, cls)}
 	if err := c.CheckAll(mode, multiPref); err != nil {
 		t.Errorf("class %v: %v", cls.Prefix, err)
 	}
@@ -105,7 +105,7 @@ func checkHeld(t *testing.T, b *Builder, comp *policy.Compiler, cell string, pic
 	t.Logf("%d %s abstractions checked", n, cell)
 }
 
-// smallDatacenter is the two-cluster datacenter internal/abstraction's
+// smallDatacenter is the two-cluster datacenter internal/oracle's
 // TestGeneratedNetworksSatisfyConditions compresses: several prefixes per
 // leaf, so most classes are identity hits.
 func smallDatacenter() *config.Network {

@@ -6,7 +6,7 @@ import (
 
 	"bonsai/internal/build"
 	"bonsai/internal/ec"
-	"bonsai/internal/equiv"
+	"bonsai/internal/oracle"
 	"bonsai/internal/srp"
 )
 
@@ -30,7 +30,7 @@ func compressFirstClass(t *testing.T, b *build.Builder) (*srp.Instance, *srp.Ins
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := equiv.CheckAcrossSolutions(conc, abst, abs, 4); err != nil {
+	if err := oracle.CheckAcrossSolutions(conc, abst, abs, 4); err != nil {
 		t.Fatalf("CP-equivalence violated: %v", err)
 	}
 	return conc, abst, abs.NumAbstractNodes(), abs.NumAbstractEdges()

@@ -1,13 +1,24 @@
-// Package abstraction checks the effective-abstraction conditions of paper
-// §4 (Figure 4) on a computed abstraction: dest-equivalence, the ∀∃ and ∀∀
-// topology conditions, and transfer-equivalence of edges mapped together.
-// The compression algorithm in internal/core constructs abstractions that
-// satisfy these by construction; this package is the independent validator —
-// the paper's point is precisely that these local conditions are efficiently
-// checkable and imply the global CP-equivalence property. It is test-side
-// code: only _test.go files import it (its own, and internal/build's
-// provenance matrix).
-package abstraction
+// Package oracle is the paper's two independent checks of a computed
+// abstraction, the ones the compression in internal/core is tested against.
+// It is test-side code: only _test.go files import it.
+//
+// Checker holds the effective-abstraction conditions of §4 (Figure 4):
+// dest-equivalence, the ∀∃ and ∀∀ topology conditions, and
+// transfer-equivalence of edges mapped together. Compression constructs
+// abstractions that satisfy them by construction; the paper's point is that
+// these local conditions are efficiently checkable and imply the global
+// CP-equivalence property.
+//
+// Check and CheckAcrossSolutions test that property on solutions (§2, §4.2):
+// label-equivalence — every node carries the h-image of its abstract
+// counterpart's attribute — and fwd-equivalence — the forwarding relations
+// agree modulo the topology function f. For BGP-effective abstractions with
+// case splitting, the mapping from concrete nodes to split copies depends on
+// the solution (Theorem 4.5), so behaviors are matched group-wise: every
+// member's behavior must be realized by some copy and vice versa, with
+// attribute paths compared after normalising both sides to abstraction
+// groups.
+package oracle
 
 import (
 	"fmt"

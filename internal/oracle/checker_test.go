@@ -1,4 +1,4 @@
-package abstraction
+package oracle
 
 import (
 	"context"
@@ -116,6 +116,36 @@ func TestDetectsBrokenForallExists(t *testing.T) {
 	c := &Checker{Abs: abs, G: g, EdgeKey: uniformKey}
 	if err := c.CheckForallExists(); err == nil {
 		t.Fatal("∀∃ violation not detected")
+	}
+}
+
+func TestDetectsBrokenForallForall(t *testing.T) {
+	// Two chains d - y1 - x1 and d - y2 - x2 with {x1, x2} a
+	// multi-preference group and {y1, y2} merged: every member reaches some
+	// member of the next group, so ∀∃ holds, but x1 has no edge to y2.
+	g := topo.New()
+	d, x1, x2, y1, y2 := g.AddNode("d"), g.AddNode("x1"), g.AddNode("x2"), g.AddNode("y1"), g.AddNode("y2")
+	g.AddLink(d, y1)
+	g.AddLink(d, y2)
+	g.AddLink(y1, x1)
+	g.AddLink(y2, x2)
+	live := make([]bool, len(g.Edges()))
+	for i := range live {
+		live[i] = true
+	}
+	prefs := func(u topo.NodeID) int {
+		if u == x1 || u == x2 {
+			return 2
+		}
+		return 1
+	}
+	abs := core.Assemble(g, d, []int{0, 1, 1, 2, 2}, core.AssembleOptions{Mode: core.ModeBGP, Prefs: prefs, LiveEdges: live})
+	c := &Checker{Abs: abs, G: g, EdgeKey: uniformKey}
+	if err := c.CheckForallExists(); err != nil {
+		t.Fatalf("test premise broken: %v", err)
+	}
+	if err := c.CheckForallForall(map[int]bool{abs.F[x1]: true}); err == nil {
+		t.Fatal("∀∀ violation not detected")
 	}
 }
 

@@ -1,13 +1,4 @@
-// Package equiv checks CP-equivalence between a solved concrete SRP and a
-// solved abstraction of it (paper §2, §4.2): label-equivalence — every node
-// carries the h-image of its abstract counterpart's attribute — and
-// fwd-equivalence — the forwarding relations agree modulo the topology
-// function f. For BGP-effective abstractions with case splitting, the
-// mapping from concrete nodes to split copies depends on the solution
-// (Theorem 4.5), so the checker matches behaviors group-wise: every member's
-// behavior must be realized by some copy and vice versa, with attribute
-// paths compared after normalising both sides to abstraction groups.
-package equiv
+package oracle
 
 import (
 	"fmt"

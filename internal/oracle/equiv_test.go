@@ -1,4 +1,4 @@
-package equiv
+package oracle
 
 import (
 	"testing"

@@ -127,52 +127,44 @@ func AllPairsBonsai(ctx context.Context, b *build.Builder, opts Options) (*Resul
 
 // allPairs fans b's classes out over opts.Fanout(b) workers, compressing
 // each class with its worker's compiler or, unless compressed, solving it
-// concretely. Compressed, only the first class of each fingerprint group is
-// fanned out and solved: a fingerprint is everything AbstractInstance and
-// AbstractACLPermitFunc read of a class (destination, origins, statics,
-// route-map matches, ACL verdicts), so the group's other members would
-// build the same instance from the same abstraction and get the same
-// answer. Concrete mode stays per class; it is the oracle the grouping is
-// tested against. Each worker folds its classes into its own tally and the
-// tallies are summed after the run, so no lock is shared between workers or
-// between calls.
+// concretely. Compressed, each fingerprint group is fanned out as one item
+// and solved through its first class: a fingerprint is everything
+// AbstractInstance and AbstractACLPermitFunc read of a class (destination,
+// origins, statics, route-map matches, ACL verdicts), so the group's other
+// members would build the same instance from the same abstraction and get
+// the same answer. Concrete mode stays per class; it is the oracle the
+// grouping is tested against. Each worker folds its classes into its own
+// tally and the tallies are summed after the run, so no lock is shared
+// between workers or between calls.
 func allPairs(ctx context.Context, b *build.Builder, opts Options, compressed bool, compilers []*policy.Compiler) (*Result, error) {
 	classes := clip(b.Classes(), opts.MaxClasses)
 	res := &Result{Mode: "concrete", Classes: len(classes)}
-	items := classes
-	var key func(ec.Class) string
-	var groups [][]ec.Class // in first-occurrence order; items holds each one's first class
-	var groupOf map[string]int
+	key := func(ec.Class) string { return "" } // every class its own group
 	if compressed {
 		res.Mode, key = "bonsai", FingerprintKey(b)
-		items, groupOf = make([]ec.Class, 0, len(classes)), make(map[string]int)
-		groups = make([][]ec.Class, 0, len(classes))
-		for i, cls := range classes {
-			k := key(cls)
-			if g, ok := groupOf[k]; ok {
-				groups[g] = append(groups[g], cls)
-				continue
-			}
-			if k != "" {
-				groupOf[k] = len(groups)
-			}
-			// Capped at one, so a second member copies instead of
-			// overwriting classes[i+1].
-			groups = append(groups, classes[i:i+1:i+1])
-			items = append(items, cls)
+	}
+	// In first-occurrence order; a "" key never joins a group.
+	groups, groupOf := make([][]ec.Class, 0, len(classes)), make(map[string]int)
+	for i, cls := range classes {
+		k := key(cls)
+		if g, ok := groupOf[k]; ok {
+			groups[g] = append(groups[g], cls)
+			continue
 		}
+		if k != "" {
+			groupOf[k] = len(groups)
+		}
+		// Capped at one, so a second member copies instead of
+		// overwriting classes[i+1].
+		groups = append(groups, classes[i:i+1:i+1])
 	}
 	tallies := make([]tally, opts.Fanout(b))
 	start := time.Now()
-	// No item shares a key with another, so the pool gets no key.
-	err := ForEachClassKeyed(ctx, items, len(tallies), nil, func(worker int, cls ec.Class) error {
-		members := []ec.Class{cls}
+	// No group shares a key with another, so the pool gets no key.
+	err := ForEachClassKeyed(ctx, groups, len(tallies), nil, func(worker int, members []ec.Class) error {
 		var comp *policy.Compiler
 		if compressed {
 			comp = compilers[worker]
-			if k := key(cls); k != "" {
-				members = groups[groupOf[k]]
-			}
 		}
 		return tallies[worker].addGroup(ctx, b, comp, members, compressed, opts.PerPairCertification)
 	})
@@ -371,18 +363,18 @@ func clip(classes []ec.Class, max int) []ec.Class {
 	return classes
 }
 
-// ForEachClassKeyed fans f out over classes. With workers <= 1 it runs
-// serially in slice order — the batch reference shape the differential
-// tests compare the pool against; otherwise it hands the classes to the
-// worker pool of internal/sched, with key (when non-nil) ordering them
-// leaders-first by deduplication fingerprint so each fingerprint's first
-// class computes once and the repeats, handed out after every first class,
-// run on the warm cache. Each invocation of f receives its worker index
-// (compilers are per-worker) and runs at most min(workers, len(classes))
-// at a time. Cancelling ctx stops the workers promptly and returns the
-// context's error. It is the shared fan-out primitive of the verify engines
-// and the public bonsai Engine.
-func ForEachClassKeyed(ctx context.Context, classes []ec.Class, workers int, key func(ec.Class) string, f func(worker int, cls ec.Class) error) error {
+// ForEachClassKeyed fans f out over classes (or groups of them). With
+// workers <= 1 it runs serially in slice order — the batch reference shape
+// the differential tests compare the pool against; otherwise it hands the
+// classes to the worker pool of internal/sched, with key (when non-nil)
+// ordering them leaders-first by deduplication fingerprint so each
+// fingerprint's first class computes once and the repeats, handed out after
+// every first class, run on the warm cache. Each invocation of f receives
+// its worker index (compilers are per-worker) and runs at most
+// min(workers, len(classes)) at a time. Cancelling ctx stops the workers
+// promptly and returns the context's error. It is the shared fan-out
+// primitive of the verify engines and the public bonsai Engine.
+func ForEachClassKeyed[T any](ctx context.Context, classes []T, workers int, key func(T) string, f func(worker int, cls T) error) error {
 	if workers <= 1 {
 		for _, cls := range classes {
 			if err := ctx.Err(); err != nil {

@@ -4,23 +4,124 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"bonsai/internal/build"
 	"bonsai/internal/config"
 	"bonsai/internal/core"
-	"bonsai/internal/equiv"
 	"bonsai/internal/netgen"
+	"bonsai/internal/oracle"
+	"bonsai/internal/srp"
+	"bonsai/internal/topo"
 	"bonsai/internal/verify"
 )
 
-// TestPaperNumbers holds the reproduction of the paper's evaluation (§8) to
-// the values EXPERIMENTS.md records: Table 1(a)'s closed forms, Table 1(b)'s
-// sizes and roles, Figure 11's policy comparison, Figure 12's shape and the
-// §8 single query. Every value is exact; timings stay with the benchmarks in
-// bench_test.go. -short skips Table 1(a)'s three largest networks.
+// TestPaperNumbers holds the reproduction of the paper to the values
+// EXPERIMENTS.md records: Figures 2–3's BGP gadget, and from the evaluation
+// (§8) Table 1(a)'s closed forms, Table 1(b)'s sizes and roles, Figure 11's
+// policy comparison, Figure 12's shape and the §8 single query. Every value
+// is exact; timings stay with the benchmarks in bench_test.go. -short skips
+// Table 1(a)'s three largest networks.
 func TestPaperNumbers(t *testing.T) {
+	// Figures 2–3: the gadget's b routers each prefer routes learned from
+	// another b, so loop prevention leaves one of them routing direct. Only
+	// case splitting the b group into |prefs| = 2 copies is sound
+	// (Theorem 4.5); the same partition assembled without it is not.
+	t.Run("Figure3", func(t *testing.T) {
+		src, err := os.ReadFile("testdata/regress/figure2.cfg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := config.ParseString(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := mustBuild(t, net)
+		cls := b.Classes()[0]
+		inst, err := b.Instance(cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sols := srp.SolveAll(inst, 64)
+		directs := make(map[string]bool)
+		for i, sol := range sols {
+			hops, direct := make(map[string]string), ""
+			for _, name := range []string{"b1", "b2", "b3"} {
+				var to []string
+				for _, v := range sol.Fwd[b.G.MustLookup(name)] {
+					to = append(to, b.G.Name(v))
+				}
+				if hops[name] = strings.Join(to, ","); hops[name] == "d" {
+					direct = name
+				}
+			}
+			want := map[string]string{"b1": direct, "b2": direct, "b3": direct}
+			want[direct] = "d"
+			if !maps.Equal(hops, want) {
+				t.Errorf("solution %d: the b routers forward %v, want one to d and the other two to it", i, hops)
+			}
+			directs[direct] = true
+		}
+		if len(sols) != 3 || len(directs) != 3 {
+			t.Errorf("%d stable solutions routing %d distinct b routers direct, want 3 and 3", len(sols), len(directs))
+		}
+
+		comp := b.NewCompiler(true)
+		abs, err := b.Compress(context.Background(), comp, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var groups []string
+		for gi, ms := range abs.Groups {
+			var names []string
+			for _, u := range ms {
+				names = append(names, b.G.Name(u))
+			}
+			groups = append(groups, fmt.Sprint(names, "x", len(abs.Copies[gi])))
+		}
+		got := fmt.Sprint(abs.NumAbstractNodes(), "/", abs.NumAbstractEdges(), " ", groups)
+		if want := "4/5 [[a]x1 [b1 b2 b3]x2 [d]x1]"; got != want {
+			t.Errorf("abstraction (nodes/links [group x copies]) = %s, want %s", got, want)
+		}
+		prefs, multiPref := b.PrefsFunc(cls), make(map[int]bool)
+		for u, g := range abs.F {
+			multiPref[g] = multiPref[g] || prefs(topo.NodeID(u)) > 1
+		}
+		c := &oracle.Checker{Abs: abs, G: b.G, EdgeKey: b.EdgeKeyFunc(comp, cls)}
+		abst, err := b.AbstractInstance(cls, abs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(c.CheckAll(core.ModeBGP, multiPref), oracle.CheckAcrossSolutions(inst, abst, abs, 64)); err != nil {
+			t.Errorf("case-split abstraction: %v", err)
+		}
+
+		// Figure 3(b): the same partition, one copy per group.
+		live := make([]bool, len(b.G.Edges()))
+		for i := range live {
+			live[i] = true
+		}
+		c.Abs = core.Assemble(b.G, abs.Dest, abs.F, core.AssembleOptions{Mode: core.ModeBGP, LiveEdges: live})
+		if n := c.Abs.NumAbstractNodes(); n != 3 {
+			t.Errorf("naive abstraction has %d nodes, want 3", n)
+		}
+		if err := c.CheckAll(core.ModeBGP, multiPref); err == nil {
+			t.Error("Figure 4's conditions accept the naive abstraction")
+		}
+		if abst, err = b.AbstractInstance(cls, c.Abs); err != nil {
+			t.Fatal(err)
+		}
+		for _, seeds := range []int{1, 4, 64} {
+			if oracle.CheckAcrossSolutions(inst, abst, c.Abs, seeds) == nil {
+				t.Errorf("the bisimulation check accepts the naive abstraction at %d seeds", seeds)
+			}
+		}
+	})
+
 	t.Run("Table1a", func(t *testing.T) {
 		for _, r := range []struct {
 			family                string
@@ -80,7 +181,7 @@ func TestPaperNumbers(t *testing.T) {
 				conc, err := b.Instance(cls)
 				abst, err2 := b.AbstractInstance(cls, abss[i])
 				if err = errors.Join(err, err2); err == nil {
-					err = equiv.CheckAcrossSolutions(conc, abst, abss[i], 4)
+					err = oracle.CheckAcrossSolutions(conc, abst, abss[i], 4)
 				}
 				if err != nil {
 					t.Errorf("fattree-8 policy %d, class %v: %v", policy, cls.Prefix, err)
