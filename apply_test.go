@@ -15,35 +15,9 @@ import (
 	"bonsai/internal/protocols"
 )
 
-// queryFingerprint renders every (source, class) reachability answer of the
-// engine — the observable behavior an incremental update must preserve.
-func queryFingerprint(t *testing.T, eng *bonsai.Engine) string {
-	t.Helper()
-	ctx := context.Background()
-	srcs := eng.Network().RouterNames()
-	out := ""
-	for _, dest := range eng.Classes() {
-		for _, src := range srcs {
-			res, err := eng.Reach(ctx, src, dest)
-			if err != nil {
-				t.Fatalf("reach %s -> %s: %v", src, dest, err)
-			}
-			con, err := eng.ReachConcrete(ctx, src, dest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Reachable != con.Reachable {
-				t.Fatalf("compressed answer diverges from concrete for %s -> %s after update", src, dest)
-			}
-			out += fmt.Sprintf("%s>%s=%v;", src, dest, res.Reachable)
-		}
-	}
-	return out
-}
-
 // checkApplyEquivalence warms eng, applies delta, and asserts that every
-// query answer afterwards is field-identical to a cold engine opened on the
-// post-delta configuration.
+// answer afterwards equals a cold engine's opened on the post-delta
+// configuration.
 func checkApplyEquivalence(t *testing.T, eng *bonsai.Engine, delta bonsai.Delta) *bonsai.ApplyReport {
 	t.Helper()
 	ctx := context.Background()
@@ -54,24 +28,7 @@ func checkApplyEquivalence(t *testing.T, eng *bonsai.Engine, delta bonsai.Delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := bonsai.Open(eng.Network())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := queryFingerprint(t, eng), queryFingerprint(t, fresh); got != want {
-		t.Fatalf("warm engine diverges from cold open after %+v", delta)
-	}
-	warm, err := eng.Verify(ctx, bonsai.VerifyRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := fresh.Verify(ctx, bonsai.VerifyRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Pairs != cold.Pairs || warm.ReachablePairs != cold.ReachablePairs || warm.Classes != cold.Classes {
-		t.Fatalf("verify reports diverge: warm %v cold %v", warm, cold)
-	}
+	bonsai.CheckConsistentSnapshot(t, eng)
 	return rep
 }
 
@@ -96,7 +53,7 @@ func TestApplyLinkFlap(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkApplyEquivalence(t, eng, bonsai.Delta{LinkUp: link})
-			if got, want := queryFingerprint(t, eng), queryFingerprint(t, orig); got != want {
+			if got, want := bonsai.QueryFingerprint(t, eng), bonsai.QueryFingerprint(t, orig); got != want {
 				t.Fatal("link up did not restore the original behavior")
 			}
 		})
@@ -590,7 +547,7 @@ func TestApplyChangingMatchedCommunities(t *testing.T) {
 		if got, want := classSizes(t, eng), classSizes(t, cold); !maps.Equal(got, want) {
 			t.Fatalf("abstract sizes after the edit differ from a cold Open's:\n%v\n%v", got, want)
 		}
-		if got, want := queryFingerprint(t, eng), queryFingerprint(t, cold); got != want {
+		if got, want := bonsai.QueryFingerprint(t, eng), bonsai.QueryFingerprint(t, cold); got != want {
 			t.Fatal("reach after the edit differs from a cold Open's")
 		}
 		cold.Close()

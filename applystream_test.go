@@ -25,31 +25,18 @@ func feed(deltas ...bonsai.Delta) <-chan bonsai.Delta {
 	return ch
 }
 
-// verifyCounts compares the engine's Verify report against a cold Open on
-// the engine's current configuration — the field-identical acceptance
+// verifyCounts compares the engine's answers and roles against a cold Open
+// on the engine's current configuration — the field-identical acceptance
 // check of the robustness contract.
 func verifyCounts(t *testing.T, eng *bonsai.Engine) {
 	t.Helper()
+	bonsai.CheckConsistentSnapshot(t, eng)
 	ctx := context.Background()
 	fresh, err := bonsai.Open(eng.Network())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	if got, want := queryFingerprint(t, eng), queryFingerprint(t, fresh); got != want {
-		t.Fatal("stream engine queries diverge from cold open on final config")
-	}
-	warm, err := eng.Verify(ctx, bonsai.VerifyRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := fresh.Verify(ctx, bonsai.VerifyRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Pairs != cold.Pairs || warm.ReachablePairs != cold.ReachablePairs || warm.Classes != cold.Classes {
-		t.Fatalf("verify reports diverge: warm %v cold %v", warm, cold)
-	}
 	warmRoles, err := eng.Roles(ctx, bonsai.RolesRequest{})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +56,7 @@ func TestApplyStreamFlapStormInvalidatesZero(t *testing.T) {
 	if _, err := eng.Compress(ctx, bonsai.ClassSelector{}); err != nil {
 		t.Fatal(err)
 	}
-	before := queryFingerprint(t, eng)
+	before := bonsai.QueryFingerprint(t, eng)
 
 	// Storm: every core-adjacent link of two pods flaps down and back up,
 	// several times, all queued before the stream starts — the batch must
@@ -100,7 +87,7 @@ func TestApplyStreamFlapStormInvalidatesZero(t *testing.T) {
 	if rep.EditsApplied != 0 || rep.Coalesced != len(storm) {
 		t.Fatalf("all %d edits should coalesce away: %+v", len(storm), rep)
 	}
-	if got := queryFingerprint(t, eng); got != before {
+	if got := bonsai.QueryFingerprint(t, eng); got != before {
 		t.Fatal("queries changed across a state-preserving flap storm")
 	}
 }
@@ -141,7 +128,7 @@ func streamDifferential(t *testing.T, cfg *bonsai.Network, log []bonsai.Delta, o
 	// agree with each other.
 	verifyCounts(t, streamed)
 	verifyCounts(t, naive)
-	if got, want := queryFingerprint(t, streamed), queryFingerprint(t, naive); got != want {
+	if got, want := bonsai.QueryFingerprint(t, streamed), bonsai.QueryFingerprint(t, naive); got != want {
 		t.Fatal("streamed engine diverges from naive per-delta engine")
 	}
 }

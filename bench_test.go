@@ -226,16 +226,19 @@ func BenchmarkBatfishQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dest := net.Routers["leaf-0-00"].Originate[0].String()
+	cls, src, err := verify.ResolveQuery(bd, "leaf-1-00", net.Routers["leaf-0-00"].Originate[0].String())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []string{"concrete", "bonsai"} {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ok, _, err := verify.Reach(context.Background(), bd, nil, "leaf-1-00", dest, mode == "bonsai")
+				reach, err := verify.ClassReach(context.Background(), bd, nil, cls, mode == "bonsai")
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !ok {
+				if !reach.Has(src) {
 					b.Fatal("query flipped to unreachable")
 				}
 			}
@@ -275,7 +278,7 @@ func BenchmarkAblationTagErasure(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(absNodes), "absNodes")
-			b.ReportMetric(float64(comp.M.Size()), "bddNodes")
+			b.ReportMetric(float64(comp.M.Stats().Nodes), "bddNodes")
 		})
 	}
 }

@@ -2,7 +2,9 @@ package bonsai_test
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"sync"
 	"testing"
 
 	"bonsai"
@@ -10,12 +12,13 @@ import (
 )
 
 // TestCompilerChurnBoundedMemory is the regression test for the pooled-
-// compiler lifecycle: Verify with more workers than the idle pool holds
-// forces overflow compilers to be created, used once, and retired on
-// release. Retirement must free each compiler's BDD tables and remove its
-// contribution from the engine aggregates — before retire() existed, every
-// pool-overflow release leaked the compiler's unique table, so live nodes
-// and heap grew linearly with query count. This test pins both down.
+// compiler lifecycle: concurrent Verify calls check out more compilers than
+// the idle pool holds, which forces overflow compilers to be created, used
+// once, and retired on release. Retirement must free each compiler's BDD
+// tables and remove its contribution from the engine aggregates — before
+// retire() existed, every pool-overflow release leaked the compiler's unique
+// table, so live nodes and heap grew linearly with query count. This test
+// pins both down.
 func TestCompilerChurnBoundedMemory(t *testing.T) {
 	eng, err := bonsai.Open(netgen.Fattree(4, netgen.PolicyShortestPath),
 		bonsai.WithWorkers(2)) // idle pool caps at workers+2 = 4
@@ -28,10 +31,21 @@ func TestCompilerChurnBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One churn round checks out 16 compilers at once: 4 from the pool,
-	// 12 freshly built and retired when the pool refuses them back.
+	// One churn round runs 8 Verify calls at once, each checking out 2
+	// compilers before it waits on its own workers: up to 16 checked out,
+	// 4 returned to the pool and the rest retired when it refuses them.
 	churn := func() {
-		if _, err := eng.Verify(ctx, bonsai.VerifyRequest{Workers: 16}); err != nil {
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = eng.Verify(ctx, bonsai.VerifyRequest{})
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -70,7 +70,8 @@ func usage() {
 
 Engine subcommands also accept -server URL -tenant NAME to run as a thin
 client of a bonsaid daemon (with -f, the tenant is opened from the file
-first; an already-open tenant is reused).`)
+first; an already-open tenant is reused). -write-abstract, -budget-mb and
+replay's -v are local-only.`)
 	os.Exit(2)
 }
 
@@ -162,6 +163,9 @@ func cmdCompress(args []string) error {
 	} else if ok {
 		if *writeAbstract {
 			return fmt.Errorf("compress: -write-abstract is local-only")
+		}
+		if *budgetMB != 0 {
+			return fmt.Errorf("compress: -budget-mb is local-only")
 		}
 		sel := bonsai.ClassSelector{Prefix: *dest, MaxClasses: *maxClasses}
 		return remoteCompress(ctx, ef, c, tenant, sel, *rows && !*ef.jsonOut)

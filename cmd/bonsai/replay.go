@@ -40,6 +40,9 @@ func cmdReplay(args []string) error {
 	if c, tenant, ok, err := ef.remote(ctx); err != nil {
 		return err
 	} else if ok {
+		if *verbose {
+			return fmt.Errorf("replay: -v is local-only")
+		}
 		return remoteReplay(ctx, ef, c, tenant, *logPath, *pending, *staleness, *cold, *resumeFrom)
 	}
 	eng, err := ef.open()

@@ -360,6 +360,10 @@ func (e *Engine) Compress(ctx context.Context, sel ClassSelector) (*CompressRepo
 	return s.Report(), nil
 }
 
+// NetworkInfo summarises the current network. Links counts live links only,
+// as Interfaces does.
+func (e *Engine) NetworkInfo() NetworkInfo { return e.networkInfo(e.state.Load()) }
+
 func (e *Engine) networkInfo(st *engineState) NetworkInfo {
 	return NetworkInfo{
 		Name:       st.cfg.Name,
@@ -397,13 +401,9 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 		return nil, ErrClosed
 	}
 	st := e.state.Load()
-	workers := req.Workers
-	if workers <= 0 {
-		workers = e.opts.workerCount()
-	}
 	opts := verify.Options{
 		MaxClasses:           req.MaxClasses,
-		Workers:              workers,
+		Workers:              e.opts.workerCount(),
 		PerPairCertification: req.PerPair,
 	}
 	var res *verify.Result

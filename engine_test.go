@@ -100,11 +100,11 @@ func TestEngineVerifyAndReach(t *testing.T) {
 // must cost no more than one worker per class (Fattree(4) has 8).
 func TestVerifyWorkersBoundedByClasses(t *testing.T) {
 	allocated := func(workers int) uint64 {
-		eng := openFattree(t, 4, netgen.PolicyShortestPath)
+		eng := openFattree(t, 4, netgen.PolicyShortestPath, bonsai.WithWorkers(workers))
 		defer eng.Close()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := eng.Verify(context.Background(), bonsai.VerifyRequest{Workers: workers}); err != nil {
+		if _, err := eng.Verify(context.Background(), bonsai.VerifyRequest{}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -11,7 +11,6 @@ package bonsai
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -30,58 +29,6 @@ func gauntletOpen(t *testing.T, opts ...Option) *Engine {
 	t.Cleanup(func() { eng.Close() })
 	t.Cleanup(faultinject.Reset)
 	return eng
-}
-
-// gauntletFingerprint renders every (source, class) answer, cross-checked
-// against concrete simulation.
-func gauntletFingerprint(t *testing.T, eng *Engine) string {
-	t.Helper()
-	ctx := context.Background()
-	var out strings.Builder
-	for _, dest := range eng.Classes() {
-		for _, src := range eng.Network().RouterNames() {
-			res, err := eng.Reach(ctx, src, dest)
-			if err != nil {
-				t.Fatalf("reach %s -> %s: %v", src, dest, err)
-			}
-			con, err := eng.ReachConcrete(ctx, src, dest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Reachable != con.Reachable {
-				t.Fatalf("compressed diverges from concrete for %s -> %s", src, dest)
-			}
-			fmt.Fprintf(&out, "%s>%s=%v;", src, dest, res.Reachable)
-		}
-	}
-	return out.String()
-}
-
-// checkConsistentSnapshot is the gauntlet's invariant: whatever just
-// happened, the engine's queries must match a cold Open on the
-// configuration the engine currently reports.
-func checkConsistentSnapshot(t *testing.T, eng *Engine) {
-	t.Helper()
-	fresh, err := Open(eng.Network())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if got, want := gauntletFingerprint(t, eng), gauntletFingerprint(t, fresh); got != want {
-		t.Fatal("post-fault queries diverge from cold open on the engine's config")
-	}
-	ctx := context.Background()
-	warm, err := eng.Verify(ctx, VerifyRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := fresh.Verify(ctx, VerifyRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Pairs != cold.Pairs || warm.ReachablePairs != cold.ReachablePairs || warm.Classes != cold.Classes {
-		t.Fatalf("verify reports diverge: warm %v cold %v", warm, cold)
-	}
 }
 
 var gauntletDelta = Delta{LinkDown: []LinkRef{{A: "agg-0-0", B: "core-0"}}}
@@ -110,7 +57,7 @@ func TestGauntletCancelMidAdoptionKeepsOldSnapshot(t *testing.T) {
 	if _, err := eng.Compress(bg, ClassSelector{}); err != nil {
 		t.Fatal(err)
 	}
-	before := gauntletFingerprint(t, eng)
+	before := queryFingerprint(t, eng)
 	beforeCfg := eng.Network()
 
 	ctx, cancel := context.WithCancel(bg)
@@ -154,7 +101,7 @@ func TestGauntletCancelMidAdoptionKeepsOldSnapshot(t *testing.T) {
 	if eng.Network() != beforeCfg {
 		t.Fatal("failed apply must not swap the snapshot")
 	}
-	if got := gauntletFingerprint(t, eng); got != before {
+	if got := queryFingerprint(t, eng); got != before {
 		t.Fatal("old snapshot's answers changed after a cancelled apply")
 	}
 	checkConsistentSnapshot(t, eng)

@@ -18,7 +18,7 @@
 // chasing per-node chain links through the node array.
 //
 // Every manager seeds the same canonical prefix: terminals at handles 0/1
-// and the single-variable diagrams at Var(i) = 2+2i, NVar(i) = 3+2i. Two
+// and the single-variable diagrams at Var(i) = 2+2i, ¬Var(i) = 3+2i. Two
 // managers over the same variable count therefore agree on these handles,
 // which makes Var a bounds check plus arithmetic (no table probe) and lets a
 // Space stamp the prefix into each manager by copying it (see Space).
@@ -48,8 +48,9 @@ const (
 )
 
 // Manager owns a universe of BDD nodes over a fixed number of variables.
-// Variable indices run from 0 (top of every diagram) to NumVars-1.
-// The zero value is not usable; call New or Space.NewManager.
+// Variable indices run from 0 (top of every diagram) to the variable count
+// minus one.
+// The zero value is not usable; call Space.NewManager.
 type Manager struct {
 	nvars   int32
 	seedLen int32 // terminals + per-variable seeds; identical across managers with equal nvars
@@ -67,7 +68,6 @@ type Manager struct {
 	ite    []iteEntry
 	apply2 []applyEntry
 	unary  []unaryEntry
-	sat    []satEntry
 
 	// Op-cache counters, folded into engine aggregates by the owner.
 	hits       uint64
@@ -78,11 +78,10 @@ type Manager struct {
 // Cache geometry. Sizes are fixed per Manager (lossy caches never grow);
 // powers of two keep the index computation a mask. The binary/ITE caches
 // dominate and get the largest tables; entries are 16 bytes, so the total is
-// ~2.3 MiB per Manager.
+// 2.25 MiB per Manager.
 const (
 	// cacheBits is the size exponent of the ITE/apply operation caches
-	// (2^bits slots each); the unary and sat-count caches stay 4x and 8x
-	// smaller respectively.
+	// (2^bits slots each); the unary cache stays 4x smaller.
 	cacheBits = 16
 
 	// templateCacheBits sizes the manager a Space seeds once and keeps only
@@ -107,12 +106,6 @@ type unaryEntry struct {
 	op   uint8
 }
 
-// satEntry caches satCountRec(n) = c. n == 0 marks an empty slot.
-type satEntry struct {
-	n Node
-	c float64
-}
-
 const (
 	opNot uint8 = iota
 	opAnd
@@ -120,15 +113,7 @@ const (
 	opXor
 	opRestrictF
 	opRestrictT
-	opExists
 )
-
-// New creates a manager for numVars boolean variables.
-func New(numVars int) *Manager {
-	m := newShell(numVars, cacheBits)
-	m.seed()
-	return m
-}
 
 // newShell allocates a manager with caches of 2^bits ITE/apply slots but no
 // nodes.
@@ -141,7 +126,6 @@ func newShell(numVars, bits int) *Manager {
 		ite:    make([]iteEntry, 1<<bits),
 		apply2: make([]applyEntry, 1<<bits),
 		unary:  make([]unaryEntry, 1<<(bits-2)),
-		sat:    make([]satEntry, 1<<(bits-3)),
 	}
 }
 
@@ -187,13 +171,6 @@ func (m *Manager) insert(level int32, key uint64) Node {
 	m.table[h] = idx
 	return Node(idx)
 }
-
-// NumVars reports the number of variables the manager was created with.
-func (m *Manager) NumVars() int { return int(m.nvars) }
-
-// Size reports the total number of live nodes (including terminals and the
-// per-variable seed prefix).
-func (m *Manager) Size() int { return len(m.level) }
 
 // pack combines two children into one unique-table key / storage word.
 func pack(lo, hi Node) uint64 { return uint64(uint32(lo)) | uint64(uint32(hi))<<32 }
@@ -274,14 +251,6 @@ func (m *Manager) Var(i int) Node {
 		badVar(i, m.nvars)
 	}
 	return Node(2 + 2*int32(i))
-}
-
-// NVar returns the BDD for the negation of variable i.
-func (m *Manager) NVar(i int) Node {
-	if uint32(i) >= uint32(m.nvars) {
-		badVar(i, m.nvars)
-	}
-	return Node(3 + 2*int32(i))
 }
 
 func badVar(i int, nvars int32) {
@@ -519,43 +488,6 @@ func (m *Manager) Restrict(n Node, v int, val bool) Node {
 	return r
 }
 
-// Exists existentially quantifies variable v out of n.
-func (m *Manager) Exists(n Node, v int) Node {
-	if n <= True {
-		return n
-	}
-	ln := m.level[n]
-	if ln > int32(v) {
-		return n
-	}
-	e := &m.unary[mix3(n, Node(opExists), Node(v))&uint32(len(m.unary)-1)]
-	if e.a == n && e.op == opExists && e.arg == int32(v) {
-		m.hits++
-		return e.r
-	}
-	m.misses++
-	lo, hi := unpack(m.lohi[n])
-	var r Node
-	if ln == int32(v) {
-		r = m.Or(lo, hi)
-	} else {
-		r = m.mk(ln, m.Exists(lo, v), m.Exists(hi, v))
-	}
-	if e.a != 0 {
-		m.overwrites++
-	}
-	*e = unaryEntry{a: n, r: r, arg: int32(v), op: opExists}
-	return r
-}
-
-// ExistsMany existentially quantifies each listed variable out of n.
-func (m *Manager) ExistsMany(n Node, vars []int) Node {
-	for _, v := range vars {
-		n = m.Exists(n, v)
-	}
-	return n
-}
-
 // Eval evaluates n under a complete assignment (indexed by variable).
 func (m *Manager) Eval(n Node, assign []bool) bool {
 	for n > True {
@@ -567,45 +499,6 @@ func (m *Manager) Eval(n Node, assign []bool) bool {
 		}
 	}
 	return n == True
-}
-
-// SatCount returns the number of satisfying assignments of n over all
-// NumVars variables, as a float64 (exact for counts below 2^53).
-func (m *Manager) SatCount(n Node) float64 {
-	return m.satCountRec(n) * pow2(int(m.level[n]))
-}
-
-func (m *Manager) satCountRec(n Node) float64 {
-	if n == False {
-		return 0
-	}
-	if n == True {
-		return 1
-	}
-	e := &m.sat[mix3(n, 0, 0)&uint32(len(m.sat)-1)]
-	if e.n == n {
-		m.hits++
-		return e.c
-	}
-	m.misses++
-	ln := m.level[n]
-	nlo, nhi := unpack(m.lohi[n])
-	lo := m.satCountRec(nlo) * pow2(int(m.level[nlo]-ln-1))
-	hi := m.satCountRec(nhi) * pow2(int(m.level[nhi]-ln-1))
-	c := lo + hi
-	if e.n != 0 {
-		m.overwrites++
-	}
-	*e = satEntry{n: n, c: c}
-	return c
-}
-
-func pow2(k int) float64 {
-	r := 1.0
-	for i := 0; i < k; i++ {
-		r *= 2
-	}
-	return r
 }
 
 // AnySat returns one satisfying assignment of n (indexed by variable), or
@@ -625,58 +518,6 @@ func (m *Manager) AnySat(n Node) ([]bool, bool) {
 		}
 	}
 	return assign, true
-}
-
-// Support returns the sorted set of variables n depends on.
-func (m *Manager) Support(n Node) []int {
-	seen := make(map[Node]bool)
-	vars := make(map[int]bool)
-	var walk func(Node)
-	walk = func(x Node) {
-		if x <= True || seen[x] {
-			return
-		}
-		seen[x] = true
-		vars[int(m.level[x])] = true
-		lo, hi := unpack(m.lohi[x])
-		walk(lo)
-		walk(hi)
-	}
-	walk(n)
-	out := make([]int, 0, len(vars))
-	for v := range vars {
-		out = append(out, v)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// NodeCount returns the number of distinct internal nodes reachable from n.
-func (m *Manager) NodeCount(n Node) int {
-	if n <= True {
-		return 0
-	}
-	seen := make(map[Node]bool)
-	var walk func(Node)
-	walk = func(x Node) {
-		if x <= True || seen[x] {
-			return
-		}
-		seen[x] = true
-		lo, hi := unpack(m.lohi[x])
-		walk(lo)
-		walk(hi)
-	}
-	walk(n)
-	return len(seen)
 }
 
 // Stats is a point-in-time snapshot of a manager's storage and op-cache
@@ -716,5 +557,5 @@ func (m *Manager) Stats() Stats {
 // silent corruption. Close is idempotent.
 func (m *Manager) Close() {
 	m.level, m.lohi, m.table = nil, nil, nil
-	m.ite, m.apply2, m.unary, m.sat = nil, nil, nil, nil
+	m.ite, m.apply2, m.unary = nil, nil, nil
 }

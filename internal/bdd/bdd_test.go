@@ -7,7 +7,7 @@ import (
 )
 
 func TestTerminals(t *testing.T) {
-	m := New(4)
+	m := NewSpace(4).NewManager()
 	if m.Const(true) != True || m.Const(false) != False {
 		t.Fatal("constants wrong")
 	}
@@ -15,20 +15,20 @@ func TestTerminals(t *testing.T) {
 		t.Fatal("not of terminals wrong")
 	}
 	// A fresh manager holds the two terminals plus the seeded
-	// single-variable diagrams (Var/NVar per variable).
-	if want := 2 + 2*4; m.Size() != want {
-		t.Fatalf("fresh manager size = %d, want %d", m.Size(), want)
+	// single-variable diagrams (a variable and its negation per variable).
+	if want := 2 + 2*4; m.Stats().Nodes != want {
+		t.Fatalf("fresh manager size = %d, want %d", m.Stats().Nodes, want)
 	}
-	if int(m.seedLen) != m.Size() {
-		t.Fatalf("seed prefix %d != fresh size %d", m.seedLen, m.Size())
+	if int(m.seedLen) != m.Stats().Nodes {
+		t.Fatalf("seed prefix %d != fresh size %d", m.seedLen, m.Stats().Nodes)
 	}
-	if m.Var(2) != Node(2+2*2) || m.NVar(2) != Node(3+2*2) {
+	if m.Var(2) != Node(2+2*2) || m.Not(m.Var(2)) != Node(3+2*2) {
 		t.Fatal("seeded variable handles not at canonical indices")
 	}
 }
 
 func TestVarBasics(t *testing.T) {
-	m := New(3)
+	m := NewSpace(3).NewManager()
 	x, y := m.Var(0), m.Var(1)
 	if x == y {
 		t.Fatal("distinct variables shared a node")
@@ -51,7 +51,7 @@ func TestVarBasics(t *testing.T) {
 }
 
 func TestCanonicalEquality(t *testing.T) {
-	m := New(4)
+	m := NewSpace(4).NewManager()
 	a, b, c := m.Var(0), m.Var(1), m.Var(2)
 	// De Morgan: !(a & b) == !a | !b
 	lhs := m.Not(m.And(a, b))
@@ -70,7 +70,7 @@ func TestCanonicalEquality(t *testing.T) {
 }
 
 func TestITE(t *testing.T) {
-	m := New(3)
+	m := NewSpace(3).NewManager()
 	f, g, h := m.Var(0), m.Var(1), m.Var(2)
 	ite := m.ITE(f, g, h)
 	want := m.Or(m.And(f, g), m.And(m.Not(f), h))
@@ -86,7 +86,7 @@ func TestITE(t *testing.T) {
 }
 
 func TestRestrict(t *testing.T) {
-	m := New(3)
+	m := NewSpace(3).NewManager()
 	x, y := m.Var(0), m.Var(1)
 	f := m.Or(m.And(x, y), m.And(m.Not(x), m.Not(y)))
 	if m.Restrict(f, 0, true) != y {
@@ -100,24 +100,8 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestExists(t *testing.T) {
-	m := New(3)
-	x, y := m.Var(0), m.Var(1)
-	f := m.And(x, y)
-	if m.Exists(f, 0) != y {
-		t.Fatal("exists x. x&y should be y")
-	}
-	g := m.Xor(x, y)
-	if m.Exists(g, 1) != True {
-		t.Fatal("exists y. x^y should be true")
-	}
-	if m.ExistsMany(f, []int{0, 1}) != True {
-		t.Fatal("exists x,y. x&y should be true")
-	}
-}
-
 func TestEvalAgainstTruthTable(t *testing.T) {
-	m := New(4)
+	m := NewSpace(4).NewManager()
 	a, b, c, d := m.Var(0), m.Var(1), m.Var(2), m.Var(3)
 	f := m.Or(m.And(a, m.Not(b)), m.Xor(c, d))
 	for bits := 0; bits < 16; bits++ {
@@ -129,26 +113,8 @@ func TestEvalAgainstTruthTable(t *testing.T) {
 	}
 }
 
-func TestSatCount(t *testing.T) {
-	m := New(4)
-	x := m.Var(0)
-	if got := m.SatCount(x); got != 8 {
-		t.Fatalf("SatCount(x) over 4 vars = %v, want 8", got)
-	}
-	if got := m.SatCount(True); got != 16 {
-		t.Fatalf("SatCount(true) = %v, want 16", got)
-	}
-	if got := m.SatCount(False); got != 0 {
-		t.Fatalf("SatCount(false) = %v, want 0", got)
-	}
-	f := m.And(m.Var(0), m.And(m.Var(1), m.Var(2)))
-	if got := m.SatCount(f); got != 2 {
-		t.Fatalf("SatCount(x0&x1&x2) = %v, want 2", got)
-	}
-}
-
 func TestAnySat(t *testing.T) {
-	m := New(3)
+	m := NewSpace(3).NewManager()
 	f := m.And(m.Var(0), m.Not(m.Var(2)))
 	asg, ok := m.AnySat(f)
 	if !ok {
@@ -162,50 +128,21 @@ func TestAnySat(t *testing.T) {
 	}
 }
 
-func TestSupport(t *testing.T) {
-	m := New(5)
-	f := m.And(m.Var(1), m.Or(m.Var(3), m.Var(4)))
-	sup := m.Support(f)
-	want := []int{1, 3, 4}
-	if len(sup) != len(want) {
-		t.Fatalf("Support = %v, want %v", sup, want)
-	}
-	for i := range want {
-		if sup[i] != want[i] {
-			t.Fatalf("Support = %v, want %v", sup, want)
-		}
-	}
-}
-
-func TestEqConstAndVec(t *testing.T) {
-	m := New(8)
-	vars := []int{0, 1, 2, 3}
-	f := m.EqConst(vars, 10) // 1010 -> bit0=0 bit1=1 bit2=0 bit3=1
-	asg := make([]bool, 8)
-	asg[1], asg[3] = true, true
-	if !m.Eval(f, asg) {
-		t.Fatal("EqConst rejected its own value")
-	}
-	asg[0] = true
-	if m.Eval(f, asg) {
-		t.Fatal("EqConst accepted wrong value")
-	}
-	if got := m.SatCount(f); got != 16 { // 4 free vars
-		t.Fatalf("EqConst satcount = %v, want 16", got)
-	}
-	cv := m.ConstVec(10, 4)
-	if v, ok := VecValue(cv); !ok || v != 10 {
-		t.Fatalf("ConstVec/VecValue roundtrip got %v,%v", v, ok)
-	}
-}
-
 func TestVecOps(t *testing.T) {
-	m := New(6)
+	m := NewSpace(6).NewManager()
 	a := m.VarVec([]int{0, 1, 2})
 	b := m.ConstVec(5, 3)
 	eq := m.EqVec(a, b)
-	if eq != m.EqConst([]int{0, 1, 2}, 5) {
-		t.Fatal("EqVec disagrees with EqConst")
+	want := True // a == 5, bit by bit
+	for i := range a {
+		if 5&(1<<i) != 0 {
+			want = m.And(want, a[i])
+		} else {
+			want = m.And(want, m.Not(a[i]))
+		}
+	}
+	if eq != want {
+		t.Fatal("EqVec disagrees with the conjunction of its bits")
 	}
 	g := m.Var(5)
 	sel := m.ITEVec(g, a, b)
@@ -224,7 +161,7 @@ func TestVecOps(t *testing.T) {
 // closure, to cross-check semantics.
 func randomExpr(m *Manager, rng *rand.Rand, depth int) (Node, func([]bool) bool) {
 	if depth == 0 || rng.Intn(4) == 0 {
-		v := rng.Intn(m.NumVars())
+		v := rng.Intn(int(m.nvars))
 		return m.Var(v), func(a []bool) bool { return a[v] }
 	}
 	l, lf := randomExpr(m, rng, depth-1)
@@ -243,7 +180,7 @@ func randomExpr(m *Manager, rng *rand.Rand, depth int) (Node, func([]bool) bool)
 
 func TestRandomExprSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := New(6)
+	m := NewSpace(6).NewManager()
 	for trial := 0; trial < 200; trial++ {
 		n, f := randomExpr(m, rng, 5)
 		for bits := 0; bits < 64; bits++ {
@@ -291,7 +228,7 @@ func TestVecOpsElementwiseMeaning(t *testing.T) {
 	const nv = 6
 	asg := make([]bool, nv)
 	for round := 0; round < 100; round++ {
-		m := New(nv)
+		m := NewSpace(nv).NewManager()
 		width := 1 + rng.Intn(33)
 		f, ff := randomExpr(m, rng, 4)
 		g, gf := randVec(m, rng, width, 4)
@@ -327,7 +264,7 @@ func TestVecOpsElementwiseMeaning(t *testing.T) {
 func TestQuickCanonical(t *testing.T) {
 	// Property: for random 8-bit truth tables built two different ways,
 	// handles must be equal iff semantics are equal.
-	m := New(3)
+	m := NewSpace(3).NewManager()
 	build := func(tt uint8) Node {
 		r := False
 		for bits := 0; bits < 8; bits++ {
@@ -339,7 +276,7 @@ func TestQuickCanonical(t *testing.T) {
 				if bits&(1<<v) != 0 {
 					term = m.And(term, m.Var(v))
 				} else {
-					term = m.And(term, m.NVar(v))
+					term = m.And(term, m.Not(m.Var(v)))
 				}
 			}
 			r = m.Or(r, term)
@@ -356,7 +293,7 @@ func TestQuickCanonical(t *testing.T) {
 }
 
 func TestRehashGrowth(t *testing.T) {
-	m := New(20)
+	m := NewSpace(20).NewManager()
 	// Force many nodes to exercise table growth.
 	f := False
 	for i := 0; i < 20; i++ {
@@ -365,12 +302,12 @@ func TestRehashGrowth(t *testing.T) {
 			if (i+j)%2 == 0 {
 				term = m.And(term, m.Var(j))
 			} else {
-				term = m.And(term, m.NVar(j))
+				term = m.And(term, m.Not(m.Var(j)))
 			}
 		}
 		f = m.Or(f, term)
 	}
-	if m.NodeCount(f) == 0 {
+	if f <= True {
 		t.Fatal("expected nontrivial BDD")
 	}
 	// Canonicality must survive rehashing: rebuild and compare.
@@ -381,7 +318,7 @@ func TestRehashGrowth(t *testing.T) {
 			if (i+j)%2 == 0 {
 				term = m.And(term, m.Var(j))
 			} else {
-				term = m.And(term, m.NVar(j))
+				term = m.And(term, m.Not(m.Var(j)))
 			}
 		}
 		g = m.Or(g, term)

@@ -25,7 +25,7 @@ func buildAdder(m *bdd.Manager, nbits int) (sum, carry bdd.Node) {
 // cache-and-unique-table exercise.
 func BenchmarkITE(b *testing.B) {
 	const nbits = 64
-	m := bdd.New(2 * nbits)
+	m := bdd.NewSpace(2 * nbits).NewManager()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,7 +45,7 @@ func BenchmarkITE(b *testing.B) {
 // full ripple-carry adder on a warm manager.
 func BenchmarkApply2(b *testing.B) {
 	const nbits = 64
-	m := bdd.New(2 * nbits)
+	m := bdd.NewSpace(2 * nbits).NewManager()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,17 +55,17 @@ func BenchmarkApply2(b *testing.B) {
 	}
 }
 
-// BenchmarkAdderColdManager measures the whole stack — manager construction,
-// unique-table growth, operation caches and a SatCount — with nothing warm,
+// BenchmarkAdderColdManager measures the whole stack — space and manager
+// construction, unique-table growth and operation caches — with nothing warm,
 // the shape of work NewCompiler-per-query verification performs.
 func BenchmarkAdderColdManager(b *testing.B) {
 	const nbits = 64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := bdd.New(2 * nbits)
+		m := bdd.NewSpace(2 * nbits).NewManager()
 		_, carry := buildAdder(m, nbits)
-		if m.SatCount(carry) == 0 {
+		if carry == bdd.False {
 			b.Fatal("unsatisfiable carry")
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkUniqueTableGrowth(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := bdd.New(nvars)
+		m := bdd.NewSpace(nvars).NewManager()
 		f := bdd.False
 		for t := 0; t < 1<<12; t++ {
 			minterm := bdd.True
@@ -87,7 +87,7 @@ func BenchmarkUniqueTableGrowth(b *testing.B) {
 				if t&(1<<(v/2)) != 0 {
 					minterm = m.And(minterm, m.Var(v))
 				} else {
-					minterm = m.And(minterm, m.NVar(v))
+					minterm = m.And(minterm, m.Not(m.Var(v)))
 				}
 			}
 			f = m.Or(f, minterm)
@@ -95,20 +95,6 @@ func BenchmarkUniqueTableGrowth(b *testing.B) {
 		if f == bdd.False {
 			b.Fatal("disjunction collapsed")
 		}
-		b.ReportMetric(float64(m.Size()), "nodes")
-	}
-}
-
-// BenchmarkSatCount measures the lossy sat-count cache on a wide diagram.
-func BenchmarkSatCount(b *testing.B) {
-	const nbits = 48
-	m := bdd.New(2 * nbits)
-	_, carry := buildAdder(m, nbits)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m.SatCount(carry) == 0 {
-			b.Fatal("unsatisfiable carry")
-		}
+		b.ReportMetric(float64(m.Stats().Nodes), "nodes")
 	}
 }

@@ -6,7 +6,7 @@ package bdd
 // that each need a private manager over the same variable universe get a
 // lightweight view — NewManager copies three flat arrays instead of
 // re-hashing 2+2n seed nodes — while the seed handles stay globally
-// canonical: Var(i) and NVar(i) are the same Node value in every manager of
+// canonical: Var(i) and ¬Var(i) are the same Node values in every manager of
 // the space (and indeed in every manager with the same variable count).
 //
 // A Space is immutable after construction and safe for concurrent use; the
@@ -31,9 +31,6 @@ func NewSpace(numVars int) *Space {
 		seedMask:  m.mask,
 	}
 }
-
-// NumVars reports the variable count of the space.
-func (s *Space) NumVars() int { return int(s.nvars) }
 
 // NewManager stamps out a manager over the space. The new manager starts
 // with the space's seed prefix and a private copy of the seeded unique table.

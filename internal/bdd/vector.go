@@ -56,33 +56,3 @@ func (m *Manager) EqVec(a, b Vec) Node {
 	}
 	return r
 }
-
-// EqConst returns the BDD asserting that the variables vars, read as a
-// little-endian bit-vector, equal the constant v.
-func (m *Manager) EqConst(vars []int, v uint64) Node {
-	r := True
-	for i, x := range vars {
-		if v&(1<<uint(i)) != 0 {
-			r = m.And(r, m.Var(x))
-		} else {
-			r = m.And(r, m.NVar(x))
-		}
-	}
-	return r
-}
-
-// VecValue reads a concrete little-endian value out of a constant vector.
-// It reports ok=false if any element is non-constant.
-func VecValue(v Vec) (uint64, bool) {
-	var out uint64
-	for i, n := range v {
-		switch n {
-		case True:
-			out |= 1 << uint(i)
-		case False:
-		default:
-			return 0, false
-		}
-	}
-	return out, true
-}

@@ -128,10 +128,6 @@ type Abstraction struct {
 	ColorSplits int
 }
 
-// FAbs returns the topology function f as concrete node -> primary abstract
-// node (the first copy of its group).
-func (a *Abstraction) FAbs(u topo.NodeID) topo.NodeID { return a.Copies[a.F[u]][0] }
-
 // NumAbstractNodes returns the abstract node count including split copies.
 func (a *Abstraction) NumAbstractNodes() int { return a.AbsG.NumNodes() }
 

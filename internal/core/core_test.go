@@ -227,8 +227,8 @@ func TestDestIsAlone(t *testing.T) {
 	if len(abs.Groups[abs.F[d]]) != 1 {
 		t.Fatal("destination must be its own abstract node (dest-equivalence)")
 	}
-	if abs.FAbs(d) != abs.AbsDest {
-		t.Fatal("AbsDest inconsistent with FAbs")
+	if abs.Copies[abs.F[d]][0] != abs.AbsDest {
+		t.Fatal("AbsDest is not the first copy of the destination's group")
 	}
 }
 
@@ -246,7 +246,7 @@ func TestRepEdgeConsistency(t *testing.T) {
 		if !g.HasEdge(rep.U, rep.V) {
 			t.Fatalf("abstract edge %v: representative %v is not an edge", e, rep)
 		}
-		if abs.FAbs(rep.U) != e.U || abs.FAbs(rep.V) != e.V {
+		if abs.Copies[abs.F[rep.U]][0] != e.U || abs.Copies[abs.F[rep.V]][0] != e.V {
 			t.Fatalf("representative %v does not map to %v", rep, e)
 		}
 	}

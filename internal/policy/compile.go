@@ -53,7 +53,9 @@ type Space struct {
 }
 
 // NewSpace builds the shared compilation universe for the given community
-// set (deduplicated and sorted, like NewCompiler).
+// set (deduplicated and sorted). Passing only the communities that are ever
+// matched (rather than ever set) implements the unused-tag-erasing attribute
+// abstraction h(lp, tags, path) = (lp, tags − unused, f(path)) from §8.
 func NewSpace(universe []protocols.Community) *Space {
 	comms := append([]protocols.Community(nil), universe...)
 	sort.Slice(comms, func(i, j int) bool { return comms[i] < comms[j] })
@@ -84,35 +86,6 @@ func (s *Space) NewCompiler() *Compiler {
 		comms:   s.comms,
 		commIdx: s.commIdx,
 	}
-}
-
-// NewCompiler creates a compiler over the given community universe. Passing
-// only the communities that are ever matched (rather than ever set)
-// implements the unused-tag-erasing attribute abstraction
-// h(lp, tags, path) = (lp, tags − unused, f(path)) from §8.
-//
-// The result is a standalone compiler (no shared Space); handles still agree
-// with space-stamped compilers over the same universe because the seed prefix
-// is canonical either way.
-func NewCompiler(universe []protocols.Community) *Compiler {
-	comms := append([]protocols.Community(nil), universe...)
-	sort.Slice(comms, func(i, j int) bool { return comms[i] < comms[j] })
-	dedup := comms[:0]
-	for i, c := range comms {
-		if i == 0 || c != comms[i-1] {
-			dedup = append(dedup, c)
-		}
-	}
-	comms = dedup
-	c := &Compiler{
-		comms:   comms,
-		commIdx: make(map[protocols.Community]int, len(comms)),
-	}
-	for i, cm := range comms {
-		c.commIdx[cm] = i
-	}
-	c.M = bdd.New(2*len(comms) + 2*LPBits + 1)
-	return c
 }
 
 func (c *Compiler) commIn(i int) int  { return 2 * i }
@@ -253,12 +226,6 @@ func (c *Compiler) relation(st state) bdd.Node {
 	return m.And(rel, m.EqVec(m.VarVec(outs), masked))
 }
 
-// CompileRouteMap compiles one route map for destination pfx into its
-// canonical relation BDD.
-func (c *Compiler) CompileRouteMap(env *Env, name string, pfx netip.Prefix) bdd.Node {
-	return c.relation(c.evalRouteMap(env, name, pfx, c.initialState()))
-}
-
 // CompileEdge compiles the full BGP transfer policy of an SRP edge
 // (u learns from v): v's export route map followed by u's import route map,
 // as one composed relation. Two edges are policy-equivalent for this
@@ -283,11 +250,6 @@ func (c *Compiler) CompileEdgeEBGP(exportEnv *Env, exportMap string, importEnv *
 	st.lp = c.M.ConstVec(uint64(protocols.DefaultLocalPref), LPBits)
 	st = c.evalRouteMap(importEnv, importMap, pfx, st)
 	return c.relation(st)
-}
-
-// IdentityRelation is the relation of the empty policy (permit unchanged).
-func (c *Compiler) IdentityRelation() bdd.Node {
-	return c.relation(c.initialState())
 }
 
 // AlwaysDrops reports whether a compiled relation denies every input.

@@ -27,8 +27,8 @@ func figure10Env() (*Env, []protocols.Community) {
 
 func TestCompileMatchesConcreteEval(t *testing.T) {
 	env, comms := figure10Env()
-	c := NewCompiler(comms)
-	rel := c.CompileRouteMap(env, "M", pfx("10.0.0.0/24"))
+	c := NewSpace(comms).NewCompiler()
+	rel := c.CompileEdge(nil, "", env, "M", pfx("10.0.0.0/24"))
 
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
@@ -80,9 +80,9 @@ func TestCompileCanonicalEquivalence(t *testing.T) {
 			Sets: []Set{{Kind: SetLocalPref, Value: 300}}},
 		{Action: Permit},
 	}}
-	c := NewCompiler([]protocols.Community{c1})
+	c := NewSpace([]protocols.Community{c1}).NewCompiler()
 	p := pfx("10.0.0.0/24")
-	a, b, cc := c.CompileRouteMap(env, "A", p), c.CompileRouteMap(env, "B", p), c.CompileRouteMap(env, "C", p)
+	a, b, cc := c.CompileEdge(nil, "", env, "A", p), c.CompileEdge(nil, "", env, "B", p), c.CompileEdge(nil, "", env, "C", p)
 	if a != b {
 		t.Fatal("equivalent policies compiled to different nodes")
 	}
@@ -99,16 +99,16 @@ func TestCompilePrefixSpecialisation(t *testing.T) {
 	env.RouteMaps["F"] = &RouteMap{Clauses: []Clause{
 		{Action: Permit, Matches: []Match{{Kind: MatchPrefix, Arg: "only10"}}},
 	}}
-	c := NewCompiler(nil)
-	relIn := c.CompileRouteMap(env, "F", pfx("10.1.0.0/16"))
-	relOut := c.CompileRouteMap(env, "F", pfx("192.168.0.0/16"))
+	c := NewSpace(nil).NewCompiler()
+	relIn := c.CompileEdge(nil, "", env, "F", pfx("10.1.0.0/16"))
+	relOut := c.CompileEdge(nil, "", env, "F", pfx("192.168.0.0/16"))
 	if c.AlwaysDrops(relIn) {
 		t.Fatal("permitted destination compiled to constant drop")
 	}
 	if !c.AlwaysDrops(relOut) {
 		t.Fatal("filtered destination should compile to constant drop")
 	}
-	if relIn != c.IdentityRelation() {
+	if relIn != c.CompileEdge(nil, "", nil, "", pfx("10.1.0.0/16")) {
 		t.Fatal("pass-through policy should equal the identity relation")
 	}
 }
@@ -136,10 +136,10 @@ func TestCompileEdgeComposition(t *testing.T) {
 			{Kind: SetLocalPref, Value: 200},
 		}},
 	}}
-	c := NewCompiler([]protocols.Community{tag})
+	c := NewSpace([]protocols.Community{tag}).NewCompiler()
 	p := pfx("10.0.0.0/24")
 	composed := c.CompileEdge(envV, "exp", envU, "imp", p)
-	direct := c.CompileRouteMap(envOne, "both", p)
+	direct := c.CompileEdge(nil, "", envOne, "both", p)
 	if composed != direct {
 		t.Fatal("export∘import composition not canonical")
 	}
@@ -161,12 +161,12 @@ func TestUnusedCommunityErasure(t *testing.T) {
 	}}
 	p := pfx("10.0.0.0/24")
 
-	full := NewCompiler([]protocols.Community{unused1, unused2})
-	if full.CompileRouteMap(env, "A", p) == full.CompileRouteMap(env, "B", p) {
+	full := NewSpace([]protocols.Community{unused1, unused2}).NewCompiler()
+	if full.CompileEdge(nil, "", env, "A", p) == full.CompileEdge(nil, "", env, "B", p) {
 		t.Fatal("distinct tags should differ under the full universe")
 	}
-	erased := NewCompiler(nil) // neither tag is ever matched
-	if erased.CompileRouteMap(env, "A", p) != erased.CompileRouteMap(env, "B", p) {
+	erased := NewSpace(nil).NewCompiler() // neither tag is ever matched
+	if erased.CompileEdge(nil, "", env, "A", p) != erased.CompileEdge(nil, "", env, "B", p) {
 		t.Fatal("unused-tag differences should vanish under erasure")
 	}
 }
@@ -176,7 +176,7 @@ func TestSequentialDenyPropagates(t *testing.T) {
 	env := NewEnv()
 	env.RouteMaps["deny"] = &RouteMap{Clauses: []Clause{{Action: Deny}}}
 	env.RouteMaps["permit"] = &RouteMap{Clauses: []Clause{{Action: Permit}}}
-	c := NewCompiler(nil)
+	c := NewSpace(nil).NewCompiler()
 	p := pfx("10.0.0.0/24")
 	rel := c.CompileEdge(env, "deny", env, "permit", p)
 	if !c.AlwaysDrops(rel) {

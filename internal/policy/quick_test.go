@@ -70,7 +70,7 @@ func TestQuickCompileAgreesWithEval(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(99))
-	comp := NewCompiler(comms)
+	comp := NewSpace(comms).NewCompiler()
 	trials := 200
 	if testing.Short() {
 		trials = 40
@@ -78,7 +78,7 @@ func TestQuickCompileAgreesWithEval(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		env.RouteMaps["R"] = randomRouteMap(rng, env, comms)
 		for _, dst := range dests {
-			rel := comp.CompileRouteMap(env, "R", dst)
+			rel := comp.CompileEdge(nil, "", env, "R", dst)
 			for input := 0; input < 8; input++ {
 				var cs protocols.CommSet
 				for bit, cm := range comms {
@@ -147,7 +147,7 @@ func TestQuickCanonicalMeansEquivalent(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(123))
-	comp := NewCompiler(comms)
+	comp := NewSpace(comms).NewCompiler()
 	trials := 120
 	if testing.Short() {
 		trials = 30
@@ -155,8 +155,8 @@ func TestQuickCanonicalMeansEquivalent(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		env.RouteMaps["A"] = randomRouteMap(rng, env, comms)
 		env.RouteMaps["B"] = randomRouteMap(rng, env, comms)
-		relA := comp.CompileRouteMap(env, "A", dst)
-		relB := comp.CompileRouteMap(env, "B", dst)
+		relA := comp.CompileEdge(nil, "", env, "A", dst)
+		relB := comp.CompileEdge(nil, "", env, "B", dst)
 		semEq := signature("A") == signature("B")
 		if (relA == relB) != semEq {
 			t.Fatalf("trial %d: canonical=%v semantic=%v\nA=%+v\nB=%+v",

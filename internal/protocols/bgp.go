@@ -156,9 +156,6 @@ type BGP struct {
 // marked reads a per-edge flag vector, nil meaning no edge is marked.
 func marked(v []bool, i int) bool { return v != nil && v[i] }
 
-// Name implements srp.Protocol.
-func (p *BGP) Name() string { return "bgp" }
-
 // Origin implements srp.Protocol: ad = (100, {}, []).
 func (p *BGP) Origin() srp.Attr {
 	return &BGPAttr{LP: DefaultLocalPref}

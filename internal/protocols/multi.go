@@ -88,9 +88,6 @@ type Multi struct {
 	OriginOSPF bool
 }
 
-// Name implements srp.Protocol.
-func (p *Multi) Name() string { return "multi" }
-
 // Origin implements srp.Protocol: the destination holds a connected route
 // and injects the prefix into the configured protocols.
 func (p *Multi) Origin() srp.Attr {

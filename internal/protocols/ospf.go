@@ -34,9 +34,6 @@ type OSPF struct {
 	CrossArea []bool
 }
 
-// Name implements srp.Protocol.
-func (p *OSPF) Name() string { return "ospf" }
-
 // Origin implements srp.Protocol.
 func (p *OSPF) Origin() srp.Attr { return OSPFAttr{Cost: 0} }
 

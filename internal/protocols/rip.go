@@ -30,9 +30,6 @@ func (r *RIP) limit() int {
 	return r.Limit
 }
 
-// Name implements srp.Protocol.
-func (r *RIP) Name() string { return "rip" }
-
 // Origin implements srp.Protocol: the destination advertises hop count 0.
 func (r *RIP) Origin() srp.Attr { return 0 }
 

@@ -18,9 +18,6 @@ type Static struct {
 	Routes []bool
 }
 
-// Name implements srp.Protocol.
-func (p *Static) Name() string { return "static" }
-
 // Origin implements srp.Protocol.
 func (p *Static) Origin() srp.Attr { return true }
 

@@ -25,7 +25,7 @@ func benchServer(b *testing.B, k int) *Client {
 	})
 	c := NewClient(hs.URL)
 	ctx := context.Background()
-	if err := c.OpenNetwork(ctx, "bench", netgen.Fattree(k, netgen.PolicyShortestPath)); err != nil {
+	if err := openNetwork(ctx, c, "bench", netgen.Fattree(k, netgen.PolicyShortestPath)); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := c.Compress(ctx, "bench", bonsai.ClassSelector{}); err != nil {

@@ -105,10 +105,10 @@ func FuzzReplayBody(f *testing.F) {
 	var n atomic.Int64
 	f.Fuzz(func(t *testing.T, body []byte) {
 		name := "ft4-" + strconv.FormatInt(n.Add(1), 10)
-		if err := c.OpenNetwork(context.Background(), name, netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
+		if err := openNetwork(context.Background(), c, name, netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
 			t.Fatalf("open %s: %v", name, err)
 		}
-		defer c.Close(context.Background(), name)
+		defer closeTenant(context.Background(), c, name)
 		do(t, http.MethodPost, "/v1/tenants/"+name+"/replay", body)
 		if got := do(t, http.MethodGet, "/v1/tenants/"+name+"/stats", nil); got != http.StatusOK {
 			t.Fatalf("/stats after a replay: status %d", got)

@@ -36,7 +36,7 @@ type Client struct {
 // requests (reads, plus the read-only verify/compress POSTs) that hit 429
 // admission control are retried with capped exponential backoff and jitter,
 // honoring a Retry-After header when the daemon sends one, at most
-// maxRetries times. Mutations (Open, Apply, Close, Replay) are never
+// maxRetries times. Mutations (Open, Apply, Replay) are never
 // retried: a retry after an ambiguous failure could double-submit, and the
 // caller owns the ack bookkeeping.
 func NewClient(base string) *Client {
@@ -184,37 +184,9 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return c.doIdem(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
-// Version fetches the daemon's build metadata.
-func (c *Client) Version(ctx context.Context) (bonsai.VersionInfo, error) {
-	var v bonsai.VersionInfo
-	err := c.doIdem(ctx, http.MethodGet, "/version", nil, &v)
-	return v, err
-}
-
 // Open creates tenant name over the network's text serialization.
 func (c *Client) Open(ctx context.Context, name string, network io.Reader) error {
 	return c.once(ctx, http.MethodPut, "/v1/tenants/"+url.PathEscape(name), network, nil)
-}
-
-// OpenNetwork serializes net and opens it as tenant name.
-func (c *Client) OpenNetwork(ctx context.Context, name string, net *bonsai.Network) error {
-	var b bytes.Buffer
-	if err := bonsai.Print(&b, net); err != nil {
-		return err
-	}
-	return c.Open(ctx, name, &b)
-}
-
-// Close deletes tenant name.
-func (c *Client) Close(ctx context.Context, name string) error {
-	return c.once(ctx, http.MethodDelete, "/v1/tenants/"+url.PathEscape(name), nil, nil)
-}
-
-// Tenants lists open tenants.
-func (c *Client) Tenants(ctx context.Context) ([]TenantInfo, error) {
-	var out []TenantInfo
-	err := c.doIdem(ctx, http.MethodGet, "/v1/tenants", nil, &out)
-	return out, err
 }
 
 // Apply sends one delta and returns its report.

@@ -319,7 +319,7 @@ func runCrashScenario(t *testing.T, bin, crash string, extra []string) {
 	d := startBonsaid(t, bin, dataDir, extra, crash)
 	c := d.client()
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
-	if err := c.OpenNetwork(ctx, "ft", net); err != nil {
+	if err := openNetwork(ctx, c, "ft", net); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	deltas := stormDeltas(net, 12)
@@ -412,7 +412,7 @@ func runTamperScenario(t *testing.T, tamper func(t *testing.T, seg string)) {
 	d := startBonsaid(t, bin, dataDir, nil, "")
 	c := d.client()
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
-	if err := c.OpenNetwork(ctx, "ft", net); err != nil {
+	if err := openNetwork(ctx, c, "ft", net); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	for i, dl := range stormDeltas(net, 8) {

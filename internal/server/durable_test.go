@@ -32,7 +32,7 @@ func TestDurableDrainRestart(t *testing.T) {
 	s1 := New(cfg)
 	hs1 := httptest.NewServer(s1)
 	c1 := NewClient(hs1.URL)
-	if err := c1.OpenNetwork(ctx, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
+	if err := openNetwork(ctx, c1, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
@@ -76,7 +76,7 @@ func TestDurableDrainRestart(t *testing.T) {
 	defer s2.Drain()
 	c2 := NewClient(hs2.URL)
 
-	tenants, err := c2.Tenants(ctx)
+	tenants, err := listTenants(ctx, c2)
 	if err != nil || len(tenants) != 1 || tenants[0].Name != "ft" {
 		t.Fatalf("recovered tenants: %+v, %v", tenants, err)
 	}
@@ -102,7 +102,7 @@ func TestDurableDrainRestart(t *testing.T) {
 	}
 
 	// DELETE destroys the tenant's history; the next daemon has no tenants.
-	if err := c2.Close(ctx, "ft"); err != nil {
+	if err := closeTenant(ctx, c2, "ft"); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dataDir, url.PathEscape("ft"))); !os.IsNotExist(err) {
@@ -218,7 +218,7 @@ func TestReplayAbortReconverges(t *testing.T) {
 	dataDir := t.TempDir()
 	_, c := newTestServer(t, Config{DataDir: dataDir, Fsync: journal.SyncNever})
 	ctx := context.Background()
-	if err := c.OpenNetwork(ctx, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
+	if err := openNetwork(ctx, c, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
@@ -298,7 +298,7 @@ func TestDurableCheckpointTruncates(t *testing.T) {
 	s1 := New(cfg)
 	hs1 := httptest.NewServer(s1)
 	c1 := NewClient(hs1.URL)
-	if err := c1.OpenNetwork(ctx, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
+	if err := openNetwork(ctx, c1, "ft", netgen.Fattree(4, netgen.PolicyShortestPath)); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
@@ -398,7 +398,7 @@ func TestDrainedTenantRecoversFromCheckpoint(t *testing.T) {
 	hs1 := httptest.NewServer(s1)
 	c1 := NewClient(hs1.URL)
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
-	if err := c1.OpenNetwork(ctx, "ft", net); err != nil {
+	if err := openNetwork(ctx, c1, "ft", net); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	if _, err := c1.Compress(ctx, "ft", bonsai.ClassSelector{}); err != nil {

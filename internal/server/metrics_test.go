@@ -153,10 +153,10 @@ func metricsShapeScenario(t *testing.T) string {
 		}
 	}
 	net := netgen.Fattree(4, netgen.PolicyShortestPath)
-	must(c.OpenNetwork(ctx, "ft", net))
-	must(c.OpenNetwork(ctx, "gone", net))
-	must(c.Close(ctx, "gone"))
-	_, err := c.Tenants(ctx)
+	must(openNetwork(ctx, c, "ft", net))
+	must(openNetwork(ctx, c, "gone", net))
+	must(closeTenant(ctx, c, "gone"))
+	_, err := listTenants(ctx, c)
 	must(err)
 	_, err = c.Compress(ctx, "ft", bonsai.ClassSelector{})
 	must(err)

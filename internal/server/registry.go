@@ -470,16 +470,5 @@ type TenantInfo struct {
 }
 
 func (r *registry) info(t *tenant) TenantInfo {
-	net := t.eng.Network()
-	return TenantInfo{
-		Name: t.name,
-		Network: bonsai.NetworkInfo{
-			Name:       net.Name,
-			Routers:    len(net.Routers),
-			Links:      len(net.Links),
-			Interfaces: net.NumInterfaces(),
-			Classes:    len(t.eng.Classes()),
-		},
-		Cache: t.eng.Stats(),
-	}
+	return TenantInfo{Name: t.name, Network: t.eng.NetworkInfo(), Cache: t.eng.Stats()}
 }

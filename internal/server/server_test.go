@@ -1,13 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -30,10 +31,57 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *Client) {
 	return s, NewClient(hs.URL)
 }
 
+// openNetwork serializes net and opens it as tenant name.
+func openNetwork(ctx context.Context, c *Client, name string, net *bonsai.Network) error {
+	var b bytes.Buffer
+	if err := bonsai.Print(&b, net); err != nil {
+		return err
+	}
+	return c.Open(ctx, name, &b)
+}
+
+// closeTenant deletes tenant name.
+func closeTenant(ctx context.Context, c *Client, name string) error {
+	return c.once(ctx, http.MethodDelete, "/v1/tenants/"+url.PathEscape(name), nil, nil)
+}
+
+// listTenants lists the open tenants.
+func listTenants(ctx context.Context, c *Client) ([]TenantInfo, error) {
+	var out []TenantInfo
+	err := c.doIdem(ctx, http.MethodGet, "/v1/tenants", nil, &out)
+	return out, err
+}
+
 func openFattree(t testing.TB, c *Client, name string, k int) {
 	t.Helper()
-	if err := c.OpenNetwork(context.Background(), name, netgen.Fattree(k, netgen.PolicyShortestPath)); err != nil {
+	if err := openNetwork(context.Background(), c, name, netgen.Fattree(k, netgen.PolicyShortestPath)); err != nil {
 		t.Fatalf("open %s: %v", name, err)
+	}
+}
+
+// TestTenantInfoCountsLiveLinks: after a link-down, the tenant's info (GET
+// and list) reports the network as /compress does, live links only.
+func TestTenantInfoCountsLiveLinks(t *testing.T) {
+	_, c := newTestServer(t, Config{MaxQueriesPerTenant: 4})
+	openFattree(t, c, "ft4", 4)
+	ctx := context.Background()
+	if _, err := c.Apply(ctx, "ft4", bonsai.Delta{LinkDown: []bonsai.LinkRef{{A: "core-0", B: "agg-0-0"}}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.Compress(ctx, "ft4", bonsai.ClassSelector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info TenantInfo
+	if err := c.doIdem(ctx, http.MethodGet, "/v1/tenants/ft4", nil, &info); err != nil {
+		t.Fatal(err)
+	}
+	tenants, err := listTenants(ctx, c)
+	if err != nil || len(tenants) != 1 {
+		t.Fatalf("tenants: %+v, %v", tenants, err)
+	}
+	if info.Network != rep.Network || tenants[0].Network != rep.Network {
+		t.Fatalf("after a link-down: GET %+v, list %+v, compress %+v", info.Network, tenants[0].Network, rep.Network)
 	}
 }
 
@@ -45,17 +93,17 @@ func TestServerLifecycle(t *testing.T) {
 	if err := c.Healthz(ctx); err != nil {
 		t.Fatalf("healthz: %v", err)
 	}
-	v, err := c.Version(ctx)
-	if err != nil || v.GoVersion == "" {
+	var v bonsai.VersionInfo
+	if err := c.doIdem(ctx, http.MethodGet, "/version", nil, &v); err != nil || v.GoVersion == "" {
 		t.Fatalf("version: %+v, %v", v, err)
 	}
 
 	openFattree(t, c, "ft4", 4)
-	if err := c.OpenNetwork(ctx, "ft4", netgen.Fattree(4, netgen.PolicyShortestPath)); StatusCode(err) != http.StatusConflict {
+	if err := openNetwork(ctx, c, "ft4", netgen.Fattree(4, netgen.PolicyShortestPath)); StatusCode(err) != http.StatusConflict {
 		t.Fatalf("re-open: want 409, got %v", err)
 	}
 
-	tenants, err := c.Tenants(ctx)
+	tenants, err := listTenants(ctx, c)
 	if err != nil || len(tenants) != 1 || tenants[0].Name != "ft4" {
 		t.Fatalf("tenants: %+v, %v", tenants, err)
 	}
@@ -137,7 +185,7 @@ func TestServerLifecycle(t *testing.T) {
 		}
 	}
 
-	if err := c.Close(ctx, "ft4"); err != nil {
+	if err := closeTenant(ctx, c, "ft4"); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	if _, err := c.Stats(ctx, "ft4"); StatusCode(err) != http.StatusNotFound {
@@ -318,7 +366,7 @@ func TestServerConcurrentTenants(t *testing.T) {
 		t.Fatalf("pool accounting drift: members %d, total %d", sum, ps.LiveBytes)
 	}
 	for i := 0; i < n; i++ {
-		if err := c.Close(ctx, fmt.Sprintf("t%d", i)); err != nil {
+		if err := closeTenant(ctx, c, fmt.Sprintf("t%d", i)); err != nil {
 			t.Errorf("close t%d: %v", i, err)
 		}
 	}
@@ -488,7 +536,7 @@ func TestServerDrain(t *testing.T) {
 	// Drain must be blocked on the in-flight replay; new requests 503.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := c.Tenants(ctx)
+		_, err := listTenants(ctx, c)
 		if StatusCode(err) == http.StatusServiceUnavailable {
 			break
 		}
@@ -523,13 +571,13 @@ func TestServerTenantLimit(t *testing.T) {
 	_, c := newTestServer(t, Config{MaxTenants: 1})
 	ctx := context.Background()
 	openFattree(t, c, "a", 4)
-	if err := c.OpenNetwork(ctx, "b", netgen.Fattree(4, netgen.PolicyShortestPath)); StatusCode(err) != http.StatusTooManyRequests {
+	if err := openNetwork(ctx, c, "b", netgen.Fattree(4, netgen.PolicyShortestPath)); StatusCode(err) != http.StatusTooManyRequests {
 		t.Fatalf("open past the tenant cap: want 429, got %v", err)
 	}
-	if tenants, err := c.Tenants(ctx); err != nil || len(tenants) != 1 {
+	if tenants, err := listTenants(ctx, c); err != nil || len(tenants) != 1 {
 		t.Fatalf("tenants after a refused open: %+v, %v", tenants, err)
 	}
-	if err := c.Close(ctx, "a"); err != nil {
+	if err := closeTenant(ctx, c, "a"); err != nil {
 		t.Fatal(err)
 	}
 	openFattree(t, c, "b", 4)
@@ -639,23 +687,6 @@ func TestReachClientErrorsAreNot5xx(t *testing.T) {
 	}
 }
 
-// TestVerifyWorkersBoundedByGOMAXPROCS: every verify worker is a policy
-// compiler of a few MiB, so a body asking for more workers than the
-// engine's default is refused by name instead of allocated.
-func TestVerifyWorkersBoundedByGOMAXPROCS(t *testing.T) {
-	_, c := newTestServer(t, Config{MaxQueriesPerTenant: 4})
-	openFattree(t, c, "ft4", 4)
-	ctx := context.Background()
-	n := runtime.GOMAXPROCS(0)
-	_, err := c.Verify(ctx, "ft4", bonsai.VerifyRequest{Workers: n + 1})
-	if StatusCode(err) != http.StatusBadRequest || !strings.Contains(err.Error(), fmt.Sprintf("GOMAXPROCS %d", n)) {
-		t.Fatalf("workers=%d: want 400 naming GOMAXPROCS %d, got %v", n+1, n, err)
-	}
-	if _, err := c.Verify(ctx, "ft4", bonsai.VerifyRequest{Workers: n, MaxClasses: 2}); err != nil {
-		t.Fatalf("workers=%d: %v", n, err)
-	}
-}
-
 // TestMetricsCardinalityIsBoundedByTenants: /metrics has series for the
 // tenants the registry holds and for no other name, whatever clients ask for
 // and whichever tenants have come and gone.
@@ -689,7 +720,7 @@ func TestMetricsCardinalityIsBoundedByTenants(t *testing.T) {
 	if exp, err = c.Metrics(ctx); err != nil || !strings.Contains(exp, `bonsaid_request_seconds_count{tenant="passing",op="open"} 1`) {
 		t.Fatalf("a live tenant's requests are not labelled with it (%v):\n%s", err, exp)
 	}
-	if err := c.Close(ctx, "passing"); err != nil {
+	if err := closeTenant(ctx, c, "passing"); err != nil {
 		t.Fatal(err)
 	}
 	if exp, err = c.Metrics(ctx); err != nil || strings.Contains(exp, "passing") {

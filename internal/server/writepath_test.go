@@ -78,7 +78,7 @@ func TestDeleteDuringReplay(t *testing.T) {
 	waitUntil(t, "the apply to park behind the replay", func() bool { return len(tn.writes) == 1 })
 
 	deleted := make(chan error, 1)
-	go func() { deleted <- c.Close(ctx, "ft") }()
+	go func() { deleted <- closeTenant(ctx, c, "ft") }()
 	select {
 	case err := <-deleted:
 		if err != nil {

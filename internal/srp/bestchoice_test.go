@@ -114,19 +114,19 @@ func TestSolveMatchesTwoPassReference(t *testing.T) {
 				want, wantErr := solveReference(inst, seed, seed >= 0)
 				sol, err := Solve(inst, opts...)
 				if !errors.Is(err, wantErr) {
-					t.Fatalf("trial %d %s seed %d: err %v, reference %v", trial, p.Name(), seed, err, wantErr)
+					t.Fatalf("trial %d %T seed %d: err %v, reference %v", trial, p, seed, err, wantErr)
 				}
 				if err != nil {
 					continue
 				}
 				for u := range want {
 					if !p.Equal(sol.Label[u], want[u]) {
-						t.Fatalf("trial %d %s seed %d: label[%d] = %v, reference %v",
-							trial, p.Name(), seed, u, sol.Label[u], want[u])
+						t.Fatalf("trial %d %T seed %d: label[%d] = %v, reference %v",
+							trial, p, seed, u, sol.Label[u], want[u])
 					}
 				}
 				if fwd := forwarding(inst, want); !reflect.DeepEqual(sol.Fwd, fwd) {
-					t.Fatalf("trial %d %s seed %d: fwd %v, reference %v", trial, p.Name(), seed, sol.Fwd, fwd)
+					t.Fatalf("trial %d %T seed %d: fwd %v, reference %v", trial, p, seed, sol.Fwd, fwd)
 				}
 			}
 		}
@@ -200,13 +200,13 @@ func TestTransferReceivesEdgeIndex(t *testing.T) {
 				}
 				for u := range want {
 					if !p.Equal(sol.Label[u], want[u]) {
-						t.Fatalf("trial %d %s seed %d: label[%d] = %v, reference %v",
-							trial, p.Name(), seed, u, sol.Label[u], want[u])
+						t.Fatalf("trial %d %T seed %d: label[%d] = %v, reference %v",
+							trial, p, seed, u, sol.Label[u], want[u])
 					}
 				}
 			}
 			if g.NumEdges() > 0 && p.calls == 0 {
-				t.Fatalf("trial %d %s: no Transfer went through the wrapper", trial, p.Name())
+				t.Fatalf("trial %d %T: no Transfer went through the wrapper", trial, p)
 			}
 		}
 	}

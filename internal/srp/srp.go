@@ -22,8 +22,6 @@ type Attr interface{}
 // Protocol supplies the attribute-dependent pieces of an SRP instance: the
 // initial route ad, the comparison relation ≺ and the transfer function.
 type Protocol interface {
-	// Name identifies the protocol (used in diagnostics only).
-	Name() string
 	// Origin returns the initial attribute ad advertised by the destination.
 	Origin() Attr
 	// Compare orders two non-nil attributes: negative if a is preferred
@@ -96,11 +94,6 @@ type Option func(*options)
 // same SRP (paper Figure 2 has several).
 func WithOrder(seed int64) Option {
 	return func(o *options) { o.seed = seed; o.useSeed = true }
-}
-
-// WithMaxSweeps overrides the divergence bound (default 2·|V|+64 sweeps).
-func WithMaxSweeps(n int) Option {
-	return func(o *options) { o.maxSweeps = n }
 }
 
 // Solve simulates the SRP to a stable solution using asynchronous

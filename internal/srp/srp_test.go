@@ -11,7 +11,6 @@ import (
 // hopProto is a minimal shortest-path protocol for solver tests.
 type hopProto struct{ limit int }
 
-func (p *hopProto) Name() string { return "hops" }
 func (p *hopProto) Origin() Attr { return 0 }
 func (p *hopProto) Compare(a, b Attr) int {
 	return a.(int) - b.(int)
@@ -39,7 +38,6 @@ func (p *hopProto) Transfer(_ int, e topo.Edge, a Attr) Attr {
 // gadget).
 type growProto struct{}
 
-func (growProto) Name() string { return "grow" }
 func (growProto) Origin() Attr { return 0 }
 func (growProto) Compare(a, b Attr) int {
 	return b.(int) - a.(int) // bigger is better
@@ -157,7 +155,7 @@ func TestSolveDivergence(t *testing.T) {
 	d, x, y := g.AddNode("d"), g.AddNode("x"), g.AddNode("y")
 	g.AddLink(d, x)
 	g.AddLink(x, y)
-	_, err := Solve(&Instance{G: g, Dest: d, P: growProto{}}, WithMaxSweeps(50))
+	_, err := Solve(&Instance{G: g, Dest: d, P: growProto{}}) // the default bound, 2·|V|+64 sweeps
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}

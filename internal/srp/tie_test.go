@@ -32,7 +32,6 @@ func TestTieRandomization(t *testing.T) {
 
 type pathProto struct{}
 
-func (pathProto) Name() string { return "path" }
 func (pathProto) Origin() Attr { return []topo.NodeID{} }
 func (pathProto) Compare(a, b Attr) int {
 	return len(a.([]topo.NodeID)) - len(b.([]topo.NodeID))

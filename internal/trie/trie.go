@@ -30,9 +30,6 @@ type node struct {
 // New returns an empty trie.
 func New() *Trie { return &Trie{nodes: []node{{class: -1}}} }
 
-// Len returns the number of distinct prefixes inserted.
-func (t *Trie) Len() int { return len(t.terms) }
-
 // Insert records that origin originates prefix p. Only IPv4 prefixes are
 // supported.
 func (t *Trie) Insert(p netip.Prefix, origin string) {

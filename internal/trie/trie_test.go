@@ -97,8 +97,8 @@ func TestLenCountsDistinct(t *testing.T) {
 	tr.Insert(pfx("10.0.0.0/24"), "a")
 	tr.Insert(pfx("10.0.0.0/24"), "b")
 	tr.Insert(pfx("10.0.1.0/24"), "c")
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tr.Len())
+	if n := len(tr.Freeze().Classes()); n != 2 {
+		t.Fatalf("classes = %d, want 2", n)
 	}
 }
 

@@ -59,9 +59,6 @@ func (p *Partition) Members(id int) []int { return p.member[id] }
 // one moment; they must not modify it.
 func (p *Partition) Groups() []int { return p.live }
 
-// SameGroup reports whether x and y are currently in the same group.
-func (p *Partition) SameGroup(x, y int) bool { return p.group[x] == p.group[y] }
-
 // Split separates the listed elements out of their groups. Elements must
 // currently belong to live groups. For each affected group g, the elements
 // of g listed in xs form one new group and the remainder of g stays in g

@@ -29,7 +29,7 @@ func TestSplit(t *testing.T) {
 	if p.NumGroups() != 2 {
 		t.Fatalf("NumGroups = %d, want 2", p.NumGroups())
 	}
-	if p.SameGroup(1, 0) || !p.SameGroup(1, 3) || !p.SameGroup(0, 2) {
+	if p.Find(1) == p.Find(0) || p.Find(1) != p.Find(3) || p.Find(0) != p.Find(2) {
 		t.Fatal("split grouping wrong")
 	}
 	// Splitting out an entire group is a no-op.
@@ -48,10 +48,10 @@ func TestSplitAcrossGroups(t *testing.T) {
 	if len(created) != 2 {
 		t.Fatalf("created %d, want 2", len(created))
 	}
-	if !p.SameGroup(1, 2) || !p.SameGroup(4, 5) {
+	if p.Find(1) != p.Find(2) || p.Find(4) != p.Find(5) {
 		t.Fatal("remainders merged wrongly")
 	}
-	if p.SameGroup(0, 3) {
+	if p.Find(0) == p.Find(3) {
 		t.Fatal("split elements from different groups must stay apart")
 	}
 }
@@ -67,7 +67,7 @@ func TestRefine(t *testing.T) {
 	}
 	for x := 0; x < 8; x++ {
 		for y := 0; y < 8; y++ {
-			if (x%3 == y%3) != p.SameGroup(x, y) {
+			if (x%3 == y%3) != (p.Find(x) == p.Find(y)) {
 				t.Fatalf("refine grouping wrong at %d,%d", x, y)
 			}
 		}

@@ -24,8 +24,8 @@ func TestCancelledContextReturnsImmediately(t *testing.T) {
 	if _, err := AllPairsBonsai(ctx, b, Options{Workers: 2}); err != context.Canceled {
 		t.Fatalf("AllPairsBonsai: %v", err)
 	}
-	if _, _, err := Reach(ctx, b, nil, "edge-0-0", "10.0.0.0/24", true); err != context.Canceled {
-		t.Fatalf("Reach: %v", err)
+	if _, err := reach(ctx, b, "edge-0-0", "10.0.0.0/24", true); err != context.Canceled {
+		t.Fatalf("reach: %v", err)
 	}
 }
 

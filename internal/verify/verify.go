@@ -334,28 +334,6 @@ func ResolveQuery(b *build.Builder, srcName, destPrefix string) (ec.Class, topo.
 	return cls, src, nil
 }
 
-// Reach answers a single reachability query: can traffic from src reach the
-// destination prefix? With useBonsai, the query runs on the compressed
-// network (src is mapped through the topology function f). comp, when
-// non-nil, supplies the policy compiler for the bonsai path — long-lived
-// callers pass one to reuse its BDD tables across queries; nil creates a
-// fresh compiler per call.
-func Reach(ctx context.Context, b *build.Builder, comp *policy.Compiler, srcName, destPrefix string, useBonsai bool) (bool, time.Duration, error) {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return false, 0, err
-	}
-	cls, src, err := ResolveQuery(b, srcName, destPrefix)
-	if err != nil {
-		return false, 0, err
-	}
-	reach, err := ClassReach(ctx, b, comp, cls, useBonsai)
-	if err != nil {
-		return false, 0, err
-	}
-	return reach.Has(src), time.Since(start), nil
-}
-
 func clip(classes []ec.Class, max int) []ec.Class {
 	if max > 0 && len(classes) > max {
 		return classes[:max]

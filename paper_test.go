@@ -215,10 +215,14 @@ func TestPaperNumbers(t *testing.T) {
 
 	t.Run("Query", func(t *testing.T) {
 		dest := dc.Cfg.Routers["leaf-0-00"].Originate[0].String()
+		cls, src, err := verify.ResolveQuery(dc, "leaf-1-00", dest)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, bonsai := range []bool{false, true} {
-			ok, _, err := verify.Reach(context.Background(), dc, nil, "leaf-1-00", dest, bonsai)
-			if err != nil || !ok {
-				t.Errorf("leaf-1-00 -> %s (bonsai %v): reachable %v, err %v", dest, bonsai, ok, err)
+			reach, err := verify.ClassReach(context.Background(), dc, nil, cls, bonsai)
+			if err != nil || !reach.Has(src) {
+				t.Errorf("leaf-1-00 -> %s (bonsai %v): reachable %v, err %v", dest, bonsai, err == nil && reach.Has(src), err)
 			}
 		}
 	})

@@ -132,8 +132,6 @@ type VerifyRequest struct {
 	PerPair bool `json:"per_pair,omitempty"`
 	// MaxClasses bounds the classes verified; 0 means all.
 	MaxClasses int `json:"max_classes,omitempty"`
-	// Workers overrides the engine's worker count for this call.
-	Workers int `json:"workers,omitempty"`
 }
 
 // Report is the structured result of a Verify call.

@@ -141,11 +141,11 @@ func TestStreamMatchesBatch(t *testing.T) {
 
 			// Verify differential: the sched fan-out must report the
 			// same verification result as the serial loop.
-			vSerial, err := engSerial.Verify(ctx, bonsai.VerifyRequest{Workers: 1})
+			vSerial, err := engSerial.Verify(ctx, bonsai.VerifyRequest{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			vPar, err := engPar.Verify(ctx, bonsai.VerifyRequest{Workers: 4})
+			vPar, err := engPar.Verify(ctx, bonsai.VerifyRequest{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -142,7 +142,7 @@ func TestReportsRoundTrip(t *testing.T) {
 	})
 	roundTrip(t, ApplyStats{Pending: 2, Received: 10, Rejected: 1, Batches: 3, MaxPending: 5})
 	roundTrip(t, ClassSelector{Prefix: "10.0.0.0/24", MaxClasses: 8})
-	roundTrip(t, VerifyRequest{Concrete: true, PerPair: true, MaxClasses: 4, Workers: 2})
+	roundTrip(t, VerifyRequest{Concrete: true, PerPair: true, MaxClasses: 4})
 	roundTrip(t, RolesRequest{NoErase: true, NoStatics: true})
 	roundTrip(t, VersionInfo{
 		Module: "bonsai", Version: "(devel)", GoVersion: "go1.24",
