@@ -39,7 +39,8 @@ func WithBatchObserver(fn func(*ApplyReport)) StreamApplyOption {
 }
 
 // ApplyStats is a live snapshot of stream ingestion, readable from any
-// goroutine while an ApplyStream is running (and after it returns).
+// goroutine while an ApplyStream is running (and after it returns). It is
+// provenance whole.
 type ApplyStats struct {
 	// Pending is the current queue depth: deltas accepted into the batch
 	// being gathered but not yet applied.
@@ -62,7 +63,7 @@ func (e *Engine) ApplyStats() ApplyStats {
 	return ApplyStats{}
 }
 
-// ApplyStreamReport summarises one ApplyStream run.
+// ApplyStreamReport summarises one ApplyStream run. It is provenance whole.
 type ApplyStreamReport struct {
 	// Deltas counts deltas read from the channel; Rejected of those failed
 	// validation and were skipped (the stream continues).

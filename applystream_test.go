@@ -380,9 +380,10 @@ func TestApplyStreamOversizedBurstDegrades(t *testing.T) {
 	verifyCounts(t, eng)
 }
 
+// TestApplyStreamConcurrentQueries is the race coverage of queries beside a
+// flap storm: queries racing the stream must always see a consistent
+// snapshot.
 func TestApplyStreamConcurrentQueries(t *testing.T) {
-	// Queries racing the stream must always see a consistent snapshot
-	// (meaningful under -race).
 	eng := openFattree(t, 4, netgen.PolicyShortestPath)
 	ctx := context.Background()
 	if _, err := eng.Compress(ctx, bonsai.ClassSelector{}); err != nil {

@@ -45,7 +45,7 @@ func FuzzDeltaJSON(f *testing.F) {
 			if err != nil {
 				t.Fatalf("cold reach %s -> %s: %v", src, dest, err)
 			}
-			if got, err := eng.Reach(ctx, src, dest); err != nil || got.Reachable != want.Reachable {
+			if got, err := eng.Reach(ctx, src, dest); err != nil || got.ReachAnswer != want.ReachAnswer {
 				t.Fatalf("reach %s -> %s after the delta: %+v (%v), a cold open says %v", src, dest, got, err, want.Reachable)
 			}
 		}

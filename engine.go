@@ -430,11 +430,7 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 		return nil, err
 	}
 	return &Report{
-		Mode:                 res.Mode,
-		Classes:              res.Classes,
-		Pairs:                res.Pairs,
-		ReachablePairs:       res.ReachablePairs,
-		AbstractNodeSum:      res.AbstractNodeSum,
+		VerifyAnswer:         res.Answer,
 		DistinctAbstractions: res.DistinctAbstractions,
 		CompressTime:         res.Compress,
 		Total:                res.Total,
@@ -473,7 +469,11 @@ func (e *Engine) reach(ctx context.Context, src, destPrefix string, compressed b
 	if err != nil {
 		return nil, err
 	}
-	return &ReachResult{Reachable: reach.Has(u), Compressed: compressed, Duration: time.Since(start)}, nil
+	return &ReachResult{
+		ReachAnswer: ReachAnswer{Reachable: reach.Has(u)},
+		Compressed:  compressed,
+		Duration:    time.Since(start),
+	}, nil
 }
 
 // classReach returns the snapshot's answer for cls, solving it at most once

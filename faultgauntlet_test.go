@@ -3,8 +3,8 @@ package bonsai
 // The fault-injection gauntlet: panics, cancellations and evictions are
 // injected at every seam (scheduler task, adoption check, store install,
 // snapshot swap) and the engine must always land in a consistent snapshot —
-// queries during and after the fault return results field-identical to a
-// cold Open on whatever configuration the engine reports. This file is an
+// queries during and after the fault return the answers a cold Open gives on
+// whatever configuration the engine reports. This file is an
 // internal test so it can reach the builder under the snapshot (to force
 // evictions mid-apply) without widening the public API.
 
@@ -163,12 +163,13 @@ func TestGauntletSwapPanicLeavesOldSnapshot(t *testing.T) {
 	checkConsistentSnapshot(t, eng)
 }
 
+// TestGauntletSchedPanicFailsQueryNotProcess: a poisoned fingerprint-group
+// leader fails a parallel Verify with a PanicError naming it — it does not
+// kill the process or wedge the worker pool.
 func TestGauntletSchedPanicFailsQueryNotProcess(t *testing.T) {
 	eng := gauntletOpen(t, WithWorkers(4))
 	ctx := context.Background()
-	// Poison exactly one class's compression task; a parallel Verify must
-	// fail with a PanicError naming it — not kill the process or wedge the
-	// worker pool.
+	// Poison exactly one class's compression task.
 	victim := eng.Classes()[0]
 	disarm := faultinject.Arm(faultinject.SchedTask, func(key string) {
 		if strings.Contains(key, victim) {

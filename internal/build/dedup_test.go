@@ -75,8 +75,8 @@ func absEqual(t *testing.T, tag string, got, want *core.Abstraction) {
 // across structurally different networks (fattree symmetry, ring rotations,
 // the BGP diamond's ∀∀/case-splitting path, mesh stars), deduplicated
 // Compress must return abstractions identical — same groups, copies,
-// abstract edges, representatives — to independently compressing every
-// class with CompressFresh.
+// abstract edges (Succ order included), representatives — to independently
+// compressing every class with CompressFresh.
 func TestDedupMatchesIndependentCompression(t *testing.T) {
 	nets := []struct {
 		name string

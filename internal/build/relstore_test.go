@@ -44,6 +44,7 @@ func rebuilt(t *testing.T, b *Builder) *Builder {
 	return b2
 }
 
+// TestRelationStoreRoundTrip: serialize -> load must be field-identical.
 func TestRelationStoreRoundTrip(t *testing.T) {
 	b, err := New(netgen.Fattree(4, netgen.PolicyShortestPath))
 	if err != nil {
@@ -132,6 +133,8 @@ func TestRelationStoreLoadIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestRelationStoreRejectsCorruption: damage is rejected whole — nothing
+// installed, the store untouched.
 func TestRelationStoreRejectsCorruption(t *testing.T) {
 	b, err := New(netgen.Fattree(4, netgen.PolicyShortestPath))
 	if err != nil {

@@ -76,7 +76,8 @@ func StatusCode(err error) int {
 }
 
 // once issues a single request and decodes the JSON response into out
-// (skipped when out is nil). Non-2xx responses become *apiError.
+// (skipped when out is nil; a func(*json.Decoder) error out is handed the
+// decoder instead, to read a stream). Non-2xx responses become *apiError.
 func (c *Client) once(ctx context.Context, method, path string, body io.Reader, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
@@ -104,10 +105,14 @@ func (c *Client) once(ctx context.Context, method, path string, body io.Reader, 
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
-	if out == nil {
+	dec := json.NewDecoder(resp.Body)
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case func(*json.Decoder) error:
+		return out(dec)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return dec.Decode(out)
 }
 
 // parseRetryAfter handles both delta-seconds and HTTP-date forms.
@@ -245,43 +250,35 @@ func (c *Client) Compress(ctx context.Context, name string, sel bonsai.ClassSele
 // arrives) and returns the final report.
 func (c *Client) CompressStream(ctx context.Context, name string, sel bonsai.ClassSelector, row func(bonsai.ClassResult)) (*bonsai.CompressReport, error) {
 	path := "/v1/tenants/" + url.PathEscape(name) + "/compress?stream=1"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, jsonBody(sel))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, &apiError{Status: resp.StatusCode, Message: resp.Status}
-	}
-	dec := json.NewDecoder(resp.Body)
 	var rep *bonsai.CompressReport
-	for {
-		var msg struct {
-			Row    *bonsai.ClassResult    `json:"row"`
-			Report *bonsai.CompressReport `json:"report"`
-			Error  string                 `json:"error"`
-		}
-		if err := dec.Decode(&msg); err != nil {
-			if err == io.EOF {
-				break
+	err := c.once(ctx, http.MethodPost, path, jsonBody(sel), func(dec *json.Decoder) error {
+		for {
+			var msg struct {
+				Row    *bonsai.ClassResult    `json:"row"`
+				Report *bonsai.CompressReport `json:"report"`
+				Error  string                 `json:"error"`
 			}
-			return nil, err
+			err := dec.Decode(&msg)
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if msg.Row != nil && row != nil {
+				row(*msg.Row)
+			}
+			if msg.Report != nil {
+				rep = msg.Report
+			}
+			if msg.Error != "" {
+				// The trailer flags a stream truncated by an engine error.
+				return fmt.Errorf("server: compress stream failed: %s", msg.Error)
+			}
 		}
-		if msg.Row != nil && row != nil {
-			row(*msg.Row)
-		}
-		if msg.Report != nil {
-			rep = msg.Report
-		}
-		if msg.Error != "" {
-			// The trailer flags a stream truncated by an engine error.
-			return rep, fmt.Errorf("server: compress stream failed: %s", msg.Error)
-		}
+	})
+	if err != nil {
+		return rep, err
 	}
 	if rep == nil {
 		return nil, fmt.Errorf("server: compress stream ended without a report")

@@ -111,3 +111,17 @@ func TestParseRetryAfter(t *testing.T) {
 		t.Fatalf("http-date form: %v", d)
 	}
 }
+
+// TestCompressStreamCarriesTheDaemonsError: a refused stream returns the
+// daemon's reason, as the batch call with the same selector does.
+func TestCompressStreamCarriesTheDaemonsError(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	openFattree(t, c, "ft4", 4)
+	ctx := context.Background()
+	sel := bonsai.ClassSelector{Prefix: "192.0.2.0/24"}
+	_, want := c.Compress(ctx, "ft4", sel)
+	_, got := c.CompressStream(ctx, "ft4", sel, nil)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("stream error %v, batch error %v", got, want)
+	}
+}

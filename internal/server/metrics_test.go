@@ -250,3 +250,20 @@ func TestMetricsExpositionShape(t *testing.T) {
 	}
 	t.Errorf("/metrics shape differs from testdata/metrics_shape.txt:\n%s", got)
 }
+
+// TestMetricsCompressNsPerClassIsReportDuration: bonsai_compress_ns_per_class
+// adds each report's Duration, from a batch /compress as from a stream, so
+// compiler acquisition and setup (the report's BDDSetup) never count as
+// compression.
+func TestMetricsCompressNsPerClassIsReportDuration(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	openFattree(t, c, "ft4", 4)
+	rep, err := c.Compress(context.Background(), "ft4", bonsai.ClassSelector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(rep.Duration) / float64(rep.ClassesCompressed)
+	if got := sampleValue(t, scrapeText(s), `bonsai_compress_ns_per_class{tenant="ft4"}`); math.Abs(got-want) > 1 {
+		t.Fatalf("bonsai_compress_ns_per_class = %v, the report's Duration per class is %v", got, want)
+	}
+}

@@ -389,7 +389,6 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request, t *tenan
 		s.httpError(w, err)
 		return
 	}
-	start := time.Now()
 	st, err := t.eng.CompressStream(r.Context(), sel)
 	if err != nil {
 		s.httpError(w, err)
@@ -434,7 +433,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request, t *tenan
 	}
 	rep := st.Report()
 	t.compressClasses.Add(int64(rep.ClassesCompressed))
-	t.compressNs.Add(int64(time.Since(start)))
+	t.compressNs.Add(int64(rep.Duration))
 	writeJSON(w, http.StatusOK, rep)
 }
 

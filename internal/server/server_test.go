@@ -140,8 +140,8 @@ func TestServerLifecycle(t *testing.T) {
 	if err != nil || cres.Compressed {
 		t.Fatalf("concrete reach: %+v, %v", cres, err)
 	}
-	if res.Reachable != cres.Reachable {
-		t.Fatalf("compressed and concrete disagree: %v vs %v", res.Reachable, cres.Reachable)
+	if res.ReachAnswer != cres.ReachAnswer {
+		t.Fatalf("compressed and concrete disagree: %+v vs %+v", res.ReachAnswer, cres.ReachAnswer)
 	}
 
 	roles, err := c.Roles(ctx, "ft4", bonsai.RolesRequest{})

@@ -33,20 +33,35 @@ import (
 	"bonsai/internal/topo"
 )
 
-// Result aggregates one verification run.
+// Answer is what a verification run answers. It depends on the
+// configuration, the mode and the class bound alone, so two runs over one
+// configuration compare equal with ==, whatever their caches had seen. The
+// root package serves it as bonsai.VerifyAnswer, and its JSON keys are the
+// first ones of bonsai.Report's.
+type Answer struct {
+	// Mode is "concrete" or "bonsai".
+	Mode    string `json:"mode"`
+	Classes int    `json:"classes"`
+	// Pairs counts the (source, class) queries checked; ReachablePairs how
+	// many delivered traffic.
+	Pairs          int64 `json:"pairs"`
+	ReachablePairs int64 `json:"reachable_pairs"`
+	// AbstractNodeSum totals abstract node counts across classes (bonsai
+	// mode).
+	AbstractNodeSum int64 `json:"abstract_node_sum,omitempty"`
+}
+
+// Result aggregates one verification run: its Answer and the provenance
+// beside it.
 type Result struct {
-	Mode            string // "concrete" or "bonsai"
-	Classes         int
-	Pairs           int64 // (source, class) pairs checked
-	ReachablePairs  int64
-	AbstractNodeSum int64         // total abstract nodes across classes (bonsai mode)
-	Compress        time.Duration // time spent compressing (bonsai mode)
-	Total           time.Duration
-	// DistinctAbstractions is provenance, not an answer: the Builder's
-	// cumulative count of abstractions computed by refinement (bonsai mode).
-	// It depends on what the cache had already seen — an earlier Compress,
-	// adoption across a delta — so two engines over the same configuration
-	// may report different values for the same verdict.
+	Answer
+	Compress time.Duration // time spent compressing (bonsai mode)
+	Total    time.Duration
+	// DistinctAbstractions is the Builder's cumulative count of abstractions
+	// computed by refinement (bonsai mode). It depends on what the cache had
+	// already seen — an earlier Compress, adoption across a delta — so two
+	// engines over the same configuration may report different values for
+	// the same Answer.
 	DistinctAbstractions int
 	// solves counts the classes whose control plane was solved, per-pair
 	// certification's re-analyses aside: one per fingerprint group in bonsai
@@ -138,7 +153,7 @@ func AllPairsBonsai(ctx context.Context, b *build.Builder, opts Options) (*Resul
 // between workers or between calls.
 func allPairs(ctx context.Context, b *build.Builder, opts Options, compressed bool, compilers []*policy.Compiler) (*Result, error) {
 	classes := clip(b.Classes(), opts.MaxClasses)
-	res := &Result{Mode: "concrete", Classes: len(classes)}
+	res := &Result{Answer: Answer{Mode: "concrete", Classes: len(classes)}}
 	key := func(ec.Class) string { return "" } // every class its own group
 	if compressed {
 		res.Mode, key = "bonsai", FingerprintKey(b)

@@ -55,7 +55,7 @@ func TestAllPairsParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Pairs != par.Pairs || seq.ReachablePairs != par.ReachablePairs {
+	if seq.Answer != par.Answer {
 		t.Fatalf("parallel run diverged: seq=%v par=%v", seq, par)
 	}
 }
@@ -70,8 +70,7 @@ func TestAllPairsBonsaiParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Pairs != par.Pairs || seq.ReachablePairs != par.ReachablePairs ||
-		seq.AbstractNodeSum != par.AbstractNodeSum {
+	if seq.Answer != par.Answer {
 		t.Fatalf("parallel bonsai run diverged: seq=%v par=%v", seq, par)
 	}
 }
@@ -218,7 +217,7 @@ func TestAllPairsBonsaiSolvesEachFingerprintOnce(t *testing.T) {
 			key := FingerprintKey(ref)
 			seen := make(map[string]bool)
 			var groups int
-			var want Result
+			want := Answer{Mode: "bonsai", Classes: len(classes)}
 			comp := ref.NewCompiler(true)
 			for _, cls := range classes {
 				if k := key(cls); k == "" || !seen[k] {
@@ -252,11 +251,8 @@ func TestAllPairsBonsaiSolvesEachFingerprintOnce(t *testing.T) {
 				if got.solves != int64(groups) {
 					t.Errorf("workers=%d: %d abstract solves, want one per fingerprint (%d)", w, got.solves, groups)
 				}
-				if got.Classes != len(classes) || got.Pairs != want.Pairs || got.ReachablePairs != want.ReachablePairs ||
-					got.AbstractNodeSum != want.AbstractNodeSum {
-					t.Errorf("workers=%d: classes=%d pairs=%d reachable=%d absNodes=%d, per-class solves give %d/%d/%d/%d",
-						w, got.Classes, got.Pairs, got.ReachablePairs, got.AbstractNodeSum,
-						len(classes), want.Pairs, want.ReachablePairs, want.AbstractNodeSum)
+				if got.Answer != want {
+					t.Errorf("workers=%d: %+v, per-class solves give %+v", w, got.Answer, want)
 				}
 				conc, err := AllPairsConcrete(ctx, b, Options{Workers: w, MaxClasses: 16})
 				if err != nil {

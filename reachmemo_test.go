@@ -30,13 +30,13 @@ func memoProbe(t *testing.T, eng, cold *Engine, src, dest string) bool {
 	if err != nil {
 		t.Fatalf("cold concrete reach %s -> %s: %v", src, dest, err)
 	}
-	if comp, err := cold.Reach(ctx, src, dest); err != nil || comp.Reachable != want.Reachable {
+	if comp, err := cold.Reach(ctx, src, dest); err != nil || comp.ReachAnswer != want.ReachAnswer {
 		t.Fatalf("cold reach %s -> %s: %+v (%v), concrete says %v", src, dest, comp, err, want.Reachable)
 	}
 	for ask := 0; ask < 2; ask++ {
 		for _, q := range []func(context.Context, string, string) (*ReachResult, error){eng.Reach, eng.ReachConcrete} {
 			got, err := q(ctx, src, dest)
-			if err != nil || got.Reachable != want.Reachable {
+			if err != nil || got.ReachAnswer != want.ReachAnswer {
 				t.Fatalf("ask %d of %s -> %s: %+v (%v), a cold open of the same config says %v",
 					ask, src, dest, got, err, want.Reachable)
 			}
@@ -410,7 +410,7 @@ func TestReachMemoForgetsACancelledSolve(t *testing.T) {
 	}
 	got, err := eng.Reach(context.Background(), src, dest)
 	want, cerr := eng.ReachConcrete(context.Background(), src, dest)
-	if err != nil || cerr != nil || got.Reachable != want.Reachable {
+	if err != nil || cerr != nil || got.ReachAnswer != want.ReachAnswer {
 		t.Fatalf("after the cancelled solve: %+v (%v), concrete %+v (%v)", got, err, want, cerr)
 	}
 	if after := eng.Stats(); after.ReachMemoHits != before.ReachMemoHits+1 {

@@ -3,7 +3,16 @@ package bonsai
 import (
 	"fmt"
 	"time"
+
+	"bonsai/internal/verify"
 )
+
+// Every result type is an answer, provenance, or an answer part embedded
+// first beside its provenance. An answer depends on the configuration and the
+// request alone, so two answers to one question compare equal with ==
+// however the engines reached the configuration; provenance (durations, cache
+// and adoption counts, where an abstraction came from) may differ. Embedding
+// the answer part first keeps every JSON key in place.
 
 // ClassSelector narrows an operation to a subset of the destination
 // equivalence classes. The zero value selects every class.
@@ -16,6 +25,7 @@ type ClassSelector struct {
 }
 
 // CacheStats is a snapshot of the engine's cross-class abstraction store.
+// It is provenance whole.
 type CacheStats struct {
 	// Fresh counts abstractions computed by full refinement.
 	Fresh int `json:"fresh"`
@@ -54,7 +64,7 @@ type CacheStats struct {
 // BDDStats is a snapshot of the engine's BDD layer: the live footprint of
 // its compiler pool's unique tables and the cumulative operation-cache
 // behaviour. Per-compiler counters fold into these aggregates when a
-// compiler is released back to the pool or retired.
+// compiler is released back to the pool or retired. It is provenance whole.
 type BDDStats struct {
 	// NodesLive sums the live BDD nodes (including canonical seed prefixes)
 	// across the engine's compilers, as of each compiler's last release.
@@ -72,7 +82,8 @@ type BDDStats struct {
 	CacheOverwrites uint64 `json:"cache_overwrites"`
 }
 
-// NetworkInfo describes the concrete network an engine is serving.
+// NetworkInfo describes the concrete network an engine is serving. It is an
+// answer whole.
 type NetworkInfo struct {
 	Name       string `json:"name,omitempty"`
 	Routers    int    `json:"routers"`
@@ -81,8 +92,9 @@ type NetworkInfo struct {
 	Classes    int    `json:"classes"`
 }
 
-// CompressReport summarises one Compress call.
-type CompressReport struct {
+// CompressAnswer is the answer part of a CompressReport: the network and the
+// sizes of the selected classes' compressed topologies.
+type CompressAnswer struct {
 	Network NetworkInfo `json:"network"`
 	// ClassesCompressed is how many destination classes this call
 	// compressed (Network.Classes counts all of them).
@@ -95,6 +107,12 @@ type CompressReport struct {
 	// compression ratios (higher is smaller).
 	NodeRatio float64 `json:"node_ratio"`
 	LinkRatio float64 `json:"link_ratio"`
+}
+
+// CompressReport summarises one Compress call: its answer and the
+// provenance beside it.
+type CompressReport struct {
+	CompressAnswer
 	// Cache snapshots the deduplication cache after the call.
 	Cache CacheStats `json:"cache"`
 	// BDDSetup is the time spent preparing policy compilers (zero when the
@@ -134,23 +152,18 @@ type VerifyRequest struct {
 	MaxClasses int `json:"max_classes,omitempty"`
 }
 
-// Report is the structured result of a Verify call.
+// VerifyAnswer is the answer part of a Verify report: the mode, the class
+// and pair counts and the abstract sizes (sizes are answers).
+type VerifyAnswer = verify.Answer
+
+// Report is the structured result of a Verify call: its answer and the
+// provenance beside it.
 type Report struct {
-	// Mode is "concrete" or "bonsai".
-	Mode    string `json:"mode"`
-	Classes int    `json:"classes"`
-	// Pairs counts the (source, class) queries checked; ReachablePairs how
-	// many delivered traffic.
-	Pairs          int64 `json:"pairs"`
-	ReachablePairs int64 `json:"reachable_pairs"`
-	// AbstractNodeSum totals abstract node counts across classes (bonsai
-	// mode).
-	AbstractNodeSum int64 `json:"abstract_node_sum,omitempty"`
-	// DistinctAbstractions is provenance, not an answer: the engine's
-	// cumulative count of abstractions computed by refinement (bonsai mode).
-	// It depends on cache history — an earlier Compress, adoption across a
-	// delta — so two engines over the same configuration may report
-	// different values for the same verdict.
+	VerifyAnswer
+	// DistinctAbstractions is the engine's cumulative count of abstractions
+	// computed by refinement (bonsai mode). It depends on cache history — an
+	// earlier Compress, adoption across a delta — so two engines over the
+	// same configuration may report different values for the same answer.
 	DistinctAbstractions int `json:"distinct_abstractions,omitempty"`
 	// CompressTime is the portion of Total spent compressing (bonsai mode).
 	CompressTime time.Duration `json:"compress_ns"`
@@ -168,9 +181,15 @@ func (r *Report) String() string {
 	return s
 }
 
+// ReachAnswer is the answer part of a ReachResult. A compressed and a
+// concrete answer to one query are equal exactly when CP-equivalence holds.
+type ReachAnswer struct {
+	Reachable bool `json:"reachable"`
+}
+
 // ReachResult answers a single reachability query.
 type ReachResult struct {
-	Reachable bool `json:"reachable"`
+	ReachAnswer
 	// Compressed reports whether the answer came from the compressed
 	// network.
 	Compressed bool          `json:"compressed"`
@@ -187,7 +206,8 @@ type RolesRequest struct {
 	NoStatics bool `json:"no_statics,omitempty"`
 }
 
-// RolesReport counts the behavioral router roles of the network.
+// RolesReport counts the behavioral router roles of the network. It is an
+// answer whole.
 type RolesReport struct {
 	Roles   int `json:"roles"`
 	Routers int `json:"routers"`
@@ -203,13 +223,15 @@ type RouteEntry struct {
 }
 
 // RoutesReport is the converged control-plane solution for one destination
-// class on the concrete network.
+// class on the concrete network. It is an answer whole; it holds slices, so
+// it compares with reflect.DeepEqual rather than ==.
 type RoutesReport struct {
 	Dest   string       `json:"dest"`
 	Routes []RouteEntry `json:"routes"`
 }
 
-// ApplyReport summarises one incremental update.
+// ApplyReport summarises one incremental update. It is provenance whole: how
+// the engine carried its cache across the delta, not what it answers after.
 type ApplyReport struct {
 	// Classes is the class count of the post-delta network.
 	Classes int `json:"classes"`

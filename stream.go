@@ -11,13 +11,19 @@ import (
 	"bonsai/internal/verify"
 )
 
-// ClassResult is one per-class row of a streaming compression.
-type ClassResult struct {
+// ClassAnswer is the answer part of a ClassResult: the class and the size
+// of its compressed topology.
+type ClassAnswer struct {
 	// Prefix is the destination class's representative prefix.
 	Prefix string `json:"prefix"`
 	// AbstractNodes and AbstractLinks size the class's compressed topology.
 	AbstractNodes int `json:"abstract_nodes"`
 	AbstractLinks int `json:"abstract_links"`
+}
+
+// ClassResult is one per-class row of a streaming compression.
+type ClassResult struct {
+	ClassAnswer
 	// Source reports where the abstraction came from: "fresh" (full
 	// refinement), "transported" (symmetry transport), "cache" (identity
 	// hit), or "adopted" (carried across an incremental update).
@@ -39,14 +45,12 @@ type Stream struct {
 	err     error
 
 	b        *build.Builder
-	netInfo  NetworkInfo
 	bddSetup time.Duration
 	start    time.Time
 	elapsed  time.Duration
 
-	mu                 sync.Mutex
-	count              int
-	sumNodes, sumLinks int
+	mu  sync.Mutex
+	ans CompressAnswer // the ratios are left to Report
 }
 
 // CompressStream starts compressing the selected destination classes and
@@ -88,7 +92,7 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector) (*Stream
 		done:     make(chan struct{}),
 		cancel:   cancel,
 		b:        st.b,
-		netInfo:  e.networkInfo(st),
+		ans:      CompressAnswer{Network: e.networkInfo(st)},
 		bddSetup: time.Since(bddStart),
 		start:    time.Now(),
 	}
@@ -103,16 +107,18 @@ func (e *Engine) CompressStream(ctx context.Context, sel ClassSelector) (*Stream
 				return err
 			}
 			r := ClassResult{
-				Prefix:        cls.Prefix.String(),
-				AbstractNodes: abs.NumAbstractNodes(),
-				AbstractLinks: abs.NumAbstractEdges(),
-				Source:        prov.String(),
-				Duration:      time.Since(t0),
+				ClassAnswer: ClassAnswer{
+					Prefix:        cls.Prefix.String(),
+					AbstractNodes: abs.NumAbstractNodes(),
+					AbstractLinks: abs.NumAbstractEdges(),
+				},
+				Source:   prov.String(),
+				Duration: time.Since(t0),
 			}
 			s.mu.Lock()
-			s.count++
-			s.sumNodes += r.AbstractNodes
-			s.sumLinks += r.AbstractLinks
+			s.ans.ClassesCompressed++
+			s.ans.SumAbstractNodes += r.AbstractNodes
+			s.ans.SumAbstractLinks += r.AbstractLinks
 			s.mu.Unlock()
 			select {
 			case s.results <- r:
@@ -165,19 +171,16 @@ func (s *Stream) Report() *CompressReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep := &CompressReport{
-		Network:           s.netInfo,
-		ClassesCompressed: s.count,
-		SumAbstractNodes:  s.sumNodes,
-		SumAbstractLinks:  s.sumLinks,
-		Cache:             cacheStats(s.b),
-		BDDSetup:          s.bddSetup,
-		Duration:          s.elapsed,
+		CompressAnswer: s.ans,
+		Cache:          cacheStats(s.b),
+		BDDSetup:       s.bddSetup,
+		Duration:       s.elapsed,
 	}
-	if s.sumNodes > 0 {
-		rep.NodeRatio = float64(s.netInfo.Routers*s.count) / float64(s.sumNodes)
+	if rep.SumAbstractNodes > 0 {
+		rep.NodeRatio = float64(rep.Network.Routers*rep.ClassesCompressed) / float64(rep.SumAbstractNodes)
 	}
-	if s.sumLinks > 0 {
-		rep.LinkRatio = float64(s.netInfo.Links*s.count) / float64(s.sumLinks)
+	if rep.SumAbstractLinks > 0 {
+		rep.LinkRatio = float64(rep.Network.Links*rep.ClassesCompressed) / float64(rep.SumAbstractLinks)
 	}
 	return rep
 }

@@ -3,6 +3,7 @@ package bonsai_test
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync"
 	"testing"
 
@@ -47,15 +48,15 @@ func gauntletScenarios() []struct {
 }
 
 // collectRows drains a stream into a prefix-indexed map of per-class
-// results, failing on duplicates.
-func collectRows(t *testing.T, s *bonsai.Stream) map[string]bonsai.ClassResult {
+// answers, failing on duplicates.
+func collectRows(t *testing.T, s *bonsai.Stream) map[string]bonsai.ClassAnswer {
 	t.Helper()
-	rows := make(map[string]bonsai.ClassResult)
+	rows := make(map[string]bonsai.ClassAnswer)
 	for r := range s.Results() {
 		if _, dup := rows[r.Prefix]; dup {
 			t.Fatalf("class %s streamed twice", r.Prefix)
 		}
-		rows[r.Prefix] = r
+		rows[r.Prefix] = r.ClassAnswer
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
@@ -65,9 +66,9 @@ func collectRows(t *testing.T, s *bonsai.Stream) map[string]bonsai.ClassResult {
 
 // TestStreamMatchesBatch is the stream-vs-batch differential gauntlet: on
 // every netgen scenario the parallel streaming pipeline (the leaders-first
-// worker pool) must produce a CompressReport
-// field-identical to the serial batch shape (workers=1 runs the plain
-// in-order loop), and identical per-class topology sizes. Cached against
+// worker pool) must give the CompressAnswer and the per-class answers of
+// the serial batch shape (workers=1 runs the plain in-order loop), and the
+// same Verify answer. Cached against
 // uncached compression is TestDedupMatchesIndependentCompression's, per
 // class, in internal/build. The subtests keep the "/dedup=true" suffix they
 // are recorded under.
@@ -106,28 +107,11 @@ func TestStreamMatchesBatch(t *testing.T) {
 			rows := collectRows(t, s)
 			stream := s.Report()
 
-			if len(rows) != len(ref) || len(rows) != batch.ClassesCompressed {
-				t.Fatalf("row counts: stream %d, ref %d, batch %d", len(rows), len(ref), batch.ClassesCompressed)
+			if len(rows) != batch.ClassesCompressed || !maps.Equal(rows, ref) {
+				t.Fatalf("per-class answers of %d classes:\nstream %v\nserial %v", batch.ClassesCompressed, rows, ref)
 			}
-			for p, r := range rows {
-				w, ok := ref[p]
-				if !ok {
-					t.Fatalf("stream produced unknown class %s", p)
-				}
-				if r.AbstractNodes != w.AbstractNodes || r.AbstractLinks != w.AbstractLinks {
-					t.Fatalf("class %s: stream %d/%d, batch %d/%d",
-						p, r.AbstractNodes, r.AbstractLinks, w.AbstractNodes, w.AbstractLinks)
-				}
-			}
-			if stream.Network != batch.Network {
-				t.Fatalf("network info: stream %+v, batch %+v", stream.Network, batch.Network)
-			}
-			if stream.ClassesCompressed != batch.ClassesCompressed ||
-				stream.SumAbstractNodes != batch.SumAbstractNodes ||
-				stream.SumAbstractLinks != batch.SumAbstractLinks ||
-				stream.NodeRatio != batch.NodeRatio ||
-				stream.LinkRatio != batch.LinkRatio {
-				t.Fatalf("aggregate mismatch:\nstream %+v\nbatch  %+v", stream, batch)
+			if stream.CompressAnswer != batch.CompressAnswer {
+				t.Fatalf("answer mismatch:\nstream %+v\nbatch  %+v", stream.CompressAnswer, batch.CompressAnswer)
 			}
 			for name, st := range map[string]bonsai.CacheStats{"serial": batch.Cache, "stream": stream.Cache} {
 				if st.DuplicateFresh != 0 {
@@ -149,9 +133,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if vSerial.Mode != vPar.Mode || vSerial.Classes != vPar.Classes ||
-				vSerial.Pairs != vPar.Pairs || vSerial.ReachablePairs != vPar.ReachablePairs ||
-				vSerial.AbstractNodeSum != vPar.AbstractNodeSum {
+			if vSerial.VerifyAnswer != vPar.VerifyAnswer {
 				t.Fatalf("verify mismatch:\nserial %v\nsched  %v", vSerial, vPar)
 			}
 		})
@@ -433,15 +415,8 @@ func TestStreamMemoryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collectRows(t, bs)
-	if len(got) != len(want) {
-		t.Fatalf("bounded run compressed %d classes, want %d", len(got), len(want))
-	}
-	for p, r := range got {
-		w := want[p]
-		if r.AbstractNodes != w.AbstractNodes || r.AbstractLinks != w.AbstractLinks {
-			t.Fatalf("class %s: bounded %d/%d, unbounded %d/%d",
-				p, r.AbstractNodes, r.AbstractLinks, w.AbstractNodes, w.AbstractLinks)
-		}
+	if !maps.Equal(got, want) {
+		t.Fatalf("per-class answers:\nbounded   %v\nunbounded %v", got, want)
 	}
 	st := bounded.Stats()
 	if st.BudgetBytes != budget {

@@ -112,9 +112,11 @@ func TestReportsRoundTrip(t *testing.T) {
 		FlushStale: 1, FlushClose: 1, Duration: time.Second,
 	})
 	roundTrip(t, CompressReport{
-		Network:           NetworkInfo{Name: "ft4", Routers: 20, Links: 32, Interfaces: 80, Classes: 16},
-		ClassesCompressed: 16, SumAbstractNodes: 64, SumAbstractLinks: 96,
-		NodeRatio: 5.0, LinkRatio: 5.3,
+		CompressAnswer: CompressAnswer{
+			Network:           NetworkInfo{Name: "ft4", Routers: 20, Links: 32, Interfaces: 80, Classes: 16},
+			ClassesCompressed: 16, SumAbstractNodes: 64, SumAbstractLinks: 96,
+			NodeRatio: 5.0, LinkRatio: 5.3,
+		},
 		Cache: CacheStats{
 			Fresh: 2, Transported: 4, Served: 10, Adopted: 3, Misses: 6,
 			Evictions: 1, LiveBytes: 1 << 20, PeakBytes: 2 << 20, BudgetBytes: 4 << 20,
@@ -122,12 +124,13 @@ func TestReportsRoundTrip(t *testing.T) {
 		BDDSetup: time.Millisecond, Duration: time.Second,
 	})
 	roundTrip(t, Report{
-		Mode: "bonsai", Classes: 16, Pairs: 320, ReachablePairs: 300,
-		AbstractNodeSum: 64, DistinctAbstractions: 4,
-		CompressTime: time.Second, Total: 2 * time.Second,
+		VerifyAnswer: VerifyAnswer{
+			Mode: "bonsai", Classes: 16, Pairs: 320, ReachablePairs: 300, AbstractNodeSum: 64,
+		},
+		DistinctAbstractions: 4, CompressTime: time.Second, Total: 2 * time.Second,
 		Cache: CacheStats{Fresh: 4},
 	})
-	roundTrip(t, ReachResult{Reachable: true, Compressed: true, Duration: time.Millisecond})
+	roundTrip(t, ReachResult{ReachAnswer: ReachAnswer{Reachable: true}, Compressed: true, Duration: time.Millisecond})
 	roundTrip(t, RolesReport{Roles: 4, Routers: 20})
 	roundTrip(t, RoutesReport{
 		Dest: "10.0.0.0/24",
@@ -137,8 +140,8 @@ func TestReportsRoundTrip(t *testing.T) {
 		},
 	})
 	roundTrip(t, ClassResult{
-		Prefix: "10.0.0.0/24", AbstractNodes: 4, AbstractLinks: 6,
-		Source: "fresh", Duration: time.Millisecond,
+		ClassAnswer: ClassAnswer{Prefix: "10.0.0.0/24", AbstractNodes: 4, AbstractLinks: 6},
+		Source:      "fresh", Duration: time.Millisecond,
 	})
 	roundTrip(t, ApplyStats{Pending: 2, Received: 10, Rejected: 1, Batches: 3, MaxPending: 5})
 	roundTrip(t, ClassSelector{Prefix: "10.0.0.0/24", MaxClasses: 8})
