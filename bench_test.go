@@ -462,10 +462,18 @@ func benchApply(b *testing.B, do, undo bonsai.Delta) {
 }
 
 // BenchmarkApplyLinkFlap is the common serve-churn write: one link down,
-// then up again.
+// then up again. An edge router's export map is first used on its uplink
+// to agg-0-0, so taking agg-0-0–edge-0-0 down moves where edge-0-0's map is
+// first met along the edge list while agg-0-0–core-0 moves nothing; the
+// policy tables are ordered by the configuration, so both flaps inherit
+// every class signature.
 func BenchmarkApplyLinkFlap(b *testing.B) {
-	ref := []bonsai.LinkRef{{A: "agg-0-0", B: "core-0"}}
-	benchApply(b, bonsai.Delta{LinkDown: ref}, bonsai.Delta{LinkUp: ref})
+	for _, peer := range []string{"core-0", "edge-0-0"} {
+		b.Run(peer, func(b *testing.B) {
+			ref := []bonsai.LinkRef{{A: "agg-0-0", B: peer}}
+			benchApply(b, bonsai.Delta{LinkDown: ref}, bonsai.Delta{LinkUp: ref})
+		})
+	}
 }
 
 // BenchmarkApplyOrigin is the costlier serve-churn write: a prefix added to

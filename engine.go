@@ -571,15 +571,22 @@ func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, 
 	return rep, nil
 }
 
-// Apply atomically applies a configuration delta. It rebuilds the
-// network's topology tables, then carries every cached abstraction that is
-// still valid across the change: classes the delta provably cannot touch
-// (per the edge→class liveness index) are adopted directly, the rest are
-// re-validated with an O(E) stability sweep, and only the classes the
-// delta actually affected are invalidated — they recompress lazily on
-// their next query. Queries running concurrently with Apply finish against
-// the pre-delta snapshot; queries started after Apply returns see the
-// post-delta network and the surviving warm cache.
+// Apply atomically applies a configuration delta. It validates the delta
+// against the live configuration, applies it to a copy-on-write fork and
+// builds the successor's tables from that fork, then carries every cached
+// abstraction that is still valid across the change (build.AdoptFrom): per
+// cached class, every edge carrying a policy object the delta edited must be
+// dead for the class before and after, and every live edge the delta
+// removed or added must have a same-labelled edge between the same two
+// abstract groups that it leaves or finds in place. A class that passes
+// keeps its abstraction, and its class signature too when the policy tables
+// are unchanged and no static applies to it; the class index is carried
+// whole when no router's originated prefixes changed. Only the classes the
+// delta actually affected are invalidated — they recompress lazily on their
+// next query — and a delta touching a quarter of the links or routers skips
+// the sweep and leaves every class cold. Queries running concurrently with
+// Apply finish against the pre-delta snapshot; queries started after Apply
+// returns see the post-delta network and the surviving warm cache.
 func (e *Engine) Apply(ctx context.Context, d Delta) (*ApplyReport, error) {
 	if d.empty() {
 		return nil, fmt.Errorf("bonsai: empty delta")

@@ -46,7 +46,9 @@ package build
 
 import (
 	"context"
+	"maps"
 	"net/netip"
+	"slices"
 
 	"bonsai/internal/config"
 	"bonsai/internal/core"
@@ -67,20 +69,14 @@ func (b *Builder) CachedAbstraction(cls ec.Class) (*core.Abstraction, bool) {
 	return e.abs, true
 }
 
-// cachedEntry looks up the completed cache entry for cls, consulting the
-// prefix -> fingerprint memo before falling back to a fingerprint
-// computation. An entry the store has evicted is simply absent — the class
-// reads as cold, never as an error.
+// cachedEntry looks up the completed cache entry for cls by its
+// fingerprint (ClassFingerprint: the memo, else a signature). An entry the
+// store has evicted is simply absent — the class reads as cold, never as an
+// error.
 func (b *Builder) cachedEntry(cls ec.Class) (*absEntry, bool) {
-	b.internMu.Lock()
-	fp, ok := b.fpByPrefix[cls.Prefix]
-	b.internMu.Unlock()
-	if !ok {
-		sig, err := b.classSignature(cls)
-		if err != nil {
-			return nil, false
-		}
-		fp = sig.fp
+	fp, err := b.ClassFingerprint(cls)
+	if err != nil {
+		return nil, false
 	}
 	st := &b.store
 	st.mu.Lock()
@@ -147,14 +143,16 @@ type AdoptDelta struct {
 // AdoptFrom carries every still-valid cached abstraction of old — a
 // Builder over the same router-name set — into b's cache, invalidating
 // only the classes the delta actually affected. comp must be a compiler of
-// b owned by the calling goroutine. It returns statistics and stops early
-// (state consistent, remaining classes simply cold) when ctx is cancelled.
+// b owned by the calling goroutine, and b must not yet serve queries. It
+// returns statistics and stops early (state consistent, remaining classes
+// simply cold) when ctx is cancelled.
 func (b *Builder) AdoptFrom(ctx context.Context, comp *policy.Compiler, old *Builder, delta AdoptDelta) (AdoptStats, error) {
 	if !sameRouterNames(old, b) {
 		// Node IDs are not comparable; nothing can be adopted.
 		return ColdStats(old, b), nil
 	}
 	var st AdoptStats
+	b.inheritClasses(old)
 	ad := newAdoption(b, old, delta)
 	oldByPrefix := make(map[netip.Prefix]ec.Class, len(old.Classes()))
 	for _, cls := range old.Classes() {
@@ -166,7 +164,7 @@ func (b *Builder) AdoptFrom(ctx context.Context, comp *policy.Compiler, old *Bui
 		}
 		oldCls, existed := oldByPrefix[cls.Prefix]
 		delete(oldByPrefix, cls.Prefix)
-		if !existed || !sameOrigins(oldCls, cls) {
+		if !existed || !slices.Equal(oldCls.Origins, cls.Origins) {
 			st.NewClasses++
 			continue
 		}
@@ -241,13 +239,17 @@ const (
 type adoption struct {
 	b, old *Builder
 	// removedIdx marks old edge indices whose edge is gone; addedIdx marks
-	// new edge indices whose edge did not exist before. remap maps new edge
-	// index -> old edge index (-1 for added edges).
+	// new edge indices whose edge did not exist before. runs lists the
+	// shared edges as stretches contiguous in both edge lists.
 	removedIdx []bool
 	removed    []int32 // removed old edge indices
 	addedIdx   []bool
 	added      []int32 // added new edge indices
-	remap      []int32
+	runs       []edgeRun
+	// inherit is set when both Builders index class signatures by the same
+	// policy references and share one intern table, so a class signature
+	// can be carried over (signature).
+	inherit bool
 	// touched describes the delta-edited routers (same NodeIDs in both
 	// builders).
 	touched []touchedRouter
@@ -271,6 +273,10 @@ type touchedRouter struct {
 	structural bool
 }
 
+// edgeRun is a stretch of edges both Builders hold: new edge indices
+// [new, new+n) are old indices [old, old+n).
+type edgeRun struct{ new, old, n int32 }
+
 func edgeLess(a, b topo.Edge) bool {
 	if a.U != b.U {
 		return a.U < b.U
@@ -290,25 +296,12 @@ func sameRouterNames(a, b *Builder) bool {
 	return true
 }
 
-func sameOrigins(a, b ec.Class) bool {
-	if len(a.Origins) != len(b.Origins) {
-		return false
-	}
-	for i := range a.Origins {
-		if a.Origins[i] != b.Origins[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
 	ad := &adoption{
 		b:          b,
 		old:        old,
 		removedIdx: make([]bool, len(old.tab.edges)),
 		addedIdx:   make([]bool, len(b.tab.edges)),
-		remap:      make([]int32, len(b.tab.edges)),
 		lpGate:     old.UsesLocalPref() || b.UsesLocalPref(),
 	}
 	// Both edge lists are sorted by (U, V) — a linear merge classifies
@@ -318,7 +311,6 @@ func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
 	for i < len(newEdges) || j < len(oldEdges) {
 		switch {
 		case j >= len(oldEdges) || (i < len(newEdges) && edgeLess(newEdges[i], oldEdges[j])):
-			ad.remap[i] = -1
 			ad.addedIdx[i] = true
 			ad.added = append(ad.added, int32(i))
 			i++
@@ -327,7 +319,11 @@ func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
 			ad.removed = append(ad.removed, int32(j))
 			j++
 		default:
-			ad.remap[i] = int32(j)
+			if k := len(ad.runs) - 1; k >= 0 && ad.runs[k].new+ad.runs[k].n == int32(i) && ad.runs[k].old+ad.runs[k].n == int32(j) {
+				ad.runs[k].n++
+			} else {
+				ad.runs = append(ad.runs, edgeRun{new: int32(i), old: int32(j), n: 1})
+			}
 			i++
 			j++
 		}
@@ -337,7 +333,52 @@ func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
 			ad.touched = append(ad.touched, ad.classifyRouter(u))
 		}
 	}
+	ad.inherit = slices.Equal(old.tab.sigRMs, b.tab.sigRMs) && slices.Equal(old.tab.sigACLs, b.tab.sigACLs) && b.shareIntern(old)
 	return ad
+}
+
+// shareIntern points b at old's match-outcome intern table, so that an id
+// names one string in both — also one old interns while b adopts, as old
+// still serves queries — and a signature b inherits holds the ids b would
+// intern. b must have interned nothing and must not yet serve queries; old's
+// table must be no larger than a fresh one could be for old's classes (one
+// string per class and prefix-matching map), or a chain of successors would
+// keep every outcome string it met. It reports whether b and old share one.
+func (b *Builder) shareIntern(old *Builder) bool {
+	if b.intern != old.intern && b.intern.size() == 0 && old.intern.size() <= len(old.Classes())*len(old.tab.matchRMs) {
+		b.intern = old.intern
+	}
+	return b.intern == old.intern
+}
+
+// inheritClasses hands b old's class index when every router originates
+// exactly what it did: the index is a function of the originated prefixes
+// alone (ec.NewIndex), so enumerating it again would rebuild old's.
+func (b *Builder) inheritClasses(old *Builder) {
+	for u, r := range b.routers {
+		if o := old.routers[u]; o != r && !slices.Equal(o.Originate, r.Originate) {
+			return
+		}
+	}
+	b.classesOnce.Do(func() { b.classIdx = old.classIndex() })
+}
+
+// signature returns b's signature of cls, whose predecessor signature is
+// old. It is old itself, less the private colour key, when that provably
+// equals a recomputation: both Builders index signatures by the same policy
+// references and share their intern ids (inherit), adoption already
+// required the class's origins to be old's, and no static applies to the
+// class on either side. Otherwise it is computed afresh.
+func (ad *adoption) signature(cls ec.Class, old *classSig) (*classSig, error) {
+	if !ad.inherit || old.statics != nil || ad.b.staticMask(cls) != nil {
+		return ad.b.classSignature(cls)
+	}
+	s := *old
+	s.key, s.col = 0, nil
+	ad.b.intern.mu.Lock()
+	ad.b.fpByPrefix[cls.Prefix] = s.fp
+	ad.b.intern.mu.Unlock()
+	return &s, nil
 }
 
 // classifyRouter compares the class-independent configuration of router u
@@ -350,13 +391,8 @@ func (ad *adoption) classifyRouter(u topo.NodeID) touchedRouter {
 		tr.structural = true
 		return tr
 	}
-	if len(oldR.IfaceACL) != len(newR.IfaceACL) {
+	if !maps.Equal(oldR.IfaceACL, newR.IfaceACL) {
 		tr.structural = true
-	}
-	for peer, acl := range newR.IfaceACL {
-		if oldR.IfaceACL[peer] != acl {
-			tr.structural = true
-		}
 	}
 	if newR.BGP != nil {
 		if len(oldR.BGP.Neighbors) != len(newR.BGP.Neighbors) {
@@ -454,12 +490,10 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	// Added edges: dead edges are invisible; a live added edge must land on
 	// an abstract edge that already existed with the same label.
 	live2 := make([]bool, len(b.tab.edges))
-	for i, j := range ad.remap {
-		if j >= 0 {
-			live2[i] = entry.live[j]
-		}
+	for _, r := range ad.runs {
+		copy(live2[r.new:r.new+r.n], entry.live[r.old:r.old+r.n])
 	}
-	sig2, err := b.classSignature(cls)
+	sig2, err := ad.signature(cls, oldSig)
 	if err != nil {
 		return adoptFailed
 	}

@@ -67,13 +67,12 @@ type Builder struct {
 	// Cross-EC deduplication (dedup.go, transport.go): classes are
 	// fingerprinted and compressed once per distinct fingerprint; symmetric
 	// classes are served by verified partition transport. Completed
-	// abstractions live in the bounded store (store.go); the fingerprint
-	// intern table and the prefix->fingerprint memo are Builder-lifetime
-	// (they grow with the class count, not with retained abstractions) and
-	// survive eviction so evicted classes re-enter the store without
-	// recomputing signatures they already proved deterministic.
-	internMu   sync.Mutex
-	fpIntern   map[string]int32
+	// abstractions live in the bounded store (store.go); the match-outcome
+	// intern table (shared along a chain of adopting successors, its size
+	// bounded by shareIntern) and the prefix->fingerprint memo (guarded by
+	// intern.mu) survive eviction, so evicted classes re-enter the store
+	// without recomputing signatures they already proved deterministic.
+	intern     *internTable
 	fpByPrefix map[netip.Prefix]string
 	store      absStore
 
@@ -86,6 +85,21 @@ type Builder struct {
 	// and whether the seed's orbit proposed π (or the search found it). The
 	// edge permutation is the compiler's scratch: a hook that keeps it copies.
 	onTransport func(seed *absEntry, sig *classSig, pi []topo.NodeID, epi []int32, fromOrbit bool)
+}
+
+// internTable interns match-outcome strings (classSignature) as dense ids.
+// An id names one string in every Builder that shares the table, which is
+// what lets a successor inherit a predecessor's signatures (adopt.go). mu
+// also guards the fpByPrefix memo of every Builder sharing the table.
+type internTable struct {
+	mu  sync.Mutex
+	ids map[string]int32
+}
+
+func (t *internTable) size() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.ids)
 }
 
 // builderIDs issues Builder.id.
@@ -104,7 +118,7 @@ func New(net *config.Network) (*Builder, error) {
 		Cfg:        net,
 		id:         builderIDs.Add(1),
 		G:          topo.New(),
-		fpIntern:   make(map[string]int32),
+		intern:     &internTable{ids: make(map[string]int32)},
 		fpByPrefix: make(map[netip.Prefix]string),
 		store:      newAbsStore(),
 	}
@@ -166,9 +180,9 @@ func (b *Builder) ClassFor(prefix string) (ec.Class, error) {
 // deterministic), so repeated fan-outs pay the signature once per class
 // (Compress computes its own on a miss).
 func (b *Builder) ClassFingerprint(cls ec.Class) (string, error) {
-	b.internMu.Lock()
+	b.intern.mu.Lock()
 	fp, ok := b.fpByPrefix[cls.Prefix]
-	b.internMu.Unlock()
+	b.intern.mu.Unlock()
 	if ok {
 		return fp, nil
 	}

@@ -133,9 +133,9 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	st := &b.store
 	// Warm-hit fast path: the prefix -> fingerprint memo answers without
 	// recomputing the class fingerprint.
-	b.internMu.Lock()
+	b.intern.mu.Lock()
 	fpMemo, memoOK := b.fpByPrefix[cls.Prefix]
-	b.internMu.Unlock()
+	b.intern.mu.Unlock()
 	if memoOK {
 		st.mu.Lock()
 		if e, ok := st.entries[fpMemo]; ok {

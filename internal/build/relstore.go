@@ -197,13 +197,13 @@ func (b *Builder) encodeRelationStore() []byte {
 	}
 	st.mu.Unlock()
 	prefixOf := make(map[string]string, len(entries))
-	b.internMu.Lock()
+	b.intern.mu.Lock()
 	for pfx, fp := range b.fpByPrefix {
 		if s, ok := prefixOf[fp]; !ok || pfx.String() < s {
 			prefixOf[fp] = pfx.String()
 		}
 	}
-	b.internMu.Unlock()
+	b.intern.mu.Unlock()
 	// Every completed entry signatured a prefix; one that somehow did not has
 	// no name to be saved under.
 	entries = slices.DeleteFunc(entries, func(e *absEntry) bool { return prefixOf[e.fp] == "" })
@@ -346,8 +346,8 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 	// Resolve every entry against this Builder's own class machinery before
 	// touching shared state: compute the local signature (and thereby the
 	// local fingerprint) per staged prefix. Signature computation memoizes
-	// into fpByPrefix/fpIntern, which is harmless — those memos are
-	// deterministic and Builder-lifetime regardless of how the load ends.
+	// into fpByPrefix and the intern table, which is harmless — both are
+	// deterministic and outlive the load however it ends.
 	seen := make(map[string]bool, len(classes))
 	var iso isoScratch
 	for _, sc := range classes {

@@ -7,6 +7,10 @@
 package build
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"bonsai/internal/config"
 	"bonsai/internal/policy"
 	"bonsai/internal/protocols"
@@ -71,8 +75,11 @@ type edgeTables struct {
 
 	// sigRMs and sigACLs enumerate the policy objects whose class-dependent
 	// behaviour a class fingerprint records — every route map on a live
-	// session, every ACL on a live interface — in first-use order along
-	// G.Edges(), so two Builders over one configuration agree on it.
+	// session, every ACL on a live interface — ordered by the lowest NodeID
+	// holding the namespace, then by name. The key is the configuration's,
+	// not the live edges', so a link flap that keeps the set keeps the order,
+	// and a successor can inherit the class signatures indexed by it
+	// (adopt.go).
 	sigRMs  []rmRef
 	sigACLs []aclRef
 	rmLists [][]*policy.PrefixList // per sigRMs entry: prefix lists matched, in clause/match order
@@ -212,6 +219,25 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 		t.recs[i].content = mix64(label + 1) // a bijection: equal words, equal content
 	}
 
+	// The lowest NodeID holding each namespace the tables name.
+	owner := make(map[*policy.Env]int, len(t.sigRMs)+len(t.sigACLs))
+	for _, r := range t.sigRMs {
+		owner[r.env] = len(routers)
+	}
+	for _, a := range t.sigACLs {
+		owner[a.env] = len(routers)
+	}
+	for u, r := range routers {
+		if o, ok := owner[r.Env]; ok && u < o {
+			owner[r.Env] = u
+		}
+	}
+	rmAt, aclAt := canonicalOrder(t.sigRMs, rmIDs, owner), canonicalOrder(t.sigACLs, aclIDs, owner)
+	for i := range t.recs {
+		r := &t.recs[i]
+		r.expRM, r.impRM, r.acl = rmAt[r.expRM+1], rmAt[r.impRM+1], aclAt[r.acl+1]
+	}
+
 	// Per route map, the prefix lists its clauses match, in clause/match
 	// order — the positions whose outcomes the class fingerprint records.
 	t.rmLists = make([][]*policy.PrefixList, len(t.sigRMs))
@@ -232,4 +258,25 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 		}
 	}
 	return t
+}
+
+// canonicalOrder sorts refs by the lowest NodeID whose router holds the
+// namespace, then by name; a router holds one namespace, so no two refs tie.
+// ids gives each ref its index before the sort. It returns at, where
+// at[i+1] is the new index of the ref that had index i and at[0] is -1, so
+// that at[x+1] renumbers a reference x that may be -1 (none).
+func canonicalOrder[R ~struct {
+	env  *policy.Env
+	name string
+}](refs []R, ids map[R]int32, owner map[*policy.Env]int) (at []int32) {
+	slices.SortFunc(refs, func(a, b R) int {
+		x, y := rmRef(a), rmRef(b)
+		return cmp.Or(cmp.Compare(owner[x.env], owner[y.env]), strings.Compare(x.name, y.name))
+	})
+	at = make([]int32, len(refs)+1)
+	at[0] = -1
+	for n, r := range refs {
+		at[ids[r]+1] = int32(n)
+	}
+	return at
 }

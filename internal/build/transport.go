@@ -203,10 +203,11 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		}
 	}
 	fp = append(fp, '|')
-	// Match-outcome strings per route map, interned Builder-wide so that
-	// transport can compare them across classes as ints. The prefix-list
-	// matching runs outside the lock (concurrent workers signature-compute
-	// in parallel); only the intern-table access is a critical section.
+	// Match-outcome strings per route map, interned in the Builder's table
+	// (shared with adopting successors) so that transport can compare them
+	// across classes as ints. The prefix-list matching runs outside the lock
+	// (concurrent workers signature-compute in parallel); only the
+	// intern-table access is a critical section.
 	var bits []byte
 	offs := make([]int, len(t.matchRMs)+1)
 	for k, i := range t.matchRMs {
@@ -219,17 +220,18 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 		}
 		offs[k+1] = len(bits)
 	}
-	b.internMu.Lock()
+	in := b.intern
+	in.mu.Lock()
 	for k, i := range t.matchRMs {
 		key := bits[offs[k]:offs[k+1]]
-		id, ok := b.fpIntern[string(key)]
+		id, ok := in.ids[string(key)]
 		if !ok {
-			id = int32(len(b.fpIntern))
-			b.fpIntern[string(key)] = id
+			id = int32(len(in.ids))
+			in.ids[string(key)] = id
 		}
 		s.fpIDs[i] = id
 	}
-	b.internMu.Unlock()
+	in.mu.Unlock()
 	for _, i := range t.matchRMs {
 		fp = strconv.AppendInt(fp, int64(s.fpIDs[i]), 10)
 		fp = append(fp, ';')
@@ -244,9 +246,9 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 	// is deterministic, so warm-hit paths and the worker pool's ordering key
 	// never need to recompute a signature for a class seen before — even
 	// after its store entry is evicted.
-	b.internMu.Lock()
+	b.intern.mu.Lock()
 	b.fpByPrefix[cls.Prefix] = s.fp
-	b.internMu.Unlock()
+	b.intern.mu.Unlock()
 	return s, nil
 }
 
