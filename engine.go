@@ -213,9 +213,11 @@ func (e *Engine) Network() *Network { return e.state.Load().cfg }
 // Stats snapshots the cross-class abstraction cache and the reach memo's
 // counters.
 func (e *Engine) Stats() CacheStats {
-	s := cacheStats(e.state.Load().b)
-	s.ReachMemoHits, s.ReachMemoMisses = e.reachHits.Load(), e.reachMisses.Load()
-	return s
+	return CacheStats{
+		StoreStats:      e.state.Load().b.AbstractionCacheStats(),
+		ReachMemoHits:   e.reachHits.Load(),
+		ReachMemoMisses: e.reachMisses.Load(),
+	}
 }
 
 // Classes lists the destination equivalence classes of the current network
@@ -228,22 +230,6 @@ func (e *Engine) Classes() []string {
 		out[i] = cls.Prefix.String()
 	}
 	return out
-}
-
-func cacheStats(b *build.Builder) CacheStats {
-	s := b.AbstractionCacheStats()
-	return CacheStats{
-		Fresh:          s.Fresh,
-		Transported:    s.Transported,
-		Served:         s.Served,
-		Adopted:        s.Adopted,
-		Misses:         s.Misses,
-		Evictions:      s.Evictions,
-		LiveBytes:      s.LiveBytes,
-		PeakBytes:      s.PeakBytes,
-		BudgetBytes:    s.BudgetBytes,
-		DuplicateFresh: s.DuplicateFresh,
-	}
 }
 
 // acquire checks a compiler out of the pool for st, discarding pooled
@@ -430,11 +416,10 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 		return nil, err
 	}
 	return &Report{
-		VerifyAnswer:         res.Answer,
-		DistinctAbstractions: res.DistinctAbstractions,
-		CompressTime:         res.Compress,
-		Total:                res.Total,
-		Cache:                cacheStats(st.b),
+		VerifyAnswer: res.Answer,
+		CompressTime: res.Compress,
+		Total:        res.Total,
+		Cache:        CacheStats{StoreStats: st.b.AbstractionCacheStats()},
 	}, nil
 }
 
@@ -677,15 +662,9 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 		e.opts.pool.Attach(st2.b, e.poolLabel(), e.opts.poolFloor)
 	}
 	return &ApplyReport{
-		Classes:             len(b2.Classes()),
-		Adopted:             stats.Adopted,
-		Unchanged:           stats.Unchanged,
-		Reassembled:         stats.Reassembled,
-		Invalidated:         stats.Invalidated,
-		InvalidatedPrefixes: stats.InvalidatedPrefixes,
-		NewClasses:          stats.NewClasses,
-		RemovedClasses:      stats.Removed,
-		Degraded:            degraded,
-		Duration:            time.Since(start),
+		Classes:    len(b2.Classes()),
+		AdoptStats: stats,
+		Degraded:   degraded,
+		Duration:   time.Since(start),
 	}, nil
 }

@@ -113,23 +113,23 @@ func (b *Builder) UsesLocalPref() bool {
 	return b.lpUsed
 }
 
-// AdoptStats reports what one AdoptFrom pass did.
+// AdoptStats reports what one AdoptFrom pass did, served as
+// bonsai.AdoptStats. Adopted counts classes whose cached abstraction was
+// carried across the delta; Unchanged of those reused the old abstraction
+// object outright, Reassembled had their abstract graph rebuilt over the new
+// topology (same partition, fresh representatives, no refinement).
+// Invalidated counts cached classes the delta actually affected (they
+// recompress on their next query), InvalidatedPrefixes lists them;
+// NewClasses counts classes with no usable cache entry, RemovedClasses
+// pre-delta classes that no longer exist.
 type AdoptStats struct {
-	// Adopted counts classes whose cached abstraction was carried across
-	// the delta; Unchanged of those reused the old abstraction object
-	// outright, Reassembled had their abstract graph rebuilt over the new
-	// topology (same partition, fresh representatives).
-	Adopted     int
-	Unchanged   int
-	Reassembled int
-	// Invalidated counts cached classes the delta actually affected (they
-	// recompress on their next query); InvalidatedPrefixes lists them.
-	Invalidated         int
-	InvalidatedPrefixes []string
-	// NewClasses counts classes with no usable cache entry; Removed counts
-	// pre-delta classes that no longer exist.
-	NewClasses int
-	Removed    int
+	Adopted             int      `json:"adopted"`
+	Unchanged           int      `json:"unchanged"`
+	Reassembled         int      `json:"reassembled"`
+	Invalidated         int      `json:"invalidated"`
+	InvalidatedPrefixes []string `json:"invalidated_prefixes,omitempty"`
+	NewClasses          int      `json:"new_classes"`
+	RemovedClasses      int      `json:"removed_classes"`
 }
 
 // AdoptDelta tells AdoptFrom what the delta between the two builders
@@ -147,67 +147,71 @@ type AdoptDelta struct {
 // returns statistics and stops early (state consistent, remaining classes
 // simply cold) when ctx is cancelled.
 func (b *Builder) AdoptFrom(ctx context.Context, comp *policy.Compiler, old *Builder, delta AdoptDelta) (AdoptStats, error) {
-	if !sameRouterNames(old, b) {
-		// Node IDs are not comparable; nothing can be adopted.
-		return ColdStats(old, b), nil
+	var ad *adoption
+	if sameRouterNames(old, b) { // else node IDs are not comparable: nothing is adopted
+		b.inheritClasses(old)
+		ad = newAdoption(b, old, delta)
 	}
-	var st AdoptStats
-	b.inheritClasses(old)
-	ad := newAdoption(b, old, delta)
+	return b.adopt(ctx, comp, old, ad)
+}
+
+// ColdStats is the AdoptStats of a successor b that adopts nothing from
+// old: every class of b is new, and RemovedClasses counts old's prefixes b
+// no longer has.
+func ColdStats(old, b *Builder) AdoptStats {
+	st, _ := b.adopt(context.Background(), nil, old, nil)
+	return st
+}
+
+// adopt decides every class of b, folding its outcome into the pass's tally:
+// a class with no cached entry of old under the same prefix and origins is
+// new, and so is every class when ad is nil.
+func (b *Builder) adopt(ctx context.Context, comp *policy.Compiler, old *Builder, ad *adoption) (AdoptStats, error) {
+	var n tally
+	var invalidated []string
 	oldByPrefix := make(map[netip.Prefix]ec.Class, len(old.Classes()))
 	for _, cls := range old.Classes() {
 		oldByPrefix[cls.Prefix] = cls
 	}
 	for _, cls := range b.Classes() {
 		if err := ctx.Err(); err != nil {
-			return st, err
+			return n.adoptStats(invalidated, 0), err
 		}
 		oldCls, existed := oldByPrefix[cls.Prefix]
 		delete(oldByPrefix, cls.Prefix)
-		if !existed || !slices.Equal(oldCls.Origins, cls.Origins) {
-			st.NewClasses++
+		var entry *absEntry
+		if ad != nil && existed && slices.Equal(oldCls.Origins, cls.Origins) {
+			entry, _ = old.cachedEntry(oldCls)
+		}
+		if entry == nil {
+			n[outNew]++
 			continue
 		}
-		entry, ok := old.cachedEntry(oldCls)
-		if !ok {
-			st.NewClasses++
-			continue
-		}
-		switch ad.adoptClassSafe(comp, cls, entry) {
-		case adoptUnchanged:
-			st.Adopted++
-			st.Unchanged++
-		case adoptReassembled:
-			st.Adopted++
-			st.Reassembled++
-		default:
-			st.Invalidated++
-			st.InvalidatedPrefixes = append(st.InvalidatedPrefixes, cls.Prefix.String())
+		out := ad.adoptClassSafe(comp, cls, entry)
+		n[out]++
+		if out == outRefused {
+			invalidated = append(invalidated, cls.Prefix.String())
 		}
 	}
-	st.Removed = len(oldByPrefix)
 	// One cross-tenant pressure pass per adoption sweep: installs above ran
 	// under the store lock, so the shared pool (if b is attached) settles
 	// here rather than per class.
 	b.store.pressure()
-	return st, nil
+	return n.adoptStats(invalidated, len(oldByPrefix)), nil
 }
 
-// ColdStats is the AdoptStats of a successor b that adopts nothing from
-// old: every class of b is new, and Removed counts old's prefixes b no
-// longer has.
-func ColdStats(old, b *Builder) AdoptStats {
-	kept := make(map[netip.Prefix]bool, len(b.Classes()))
-	for _, cls := range b.Classes() {
-		kept[cls.Prefix] = true
+// adoptStats sums a pass's tally. A class whose fingerprint an identity-
+// shared class already installed counts here, not in the store's tally.
+func (n *tally) adoptStats(invalidated []string, removed int) AdoptStats {
+	return AdoptStats{
+		Adopted:             int(n[outUnchanged] + n[outReassembled]),
+		Unchanged:           int(n[outUnchanged]),
+		Reassembled:         int(n[outReassembled]),
+		Invalidated:         int(n[outRefused]),
+		InvalidatedPrefixes: invalidated,
+		NewClasses:          int(n[outNew]),
+		RemovedClasses:      removed,
 	}
-	st := AdoptStats{NewClasses: len(b.Classes())}
-	for _, cls := range old.Classes() {
-		if !kept[cls.Prefix] {
-			st.Removed++
-		}
-	}
-	return st
 }
 
 // adoptClassSafe wraps adoptClass with the adopt.class injection seam and
@@ -215,10 +219,10 @@ func ColdStats(old, b *Builder) AdoptStats {
 // merely cold and recompresses from scratch on its next query, so a
 // poisoned adoption check costs recomputation, never correctness or the
 // process.
-func (ad *adoption) adoptClassSafe(comp *policy.Compiler, cls ec.Class, entry *absEntry) (out adoptOutcome) {
+func (ad *adoption) adoptClassSafe(comp *policy.Compiler, cls ec.Class, entry *absEntry) (out outcome) {
 	defer func() {
 		if recover() != nil {
-			out = adoptFailed
+			out = outRefused
 		}
 	}()
 	if faultinject.Active() {
@@ -226,14 +230,6 @@ func (ad *adoption) adoptClassSafe(comp *policy.Compiler, cls ec.Class, entry *a
 	}
 	return ad.adoptClass(comp, cls, entry)
 }
-
-type adoptOutcome int
-
-const (
-	adoptFailed adoptOutcome = iota
-	adoptUnchanged
-	adoptReassembled
-)
 
 // adoption carries the per-Apply precomputed state shared by every class.
 type adoption struct {
@@ -424,28 +420,29 @@ func (ad *adoption) classifyRouter(u topo.NodeID) touchedRouter {
 	return tr
 }
 
-// adoptClass decides one class. entry is the old builder's completed cache
-// entry for the same prefix and origins.
-func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEntry) adoptOutcome {
+// adoptClass decides one class: outUnchanged, outReassembled or outRefused.
+// entry is the old builder's completed cache entry for the same prefix and
+// origins.
+func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEntry) outcome {
 	b, old := ad.b, ad.old
 	abs := entry.abs
 	if len(abs.F) != b.G.NumNodes() || entry.live == nil {
-		return adoptFailed
+		return outRefused
 	}
 	// Local-preference gate: the local checks do not re-validate the ∀∀
 	// and case-splitting conditions of Theorem 4.4.
 	if ad.lpGate {
 		if entry.prefs == nil {
-			return adoptFailed
+			return outRefused
 		}
 		for _, p := range entry.prefs {
 			if p > 1 {
-				return adoptFailed
+				return outRefused
 			}
 		}
 		for _, p := range b.prefsVec(cls) {
 			if p > 1 {
-				return adoptFailed
+				return outRefused
 			}
 		}
 	}
@@ -469,7 +466,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	// dead for this class (live carriers invalidate it).
 	for _, tr := range ad.touched {
 		if !ad.checkTouchedRouter(tr, cls, entry, key) {
-			return adoptFailed
+			return outRefused
 		}
 	}
 
@@ -483,7 +480,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		e := old.tab.edges[j]
 		if !ad.survivingOutWitness(oldSig, entry.live, F, e, j) ||
 			!ad.survivingInWitness(oldSig, entry.live, F, e, j) {
-			return adoptFailed
+			return outRefused
 		}
 	}
 
@@ -495,7 +492,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	}
 	sig2, err := ad.signature(cls, oldSig)
 	if err != nil {
-		return adoptFailed
+		return outRefused
 	}
 	for _, i := range ad.added {
 		e := b.tab.edges[i]
@@ -504,10 +501,10 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		}
 		live2[i] = true
 		if F[e.U] == F[e.V] {
-			return adoptFailed // would create an abstract self loop
+			return outRefused // would create an abstract self loop
 		}
 		if !ad.addedWitness(sig2, live2, F, e, i) {
-			return adoptFailed
+			return outRefused
 		}
 	}
 
@@ -517,19 +514,15 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	// concrete edges all survive; otherwise re-assemble from the partition
 	// (fresh representatives, no refinement).
 	if ad.repEdgesSurvive(abs) {
-		return ad.install(cls, sig2, abs, live2, entry.prefs, adoptUnchanged)
-	}
-	mode := core.ModeEffective
-	if b.hasBGP {
-		mode = core.ModeBGP
+		return ad.install(cls, sig2, abs, live2, entry.prefs, outUnchanged)
 	}
 	re := core.Assemble(b.G, abs.Dest, F, core.AssembleOptions{
-		Mode:        mode,
+		Mode:        b.mode(),
 		LiveEdges:   live2,
 		Iterations:  abs.Iterations,
 		ColorSplits: abs.ColorSplits,
 	})
-	return ad.install(cls, sig2, re, live2, entry.prefs, adoptReassembled)
+	return ad.install(cls, sig2, re, live2, entry.prefs, outReassembled)
 }
 
 // checkTouchedRouter verifies that a delta-edited router cannot change this
@@ -705,14 +698,14 @@ func (ad *adoption) repEdgesSurvive(abs *core.Abstraction) bool {
 // transport seeds (their colour keys are left uncomputed to keep Apply
 // fast), so they are evictable like any other entry — an evicted
 // adoption recompresses on its next query.
-func (ad *adoption) install(cls ec.Class, sig *classSig, abs *core.Abstraction, live []bool, prefs []int, out adoptOutcome) adoptOutcome {
+func (ad *adoption) install(cls ec.Class, sig *classSig, abs *core.Abstraction, live []bool, prefs []int, out outcome) outcome {
 	b := ad.b
 	if faultinject.Active() {
 		// The store.install seam lets tests shrink the budget (forcing
 		// evictions) or panic mid-install while an apply is writing entries.
 		faultinject.Fire(faultinject.StoreInstall, cls.Prefix.String())
 	}
-	e := &absEntry{ready: make(chan struct{}), sig: sig, fp: sig.fp, abs: abs, live: live, prefs: prefs, done: true, src: ProvAdopted}
+	e := &absEntry{ready: make(chan struct{}), sig: sig, fp: sig.fp, abs: abs, live: live, prefs: prefs, done: true, out: out}
 	close(e.ready)
 	st := &b.store
 	st.mu.Lock()
@@ -722,7 +715,7 @@ func (ad *adoption) install(cls ec.Class, sig *classSig, abs *core.Abstraction, 
 		return out
 	}
 	st.entries[sig.fp] = e
-	st.adopted++
+	st.tally[out]++
 	st.account(e)
 	st.evict()
 	return out

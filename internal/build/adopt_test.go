@@ -194,7 +194,7 @@ func TestInheritedSignaturesMatchRecomputation(t *testing.T) {
 				classes := slices.Clone(nb.Classes())
 				entries := make([]*absEntry, len(classes))
 				for i, cls := range classes {
-					if e := heldEntry(nb, cls); e != nil && e.src == ProvAdopted {
+					if e := heldEntry(nb, cls); e != nil && e.out.prov() == ProvAdopted {
 						entries[i] = e
 					}
 				}
@@ -221,6 +221,29 @@ func TestInheritedSignaturesMatchRecomputation(t *testing.T) {
 				}
 				if checked != st.Adopted {
 					t.Fatalf("after %s: %d adopted entries found, AdoptFrom adopted %d", step.name, checked, st.Adopted)
+				}
+				// AdoptStats sums one outcome per class: each is adopted
+				// (unchanged or reassembled), refused or new, and one that
+				// is neither new nor refused is held by an adopted entry.
+				if st.Adopted != st.Unchanged+st.Reassembled || st.Adopted+st.Invalidated+st.NewClasses != len(classes) {
+					t.Fatalf("after %s: %+v does not sum to %d classes", step.name, st, len(classes))
+				}
+				oldByPrefix := make(map[netip.Prefix]ec.Class)
+				for _, cls := range b.Classes() {
+					oldByPrefix[cls.Prefix] = cls
+				}
+				newClasses := 0
+				for i, cls := range classes {
+					prev, ok := oldByPrefix[cls.Prefix]
+					switch {
+					case !ok || !slices.Equal(prev.Origins, cls.Origins) || heldEntry(b, prev) == nil:
+						newClasses++
+					case !slices.Contains(st.InvalidatedPrefixes, cls.Prefix.String()) && entries[i] == nil:
+						t.Fatalf("after %s: class %v is neither new nor refused, and no adopted entry holds it", step.name, cls.Prefix)
+					}
+				}
+				if newClasses != st.NewClasses {
+					t.Fatalf("after %s: %d classes new to the successor, AdoptFrom counted %d", step.name, newClasses, st.NewClasses)
 				}
 				compressAll(t, nb, nbComp)
 				comp.Close()

@@ -76,15 +76,18 @@ type Builder struct {
 	fpByPrefix map[netip.Prefix]string
 	store      absStore
 
-	// adjReused counts fresh refinements that ran on the adjacency of the
-	// fresh class before them (dedup.go's freshAdjacency); tests pin it.
-	adjReused atomic.Int64
+	statics []edgeStatic // every static route on a live link, in router order (staticMask)
 
 	// onTransport, set by tests only, observes every transport as it lands:
-	// the seed, the class, the π and edge permutation it was served under,
-	// and whether the seed's orbit proposed π (or the search found it). The
-	// edge permutation is the compiler's scratch: a hook that keeps it copies.
-	onTransport func(seed *absEntry, sig *classSig, pi []topo.NodeID, epi []int32, fromOrbit bool)
+	// the seed, and the π and edge permutation (the compiler's scratch: a
+	// hook that keeps it copies) the class was served under.
+	onTransport func(seed *absEntry, pi []topo.NodeID, epi []int32)
+}
+
+// edgeStatic is a static route's masked prefix and the edge toward its next hop.
+type edgeStatic struct {
+	prefix netip.Prefix
+	edge   int32
 }
 
 // internTable interns match-outcome strings (classSignature) as dense ids.
@@ -137,6 +140,15 @@ func New(net *config.Network) (*Builder, error) {
 			continue // administratively down: no SRP adjacency
 		}
 		b.G.AddLink(b.G.MustLookup(l.A), b.G.MustLookup(l.B))
+	}
+	for u, r := range b.routers {
+		for _, s := range r.Statics {
+			if v, ok := b.G.Lookup(s.NextHop); ok {
+				if i, ok := b.G.EdgeIndex(topo.NodeID(u), v); ok {
+					b.statics = append(b.statics, edgeStatic{s.Prefix.Masked(), int32(i)})
+				}
+			}
+		}
 	}
 	b.erasedUniverse = net.MatchedCommunities()
 	b.fullUniverse = net.AllCommunities()
@@ -284,21 +296,12 @@ func (m edgeMask) has(i int) bool { return m != nil && m[i] }
 // defaults); hand-written ones that do will see those statics ignored.
 func (b *Builder) staticMask(cls ec.Class) edgeMask {
 	var mask edgeMask
-	for u, r := range b.routers {
-		for _, s := range r.Statics {
-			if !staticCovers(s.Prefix, cls.Prefix) {
-				continue
+	for _, s := range b.statics {
+		if staticCovers(s.prefix, cls.Prefix) {
+			if mask == nil {
+				mask = make(edgeMask, len(b.tab.edges))
 			}
-			v, ok := b.G.Lookup(s.NextHop)
-			if !ok {
-				continue
-			}
-			if i, ok := b.G.EdgeIndex(topo.NodeID(u), v); ok {
-				if mask == nil {
-					mask = make(edgeMask, len(b.tab.edges))
-				}
-				mask[i] = true
-			}
+			mask[s.edge] = true
 		}
 	}
 	return mask

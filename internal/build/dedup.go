@@ -46,11 +46,10 @@ import (
 
 // Provenance reports where a Compress result came from: computed by full
 // refinement, transported through a verified symmetry, served from the
-// identity cache, or carried across an incremental update. The streaming
-// API surfaces it per class.
+// identity cache, or carried across an incremental update. It is the
+// four-way projection of an outcome; the streaming API surfaces it per class.
 type Provenance uint8
 
-// Provenance values.
 const (
 	ProvCached Provenance = iota
 	ProvFresh
@@ -59,17 +58,35 @@ const (
 )
 
 func (p Provenance) String() string {
-	switch p {
-	case ProvFresh:
-		return "fresh"
-	case ProvTransported:
-		return "transported"
-	case ProvAdopted:
-		return "adopted"
-	default:
-		return "cache"
-	}
+	return [...]string{"cache", "fresh", "transported", "adopted"}[p]
 }
+
+// outcome is how one class was answered: the path of Compress that served
+// it, or what AdoptFrom did with it. An entry keeps the outcome of the class
+// that made it (a loaded entry the zero one); CacheStats and AdoptStats are
+// sums over a tally of outcomes, the store's and an AdoptFrom pass's.
+type outcome uint8
+
+const (
+	outHit         outcome = iota // an entry another class made: the identity cache
+	outOrbit                      // transported through the π a seed's orbit proposed
+	outSearch                     // transported through the π the search found
+	outFresh                      // refined on an adjacency of its own
+	outFreshShared                // refined on the previous fresh class's adjacency
+	outUnchanged                  // adopted: the predecessor's abstraction outright
+	outReassembled                // adopted: its partition, the abstract graph rebuilt
+	outRefused                    // not adopted: a check failed, the class recompresses
+	outNew                        // not adopted: nothing to adopt from
+	nOutcomes
+)
+
+func (o outcome) prov() Provenance {
+	return [nOutcomes]Provenance{outOrbit: ProvTransported, outSearch: ProvTransported, outFresh: ProvFresh,
+		outFreshShared: ProvFresh, outUnchanged: ProvAdopted, outReassembled: ProvAdopted}[o]
+}
+
+// tally counts outcomes, one slot each.
+type tally [nOutcomes]int64
 
 // absEntry is one single-flight slot of the abstraction store: the first
 // worker to claim a fingerprint computes (or transports) the abstraction
@@ -89,10 +106,10 @@ type absEntry struct {
 	live  []bool // per edge index, aligned with Builder.G.Edges()
 	prefs []int  // per node
 	done  bool   // set under store.mu once abs/err are final
-	src   Provenance
+	out   outcome
 
 	// Bounded-store bookkeeping (store.go), guarded by store.mu. The flags
-	// sit beside done and src so that the orbit pointer below costs no
+	// sit beside done and out so that the orbit pointer below costs no
 	// larger allocation size class.
 	pinned     bool // transport seed: never evicted
 	inLRU      bool
@@ -139,7 +156,7 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	if memoOK {
 		st.mu.Lock()
 		if e, ok := st.entries[fpMemo]; ok {
-			st.served++
+			st.tally[outHit]++
 			st.lruTouch(e)
 			st.mu.Unlock()
 			if abs, err, retry := waitEntry(ctx, e); !retry {
@@ -157,7 +174,7 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	for {
 		st.mu.Lock()
 		if prev, ok := st.entries[sig.fp]; ok {
-			st.served++
+			st.tally[outHit]++
 			st.lruTouch(prev)
 			st.mu.Unlock()
 			if abs, err, retry := waitEntry(ctx, prev); !retry {
@@ -202,14 +219,13 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	var seed *absEntry // the transport's source, nil if none
 	var pi []topo.NodeID
 	var epi []int32
-	fromOrbit := false
 	for _, p := range props {
 		if p.seed.sig.nStatic != sig.nStatic {
 			continue // verifyIso would refuse: no edge bijection changes the count
 		}
 		composed := p.o.compose(sig.dest)
 		if f, ok := b.verifyIso(sc, p.seed.sig, sig, composed); ok {
-			seed, pi, epi, fromOrbit = p.seed, composed, f, true
+			seed, pi, epi, e.out = p.seed, composed, f, outOrbit
 			break
 		}
 	}
@@ -225,20 +241,18 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		st.mu.Unlock()
 		for _, c := range cands {
 			if pi, epi = b.findIso(sc, c.sig, sig); pi != nil {
-				seed = c
+				seed, e.out = c, outSearch
 				break
 			}
 		}
 	}
-	transported, prov := seed != nil, ProvFresh
-	if transported {
-		prov = ProvTransported
+	if seed != nil {
 		e.abs, e.live, e.prefs = b.transportAbs(sc, seed, sig, pi, epi)
 		if b.onTransport != nil {
-			b.onTransport(seed, sig, pi, epi, fromOrbit)
+			b.onTransport(seed, pi, epi)
 		}
 	} else {
-		e.abs, e.live, e.prefs, e.err = b.compressFresh(ctx, comp, cls, sig)
+		e.err = b.compressFresh(ctx, comp, cls, e)
 		if e.err == nil && erased && e.abs.ColorSplits == 0 { // a seed: only such partitions commute with π
 			e.targets = b.tab.seedTargets(e.abs, e.live)
 		}
@@ -250,13 +264,10 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		delete(st.entries, sig.fp)
 	} else {
 		e.done = true
-		e.src = prov
-		if transported {
-			st.transported++
-			if !fromOrbit {
-				st.addGenerator(seed, pi) // a searched π: a candidate generator
-			}
-		} else {
+		st.tally[e.out]++
+		if e.out == outSearch {
+			st.addGenerator(seed, pi) // a searched π: a candidate generator
+		} else if seed == nil {
 			if cur, ok := st.entries[sig.fp]; ok && cur != e && cur.done {
 				// A second fresh refinement completed for a fingerprint that
 				// already has a live result: single-flight has been broken
@@ -264,7 +275,6 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 				// tests.
 				st.dupFresh++
 			}
-			st.fresh++
 			if e.targets != nil {
 				// One pinned seed per symmetry family keeps the index small
 				// and eviction away from the entries the whole family
@@ -285,7 +295,7 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	// above store.mu); a no-op when the store is not pool-attached or the
 	// pool fits its ceiling.
 	st.pressure()
-	return e.abs, prov, e.err
+	return e.abs, e.out.prov(), e.err
 }
 
 // waitEntry blocks on a single-flight slot. retry is true when the entry
@@ -312,36 +322,42 @@ func waitEntry(ctx context.Context, e *absEntry) (abs *core.Abstraction, err err
 // implementation Compress is tested against, and what benchmarks use to
 // measure undeduplicated cost.
 func (b *Builder) CompressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class) (*core.Abstraction, error) {
-	abs, _, _, err := b.compressFresh(ctx, comp, cls, nil)
-	return abs, err
+	var e absEntry
+	err := b.compressFresh(ctx, comp, cls, &e)
+	return e.abs, err
 }
 
-// compressFresh is CompressFresh, also returning what a store entry keeps:
-// the liveness vector refinement ran against (aligned with G.Edges()) and
-// the prefs vector it ran with. The liveness vector is the adjacency's, so
-// entries that shared an adjacency share it too; nothing writes it. sig is
-// the class's signature on CompressTagged's fresh-miss branch and nil from
+// compressFresh is CompressFresh, filling in what a store entry keeps: the
+// abstraction, the liveness vector refinement ran against (aligned with
+// G.Edges(); the adjacency's, so entries that shared an adjacency share it
+// too, and nothing writes it), the prefs vector and the outcome. e.sig is the
+// class's signature on CompressTagged's fresh-miss branch and nil from
 // CompressFresh (see freshAdjacency).
-func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class, sig *classSig) (*core.Abstraction, []bool, []int, error) {
+func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class, e *absEntry) error {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	dest, err := b.destOf(cls)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
-	mode := core.ModeEffective
-	if b.hasBGP {
-		mode = core.ModeBGP
-	}
-	adj := b.freshAdjacency(comp, cls, sig)
+	adj, out := b.freshAdjacency(comp, cls, e.sig)
 	prefs := b.prefsVec(cls)
-	abs := core.FindAbstraction(b.G, dest, core.Options{
-		Mode:      mode,
+	e.abs = core.FindAbstraction(b.G, dest, core.Options{
+		Mode:      b.mode(),
 		Adjacency: adj,
 		Prefs:     func(u topo.NodeID) int { return prefs[u] },
 	})
-	return abs, adj.Live(), prefs, nil
+	e.live, e.prefs, e.out = adj.Live(), prefs, out
+	return nil
+}
+
+// mode is the refinement mode HasBGP selects.
+func (b *Builder) mode() core.Mode {
+	if b.hasBGP {
+		return core.ModeBGP
+	}
+	return core.ModeEffective
 }
 
 // freshAdjacency returns the class's live adjacency. Given the class's
@@ -355,47 +371,41 @@ func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls 
 // Builder's id is part of the key because a pooled compiler outlives its
 // Builder and a successor issues the same keys over different edges.
 // Without a signature (CompressFresh, the oracle) it is always built.
-func (b *Builder) freshAdjacency(comp *policy.Compiler, cls ec.Class, sig *classSig) *core.Adjacency {
+func (b *Builder) freshAdjacency(comp *policy.Compiler, cls ec.Class, sig *classSig) (*core.Adjacency, outcome) {
 	if sig == nil {
-		return core.NewAdjacency(b.G, b.EdgeKeyVec(comp, cls))
+		return core.NewAdjacency(b.G, b.EdgeKeyVec(comp, cls)), outFresh
 	}
 	cc, pol := b.cacheFor(comp), sig.fp[sig.pol:]
 	if cc.adj != nil && cc.adjOwner == b.id && cc.adjKey == pol {
-		b.adjReused.Add(1)
-		return cc.adj
+		return cc.adj, outFreshShared
 	}
 	cc.adjOwner, cc.adjKey, cc.adj = b.id, pol, core.NewAdjacency(b.G, b.EdgeKeyVec(comp, cls))
-	return cc.adj
+	return cc.adj, outFresh
 }
 
-// CacheStats is the state of the cross-EC abstraction store.
+// CacheStats is the state of the cross-EC abstraction store, served as
+// bonsai.StoreStats. Fresh, Transported, Served and Adopted sum the store's
+// tally: abstractions refined, abstractions transported through a verified
+// symmetry, Compress calls answered from the identity cache, and abstractions
+// carried across an incremental update (adopt.go). Misses counts Compress
+// calls that had to compute (first touches and recompressions of evicted
+// classes; each becomes Fresh or Transported, or an error), Evictions the
+// entries the memory budget dropped; LiveBytes and PeakBytes are the store's
+// current and high-water accounted footprint, BudgetBytes its ceiling (0 =
+// unbounded). DuplicateFresh counts fresh refinements that completed for a
+// fingerprint already holding a live result: work the single-flight protocol
+// exists to prevent, zero in a healthy engine, and tests assert it.
 type CacheStats struct {
-	// Fresh counts abstractions computed by full refinement.
-	Fresh int
-	// Transported counts abstractions served by symmetry transport.
-	Transported int64
-	// Served counts Compress calls answered from the identity cache (the
-	// store's hit counter).
-	Served int64
-	// Adopted counts abstractions carried across an incremental update by
-	// partition re-validation (adopt.go) instead of recompression.
-	Adopted int
-	// Misses counts Compress calls that had to compute: first touches and
-	// recompressions of evicted classes. Every miss becomes Fresh or
-	// Transported (or an error).
-	Misses int64
-	// Evictions counts entries dropped by the memory budget; LiveBytes and
-	// PeakBytes are the store's current and high-water accounted footprint,
-	// BudgetBytes its configured ceiling (0 = unbounded).
-	Evictions   int64
-	LiveBytes   int64
-	PeakBytes   int64
-	BudgetBytes int64
-	// DuplicateFresh counts fresh refinements that completed for a
-	// fingerprint already holding a live result — duplicated work that the
-	// single-flight protocol exists to prevent. Zero in a healthy engine;
-	// tests assert it.
-	DuplicateFresh int64
+	Fresh          int   `json:"fresh"`
+	Transported    int64 `json:"transported"`
+	Served         int64 `json:"served"`
+	Adopted        int   `json:"adopted"`
+	Misses         int64 `json:"misses"`
+	Evictions      int64 `json:"evictions"`
+	LiveBytes      int64 `json:"live_bytes"`
+	PeakBytes      int64 `json:"peak_bytes"`
+	BudgetBytes    int64 `json:"budget_bytes,omitempty"`
+	DuplicateFresh int64 `json:"duplicate_fresh,omitempty"`
 }
 
 // AbstractionCacheStats reports the abstraction store state.
@@ -404,10 +414,10 @@ func (b *Builder) AbstractionCacheStats() CacheStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return CacheStats{
-		Fresh:          st.fresh,
-		Transported:    st.transported,
-		Served:         st.served,
-		Adopted:        st.adopted,
+		Fresh:          int(st.tally[outFresh] + st.tally[outFreshShared]),
+		Transported:    st.tally[outOrbit] + st.tally[outSearch],
+		Served:         st.tally[outHit],
+		Adopted:        int(st.tally[outUnchanged] + st.tally[outReassembled]),
 		Misses:         st.misses,
 		Evictions:      st.evictions,
 		LiveBytes:      st.bytes,

@@ -281,7 +281,7 @@ func TestForeignUniverseCompilerNeverTransports(t *testing.T) {
 	comp, ref := other.NewCompiler(true), other.NewCompiler(true)
 	defer comp.Close()
 	defer ref.Close()
-	b.onTransport = func(*absEntry, *classSig, []topo.NodeID, []int32, bool) {
+	b.onTransport = func(*absEntry, []topo.NodeID, []int32) {
 		t.Fatal("transported on a compiler over another Builder's erased universe")
 	}
 	for _, cls := range b.Classes() {
@@ -312,7 +312,7 @@ func TestFullUniverseCompilerNeverTransports(t *testing.T) {
 	}
 	comp := b.NewCompiler(false)
 	defer comp.Close()
-	b.onTransport = func(*absEntry, *classSig, []topo.NodeID, []int32, bool) {
+	b.onTransport = func(*absEntry, []topo.NodeID, []int32) {
 		t.Fatal("transported on a full-universe compiler")
 	}
 	for _, cls := range b.Classes() {

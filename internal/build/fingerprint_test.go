@@ -122,10 +122,7 @@ func TestOrbitStaticFilterSkipsOnlyRefusals(t *testing.T) {
 			t.Fatal(err)
 		}
 		var served *absEntry
-		fromOrbit := false
-		b.onTransport = func(seed *absEntry, _ *classSig, _ []topo.NodeID, _ []int32, orbitHit bool) {
-			served, fromOrbit = seed, orbitHit
-		}
+		b.onTransport = func(seed *absEntry, _ []topo.NodeID, _ []int32) { served = seed }
 		comp := b.NewCompiler(true)
 		skipped, proposed := 0, 0
 		for _, cls := range b.Classes() {
@@ -162,10 +159,11 @@ func TestOrbitStaticFilterSkipsOnlyRefusals(t *testing.T) {
 					}
 				}
 			}
-			served, fromOrbit = nil, false
+			served = nil
 			if _, _, err := b.CompressTagged(context.Background(), comp, cls); err != nil {
 				t.Fatal(err)
 			}
+			fromOrbit := served != nil && heldEntry(b, cls).out == outOrbit
 			if first != nil && (!fromOrbit || served != first) {
 				t.Fatalf("%s %s: an orbit's π verifies, but the class was not served by the first such seed", tc.name, cls.Prefix)
 			}

@@ -152,7 +152,7 @@ func checkAdopted(t *testing.T, cell string, from, to *config.Network) {
 	if _, err := b.AdoptFrom(context.Background(), comp, old, AdoptDelta{}); err != nil {
 		t.Fatal(err)
 	}
-	checkHeld(t, b, comp, cell, func(_ int, e *absEntry) bool { return e.src == ProvAdopted })
+	checkHeld(t, b, comp, cell, func(_ int, e *absEntry) bool { return e.out.prov() == ProvAdopted })
 }
 
 // TestAdoptedAbstractionsSatisfyConditions: every abstraction carried across

@@ -393,7 +393,6 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 			live:  sc.live,
 			prefs: sc.prefs,
 			done:  true,
-			src:   ProvCached,
 		}
 		if sc.pinned && sc.abs.ColorSplits == 0 {
 			e.targets = b.tab.seedTargets(sc.abs, sc.live)

@@ -88,7 +88,7 @@ func TestSharedAdjacencyMatchesFresh(t *testing.T) {
 		}
 		comp.Close()
 		ref.Close()
-		fresh, reused := b.AbstractionCacheStats().Fresh, int(b.adjReused.Load())
+		fresh, reused := b.AbstractionCacheStats().Fresh, int(b.store.tally[outFreshShared])
 		t.Logf("%s: %d fresh classes, %d on the previous one's adjacency", tc.net.Name, fresh, reused)
 		if tc.fresh >= 0 && (fresh != tc.fresh || reused != tc.reused) {
 			t.Fatalf("%s: %d fresh classes, %d on a shared adjacency; want %d and %d",
@@ -173,6 +173,7 @@ func TestSharedAdjacencyBytes(t *testing.T) {
 	}
 	classes := b.Classes()
 	seen := make(map[string]bool, len(classes))
+	reused := 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, cls := range classes {
@@ -184,13 +185,17 @@ func TestSharedAdjacencyBytes(t *testing.T) {
 			continue
 		}
 		seen[sig.fp] = true
-		if _, _, _, err := b.compressFresh(ctx, comp, cls, sig); err != nil {
+		e := absEntry{sig: sig}
+		if err := b.compressFresh(ctx, comp, cls, &e); err != nil {
 			t.Fatal(err)
+		}
+		if e.out == outFreshShared {
+			reused++
 		}
 	}
 	runtime.ReadMemStats(&after)
 	const ceiling = 75 // bytes per directed edge per fresh class
-	fresh, reused := len(seen), int(b.adjReused.Load())
+	fresh := len(seen)
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(fresh) / float64(b.G.NumEdges())
 	t.Logf("%d classes, %d fresh, %d on a shared adjacency: %.1f × |E| bytes per fresh class (|E| = %d)",
 		len(classes), fresh, reused, perEdge, b.G.NumEdges())

@@ -60,8 +60,10 @@ type absStore struct {
 	// LRU list of evictable entries: head is coldest, tail hottest.
 	head, tail *absEntry
 
-	served, transported, misses, evictions, dupFresh int64
-	fresh, adopted                                   int
+	// tally folds the outcome of every class the store answered or took
+	// in (dedup.go); misses, evictions and dupFresh count store events.
+	tally                       tally
+	misses, evictions, dupFresh int64
 
 	// pool, when non-nil, is the shared cross-Builder memory pool this
 	// store's bytes are charged against (pool.go). Guarded by mu; the pool
@@ -84,11 +86,8 @@ func (s *absStore) reset() {
 	}
 	s.entries = make(map[string]*absEntry)
 	s.isoIndex = make(map[uint64][]*absEntry)
-	s.orbits = nil
-	s.bytes, s.peak = 0, 0
-	s.head, s.tail = nil, nil
-	s.served, s.transported, s.misses, s.evictions, s.dupFresh = 0, 0, 0, 0, 0
-	s.fresh, s.adopted = 0, 0
+	s.orbits, s.head, s.tail = nil, nil, nil
+	s.tally, s.bytes, s.peak, s.misses, s.evictions, s.dupFresh = tally{}, 0, 0, 0, 0, 0
 }
 
 // lruUnlink removes e from the LRU list if present. Callers hold mu.

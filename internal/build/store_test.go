@@ -192,7 +192,7 @@ func TestAdoptionAcrossRenamedRouterCountsVanishedPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AdoptStats{NewClasses: len(old.Classes()) - 1, Removed: 1}
+	want := AdoptStats{NewClasses: len(old.Classes()) - 1, RemovedClasses: 1}
 	if !reflect.DeepEqual(stats, want) || !reflect.DeepEqual(ColdStats(old, b2), want) {
 		t.Fatalf("adoption across a renamed router: %+v, want %+v", stats, want)
 	}
@@ -242,7 +242,7 @@ func TestStoreChargesSharedVectorsOnce(t *testing.T) {
 		t.Helper()
 		for _, cls := range b.Classes() {
 			e := b.store.entries[b.fpByPrefix[cls.Prefix]]
-			if e == nil || e.src != want {
+			if e == nil || e.out.prov() != want {
 				continue
 			}
 			if len(e.live) != b.G.NumEdges() {

@@ -676,12 +676,8 @@ func (b *Builder) transportAbs(sc *isoScratch, cand *absEntry, sig *classSig, pi
 	for i, f := range epi {
 		live[f] = cand.live[i]
 	}
-	mode := core.ModeEffective
-	if b.hasBGP {
-		mode = core.ModeBGP
-	}
 	abs := core.Assemble(b.G, sig.dest, groupOf, core.AssembleOptions{
-		Mode:        mode,
+		Mode:        b.mode(),
 		Prefs:       func(u topo.NodeID) int { return prefs[u] },
 		LiveEdges:   live, // t.edges shares g.Edges() order
 		Iterations:  A.Iterations,

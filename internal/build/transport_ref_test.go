@@ -39,40 +39,37 @@ func transportNetworks() []namedNetwork {
 
 // transportPaths compresses every class of b in order and returns how many
 // came out fresh and transported, and of the transports how many the search
-// served and how many an orbit did. Each transport is handed to seen with the
-// prefixes of its class and seed.
+// served and how many an orbit did, as the store's tally counts them. Each
+// transport is handed to seen with the prefixes of its class and seed and
+// whether its entry's outcome is an orbit's.
 func transportPaths(t *testing.T, b *Builder, seen func(prefix, seed string, pi []topo.NodeID, epi []int32, fromOrbit bool)) (fresh, transported, searched, orbitHits int) {
 	t.Helper()
 	seedPrefix := make(map[*absEntry]string)
-	var cur string
-	b.onTransport = func(seed *absEntry, _ *classSig, pi []topo.NodeID, epi []int32, fromOrbit bool) {
-		if fromOrbit {
-			orbitHits++
-		} else {
-			searched++
-		}
-		if seen != nil {
-			seen(cur, seedPrefix[seed], pi, epi, fromOrbit)
-		}
-	}
+	var seed *absEntry
+	var pi []topo.NodeID
+	var epi []int32
+	b.onTransport = func(s *absEntry, p []topo.NodeID, ep []int32) { seed, pi, epi = s, p, slices.Clone(ep) }
 	defer func() { b.onTransport = nil }()
 	comp := b.NewCompiler(true)
 	defer comp.Close()
 	for _, cls := range b.Classes() {
-		cur = cls.Prefix.String()
+		cur := cls.Prefix.String()
 		_, prov, err := b.CompressTagged(context.Background(), comp, cls)
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch prov {
+		switch e := heldEntry(b, cls); prov {
 		case ProvFresh:
 			fresh++
-			seedPrefix[b.store.entries[b.fpByPrefix[cls.Prefix]]] = cur
+			seedPrefix[e] = cur
 		case ProvTransported:
 			transported++
+			if seen != nil {
+				seen(cur, seedPrefix[seed], pi, epi, e.out == outOrbit)
+			}
 		}
 	}
-	return fresh, transported, searched, orbitHits
+	return fresh, transported, int(b.store.tally[outSearch]), int(b.store.tally[outOrbit])
 }
 
 // TestTransportPermutationsMatchParent compresses every class of each
@@ -210,7 +207,7 @@ func TestTransportAssemblyStopsExactly(t *testing.T) {
 					t.Fatalf("%s: seed at %s: target counts %v, recount %v", tc.name, b.G.Name(e.abs.Dest), e.targets, want)
 				}
 			}
-			if e.src != ProvTransported {
+			if e.out.prov() != ProvTransported {
 				continue
 			}
 			transported++

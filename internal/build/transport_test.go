@@ -204,8 +204,6 @@ func TestLyingOrbitFallsBack(t *testing.T) {
 	}
 	ctx := context.Background()
 	comp := b.NewCompiler(true)
-	fromOrbit := make(map[topo.NodeID]bool)
-	b.onTransport = func(_ *absEntry, sig *classSig, _ []topo.NodeID, _ []int32, o bool) { fromOrbit[sig.dest] = o }
 	check := func(cls ec.Class) Provenance {
 		t.Helper()
 		got, prov, err := b.CompressTagged(ctx, comp, cls)
@@ -250,8 +248,9 @@ func TestLyingOrbitFallsBack(t *testing.T) {
 				t.Fatalf("%s has no twin", b.G.Name(w))
 			}
 			classes[i+1], classes[j] = classes[j], classes[i+1]
-			if prov := check(classes[i+1]); (prov != ProvTransported && prov != ProvFresh) || fromOrbit[w] {
-				t.Fatalf("%s: served %v (from the orbit: %v) through a corrupted generator", classes[i+1].Prefix, prov, fromOrbit[w])
+			prov := check(classes[i+1])
+			if fromOrbit := heldEntry(b, classes[i+1]).out == outOrbit; (prov != ProvTransported && prov != ProvFresh) || fromOrbit {
+				t.Fatalf("%s: served %v (from the orbit: %v) through a corrupted generator", classes[i+1].Prefix, prov, fromOrbit)
 			}
 			i++
 		}

@@ -57,12 +57,6 @@ type Result struct {
 	Answer
 	Compress time.Duration // time spent compressing (bonsai mode)
 	Total    time.Duration
-	// DistinctAbstractions is the Builder's cumulative count of abstractions
-	// computed by refinement (bonsai mode). It depends on what the cache had
-	// already seen — an earlier Compress, adoption across a delta — so two
-	// engines over the same configuration may report different values for
-	// the same Answer.
-	DistinctAbstractions int
 	// solves counts the classes whose control plane was solved, per-pair
 	// certification's re-analyses aside: one per fingerprint group in bonsai
 	// mode, one per class in concrete mode.
@@ -70,12 +64,8 @@ type Result struct {
 }
 
 func (r *Result) String() string {
-	s := fmt.Sprintf("%s: classes=%d pairs=%d reachable=%d compress=%v total=%v",
+	return fmt.Sprintf("%s: classes=%d pairs=%d reachable=%d compress=%v total=%v",
 		r.Mode, r.Classes, r.Pairs, r.ReachablePairs, r.Compress, r.Total)
-	if r.Mode == "bonsai" {
-		s += fmt.Sprintf(" distinctAbs=%d", r.DistinctAbstractions)
-	}
-	return s
 }
 
 // Options configures a verification run.
@@ -135,9 +125,7 @@ func AllPairsBonsai(ctx context.Context, b *build.Builder, opts Options) (*Resul
 			compilers[i] = b.NewCompiler(true)
 		}
 	}
-	res, err := allPairs(ctx, b, opts, true, compilers)
-	res.DistinctAbstractions = b.AbstractionCacheStats().Fresh
-	return res, err
+	return allPairs(ctx, b, opts, true, compilers)
 }
 
 // allPairs fans b's classes out over opts.Fanout(b) workers, compressing

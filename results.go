@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"bonsai/internal/build"
 	"bonsai/internal/verify"
 )
 
@@ -24,34 +25,16 @@ type ClassSelector struct {
 	MaxClasses int `json:"max_classes,omitempty"`
 }
 
-// CacheStats is a snapshot of the engine's cross-class abstraction store.
-// It is provenance whole.
+// StoreStats is the abstraction store's part of CacheStats: how many
+// classes it answered by each path (fresh refinement, symmetry transport, the
+// identity cache, adoption across a delta), and its misses, evictions and
+// byte accounting under the memory budget (WithMemoryBudget).
+type StoreStats = build.CacheStats
+
+// CacheStats is a snapshot of the engine's cross-class abstraction store
+// and its reach memo. It is provenance whole.
 type CacheStats struct {
-	// Fresh counts abstractions computed by full refinement.
-	Fresh int `json:"fresh"`
-	// Transported counts abstractions served by symmetry transport.
-	Transported int64 `json:"transported"`
-	// Served counts compression calls answered from the identity cache (the
-	// store's hit counter).
-	Served int64 `json:"served"`
-	// Adopted counts abstractions carried across an incremental update by
-	// partition re-validation instead of recompression.
-	Adopted int `json:"adopted"`
-	// Misses counts compression calls that had to compute: first touches
-	// and recompressions of classes the memory budget evicted.
-	Misses int64 `json:"misses"`
-	// Evictions counts entries dropped under the memory budget
-	// (WithMemoryBudget); LiveBytes and PeakBytes are the store's current
-	// and high-water accounted footprint, BudgetBytes the configured
-	// ceiling (0 = unbounded).
-	Evictions   int64 `json:"evictions"`
-	LiveBytes   int64 `json:"live_bytes"`
-	PeakBytes   int64 `json:"peak_bytes"`
-	BudgetBytes int64 `json:"budget_bytes,omitempty"`
-	// DuplicateFresh counts duplicated refinements for one fingerprint —
-	// zero in a healthy engine (the abstraction store single-flights each
-	// fingerprint; tests assert it).
-	DuplicateFresh int64 `json:"duplicate_fresh,omitempty"`
+	StoreStats
 	// ReachMemoHits counts Reach/ReachConcrete queries answered from a class
 	// already solved in their snapshot (or by joining its solve in flight);
 	// ReachMemoMisses counts the queries that solved a class. Both are
@@ -160,15 +143,11 @@ type VerifyAnswer = verify.Answer
 // provenance beside it.
 type Report struct {
 	VerifyAnswer
-	// DistinctAbstractions is the engine's cumulative count of abstractions
-	// computed by refinement (bonsai mode). It depends on cache history — an
-	// earlier Compress, adoption across a delta — so two engines over the
-	// same configuration may report different values for the same answer.
-	DistinctAbstractions int `json:"distinct_abstractions,omitempty"`
 	// CompressTime is the portion of Total spent compressing (bonsai mode).
 	CompressTime time.Duration `json:"compress_ns"`
 	Total        time.Duration `json:"total_ns"`
-	// Cache snapshots the deduplication cache after the call.
+	// Cache snapshots the deduplication cache after the call; its Fresh is
+	// the engine's cumulative count of abstractions computed by refinement.
 	Cache CacheStats `json:"cache"`
 }
 
@@ -176,7 +155,7 @@ func (r *Report) String() string {
 	s := fmt.Sprintf("%s: classes=%d pairs=%d reachable=%d compress=%v total=%v",
 		r.Mode, r.Classes, r.Pairs, r.ReachablePairs, r.CompressTime, r.Total)
 	if r.Mode == "bonsai" {
-		s += fmt.Sprintf(" distinctAbs=%d", r.DistinctAbstractions)
+		s += fmt.Sprintf(" distinctAbs=%d", r.Cache.Fresh)
 	}
 	return s
 }
@@ -230,29 +209,22 @@ type RoutesReport struct {
 	Routes []RouteEntry `json:"routes"`
 }
 
+// AdoptStats is what the adoption sweep of an incremental update did with
+// each class: carried across the delta (Adopted, of which Unchanged reused
+// the cached abstraction outright and Reassembled rebuilt its abstract graph
+// over the new topology, no refinement either way), invalidated by it
+// (Invalidated, listed in InvalidatedPrefixes; they recompress lazily on
+// their next query), or new (NewClasses: newly originated prefixes, or
+// classes never yet compressed); RemovedClasses counts pre-delta classes
+// that no longer exist.
+type AdoptStats = build.AdoptStats
+
 // ApplyReport summarises one incremental update. It is provenance whole: how
 // the engine carried its cache across the delta, not what it answers after.
 type ApplyReport struct {
 	// Classes is the class count of the post-delta network.
 	Classes int `json:"classes"`
-	// Adopted counts cached classes carried across the delta after their
-	// partitions passed the stability checks; of those, Unchanged reused
-	// the cached abstraction object outright and Reassembled had its
-	// abstract graph rebuilt over the new topology (no refinement either
-	// way).
-	Adopted     int `json:"adopted"`
-	Unchanged   int `json:"unchanged"`
-	Reassembled int `json:"reassembled"`
-	// Invalidated counts cached classes the delta actually affected; they
-	// recompress lazily on their next query. InvalidatedPrefixes lists
-	// them.
-	Invalidated         int      `json:"invalidated"`
-	InvalidatedPrefixes []string `json:"invalidated_prefixes,omitempty"`
-	// NewClasses counts post-delta classes that had no cached abstraction
-	// (newly originated prefixes, or classes never yet compressed);
-	// RemovedClasses counts pre-delta classes that no longer exist.
-	NewClasses     int `json:"new_classes"`
-	RemovedClasses int `json:"removed_classes"`
+	AdoptStats
 	// Degraded reports that the delta's blast radius exceeded the adoption
 	// sweep's profitable range, so the engine swapped to a cold successor
 	// snapshot (every class recompresses lazily) instead of running

@@ -172,7 +172,7 @@ func (s *Stream) Report() *CompressReport {
 	defer s.mu.Unlock()
 	rep := &CompressReport{
 		CompressAnswer: s.ans,
-		Cache:          cacheStats(s.b),
+		Cache:          CacheStats{StoreStats: s.b.AbstractionCacheStats()},
 		BDDSetup:       s.bddSetup,
 		Duration:       s.elapsed,
 	}

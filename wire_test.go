@@ -1,26 +1,29 @@
 package bonsai
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
 
-// roundTrip encodes v, decodes into a fresh value of the same type, and
+// roundTrip encodes v, decodes into a fresh value of v's dynamic type, and
 // compares — the JSON wire contract bonsaid and its clients rely on.
-func roundTrip[T any](t *testing.T, v T) {
+func roundTrip(t *testing.T, v any) {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatalf("marshal %T: %v", v, err)
 	}
-	var got T
-	if err := json.Unmarshal(b, &got); err != nil {
+	ptr := reflect.New(reflect.TypeOf(v))
+	if err := json.Unmarshal(b, ptr.Interface()); err != nil {
 		t.Fatalf("unmarshal %T: %v\n%s", v, err, b)
 	}
-	if !reflect.DeepEqual(v, got) {
+	if got := ptr.Elem().Interface(); !reflect.DeepEqual(v, got) {
 		t.Fatalf("%T round-trip mismatch:\n sent %+v\n got  %+v\n wire %s", v, v, got, b)
 	}
 }
@@ -96,40 +99,71 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReportsRoundTrip round-trips every wire type, and pins the keys of
+// the five reports the daemon serves against testdata/wire_reports.golden:
+// a round trip cannot see a renamed or dropped key. Every exported leaf is
+// non-zero, so omitempty keys show too.
 func TestReportsRoundTrip(t *testing.T) {
-	roundTrip(t, ApplyReport{
-		Classes: 32, Adopted: 20, Unchanged: 15, Reassembled: 5,
-		Invalidated: 7, InvalidatedPrefixes: []string{"10.0.1.0/24"},
-		NewClasses: 2, RemovedClasses: 1, Degraded: true,
-		CoalescedAway: []string{"link_down core-1--agg-2"}, Coalesced: 3,
-		Duration: 12 * time.Millisecond,
-	})
-	roundTrip(t, ApplyStreamReport{
-		Deltas: 10, Rejected: 1, Batches: 4, EmptyBatches: 1,
-		EditsReceived: 20, EditsApplied: 8, Coalesced: 12, CoalesceRatio: 2.5,
-		Adopted: 30, Invalidated: 4, NewClasses: 1, RemovedClasses: 1,
-		DegradedBatches: 1, MaxPending: 6, FlushDrain: 2, FlushPending: 1,
-		FlushStale: 1, FlushClose: 1, Duration: time.Second,
-	})
-	roundTrip(t, CompressReport{
-		CompressAnswer: CompressAnswer{
-			Network:           NetworkInfo{Name: "ft4", Routers: 20, Links: 32, Interfaces: 80, Classes: 16},
-			ClassesCompressed: 16, SumAbstractNodes: 64, SumAbstractLinks: 96,
-			NodeRatio: 5.0, LinkRatio: 5.3,
-		},
-		Cache: CacheStats{
+	cache := CacheStats{
+		StoreStats: StoreStats{
 			Fresh: 2, Transported: 4, Served: 10, Adopted: 3, Misses: 6,
 			Evictions: 1, LiveBytes: 1 << 20, PeakBytes: 2 << 20, BudgetBytes: 4 << 20,
+			DuplicateFresh: 1,
 		},
-		BDDSetup: time.Millisecond, Duration: time.Second,
-	})
-	roundTrip(t, Report{
-		VerifyAnswer: VerifyAnswer{
-			Mode: "bonsai", Classes: 16, Pairs: 320, ReachablePairs: 300, AbstractNodeSum: 64,
-		},
-		DistinctAbstractions: 4, CompressTime: time.Second, Total: 2 * time.Second,
-		Cache: CacheStats{Fresh: 4},
-	})
+		ReachMemoHits: 7, ReachMemoMisses: 5,
+	}
+	reports := []struct {
+		name string
+		v    any
+	}{
+		{"CacheStats", cache},
+		{"CompressReport", CompressReport{
+			CompressAnswer: CompressAnswer{
+				Network:           NetworkInfo{Name: "ft4", Routers: 20, Links: 32, Interfaces: 80, Classes: 16},
+				ClassesCompressed: 16, SumAbstractNodes: 64, SumAbstractLinks: 96,
+				NodeRatio: 5.0, LinkRatio: 5.3,
+			},
+			Cache:    cache,
+			BDDSetup: time.Millisecond, Duration: time.Second,
+		}},
+		{"Report", Report{
+			VerifyAnswer: VerifyAnswer{
+				Mode: "bonsai", Classes: 16, Pairs: 320, ReachablePairs: 300, AbstractNodeSum: 64,
+			},
+			CompressTime: time.Second, Total: 2 * time.Second,
+			Cache: cache,
+		}},
+		{"ApplyReport", ApplyReport{
+			Classes: 32,
+			AdoptStats: AdoptStats{
+				Adopted: 20, Unchanged: 15, Reassembled: 5,
+				Invalidated: 7, InvalidatedPrefixes: []string{"10.0.1.0/24"},
+				NewClasses: 2, RemovedClasses: 1,
+			},
+			Degraded:      true,
+			CoalescedAway: []string{"link_down core-1--agg-2"}, Coalesced: 3,
+			Duration: 12 * time.Millisecond,
+		}},
+		{"ApplyStreamReport", ApplyStreamReport{
+			Deltas: 10, Rejected: 1, Batches: 4, EmptyBatches: 1,
+			EditsReceived: 20, EditsApplied: 8, Coalesced: 12, CoalesceRatio: 2.5,
+			Adopted: 30, Invalidated: 4, NewClasses: 1, RemovedClasses: 1,
+			DegradedBatches: 1, MaxPending: 6, FlushDrain: 2, FlushPending: 1,
+			FlushStale: 1, FlushClose: 1, Duration: time.Second,
+		}},
+	}
+	var wire bytes.Buffer
+	for _, r := range reports {
+		roundTrip(t, r.v)
+		b, err := json.MarshalIndent(r.v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&wire, "%s\n%s\n", r.name, b)
+	}
+	if golden, err := os.ReadFile("testdata/wire_reports.golden"); err != nil || string(golden) != wire.String() {
+		t.Fatalf("report wire differs from testdata/wire_reports.golden (err %v); got:\n%s", err, wire.String())
+	}
 	roundTrip(t, ReachResult{ReachAnswer: ReachAnswer{Reachable: true}, Compressed: true, Duration: time.Millisecond})
 	roundTrip(t, RolesReport{Roles: 4, Routers: 20})
 	roundTrip(t, RoutesReport{
