@@ -238,7 +238,7 @@ func BenchmarkBatfishQuery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !reach.Has(src) {
+				if !reach.Every.Has(src) {
 					b.Fatal("query flipped to unreachable")
 				}
 			}

@@ -16,7 +16,6 @@ import (
 	"bonsai/internal/ec"
 	"bonsai/internal/faultinject"
 	"bonsai/internal/policy"
-	"bonsai/internal/srp"
 	"bonsai/internal/verify"
 )
 
@@ -100,11 +99,11 @@ type reachKey struct {
 }
 
 // reachFlight is one solve of a class and, once done is closed, its answer.
-// A nil reach after done means the solve failed; the flight has then already
-// left the memo, so errors and cancellations are never remembered.
+// A nil reach set after done means the solve failed; the flight has then
+// already left the memo, so errors and cancellations are never remembered.
 type reachFlight struct {
 	done  chan struct{}
-	reach verify.ReachSet
+	reach verify.ClassAnswer
 }
 
 // join returns the flight for key, creating it when there is none; the
@@ -454,18 +453,18 @@ func (e *Engine) reach(ctx context.Context, src, destPrefix string, compressed b
 	if err != nil {
 		return nil, err
 	}
-	return &ReachResult{
-		ReachAnswer: ReachAnswer{Reachable: reach.Has(u)},
-		Compressed:  compressed,
-		Duration:    time.Since(start),
-	}, nil
+	ans := ReachAnswer{Reachable: reach.Every.Has(u), Stable: reach.Stable}
+	if reach.Stable != verify.Unique {
+		ans.ReachableSome = reach.Some.Has(u)
+	}
+	return &ReachResult{ReachAnswer: ans, Compressed: compressed, Duration: time.Since(start)}, nil
 }
 
 // classReach returns the snapshot's answer for cls, solving it at most once
 // however many queries ask at the same time: the first becomes the flight's
 // leader, the rest wait for it. A waiter whose leader failed starts over
 // rather than inherit a foreign error or cancellation.
-func (e *Engine) classReach(ctx context.Context, st *engineState, cls ec.Class, compressed bool) (verify.ReachSet, error) {
+func (e *Engine) classReach(ctx context.Context, st *engineState, cls ec.Class, compressed bool) (verify.ClassAnswer, error) {
 	key := reachKey{class: cls.Prefix, compressed: compressed}
 	for {
 		f, leader := st.memo.join(key)
@@ -476,9 +475,9 @@ func (e *Engine) classReach(ctx context.Context, st *engineState, cls ec.Class, 
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return verify.ClassAnswer{}, ctx.Err()
 		}
-		if f.reach != nil {
+		if f.reach.Every != nil {
 			e.reachHits.Add(1)
 			return f.reach, nil
 		}
@@ -488,9 +487,9 @@ func (e *Engine) classReach(ctx context.Context, st *engineState, cls ec.Class, 
 // leadReach solves cls for flight f and publishes the outcome. A failed
 // solve (error, cancellation or panic) leaves the memo before its waiters
 // wake, so the next query solves afresh.
-func (e *Engine) leadReach(ctx context.Context, st *engineState, cls ec.Class, key reachKey, f *reachFlight) (reach verify.ReachSet, err error) {
+func (e *Engine) leadReach(ctx context.Context, st *engineState, cls ec.Class, key reachKey, f *reachFlight) (reach verify.ClassAnswer, err error) {
 	defer func() {
-		if reach == nil {
+		if reach.Every == nil {
 			st.memo.forget(key)
 		}
 		f.reach = reach
@@ -521,7 +520,9 @@ func (e *Engine) Roles(ctx context.Context, req RolesRequest) (*RolesReport, err
 }
 
 // Routes simulates the concrete control plane for the class owning
-// destPrefix and returns every router's converged state.
+// destPrefix and returns every router's converged state in the first
+// solution the class counts (verify.Solutions), with the class's verdict:
+// several solutions say "multiple", and with none there are no routes.
 func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -538,11 +539,15 @@ func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, 
 	if err != nil {
 		return nil, err
 	}
-	sol, err := srp.Solve(inst)
+	sols, stable, err := verify.Solutions(st.b, cls, inst)
 	if err != nil {
 		return nil, err
 	}
-	rep := &RoutesReport{Dest: cls.Prefix.String()}
+	rep := &RoutesReport{Dest: cls.Prefix.String(), Stable: stable}
+	if len(sols) == 0 {
+		return rep, nil
+	}
+	sol := sols[0]
 	for _, u := range st.b.G.Nodes() {
 		entry := RouteEntry{
 			Router: st.b.G.Name(u),

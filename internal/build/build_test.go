@@ -259,7 +259,7 @@ func TestPrefsExactUnderEBGPReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.CheckAcrossSolutions(conc, abst, abs, 8); err != nil {
+	if err := oracle.CheckAcrossSolutions(conc, abst, abs); err != nil {
 		t.Fatalf("CP-equivalence violated on the asymmetric diamond: %v", err)
 	}
 }

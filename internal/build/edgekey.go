@@ -262,65 +262,92 @@ func (b *Builder) PrefsFunc(cls ec.Class) func(u topo.NodeID) int {
 	return func(u topo.NodeID) int { return prefs[u] }
 }
 
-// prefsVec computes prefs(u) for every node (see PrefsFunc). Sessions are
-// read through the shape tables by edge index and the value-set scratch map
-// is reused across nodes, so the per-class cost is one pass over the live
-// adjacency.
+// prefsVec computes prefs(u) for every node (see PrefsFunc). The value-set
+// scratch map is reused across nodes, so the per-class cost is one pass
+// over the live adjacency.
 func (b *Builder) prefsVec(cls ec.Class) []int {
 	prefs := make([]int, b.G.NumNodes())
-	t := b.tab
 	vals := make(map[uint32]bool)
 	for u := range prefs {
-		clear(vals)
-		passthrough := false
-		lo, hi := t.out(topo.NodeID(u))
-		for i := lo; i < hi; i++ {
-			si := t.shapeOf[i]
-			if si < 0 {
-				continue
-			}
-			sess := &t.shapes[si]
-			sess.impEnv.LocalPrefValues(sess.impMap, cls.Prefix, vals)
-			if !sess.impEnv.LocalPrefPassesThrough(sess.impMap, cls.Prefix) {
-				continue
-			}
-			if !sess.ibgp {
-				// eBGP: the import stage saw the default preference.
-				passthrough = true
-				continue
-			}
-			// iBGP: the export stage's value survives the session.
-			sess.expEnv.LocalPrefValues(sess.expMap, cls.Prefix, vals)
-			if !sess.expEnv.LocalPrefPassesThrough(sess.expMap, cls.Prefix) {
-				continue
-			}
-			// The sender's RIB preference crosses untouched: union what its
-			// own eBGP import maps can assign (iBGP-learned routes are not
-			// re-advertised, and an originated route holds the default).
-			senderDefault := false
-			v := t.edges[i].V
-			lo2, hi2 := t.out(v)
-			for i2 := lo2; i2 < hi2; i2++ {
-				si2 := t.shapeOf[i2]
-				if si2 < 0 || t.shapes[si2].ibgp {
-					continue
-				}
-				s2 := &t.shapes[si2]
-				s2.impEnv.LocalPrefValues(s2.impMap, cls.Prefix, vals)
-				if s2.impEnv.LocalPrefPassesThrough(s2.impMap, cls.Prefix) {
-					senderDefault = true
-				}
-			}
-			if senderDefault || originates(cls, b.G.Name(v)) {
-				passthrough = true
-			}
-		}
-		if passthrough {
-			vals[protocols.DefaultLocalPref] = true
-		}
-		prefs[u] = max(len(vals), 1)
+		prefs[u] = b.prefsAt(cls, topo.NodeID(u), vals)
 	}
 	return prefs
+}
+
+// CertifiesUnique reports a certificate that the class has exactly one
+// stable solution (one behaviour, as srp.Solutions counts them), read from
+// tables the Builder already has: every router holds at most one local
+// preference for it (prefs ≤ 1; only the routers in lpNodes can hold more),
+// and no route map on a live session matches anything but the prefix. BGP
+// then selects shortest AS paths over a fixed set of sessions, and OSPF
+// shortest costs, each with one answer. The third condition, acyclic
+// redistribution, holds by construction: routes are only ever redistributed
+// from OSPF and static routing into BGP, never back.
+func (b *Builder) CertifiesUnique(cls ec.Class) bool {
+	if b.tab.attrMatch {
+		return false
+	}
+	vals := make(map[uint32]bool)
+	for _, u := range b.tab.lpNodes {
+		if b.prefsAt(cls, u, vals) > 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// prefsAt computes prefs(u) (see PrefsFunc), reading sessions through the
+// shape tables by edge index; vals is scratch.
+func (b *Builder) prefsAt(cls ec.Class, u topo.NodeID, vals map[uint32]bool) int {
+	t := b.tab
+	clear(vals)
+	passthrough := false
+	lo, hi := t.out(u)
+	for i := lo; i < hi; i++ {
+		si := t.shapeOf[i]
+		if si < 0 {
+			continue
+		}
+		sess := &t.shapes[si]
+		sess.impEnv.LocalPrefValues(sess.impMap, cls.Prefix, vals)
+		if !sess.impEnv.LocalPrefPassesThrough(sess.impMap, cls.Prefix) {
+			continue
+		}
+		if !sess.ibgp {
+			// eBGP: the import stage saw the default preference.
+			passthrough = true
+			continue
+		}
+		// iBGP: the export stage's value survives the session.
+		sess.expEnv.LocalPrefValues(sess.expMap, cls.Prefix, vals)
+		if !sess.expEnv.LocalPrefPassesThrough(sess.expMap, cls.Prefix) {
+			continue
+		}
+		// The sender's RIB preference crosses untouched: union what its
+		// own eBGP import maps can assign (iBGP-learned routes are not
+		// re-advertised, and an originated route holds the default).
+		senderDefault := false
+		v := t.edges[i].V
+		lo2, hi2 := t.out(v)
+		for i2 := lo2; i2 < hi2; i2++ {
+			si2 := t.shapeOf[i2]
+			if si2 < 0 || t.shapes[si2].ibgp {
+				continue
+			}
+			s2 := &t.shapes[si2]
+			s2.impEnv.LocalPrefValues(s2.impMap, cls.Prefix, vals)
+			if s2.impEnv.LocalPrefPassesThrough(s2.impMap, cls.Prefix) {
+				senderDefault = true
+			}
+		}
+		if senderDefault || originates(cls, b.G.Name(v)) {
+			passthrough = true
+		}
+	}
+	if passthrough {
+		vals[protocols.DefaultLocalPref] = true
+	}
+	return max(len(vals), 1)
 }
 
 // originates reports whether the named router is an origin of the class.

@@ -8,6 +8,9 @@ package build
 
 import (
 	"fmt"
+	"math"
+	"net/netip"
+	"sync"
 
 	"bonsai/internal/config"
 	"bonsai/internal/core"
@@ -58,7 +61,7 @@ func (b *Builder) Instance(cls ec.Class) (*srp.Instance, error) {
 	for u, r := range b.routers {
 		redist[u] = redistOf(r)
 	}
-	return &srp.Instance{G: b.G, Dest: dest, P: b.protocol(cls, nil, redist, b.routers[dest])}, nil
+	return &srp.Instance{G: b.G, Dest: dest, P: b.protocol(cls, b.G, dest, nil, redist, b.routers[dest])}, nil
 }
 
 // AbstractInstance builds the SRP instance of the compressed network for the
@@ -84,7 +87,7 @@ func (b *Builder) AbstractInstance(cls ec.Class, abs *core.Abstraction) (*srp.In
 	for c, gi := range copyGroups(abs) {
 		redist[c] = redistOf(b.groupRep(abs, gi))
 	}
-	return &srp.Instance{G: abs.AbsG, Dest: abs.AbsDest, P: b.protocol(cls, of, redist, b.routers[abs.Dest])}, nil
+	return &srp.Instance{G: abs.AbsG, Dest: abs.AbsDest, P: b.protocol(cls, abs.AbsG, abs.AbsDest, of, redist, b.routers[abs.Dest])}, nil
 }
 
 // AbstractACLPermitFunc returns the dataplane ACL verdict function for the
@@ -117,12 +120,12 @@ func gather[T any](src []T, of []int32) []T {
 	return out
 }
 
-// protocol assembles the §6 multi-protocol SRP protocol of an instance whose
-// edge k behaves like concrete edge of[k] — k itself when of is nil (the
-// concrete instance), the representative's index in an abstract one — and
-// whose node v redistributes as redist[v] says. Every per-edge table is the
-// Builder's own vector gathered through of.
-func (b *Builder) protocol(cls ec.Class, of []int32, redist []redistFlags, destRouter *config.Router) srp.Protocol {
+// protocol assembles the §6 multi-protocol SRP protocol of the instance over
+// g toward dest whose edge k behaves like concrete edge of[k] — k itself
+// when of is nil (the concrete instance), the representative's index in an
+// abstract one — and whose node v redistributes as redist[v] says. Every
+// per-edge table is the Builder's own vector gathered through of.
+func (b *Builder) protocol(cls ec.Class, g *topo.Graph, dest topo.NodeID, of []int32, redist []redistFlags, destRouter *config.Router) srp.Protocol {
 	tab, pfx := b.tab, cls.Prefix
 	shapeOf := gather(tab.shapeOf, of)
 	cost := gather(tab.ospfCost, of)
@@ -156,14 +159,110 @@ func (b *Builder) protocol(cls ec.Class, of []int32, redist []redistFlags, destR
 			return false
 		}
 	}
+	statics := gather([]bool(b.staticMask(cls)), of)
 	return &protocols.Multi{
 		BGP:        &protocols.BGP{Export: exp, Import: imp, IBGP: ibgp},
 		OSPF:       &protocols.OSPF{Cost: cost, CrossArea: gather(tab.ospfCross, of)},
-		Static:     &protocols.Static{Routes: gather([]bool(b.staticMask(cls)), of)},
+		Static:     &protocols.Static{Routes: statics},
 		BGPEdges:   bgpEdges,
 		OSPFEdges:  ospfEdges,
 		Redist:     redistributes,
 		OriginBGP:  destRouter.BGP != nil,
 		OriginOSPF: destRouter.OSPF != nil,
+		EdgeBound:  b.edgeBound(g, dest, shapeOf, cost, statics, redist, destRouter.OSPF != nil, pfx),
 	}
+}
+
+// edgeBound returns Multi.EdgeBound for the instance over g toward dest
+// whose edge k carries session shapeOf[k], OSPF at cost[k] (none below 0) and
+// a static route where statics[k], and whose node v redistributes as
+// redist[v] says. It is computed on first use, since only the solution
+// enumeration asks.
+//
+// A BGP session delivers nothing when its export or import map denies every
+// route to the class, or when its sender has a static route for the class
+// (which always wins its RIB, so it advertises BGP only by redistributing
+// static routes, fresh at the default preference); otherwise a route arrives
+// at most at the highest preference its import assigns (the default where
+// the map passes it through; over iBGP anything). An eBGP session rises when
+// that is no higher than the least preference its sender can hold (the least
+// its own imports assign, or the default at the destination; nothing is known
+// of a sender with an iBGP session), unless the sender can turn an OSPF route,
+// worse-ranked than any BGP one, into BGP by redistribution. An OSPF route
+// arrives at no less than the sender's shortest OSPF distance from an
+// originating destination plus the edge's cost.
+func (b *Builder) edgeBound(g *topo.Graph, dest topo.NodeID, shapeOf, cost []int32, statics []bool, redist []redistFlags, originOSPF bool, pfx netip.Prefix) func(int) protocols.EdgeBound {
+	var once sync.Once
+	var bounds []protocols.EdgeBound
+	return func(k int) protocols.EdgeBound {
+		once.Do(func() { bounds = b.edgeBounds(g, dest, shapeOf, cost, statics, redist, originOSPF, pfx) })
+		return bounds[k]
+	}
+}
+
+func (b *Builder) edgeBounds(g *topo.Graph, dest topo.NodeID, shapeOf, cost []int32, statics []bool, redist []redistFlags, originOSPF bool, pfx netip.Prefix) []protocols.EdgeBound {
+	edges, n := g.Edges(), g.NumNodes()
+	staticAt := make([]bool, n)
+	for k, e := range edges {
+		staticAt[e.U] = staticAt[e.U] || statics != nil && statics[k] && e.U != dest
+	}
+	vals := make(map[uint32]bool)
+	lo, hi := make([]uint32, len(edges)), make([]uint32, len(edges))
+	for k, si := range shapeOf {
+		lo[k] = math.MaxUint32
+		if v := edges[k].V; si < 0 || staticAt[v] && !redist[v].static {
+			continue
+		}
+		sess := &b.tab.shapes[si]
+		if !sess.expEnv.MayPermit(sess.expMap, pfx) || !sess.impEnv.MayPermit(sess.impMap, pfx) {
+			continue
+		}
+		if sess.ibgp {
+			lo[k], hi[k] = 0, math.MaxUint32
+			continue
+		}
+		clear(vals)
+		sess.impEnv.LocalPrefValues(sess.impMap, pfx, vals)
+		if sess.impEnv.LocalPrefPassesThrough(sess.impMap, pfx) {
+			vals[protocols.DefaultLocalPref] = true
+		}
+		for v := range vals {
+			lo[k], hi[k] = min(lo[k], v), max(hi[k], v)
+		}
+	}
+	least, dist := make([]uint32, n), make([]int, n)
+	for v := range least {
+		least[v], dist[v] = math.MaxUint32, -1
+		if topo.NodeID(v) == dest {
+			least[v] = protocols.DefaultLocalPref
+		}
+		l, h := g.OutEdges(topo.NodeID(v))
+		for k := l; k < h; k++ {
+			least[v] = min(least[v], lo[k])
+		}
+	}
+	// Shortest OSPF distances from an originating destination.
+	if originOSPF {
+		dist[dest] = 0
+		for changed := true; changed; {
+			changed = false
+			for k, e := range edges {
+				if d := dist[e.V] + int(cost[k]); cost[k] >= 0 && dist[e.V] >= 0 && (dist[e.U] < 0 || d < dist[e.U]) {
+					dist[e.U], changed = d, true
+				}
+			}
+		}
+	}
+	bounds := make([]protocols.EdgeBound, len(edges))
+	for k, e := range edges {
+		bounds[k] = protocols.EdgeBound{
+			LP:       hi[k],
+			BGPRises: hi[k] <= least[e.V] && !(redist[e.V].ospf && dist[e.V] >= 0),
+			OSPFCost: -1,
+		}
+		if cost[k] >= 0 && dist[e.V] >= 0 {
+			bounds[k].OSPFCost = dist[e.V] + int(cost[k])
+		}
+	}
+	return bounds
 }

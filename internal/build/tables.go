@@ -87,6 +87,14 @@ type edgeTables struct {
 	// only maps whose relation can differ between classes, and the only ones
 	// a fingerprint records.
 	matchRMs []int32
+	// attrMatch reports that some sigRMs entry matches on something other
+	// than the prefix (a community), so a route's fate can depend on how it
+	// got there.
+	attrMatch bool
+	// lpNodes lists, ascending, the routers with an iBGP session or an
+	// import map that sets a local preference: the only ones whose prefs can
+	// exceed 1 for some class.
+	lpNodes []topo.NodeID
 }
 
 // out returns the index range of u's out-edges, which list u's neighbours in
@@ -250,11 +258,28 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 			for _, m := range rm.Clauses[ci].Matches {
 				if m.Kind == policy.MatchPrefix {
 					t.rmLists[i] = append(t.rmLists[i], r.env.PrefixLists[m.Arg])
+				} else {
+					t.attrMatch = true
 				}
 			}
 		}
 		if len(t.rmLists[i]) > 0 {
 			t.matchRMs = append(t.matchRMs, int32(i))
+		}
+	}
+
+	setsLP := make([]bool, len(t.shapes))
+	for si, sess := range t.shapes {
+		setsLP[si] = sess.ibgp
+		if rm := sess.impEnv; rm != nil && rm.RouteMaps[sess.impMap] != nil {
+			for _, cl := range rm.RouteMaps[sess.impMap].Clauses {
+				setsLP[si] = setsLP[si] || slices.ContainsFunc(cl.Sets, func(s policy.Set) bool { return s.Kind == policy.SetLocalPref })
+			}
+		}
+	}
+	for i, si := range t.shapeOf {
+		if u := edges[i].U; si >= 0 && setsLP[si] && (len(t.lpNodes) == 0 || t.lpNodes[len(t.lpNodes)-1] != u) {
+			t.lpNodes = append(t.lpNodes, u)
 		}
 	}
 	return t

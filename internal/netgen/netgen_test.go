@@ -30,7 +30,7 @@ func compressFirstClass(t *testing.T, b *build.Builder) (*srp.Instance, *srp.Ins
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.CheckAcrossSolutions(conc, abst, abs, 4); err != nil {
+	if err := oracle.CheckAcrossSolutions(conc, abst, abs); err != nil {
 		t.Fatalf("CP-equivalence violated: %v", err)
 	}
 	return conc, abst, abs.NumAbstractNodes(), abs.NumAbstractEdges()

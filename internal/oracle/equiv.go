@@ -118,49 +118,44 @@ func fwdGroups(fwd []topo.NodeID, groupOf func(topo.NodeID) int) string {
 	return fmt.Sprint(gs)
 }
 
-// CheckAcrossSolutions verifies CP-equivalence allowing for multiple stable
-// solutions: it solves both instances under several activation orders and
-// requires every concrete solution to have an equivalent abstract solution
-// and vice versa (the bisimulation of Theorem 4.5). numSeeds bounds the
-// exploration.
-func CheckAcrossSolutions(conc *srp.Instance, abst *srp.Instance, abs *core.Abstraction, numSeeds int) error {
-	concSols := srp.SolveAll(conc, numSeeds)
-	absSols := srp.SolveAll(abst, numSeeds)
-	if len(concSols) == 0 {
-		return fmt.Errorf("equiv: concrete network has no stable solution")
+// CheckAcrossSolutions verifies CP-equivalence over the whole sets of
+// stable solutions: every concrete solution must have an equivalent abstract
+// one and vice versa (the bisimulation of Theorem 4.5). Both sets come from
+// srp.Solutions under srp.Budget; a set that is not complete is an error,
+// since a sample proves nothing about the solutions it left out.
+func CheckAcrossSolutions(conc *srp.Instance, abst *srp.Instance, abs *core.Abstraction) error {
+	concSols, ok := srp.Solutions(conc, srp.Budget)
+	if !ok {
+		return fmt.Errorf("equiv: the concrete solutions are not complete within the budget (%d found)", len(concSols))
 	}
-	if len(absSols) == 0 {
-		return fmt.Errorf("equiv: abstract network has no stable solution")
+	absSols, ok := srp.Solutions(abst, srp.Budget)
+	if !ok {
+		return fmt.Errorf("equiv: the abstract solutions are not complete within the budget (%d found)", len(absSols))
+	}
+	if (len(concSols) == 0) != (len(absSols) == 0) {
+		return fmt.Errorf("equiv: %d concrete and %d abstract stable solutions", len(concSols), len(absSols))
 	}
 	for i, cs := range concSols {
-		matched := false
-		var lastErr error
-		for _, as := range absSols {
-			if err := Check(conc, cs, abst, as, abs); err == nil {
-				matched = true
-				break
-			} else {
-				lastErr = err
-			}
-		}
-		if !matched {
-			return fmt.Errorf("equiv: concrete solution %d has no equivalent abstract solution: %w", i, lastErr)
+		if err := matchOne(func(as *srp.Solution) error { return Check(conc, cs, abst, as, abs) }, absSols); err != nil {
+			return fmt.Errorf("equiv: concrete solution %d has no equivalent abstract solution: %w", i, err)
 		}
 	}
 	for i, as := range absSols {
-		matched := false
-		var lastErr error
-		for _, cs := range concSols {
-			if err := Check(conc, cs, abst, as, abs); err == nil {
-				matched = true
-				break
-			} else {
-				lastErr = err
-			}
-		}
-		if !matched {
-			return fmt.Errorf("equiv: abstract solution %d has no equivalent concrete solution: %w", i, lastErr)
+		if err := matchOne(func(cs *srp.Solution) error { return Check(conc, cs, abst, as, abs) }, concSols); err != nil {
+			return fmt.Errorf("equiv: abstract solution %d has no equivalent concrete solution: %w", i, err)
 		}
 	}
 	return nil
+}
+
+// matchOne returns nil when check accepts some solution of sols, and the
+// last refusal otherwise.
+func matchOne(check func(*srp.Solution) error, sols []*srp.Solution) error {
+	var err error
+	for _, s := range sols {
+		if err = check(s); err == nil {
+			return nil
+		}
+	}
+	return err
 }

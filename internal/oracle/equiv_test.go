@@ -39,7 +39,7 @@ func TestCheckAcceptsCorrectAbstraction(t *testing.T) {
 	if err := Check(conc, cs, abst, as, abs); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckAcrossSolutions(conc, abst, abs, 4); err != nil {
+	if err := CheckAcrossSolutions(conc, abst, abs); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,6 +8,7 @@ package policy
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"bonsai/internal/protocols"
 )
@@ -282,6 +283,32 @@ func (env *Env) LocalPrefValues(name string, pfx netip.Prefix, into map[uint32]b
 			}
 		}
 	}
+}
+
+// MayPermit reports whether the named route map can permit some route to
+// pfx: a clause whose prefix matches hold permits before any clause that
+// denies every route to pfx. An empty name permits everything.
+func (env *Env) MayPermit(name string, pfx netip.Prefix) bool {
+	if name == "" {
+		return true
+	}
+	rm, ok := env.RouteMaps[name]
+	if !ok {
+		panic(fmt.Sprintf("policy: unknown route map %q", name))
+	}
+	for i := range rm.Clauses {
+		cl := &rm.Clauses[i]
+		if !env.clauseReachableForPrefix(cl, pfx) {
+			continue
+		}
+		if cl.Action == Permit {
+			return true
+		}
+		if !slices.ContainsFunc(cl.Matches, func(m Match) bool { return m.Kind != MatchPrefix }) {
+			return false
+		}
+	}
+	return false
 }
 
 // LocalPrefPassesThrough reports whether the named route map can permit a

@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"fmt"
+	"math"
 
 	"bonsai/internal/srp"
 	"bonsai/internal/topo"
@@ -86,6 +87,10 @@ type Multi struct {
 	// prefix into; SrcConnected is implied for the RIB winner.
 	OriginBGP  bool
 	OriginOSPF bool
+
+	// EdgeBound, when set, bounds what edge i can carry (see EdgeBound).
+	// Without it Bound assumes nothing of BGP and OSPF beyond the edge.
+	EdgeBound func(i int) EdgeBound
 }
 
 // Origin implements srp.Protocol: the destination holds a connected route
@@ -190,6 +195,65 @@ func (p *Multi) Transfer(i int, e topo.Edge, x srp.Attr) srp.Attr {
 		return nil
 	}
 	return out
+}
+
+// EdgeBound is what Multi.Bound needs to know of an edge beyond the
+// protocol's own tables.
+type EdgeBound struct {
+	// LP is the highest local preference a BGP route can arrive with, 0
+	// when none can arrive.
+	LP uint32
+	// BGPRises reports that every BGP route crossing the edge gets worse.
+	BGPRises bool
+	// OSPFCost is the least cost an OSPF route can arrive with, -1 when none
+	// can arrive.
+	OSPFCost int
+}
+
+// Bound implements srp.Bounded. A static route is spontaneous and wins
+// whatever the neighbour holds, so its edge does not rise. Otherwise a route
+// crossing the edge leaves its protocol only for a worse-ranked one, or
+// stays: OSPF adds the edge's cost, which rises when positive, and BGP rises
+// as EdgeBound says (iBGP keeps the path, so it never does). The floor is the
+// best-ranked protocol the edge carries at its best: OSPF at its least cost,
+// BGP at the highest preference over a path of one hop (none over iBGP).
+func (p *Multi) Bound(i int, _ topo.Edge) (srp.Attr, bool) {
+	if p.Static != nil && marked(p.Static.Routes, i) {
+		return &MultiAttr{Static: true, Best: SrcStatic}, false
+	}
+	eb := EdgeBound{LP: math.MaxUint32, OSPFCost: 0}
+	if p.EdgeBound != nil {
+		eb = p.EdgeBound(i)
+	}
+	var floor *MultiAttr
+	rises := true
+	if marked(p.OSPFEdges, i) {
+		cost := 1
+		if p.OSPF.Cost != nil {
+			cost = int(p.OSPF.Cost[i])
+		}
+		if p.EdgeBound == nil {
+			eb.OSPFCost = cost
+		}
+		if eb.OSPFCost >= 0 {
+			floor = &MultiAttr{OSPF: &OSPFAttr{Cost: eb.OSPFCost, InterArea: marked(p.OSPF.CrossArea, i)}, Best: SrcOSPF}
+		}
+		rises = cost > 0
+	}
+	if marked(p.BGPEdges, i) {
+		if eb.LP > 0 {
+			hops := 1
+			if marked(p.BGP.IBGP, i) {
+				hops, eb.BGPRises = 0, false
+			}
+			floor = &MultiAttr{BGP: &BGPAttr{LP: eb.LP, Path: make([]topo.NodeID, hops)}, Best: SrcBGP}
+		}
+		rises = rises && eb.BGPRises
+	}
+	if floor == nil {
+		return nil, true
+	}
+	return floor, rises
 }
 
 func ribWinner(a *MultiAttr) RouteSource {

@@ -200,7 +200,10 @@ func figure2() (*topo.Graph, *BGP, topo.NodeID, []topo.NodeID, topo.NodeID) {
 func TestBGPLoopPreventionGadget(t *testing.T) {
 	g, p, a, bs, d := figure2()
 	inst := &srp.Instance{G: g, Dest: d, P: p}
-	sols := srp.SolveAll(inst, 32)
+	sols, complete := srp.Solutions(inst, srp.Budget)
+	if !complete {
+		t.Fatalf("the gadget's solutions are not complete within srp.Budget (%d found)", len(sols))
+	}
 	if len(sols) == 0 {
 		t.Fatal("gadget found no stable solution")
 	}
@@ -224,10 +227,9 @@ func TestBGPLoopPreventionGadget(t *testing.T) {
 			t.Fatal("a has no route")
 		}
 	}
-	// Multiple distinct stable solutions should be discoverable (one per
-	// choice of the direct router).
-	if len(sols) < 2 {
-		t.Logf("note: only %d distinct solutions found (order-dependent)", len(sols))
+	// One stable solution per choice of the direct router.
+	if len(sols) != len(bs) {
+		t.Fatalf("%d stable solutions, want %d", len(sols), len(bs))
 	}
 }
 

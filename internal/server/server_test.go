@@ -727,3 +727,39 @@ func TestMetricsCardinalityIsBoundedByTenants(t *testing.T) {
 		t.Fatalf("a closed tenant's series outlive it (%v):\n%s", err, exp)
 	}
 }
+
+// TestBadGadgetAnswersNoneNot500: a class with no stable solution is an
+// answer, not a server fault. /reach and /routes on BAD GADGET are 200s
+// saying "none", and /verify says it counted no pair; a diverging solve
+// must not surface as a 500.
+func TestBadGadgetAnswersNoneNot500(t *testing.T) {
+	_, c := newTestServer(t, Config{MaxQueriesPerTenant: 4})
+	ctx := context.Background()
+	net, err := bonsai.ParseFile("../../testdata/regress/badgadget.cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := openNetwork(ctx, c, "bad", net); err != nil {
+		t.Fatal(err)
+	}
+	if got := getStatus(t, c, "/v1/tenants/bad/reach?src=a&dest=10.0.0.0/24"); got != 200 {
+		t.Fatalf("GET /reach: status %d, want 200", got)
+	}
+	for _, concrete := range []bool{false, true} {
+		r, err := c.Reach(ctx, "bad", "a", "10.0.0.0/24", concrete)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (bonsai.ReachAnswer{Stable: "none"}); r.ReachAnswer != want {
+			t.Errorf("reach (concrete %v) = %+v, want %+v", concrete, r.ReachAnswer, want)
+		}
+	}
+	routes, err := c.Routes(ctx, "bad", "10.0.0.0/24")
+	if err != nil || routes.Stable != "none" {
+		t.Errorf("routes: %+v, %v; want stable none", routes, err)
+	}
+	rep, err := c.Verify(ctx, "bad", bonsai.VerifyRequest{})
+	if err != nil || rep.Stable != "none" || rep.ReachablePairs != 0 {
+		t.Errorf("verify: %+v, %v; want stable none, no reachable pair", rep, err)
+	}
+}

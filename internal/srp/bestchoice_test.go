@@ -23,9 +23,9 @@ func scanIndex(g *topo.Graph, u, v topo.NodeID) int {
 
 // bestChoiceReference is bestChoice as it was while it evaluated Transfer
 // twice per neighbor — once to rank, once to pick. The production version
-// keeps pass 1's offers; it must visit the same neighbors in the same order,
-// make the same comparisons and draw from tieRng the same number of times.
-func bestChoiceReference(inst *Instance, label []Attr, u topo.NodeID, tieRng *rand.Rand) Attr {
+// keeps one pass; it must visit the same neighbors in the same order and
+// make the same choice.
+func bestChoiceReference(inst *Instance, label []Attr, u topo.NodeID) Attr {
 	// Pass 1: find the minimal rank.
 	var best Attr
 	for _, v := range inst.G.Succ(u) {
@@ -40,10 +40,9 @@ func bestChoiceReference(inst *Instance, label []Attr, u topo.NodeID, tieRng *ra
 	if best == nil {
 		return nil
 	}
-	// Pass 2: among minimal candidates, prefer the current label, then a
-	// random one (reservoir), then the first.
+	// Pass 2: among minimal candidates, prefer the current label, then the
+	// first.
 	var pick Attr
-	ties := 0
 	for _, v := range inst.G.Succ(u) {
 		a := inst.P.Transfer(scanIndex(inst.G, u, v), topo.Edge{U: u, V: v}, label[v])
 		if a == nil || inst.P.Compare(a, best) != 0 {
@@ -52,8 +51,7 @@ func bestChoiceReference(inst *Instance, label []Attr, u topo.NodeID, tieRng *ra
 		if inst.P.Equal(a, label[u]) {
 			return a // sticky: quiescence under ties
 		}
-		ties++
-		if pick == nil || (tieRng != nil && tieRng.Intn(ties) == 0) {
+		if pick == nil {
 			pick = a
 		}
 	}
@@ -61,27 +59,18 @@ func bestChoiceReference(inst *Instance, label []Attr, u topo.NodeID, tieRng *ra
 }
 
 // solveReference is Solve's iteration around bestChoiceReference: same
-// activation order, same tie source, same sweep budget.
-func solveReference(inst *Instance, seed int64, useSeed bool) ([]Attr, error) {
+// activation order, same sweep budget.
+func solveReference(inst *Instance) ([]Attr, error) {
 	n := inst.G.NumNodes()
-	var order []topo.NodeID
-	for _, u := range inst.G.Nodes() {
-		if u != inst.Dest {
-			order = append(order, u)
-		}
-	}
-	var tieRng *rand.Rand
-	if useSeed {
-		rng := rand.New(rand.NewSource(seed))
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		tieRng = rand.New(rand.NewSource(seed ^ 0x5bd1e995))
-	}
 	label := make([]Attr, n)
 	label[inst.Dest] = inst.P.Origin()
 	for sweep := 0; sweep < 2*n+64; sweep++ {
 		changed := false
-		for _, u := range order {
-			best := bestChoiceReference(inst, label, u, tieRng)
+		for _, u := range inst.G.Nodes() {
+			if u == inst.Dest {
+				continue
+			}
+			best := bestChoiceReference(inst, label, u)
 			if !inst.P.Equal(best, label[u]) {
 				label[u] = best
 				changed = true
@@ -97,8 +86,8 @@ func solveReference(inst *Instance, seed int64, useSeed bool) ([]Attr, error) {
 // TestSolveMatchesTwoPassReference holds Solve to the two-pass bestChoice on
 // the random graphs of TestSolveRandomGraphsMatchBFS, under a protocol with
 // unique best routes, one that drops routes, one whose ties are distinct
-// attributes (so every tieRng draw shows in the labels) and one that
-// diverges — in the deterministic order and under ten seeds.
+// attributes and one that diverges. Each of its solutions must also be one
+// Solutions counts, and a diverging Solve must meet an empty complete set.
 func TestSolveMatchesTwoPassReference(t *testing.T) {
 	protos := []Protocol{&hopProto{}, &hopProto{limit: 2}, pathProto{}, growProto{}}
 	rng := rand.New(rand.NewSource(11))
@@ -106,28 +95,32 @@ func TestSolveMatchesTwoPassReference(t *testing.T) {
 		g, _, dest := randomGraph(rng)
 		for _, p := range protos {
 			inst := &Instance{G: g, Dest: dest, P: p}
-			for seed := int64(-1); seed < 10; seed++ {
-				var opts []Option
-				if seed >= 0 {
-					opts = append(opts, WithOrder(seed))
+			want, wantErr := solveReference(inst)
+			sol, err := Solve(inst)
+			if !errors.Is(err, wantErr) {
+				t.Fatalf("trial %d %T: err %v, reference %v", trial, p, err, wantErr)
+			}
+			sols, complete := Solutions(inst, Budget)
+			if !complete {
+				t.Fatalf("trial %d %T: Solutions incomplete", trial, p)
+			}
+			if err != nil {
+				if len(sols) != 0 {
+					t.Fatalf("trial %d %T: Solve diverged, Solutions found %d", trial, p, len(sols))
 				}
-				want, wantErr := solveReference(inst, seed, seed >= 0)
-				sol, err := Solve(inst, opts...)
-				if !errors.Is(err, wantErr) {
-					t.Fatalf("trial %d %T seed %d: err %v, reference %v", trial, p, seed, err, wantErr)
+				continue
+			}
+			for u := range want {
+				if !p.Equal(sol.Label[u], want[u]) {
+					t.Fatalf("trial %d %T: label[%d] = %v, reference %v",
+						trial, p, u, sol.Label[u], want[u])
 				}
-				if err != nil {
-					continue
-				}
-				for u := range want {
-					if !p.Equal(sol.Label[u], want[u]) {
-						t.Fatalf("trial %d %T seed %d: label[%d] = %v, reference %v",
-							trial, p, seed, u, sol.Label[u], want[u])
-					}
-				}
-				if fwd := forwarding(inst, want); !reflect.DeepEqual(sol.Fwd, fwd) {
-					t.Fatalf("trial %d %T seed %d: fwd %v, reference %v", trial, p, seed, sol.Fwd, fwd)
-				}
+			}
+			if fwd := forwarding(inst, want); !reflect.DeepEqual(sol.Fwd, fwd) {
+				t.Fatalf("trial %d %T: fwd %v, reference %v", trial, p, sol.Fwd, fwd)
+			}
+			if !slices.ContainsFunc(sols, func(s *Solution) bool { return sameBehaviour(p, s, sol) }) {
+				t.Fatalf("trial %d %T: Solve's solution is not among the %d Solutions counts", trial, p, len(sols))
 			}
 		}
 	}
@@ -150,8 +143,8 @@ func (p *indexProto) Transfer(i int, e topo.Edge, a Attr) Attr {
 	return p.Protocol.Transfer(i, e, a)
 }
 
-// TestTransferReceivesEdgeIndex: every Transfer that Solve, forwarding and
-// Instance.Check make carries the edge's own index, on graphs whose links
+// TestTransferReceivesEdgeIndex: every Transfer that Solve, Solutions,
+// forwarding and Instance.Check make carries the edge's own index, on graphs whose links
 // were inserted in shuffled order — so Succ order is not Edges() order, and
 // a solver that walked a node's out-span instead of Succ would either pass
 // the wrong index here or break ties unlike the reference.
@@ -185,25 +178,21 @@ func TestTransferReceivesEdgeIndex(t *testing.T) {
 		for _, base := range []Protocol{&hopProto{}, &hopProto{limit: 2}, pathProto{}} {
 			p := &indexProto{Protocol: base, t: t, g: g}
 			inst := &Instance{G: g, Dest: dest, P: p}
-			for seed := int64(-1); seed < 4; seed++ {
-				var opts []Option
-				if seed >= 0 {
-					opts = append(opts, WithOrder(seed))
+			sol, err := Solve(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := solveReference(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := range want {
+				if !p.Equal(sol.Label[u], want[u]) {
+					t.Fatalf("trial %d %T: label[%d] = %v, reference %v", trial, p, u, sol.Label[u], want[u])
 				}
-				sol, err := Solve(inst, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := solveReference(inst, seed, seed >= 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for u := range want {
-					if !p.Equal(sol.Label[u], want[u]) {
-						t.Fatalf("trial %d %T seed %d: label[%d] = %v, reference %v",
-							trial, p, seed, u, sol.Label[u], want[u])
-					}
-				}
+			}
+			if _, complete := Solutions(inst, Budget); !complete {
+				t.Fatalf("trial %d %T: Solutions incomplete", trial, p)
 			}
 			if g.NumEdges() > 0 && p.calls == 0 {
 				t.Fatalf("trial %d %T: no Transfer went through the wrapper", trial, p)

@@ -10,7 +10,6 @@ package srp
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"bonsai/internal/topo"
 )
@@ -80,60 +79,23 @@ type Solution struct {
 // reaching a stable solution (e.g. a BGP "naughty gadget").
 var ErrDiverged = errors.New("srp: no stable solution found within sweep budget")
 
-type options struct {
-	seed      int64
-	useSeed   bool
-	maxSweeps int
-}
-
-// Option configures Solve.
-type Option func(*options)
-
-// WithOrder makes the solver activate nodes in a pseudo-random order derived
-// from seed. Different orders can reach different stable solutions of the
-// same SRP (paper Figure 2 has several).
-func WithOrder(seed int64) Option {
-	return func(o *options) { o.seed = seed; o.useSeed = true }
-}
-
 // Solve simulates the SRP to a stable solution using asynchronous
 // (Gauss-Seidel) fixed-point iteration: nodes repeatedly re-select their best
 // available route given neighbors' current labels until a full sweep changes
-// nothing. It returns ErrDiverged if no fixed point is reached within the
-// sweep budget.
-func Solve(inst *Instance, opts ...Option) (*Solution, error) {
-	o := options{maxSweeps: 2*inst.G.NumNodes() + 64}
-	for _, f := range opts {
-		f(&o)
-	}
+// nothing. It is the deterministic fast path for instances known to have one
+// solution; Solutions enumerates the others. It returns ErrDiverged if no
+// fixed point is reached within 2·|V|+64 sweeps.
+func Solve(inst *Instance) (*Solution, error) {
 	n := inst.G.NumNodes()
-	order := make([]topo.NodeID, 0, n)
-	for _, u := range inst.G.Nodes() {
-		if u != inst.Dest {
-			order = append(order, u)
-		}
-	}
-	if o.useSeed {
-		rng := rand.New(rand.NewSource(o.seed))
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	}
-
 	label := make([]Attr, n)
 	label[inst.Dest] = inst.P.Origin()
-
-	// With a seeded order, ties between equally-good attributes are also
-	// broken pseudo-randomly, so SolveAll can discover every labelling a
-	// real network might converge to (the SRP definition allows any minimal
-	// attribute to be chosen).
-	var tieRng *rand.Rand
-	if o.useSeed {
-		tieRng = rand.New(rand.NewSource(o.seed ^ 0x5bd1e995))
-	}
-
-	for sweep := 0; sweep < o.maxSweeps; sweep++ {
+	for sweep := 0; sweep < 2*n+64; sweep++ {
 		changed := false
-		for _, u := range order {
-			best := bestChoice(inst, label, u, tieRng)
+		for _, u := range inst.G.Nodes() {
+			if u == inst.Dest {
+				continue
+			}
+			best := bestChoice(inst, label, u)
 			if !inst.P.Equal(best, label[u]) {
 				label[u] = best
 				changed = true
@@ -153,46 +115,21 @@ func Solve(inst *Instance, opts ...Option) (*Solution, error) {
 // bestChoice returns a minimal attribute available to u from its neighbors,
 // or nil when attrs_L(u) is empty. Tie handling is sticky: if u's current
 // label is still among the minimal choices it is kept, so the iteration
-// reaches quiescence; otherwise, with a non-nil tieRng, a random minimal
-// choice is taken (reservoir sampling), letting different seeds converge to
-// different labellings of tied SRPs — the "any minimal value can be chosen"
-// freedom of the solution definition.
-func bestChoice(inst *Instance, label []Attr, u topo.NodeID, tieRng *rand.Rand) Attr {
-	// Pass 1: evaluate each neighbor's offer once, keep the non-nil ones in
-	// neighbor order, and find the minimal rank.
-	var buf [8]Attr
-	offers := buf[:0]
+// reaches quiescence; otherwise the first minimal offer in Succ order wins.
+func bestChoice(inst *Instance, label []Attr, u topo.NodeID) Attr {
 	var best Attr
 	for _, v := range inst.G.Succ(u) {
 		a := inst.transfer(u, v, label[v])
 		if a == nil {
 			continue
 		}
-		offers = append(offers, a)
 		if best == nil || inst.P.Compare(a, best) < 0 {
 			best = a
+		} else if inst.P.Compare(a, best) == 0 && inst.P.Equal(a, label[u]) {
+			best = a // sticky: quiescence under ties
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	// Pass 2: among minimal candidates, prefer the current label, then a
-	// random one (reservoir), then the first.
-	var pick Attr
-	ties := 0
-	for _, a := range offers {
-		if inst.P.Compare(a, best) != 0 {
-			continue
-		}
-		if inst.P.Equal(a, label[u]) {
-			return a // sticky: quiescence under ties
-		}
-		ties++
-		if pick == nil || (tieRng != nil && tieRng.Intn(ties) == 0) {
-			pick = a
-		}
-	}
-	return pick
+	return best
 }
 
 // forwarding computes fwd_L: for each node the set of edges whose received
@@ -263,41 +200,4 @@ func (inst *Instance) Check(sol *Solution) error {
 		}
 	}
 	return nil
-}
-
-// SolveAll attempts numSeeds randomized activation orders (plus the
-// deterministic order) and returns the distinct stable solutions found,
-// keyed by forwarding behavior. It is used to explore SRPs with multiple
-// solutions, such as the BGP gadget of Figure 2.
-func SolveAll(inst *Instance, numSeeds int) []*Solution {
-	var out []*Solution
-	seen := make(map[string]bool)
-	try := func(opts ...Option) {
-		sol, err := Solve(inst, opts...)
-		if err != nil {
-			return
-		}
-		k := fingerprint(sol)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, sol)
-		}
-	}
-	try()
-	for s := 0; s < numSeeds; s++ {
-		try(WithOrder(int64(s)))
-	}
-	return out
-}
-
-func fingerprint(sol *Solution) string {
-	b := make([]byte, 0, 64)
-	for u, nbrs := range sol.Fwd {
-		b = append(b, byte(u), ':')
-		for _, v := range nbrs {
-			b = append(b, byte(v>>8), byte(v))
-		}
-		b = append(b, ';')
-	}
-	return string(b)
 }

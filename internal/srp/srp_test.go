@@ -21,6 +21,10 @@ func (p *hopProto) Equal(a, b Attr) bool {
 	}
 	return a.(int) == b.(int)
 }
+
+// Bound: a route is at least one hop away, and every hop adds one.
+func (p *hopProto) Bound(int, topo.Edge) (Attr, bool) { return 1, true }
+
 func (p *hopProto) Transfer(_ int, e topo.Edge, a Attr) Attr {
 	if a == nil {
 		return nil
@@ -195,34 +199,36 @@ func TestCheckRejectsBadLabelings(t *testing.T) {
 	}
 }
 
-func TestWithOrderReachesSameUniqueSolution(t *testing.T) {
-	// Shortest-path SRPs have a unique label solution; every activation
-	// order must find it.
+// TestSolutionsUniqueOnShortestPaths: a shortest-path SRP has one
+// solution, and Solutions finds exactly Solve's.
+func TestSolutionsUniqueOnShortestPaths(t *testing.T) {
 	g, ids := lineGraph(8)
 	inst := &Instance{G: g, Dest: ids[0], P: &hopProto{}}
 	base, err := Solve(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 10; seed++ {
-		sol, err := Solve(inst, WithOrder(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range sol.Label {
-			if !inst.P.Equal(sol.Label[i], base.Label[i]) {
-				t.Fatalf("seed %d: labels diverge at %d", seed, i)
-			}
+	sols, complete := Solutions(inst, Budget)
+	if !complete || len(sols) != 1 {
+		t.Fatalf("%d solutions, complete %v; want 1, complete", len(sols), complete)
+	}
+	for i := range base.Label {
+		if !inst.P.Equal(sols[0].Label[i], base.Label[i]) {
+			t.Fatalf("labels diverge at %d", i)
 		}
 	}
 }
 
-func TestSolveAllDedups(t *testing.T) {
+// TestSolutionsCountBehaviours: a line has one solution, and a budget too
+// small to finish says so.
+func TestSolutionsCountBehaviours(t *testing.T) {
 	g, ids := lineGraph(5)
 	inst := &Instance{G: g, Dest: ids[0], P: &hopProto{}}
-	sols := SolveAll(inst, 16)
-	if len(sols) != 1 {
-		t.Fatalf("unique-solution SRP reported %d solutions", len(sols))
+	if sols, complete := Solutions(inst, Budget); len(sols) != 1 || !complete {
+		t.Fatalf("unique-solution SRP reported %d solutions, complete %v", len(sols), complete)
+	}
+	if _, complete := Solutions(inst, 3); complete {
+		t.Fatal("a 3-unit budget finished a 5-router line")
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"bonsai/internal/build"
@@ -49,6 +50,10 @@ type Answer struct {
 	// AbstractNodeSum totals abstract node counts across classes (bonsai
 	// mode).
 	AbstractNodeSum int64 `json:"abstract_node_sum,omitempty"`
+	// Stable is the weakest verdict among the verified classes (Unique <
+	// Multiple < None < Unknown): a pair counts as reachable when it
+	// delivers in every solution its class counted.
+	Stable Stability `json:"stable,omitempty"`
 }
 
 // Result aggregates one verification run: its Answer and the provenance
@@ -178,6 +183,7 @@ func allPairs(ctx context.Context, b *build.Builder, opts Options, compressed bo
 		res.AbstractNodeSum += t.absNodes
 		res.Compress += t.compress
 		res.solves += t.solves
+		res.Stable = weaker(res.Stable, t.stable)
 	}
 	return res, err
 }
@@ -186,6 +192,7 @@ func allPairs(ctx context.Context, b *build.Builder, opts Options, compressed bo
 type tally struct {
 	pairs, reachable, absNodes, solves int64
 	compress                           time.Duration
+	stable                             Stability
 }
 
 // addGroup solves the group's first class and folds its counts into the
@@ -209,6 +216,7 @@ func (t *tally) addGroup(ctx context.Context, b *build.Builder, comp *policy.Com
 		}
 	}
 	n := int64(len(members))
+	t.stable = weaker(t.stable, s.Stable)
 	t.solves++
 	t.pairs += n * s.sources
 	t.reachable += n * s.delivered
@@ -228,12 +236,48 @@ type ReachSet []uint64
 // Has reports whether router u reaches the class.
 func (s ReachSet) Has(u topo.NodeID) bool { return s[u>>6]>>(uint(u)&63)&1 != 0 }
 
+// Stability is what is known of a class's stable solutions, and so which
+// solutions an answer about the class counted. Unique is the empty string,
+// left off the wire: an answer about a unique class carries no verdict.
+type Stability string
+
+const (
+	// Unique: one stable solution, certified by the Builder
+	// (CertifiesUnique) or found alone by a complete enumeration.
+	Unique Stability = ""
+	// Multiple: several stable solutions, every one counted.
+	Multiple Stability = "multiple"
+	// None: no stable solution (a BGP bad gadget); nothing reaches.
+	None Stability = "none"
+	// Unknown: the enumeration did not finish within srp.Budget; answers
+	// count the solutions it found.
+	Unknown Stability = "unknown"
+)
+
+// weaker returns the weaker of two verdicts, in the order Unique, Multiple,
+// None, Unknown.
+func weaker(a, b Stability) Stability {
+	order := []Stability{Unique, Multiple, None, Unknown}
+	if slices.Index(order, a) < slices.Index(order, b) {
+		return b
+	}
+	return a
+}
+
+// ClassAnswer is one class's reachability answer: the routers that reach
+// it in every solution counted, those that reach it in some, and the verdict
+// naming the counted set. For a unique class Every and Some are one set.
+type ClassAnswer struct {
+	Every, Some ReachSet
+	Stable      Stability
+}
+
 // classSolution is one control-plane analysis of a class.
 type classSolution struct {
-	reach ReachSet
+	ClassAnswer
 	// sources counts the nodes of the network that was solved (the abstract
 	// one under compression) other than the destination; delivered, how many
-	// of them reach it.
+	// of them reach it in every solution counted.
 	sources, delivered int64
 	abs                *core.Abstraction // nil when solved concretely
 	compress           time.Duration     // time inside Builder.Compress
@@ -262,11 +306,35 @@ func solveClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cl
 	return s, err
 }
 
+// Solutions returns the stable solutions of inst, an instance of cls, that
+// answers about the class count, and the verdict naming them: Solve's one
+// solution when b certifies the class unique (which the abstract instance
+// inherits, Theorem 4.5), otherwise srp.Solutions' set under srp.Budget.
+func Solutions(b *build.Builder, cls ec.Class, inst *srp.Instance) ([]*srp.Solution, Stability, error) {
+	if b.CertifiesUnique(cls) {
+		sol, err := srp.Solve(inst)
+		if err != nil {
+			return nil, Unique, fmt.Errorf("class %v: %w", cls.Prefix, err)
+		}
+		return []*srp.Solution{sol}, Unique, nil
+	}
+	sols, complete := srp.Solutions(inst, srp.Budget)
+	switch {
+	case !complete:
+		return sols, Unknown, nil
+	case len(sols) == 0:
+		return nil, None, nil
+	case len(sols) > 1:
+		return sols, Multiple, nil
+	}
+	return sols, Unique, nil
+}
+
 // analyse solves the class on its abstraction, or on the concrete network
-// when abs is nil, and projects the reach set onto the concrete routers. A
+// when abs is nil, and projects the reach sets onto the concrete routers. A
 // router stands for every copy of its group: with BGP case splitting it may
-// map to several, and it reaches the class when any copy does (Theorem 4.5's
-// caveat: properties are checked against all copies).
+// map to several, and it reaches the class in a solution when any copy does
+// (Theorem 4.5's caveat: properties are checked against all copies).
 func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSolution, error) {
 	var inst *srp.Instance
 	var acl func(u, v topo.NodeID) bool
@@ -281,42 +349,61 @@ func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSoluti
 	if err != nil {
 		return classSolution{}, err
 	}
-	sol, err := srp.Solve(inst)
+	sols, stable, err := Solutions(b, cls, inst)
 	if err != nil {
-		return classSolution{}, fmt.Errorf("class %v: %w", cls.Prefix, err)
-	}
-	solved := dataplane.New(inst, sol, acl).ReachableSet()
-	s := classSolution{abs: abs, sources: int64(len(solved)) - 1}
-	for u, ok := range solved {
-		if ok && topo.NodeID(u) != inst.Dest {
-			s.delivered++
-		}
+		return classSolution{}, err
 	}
 	n := b.G.NumNodes()
-	s.reach = make(ReachSet, (n+63)/64)
-	for u := 0; u < n; u++ {
-		ok := false
-		if abs == nil {
-			ok = solved[u]
-		} else {
-			for _, c := range abs.Copies[abs.F[u]] {
-				ok = ok || solved[c]
+	s := classSolution{abs: abs, sources: int64(inst.G.NumNodes()) - 1}
+	s.Stable, s.Every = stable, make(ReachSet, (n+63)/64)
+	s.Some = s.Every
+	if len(sols) > 1 {
+		s.Some = make(ReachSet, len(s.Every))
+	}
+	var every []bool // per solved node: reaches in every solution so far
+	for k, sol := range sols {
+		solved := dataplane.New(inst, sol, acl).ReachableSet()
+		if k == 0 {
+			every = solved // ReachableSet's slice is the caller's to keep
+		}
+		for u := range every {
+			every[u] = every[u] && solved[u]
+		}
+		for u := 0; u < n; u++ {
+			ok := false
+			if abs == nil {
+				ok = solved[u]
+			} else {
+				for _, c := range abs.Copies[abs.F[u]] {
+					ok = ok || solved[c]
+				}
+			}
+			bit := uint64(1) << (uint(u) & 63)
+			if ok {
+				s.Some[u>>6] |= bit
+			}
+			if k > 0 && !ok {
+				s.Every[u>>6] &^= bit
+			} else if k == 0 && ok {
+				s.Every[u>>6] |= bit
 			}
 		}
-		if ok {
-			s.reach[u>>6] |= 1 << (uint(u) & 63)
+	}
+	for u, ok := range every {
+		if ok && topo.NodeID(u) != inst.Dest {
+			s.delivered++
 		}
 	}
 	return s, nil
 }
 
-// ClassReach solves one class and returns which routers reach it, on the
+// ClassReach solves one class and returns its reachability answer, on the
 // compressed network or, with compressed false, by simulating the concrete
 // one. The answer depends on b's configuration alone, so callers may keep it
 // for as long as they keep b.
-func ClassReach(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (ReachSet, error) {
+func ClassReach(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (ClassAnswer, error) {
 	s, err := solveClass(ctx, b, comp, cls, compressed)
-	return s.reach, err
+	return s.ClassAnswer, err
 }
 
 // ErrUnknownRouter is wrapped when a query names a source router the network

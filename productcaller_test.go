@@ -32,8 +32,7 @@ var productAllowlist = map[string]string{
 	"internal/dataplane.(*FIB).PathLengths":                "ROADMAP 1(c): a data-plane query the engine will serve",
 	"internal/dataplane.(*FIB).MultipathConsistent":        "ROADMAP 1(c): a data-plane query the engine will serve",
 	"internal/dataplane.(*FIB).Waypointed":                 "ROADMAP 1(c): a data-plane query the engine will serve",
-	"internal/srp.SolveAll":                                "ROADMAP 18: the solution enumeration internal/oracle and the paper's Figure 3 use",
-	"internal/srp.MapAttr":                                 "ROADMAP 18: the attribute mapping internal/oracle compares solutions through",
+	"internal/srp.MapAttr":                                 "oracle: the attribute mapping internal/oracle compares solutions through",
 	"internal/build.(*Builder).CompressFresh":              "oracle: the section 10.3 reference every shared or transported abstraction is compared with",
 	"internal/build.(*Builder).InvalidateAbstractionCache": "seam: the lever the benchmarks pull to time a cold compression",
 	"internal/faultinject.Reset":                           "seam: clears every armed fault between tests",

@@ -160,10 +160,20 @@ func (r *Report) String() string {
 	return s
 }
 
+// Stability names which stable solutions of a class an answer counted:
+// unique (the empty string, left off the wire), "multiple", "none" or
+// "unknown" (see verify.Stability).
+type Stability = verify.Stability
+
 // ReachAnswer is the answer part of a ReachResult. A compressed and a
 // concrete answer to one query are equal exactly when CP-equivalence holds.
+// Reachable means the source delivers in every stable solution the class
+// counted, ReachableSome in at least one; Stable names the counted set. An
+// answer about a unique class leaves ReachableSome and Stable out.
 type ReachAnswer struct {
-	Reachable bool `json:"reachable"`
+	Reachable     bool      `json:"reachable"`
+	ReachableSome bool      `json:"reachable_some,omitempty"`
+	Stable        Stability `json:"stable,omitempty"`
 }
 
 // ReachResult answers a single reachability query.
@@ -202,11 +212,14 @@ type RouteEntry struct {
 }
 
 // RoutesReport is the converged control-plane solution for one destination
-// class on the concrete network. It is an answer whole; it holds slices, so
-// it compares with reflect.DeepEqual rather than ==.
+// class on the concrete network: the first stable solution the class
+// counts, and the verdict naming the set it came from (omitted when unique).
+// It is an answer whole; it holds slices, so it compares with
+// reflect.DeepEqual rather than ==.
 type RoutesReport struct {
 	Dest   string       `json:"dest"`
 	Routes []RouteEntry `json:"routes"`
+	Stable Stability    `json:"stable,omitempty"`
 }
 
 // AdoptStats is what the adoption sweep of an incremental update did with

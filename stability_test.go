@@ -1,0 +1,97 @@
+package bonsai
+
+import (
+	"context"
+	"testing"
+)
+
+// openRegress opens one of the stable-paths gadgets in testdata/regress.
+func openRegress(t *testing.T, name string) *Engine {
+	t.Helper()
+	net, err := ParseFile("testdata/regress/" + name + ".cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// TestDisagreeCountsBothSolutions: DISAGREE has two stable solutions, and
+// a's packets die at its ACL toward b in the one where it routes through b.
+// So a reaches d in one solution, not in every one; b reaches it in both.
+// Compressed and concrete answers agree, and Verify counts b's pair only.
+// An answer taken from one solve would say true or false depending on which
+// solution that solve met.
+func TestDisagreeCountsBothSolutions(t *testing.T) {
+	e := openRegress(t, "disagree")
+	ctx := context.Background()
+	for _, tc := range []struct {
+		src  string
+		want ReachAnswer
+	}{
+		{"a", ReachAnswer{Reachable: false, ReachableSome: true, Stable: "multiple"}},
+		{"b", ReachAnswer{Reachable: true, ReachableSome: true, Stable: "multiple"}},
+	} {
+		for name, reach := range map[string]func(context.Context, string, string) (*ReachResult, error){
+			"Reach": e.Reach, "ReachConcrete": e.ReachConcrete,
+		} {
+			got, err := reach(ctx, tc.src, "10.0.0.0/24")
+			if err != nil {
+				t.Fatalf("%s(%s): %v", name, tc.src, err)
+			}
+			if got.ReachAnswer != tc.want {
+				t.Errorf("%s(%s) = %+v, want %+v", name, tc.src, got.ReachAnswer, tc.want)
+			}
+		}
+	}
+	for _, concrete := range []bool{false, true} {
+		rep, err := e.Verify(ctx, VerifyRequest{Concrete: concrete})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Pairs != 2 || rep.ReachablePairs != 1 || rep.Stable != "multiple" {
+			t.Errorf("Verify (concrete %v): %d of %d pairs reachable, stable %q; want 1 of 2 (b only), multiple", concrete, rep.ReachablePairs, rep.Pairs, rep.Stable)
+		}
+	}
+}
+
+// TestBadGadgetAnswersNone: BAD GADGET has no stable solution. Every query
+// on its class answers so, with nothing reachable, rather than failing with
+// srp.ErrDiverged (which would fail Verify for the whole network).
+func TestBadGadgetAnswersNone(t *testing.T) {
+	e := openRegress(t, "badgadget")
+	ctx := context.Background()
+	for _, src := range []string{"a", "b", "c"} {
+		for name, reach := range map[string]func(context.Context, string, string) (*ReachResult, error){
+			"Reach": e.Reach, "ReachConcrete": e.ReachConcrete,
+		} {
+			got, err := reach(ctx, src, "10.0.0.0/24")
+			if err != nil {
+				t.Fatalf("%s(%s): %v", name, src, err)
+			}
+			if want := (ReachAnswer{Stable: "none"}); got.ReachAnswer != want {
+				t.Errorf("%s(%s) = %+v, want %+v", name, src, got.ReachAnswer, want)
+			}
+		}
+	}
+	routes, err := e.Routes(ctx, "10.0.0.0/24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routes.Stable != "none" || len(routes.Routes) != 0 {
+		t.Errorf("Routes: stable %q with %d routes, want none with none", routes.Stable, len(routes.Routes))
+	}
+	for _, concrete := range []bool{false, true} {
+		rep, err := e.Verify(ctx, VerifyRequest{Concrete: concrete})
+		if err != nil {
+			t.Fatalf("Verify (concrete %v): %v", concrete, err)
+		}
+		if rep.ReachablePairs != 0 || rep.Stable != "none" {
+			t.Errorf("Verify (concrete %v): %d pairs reachable, stable %q; want 0, none", concrete, rep.ReachablePairs, rep.Stable)
+		}
+	}
+}

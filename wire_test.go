@@ -129,6 +129,7 @@ func TestReportsRoundTrip(t *testing.T) {
 		{"Report", Report{
 			VerifyAnswer: VerifyAnswer{
 				Mode: "bonsai", Classes: 16, Pairs: 320, ReachablePairs: 300, AbstractNodeSum: 64,
+				Stable: "multiple",
 			},
 			CompressTime: time.Second, Total: 2 * time.Second,
 			Cache: cache,
