@@ -238,7 +238,7 @@ func BenchmarkBatfishQuery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !reach.Every.Has(src) {
+				if !reach.Router(src).Every {
 					b.Fatal("query flipped to unreachable")
 				}
 			}

@@ -330,8 +330,34 @@ func cmdVerify(args []string) error {
 	if done, err := ef.emit(res); done {
 		return err
 	}
-	fmt.Printf("reachable=%v in %v\n", res.Reachable, res.Duration.Round(time.Microsecond))
+	fmt.Printf("%s in %v\n", reachLine(res.ReachAnswer), res.Duration.Round(time.Microsecond))
 	return nil
+}
+
+// reachLine renders a reach answer for the terminal: the verdict and
+// reachable_some only for a class without a unique solution, path lengths
+// only where a path delivers, and each fault only where it holds.
+func reachLine(a bonsai.ReachAnswer) string {
+	s := fmt.Sprintf("reachable=%v", a.Reachable)
+	if a.Stable != "" {
+		s += fmt.Sprintf(" stable=%s reachable_some=%v", a.Stable, a.ReachableSome)
+	}
+	if a.Reachable || a.ReachableSome {
+		maxHops := fmt.Sprint(a.MaxHops)
+		if a.Loop {
+			maxHops = "unbounded"
+		}
+		s += fmt.Sprintf(" min_hops=%d max_hops=%s", a.MinHops, maxHops)
+	}
+	for _, f := range []struct {
+		on   bool
+		name string
+	}{{a.Loop, "loop"}, {a.BlackHole, "black_hole"}, {a.MultipathInconsistent, "multipath_inconsistent"}} {
+		if f.on {
+			s += " " + f.name
+		}
+	}
+	return s
 }
 
 func cmdRoles(args []string) error {

@@ -50,3 +50,24 @@ func TestThinClientRejectsLocalOnlyFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestReachLine: the terminal form of a reach answer names the verdict and
+// reachable_some only for a class without a unique solution, an unbounded
+// maximum where a loop is reachable, and each fault that holds.
+func TestReachLine(t *testing.T) {
+	for _, tc := range []struct {
+		a    bonsai.ReachAnswer
+		want string
+	}{
+		{bonsai.ReachAnswer{Reachable: true, MinHops: 2, MaxHops: 2}, "reachable=true min_hops=2 max_hops=2"},
+		{bonsai.ReachAnswer{ReachableSome: true, Stable: "multiple", MinHops: 1, MaxHops: 1, BlackHole: true},
+			"reachable=false stable=multiple reachable_some=true min_hops=1 max_hops=1 black_hole"},
+		{bonsai.ReachAnswer{Reachable: true, MinHops: 1, Loop: true, MultipathInconsistent: true},
+			"reachable=true min_hops=1 max_hops=unbounded loop multipath_inconsistent"},
+		{bonsai.ReachAnswer{Stable: "none"}, "reachable=false stable=none reachable_some=false"},
+	} {
+		if got := reachLine(tc.a); got != tc.want {
+			t.Errorf("reachLine(%+v) = %q, want %q", tc.a, got, tc.want)
+		}
+	}
+}

@@ -81,12 +81,14 @@ type engineState struct {
 	memo reachMemo
 }
 
-// reachMemo remembers, per class of one snapshot, which routers reach it:
-// classes do not interact (paper §5.1), so one solve answers every source.
-// The memo is born empty with its snapshot and dies with it; nothing is
-// carried across Apply, evicted, budgeted, persisted or configurable. An
-// answer is therefore a function of the snapshot's configuration alone,
-// never of which queries ran before.
+// reachMemo remembers, per class of one snapshot and side, the class's one
+// analysis (verify.ClassAnswer): the verdict and every router's data-plane
+// facts, and on the concrete side the first counted solution. Classes do not
+// interact (paper §5.1), so one solve answers every source, and Reach,
+// ReachConcrete and Routes all read it. The memo is born empty with its
+// snapshot and dies with it; nothing is carried across Apply, evicted,
+// budgeted, persisted or configurable. An answer is therefore a function of
+// the snapshot's configuration alone, never of which queries ran before.
 type reachMemo struct {
 	mu      sync.Mutex
 	flights map[reachKey]*reachFlight
@@ -99,7 +101,7 @@ type reachKey struct {
 }
 
 // reachFlight is one solve of a class and, once done is closed, its answer.
-// A nil reach set after done means the solve failed; the flight has then
+// A nil Facts after done means the solve failed; the flight has then
 // already left the memo, so errors and cancellations are never remembered.
 type reachFlight struct {
 	done  chan struct{}
@@ -425,7 +427,7 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 // Reach answers one reachability query on the compressed network. The first
 // query of a class in a snapshot solves it (serving the abstraction from the
 // warm cache when possible); every later one, from any source, is a class
-// lookup and a bit test.
+// lookup and an index into the class's analysis.
 func (e *Engine) Reach(ctx context.Context, src, destPrefix string) (*ReachResult, error) {
 	return e.reach(ctx, src, destPrefix, true)
 }
@@ -453,11 +455,7 @@ func (e *Engine) reach(ctx context.Context, src, destPrefix string, compressed b
 	if err != nil {
 		return nil, err
 	}
-	ans := ReachAnswer{Reachable: reach.Every.Has(u), Stable: reach.Stable}
-	if reach.Stable != verify.Unique {
-		ans.ReachableSome = reach.Some.Has(u)
-	}
-	return &ReachResult{ReachAnswer: ans, Compressed: compressed, Duration: time.Since(start)}, nil
+	return &ReachResult{ReachAnswer: reachAnswer(reach, u), Compressed: compressed, Duration: time.Since(start)}, nil
 }
 
 // classReach returns the snapshot's answer for cls, solving it at most once
@@ -477,7 +475,7 @@ func (e *Engine) classReach(ctx context.Context, st *engineState, cls ec.Class, 
 		case <-ctx.Done():
 			return verify.ClassAnswer{}, ctx.Err()
 		}
-		if f.reach.Every != nil {
+		if f.reach.Facts != nil {
 			e.reachHits.Add(1)
 			return f.reach, nil
 		}
@@ -489,7 +487,7 @@ func (e *Engine) classReach(ctx context.Context, st *engineState, cls ec.Class, 
 // wake, so the next query solves afresh.
 func (e *Engine) leadReach(ctx context.Context, st *engineState, cls ec.Class, key reachKey, f *reachFlight) (reach verify.ClassAnswer, err error) {
 	defer func() {
-		if reach.Every == nil {
+		if reach.Facts == nil {
 			st.memo.forget(key)
 		}
 		f.reach = reach
@@ -519,10 +517,12 @@ func (e *Engine) Roles(ctx context.Context, req RolesRequest) (*RolesReport, err
 	}, nil
 }
 
-// Routes simulates the concrete control plane for the class owning
-// destPrefix and returns every router's converged state in the first
-// solution the class counts (verify.Solutions), with the class's verdict:
-// several solutions say "multiple", and with none there are no routes.
+// Routes returns every router's converged state for the class owning
+// destPrefix on the concrete network, in the first solution the class
+// counts (verify.Solutions), with the class's verdict: several solutions say
+// "multiple", and with none there are no routes. It reads the class's
+// concrete analysis from the reach memo, so ReachConcrete and Routes solve a
+// class once per snapshot between them.
 func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -535,19 +535,15 @@ func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, 
 	if err != nil {
 		return nil, err
 	}
-	inst, err := st.b.Instance(cls)
+	ans, err := e.classReach(ctx, st, cls, false)
 	if err != nil {
 		return nil, err
 	}
-	sols, stable, err := verify.Solutions(st.b, cls, inst)
-	if err != nil {
-		return nil, err
-	}
-	rep := &RoutesReport{Dest: cls.Prefix.String(), Stable: stable}
-	if len(sols) == 0 {
+	rep := &RoutesReport{Dest: cls.Prefix.String(), Stable: ans.Stable}
+	sol := ans.Solution
+	if sol == nil {
 		return rep, nil
 	}
-	sol := sols[0]
 	for _, u := range st.b.G.Nodes() {
 		entry := RouteEntry{
 			Router: st.b.G.Name(u),

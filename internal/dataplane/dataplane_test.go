@@ -26,15 +26,18 @@ func ripFIB(t *testing.T, edges [][2]string, dest string, acl func(u, v topo.Nod
 
 func TestReachability(t *testing.T) {
 	f, g := ripFIB(t, [][2]string{{"a", "b"}, {"b", "d"}, {"c", "c2"}}, "d", nil)
-	if !f.Reachable(g.MustLookup("a")) {
+	facts := f.Analyse()
+	if !facts[g.MustLookup("a")].Reaches {
 		t.Fatal("a should reach d")
 	}
-	if f.Reachable(g.MustLookup("c")) {
+	if facts[g.MustLookup("c")].Reaches {
 		t.Fatal("disconnected c should not reach d")
 	}
 	rs := f.ReachableSet()
-	if !rs[g.MustLookup("b")] || rs[g.MustLookup("c2")] {
-		t.Fatal("ReachableSet disagrees with Reachable")
+	for u, x := range facts {
+		if rs[u] != x.Reaches {
+			t.Fatalf("ReachableSet says %v of %s, Analyse %v", rs[u], g.Name(topo.NodeID(u)), x.Reaches)
+		}
 	}
 	if !rs[g.MustLookup("d")] {
 		t.Fatal("dest must be in its own reachable set")
@@ -53,21 +56,15 @@ func TestACLBlocksTraffic(t *testing.T) {
 	}
 	f := New(inst, sol, func(u, v topo.NodeID) bool { return !(u == b && v == d) })
 	// Routing still works (b has a route) but traffic is dropped.
-	if !f.HasRoute[b] {
+	if sol.Label[b] == nil {
 		t.Fatal("ACL must not remove routes")
 	}
-	if f.Reachable(a) || f.Reachable(b) {
+	facts := f.Analyse()
+	if facts[a].Reaches || facts[b].Reaches {
 		t.Fatal("ACL should block traffic through b->d")
 	}
-	bh := f.BlackHoles()
-	found := false
-	for _, u := range bh {
-		if u == b {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("b should be a black hole, got %v", bh)
+	if !facts[b].BlackHole || facts[a].BlackHole || facts[d].BlackHole {
+		t.Fatalf("b alone should be a black hole: %+v", facts)
 	}
 }
 
@@ -89,17 +86,19 @@ func TestLoopDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(inst, sol, nil)
-	if !f.HasLoop() {
+	facts := New(inst, sol, nil).Analyse()
+	if !facts[a].Loop || !facts[b].Loop {
 		t.Fatal("static loop not detected")
 	}
-	if f.Reachable(a) {
-		t.Fatal("looping traffic must not count as reachable")
+	if facts[a].Reaches || facts[a].MaxHops != -1 {
+		t.Fatalf("looping traffic must not count as reachable, nor have a longest path: %+v", facts[a])
 	}
 	// Loop-free network reports no loop.
 	f2, _ := ripFIB(t, [][2]string{{"a", "b"}, {"b", "d"}}, "d", nil)
-	if f2.HasLoop() {
-		t.Fatal("false loop")
+	for _, x := range f2.Analyse() {
+		if x.Loop {
+			t.Fatal("false loop")
+		}
 	}
 }
 
@@ -107,12 +106,12 @@ func TestPathLengths(t *testing.T) {
 	// Diamond: a-b-d and a-c-d (equal) plus a long tail a-e-f-d... RIP
 	// picks shortest so max == min == 2 here.
 	f, g := ripFIB(t, [][2]string{{"a", "b"}, {"b", "d"}, {"a", "c"}, {"c", "d"}}, "d", nil)
-	mn, mx, ok, maxOK := f.PathLengths(g.MustLookup("a"))
-	if !ok || !maxOK || mn != 2 || mx != 2 {
-		t.Fatalf("lengths = %d..%d ok=%v maxOK=%v", mn, mx, ok, maxOK)
+	facts := f.Analyse()
+	if x := facts[g.MustLookup("a")]; !x.Reaches || x.MinHops != 2 || x.MaxHops != 2 {
+		t.Fatalf("a's facts = %+v", x)
 	}
-	if _, _, ok, _ := f.PathLengths(g.MustLookup("d")); !ok {
-		t.Fatal("dest should reach itself with length 0")
+	if x := facts[g.MustLookup("d")]; !x.Reaches || x.MinHops != 0 || x.MaxHops != 0 {
+		t.Fatalf("dest should reach itself with length 0: %+v", x)
 	}
 }
 
@@ -130,40 +129,24 @@ func TestMultipathConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocked := New(inst, sol, func(u, v topo.NodeID) bool { return !(u == c && v == d) })
-	if blocked.MultipathConsistent(a) {
-		t.Fatal("half-blocked multipath should be inconsistent")
+	if x := blocked.Analyse()[a]; !x.Inconsistent || !x.Reaches {
+		t.Fatalf("half-blocked multipath should be inconsistent: %+v", x)
+	}
+	if blocked.Analyse()[c].Inconsistent {
+		t.Fatal("c delivers nothing, so nothing it sends is inconsistent")
 	}
 	clean := New(inst, sol, nil)
-	if !clean.MultipathConsistent(a) {
+	if clean.Analyse()[a].Inconsistent {
 		t.Fatal("clean multipath reported inconsistent")
 	}
 }
 
-func TestWaypointing(t *testing.T) {
-	// All traffic from a passes b (chain a-b-d).
-	f, g := ripFIB(t, [][2]string{{"a", "b"}, {"b", "d"}}, "d", nil)
-	wp := map[topo.NodeID]bool{g.MustLookup("b"): true}
-	if !f.Waypointed(g.MustLookup("a"), wp) {
-		t.Fatal("chain must be waypointed through b")
-	}
-	// Diamond: a can bypass b via c.
-	f2, g2 := ripFIB(t, [][2]string{{"a", "b"}, {"b", "d"}, {"a", "c"}, {"c", "d"}}, "d", nil)
-	wp2 := map[topo.NodeID]bool{g2.MustLookup("b"): true}
-	if f2.Waypointed(g2.MustLookup("a"), wp2) {
-		t.Fatal("diamond is not waypointed through b alone")
-	}
-	wpBoth := map[topo.NodeID]bool{g2.MustLookup("b"): true, g2.MustLookup("c"): true}
-	if !f2.Waypointed(g2.MustLookup("a"), wpBoth) {
-		t.Fatal("diamond must be waypointed through {b, c}")
-	}
-}
-
 func TestBlackHolesNoRoute(t *testing.T) {
-	f, g := ripFIB(t, [][2]string{{"a", "b"}, {"b", "d"}, {"x", "a"}}, "d", nil)
-	_ = g
-	bhs := f.BlackHoles()
+	f, _ := ripFIB(t, [][2]string{{"a", "b"}, {"b", "d"}, {"x", "a"}}, "d", nil)
 	// x has a route (via a); nobody black-holes in this connected chain.
-	if len(bhs) != 0 {
-		t.Fatalf("unexpected black holes: %v", bhs)
+	for u, x := range f.Analyse() {
+		if x.BlackHole {
+			t.Fatalf("unexpected black hole at %d", u)
+		}
 	}
 }

@@ -258,45 +258,17 @@ func (f *blockedFIB) MultipathConsistent(src topo.NodeID) bool {
 	return true
 }
 
-// Waypointed reports whether every forwarding path from src to the
-// destination traverses at least one of the waypoints (paper §4.4).
-func (f *blockedFIB) Waypointed(src topo.NodeID, waypoints map[topo.NodeID]bool) bool {
-	if !f.Reachable(src) {
-		return true // vacuously: no path escapes the waypoints
-	}
-	if waypoints[src] || waypoints[f.Dest] {
-		return true
-	}
-	// Is the destination reachable without entering a waypoint?
-	seen := make([]bool, f.G.NumNodes())
-	stack := []topo.NodeID{src}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range f.Next[u] {
-			if !f.usable(u, v) || waypoints[v] {
-				continue
-			}
-			if v == f.Dest {
-				return false
-			}
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return true
-}
-
-// TestFIBMatchesBlockedReference: all six properties of the FIB that filters
-// blocked hops out once equal the reference's on random graphs with random
-// forwarding edges (loops included) and random ACL verdicts, one node per
-// graph having every hop blocked.
+// TestFIBMatchesBlockedReference: the FIB that filters blocked hops out
+// once, and its one pass (Analyse), equal the reference's walks on random
+// graphs with random forwarding edges (loops included) and random ACL
+// verdicts, one node per graph having every hop blocked. The reference's
+// longest path on a cyclic FIB is a longest simple path, which no packet is
+// bound to, so the pass calls it unbounded there and is compared with it
+// only where the reference's maxOK holds.
 func TestFIBMatchesBlockedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261005))
 	allBlocked, someBlocked := 0, 0
+	delivering, unboundedDelivering, inconsistent := 0, 0, 0 // nodes
 	for trial := 0; trial < 200; trial++ {
 		n := 3 + rng.Intn(7)
 		g := topo.New()
@@ -371,29 +343,51 @@ func TestFIBMatchesBlockedReference(t *testing.T) {
 		if x, y := got.ReachableSet(), want.ReachableSet(); !reflect.DeepEqual(x, y) {
 			t.Fatalf("%s: ReachableSet %v, reference %v", tag, x, y)
 		}
-		if x, y := got.HasLoop(), want.HasLoop(); x != y {
-			t.Fatalf("%s: HasLoop %v, reference %v", tag, x, y)
+		// Two draws for the waypoints a dropped comparison picked, so the
+		// later trials build the graphs they always built.
+		rng.Intn(n)
+		rng.Intn(n)
+		facts := got.Analyse()
+		blackHoles, loop := []topo.NodeID(nil), false
+		for u, x := range facts {
+			if x.BlackHole {
+				blackHoles = append(blackHoles, topo.NodeID(u))
+			}
+			loop = loop || x.Loop
 		}
-		if x, y := got.BlackHoles(), want.BlackHoles(); !reflect.DeepEqual(x, y) {
-			t.Fatalf("%s: BlackHoles %v, reference %v", tag, x, y)
+		if y := want.HasLoop(); loop != y {
+			t.Fatalf("%s: a loop reachable from some node %v, HasLoop %v", tag, loop, y)
 		}
-		waypoints := map[topo.NodeID]bool{topo.NodeID(rng.Intn(n)): true, topo.NodeID(rng.Intn(n)): true}
+		if y := want.BlackHoles(); !reflect.DeepEqual(blackHoles, y) {
+			t.Fatalf("%s: black holes %v, reference %v", tag, blackHoles, y)
+		}
 		for _, src := range g.Nodes() {
-			gmn, gmx, gok, gmaxOK := got.PathLengths(src)
-			wmn, wmx, wok, wmaxOK := want.PathLengths(src)
-			if gmn != wmn || gmx != wmx || gok != wok || gmaxOK != wmaxOK {
-				t.Fatalf("%s: PathLengths(%d) = %d %d %v %v, reference %d %d %v %v", tag, src,
-					gmn, gmx, gok, gmaxOK, wmn, wmx, wok, wmaxOK)
+			x := facts[src]
+			mn, mx, ok, maxOK := want.PathLengths(src)
+			if x.Reaches != ok || (ok && x.MinHops != int32(mn)) || (!ok && x.MinHops != -1) ||
+				(x.MaxHops >= 0) != maxOK || (maxOK && x.MaxHops != int32(mx)) {
+				t.Fatalf("%s: node %d facts %+v, reference PathLengths %d %d %v %v", tag, src, x, mn, mx, ok, maxOK)
 			}
-			if x, y := got.MultipathConsistent(src), want.MultipathConsistent(src); x != y {
-				t.Fatalf("%s: MultipathConsistent(%d) %v, reference %v", tag, src, x, y)
+			if y := want.MultipathConsistent(src); x.Inconsistent == y {
+				t.Fatalf("%s: node %d inconsistent %v, reference MultipathConsistent %v", tag, src, x.Inconsistent, y)
 			}
-			if x, y := got.Waypointed(src, waypoints), want.Waypointed(src, waypoints); x != y {
-				t.Fatalf("%s: Waypointed(%d, %v) %v, reference %v", tag, src, waypoints, x, y)
+			if ok {
+				delivering++
+				if !maxOK {
+					unboundedDelivering++
+				}
+			}
+			if x.Inconsistent {
+				inconsistent++
 			}
 		}
 	}
 	if allBlocked < 150 || someBlocked < 200 {
 		t.Fatalf("only %d graphs had a node with every hop blocked and %d nodes a blocked hop", allBlocked, someBlocked)
 	}
+	if unboundedDelivering == 0 || inconsistent == 0 {
+		t.Fatalf("of %d delivering nodes, %d reach a loop and %d are inconsistent: a case is untested",
+			delivering, unboundedDelivering, inconsistent)
+	}
+	t.Logf("%d delivering nodes, %d reach a loop, %d inconsistent", delivering, unboundedDelivering, inconsistent)
 }

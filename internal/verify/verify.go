@@ -227,15 +227,6 @@ func (t *tally) addGroup(ctx context.Context, b *build.Builder, comp *policy.Com
 	return nil
 }
 
-// ReachSet is the answer for one destination class: bit u is set when
-// concrete router u delivers traffic to the class. It is a plain bit vector
-// with no reference to the network it was computed on, so holding one keeps
-// neither an SRP instance nor an abstraction alive.
-type ReachSet []uint64
-
-// Has reports whether router u reaches the class.
-func (s ReachSet) Has(u topo.NodeID) bool { return s[u>>6]>>(uint(u)&63)&1 != 0 }
-
 // Stability is what is known of a class's stable solutions, and so which
 // solutions an answer about the class counted. Unique is the empty string,
 // left off the wire: an answer about a unique class carries no verdict.
@@ -264,12 +255,55 @@ func weaker(a, b Stability) Stability {
 	return a
 }
 
-// ClassAnswer is one class's reachability answer: the routers that reach
-// it in every solution counted, those that reach it in some, and the verdict
-// naming the counted set. For a unique class Every and Some are one set.
+// ClassAnswer is one class's analysis: every concrete router's data-plane
+// facts and the verdict naming the counted solutions. Routers of one group
+// share their facts, so a compressed answer keeps one entry per group and
+// the abstraction's F (shared, not copied) to find it, and no SRP instance
+// or abstraction. A concrete answer also holds the first counted solution
+// (nil with none), which names the network's own routers.
 type ClassAnswer struct {
-	Every, Some ReachSet
-	Stable      Stability
+	Facts    []RouterFacts // per group, or per router when solved concretely
+	F        []int         // router to entry of Facts; nil when concrete
+	Stable   Stability
+	Solution *srp.Solution
+}
+
+// Router returns router u's facts.
+func (a *ClassAnswer) Router(u topo.NodeID) RouterFacts {
+	if a.F == nil {
+		return a.Facts[u]
+	}
+	return a.Facts[a.F[u]]
+}
+
+// RouterFacts is one router's facts folded over the counted solutions and
+// its group's copies: Facts hold if they hold in some solution at some copy
+// (see merge), and Every is "reaches in every solution", where a router
+// reaches in a solution when some copy does; with no solution nothing does.
+type RouterFacts struct {
+	dataplane.Facts
+	Every bool
+}
+
+// merge folds the facts of traffic that may be in either a's place or b's:
+// the fewest hops of the two, the most (unbounded once a loop is
+// reachable), and every fault of either. Facts with no hop counts (-1)
+// change nothing they are merged with.
+func merge(a, b dataplane.Facts) dataplane.Facts {
+	switch {
+	case !a.Reaches:
+		a.MinHops, a.MaxHops = b.MinHops, b.MaxHops
+	case b.Reaches:
+		a.MinHops, a.MaxHops = min(a.MinHops, b.MinHops), max(a.MaxHops, b.MaxHops)
+	}
+	a.Reaches = a.Reaches || b.Reaches
+	a.Loop = a.Loop || b.Loop
+	a.BlackHole = a.BlackHole || b.BlackHole
+	a.Inconsistent = a.Inconsistent || b.Inconsistent
+	if a.Loop {
+		a.MaxHops = -1
+	}
+	return a
 }
 
 // classSolution is one control-plane analysis of a class.
@@ -283,9 +317,9 @@ type classSolution struct {
 	compress           time.Duration     // time inside Builder.Compress
 }
 
-// solveClass is the one chain every reachability answer comes from:
-// compress the class (when asked), build its SRP instance, solve it, derive
-// the forwarding state and close it under reachability. comp supplies the
+// solveClass is the one chain every class answer comes from: compress the
+// class (when asked), build its SRP instance, solve it, derive the
+// forwarding state and its facts (dataplane.Analyse). comp supplies the
 // policy compiler for compression; nil creates a fresh one.
 func solveClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (classSolution, error) {
 	var abs *core.Abstraction
@@ -331,9 +365,10 @@ func Solutions(b *build.Builder, cls ec.Class, inst *srp.Instance) ([]*srp.Solut
 }
 
 // analyse solves the class on its abstraction, or on the concrete network
-// when abs is nil, and projects the reach sets onto the concrete routers. A
-// router stands for every copy of its group: with BGP case splitting it may
-// map to several, and it reaches the class in a solution when any copy does
+// when abs is nil, and folds each counted solution's data-plane facts into
+// one entry per group (per router when solved concretely). A router stands
+// for every copy of its group: with BGP case splitting it may map to
+// several, and it reaches the class in a solution when any copy does
 // (Theorem 4.5's caveat: properties are checked against all copies).
 func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSolution, error) {
 	var inst *srp.Instance
@@ -353,40 +388,38 @@ func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSoluti
 	if err != nil {
 		return classSolution{}, err
 	}
-	n := b.G.NumNodes()
-	s := classSolution{abs: abs, sources: int64(inst.G.NumNodes()) - 1}
-	s.Stable, s.Every = stable, make(ReachSet, (n+63)/64)
-	s.Some = s.Every
-	if len(sols) > 1 {
-		s.Some = make(ReachSet, len(s.Every))
+	nodes := inst.G.NumNodes()
+	s := classSolution{abs: abs, sources: int64(nodes) - 1}
+	groups := nodes
+	if abs != nil {
+		s.F, groups = abs.F, len(abs.Copies)
+	} else if len(sols) > 0 {
+		s.Solution = sols[0]
 	}
-	var every []bool // per solved node: reaches in every solution so far
+	s.Stable, s.Facts = stable, make([]RouterFacts, groups)
+	for g := range s.Facts {
+		s.Facts[g] = RouterFacts{Facts: dataplane.Facts{MinHops: -1, MaxHops: -1}, Every: len(sols) > 0}
+	}
+	every := make([]bool, nodes) // per solved node: reaches in every solution so far
+	one := []topo.NodeID{0}
 	for k, sol := range sols {
-		solved := dataplane.New(inst, sol, acl).ReachableSet()
-		if k == 0 {
-			every = solved // ReachableSet's slice is the caller's to keep
-		}
-		for u := range every {
-			every[u] = every[u] && solved[u]
-		}
-		for u := 0; u < n; u++ {
-			ok := false
-			if abs == nil {
-				ok = solved[u]
+		facts := dataplane.New(inst, sol, acl).Analyse()
+		for g := range s.Facts {
+			copies := one
+			if abs != nil {
+				copies = abs.Copies[g]
 			} else {
-				for _, c := range abs.Copies[abs.F[u]] {
-					ok = ok || solved[c]
-				}
+				one[0] = topo.NodeID(g)
 			}
-			bit := uint64(1) << (uint(u) & 63)
-			if ok {
-				s.Some[u>>6] |= bit
+			r, some := &s.Facts[g], false
+			for _, c := range copies {
+				r.Facts = merge(r.Facts, facts[c])
+				some = some || facts[c].Reaches
 			}
-			if k > 0 && !ok {
-				s.Every[u>>6] &^= bit
-			} else if k == 0 && ok {
-				s.Every[u>>6] |= bit
-			}
+			r.Every = r.Every && some
+		}
+		for u, x := range facts {
+			every[u] = (k == 0 || every[u]) && x.Reaches
 		}
 	}
 	for u, ok := range every {
@@ -397,10 +430,10 @@ func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSoluti
 	return s, nil
 }
 
-// ClassReach solves one class and returns its reachability answer, on the
-// compressed network or, with compressed false, by simulating the concrete
-// one. The answer depends on b's configuration alone, so callers may keep it
-// for as long as they keep b.
+// ClassReach solves one class and returns its analysis, on the compressed
+// network or, with compressed false, by simulating the concrete one. The
+// answer depends on b's configuration alone, so callers may keep it for as
+// long as they keep b.
 func ClassReach(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (ClassAnswer, error) {
 	s, err := solveClass(ctx, b, comp, cls, compressed)
 	return s.ClassAnswer, err

@@ -97,7 +97,7 @@ func reach(ctx context.Context, b *build.Builder, src, dest string, compressed b
 	if err != nil {
 		return false, err
 	}
-	return set.Every.Has(u), nil
+	return set.Router(u).Every, nil
 }
 
 func TestReachQueryBothModes(t *testing.T) {

@@ -222,8 +222,8 @@ func TestPaperNumbers(t *testing.T) {
 		}
 		for _, bonsai := range []bool{false, true} {
 			reach, err := verify.ClassReach(context.Background(), dc, nil, cls, bonsai)
-			if err != nil || !reach.Every.Has(src) {
-				t.Errorf("leaf-1-00 -> %s (bonsai %v): reachable %v, err %v", dest, bonsai, err == nil && reach.Every.Has(src), err)
+			if err != nil || !reach.Router(src).Every {
+				t.Errorf("leaf-1-00 -> %s (bonsai %v): reachable %v, err %v", dest, bonsai, err == nil && reach.Router(src).Every, err)
 			}
 		}
 	})

@@ -27,11 +27,6 @@ import (
 var productAllowlist = map[string]string{
 	"internal/bdd.(*Manager).Eval":                         "oracle: the truth-table reference the BDD operations are checked against",
 	"internal/policy.(*Compiler).Apply":                    "oracle: the probe the property tests run a compiled relation through",
-	"internal/dataplane.(*FIB).HasLoop":                    "ROADMAP 1(c): a data-plane query the engine will serve",
-	"internal/dataplane.(*FIB).BlackHoles":                 "ROADMAP 1(c): a data-plane query the engine will serve",
-	"internal/dataplane.(*FIB).PathLengths":                "ROADMAP 1(c): a data-plane query the engine will serve",
-	"internal/dataplane.(*FIB).MultipathConsistent":        "ROADMAP 1(c): a data-plane query the engine will serve",
-	"internal/dataplane.(*FIB).Waypointed":                 "ROADMAP 1(c): a data-plane query the engine will serve",
 	"internal/srp.MapAttr":                                 "oracle: the attribute mapping internal/oracle compares solutions through",
 	"internal/build.(*Builder).CompressFresh":              "oracle: the section 10.3 reference every shared or transported abstraction is compared with",
 	"internal/build.(*Builder).InvalidateAbstractionCache": "seam: the lever the benchmarks pull to time a cold compression",

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -247,6 +248,58 @@ func TestReachMemoSolvesAColdClassOnce(t *testing.T) {
 	}
 	if st.Misses != 1 {
 		t.Fatalf("the class was compressed %d times, want once", st.Misses)
+	}
+}
+
+// TestRoutesReadsTheReachMemo: ReachConcrete and Routes read one concrete
+// analysis per class and snapshot. ReachConcrete solves the class; two
+// Routes calls after it are memo hits that answer with the routes a cold
+// engine gives; after an Apply, the next Routes solves the class once more.
+func TestRoutesReadsTheReachMemo(t *testing.T) {
+	ctx := context.Background()
+	cfg := netgen.Fattree(4, netgen.PolicyShortestPath)
+	eng, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	dest := eng.Classes()[2]
+	counts := func() (misses, hits int64) {
+		st := eng.Stats()
+		return st.ReachMemoMisses, st.ReachMemoHits
+	}
+	if _, err := eng.ReachConcrete(ctx, "edge-0-0", dest); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := eng.Routes(ctx, dest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if misses, hits := counts(); misses != 1 || hits != 2 {
+		t.Fatalf("ReachConcrete then Routes twice: %d misses, %d hits; want 1 and 2", misses, hits)
+	}
+	cold, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	want, err := cold.Routes(ctx, dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := eng.Routes(ctx, dest); !reflect.DeepEqual(got, want) || len(got.Routes) != len(cfg.Routers) {
+		t.Fatalf("memoised routes %+v, a cold engine's %+v", got, want)
+	}
+	if _, err := eng.Apply(ctx, Delta{LinkDown: []LinkRef{{A: "core-0", B: "agg-0-0"}}}); err != nil {
+		t.Fatal(err)
+	}
+	misses, hits := counts()
+	if _, err := eng.Routes(ctx, dest); err != nil {
+		t.Fatal(err)
+	}
+	if m, h := counts(); m != misses+1 || h != hits {
+		t.Fatalf("Routes after an Apply: %d misses, %d hits; want %d and %d", m, h, misses+1, hits)
 	}
 }
 

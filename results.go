@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bonsai/internal/build"
+	"bonsai/internal/topo"
 	"bonsai/internal/verify"
 )
 
@@ -166,14 +167,39 @@ func (r *Report) String() string {
 type Stability = verify.Stability
 
 // ReachAnswer is the answer part of a ReachResult. A compressed and a
-// concrete answer to one query are equal exactly when CP-equivalence holds.
-// Reachable means the source delivers in every stable solution the class
-// counted, ReachableSome in at least one; Stable names the counted set. An
-// answer about a unique class leaves ReachableSome and Stable out.
+// concrete answer to one query are equal exactly when CP-equivalence holds,
+// except that for a router whose group has several copies the compressed
+// answer folds them all. Reachable means the source delivers in every stable
+// solution the class counted, ReachableSome in at least one (left out for a
+// unique class, as is Stable, which names the counted set). The rest are the
+// paper's §4.4 facts, holding if they hold in some solution at some copy:
+// the fewest and most hops of a delivering path (MaxHops left out where a
+// loop is reachable, so no path has a longest), a reachable forwarding loop,
+// no permitted next hop, and paths of which some deliver and some do not.
 type ReachAnswer struct {
-	Reachable     bool      `json:"reachable"`
-	ReachableSome bool      `json:"reachable_some,omitempty"`
-	Stable        Stability `json:"stable,omitempty"`
+	Reachable             bool      `json:"reachable"`
+	ReachableSome         bool      `json:"reachable_some,omitempty"`
+	Stable                Stability `json:"stable,omitempty"`
+	MinHops               int       `json:"min_hops"`
+	MaxHops               int       `json:"max_hops,omitempty"`
+	Loop                  bool      `json:"loop,omitempty"`
+	BlackHole             bool      `json:"black_hole,omitempty"`
+	MultipathInconsistent bool      `json:"multipath_inconsistent,omitempty"`
+}
+
+// reachAnswer is router u's answer in a class's analysis.
+func reachAnswer(a verify.ClassAnswer, u topo.NodeID) ReachAnswer {
+	r := a.Router(u)
+	return ReachAnswer{
+		Reachable:             r.Every,
+		ReachableSome:         r.Reaches && a.Stable != verify.Unique,
+		Stable:                a.Stable,
+		MinHops:               int(max(r.MinHops, 0)),
+		MaxHops:               int(max(r.MaxHops, 0)),
+		Loop:                  r.Loop,
+		BlackHole:             r.BlackHole,
+		MultipathInconsistent: r.Inconsistent,
+	}
 }
 
 // ReachResult answers a single reachability query.

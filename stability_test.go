@@ -2,6 +2,8 @@ package bonsai
 
 import (
 	"context"
+	"os"
+	"regexp"
 	"testing"
 )
 
@@ -25,16 +27,46 @@ func openRegress(t *testing.T, name string) *Engine {
 // So a reaches d in one solution, not in every one; b reaches it in both.
 // Compressed and concrete answers agree, and Verify counts b's pair only.
 // An answer taken from one solve would say true or false depending on which
-// solution that solve met.
+// solution that solve met. The gadget runs a second time with a and b
+// renamed to each other, which moves the ACL to the other router of the
+// pair, so that in one of the runs the router with the ACL delivers in the
+// last solution counted and not in the first.
 func TestDisagreeCountsBothSolutions(t *testing.T) {
-	e := openRegress(t, "disagree")
+	src, err := os.ReadFile("testdata/regress/disagree.cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := regexp.MustCompile(`\b[ab]\b`).ReplaceAllStringFunc(string(src), func(r string) string {
+		return map[string]string{"a": "b", "b": "a"}[r]
+	})
+	for _, tc := range []struct{ cfg, acl, other string }{{string(src), "a", "b"}, {swapped, "b", "a"}} {
+		net, err := ParseString(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Open(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		checkDisagree(t, e, tc.acl, tc.other)
+	}
+}
+
+// checkDisagree checks e's answers on DISAGREE, whose router acl has the ACL.
+func checkDisagree(t *testing.T, e *Engine, acl, other string) {
+	t.Helper()
 	ctx := context.Background()
 	for _, tc := range []struct {
 		src  string
 		want ReachAnswer
 	}{
-		{"a", ReachAnswer{Reachable: false, ReachableSome: true, Stable: "multiple"}},
-		{"b", ReachAnswer{Reachable: true, ReachableSome: true, Stable: "multiple"}},
+		// acl's one hop to d delivers in one solution; in the other its
+		// one hop, to the other router, is denied, so it black-holes.
+		{acl, ReachAnswer{Reachable: false, ReachableSome: true, Stable: "multiple", MinHops: 1, MaxHops: 1, BlackHole: true}},
+		// The other goes to d direct in one solution and through acl in
+		// the other.
+		{other, ReachAnswer{Reachable: true, ReachableSome: true, Stable: "multiple", MinHops: 1, MaxHops: 2}},
 	} {
 		for name, reach := range map[string]func(context.Context, string, string) (*ReachResult, error){
 			"Reach": e.Reach, "ReachConcrete": e.ReachConcrete,
@@ -54,7 +86,7 @@ func TestDisagreeCountsBothSolutions(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.Pairs != 2 || rep.ReachablePairs != 1 || rep.Stable != "multiple" {
-			t.Errorf("Verify (concrete %v): %d of %d pairs reachable, stable %q; want 1 of 2 (b only), multiple", concrete, rep.ReachablePairs, rep.Pairs, rep.Stable)
+			t.Errorf("Verify (concrete %v): %d of %d pairs reachable, stable %q; want 1 of 2 (%s only), multiple", concrete, rep.ReachablePairs, rep.Pairs, rep.Stable, other)
 		}
 	}
 }

@@ -100,7 +100,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 }
 
 // TestReportsRoundTrip round-trips every wire type, and pins the keys of
-// the five reports the daemon serves against testdata/wire_reports.golden:
+// the seven reports the daemon serves against testdata/wire_reports.golden:
 // a round trip cannot see a renamed or dropped key. Every exported leaf is
 // non-zero, so omitempty keys show too.
 func TestReportsRoundTrip(t *testing.T) {
@@ -152,6 +152,21 @@ func TestReportsRoundTrip(t *testing.T) {
 			DegradedBatches: 1, MaxPending: 6, FlushDrain: 2, FlushPending: 1,
 			FlushStale: 1, FlushClose: 1, Duration: time.Second,
 		}},
+		{"ReachResult", ReachResult{
+			ReachAnswer: ReachAnswer{
+				Reachable: true, ReachableSome: true, Stable: "multiple",
+				MinHops: 2, MaxHops: 4, Loop: true, BlackHole: true, MultipathInconsistent: true,
+			},
+			Compressed: true, Duration: time.Millisecond,
+		}},
+		{"RoutesReport", RoutesReport{
+			Dest: "10.0.0.0/24",
+			Routes: []RouteEntry{
+				{Router: "edge-1", Label: "bgp(lp=100)", NextHops: []string{"agg-1", "agg-2"}},
+				{Router: "agg-1", Label: "<nil>", NextHops: []string{"core-1"}},
+			},
+			Stable: "multiple",
+		}},
 	}
 	var wire bytes.Buffer
 	for _, r := range reports {
@@ -165,15 +180,7 @@ func TestReportsRoundTrip(t *testing.T) {
 	if golden, err := os.ReadFile("testdata/wire_reports.golden"); err != nil || string(golden) != wire.String() {
 		t.Fatalf("report wire differs from testdata/wire_reports.golden (err %v); got:\n%s", err, wire.String())
 	}
-	roundTrip(t, ReachResult{ReachAnswer: ReachAnswer{Reachable: true}, Compressed: true, Duration: time.Millisecond})
 	roundTrip(t, RolesReport{Roles: 4, Routers: 20})
-	roundTrip(t, RoutesReport{
-		Dest: "10.0.0.0/24",
-		Routes: []RouteEntry{
-			{Router: "edge-1", Label: "bgp(lp=100)", NextHops: []string{"agg-1", "agg-2"}},
-			{Router: "agg-1", Label: "<nil>"},
-		},
-	})
 	roundTrip(t, ClassResult{
 		ClassAnswer: ClassAnswer{Prefix: "10.0.0.0/24", AbstractNodes: 4, AbstractLinks: 6},
 		Source:      "fresh", Duration: time.Millisecond,
