@@ -2,6 +2,7 @@ package bonsai
 
 import (
 	"context"
+	"errors"
 	"time"
 )
 
@@ -66,7 +67,9 @@ func (e *Engine) ApplyStats() ApplyStats {
 // ApplyStreamReport summarises one ApplyStream run. It is provenance whole.
 type ApplyStreamReport struct {
 	// Deltas counts deltas read from the channel; Rejected of those failed
-	// validation and were skipped (the stream continues).
+	// validation and were skipped (the stream continues), or were in a batch
+	// whose result is not a valid network (ErrInvalidDelta, which ends the
+	// stream).
 	Deltas   int `json:"deltas"`
 	Rejected int `json:"rejected"`
 	// Batches counts coalesced flushes; EmptyBatches of those cancelled to
@@ -211,7 +214,9 @@ func (e *Engine) ApplyStream(ctx context.Context, deltas <-chan Delta, opts ...S
 			if o.observer != nil {
 				br = &ApplyReport{Classes: len(e.state.Load().b.Classes())}
 			}
-		} else if br, err = e.applyDelta(ctx, d); err == nil {
+		} else if br, err = e.applyDelta(ctx, d); errors.Is(err, ErrInvalidDelta) {
+			rep.Rejected += pending // the batch is refused whole, and ends the stream
+		} else if err == nil {
 			rep.Adopted += br.Adopted
 			rep.Invalidated += br.Invalidated
 			rep.NewClasses += br.NewClasses

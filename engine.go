@@ -559,20 +559,27 @@ func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, 
 
 // Apply atomically applies a configuration delta. It validates the delta
 // against the live configuration, applies it to a copy-on-write fork and
-// builds the successor's tables from that fork, then carries every cached
-// abstraction that is still valid across the change (build.AdoptFrom): per
-// cached class, every edge carrying a policy object the delta edited must be
-// dead for the class before and after, and every live edge the delta
-// removed or added must have a same-labelled edge between the same two
-// abstract groups that it leaves or finds in place. A class that passes
-// keeps its abstraction, and its class signature too when the policy tables
-// are unchanged and no static applies to it; the class index is carried
-// whole when no router's originated prefixes changed. Only the classes the
-// delta actually affected are invalidated — they recompress lazily on their
-// next query — and a delta touching a quarter of the links or routers skips
-// the sweep and leaves every class cold. Queries running concurrently with
-// Apply finish against the pre-delta snapshot; queries started after Apply
-// returns see the post-delta network and the surviving warm cache.
+// builds the successor from that fork (build.Builder.Successor): only the
+// routers the delta edited are validated, the node table is shared, the
+// community universes and spaces are shared when no policy namespace
+// changed, and an edge whose two routers are unchanged takes its session,
+// adjacency and ACL from the predecessor instead of looking them up by
+// name; the result equals build.New of the fork. An edit that leaves an
+// invalid network fails with ErrInvalidDelta and changes nothing. Apply
+// then carries every cached abstraction that is still valid across the
+// change (build.AdoptFrom): per cached class, every edge carrying a policy
+// object the delta edited must be dead for the class before and after, and
+// every live edge the delta removed or added must have a same-labelled edge
+// between the same two abstract groups that it leaves or finds in place. A
+// class that passes keeps its abstraction, and its class signature too when
+// the policy tables are unchanged and no static applies to it; the class
+// index is carried whole when no router's originated prefixes changed. Only
+// the classes the delta actually affected are invalidated — they recompress
+// lazily on their next query — and a delta touching a quarter of the links
+// or routers skips the sweep and leaves every class cold. Queries running
+// concurrently with Apply finish against the pre-delta snapshot; queries
+// started after Apply returns see the post-delta network and the surviving
+// warm cache.
 func (e *Engine) Apply(ctx context.Context, d Delta) (*ApplyReport, error) {
 	if d.empty() {
 		return nil, fmt.Errorf("bonsai: empty delta")
@@ -623,7 +630,7 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	if err := d.apply(cfg2); err != nil {
 		return nil, err
 	}
-	b2, err := build.New(cfg2)
+	b2, err := st.b.Successor(cfg2)
 	if err != nil {
 		return nil, fmt.Errorf("%w: it produces an invalid network: %w", ErrInvalidDelta, err)
 	}

@@ -78,6 +78,11 @@ func (b *Builder) cachedEntry(cls ec.Class) (*absEntry, bool) {
 	if err != nil {
 		return nil, false
 	}
+	return b.entryAt(fp)
+}
+
+// entryAt looks up the completed cache entry under fingerprint fp.
+func (b *Builder) entryAt(fp string) (*absEntry, bool) {
 	st := &b.store
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -181,7 +186,7 @@ func (b *Builder) adopt(ctx context.Context, comp *policy.Compiler, old *Builder
 		delete(oldByPrefix, cls.Prefix)
 		var entry *absEntry
 		if ad != nil && existed && slices.Equal(oldCls.Origins, cls.Origins) {
-			entry, _ = old.cachedEntry(oldCls)
+			entry = ad.oldEntry(cls)
 		}
 		if entry == nil {
 			n[outNew]++
@@ -375,6 +380,29 @@ func (ad *adoption) signature(cls ec.Class, old *classSig) (*classSig, error) {
 	ad.b.fpByPrefix[cls.Prefix] = s.fp
 	ad.b.intern.mu.Unlock()
 	return &s, nil
+}
+
+// oldEntry returns old's completed cache entry for cls, whose origins are
+// old's. A class old never fingerprinted would have its signature computed
+// on old, a Builder about to be dropped, and then again on b; where the two
+// provably agree (signature's conditions: inherit, and no static applies on
+// either side) it is computed once, on b, which keeps it, and old's store is
+// probed with b's fingerprint.
+func (ad *adoption) oldEntry(cls ec.Class) *absEntry {
+	old := ad.old
+	old.intern.mu.Lock()
+	_, known := old.fpByPrefix[cls.Prefix]
+	old.intern.mu.Unlock()
+	if known || !ad.inherit || old.staticMask(cls) != nil || ad.b.staticMask(cls) != nil {
+		e, _ := old.cachedEntry(cls)
+		return e
+	}
+	sig, err := ad.b.classSignature(cls)
+	if err != nil {
+		return nil
+	}
+	e, _ := old.entryAt(sig.fp)
+	return e
 }
 
 // classifyRouter compares the class-independent configuration of router u

@@ -16,6 +16,7 @@ package build
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -77,6 +78,7 @@ type Builder struct {
 	store      absStore
 
 	statics []edgeStatic // every static route on a live link, in router order (staticMask)
+	ends    []int32      // config.LinkEnds of Cfg.Links by NodeID, carried along a chain of successors
 
 	// onTransport, set by tests only, observes every transport as it lands:
 	// the seed, and the π and edge permutation (the compiler's scratch: a
@@ -110,55 +112,135 @@ var builderIDs atomic.Uint64
 
 // New validates the network and constructs its Builder: the SRP graph, the
 // per-edge protocol tables and the shared community universes.
-func New(net *config.Network) (*Builder, error) {
+func New(net *config.Network) (*Builder, error) { return construct(net, nil) }
+
+// Successor is New(net) for a net derived from b.Cfg as an apply derives
+// one: a config.Network.Fork whose edited routers are clones (with a fresh
+// Env where their policy changed) and whose link records are b's, Down
+// flipped, plus appended links. What changed is read off net by comparing
+// pointers with b's, never from a hint, and only that is rebuilt; a net with
+// other router names, or without b's link records at b's positions, is built
+// by New. The result equals New(net) field for field (TestSuccessorEqualsNew)
+// and holds no pointer to b.
+func (b *Builder) Successor(net *config.Network) (*Builder, error) { return construct(net, b) }
+
+// construct is New and Successor: prev, the predecessor, may be nil.
+func construct(net *config.Network, prev *Builder) (*Builder, error) {
 	if net == nil {
 		return nil, fmt.Errorf("build: nil network")
-	}
-	if err := net.Validate(); err != nil {
-		return nil, fmt.Errorf("build: %w", err)
 	}
 	b := &Builder{
 		Cfg:        net,
 		id:         builderIDs.Add(1),
-		G:          topo.New(),
 		intern:     &internTable{ids: make(map[string]int32)},
 		fpByPrefix: make(map[netip.Prefix]string),
 		store:      newAbsStore(),
 	}
-	names := net.RouterNames()
-	b.routers = make([]*config.Router, 0, len(names))
-	for _, name := range names {
-		b.G.AddNode(name)
-		r := net.Routers[name]
-		b.routers = append(b.routers, r)
+	// fresh marks the routers not taken from prev: all of them without one,
+	// else those whose pointer changed. A successor shares prev's name table
+	// and the ids of prev's link records.
+	links, ends := net.Links, []int32(nil)
+	var fresh []bool
+	if prev != nil {
+		if len(net.Routers) != len(prev.routers) || len(links) < len(prev.Cfg.Links) {
+			return New(net)
+		}
+		for i, l := range prev.Cfg.Links {
+			if links[i].A != l.A || links[i].B != l.B {
+				return New(net)
+			}
+		}
+		b.G, b.routers, fresh = prev.G.WithoutEdges(), make([]*config.Router, len(prev.routers)), make([]bool, len(prev.routers))
+		for u, old := range prev.routers {
+			r, ok := net.Routers[b.G.Name(topo.NodeID(u))]
+			if !ok {
+				return New(net)
+			}
+			b.routers[u], fresh[u] = r, r != old
+		}
+		links, ends = links[len(prev.Cfg.Links):], slices.Clip(prev.ends)
+	} else {
+		names := net.RouterNames()
+		b.G, b.routers, fresh = topo.New(), make([]*config.Router, len(names)), make([]bool, len(names))
+		for u, name := range names {
+			b.G.AddNode(name)
+			b.routers[u], fresh[u] = net.Routers[name], true
+		}
+	}
+	id := func(name string) (int32, bool) {
+		v, ok := b.G.Lookup(name)
+		return int32(v), ok
+	}
+	more, err := config.LinkEnds(links, id)
+	if err != nil {
+		return nil, fmt.Errorf("build: %w", err)
+	}
+	if b.ends = more; ends != nil {
+		b.ends = append(ends, more...)
+	}
+	// Validation is per router: an unchanged router read only itself, its
+	// Env and its peers, and a successor keeps every link record, so its
+	// verdict stands (config.CheckRouter).
+	var adj *config.Adjacency
+	envChanged := prev == nil
+	for u, r := range b.routers {
 		if r.BGP != nil {
 			b.hasBGP = true
 		}
-	}
-	for _, l := range net.Links {
-		if l.Down {
-			continue // administratively down: no SRP adjacency
+		if !fresh[u] {
+			continue
 		}
-		b.G.AddLink(b.G.MustLookup(l.A), b.G.MustLookup(l.B))
+		if adj == nil {
+			adj = config.NewAdjacency(len(b.routers), b.ends)
+		}
+		if err := config.CheckRouter(b.G.Name(topo.NodeID(u)), r, adj.Peers(int32(u)), id); err != nil {
+			return nil, fmt.Errorf("build: %w", err)
+		}
+		envChanged = envChanged || r.Env != prev.routers[u].Env
 	}
+	deg := make([]int32, len(b.routers))
+	for i, l := range net.Links {
+		if !l.Down { // administratively down: no SRP adjacency
+			deg[b.ends[2*i]]++
+			deg[b.ends[2*i+1]]++
+		}
+	}
+	b.G.Reserve(deg)
+	for i, l := range net.Links {
+		if !l.Down {
+			b.G.AddLink(topo.NodeID(b.ends[2*i]), topo.NodeID(b.ends[2*i+1]))
+		}
+	}
+	nStatic := 0
+	for _, r := range b.routers {
+		nStatic += len(r.Statics)
+	}
+	b.statics = make([]edgeStatic, 0, nStatic)
 	for u, r := range b.routers {
-		for _, s := range r.Statics {
-			if v, ok := b.G.Lookup(s.NextHop); ok {
-				if i, ok := b.G.EdgeIndex(topo.NodeID(u), v); ok {
-					b.statics = append(b.statics, edgeStatic{s.Prefix.Masked(), int32(i)})
-				}
+		for _, s := range r.Statics { // validated: the next hop is a peer
+			if i, ok := b.G.EdgeIndex(topo.NodeID(u), b.G.MustLookup(s.NextHop)); ok {
+				b.statics = append(b.statics, edgeStatic{s.Prefix.Masked(), int32(i)})
 			}
 		}
 	}
-	b.erasedUniverse = net.MatchedCommunities()
-	b.fullUniverse = net.AllCommunities()
-	b.matchedSet = make(map[protocols.Community]bool, len(b.erasedUniverse))
-	for _, c := range b.erasedUniverse {
-		b.matchedSet[c] = true
+	// The universes and spaces read every router's Env and nothing else.
+	if envChanged {
+		b.erasedUniverse = net.MatchedCommunities()
+		b.fullUniverse = net.AllCommunities()
+		b.matchedSet = make(map[protocols.Community]bool, len(b.erasedUniverse))
+		for _, c := range b.erasedUniverse {
+			b.matchedSet[c] = true
+		}
+		b.polSpaces[0] = policy.NewSpace(b.fullUniverse)
+		b.polSpaces[1] = policy.NewSpace(b.erasedUniverse)
+	} else {
+		b.erasedUniverse, b.fullUniverse, b.matchedSet, b.polSpaces = prev.erasedUniverse, prev.fullUniverse, prev.matchedSet, prev.polSpaces
 	}
-	b.tab = newEdgeTables(b.G, b.routers, b.matchedSet)
-	b.polSpaces[0] = policy.NewSpace(b.fullUniverse)
-	b.polSpaces[1] = policy.NewSpace(b.erasedUniverse)
+	var pt *edgeTables
+	if prev != nil {
+		pt = prev.tab
+	}
+	b.tab = newEdgeTables(b.G, b.routers, b.matchedSet, pt, fresh, pt != nil && slices.Equal(prev.erasedUniverse, b.erasedUniverse))
 	return b, nil
 }
 

@@ -72,6 +72,8 @@ type edgeTables struct {
 	ospfCost  []int32      // per edge: cost u pays via v, -1 without an adjacency
 	ospfCross []bool       // per edge: the adjacency crosses an area boundary
 	recs      []edgeRec    // per edge: its transport label
+	contentOf []int32      // per shape: its content label's index in labels
+	labels    []string     // the distinct content labels, numbered on first sight
 
 	// sigRMs and sigACLs enumerate the policy objects whose class-dependent
 	// behaviour a class fingerprint records — every route map on a live
@@ -110,7 +112,14 @@ func (t *edgeTables) out(u topo.NodeID) (lo, hi int32) {
 // OSPF adjacency needs both ends configured. g must hold both directions of
 // every link, as New builds it. matched is the erased community universe,
 // which the content labels render route maps through (mapContentSig).
-func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocols.Community]bool) *edgeTables {
+//
+// A successor passes its predecessor's tables as prev, and fresh marks its
+// routers that are not prev's. An edge prev has whose two routers are not
+// fresh is carried: its session, OSPF adjacency and ACL are prev's, so they
+// are not looked up by name, nor is its session's content label rendered
+// again when sameMatched says prev rendered it through this matched set.
+// Whatever is numbered is numbered as for any edge.
+func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocols.Community]bool, prev *edgeTables, fresh []bool, sameMatched bool) *edgeTables {
 	edges, rev := g.Edges(), g.ReverseEdges()
 	n := len(edges)
 	vec := make([]int32, 2*n)
@@ -122,22 +131,38 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 		shapeOf: vec[:n:n], ospfCost: vec[n:], ospfCross: make([]bool, n), recs: make([]edgeRec, n),
 	}
 
-	// u's own configuration on its interface toward v, per edge (u, v).
-	nbr := make([]*config.Neighbor, n)
-	ifc := make([]config.OSPFIface, n)
-	hasIfc := make([]bool, n)
+	// u's own configuration on its interface toward v, per edge (u, v)
+	// not carried; from[i] is edge i's index in prev if it is carried, else -1.
+	var nbr []*config.Neighbor
+	var ifc []config.OSPFIface
+	var hasIfc []bool
+	var from []int32
+	if prev != nil {
+		from = slices.Repeat([]int32{-1}, n)
+	}
 	aclIDs := make(map[aclRef]int32)
 	for i, e := range edges {
 		t.recs[i] = edgeRec{expRM: -1, impRM: -1, acl: -1}
 		r, peer := routers[e.U], g.Name(e.V)
-		if r.BGP != nil {
-			nbr[i] = r.BGP.Neighbors[peer]
+		a := aclRef{env: r.Env}
+		if j, ok := prev.carries(e, fresh); ok {
+			from[i] = j
+			if k := prev.recs[j].acl; k >= 0 {
+				a = prev.sigACLs[k]
+			}
+		} else {
+			if nbr == nil {
+				nbr, ifc, hasIfc = make([]*config.Neighbor, n), make([]config.OSPFIface, n), make([]bool, n)
+			}
+			if r.BGP != nil {
+				nbr[i] = r.BGP.Neighbors[peer]
+			}
+			if r.OSPF != nil {
+				ifc[i], hasIfc[i] = r.OSPF.Ifaces[peer]
+			}
+			a.name = r.IfaceACL[peer]
 		}
-		if r.OSPF != nil {
-			ifc[i], hasIfc[i] = r.OSPF.Ifaces[peer]
-		}
-		if name := r.IfaceACL[peer]; name != "" {
-			a := aclRef{env: r.Env, name: name}
+		if a.name != "" {
 			id, ok := aclIDs[a]
 			if !ok {
 				id = int32(len(t.sigACLs))
@@ -155,11 +180,15 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 		expRM, impRM                   int32
 		ibgp, redistOSPF, redistStatic bool
 	}
-	type shapeInfo struct{ id, content int32 }
-	shapeIDs := make(map[shapeKey]shapeInfo)
+	shapeIDs := make(map[shapeKey]int32)
+	var keys []shapeKey   // per shape
+	var prevShape []int32 // per prev shape: its index here, -1 until met
+	if prev != nil {
+		prevShape = slices.Repeat([]int32{-1}, len(prev.shapes))
+	}
 	rmIDs := make(map[rmRef]int32)
 	rmContent := make(map[rmRef]string)
-	sessContent := make(map[string]int32)
+	contentIDs := make(map[string]int32)
 	rmID := func(env *policy.Env, name string) int32 {
 		if name == "" {
 			return -1
@@ -175,50 +204,82 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 	}
 	for i, e := range edges {
 		j := rev[i]
-		// The content label packs what transport compares of an edge before
-		// a class is chosen: the session's content (flags and route-map
-		// content, not names) above the OSPF cost and area-crossing bit.
-		var label uint64
-		if nbr[i] != nil && nbr[j] != nil {
-			ur, vr := routers[e.U], routers[e.V]
-			k := shapeKey{
-				expRM:        rmID(vr.Env, nbr[j].ExportMap),
-				impRM:        rmID(ur.Env, nbr[i].ImportMap),
-				ibgp:         ur.BGP.ASN == vr.BGP.ASN,
-				redistOSPF:   vr.BGP.RedistributeOSPF,
-				redistStatic: vr.BGP.RedistributeStatic,
+		// A carried edge's session and adjacency are prev's, as are its
+		// reverse edge's: the two routers are.
+		var sess bgpSession
+		hasSess, ps := false, int32(-1)
+		if prev != nil && from[i] >= 0 {
+			if ps = prev.shapeOf[from[i]]; ps >= 0 {
+				sess, hasSess = prev.shapes[ps], true
 			}
-			s, ok := shapeIDs[k]
-			if !ok {
-				sess := bgpSession{
-					expMap: nbr[j].ExportMap, impMap: nbr[i].ImportMap,
-					ibgp: k.ibgp, redistOSPF: k.redistOSPF, redistStatic: k.redistStatic,
-				}
+			t.ospfCost[i], t.ospfCross[i] = prev.ospfCost[from[i]], prev.ospfCross[from[i]]
+		} else {
+			if nbr[i] != nil && nbr[j] != nil {
+				ur, vr := routers[e.U], routers[e.V]
+				sess, hasSess = bgpSession{
+					expMap: nbr[j].ExportMap, impMap: nbr[i].ImportMap, ibgp: ur.BGP.ASN == vr.BGP.ASN,
+					redistOSPF: vr.BGP.RedistributeOSPF, redistStatic: vr.BGP.RedistributeStatic,
+				}, true
 				if sess.expMap != "" {
 					sess.expEnv = vr.Env
 				}
 				if sess.impMap != "" {
 					sess.impEnv = ur.Env
 				}
-				lbl := appendFlag(appendFlag(appendFlag(nil, sess.ibgp), sess.redistOSPF), sess.redistStatic)
-				lbl = append(lbl, mapContentSig(rmContent, sess.expEnv, sess.expMap, matched)...)
-				lbl = append(lbl, '/')
-				lbl = append(lbl, mapContentSig(rmContent, sess.impEnv, sess.impMap, matched)...)
-				c, ok := sessContent[string(lbl)]
-				if !ok {
-					c = int32(len(sessContent))
-					sessContent[string(lbl)] = c
-				}
-				s = shapeInfo{id: int32(len(t.shapes)), content: c}
-				shapeIDs[k] = s
-				t.shapes = append(t.shapes, sess)
 			}
-			t.shapeOf[i], t.recs[i].expRM, t.recs[i].impRM = s.id, k.expRM, k.impRM
-			label = uint64(s.content+1) << 33
+			if hasIfc[i] && hasIfc[j] {
+				t.ospfCost[i] = int32(max(ifc[i].Cost, 1))
+				t.ospfCross[i] = ifc[i].Area != ifc[j].Area
+			}
 		}
-		if hasIfc[i] && hasIfc[j] {
-			t.ospfCost[i] = int32(max(ifc[i].Cost, 1))
-			t.ospfCross[i] = ifc[i].Area != ifc[j].Area
+		// The content label packs what transport compares of an edge before
+		// a class is chosen: the session's content (flags and route-map
+		// content, not names) above the OSPF cost and area-crossing bit.
+		var label uint64
+		if hasSess {
+			s := int32(-1)
+			if ps >= 0 {
+				s = prevShape[ps]
+			}
+			if s < 0 {
+				k := shapeKey{
+					expRM: rmID(sess.expEnv, sess.expMap), impRM: rmID(sess.impEnv, sess.impMap),
+					ibgp: sess.ibgp, redistOSPF: sess.redistOSPF, redistStatic: sess.redistStatic,
+				}
+				var ok bool
+				if s, ok = shapeIDs[k]; !ok {
+					var c int32
+					lbl := ""
+					if ps >= 0 && sameMatched {
+						lbl = prev.labels[prev.contentOf[ps]]
+						c, ok = contentIDs[lbl]
+					} else {
+						b := appendFlag(appendFlag(appendFlag(nil, sess.ibgp), sess.redistOSPF), sess.redistStatic)
+						b = append(b, mapContentSig(rmContent, sess.expEnv, sess.expMap, matched)...)
+						b = append(b, '/')
+						b = append(b, mapContentSig(rmContent, sess.impEnv, sess.impMap, matched)...)
+						if c, ok = contentIDs[string(b)]; !ok {
+							lbl = string(b)
+						}
+					}
+					if !ok {
+						c = int32(len(t.labels))
+						contentIDs[lbl] = c
+						t.labels = append(t.labels, lbl)
+					}
+					s = int32(len(t.shapes))
+					shapeIDs[k] = s
+					keys = append(keys, k)
+					t.shapes, t.contentOf = append(t.shapes, sess), append(t.contentOf, c)
+				}
+				if ps >= 0 {
+					prevShape[ps] = s
+				}
+			}
+			t.shapeOf[i], t.recs[i].expRM, t.recs[i].impRM = s, keys[s].expRM, keys[s].impRM
+			label = uint64(t.contentOf[s]+1) << 33
+		}
+		if t.ospfCost[i] >= 0 {
 			label |= uint64(t.ospfCost[i]) << 1
 			if t.ospfCross[i] {
 				label |= 1
@@ -283,6 +344,16 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 		}
 	}
 	return t
+}
+
+// carries reports the index in t, a predecessor's tables, of edge e of a
+// successor whose routers fresh marks, if e is carried (newEdgeTables).
+func (t *edgeTables) carries(e topo.Edge, fresh []bool) (int32, bool) {
+	if t == nil || fresh[e.U] || fresh[e.V] {
+		return -1, false
+	}
+	j, ok := t.g.EdgeIndex(e.U, e.V)
+	return int32(j), ok
 }
 
 // canonicalOrder sorts refs by the lowest NodeID whose router holds the

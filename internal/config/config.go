@@ -253,101 +253,146 @@ func (r *Router) EnsureOSPF() *OSPFConfig {
 
 // Validate checks referential integrity: links point at existing routers,
 // BGP neighbors and static next-hops are linked peers, and policy names
-// resolve.
+// resolve. It is LinkEnds and then CheckRouter over every router in name
+// order; internal/build runs the same two over its own node table.
 func (n *Network) Validate() error {
-	// Adjacency as one sorted peer-id list per router, carved from a single
-	// array: routers are numbered in name order, so the only hashing is one
-	// name lookup per link end and per checked reference.
 	names := n.RouterNames()
 	ids := make(map[string]int32, len(names))
 	for i, name := range names {
 		ids[name] = int32(i)
 	}
-	ends := make([]int32, 0, 2*len(n.Links))
-	off := make([]int32, len(names)+1)
-	for _, l := range n.Links {
-		a, ok := ids[l.A]
-		if !ok {
-			return fmt.Errorf("config: link references unknown router %q", l.A)
+	id := func(name string) (int32, bool) {
+		v, ok := ids[name]
+		return v, ok
+	}
+	ends, err := LinkEnds(n.Links, id)
+	if err != nil {
+		return err
+	}
+	adj := NewAdjacency(len(names), ends)
+	for u, name := range names {
+		if err := CheckRouter(name, n.Routers[name], adj.Peers(int32(u)), id); err != nil {
+			return err
 		}
-		b, ok := ids[l.B]
+	}
+	return nil
+}
+
+// LinkEnds resolves every link's two endpoints through id, the router
+// numbering, into one slice: ends[2i] and ends[2i+1] are links[i].A and
+// links[i].B. A name id does not know is Validate's error.
+func LinkEnds(links []Link, id func(name string) (int32, bool)) ([]int32, error) {
+	ends := make([]int32, 0, 2*len(links))
+	for _, l := range links {
+		a, ok := id(l.A)
 		if !ok {
-			return fmt.Errorf("config: link references unknown router %q", l.B)
+			return nil, fmt.Errorf("config: link references unknown router %q", l.A)
+		}
+		b, ok := id(l.B)
+		if !ok {
+			return nil, fmt.Errorf("config: link references unknown router %q", l.B)
 		}
 		ends = append(ends, a, b)
-		off[a+1]++
-		off[b+1]++
 	}
-	for i := range names {
-		off[i+1] += off[i]
+	return ends, nil
+}
+
+// Adjacency is the link relation CheckRouter reads: per router id, the ids
+// of its peers over every link, down links included (a router's session and
+// interface configuration survives a link flap), carved from one array.
+type Adjacency struct {
+	off, peers []int32
+}
+
+// NewAdjacency builds the adjacency of routers routers from LinkEnds'
+// output.
+func NewAdjacency(routers int, ends []int32) *Adjacency {
+	a := &Adjacency{off: make([]int32, routers+1), peers: make([]int32, len(ends))}
+	for _, u := range ends {
+		a.off[u+1]++
 	}
-	peers := make([]int32, len(ends))
-	fill := slices.Clone(off[:len(names)])
+	for i := range routers {
+		a.off[i+1] += a.off[i]
+	}
+	fill := slices.Clone(a.off[:routers])
 	for i := 0; i < len(ends); i += 2 {
-		a, b := ends[i], ends[i+1]
-		peers[fill[a]] = b
-		fill[a]++
-		peers[fill[b]] = a
-		fill[b]++
+		u, v := ends[i], ends[i+1]
+		a.peers[fill[u]] = v
+		fill[u]++
+		a.peers[fill[v]] = u
+		fill[v]++
 	}
-	for u, name := range names {
-		r := n.Routers[name]
-		mine := peers[off[u]:off[u+1]]
-		slices.Sort(mine)
-		linked := func(peer string) bool {
-			v, ok := ids[peer]
-			if !ok {
-				return false
-			}
-			_, found := slices.BinarySearch(mine, v)
-			return found
+	return a
+}
+
+// Peers returns router u's peers, sorted in place on each call, so a caller
+// checking a few routers sorts only theirs.
+func (a *Adjacency) Peers(u int32) []int32 {
+	mine := a.peers[a.off[u]:a.off[u+1]]
+	slices.Sort(mine)
+	return mine
+}
+
+// CheckRouter makes Validate's checks of one router, named name: its BGP
+// neighbors, OSPF interfaces, static next hops and interface ACLs face
+// peers (sorted router ids, Adjacency.Peers), and every policy object it
+// names resolves in its Env. It reads only the router, its Env and its
+// peers, so a router whose pointer and links are unchanged keeps its
+// verdict.
+func CheckRouter(name string, r *Router, peers []int32, id func(name string) (int32, bool)) error {
+	linked := func(peer string) bool {
+		v, ok := id(peer)
+		if !ok {
+			return false
 		}
-		if r.BGP != nil {
-			for peer, nb := range r.BGP.Neighbors {
-				if !linked(peer) {
-					return fmt.Errorf("config: %s has BGP neighbor %s without a link", name, peer)
-				}
-				for _, rm := range []string{nb.ImportMap, nb.ExportMap} {
-					if rm != "" {
-						if _, ok := r.Env.RouteMaps[rm]; !ok {
-							return fmt.Errorf("config: %s references unknown route map %q", name, rm)
-						}
+		_, found := slices.BinarySearch(peers, v)
+		return found
+	}
+	if r.BGP != nil {
+		for peer, nb := range r.BGP.Neighbors {
+			if !linked(peer) {
+				return fmt.Errorf("config: %s has BGP neighbor %s without a link", name, peer)
+			}
+			for _, rm := range []string{nb.ImportMap, nb.ExportMap} {
+				if rm != "" {
+					if _, ok := r.Env.RouteMaps[rm]; !ok {
+						return fmt.Errorf("config: %s references unknown route map %q", name, rm)
 					}
 				}
 			}
 		}
-		if r.OSPF != nil {
-			for peer := range r.OSPF.Ifaces {
-				if !linked(peer) {
-					return fmt.Errorf("config: %s has OSPF iface toward %s without a link", name, peer)
-				}
-			}
-		}
-		for _, s := range r.Statics {
-			if !linked(s.NextHop) {
-				return fmt.Errorf("config: %s static route via non-neighbor %s", name, s.NextHop)
-			}
-		}
-		for peer, acl := range r.IfaceACL {
+	}
+	if r.OSPF != nil {
+		for peer := range r.OSPF.Ifaces {
 			if !linked(peer) {
-				return fmt.Errorf("config: %s has ACL on non-neighbor iface %s", name, peer)
-			}
-			if _, ok := r.Env.ACLs[acl]; !ok {
-				return fmt.Errorf("config: %s references unknown ACL %q", name, acl)
+				return fmt.Errorf("config: %s has OSPF iface toward %s without a link", name, peer)
 			}
 		}
-		for rmName, rm := range r.Env.RouteMaps {
-			for _, cl := range rm.Clauses {
-				for _, m := range cl.Matches {
-					switch m.Kind {
-					case policy.MatchCommunity:
-						if _, ok := r.Env.CommunityLists[m.Arg]; !ok {
-							return fmt.Errorf("config: %s route map %s uses unknown community list %q", name, rmName, m.Arg)
-						}
-					case policy.MatchPrefix:
-						if _, ok := r.Env.PrefixLists[m.Arg]; !ok {
-							return fmt.Errorf("config: %s route map %s uses unknown prefix list %q", name, rmName, m.Arg)
-						}
+	}
+	for _, s := range r.Statics {
+		if !linked(s.NextHop) {
+			return fmt.Errorf("config: %s static route via non-neighbor %s", name, s.NextHop)
+		}
+	}
+	for peer, acl := range r.IfaceACL {
+		if !linked(peer) {
+			return fmt.Errorf("config: %s has ACL on non-neighbor iface %s", name, peer)
+		}
+		if _, ok := r.Env.ACLs[acl]; !ok {
+			return fmt.Errorf("config: %s references unknown ACL %q", name, acl)
+		}
+	}
+	for rmName, rm := range r.Env.RouteMaps {
+		for _, cl := range rm.Clauses {
+			for _, m := range cl.Matches {
+				switch m.Kind {
+				case policy.MatchCommunity:
+					if _, ok := r.Env.CommunityLists[m.Arg]; !ok {
+						return fmt.Errorf("config: %s route map %s uses unknown community list %q", name, rmName, m.Arg)
+					}
+				case policy.MatchPrefix:
+					if _, ok := r.Env.PrefixLists[m.Arg]; !ok {
+						return fmt.Errorf("config: %s route map %s uses unknown prefix list %q", name, rmName, m.Arg)
 					}
 				}
 			}

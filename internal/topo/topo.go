@@ -52,6 +52,27 @@ func New() *Graph {
 	return &Graph{index: make(map[string]NodeID)}
 }
 
+// WithoutEdges returns a graph over g's vertices with no edges, sharing g's
+// name table: the topology of a successor that keeps every router and
+// changes links. Neither graph may gain a vertex afterwards.
+func (g *Graph) WithoutEdges() *Graph {
+	return &Graph{names: g.names[:len(g.names):len(g.names)], index: g.index, succ: make([][]NodeID, len(g.names))}
+}
+
+// Reserve sizes each vertex u's successor list for deg[u] edges, carving
+// the lists from one array, so that adding those edges allocates nothing.
+// g must have no edges yet.
+func (g *Graph) Reserve(deg []int32) {
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	arr := make([]NodeID, total)
+	for u, d := range deg {
+		g.succ[u], arr = arr[:0:d], arr[d:]
+	}
+}
+
 // AddNode adds a vertex with the given name, or returns the existing one.
 func (g *Graph) AddNode(name string) NodeID {
 	if id, ok := g.index[name]; ok {
