@@ -94,30 +94,6 @@ func (b *Builder) entryAt(fp string) (*absEntry, bool) {
 	return e, true
 }
 
-// UsesLocalPref reports whether any route map attached to a live session
-// can set a BGP local preference, computed once per Builder. Networks
-// without preference-setting policies have prefs(u) == 1 everywhere, which
-// adoption relies on to skip re-validating the case-splitting conditions.
-func (b *Builder) UsesLocalPref() bool {
-	b.lpOnce.Do(func() {
-		for _, ref := range b.tab.sigRMs {
-			rm := ref.env.RouteMaps[ref.name]
-			if rm == nil {
-				continue
-			}
-			for ci := range rm.Clauses {
-				for _, s := range rm.Clauses[ci].Sets {
-					if s.Kind == policy.SetLocalPref {
-						b.lpUsed = true
-						return
-					}
-				}
-			}
-		}
-	})
-	return b.lpUsed
-}
-
 // AdoptStats reports what one AdoptFrom pass did, served as
 // bonsai.AdoptStats. Adopted counts classes whose cached abstraction was
 // carried across the delta; Unchanged of those reused the old abstraction
@@ -185,14 +161,15 @@ func (b *Builder) adopt(ctx context.Context, comp *policy.Compiler, old *Builder
 		oldCls, existed := oldByPrefix[cls.Prefix]
 		delete(oldByPrefix, cls.Prefix)
 		var entry *absEntry
+		carry := false
 		if ad != nil && existed && slices.Equal(oldCls.Origins, cls.Origins) {
-			entry = ad.oldEntry(cls)
+			entry, carry = ad.oldEntry(cls)
 		}
 		if entry == nil {
 			n[outNew]++
 			continue
 		}
-		out := ad.adoptClassSafe(comp, cls, entry)
+		out := ad.adoptClass(comp, cls, entry, carry)
 		n[out]++
 		if out == outRefused {
 			invalidated = append(invalidated, cls.Prefix.String())
@@ -219,23 +196,6 @@ func (n *tally) adoptStats(invalidated []string, removed int) AdoptStats {
 	}
 }
 
-// adoptClassSafe wraps adoptClass with the adopt.class injection seam and
-// panic containment. Invalidating on panic is sound: an unadopted class is
-// merely cold and recompresses from scratch on its next query, so a
-// poisoned adoption check costs recomputation, never correctness or the
-// process.
-func (ad *adoption) adoptClassSafe(comp *policy.Compiler, cls ec.Class, entry *absEntry) (out outcome) {
-	defer func() {
-		if recover() != nil {
-			out = outRefused
-		}
-	}()
-	if faultinject.Active() {
-		faultinject.Fire(faultinject.AdoptClass, cls.Prefix.String())
-	}
-	return ad.adoptClass(comp, cls, entry)
-}
-
 // adoption carries the per-Apply precomputed state shared by every class.
 type adoption struct {
 	b, old *Builder
@@ -254,7 +214,6 @@ type adoption struct {
 	// touched describes the delta-edited routers (same NodeIDs in both
 	// builders).
 	touched []touchedRouter
-	lpGate  bool // either builder's policies can set local preferences
 }
 
 // touchedRouter is one delta-edited router with the class-independent part
@@ -303,8 +262,15 @@ func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
 		old:        old,
 		removedIdx: make([]bool, len(old.tab.edges)),
 		addedIdx:   make([]bool, len(b.tab.edges)),
-		lpGate:     old.UsesLocalPref() || b.UsesLocalPref(),
 	}
+	// b, which holds nothing yet, will hold about as many signatures and
+	// entries as old: size its memo and store for them.
+	old.intern.mu.Lock()
+	b.fpByPrefix = make(map[netip.Prefix]string, len(old.fpByPrefix))
+	old.intern.mu.Unlock()
+	old.store.mu.Lock()
+	b.store.entries = make(map[string]*absEntry, len(old.store.entries))
+	old.store.mu.Unlock()
 	// Both edge lists are sorted by (U, V) — a linear merge classifies
 	// every edge as shared, added or removed without hashing.
 	newEdges, oldEdges := b.tab.edges, old.tab.edges
@@ -365,13 +331,10 @@ func (b *Builder) inheritClasses(old *Builder) {
 }
 
 // signature returns b's signature of cls, whose predecessor signature is
-// old. It is old itself, less the private colour key, when that provably
-// equals a recomputation: both Builders index signatures by the same policy
-// references and share their intern ids (inherit), adoption already
-// required the class's origins to be old's, and no static applies to the
-// class on either side. Otherwise it is computed afresh.
-func (ad *adoption) signature(cls ec.Class, old *classSig) (*classSig, error) {
-	if !ad.inherit || old.statics != nil || ad.b.staticMask(cls) != nil {
+// old: old itself, less the private colour key, when it carries (oldEntry),
+// else computed afresh.
+func (ad *adoption) signature(cls ec.Class, old *classSig, carry bool) (*classSig, error) {
+	if !carry {
 		return ad.b.classSignature(cls)
 	}
 	s := *old
@@ -383,26 +346,28 @@ func (ad *adoption) signature(cls ec.Class, old *classSig) (*classSig, error) {
 }
 
 // oldEntry returns old's completed cache entry for cls, whose origins are
-// old's. A class old never fingerprinted would have its signature computed
-// on old, a Builder about to be dropped, and then again on b; where the two
-// provably agree (signature's conditions: inherit, and no static applies on
-// either side) it is computed once, on b, which keeps it, and old's store is
-// probed with b's fingerprint.
-func (ad *adoption) oldEntry(cls ec.Class) *absEntry {
-	old := ad.old
+// old's, and decides once whether the class's signature carries across to
+// b: both Builders index signatures by the same policy references and share
+// their intern ids (inherit), and no static applies to the class on either
+// side — on old's, as its signature of the class records. A class old never
+// fingerprinted would have its signature computed on old, a Builder about to
+// be dropped, and then again on b; when it carries, it is computed once, on
+// b, which keeps it, and old's store is probed with b's fingerprint.
+func (ad *adoption) oldEntry(cls ec.Class) (*absEntry, bool) {
+	old, b := ad.old, ad.b
 	old.intern.mu.Lock()
 	_, known := old.fpByPrefix[cls.Prefix]
 	old.intern.mu.Unlock()
-	if known || !ad.inherit || old.staticMask(cls) != nil || ad.b.staticMask(cls) != nil {
+	if known || !ad.inherit || old.staticMask(cls) != nil || b.staticMask(cls) != nil {
 		e, _ := old.cachedEntry(cls)
-		return e
+		return e, e != nil && ad.inherit && e.sig.statics == nil && b.staticMask(cls) == nil
 	}
-	sig, err := ad.b.classSignature(cls)
+	sig, err := b.classSignature(cls)
 	if err != nil {
-		return nil
+		return nil, false
 	}
 	e, _ := old.entryAt(sig.fp)
-	return e
+	return e, e != nil
 }
 
 // classifyRouter compares the class-independent configuration of router u
@@ -450,29 +415,30 @@ func (ad *adoption) classifyRouter(u topo.NodeID) touchedRouter {
 
 // adoptClass decides one class: outUnchanged, outReassembled or outRefused.
 // entry is the old builder's completed cache entry for the same prefix and
-// origins.
-func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEntry) outcome {
+// origins, and carry says whether the class's signature carries across. A
+// panic in a check, or at the adopt.class injection seam, refuses the class,
+// which is sound: an unadopted class is merely cold and recompresses from
+// scratch on its next query, so a poisoned check costs recomputation, never
+// correctness or the process.
+func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEntry, carry bool) (out outcome) {
+	defer func() {
+		if recover() != nil {
+			out = outRefused
+		}
+	}()
+	if faultinject.Active() {
+		faultinject.Fire(faultinject.AdoptClass, cls.Prefix.String())
+	}
 	b, old := ad.b, ad.old
 	abs := entry.abs
 	if len(abs.F) != b.G.NumNodes() || entry.live == nil {
 		return outRefused
 	}
-	// Local-preference gate: the local checks do not re-validate the ∀∀
-	// and case-splitting conditions of Theorem 4.4.
-	if ad.lpGate {
-		if entry.prefs == nil {
-			return outRefused
-		}
-		for _, p := range entry.prefs {
-			if p > 1 {
-				return outRefused
-			}
-		}
-		for _, p := range b.prefsVec(cls) {
-			if p > 1 {
-				return outRefused
-			}
-		}
+	// The local checks do not re-validate the ∀∀ and case-splitting
+	// conditions of Theorem 4.4, so the class must hold one local
+	// preference on both sides.
+	if !old.singlePref(cls) || !b.singlePref(cls) {
+		return outRefused
 	}
 	oldSig := entry.sig
 	F := abs.F
@@ -505,9 +471,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		if !entry.live[j] {
 			continue
 		}
-		e := old.tab.edges[j]
-		if !ad.survivingOutWitness(oldSig, entry.live, F, e, j) ||
-			!ad.survivingInWitness(oldSig, entry.live, F, e, j) {
+		if !old.tab.witnessed(oldSig, entry.live, ad.removedIdx, F, j) {
 			return outRefused
 		}
 	}
@@ -518,7 +482,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	for _, r := range ad.runs {
 		copy(live2[r.new:r.new+r.n], entry.live[r.old:r.old+r.n])
 	}
-	sig2, err := ad.signature(cls, oldSig)
+	sig2, err := ad.signature(cls, oldSig, carry)
 	if err != nil {
 		return outRefused
 	}
@@ -531,7 +495,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		if F[e.U] == F[e.V] {
 			return outRefused // would create an abstract self loop
 		}
-		if !ad.addedWitness(sig2, live2, F, e, i) {
+		if !b.tab.witnessed(sig2, live2, ad.addedIdx, F, i) {
 			return outRefused
 		}
 	}
@@ -646,67 +610,28 @@ func staticSetEqual(oldR, newR *config.Router, cls ec.Class) bool {
 	return n == len(oldSt)
 }
 
-// survivingOutWitness reports whether u (of removed old edge e = (u, v))
-// keeps a surviving live out-edge with an equal label into v's group.
-func (ad *adoption) survivingOutWitness(sig *classSig, live []bool, F []int, e topo.Edge, j int32) bool {
-	t := ad.old.tab
-	lo, hi := t.out(e.U)
-	for i := lo; i < hi; i++ {
-		if i == j || ad.removedIdx[i] || !live[i] {
-			continue
-		}
-		if F[t.edges[i].V] == F[e.V] && t.edgeEq(sig, sig, i, j) {
-			return true
-		}
-	}
-	return false
-}
-
-// survivingInWitness reports whether v (of removed old edge e = (u, v))
-// keeps a surviving live in-edge with an equal label from u's group.
-func (ad *adoption) survivingInWitness(sig *classSig, live []bool, F []int, e topo.Edge, j int32) bool {
-	t := ad.old.tab
-	lo, hi := t.out(e.V)
-	for o := lo; o < hi; o++ {
-		// o is (v, w); its reverse i is (w, v) — the in-edge direction.
-		i := t.rev[o]
-		if i == j || ad.removedIdx[i] || !live[i] {
-			continue
-		}
-		if F[t.edges[o].V] == F[e.U] && t.edgeEq(sig, sig, i, j) {
-			return true
-		}
-	}
-	return false
-}
-
-// addedWitness reports whether added live new edge e = (u, v) lands on an
-// already-covered abstract edge with an equal label: a surviving live edge
-// (u, w) with w in v's group and the same label. Token sets are unchanged
-// in that case, so the partition stays stable.
-func (ad *adoption) addedWitness(sig *classSig, live []bool, F []int, e topo.Edge, i int32) bool {
-	t := ad.b.tab
-	lo, hi := t.out(e.U)
-	for o := lo; o < hi; o++ {
-		if o == i || ad.addedIdx[o] || !live[o] {
-			continue
-		}
-		if F[t.edges[o].V] == F[e.V] && t.edgeEq(sig, sig, o, i) {
-			// Out-token witnessed; the in-token needs a witness too.
-			lo, hi := t.out(e.V)
-			for o := lo; o < hi; o++ {
-				in := t.rev[o] // o is (v, w), in is (w, v)
-				if in == i || ad.addedIdx[in] || !live[in] {
-					continue
-				}
-				if F[t.edges[o].V] == F[e.U] && t.edgeEq(sig, sig, in, i) {
-					return true
-				}
+// witnessed reports whether the token edge i = (u, v) carries under sig is
+// not the last of its kind among t's live edges outside skip: some other
+// live edge with an equal label runs out of u into v's group, and one into v
+// from u's group. Adoption asks it of a removed edge on the predecessor's
+// tables, skipping every removed edge, and of an added edge on the
+// successor's, skipping every added one.
+func (t *edgeTables) witnessed(sig *classSig, live, skip []bool, F []int, i int32) bool {
+	e := t.edges[i]
+	has := func(from, to topo.NodeID, in bool) bool {
+		lo, hi := t.out(from)
+		for o := lo; o < hi; o++ {
+			j := o
+			if in {
+				j = t.rev[o] // o is (from, w), j is (w, from)
 			}
-			return false
+			if j != i && !skip[j] && live[j] && F[t.edges[o].V] == F[to] && t.edgeEq(sig, sig, j, i) {
+				return true
+			}
 		}
+		return false
 	}
-	return false
+	return has(e.U, e.V, false) && has(e.V, e.U, true)
 }
 
 // repEdgesSurvive reports whether every representative concrete edge of the
@@ -727,24 +652,17 @@ func (ad *adoption) repEdgesSurvive(abs *core.Abstraction) bool {
 // fast), so they are evictable like any other entry — an evicted
 // adoption recompresses on its next query.
 func (ad *adoption) install(cls ec.Class, sig *classSig, abs *core.Abstraction, live []bool, prefs []int, out outcome) outcome {
-	b := ad.b
 	if faultinject.Active() {
 		// The store.install seam lets tests shrink the budget (forcing
 		// evictions) or panic mid-install while an apply is writing entries.
 		faultinject.Fire(faultinject.StoreInstall, cls.Prefix.String())
 	}
-	e := &absEntry{ready: make(chan struct{}), sig: sig, fp: sig.fp, abs: abs, live: live, prefs: prefs, done: true, out: out}
-	close(e.ready)
-	st := &b.store
+	st := &ad.b.store
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.entries[sig.fp]; ok {
-		// An identity-shared class already installed this fingerprint.
-		return out
+	// An identity-shared class may already have installed this fingerprint.
+	if st.admit(&absEntry{ready: closed, sig: sig, fp: sig.fp, abs: abs, live: live, prefs: prefs, out: out}) {
+		st.tally[out]++
 	}
-	st.entries[sig.fp] = e
-	st.tally[out]++
-	st.account(e)
-	st.evict()
 	return out
 }

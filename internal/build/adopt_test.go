@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 
 	"bonsai/internal/config"
@@ -378,5 +379,120 @@ func TestAdoptionNeedsTheInWitness(t *testing.T) {
 	}
 	if !slices.Contains(st.InvalidatedPrefixes, "10.0.0.0/24") {
 		t.Fatalf("v1-u down: d's class not invalidated (adopted %d, invalidated %v)", st.Adopted, st.InvalidatedPrefixes)
+	}
+}
+
+// preferBottomOneSession is prefer-bottom Fattree(4) with the preference
+// confined to where one link flap changes it: only agg-0-0 imports
+// PREF-DOWN, only from edge-0-0, and the map raises the preference of pod
+// 1's prefixes alone. With agg-0-0–edge-0-0 up, pod 1's classes hold two
+// preferences at agg-0-0; with it down, every class holds one everywhere.
+// Pod 0's edge routers import none of pod 1's prefixes, so for their classes
+// both directions of the link are dead and no witness refuses them.
+func preferBottomOneSession() *config.Network {
+	n := netgen.Fattree(4, netgen.PolicyPreferBottom)
+	var pod1 []policy.PrefixEntry
+	for _, name := range []string{"edge-1-0", "edge-1-1"} {
+		pod1 = append(pod1, policy.PrefixEntry{Action: policy.Permit, Prefix: n.Routers[name].Originate[0]})
+	}
+	for _, name := range n.RouterNames() {
+		for peer, nb := range n.Routers[name].BGP.Neighbors {
+			if nb.ImportMap == "PREF-DOWN" && (name != "agg-0-0" || peer != "edge-0-0") {
+				nb.ImportMap = ""
+			}
+		}
+	}
+	pod1Match := []policy.Match{{Kind: policy.MatchPrefix, Arg: "POD1"}}
+	agg := n.Routers["agg-0-0"]
+	agg.Env.PrefixLists["POD1"] = &policy.PrefixList{Name: "POD1", Entries: pod1}
+	agg.Env.RouteMaps["PREF-DOWN"] = &policy.RouteMap{Name: "PREF-DOWN", Clauses: []policy.Clause{
+		{Seq: 10, Action: policy.Permit, Matches: pod1Match, Sets: []policy.Set{{Kind: policy.SetLocalPref, Value: 200}}},
+		{Seq: 20, Action: policy.Permit},
+	}}
+	for _, name := range []string{"edge-0-0", "edge-0-1"} {
+		edge := n.Routers[name]
+		edge.Env.PrefixLists["POD1"] = agg.Env.PrefixLists["POD1"]
+		edge.Env.RouteMaps["NOT-POD1"] = &policy.RouteMap{Name: "NOT-POD1", Clauses: []policy.Clause{
+			{Seq: 10, Action: policy.Deny, Matches: pod1Match},
+			{Seq: 20, Action: policy.Permit},
+		}}
+		for _, nb := range edge.BGP.Neighbors {
+			nb.ImportMap = "NOT-POD1"
+		}
+	}
+	return n
+}
+
+// TestAdoptionNeedsOnePreferenceOnBothSides: the local checks adoption runs
+// do not re-validate Theorem 4.4's case splitting, so a class adopts only if
+// every router holds one local preference for it on both Builders. On
+// preferBottomOneSession, taking agg-0-0–edge-0-0 down and back up moves pod
+// 1's classes between two preferences (the old side, then the new) and one;
+// at each flap every class with prefs above 1 on either side (PrefsFunc,
+// every router) must be invalidated, and every other class adopted, its
+// abstraction equal to CompressFresh's and holding to the paper's
+// conditions — except in pod 0, where the flapped link's lost or gained
+// token has no witness.
+func TestAdoptionNeedsOnePreferenceOnBothSides(t *testing.T) {
+	ctx := context.Background()
+	up := preferBottomOneSession()
+	down := up.Clone()
+	down.Links[down.FindLink("agg-0-0", "edge-0-0")].Down = true
+	multi := func(b *Builder, cls ec.Class) bool {
+		prefs := b.PrefsFunc(cls)
+		return slices.ContainsFunc(b.G.Nodes(), func(u topo.NodeID) bool { return prefs(u) > 1 })
+	}
+	old, oldComp := newBuilder(t, up)
+	compressAll(t, old, oldComp)
+	for _, step := range []struct {
+		name string
+		net  *config.Network
+	}{{"down", down}, {"back up", up}} {
+		b, comp := newBuilder(t, step.net)
+		st, err := b.AdoptFrom(ctx, comp, old, AdoptDelta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gated := 0
+		for _, cls := range b.Classes() {
+			refused := slices.Contains(st.InvalidatedPrefixes, cls.Prefix.String())
+			if multi(old, cls) || multi(b, cls) {
+				gated++
+				if !refused {
+					t.Errorf("%s: class %v holds several preferences, yet was not invalidated", step.name, cls.Prefix)
+				}
+				continue
+			}
+			abs, ok := b.CachedAbstraction(cls)
+			if refused && strings.HasPrefix(cls.Origins[0], "edge-0-") {
+				continue // the flapped link's own pod: the witnesses refuse it
+			}
+			if refused || !ok {
+				t.Errorf("%s: class %v holds one preference on both sides, yet was not adopted", step.name, cls.Prefix)
+				continue
+			}
+			fresh, err := b.CompressFresh(ctx, comp, cls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := b.AbstractConfig(cls, abs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := b.AbstractConfig(cls, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(abs.F, fresh.F) || config.PrintString(got) != config.PrintString(want) {
+				t.Errorf("%s: class %v adopted as\n%s\nCompressFresh gives\n%s", step.name, cls.Prefix, config.PrintString(got), config.PrintString(want))
+			}
+			checkConditions(t, b, comp, cls, abs)
+		}
+		if gated == 0 || st.Adopted == 0 {
+			t.Fatalf("%s: %d classes gated, %d adopted: the flap must give both", step.name, gated, st.Adopted)
+		}
+		t.Logf("%s: %d classes gated, %d adopted, %d invalidated", step.name, gated, st.Adopted, st.Invalidated)
+		compressAll(t, b, comp)
+		old = b
 	}
 }

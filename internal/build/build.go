@@ -54,9 +54,6 @@ type Builder struct {
 	classesOnce sync.Once
 	classIdx    ec.Index // the classes and their lookup trie, built once
 
-	lpOnce sync.Once
-	lpUsed bool // some session route map sets a local preference (adopt.go)
-
 	// Shared compilation universes (policy.Space): the canonical BDD
 	// constant space per universe, built once so stamping a per-worker
 	// compiler copies three flat arrays instead of re-deriving the

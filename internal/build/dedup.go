@@ -263,31 +263,17 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 		// holding e still observe the error.
 		delete(st.entries, sig.fp)
 	} else {
-		e.done = true
 		st.tally[e.out]++
 		if e.out == outSearch {
 			st.addGenerator(seed, pi) // a searched π: a candidate generator
-		} else if seed == nil {
-			if cur, ok := st.entries[sig.fp]; ok && cur != e && cur.done {
-				// A second fresh refinement completed for a fingerprint that
-				// already has a live result: single-flight has been broken
-				// and work was duplicated. Recorded, and asserted zero in
-				// tests.
-				st.dupFresh++
-			}
-			if e.targets != nil {
-				// One pinned seed per symmetry family keeps the index small
-				// and eviction away from the entries the whole family
-				// depends on.
-				e.pinned = true
-				st.isoIndex[sig.key] = append(st.isoIndex[sig.key], e)
-			}
 		}
-		if !e.pinned {
-			sig.col = nil // only a seed is searched from
+		// admit refuses e only when another claimer's entry holds the
+		// fingerprint (the store was reset mid-flight). A fresh refinement
+		// completed beside a live result means single-flight was broken and
+		// work duplicated: recorded, and asserted zero in tests.
+		if cur := st.entries[sig.fp]; !st.admit(e) && seed == nil && cur.done {
+			st.dupFresh++
 		}
-		st.account(e)
-		st.evict()
 	}
 	st.mu.Unlock()
 	close(e.ready)

@@ -276,17 +276,20 @@ func (b *Builder) prefsVec(cls ec.Class) []int {
 
 // CertifiesUnique reports a certificate that the class has exactly one
 // stable solution (one behaviour, as srp.Solutions counts them), read from
-// tables the Builder already has: every router holds at most one local
-// preference for it (prefs ≤ 1; only the routers in lpNodes can hold more),
-// and no route map on a live session matches anything but the prefix. BGP
-// then selects shortest AS paths over a fixed set of sessions, and OSPF
-// shortest costs, each with one answer. The third condition, acyclic
-// redistribution, holds by construction: routes are only ever redistributed
-// from OSPF and static routing into BGP, never back.
+// tables the Builder already has: every router holds one local preference
+// for it (singlePref), and no route map on a live session matches anything
+// but the prefix. BGP then selects shortest AS paths over a fixed set of
+// sessions, and OSPF shortest costs, each with one answer. The third
+// condition, acyclic redistribution, holds by construction: routes are only
+// ever redistributed from OSPF and static routing into BGP, never back.
 func (b *Builder) CertifiesUnique(cls ec.Class) bool {
-	if b.tab.attrMatch {
-		return false
-	}
+	return !b.tab.attrMatch && b.singlePref(cls)
+}
+
+// singlePref reports whether every router holds at most one local
+// preference for the class (prefs ≤ 1), so that Theorem 4.4's case
+// splitting has nothing to split. Only the routers in lpNodes can hold more.
+func (b *Builder) singlePref(cls ec.Class) bool {
 	vals := make(map[uint32]bool)
 	for _, u := range b.tab.lpNodes {
 		if b.prefsAt(cls, u, vals) > 1 {

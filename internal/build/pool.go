@@ -173,7 +173,9 @@ func (p *Pool) rebalanceLocked() {
 		if take > worst {
 			take = worst
 		}
-		_, n := victim.store.shed(take, victim.floor)
+		victim.store.mu.Lock()
+		n := victim.store.shed(take, victim.floor)
+		victim.store.mu.Unlock()
 		if n == 0 {
 			if stuck == nil {
 				stuck = make(map[*poolMember]bool)
@@ -239,23 +241,4 @@ func (s *absStore) pressure() {
 	p := s.pool
 	s.mu.Unlock()
 	p.maybeRebalance()
-}
-
-// shed evicts coldest entries until it has freed at least want bytes or the
-// store would drop below floor (or runs out of evictable entries). It
-// returns the bytes freed and entries evicted. Unlike evict (the local
-// budget), shed respects the member floor: cross-tenant pressure never
-// cuts into a member's guaranteed share.
-func (s *absStore) shed(want, floor int64) (freed int64, n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for freed < want && s.head != nil && s.bytes-s.head.bytes >= floor {
-		e := s.head
-		s.lruUnlink(e)
-		s.remove(e)
-		s.evictions++
-		freed += e.bytes
-		n++
-	}
-	return freed, n
 }

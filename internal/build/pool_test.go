@@ -105,6 +105,19 @@ func TestPoolFloorsHonored(t *testing.T) {
 	}
 }
 
+// TestPoolShedStopsAtTheFloor: pressure sheds a member only while what is
+// left stays at or above its floor, even when the bytes it was asked for are
+// fewer than the coldest entry holds. A member one byte over its floor under
+// a one-byte ceiling keeps everything.
+func TestPoolShedStopsAtTheFloor(t *testing.T) {
+	b := fillBuilder(t, 4)
+	live := b.AbstractionCacheStats().LiveBytes
+	NewPool(1).Attach(b, "one", live-1)
+	if st := b.AbstractionCacheStats(); st.Evictions != 0 || st.LiveBytes != live {
+		t.Fatalf("shed below the floor: %d evictions, %d of %d bytes left", st.Evictions, st.LiveBytes, live)
+	}
+}
+
 // TestPoolDetachDischarges asserts detaching a member releases its bytes
 // from the pool total.
 func TestPoolDetachDischarges(t *testing.T) {

@@ -378,39 +378,20 @@ func (b *Builder) loadRelationStore(data []byte) (int, error) {
 	}
 
 	// Everything validated; install. The store lock is taken per entry, as
-	// Compress would.
+	// Compress would, and an entry already warm (the load raced a query, or
+	// ran twice) stays.
 	installed := 0
 	st := &b.store
-	ready := make(chan struct{})
-	close(ready)
 	for _, sc := range classes {
-		sig := sc.sig
-		e := &absEntry{
-			ready: ready,
-			abs:   sc.abs,
-			fp:    sig.fp,
-			sig:   sig,
-			live:  sc.live,
-			prefs: sc.prefs,
-			done:  true,
-		}
+		e := &absEntry{ready: closed, abs: sc.abs, fp: sc.sig.fp, sig: sc.sig, live: sc.live, prefs: sc.prefs}
 		if sc.pinned && sc.abs.ColorSplits == 0 {
 			e.targets = b.tab.seedTargets(sc.abs, sc.live)
 		}
 		st.mu.Lock()
-		if _, exists := st.entries[sig.fp]; exists {
-			st.mu.Unlock()
-			continue // already warm (load raced a query, or was run twice)
+		if st.admit(e) {
+			installed++
 		}
-		st.entries[sig.fp] = e
-		if e.targets != nil {
-			e.pinned = true
-			st.isoIndex[sig.key] = append(st.isoIndex[sig.key], e)
-		}
-		st.account(e)
-		st.evict()
 		st.mu.Unlock()
-		installed++
 	}
 	return installed, nil
 }

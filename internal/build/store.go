@@ -125,18 +125,42 @@ func (s *absStore) lruTouch(e *absEntry) {
 	e.inLRU = true
 }
 
-// account charges e's estimated footprint against the budget and makes the
-// completed entry evictable (or pins it as a transport seed). Callers hold
-// mu; callers run evict afterwards — the peak watermark is taken there,
-// after eviction settles, so it reports the bounded steady state rather
-// than the unavoidable transient of the entry being installed.
-func (s *absStore) account(e *absEntry) {
+// closed is the ready channel of an entry complete when it is made (adopted
+// or loaded): nothing ever waits on it.
+var closed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// admit takes completed entry e into the store under its fingerprint, the
+// one way in for a computed, an adopted and a loaded entry alike: unless
+// another entry holds the fingerprint, a transport seed (targets set) is
+// pinned and filed under its colour key while any other entry drops its
+// colours, e is charged against the budget, and the store evicts down to
+// it. The peak watermark is taken after eviction settles, so it reports the
+// bounded steady state rather than the transient of the entry being
+// admitted. It reports whether e went in. Callers hold mu.
+func (s *absStore) admit(e *absEntry) bool {
+	if cur, ok := s.entries[e.fp]; ok && cur != e {
+		return false
+	}
+	s.entries[e.fp] = e
+	e.done = true
+	if e.targets != nil {
+		e.pinned = true
+		s.isoIndex[e.sig.key] = append(s.isoIndex[e.sig.key], e)
+	} else {
+		e.sig.col = nil // only a seed is searched from
+	}
 	e.bytes = entryBytes(e)
 	s.bytes += e.bytes
 	if s.pool != nil {
 		s.pool.charge(e.bytes)
 	}
 	s.lruTouch(e)
+	s.evict()
+	return true
 }
 
 // addGenerator gives seed the orbit a searched π extends its own to and
@@ -163,32 +187,37 @@ func (s *absStore) addGenerator(seed *absEntry, pi []topo.NodeID) {
 	}
 }
 
-// evict removes coldest entries until the store fits its budget. Entries
-// vanish from every index; their waiters (goroutines already holding the
-// pointer) are unaffected, and the next Compress for an evicted class is
-// an ordinary miss that recomputes. Callers hold mu.
+// evict sheds the store down to its budget, if it has one, at floor 0.
+// Callers hold mu.
 func (s *absStore) evict() {
-	for s.budget > 0 && s.bytes > s.budget && s.head != nil {
-		e := s.head
-		s.lruUnlink(e)
-		s.remove(e)
-		s.evictions++
+	if s.budget > 0 {
+		s.shed(s.bytes-s.budget, 0)
 	}
-	if s.bytes > s.peak {
-		s.peak = s.bytes
-	}
+	s.peak = max(s.peak, s.bytes)
 }
 
-// remove deletes a completed entry from the fingerprint map and the byte
-// accounting. Callers hold mu and have unlinked e from the LRU.
-func (s *absStore) remove(e *absEntry) {
-	if cur, ok := s.entries[e.fp]; ok && cur == e {
-		delete(s.entries, e.fp)
+// shed evicts coldest entries until it has freed want bytes, the store would
+// drop below floor, or nothing is evictable, and returns how many it
+// evicted: the one eviction loop, for the store's own budget (evict) and for
+// a pool's cross-tenant pressure, which never cuts into a member's floor.
+// Evicted entries vanish from every index; their waiters (goroutines already
+// holding the pointer) are unaffected, and the next Compress for an evicted
+// class is an ordinary miss that recomputes. Callers hold mu.
+func (s *absStore) shed(want, floor int64) (n int) {
+	for freed := int64(0); freed < want && s.head != nil && s.bytes-s.head.bytes >= floor; n++ {
+		e := s.head
+		s.lruUnlink(e)
+		if cur, ok := s.entries[e.fp]; ok && cur == e {
+			delete(s.entries, e.fp)
+		}
+		s.bytes -= e.bytes
+		if s.pool != nil {
+			s.pool.charge(-e.bytes)
+		}
+		s.evictions++
+		freed += e.bytes
 	}
-	s.bytes -= e.bytes
-	if s.pool != nil {
-		s.pool.charge(-e.bytes)
-	}
+	return n
 }
 
 // SetAbstractionBudget bounds the abstraction store to approximately the

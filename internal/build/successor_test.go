@@ -379,3 +379,27 @@ func mustNew(t *testing.T, net *config.Network) *Builder {
 	}
 	return b
 }
+
+// TestOneFaultOneError: a router with a fault under each of its neighbors
+// gets one error, whatever order its maps are walked in. Fifty New calls and
+// a Successor on the same network name the same fault, the one under the
+// least neighbor name.
+func TestOneFaultOneError(t *testing.T) {
+	base := netgen.Fattree(6, netgen.PolicyShortestPath)
+	b := mustNew(t, base)
+	net := base.Fork()
+	r := net.Routers["agg-0-0"].Clone()
+	net.Routers["agg-0-0"] = r
+	for i, peer := range slices.Sorted(maps.Keys(r.BGP.Neighbors)) {
+		r.BGP.Neighbors[peer].ImportMap = fmt.Sprintf("MISSING-%d", i)
+	}
+	_, err := b.Successor(net)
+	if err == nil || !strings.Contains(err.Error(), `"MISSING-0"`) {
+		t.Fatalf("Successor says %v, want the fault under the least neighbor, MISSING-0", err)
+	}
+	for range 50 {
+		if _, err2 := New(net); err2 == nil || err2.Error() != err.Error() {
+			t.Fatalf("New says %v, Successor %v", err2, err)
+		}
+	}
+}

@@ -338,7 +338,9 @@ func (a *Adjacency) Peers(u int32) []int32 {
 // peers (sorted router ids, Adjacency.Peers), and every policy object it
 // names resolves in its Env. It reads only the router, its Env and its
 // peers, so a router whose pointer and links are unchanged keeps its
-// verdict.
+// verdict. Of several faults it names the first in that order, and within
+// one kind the one under the least neighbor or route-map name, so one
+// configuration always gets one error.
 func CheckRouter(name string, r *Router, peers []int32, id func(name string) (int32, bool)) error {
 	linked := func(peer string) bool {
 		v, ok := id(peer)
@@ -349,7 +351,7 @@ func CheckRouter(name string, r *Router, peers []int32, id func(name string) (in
 		return found
 	}
 	if r.BGP != nil {
-		for peer, nb := range r.BGP.Neighbors {
+		if err := leastFault(r.BGP.Neighbors, func(peer string, nb *Neighbor) error {
 			if !linked(peer) {
 				return fmt.Errorf("config: %s has BGP neighbor %s without a link", name, peer)
 			}
@@ -360,13 +362,19 @@ func CheckRouter(name string, r *Router, peers []int32, id func(name string) (in
 					}
 				}
 			}
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 	if r.OSPF != nil {
-		for peer := range r.OSPF.Ifaces {
+		if err := leastFault(r.OSPF.Ifaces, func(peer string, _ OSPFIface) error {
 			if !linked(peer) {
 				return fmt.Errorf("config: %s has OSPF iface toward %s without a link", name, peer)
 			}
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 	for _, s := range r.Statics {
@@ -374,15 +382,18 @@ func CheckRouter(name string, r *Router, peers []int32, id func(name string) (in
 			return fmt.Errorf("config: %s static route via non-neighbor %s", name, s.NextHop)
 		}
 	}
-	for peer, acl := range r.IfaceACL {
+	if err := leastFault(r.IfaceACL, func(peer, acl string) error {
 		if !linked(peer) {
 			return fmt.Errorf("config: %s has ACL on non-neighbor iface %s", name, peer)
 		}
 		if _, ok := r.Env.ACLs[acl]; !ok {
 			return fmt.Errorf("config: %s references unknown ACL %q", name, acl)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	for rmName, rm := range r.Env.RouteMaps {
+	return leastFault(r.Env.RouteMaps, func(rmName string, rm *policy.RouteMap) error {
 		for _, cl := range rm.Clauses {
 			for _, m := range cl.Matches {
 				switch m.Kind {
@@ -397,8 +408,25 @@ func CheckRouter(name string, r *Router, peers []int32, id func(name string) (in
 				}
 			}
 		}
+		return nil
+	})
+}
+
+// leastFault returns the error fault reports for the least key of m that has
+// one: the same error whatever order the map is walked in, for nothing more
+// than the walk when no key has one.
+func leastFault[V any](m map[string]V, fault func(string, V) error) error {
+	var least string
+	var err error
+	for k, v := range m {
+		if err != nil && k > least {
+			continue
+		}
+		if e := fault(k, v); e != nil {
+			least, err = k, e
+		}
 	}
-	return nil
+	return err
 }
 
 // MatchedCommunities returns every community that some router's route map

@@ -287,8 +287,8 @@ func TestSpineLeafPreferExternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.UsesLocalPref() {
-		t.Fatal("PreferExternal did not install a local-preference policy")
+	if b.CertifiesUnique(b.Classes()[0]) {
+		t.Fatal("PreferExternal left the class with one local preference per router")
 	}
 	compressFirstClass(t, b)
 }

@@ -28,8 +28,9 @@ type SpineLeafOptions struct {
 	PrefixesPerExt int // originated prefixes per external (default 2)
 	// PreferExternal installs a local-preference import policy on the
 	// leaves favoring externally learned routes, the classic
-	// customer-over-peer rule; it makes the class preference-diverse (the
-	// adoption lp-gate and BGP case splitting engage).
+	// customer-over-peer rule; it makes the class preference-diverse
+	// (adoption's single-preference test refuses it, and BGP case splitting
+	// engages).
 	PreferExternal bool
 }
 

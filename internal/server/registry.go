@@ -283,7 +283,7 @@ func newRegistry(cfg Config, pool *bonsai.SharedPool) *registry {
 // buildTenant constructs a tenant's engine and admission state without
 // registering it — shared by open (fresh tenants) and startup recovery.
 func (r *registry) buildTenant(name string, net *bonsai.Network) (*tenant, error) {
-	opts := append([]bonsai.Option(nil), r.cfg.EngineOptions...)
+	var opts []bonsai.Option
 	if r.pool != nil {
 		opts = append(opts, bonsai.WithSharedPool(r.pool, r.cfg.TenantFloor, name))
 	}

@@ -64,8 +64,6 @@ type Config struct {
 	ApplyQueueDepth     int
 	// IdleTTL closes tenants unused this long (0 = never).
 	IdleTTL time.Duration
-	// EngineOptions is appended to every tenant's bonsai.Open call.
-	EngineOptions []bonsai.Option
 
 	// DataDir enables durability: each tenant gets a write-ahead delta
 	// journal plus checkpoint under DataDir/<escaped-name>, every admitted
