@@ -194,11 +194,10 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	// the class compresses fresh and seeds nothing.
 	//
 	// First, every seed whose orbit reaches the class's destination proposes
-	// the product of its generators along the Schreier vector, and verifyIso
-	// decides, as it does for a searched π: no colour key and no search. A
-	// seed with another count of static-bearing edges is skipped unproposed.
-	// Orbits are immutable once published, so the snapshot taken under the
-	// lock is read without it.
+	// the product of its generators along the Schreier vector, and
+	// verifyComposed decides: no colour key and no search. Orbits are
+	// immutable once published, so the snapshot taken under the lock is read
+	// without it.
 	cc := b.cacheFor(comp)
 	erased, sc := cc.erasesFor(b), &cc.iso
 	type proposal struct {
@@ -220,12 +219,8 @@ func (b *Builder) CompressTagged(ctx context.Context, comp *policy.Compiler, cls
 	var pi []topo.NodeID
 	var epi []int32
 	for _, p := range props {
-		if p.seed.sig.nStatic != sig.nStatic {
-			continue // verifyIso would refuse: no edge bijection changes the count
-		}
-		composed := p.o.compose(sig.dest)
-		if f, ok := b.verifyIso(sc, p.seed.sig, sig, composed); ok {
-			seed, pi, epi, e.out = p.seed, composed, f, outOrbit
+		if q, f, ok := b.verifyComposed(sc, p.o, p.seed.sig, sig); ok {
+			seed, pi, epi, e.out = p.seed, q, f, outOrbit
 			break
 		}
 	}

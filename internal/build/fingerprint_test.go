@@ -9,7 +9,6 @@ import (
 	"bonsai/internal/netgen"
 	"bonsai/internal/policy"
 	"bonsai/internal/protocols"
-	"bonsai/internal/topo"
 )
 
 // TestFingerprintOmitsPrefixFreeMaps: a class fingerprint records the match
@@ -104,77 +103,6 @@ func TestFingerprintOmitsPrefixFreeMaps(t *testing.T) {
 			if len(parts) != 3 || (parts[1] == "") == tc.allMatch || strings.Count(parts[1], ";") != len(tab.matchRMs) {
 				t.Fatalf("%s %s: policy part %q, want %d route-map entries", tc.name, cls.Prefix, s.fp[s.pol:], len(tab.matchRMs))
 			}
-		}
-	}
-}
-
-// TestOrbitStaticFilterSkipsOnlyRefusals: on every orbit family, the orbit
-// loop skips a seed whose count of static-bearing edges differs from the
-// class's, and each such proposal, composed and handed to verifyIso here, is
-// refused. Each signature's count is the size of its statics mask, and each
-// miss is served by the first proposal verifyIso accepts, in orbit order,
-// with no proposal filtered: the one the loop served before the filter. The
-// datacenter must skip some proposal, or the filter is untested.
-func TestOrbitStaticFilterSkipsOnlyRefusals(t *testing.T) {
-	for _, tc := range orbitFamilies() {
-		b, err := New(tc.net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var served *absEntry
-		b.onTransport = func(seed *absEntry, _ []topo.NodeID, _ []int32) { served = seed }
-		comp := b.NewCompiler(true)
-		skipped, proposed := 0, 0
-		for _, cls := range b.Classes() {
-			sig, err := b.classSignature(cls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nStatic := 0
-			for _, on := range sig.statics {
-				if on {
-					nStatic++
-				}
-			}
-			if sig.nStatic != nStatic {
-				t.Fatalf("%s %s: nStatic %d, statics mask holds %d", tc.name, cls.Prefix, sig.nStatic, nStatic)
-			}
-			var first *absEntry // the first seed whose composed π verifyIso accepts
-			if _, hit := b.store.entries[sig.fp]; !hit {
-				for _, c := range b.store.orbits {
-					if !c.orbit.reaches(sig.dest) {
-						continue
-					}
-					proposed++
-					_, ok := b.verifyIso(new(isoScratch), c.sig, sig, c.orbit.compose(sig.dest))
-					if c.sig.nStatic != sig.nStatic {
-						skipped++
-						if ok {
-							t.Fatalf("%s %s: the filter skips a seed (%d static edges, class %d) whose π verifyIso accepts",
-								tc.name, cls.Prefix, c.sig.nStatic, sig.nStatic)
-						}
-					}
-					if ok && first == nil {
-						first = c
-					}
-				}
-			}
-			served = nil
-			if _, _, err := b.CompressTagged(context.Background(), comp, cls); err != nil {
-				t.Fatal(err)
-			}
-			fromOrbit := served != nil && heldEntry(b, cls).out == outOrbit
-			if first != nil && (!fromOrbit || served != first) {
-				t.Fatalf("%s %s: an orbit's π verifies, but the class was not served by the first such seed", tc.name, cls.Prefix)
-			}
-			if first == nil && fromOrbit {
-				t.Fatalf("%s %s: served from an orbit no composed π of which verifies", tc.name, cls.Prefix)
-			}
-		}
-		comp.Close()
-		t.Logf("%s: %d orbit proposals, %d skipped for their static count", tc.name, proposed, skipped)
-		if tc.name == "datacenter" && skipped == 0 {
-			t.Fatal("datacenter: no proposal skipped")
 		}
 	}
 }

@@ -89,6 +89,11 @@ type edgeTables struct {
 	// only maps whose relation can differ between classes, and the only ones
 	// a fingerprint records.
 	matchRMs []int32
+	// guarded is the set of edges, one bit each, with an ACL or a map in
+	// matchRMs: with the statics, the only labels that differ between classes
+	// (verifyComposed). A bit per edge, not a list, because every apply's
+	// successor builds one and few of them ever check a composed π.
+	guarded []uint64
 	// attrMatch reports that some sigRMs entry matches on something other
 	// than the prefix (a community), so a route's fate can depend on how it
 	// got there.
@@ -326,6 +331,12 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 		}
 		if len(t.rmLists[i]) > 0 {
 			t.matchRMs = append(t.matchRMs, int32(i))
+		}
+	}
+	t.guarded = make([]uint64, (n+63)/64)
+	for i, r := range t.recs {
+		if r.acl >= 0 || r.expRM >= 0 && len(t.rmLists[r.expRM]) > 0 || r.impRM >= 0 && len(t.rmLists[r.impRM]) > 0 {
+			t.guarded[i/64] |= 1 << (i % 64)
 		}
 	}
 

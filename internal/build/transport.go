@@ -36,8 +36,8 @@
 // own colour. A pinned seed keeps its colour vector; every other signature
 // drops it. The search itself compares edges exactly, with edgeEq.
 // Soundness does not rest on the key: a collision only admits a doomed
-// search, every candidate π is verified edge-by-edge against the exact label
-// conditions before use (verifyIso), and any failure (or exceeding the
+// search, every candidate π is verified against the exact label conditions
+// before use (verifyIso, verifyComposed), and any failure (or exceeding the
 // search budget) falls back to CompressFresh. That sweep is also where the
 // image of every edge is found, so it yields the edge permutation the
 // transport then maps the seed's liveness through: one pass over the edges
@@ -57,10 +57,10 @@
 // vector over the nodes rooted at its destination (the first half of
 // Schreier–Sims). A class whose destination the orbit reaches gets the
 // product of the generators along the vector's path as its π, with no colour
-// key and no search. A composed π only proposes, exactly as a searched one
-// does: the same verifyIso decides, and a refusal falls through to the key,
-// the search and CompressFresh. On Fattree(20) 18 generators serve all 199
-// transports, 181 of them without a search.
+// key and no search. A composed π only proposes too: verifyComposed decides,
+// reading labels only where classes can differ, and a refusal falls through
+// to the key, the search and CompressFresh. On Fattree(20) 18 generators
+// serve all 199 transports, 181 of them without a search.
 package build
 
 import (
@@ -289,6 +289,8 @@ func mix64(x uint64) uint64 {
 type isoScratch struct {
 	slot, stamp, epi, at []int32
 	rev, parent, order   []topo.NodeID
+	pi                   []topo.NodeID // orbit.compose's product
+	path                 []int32       // orbit.compose's generator indices
 	el                   []uint64
 	groupOf              []int
 }
@@ -517,17 +519,72 @@ func (b *Builder) findIso(sc *isoScratch, sa, sb *classSig) (pi []topo.NodeID, e
 	return pi, epi
 }
 
-// verifyIso is the one thing transport's soundness rests on; the search
-// above only proposes. It accepts π iff π is a bijection that fixes the
-// destination, preserves the origin marking and maps every directed edge
-// onto an edge carrying exactly the same label — edgeEq on the Builder's
-// tables, no hashes — and returns the edge permutation π induces: epi[i] is
-// the index of (π(U), π(V)) for edge i. No edge is searched for: π(u)'s
-// out-span is scattered into a per-node slot table stamped with u, and each
-// out-edge (u, v) reads its image's index at π(v); a missing stamp there is
-// a non-edge and refuses π. The tables and epi are sc's: epi is valid until
-// the next sweep on sc.
+// verifyIso is what a searched π's soundness rests on; the search above
+// only proposes. It accepts π iff the sweep does and every edge maps onto
+// one with exactly the same label (edgeEq on the Builder's tables, no hashes).
 func (b *Builder) verifyIso(sc *isoScratch, sa, sb *classSig, pi []topo.NodeID) (epi []int32, ok bool) {
+	if epi, ok = b.sweepIso(sc, sa, sb, pi); ok {
+		for i, j := range epi {
+			if !b.tab.edgeEq(sa, sb, int32(i), j) {
+				return nil, false
+			}
+		}
+	}
+	return epi, ok
+}
+
+// verifyComposed decides the π that orbit o of seed class sa proposes for
+// class sb as verifyIso would, and returns it with its edge permutation. Each
+// generator passed verifyIso here, so π keeps every content label, and with
+// it whether an edge's maps match a prefix. It checks (b) equal static
+// counts, before composing π, then the sweep (a: destination, origins), sa's
+// statics onto sb's, (c, d) edgeEq on the guarded edges, and (d) as many ACLs
+// denying sa as sb: π maps those denying sa onto ones denying sb, so no plain
+// edge lands on one that denies sb, though π moves ACLs
+// (TestVerifiedPermutationsMoveACLs).
+func (b *Builder) verifyComposed(sc *isoScratch, o *orbit, sa, sb *classSig) (pi []topo.NodeID, epi []int32, ok bool) {
+	t := b.tab
+	if sa.nStatic != sb.nStatic {
+		return nil, nil, false
+	}
+	pi = o.compose(sc, sb.dest)
+	if epi, ok = b.sweepIso(sc, sa, sb, pi); !ok {
+		return nil, nil, false
+	}
+	for i, on := range sa.statics {
+		if on && !sb.statics.has(int(epi[i])) {
+			return nil, nil, false
+		}
+	}
+	denied := 0 // ACLs denying sa less those denying sb
+	for k, w := range t.guarded {
+		for ; w != 0; w &= w - 1 {
+			i := int32(64*k + bits.TrailingZeros64(w))
+			if !t.edgeEq(sa, sb, i, epi[i]) {
+				return nil, nil, false
+			}
+			if a := t.recs[i].acl; a >= 0 && !sa.aclV[a] {
+				denied++
+			}
+			if a := t.recs[i].acl; a >= 0 && !sb.aclV[a] {
+				denied--
+			}
+		}
+	}
+	if denied != 0 {
+		return nil, nil, false
+	}
+	return pi, epi, true
+}
+
+// sweepIso accepts π iff π is a bijection that fixes the destination,
+// preserves the origin marking and maps every directed edge onto an edge,
+// and returns the edge permutation π induces: epi[i] is the index of
+// (π(U), π(V)) for edge i. No edge is searched for: π(u)'s out-span is
+// scattered into a per-node slot table stamped with u, and each out-edge
+// (u, v) reads its image's index at π(v); a missing stamp there is a
+// non-edge. The tables and epi are sc's: epi is valid until the next sweep.
+func (b *Builder) sweepIso(sc *isoScratch, sa, sb *classSig, pi []topo.NodeID) (epi []int32, ok bool) {
 	t := b.tab
 	if pi[sa.dest] != sb.dest {
 		return nil, false
@@ -553,7 +610,7 @@ func (b *Builder) verifyIso(sc *isoScratch, sa, sb *classSig, pi []topo.NodeID) 
 		lo, hi = t.out(topo.NodeID(u))
 		for i := lo; i < hi; i++ {
 			x := pi[t.edges[i].V]
-			if stamp[x] != mark || !t.edgeEq(sa, sb, i, slot[x]) {
+			if stamp[x] != mark {
 				return nil, false
 			}
 			epi[i] = slot[x]
@@ -567,6 +624,9 @@ func (b *Builder) verifyIso(sc *isoScratch, sa, sb *classSig, pi []topo.NodeID) 
 // accepted under, and via/pre are a Schreier vector over the nodes, rooted
 // at the seed's destination. An orbit never changes once published; a
 // searched π that extends it gives the seed a new one (store.addGenerator).
+// verifyComposed rests on this: every generator is a searched π that
+// verifyIso accepted on this Builder's tables. Orbits never cross Builders:
+// they are neither adopted nor persisted, and reset drops them.
 type orbit struct {
 	gens [][]topo.NodeID
 	via  []int32 // per node: index in gens of the generator that reached it; -1 at the root, -2 outside the orbit
@@ -612,24 +672,25 @@ func (o *orbit) extend(root topo.NodeID, g []topo.NodeID) *orbit {
 // a class with the seed's own fingerprint, which the identity cache serves.
 func (o *orbit) reaches(w topo.NodeID) bool { return o.via[w] >= 0 }
 
-// compose returns the product of the generators along the vector's path from
-// the root to w (which o reaches): a permutation mapping the root onto w, in
-// |V| index loads per generator on the path and no hashing. It only proposes;
-// verifyIso decides whether the class at w is the seed's image under it.
-func (o *orbit) compose(w topo.NodeID) []topo.NodeID {
-	var buf [16]int32
-	path := buf[:0] // generator indices, w's end first
+// compose returns, in sc's buffers, the product of the generators along the
+// vector's path from the root to w (which o reaches): a permutation mapping
+// the root onto w, in |V| index loads per generator on the path and no
+// hashing. It only proposes; verifyComposed decides whether the class at w is
+// the seed's image under it.
+func (o *orbit) compose(sc *isoScratch, w topo.NodeID) []topo.NodeID {
+	path := sc.path[:0] // generator indices, w's end first
 	for o.via[w] >= 0 {
 		path = append(path, o.via[w])
 		w = topo.NodeID(o.pre[w])
 	}
-	pi := slices.Clone(o.gens[path[len(path)-1]])
+	pi := append(sc.pi[:0], o.gens[path[len(path)-1]]...)
 	for k := len(path) - 2; k >= 0; k-- {
 		g := o.gens[path[k]]
 		for u, x := range pi {
 			pi[u] = g[x]
 		}
 	}
+	sc.path, sc.pi = path, pi
 	return pi
 }
 

@@ -48,7 +48,7 @@ func transportPaths(t *testing.T, b *Builder, seen func(prefix, seed string, pi 
 	var seed *absEntry
 	var pi []topo.NodeID
 	var epi []int32
-	b.onTransport = func(s *absEntry, p []topo.NodeID, ep []int32) { seed, pi, epi = s, p, slices.Clone(ep) }
+	b.onTransport = func(s *absEntry, p []topo.NodeID, ep []int32) { seed, pi, epi = s, slices.Clone(p), slices.Clone(ep) }
 	defer func() { b.onTransport = nil }()
 	comp := b.NewCompiler(true)
 	defer comp.Close()

@@ -2,6 +2,7 @@ package build
 
 import (
 	"context"
+	"math/bits"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -148,9 +149,10 @@ func TestVerifyIsoRefusesWrongPermutations(t *testing.T) {
 
 // TestTransportBytes is a ceiling on what one symmetry transport allocates,
 // in bytes per directed edge: on Fattree(12) (1 728 edges) every class after
-// the first is transported, 8.1 × |E| bytes each since the sweep's tables,
-// its edge permutation, the label buffer, the search vectors and the mapped
-// partition are the compiler's scratch (16.0 before, when 57 of the 71
+// the first is transported, 7.4 × |E| bytes each since the sweep's tables,
+// its edge permutation, the label buffer, the search vectors, the composed π
+// and the mapped partition are the compiler's scratch (8.1 while compose
+// cloned π; 16.0 before, when 57 of the 71
 // orbit hits already built no label vector, colours or search tables; 27.0
 // when every transport searched; 50.3 while core.Assemble still sorted one
 // 24-byte record per live edge). The ceiling leaves 15 % above 8.1: an
@@ -306,5 +308,186 @@ func TestVerifiedPermutationsMoveACLs(t *testing.T) {
 	}
 	if verified != 5 || moved != verified {
 		t.Fatalf("%d verified permutations, %d map the ACL edge onto an ACL-free edge; want 5 and 5", verified, moved)
+	}
+}
+
+// ringWith returns Ring(24) with one label that only r-0012's class sees,
+// on r-0000's side of its link to r-0001: an egress ACL that denies the
+// class ("acl"), a static route for it ("static"), or ("filter") on every
+// router's sessions an export map denying what the router's BLOCK list
+// holds, the class's prefix at r-0000 and nothing elsewhere. Every other
+// class sees the plain ring, so its symmetries still become generators; the
+// π an orbit composes for r-0012's class maps a plain edge onto a marked one,
+// and only the clause of verifyComposed that reads that label can refuse it.
+func ringWith(kind string) *config.Network {
+	net := netgen.Ring(24)
+	r := net.Routers["r-0000"]
+	p := net.Routers["r-0012"].Originate[0]
+	switch kind {
+	case "acl":
+		r.Env.ACLs["NO-12"] = &policy.ACL{Name: "NO-12", Entries: []policy.PrefixEntry{
+			{Action: policy.Deny, Prefix: p},
+			{Action: policy.Permit, Prefix: netip.MustParsePrefix("0.0.0.0/0"), Le: 32},
+		}}
+		r.IfaceACL["r-0001"] = "NO-12"
+	case "static":
+		r.Statics = append(r.Statics, config.StaticRoute{Prefix: p, NextHop: "r-0001"})
+	case "filter":
+		for name, x := range net.Routers {
+			block := &policy.PrefixList{Name: "BLOCK"}
+			if name == "r-0000" {
+				block.Entries = []policy.PrefixEntry{{Action: policy.Permit, Prefix: p}}
+			}
+			x.Env.PrefixLists["BLOCK"] = block
+			x.Env.RouteMaps["FILTER"] = &policy.RouteMap{Name: "FILTER", Clauses: []policy.Clause{
+				{Seq: 10, Action: policy.Deny, Matches: []policy.Match{{Kind: policy.MatchPrefix, Arg: "BLOCK"}}},
+				{Seq: 20, Action: policy.Permit},
+			}}
+			for _, nb := range x.BGP.Neighbors {
+				nb.ExportMap = "FILTER"
+			}
+		}
+	}
+	return net
+}
+
+// TestComposedCheckAgreesWithVerifyIso: on every orbit family and on the
+// three marked rings, every π an orbit proposes gets the same verdict and
+// the same edge permutation from verifyComposed as from the full verifyIso,
+// accepted or refused. Each signature's static count, which the check
+// compares, is the size of its statics mask, and each miss is served by the
+// first proposal accepted, in orbit order. The datacenter must see a
+// proposal refused for its count of static edges, and every marked ring
+// must see r-0012's refused, or the clauses that refuse them are untested
+// here.
+func TestComposedCheckAgreesWithVerifyIso(t *testing.T) {
+	fams := []namedNetwork{{"ring-24-acl", ringWith("acl")}, {"ring-24-static", ringWith("static")}, {"ring-24-filter", ringWith("filter")}}
+	for _, tc := range orbitFamilies() {
+		fams = append(fams, namedNetwork{tc.name, tc.net})
+	}
+	for fi, tc := range fams {
+		marked := fi < 3
+		b, err := New(tc.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var served *absEntry
+		b.onTransport = func(seed *absEntry, _ []topo.NodeID, _ []int32) { served = seed }
+		comp := b.NewCompiler(true)
+		proposed, refused, staticRefused := 0, 0, 0
+		for _, cls := range b.Classes() {
+			sig, err := b.classSignature(cls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(slices.DeleteFunc(slices.Clone(sig.statics), func(on bool) bool { return !on })); sig.nStatic != n {
+				t.Fatalf("%s %s: nStatic %d, statics mask holds %d", tc.name, cls.Prefix, sig.nStatic, n)
+			}
+			var first *absEntry // the first seed whose composed π verifies
+			before := refused
+			if _, hit := b.store.entries[sig.fp]; !hit {
+				for _, c := range b.store.orbits {
+					if !c.orbit.reaches(sig.dest) {
+						continue
+					}
+					proposed++
+					pi := c.orbit.compose(new(isoScratch), sig.dest)
+					full, ok := b.verifyIso(new(isoScratch), c.sig, sig, pi)
+					cpi, cheap, cheapOK := b.verifyComposed(new(isoScratch), c.orbit, c.sig, sig)
+					if cheapOK != ok || !slices.Equal(cheap, full) || ok && !slices.Equal(cpi, pi) {
+						t.Fatalf("%s %s: verifyComposed says %v, verifyIso %v (edge permutations equal: %v)",
+							tc.name, cls.Prefix, cheapOK, ok, slices.Equal(cheap, full))
+					}
+					if !ok {
+						refused++
+						if c.sig.nStatic != sig.nStatic {
+							staticRefused++
+						}
+					}
+					if ok && first == nil {
+						first = c
+					}
+				}
+				if marked && b.G.Name(sig.dest) == "r-0012" && (first != nil || refused == before) {
+					t.Fatalf("%s: r-0012's class has a composed π that verifies, or none was proposed", tc.name)
+				}
+			}
+			served = nil
+			if _, _, err := b.CompressTagged(context.Background(), comp, cls); err != nil {
+				t.Fatal(err)
+			}
+			fromOrbit := served != nil && heldEntry(b, cls).out == outOrbit
+			if first != nil && (!fromOrbit || served != first) {
+				t.Fatalf("%s %s: an orbit's π verifies, but the class was not served by the first such seed", tc.name, cls.Prefix)
+			}
+			if first == nil && fromOrbit {
+				t.Fatalf("%s %s: served from an orbit no composed π of which verifies", tc.name, cls.Prefix)
+			}
+		}
+		comp.Close()
+		t.Logf("%s: %d orbit proposals, %d refused, %d of them for their static count; %d of %d edges guarded",
+			tc.name, proposed, refused, staticRefused, guardedEdges(b), b.G.NumEdges())
+		if tc.name == "datacenter" && staticRefused == 0 {
+			t.Fatal("datacenter: no proposal refused for its static count")
+		}
+	}
+}
+
+// guardedEdges counts the edges in b's guarded set.
+func guardedEdges(b *Builder) (n int) {
+	for _, w := range b.tab.guarded {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// TestComposedPermutationsMoveACLs is TestVerifiedPermutationsMoveACLs for
+// the orbit path: on ringWith("acl"), the π an orbit composes for r-0012's
+// class maps an ACL-free edge onto the edge whose ACL denies that class, and
+// the ACL edge onto an ACL-free one, whose verdict the seed's class shares.
+// Checking only the edges that carry an ACL would accept it; verifyComposed
+// must refuse it, and every class must equal CompressFresh's.
+func TestComposedPermutationsMoveACLs(t *testing.T) {
+	b, err := New(ringWith("acl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acl, _ := b.G.EdgeIndex(b.G.MustLookup("r-0000"), b.G.MustLookup("r-0001"))
+	ctx := context.Background()
+	comp := b.NewCompiler(true)
+	defer comp.Close()
+	checked := false
+	for _, cls := range b.Classes() {
+		sig, err := b.classSignature(cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.G.Name(sig.dest) == "r-0012" {
+			for _, c := range b.store.orbits {
+				if !c.orbit.reaches(sig.dest) {
+					continue
+				}
+				epi, _ := b.sweepIso(new(isoScratch), c.sig, sig, c.orbit.compose(new(isoScratch), sig.dest))
+				if epi == nil || b.tab.recs[epi[acl]].acl >= 0 || b.tab.recs[slices.Index(epi, int32(acl))].acl >= 0 {
+					t.Fatal("the composed π does not move the ACL onto a plain edge and a plain edge onto it")
+				}
+				if _, _, ok := b.verifyComposed(new(isoScratch), c.orbit, c.sig, sig); ok {
+					t.Fatal("verifyComposed accepts a π that maps a plain edge onto one whose ACL denies the class")
+				}
+				checked = true
+			}
+		}
+		got, prov, err := b.CompressTagged(ctx, comp, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := b.CompressFresh(ctx, comp, cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		absEqual(t, cls.Prefix.String()+" ("+prov.String()+")", got, want)
+	}
+	if !checked {
+		t.Fatal("no orbit reached r-0012 before its class")
 	}
 }
