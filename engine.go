@@ -562,10 +562,13 @@ func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, 
 // builds the successor from that fork (build.Builder.Successor): only the
 // routers the delta edited are validated, the node table is shared, the
 // community universes and spaces are shared when no policy namespace
-// changed, and an edge whose two routers are unchanged takes its session,
-// adjacency and ACL from the predecessor instead of looking them up by
-// name; the result equals build.New of the fork. An edit that leaves an
-// invalid network fails with ErrInvalidDelta and changes nothing. Apply
+// changed, and the edge index and per-edge tables are spliced from the
+// predecessor's through one edge diff — the stretches of edges both hold
+// are copied, and only the edges the delta added or that touch an edited
+// router are looked up by name; the result equals build.New of the fork.
+// The same diff tells adoption which edges went and came. An edit that
+// leaves an invalid network fails with ErrInvalidDelta and changes
+// nothing. Apply
 // then carries every cached abstraction that is still valid across the
 // change (build.AdoptFrom): per cached class, every edge carrying a policy
 // object the delta edited must be dead for the class before and after, and

@@ -198,15 +198,8 @@ func (n *tally) adoptStats(invalidated []string, removed int) AdoptStats {
 
 // adoption carries the per-Apply precomputed state shared by every class.
 type adoption struct {
-	b, old *Builder
-	// removedIdx marks old edge indices whose edge is gone; addedIdx marks
-	// new edge indices whose edge did not exist before. runs lists the
-	// shared edges as stretches contiguous in both edge lists.
-	removedIdx []bool
-	removed    []int32 // removed old edge indices
-	addedIdx   []bool
-	added      []int32 // added new edge indices
-	runs       []edgeRun
+	b, old    *Builder
+	*edgeDiff // from old to b
 	// inherit is set when both Builders index class signatures by the same
 	// policy references and share one intern table, so a class signature
 	// can be carried over (signature).
@@ -233,15 +226,12 @@ type touchedRouter struct {
 	structural bool
 }
 
-// edgeRun is a stretch of edges both Builders hold: new edge indices
-// [new, new+n) are old indices [old, old+n).
-type edgeRun struct{ new, old, n int32 }
-
-func edgeLess(a, b topo.Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
+// edgeDiff is how a successor's edges differ from those of from, the
+// Builder it was derived from (topo.Graph.Diff).
+type edgeDiff struct {
+	from           uint64 // from's id
+	runs           []topo.Run
+	removed, added []int32
 }
 
 func sameRouterNames(a, b *Builder) bool {
@@ -257,12 +247,12 @@ func sameRouterNames(a, b *Builder) bool {
 }
 
 func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
-	ad := &adoption{
-		b:          b,
-		old:        old,
-		removedIdx: make([]bool, len(old.tab.edges)),
-		addedIdx:   make([]bool, len(b.tab.edges)),
+	d := b.diff
+	if d == nil || d.from != old.id {
+		d = &edgeDiff{}
+		d.runs, d.removed, d.added = b.G.Diff(old.G, nil)
 	}
+	ad := &adoption{b: b, old: old, edgeDiff: d}
 	// b, which holds nothing yet, will hold about as many signatures and
 	// entries as old: size its memo and store for them.
 	old.intern.mu.Lock()
@@ -271,30 +261,6 @@ func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
 	old.store.mu.Lock()
 	b.store.entries = make(map[string]*absEntry, len(old.store.entries))
 	old.store.mu.Unlock()
-	// Both edge lists are sorted by (U, V) — a linear merge classifies
-	// every edge as shared, added or removed without hashing.
-	newEdges, oldEdges := b.tab.edges, old.tab.edges
-	i, j := 0, 0
-	for i < len(newEdges) || j < len(oldEdges) {
-		switch {
-		case j >= len(oldEdges) || (i < len(newEdges) && edgeLess(newEdges[i], oldEdges[j])):
-			ad.addedIdx[i] = true
-			ad.added = append(ad.added, int32(i))
-			i++
-		case i >= len(newEdges) || edgeLess(oldEdges[j], newEdges[i]):
-			ad.removedIdx[j] = true
-			ad.removed = append(ad.removed, int32(j))
-			j++
-		default:
-			if k := len(ad.runs) - 1; k >= 0 && ad.runs[k].new+ad.runs[k].n == int32(i) && ad.runs[k].old+ad.runs[k].n == int32(j) {
-				ad.runs[k].n++
-			} else {
-				ad.runs = append(ad.runs, edgeRun{new: int32(i), old: int32(j), n: 1})
-			}
-			i++
-			j++
-		}
-	}
 	for _, name := range delta.TouchedRouters {
 		if u, ok := b.G.Lookup(name); ok {
 			ad.touched = append(ad.touched, ad.classifyRouter(u))
@@ -471,7 +437,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		if !entry.live[j] {
 			continue
 		}
-		if !old.tab.witnessed(oldSig, entry.live, ad.removedIdx, F, j) {
+		if !old.tab.witnessed(oldSig, entry.live, ad.removed, F, j) {
 			return outRefused
 		}
 	}
@@ -480,7 +446,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	// an abstract edge that already existed with the same label.
 	live2 := make([]bool, len(b.tab.edges))
 	for _, r := range ad.runs {
-		copy(live2[r.new:r.new+r.n], entry.live[r.old:r.old+r.n])
+		copy(live2[r.New:r.New+r.N], entry.live[r.Old:r.Old+r.N])
 	}
 	sig2, err := ad.signature(cls, oldSig, carry)
 	if err != nil {
@@ -495,7 +461,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		if F[e.U] == F[e.V] {
 			return outRefused // would create an abstract self loop
 		}
-		if !b.tab.witnessed(sig2, live2, ad.addedIdx, F, i) {
+		if !b.tab.witnessed(sig2, live2, ad.added, F, i) {
 			return outRefused
 		}
 	}
@@ -574,7 +540,7 @@ func (ad *adoption) checkTouchedRouter(tr touchedRouter, cls ec.Class, entry *ab
 			if entry.live[dir.j] {
 				return false // a live edge's transfer function may change
 			}
-			if ad.removedIdx[dir.j] {
+			if _, gone := slices.BinarySearch(ad.removed, dir.j); gone {
 				continue // the delta also removed it; dead either way
 			}
 			e := t.edges[dir.j]
@@ -615,9 +581,10 @@ func staticSetEqual(oldR, newR *config.Router, cls ec.Class) bool {
 // live edge with an equal label runs out of u into v's group, and one into v
 // from u's group. Adoption asks it of a removed edge on the predecessor's
 // tables, skipping every removed edge, and of an added edge on the
-// successor's, skipping every added one.
-func (t *edgeTables) witnessed(sig *classSig, live, skip []bool, F []int, i int32) bool {
+// successor's, skipping every added one; skip is ascending.
+func (t *edgeTables) witnessed(sig *classSig, live []bool, skip []int32, F []int, i int32) bool {
 	e := t.edges[i]
+	skipped := func(j int32) bool { _, ok := slices.BinarySearch(skip, j); return ok }
 	has := func(from, to topo.NodeID, in bool) bool {
 		lo, hi := t.out(from)
 		for o := lo; o < hi; o++ {
@@ -625,7 +592,7 @@ func (t *edgeTables) witnessed(sig *classSig, live, skip []bool, F []int, i int3
 			if in {
 				j = t.rev[o] // o is (from, w), j is (w, from)
 			}
-			if j != i && !skip[j] && live[j] && F[t.edges[o].V] == F[to] && t.edgeEq(sig, sig, j, i) {
+			if j != i && live[j] && F[t.edges[o].V] == F[to] && !skipped(j) && t.edgeEq(sig, sig, j, i) {
 				return true
 			}
 		}
@@ -635,11 +602,15 @@ func (t *edgeTables) witnessed(sig *classSig, live, skip []bool, F []int, i int3
 }
 
 // repEdgesSurvive reports whether every representative concrete edge of the
-// abstraction still exists in the new topology (so RepEdge needs no
-// rebuild).
+// abstraction, an edge of old, still exists in the new topology (so RepEdge
+// needs no rebuild): whether the delta removed none of them.
 func (ad *adoption) repEdgesSurvive(abs *core.Abstraction) bool {
+	if len(ad.removed) == 0 {
+		return true
+	}
 	for _, rep := range abs.RepEdge {
-		if !ad.b.G.HasEdge(rep.U, rep.V) {
+		j, ok := ad.old.G.EdgeIndex(rep.U, rep.V)
+		if _, gone := slices.BinarySearch(ad.removed, int32(j)); !ok || gone {
 			return false
 		}
 	}

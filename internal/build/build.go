@@ -76,6 +76,7 @@ type Builder struct {
 
 	statics []edgeStatic // every static route on a live link, in router order (staticMask)
 	ends    []int32      // config.LinkEnds of Cfg.Links by NodeID, carried along a chain of successors
+	diff    *edgeDiff    // a successor's edges against its predecessor's, read by AdoptFrom
 
 	// onTransport, set by tests only, observes every transport as it lands:
 	// the seed, and the π and edge permutation (the compiler's scratch: a
@@ -135,19 +136,26 @@ func construct(net *config.Network, prev *Builder) (*Builder, error) {
 	}
 	// fresh marks the routers not taken from prev: all of them without one,
 	// else those whose pointer changed. A successor shares prev's name table
-	// and the ids of prev's link records.
+	// and the ids of prev's link records; dirty marks the ends of the records
+	// whose Down flipped or that were appended, the only routers whose edges
+	// can differ from prev's.
 	links, ends := net.Links, []int32(nil)
-	var fresh []bool
+	var fresh, dirty []bool
 	if prev != nil {
 		if len(net.Routers) != len(prev.routers) || len(links) < len(prev.Cfg.Links) {
 			return New(net)
 		}
+		dirty = make([]bool, len(prev.routers))
 		for i, l := range prev.Cfg.Links {
 			if links[i].A != l.A || links[i].B != l.B {
 				return New(net)
 			}
+			if links[i].Down != l.Down {
+				dirty[prev.ends[2*i]], dirty[prev.ends[2*i+1]] = true, true
+			}
 		}
-		b.G, b.routers, fresh = prev.G.WithoutEdges(), make([]*config.Router, len(prev.routers)), make([]bool, len(prev.routers))
+		// b.G is prev's name table until dirty is whole.
+		b.G, b.routers, fresh = prev.G, make([]*config.Router, len(prev.routers)), make([]bool, len(prev.routers))
 		for u, old := range prev.routers {
 			r, ok := net.Routers[b.G.Name(topo.NodeID(u))]
 			if !ok {
@@ -172,8 +180,12 @@ func construct(net *config.Network, prev *Builder) (*Builder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build: %w", err)
 	}
-	if b.ends = more; ends != nil {
+	if b.ends = more; prev != nil {
 		b.ends = append(ends, more...)
+		for _, u := range more {
+			dirty[u] = true
+		}
+		b.G = prev.G.Rewired(dirty)
 	}
 	// Validation is per router: an unchanged router read only itself, its
 	// Env and its peers, and a successor keeps every link record, so its
@@ -195,18 +207,24 @@ func construct(net *config.Network, prev *Builder) (*Builder, error) {
 		}
 		envChanged = envChanged || r.Env != prev.routers[u].Env
 	}
+	// A successor adds only the links at dirty routers.
 	deg := make([]int32, len(b.routers))
 	for i, l := range net.Links {
-		if !l.Down { // administratively down: no SRP adjacency
+		if !l.Down && (dirty == nil || dirty[b.ends[2*i]] || dirty[b.ends[2*i+1]]) { // administratively down: no SRP adjacency
 			deg[b.ends[2*i]]++
 			deg[b.ends[2*i+1]]++
 		}
 	}
 	b.G.Reserve(deg)
 	for i, l := range net.Links {
-		if !l.Down {
+		if !l.Down && (dirty == nil || dirty[b.ends[2*i]] || dirty[b.ends[2*i+1]]) {
 			b.G.AddLink(topo.NodeID(b.ends[2*i]), topo.NodeID(b.ends[2*i+1]))
 		}
+	}
+	if prev != nil {
+		b.G.SpliceIndex(prev.G, dirty)
+		b.diff = &edgeDiff{from: prev.id}
+		b.diff.runs, b.diff.removed, b.diff.added = b.G.Diff(prev.G, dirty)
 	}
 	nStatic := 0
 	for _, r := range b.routers {
@@ -232,12 +250,11 @@ func construct(net *config.Network, prev *Builder) (*Builder, error) {
 		b.polSpaces[1] = policy.NewSpace(b.erasedUniverse)
 	} else {
 		b.erasedUniverse, b.fullUniverse, b.matchedSet, b.polSpaces = prev.erasedUniverse, prev.fullUniverse, prev.matchedSet, prev.polSpaces
+		b.tab = prev.tab.successor(b.G, b.routers, fresh, b.diff)
 	}
-	var pt *edgeTables
-	if prev != nil {
-		pt = prev.tab
+	if b.tab == nil {
+		b.tab = newEdgeTables(b.G, b.routers, b.matchedSet)
 	}
-	b.tab = newEdgeTables(b.G, b.routers, b.matchedSet, pt, fresh, pt != nil && slices.Equal(prev.erasedUniverse, b.erasedUniverse))
 	return b, nil
 }
 

@@ -318,6 +318,7 @@ func builderDiff(got, want *Builder) string {
 		{"matchRMs", slices.Equal(gt.matchRMs, wt.matchRMs)},
 		{"attrMatch", gt.attrMatch == wt.attrMatch},
 		{"lpNodes", slices.Equal(gt.lpNodes, wt.lpNodes)},
+		{"guarded", slices.Equal(gt.guarded, wt.guarded)},
 		{"statics", slices.Equal(got.statics, want.statics)},
 		{"erasedUniverse", slices.Equal(got.erasedUniverse, want.erasedUniverse)},
 		{"fullUniverse", slices.Equal(got.fullUniverse, want.fullUniverse)},
@@ -369,6 +370,123 @@ func TestSuccessorSharesOnlyWhatNoEditReaches(t *testing.T) {
 	if d := builderDiff(s2, mustNew(t, net)); d != "" {
 		t.Fatal(d)
 	}
+}
+
+// TestSuccessorSplicesTheEdgeDiff pins the splice itself, which
+// TestSuccessorEqualsNew cannot see, because a full rebuild equals New too.
+// A flap shares the interned tables, clipped, and looks no edge up by name
+// but the ones it adds; an origin edit looks up only its router's edges; a
+// flap that moves a shape's first sight renumbers without a sweep; and a
+// route-map edit that adds a community match takes the sweep. Every step
+// must still equal New.
+func TestSuccessorSplicesTheEdgeDiff(t *testing.T) {
+	fattree := netgen.Fattree(12, netgen.PolicyShortestPath)
+	down := func(a, c string) func(*config.Network) {
+		return func(net *config.Network) { net.Links[net.FindLink(a, c)].Down = true }
+	}
+	clone := func(net *config.Network, name string) *config.Router {
+		r := net.Routers[name].Clone()
+		net.Routers[name] = r
+		return r
+	}
+	for _, tc := range []struct {
+		name    string
+		net     *config.Network
+		edit    func(*config.Network)
+		share   bool   // the successor shares prev's shapes and labels
+		named   string // the router whose edges alone are looked up by name; "*" all of them
+		upAfter bool   // the link comes back up in a second step
+	}{
+		{"fattree core flap", fattree, down("agg-0-0", "core-0"), true, "", true},
+		{"wan flap", wanWithPolicies(), func(net *config.Network) { net.Links[len(net.Links)-1].Down = true }, true, "", false},
+		{"origin edit", fattree, func(net *config.Network) {
+			r := clone(net, "edge-0-0")
+			r.Originate = append(r.Originate, netip.MustParsePrefix("10.250.1.0/24"))
+		}, true, "edge-0-0", false},
+		// agg-0-0 is the first router to learn from edge-0-0, so the flap
+		// moves the first sight of edge-0-0's export shape behind those of
+		// edge-0-1 to edge-0-5.
+		{"first-sight flap", fattree, down("agg-0-0", "edge-0-0"), false, "", false},
+		{"community match", fattree, func(net *config.Network) {
+			r := clone(net, "core-0")
+			r.CloneEnv()
+			r.Env.CommunityLists["NEW"] = &policy.CommunityList{Name: "NEW", Communities: []protocols.Community{protocols.MakeCommunity(65001, 9)}}
+			r.Env.RouteMaps["NEW"] = &policy.RouteMap{Name: "NEW", Clauses: []policy.Clause{{Seq: 1, Action: policy.Permit, Matches: []policy.Match{{Kind: policy.MatchCommunity, Arg: "NEW"}}}}}
+			for _, nb := range r.BGP.Neighbors {
+				nb.ImportMap = "NEW"
+			}
+		}, false, "*", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := mustNew(t, tc.net)
+			net := b.Cfg.Fork()
+			tc.edit(net)
+			s, err := b.Successor(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := builderDiff(s, mustNew(t, net)); d != "" {
+				t.Fatal(d)
+			}
+			same := func(x, y any) bool { return reflect.ValueOf(x).Pointer() == reflect.ValueOf(y).Pointer() }
+			if share := same(s.tab.shapes, b.tab.shapes) && same(s.tab.labels, b.tab.labels); share != tc.share {
+				t.Fatalf("shapes and labels shared: %v, want %v", share, tc.share)
+			}
+			if tc.named != "*" && !(same(s.tab.sigRMs, b.tab.sigRMs) && same(s.tab.sigACLs, b.tab.sigACLs)) {
+				t.Fatal("a splice must share the policy tables")
+			}
+			for _, n := range []int{cap(s.tab.shapes) - len(s.tab.shapes), cap(s.tab.labels) - len(s.tab.labels), cap(s.tab.sigRMs) - len(s.tab.sigRMs), cap(s.tab.sigACLs) - len(s.tab.sigACLs), cap(s.tab.rmLists) - len(s.tab.rmLists), cap(s.tab.matchRMs) - len(s.tab.matchRMs)} {
+				if n != 0 && tc.named != "*" {
+					t.Fatal("a shared table must be clipped, or an append to it would write into the predecessor's")
+				}
+			}
+			// An equal predecessor, marked: the successor on net must look
+			// up by name exactly the edges touching tc.named.
+			m := mustNew(t, tc.net)
+			ms := lookedUp(t, m, net, func(u, v string) bool { return tc.named == "*" || u == tc.named || v == tc.named })
+			if !tc.upAfter {
+				return
+			}
+			// The link back up: only the two edges it adds are looked up.
+			up := s.Cfg.Fork()
+			up.Links[up.FindLink("agg-0-0", "core-0")].Down = false
+			s2, err := s.Successor(up)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := builderDiff(s2, mustNew(t, up)); d != "" {
+				t.Fatal(d)
+			}
+			if !same(s2.tab.shapes, b.tab.shapes) {
+				t.Fatal("a link up must share the tables")
+			}
+			lookedUp(t, ms, up, func(u, v string) bool { return u+v == "agg-0-0core-0" || u+v == "core-0agg-0-0" })
+		})
+	}
+}
+
+// lookedUp marks every edge of p with an area-crossing bit, builds p's
+// successor on net and requires that an edge lost the mark — was looked up
+// by name, not copied — exactly where want says, among the edges whose
+// adjacency has no such bit of its own (the marks make the successor's
+// content labels differ from New's, so only the marks are read).
+func lookedUp(t *testing.T, p *Builder, net *config.Network, want func(u, v string) bool) *Builder {
+	t.Helper()
+	real := mustNew(t, net).tab.ospfCross
+	for i := range p.tab.ospfCross {
+		p.tab.ospfCross[i] = true
+	}
+	s, err := p.Successor(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range s.tab.edges {
+		u, v := s.G.Name(e.U), s.G.Name(e.V)
+		if named := !s.tab.ospfCross[i]; !real[i] && named != want(u, v) {
+			t.Fatalf("edge %s-%s looked up by name: %v, want %v", u, v, named, want(u, v))
+		}
+	}
+	return s
 }
 
 func mustNew(t *testing.T, net *config.Network) *Builder {

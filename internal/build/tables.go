@@ -117,57 +117,20 @@ func (t *edgeTables) out(u topo.NodeID) (lo, hi int32) {
 // OSPF adjacency needs both ends configured. g must hold both directions of
 // every link, as New builds it. matched is the erased community universe,
 // which the content labels render route maps through (mapContentSig).
-//
-// A successor passes its predecessor's tables as prev, and fresh marks its
-// routers that are not prev's. An edge prev has whose two routers are not
-// fresh is carried: its session, OSPF adjacency and ACL are prev's, so they
-// are not looked up by name, nor is its session's content label rendered
-// again when sameMatched says prev rendered it through this matched set.
-// Whatever is numbered is numbered as for any edge.
-func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocols.Community]bool, prev *edgeTables, fresh []bool, sameMatched bool) *edgeTables {
-	edges, rev := g.Edges(), g.ReverseEdges()
+func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocols.Community]bool) *edgeTables {
+	t := newEdgeVectors(g)
+	edges, rev := t.edges, t.rev
 	n := len(edges)
-	vec := make([]int32, 2*n)
-	for i := range vec {
-		vec[i] = -1
-	}
-	t := &edgeTables{
-		g: g, edges: edges, rev: rev,
-		shapeOf: vec[:n:n], ospfCost: vec[n:], ospfCross: make([]bool, n), recs: make([]edgeRec, n),
+	for i := range n {
+		t.shapeOf[i], t.recs[i] = -1, edgeRec{expRM: -1, impRM: -1, acl: -1}
 	}
 
-	// u's own configuration on its interface toward v, per edge (u, v)
-	// not carried; from[i] is edge i's index in prev if it is carried, else -1.
-	var nbr []*config.Neighbor
-	var ifc []config.OSPFIface
-	var hasIfc []bool
-	var from []int32
-	if prev != nil {
-		from = slices.Repeat([]int32{-1}, n)
-	}
+	// u's own configuration on its interface toward v, per edge (u, v).
+	nbr, ifc, hasIfc := make([]*config.Neighbor, n), make([]config.OSPFIface, n), make([]bool, n)
 	aclIDs := make(map[aclRef]int32)
 	for i, e := range edges {
-		t.recs[i] = edgeRec{expRM: -1, impRM: -1, acl: -1}
-		r, peer := routers[e.U], g.Name(e.V)
-		a := aclRef{env: r.Env}
-		if j, ok := prev.carries(e, fresh); ok {
-			from[i] = j
-			if k := prev.recs[j].acl; k >= 0 {
-				a = prev.sigACLs[k]
-			}
-		} else {
-			if nbr == nil {
-				nbr, ifc, hasIfc = make([]*config.Neighbor, n), make([]config.OSPFIface, n), make([]bool, n)
-			}
-			if r.BGP != nil {
-				nbr[i] = r.BGP.Neighbors[peer]
-			}
-			if r.OSPF != nil {
-				ifc[i], hasIfc[i] = r.OSPF.Ifaces[peer]
-			}
-			a.name = r.IfaceACL[peer]
-		}
-		if a.name != "" {
+		var a aclRef
+		if nbr[i], ifc[i], hasIfc[i], a = toward(routers[e.U], g.Name(e.V)); a.name != "" {
 			id, ok := aclIDs[a]
 			if !ok {
 				id = int32(len(t.sigACLs))
@@ -186,11 +149,7 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 		ibgp, redistOSPF, redistStatic bool
 	}
 	shapeIDs := make(map[shapeKey]int32)
-	var keys []shapeKey   // per shape
-	var prevShape []int32 // per prev shape: its index here, -1 until met
-	if prev != nil {
-		prevShape = slices.Repeat([]int32{-1}, len(prev.shapes))
-	}
+	var keys []shapeKey // per shape
 	rmIDs := make(map[rmRef]int32)
 	rmContent := make(map[rmRef]string)
 	contentIDs := make(map[string]int32)
@@ -209,88 +168,34 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 	}
 	for i, e := range edges {
 		j := rev[i]
-		// A carried edge's session and adjacency are prev's, as are its
-		// reverse edge's: the two routers are.
-		var sess bgpSession
-		hasSess, ps := false, int32(-1)
-		if prev != nil && from[i] >= 0 {
-			if ps = prev.shapeOf[from[i]]; ps >= 0 {
-				sess, hasSess = prev.shapes[ps], true
+		if sess, ok := session(routers[e.U], routers[e.V], nbr[i], nbr[j]); ok {
+			k := shapeKey{
+				expRM: rmID(sess.expEnv, sess.expMap), impRM: rmID(sess.impEnv, sess.impMap),
+				ibgp: sess.ibgp, redistOSPF: sess.redistOSPF, redistStatic: sess.redistStatic,
 			}
-			t.ospfCost[i], t.ospfCross[i] = prev.ospfCost[from[i]], prev.ospfCross[from[i]]
-		} else {
-			if nbr[i] != nil && nbr[j] != nil {
-				ur, vr := routers[e.U], routers[e.V]
-				sess, hasSess = bgpSession{
-					expMap: nbr[j].ExportMap, impMap: nbr[i].ImportMap, ibgp: ur.BGP.ASN == vr.BGP.ASN,
-					redistOSPF: vr.BGP.RedistributeOSPF, redistStatic: vr.BGP.RedistributeStatic,
-				}, true
-				if sess.expMap != "" {
-					sess.expEnv = vr.Env
+			s, ok := shapeIDs[k]
+			if !ok {
+				// The content label: the session's flags and route-map
+				// content, not names.
+				b := appendFlag(appendFlag(appendFlag(nil, sess.ibgp), sess.redistOSPF), sess.redistStatic)
+				b = append(b, mapContentSig(rmContent, sess.expEnv, sess.expMap, matched)...)
+				b = append(b, '/')
+				b = append(b, mapContentSig(rmContent, sess.impEnv, sess.impMap, matched)...)
+				c, ok := contentIDs[string(b)]
+				if !ok {
+					lbl := string(b)
+					c = int32(len(t.labels))
+					contentIDs[lbl] = c
+					t.labels = append(t.labels, lbl)
 				}
-				if sess.impMap != "" {
-					sess.impEnv = ur.Env
-				}
-			}
-			if hasIfc[i] && hasIfc[j] {
-				t.ospfCost[i] = int32(max(ifc[i].Cost, 1))
-				t.ospfCross[i] = ifc[i].Area != ifc[j].Area
-			}
-		}
-		// The content label packs what transport compares of an edge before
-		// a class is chosen: the session's content (flags and route-map
-		// content, not names) above the OSPF cost and area-crossing bit.
-		var label uint64
-		if hasSess {
-			s := int32(-1)
-			if ps >= 0 {
-				s = prevShape[ps]
-			}
-			if s < 0 {
-				k := shapeKey{
-					expRM: rmID(sess.expEnv, sess.expMap), impRM: rmID(sess.impEnv, sess.impMap),
-					ibgp: sess.ibgp, redistOSPF: sess.redistOSPF, redistStatic: sess.redistStatic,
-				}
-				var ok bool
-				if s, ok = shapeIDs[k]; !ok {
-					var c int32
-					lbl := ""
-					if ps >= 0 && sameMatched {
-						lbl = prev.labels[prev.contentOf[ps]]
-						c, ok = contentIDs[lbl]
-					} else {
-						b := appendFlag(appendFlag(appendFlag(nil, sess.ibgp), sess.redistOSPF), sess.redistStatic)
-						b = append(b, mapContentSig(rmContent, sess.expEnv, sess.expMap, matched)...)
-						b = append(b, '/')
-						b = append(b, mapContentSig(rmContent, sess.impEnv, sess.impMap, matched)...)
-						if c, ok = contentIDs[string(b)]; !ok {
-							lbl = string(b)
-						}
-					}
-					if !ok {
-						c = int32(len(t.labels))
-						contentIDs[lbl] = c
-						t.labels = append(t.labels, lbl)
-					}
-					s = int32(len(t.shapes))
-					shapeIDs[k] = s
-					keys = append(keys, k)
-					t.shapes, t.contentOf = append(t.shapes, sess), append(t.contentOf, c)
-				}
-				if ps >= 0 {
-					prevShape[ps] = s
-				}
+				s = int32(len(t.shapes))
+				shapeIDs[k] = s
+				keys = append(keys, k)
+				t.shapes, t.contentOf = append(t.shapes, sess), append(t.contentOf, c)
 			}
 			t.shapeOf[i], t.recs[i].expRM, t.recs[i].impRM = s, keys[s].expRM, keys[s].impRM
-			label = uint64(t.contentOf[s]+1) << 33
 		}
-		if t.ospfCost[i] >= 0 {
-			label |= uint64(t.ospfCost[i]) << 1
-			if t.ospfCross[i] {
-				label |= 1
-			}
-		}
-		t.recs[i].content = mix64(label + 1) // a bijection: equal words, equal content
+		t.ospfCost[i], t.ospfCross[i] = adjacency(ifc[i], ifc[j], hasIfc[i] && hasIfc[j])
 	}
 
 	// The lowest NodeID holding each namespace the tables name.
@@ -333,8 +238,83 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 			t.matchRMs = append(t.matchRMs, int32(i))
 		}
 	}
-	t.guarded = make([]uint64, (n+63)/64)
-	for i, r := range t.recs {
+	t.derive()
+	return t
+}
+
+// newEdgeVectors allocates the per-edge vectors over g's edges, unset.
+func newEdgeVectors(g *topo.Graph) *edgeTables {
+	n := g.NumEdges()
+	vec := make([]int32, 2*n)
+	return &edgeTables{
+		g: g, edges: g.Edges(), rev: g.ReverseEdges(),
+		shapeOf: vec[:n:n], ospfCost: vec[n:], ospfCross: make([]bool, n), recs: make([]edgeRec, n),
+	}
+}
+
+// toward looks up r's own configuration on its interface toward peer: the
+// neighbor statement, the OSPF interface if any, and the interface's ACL.
+func toward(r *config.Router, peer string) (nbr *config.Neighbor, ifc config.OSPFIface, hasIfc bool, acl aclRef) {
+	if r.BGP != nil {
+		nbr = r.BGP.Neighbors[peer]
+	}
+	if r.OSPF != nil {
+		ifc, hasIfc = r.OSPF.Ifaces[peer]
+	}
+	return nbr, ifc, hasIfc, aclRef{env: r.Env, name: r.IfaceACL[peer]}
+}
+
+// adjacency is the OSPF cost and area-crossing bit of edge (u, v) from u's
+// interface toward v, iu, and v's toward u, iv, when both exist; the cost is
+// -1 without an adjacency.
+func adjacency(iu, iv config.OSPFIface, both bool) (int32, bool) {
+	if !both {
+		return -1, false
+	}
+	return int32(max(iu.Cost, 1)), iu.Area != iv.Area
+}
+
+// session pairs the neighbor statements of edge (u, v)'s two ends — u's
+// toward v, nu, and v's toward u, nv — into the edge's BGP session, if both
+// exist.
+func session(ur, vr *config.Router, nu, nv *config.Neighbor) (bgpSession, bool) {
+	if nu == nil || nv == nil {
+		return bgpSession{}, false
+	}
+	s := bgpSession{
+		expMap: nv.ExportMap, impMap: nu.ImportMap, ibgp: ur.BGP.ASN == vr.BGP.ASN,
+		redistOSPF: vr.BGP.RedistributeOSPF, redistStatic: vr.BGP.RedistributeStatic,
+	}
+	if s.expMap != "" {
+		s.expEnv = vr.Env
+	}
+	if s.impMap != "" {
+		s.impEnv = ur.Env
+	}
+	return s, true
+}
+
+// derive fills, in one pass over integers, what follows from the per-edge
+// vectors and the interned tables: each edge's content label, guarded and
+// lpNodes.
+func (t *edgeTables) derive() {
+	t.guarded = make([]uint64, (len(t.recs)+63)/64)
+	for i := range t.recs {
+		// The content label packs what transport compares of an edge before
+		// a class is chosen: the session's content (flags and route-map
+		// content, not names) above the OSPF cost and area-crossing bit.
+		r := &t.recs[i]
+		var label uint64
+		if s := t.shapeOf[i]; s >= 0 {
+			label = uint64(t.contentOf[s]+1) << 33
+		}
+		if t.ospfCost[i] >= 0 {
+			label |= uint64(t.ospfCost[i]) << 1
+			if t.ospfCross[i] {
+				label |= 1
+			}
+		}
+		r.content = mix64(label + 1) // a bijection: equal words, equal content
 		if r.acl >= 0 || r.expRM >= 0 && len(t.rmLists[r.expRM]) > 0 || r.impRM >= 0 && len(t.rmLists[r.impRM]) > 0 {
 			t.guarded[i/64] |= 1 << (i % 64)
 		}
@@ -350,21 +330,110 @@ func newEdgeTables(g *topo.Graph, routers []*config.Router, matched map[protocol
 		}
 	}
 	for i, si := range t.shapeOf {
-		if u := edges[i].U; si >= 0 && setsLP[si] && (len(t.lpNodes) == 0 || t.lpNodes[len(t.lpNodes)-1] != u) {
+		if u := t.edges[i].U; si >= 0 && setsLP[si] && (len(t.lpNodes) == 0 || t.lpNodes[len(t.lpNodes)-1] != u) {
 			t.lpNodes = append(t.lpNodes, u)
 		}
 	}
-	return t
 }
 
-// carries reports the index in t, a predecessor's tables, of edge e of a
-// successor whose routers fresh marks, if e is carried (newEdgeTables).
-func (t *edgeTables) carries(e topo.Edge, fresh []bool) (int32, bool) {
-	if t == nil || fresh[e.U] || fresh[e.V] {
-		return -1, false
+// successor derives the tables of a successor over g from t, its
+// predecessor's, through the edge diff d: the runs' per-edge vectors are
+// copied, an edge d added or one at a router fresh marks is looked up by
+// name, and t's interned tables are shared, shapes and labels renumbered
+// where a first sight moved. No router's namespace changed, so t's content
+// labels and canonical orders hold. It returns nil, for newEdgeTables'
+// sweep, when the interned sets differ: a named edge has a session or ACL t
+// lacks, or one of t's shapes or ACLs is left on no edge.
+func (t *edgeTables) successor(g *topo.Graph, routers []*config.Router, fresh []bool, d *edgeDiff) *edgeTables {
+	s := newEdgeVectors(g)
+	for _, r := range d.runs {
+		copy(s.shapeOf[r.New:r.New+r.N], t.shapeOf[r.Old:r.Old+r.N])
+		copy(s.ospfCost[r.New:r.New+r.N], t.ospfCost[r.Old:r.Old+r.N])
+		copy(s.ospfCross[r.New:r.New+r.N], t.ospfCross[r.Old:r.Old+r.N])
+		copy(s.recs[r.New:r.New+r.N], t.recs[r.Old:r.Old+r.N])
 	}
-	j, ok := t.g.EdgeIndex(e.U, e.V)
-	return int32(j), ok
+	// Every edge is in a run or added, so the vectors are now whole; an
+	// edge is looked up by name when d added it or, in both directions, when
+	// it leaves a fresh router.
+	named := slices.Clone(d.added)
+	for u, f := range fresh {
+		lo, hi := s.out(topo.NodeID(u))
+		for i := lo; f && i < hi; i++ {
+			named = append(named, i, s.rev[i])
+		}
+	}
+	for _, i := range named {
+		if !t.named(s, i, routers) {
+			return nil
+		}
+	}
+
+	// Shapes are numbered on first sight along the edge list, labels on
+	// first sight along the shapes: at maps t's shape numbers to s's.
+	at := slices.Repeat([]int32{-1}, len(t.shapes))
+	acls := make([]bool, len(t.sigACLs))
+	next, moved := int32(0), false
+	for i, p := range s.shapeOf {
+		if p >= 0 && at[p] < 0 {
+			at[p], moved = next, moved || p != next
+			next++
+		}
+		if a := s.recs[i].acl; a >= 0 {
+			acls[a] = true
+		}
+	}
+	if int(next) < len(t.shapes) || slices.Contains(acls, false) {
+		return nil
+	}
+	s.shapes, s.contentOf, s.labels = slices.Clip(t.shapes), slices.Clip(t.contentOf), slices.Clip(t.labels)
+	if moved {
+		s.shapes, s.contentOf, s.labels = make([]bgpSession, len(at)), make([]int32, len(at)), make([]string, 0, len(t.labels))
+		for p, q := range at {
+			s.shapes[q], s.contentOf[q] = t.shapes[p], t.contentOf[p]
+		}
+		lat := slices.Repeat([]int32{-1}, len(t.labels))
+		for q, l := range s.contentOf {
+			if lat[l] < 0 {
+				lat[l] = int32(len(s.labels))
+				s.labels = append(s.labels, t.labels[l])
+			}
+			s.contentOf[q] = lat[l]
+		}
+		for i, p := range s.shapeOf {
+			if p >= 0 {
+				s.shapeOf[i] = at[p]
+			}
+		}
+	}
+	s.sigRMs, s.sigACLs, s.rmLists, s.matchRMs, s.attrMatch = slices.Clip(t.sigRMs), slices.Clip(t.sigACLs), slices.Clip(t.rmLists), slices.Clip(t.matchRMs), t.attrMatch
+	s.derive()
+	return s
+}
+
+// named looks edge i of s up by name as newEdgeTables does, numbering its
+// session, maps and ACL by t's tables. It reports false when t lacks the
+// session or the ACL.
+func (t *edgeTables) named(s *edgeTables, i int32, routers []*config.Router) bool {
+	e := s.edges[i]
+	ur, vr := routers[e.U], routers[e.V]
+	nu, iu, hu, a := toward(ur, s.g.Name(e.V))
+	nv, iv, hv, _ := toward(vr, s.g.Name(e.U))
+	s.shapeOf[i], s.recs[i] = -1, edgeRec{expRM: -1, impRM: -1, acl: -1}
+	if a.name != "" {
+		if s.recs[i].acl = int32(slices.Index(t.sigACLs, a)); s.recs[i].acl < 0 {
+			return false
+		}
+	}
+	if sess, ok := session(ur, vr, nu, nv); ok {
+		if s.shapeOf[i] = int32(slices.Index(t.shapes, sess)); s.shapeOf[i] < 0 {
+			return false
+		}
+		// t interned a shape's maps with it.
+		s.recs[i].expRM = int32(slices.Index(t.sigRMs, rmRef{sess.expEnv, sess.expMap}))
+		s.recs[i].impRM = int32(slices.Index(t.sigRMs, rmRef{sess.impEnv, sess.impMap}))
+	}
+	s.ospfCost[i], s.ospfCross[i] = adjacency(iu, iv, hu && hv)
+	return true
 }
 
 // canonicalOrder sorts refs by the lowest NodeID whose router holds the

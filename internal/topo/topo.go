@@ -52,24 +52,39 @@ func New() *Graph {
 	return &Graph{index: make(map[string]NodeID)}
 }
 
-// WithoutEdges returns a graph over g's vertices with no edges, sharing g's
-// name table: the topology of a successor that keeps every router and
-// changes links. Neither graph may gain a vertex afterwards.
-func (g *Graph) WithoutEdges() *Graph {
-	return &Graph{names: g.names[:len(g.names):len(g.names)], index: g.index, succ: make([][]NodeID, len(g.names))}
+// Rewired returns a graph over g's vertices, sharing g's name table and the
+// out-edges of every vertex dirty does not mark; a dirty vertex starts with
+// none. It is the topology of a successor that keeps every router and
+// changes only links at the dirty ones: the caller adds their links, which
+// leave a clean vertex's list as it is, then SpliceIndex(g, dirty) indexes
+// it. Neither graph may gain a vertex afterwards.
+func (g *Graph) Rewired(dirty []bool) *Graph {
+	h := &Graph{names: slices.Clip(g.names), index: g.index, succ: make([][]NodeID, len(g.names)), nEdges: g.nEdges}
+	for u, vs := range g.succ {
+		if dirty[u] {
+			h.nEdges -= len(vs)
+		} else {
+			h.succ[u] = slices.Clip(vs)
+		}
+	}
+	return h
 }
 
-// Reserve sizes each vertex u's successor list for deg[u] edges, carving
-// the lists from one array, so that adding those edges allocates nothing.
-// g must have no edges yet.
+// Reserve sizes each edgeless vertex u's successor list for deg[u] edges,
+// carving the lists from one array, so that adding those edges allocates
+// nothing.
 func (g *Graph) Reserve(deg []int32) {
 	total := 0
-	for _, d := range deg {
-		total += int(d)
+	for u, d := range deg {
+		if len(g.succ[u]) == 0 {
+			total += int(d)
+		}
 	}
 	arr := make([]NodeID, total)
 	for u, d := range deg {
-		g.succ[u], arr = arr[:0:d], arr[d:]
+		if len(g.succ[u]) == 0 {
+			g.succ[u], arr = arr[:0:d], arr[d:]
+		}
 	}
 }
 
@@ -202,6 +217,64 @@ func (g *Graph) edgeIndex() *edgeIndex {
 	if x := g.idx.Load(); x != nil {
 		return x
 	}
+	x := g.indexFrom(nil, nil)
+	g.idx.Store(x)
+	return x
+}
+
+// SpliceIndex builds g's edge index from prev's, for a g over prev's
+// vertices whose out-edges are prev's at every vertex dirty does not mark:
+// those spans are copied from prev's index, and only the dirty vertices'
+// lists are sorted.
+func (g *Graph) SpliceIndex(prev *Graph, dirty []bool) {
+	g.idx.Store(g.indexFrom(prev.edgeIndex(), dirty))
+}
+
+// Run is a stretch of edges two graphs both hold: edge indices [New, New+N)
+// of one are indices [Old, Old+N) of the other.
+type Run struct{ New, Old, N int32 }
+
+// Diff compares g's edge list with prev's, for a g over prev's vertices, one
+// vertex's out-edges at a time. It returns the edges both hold as runs, and
+// the indices, ascending, of prev's edges g lacks and of g's edges prev
+// lacks. A vertex dirty does not mark has prev's out-edges, so its span
+// joins a run whole; nil marks every vertex.
+func (g *Graph) Diff(prev *Graph, dirty []bool) (runs []Run, removed, added []int32) {
+	x, p := g.edgeIndex(), prev.edgeIndex()
+	run := func(i, j, n int32) {
+		if k := len(runs) - 1; k >= 0 && runs[k].New+runs[k].N == i && runs[k].Old+runs[k].N == j {
+			runs[k].N += n
+		} else if n > 0 {
+			runs = append(runs, Run{New: i, Old: j, N: n})
+		}
+	}
+	for u := range g.succ {
+		i, ni, j, nj := x.off[u], x.off[u+1], p.off[u], p.off[u+1]
+		if dirty != nil && !dirty[u] {
+			run(i, j, ni-i)
+			continue
+		}
+		for i < ni || j < nj {
+			switch {
+			case j == nj || i < ni && x.edges[i].V < p.edges[j].V:
+				added = append(added, i)
+				i++
+			case i == ni || p.edges[j].V < x.edges[i].V:
+				removed = append(removed, j)
+				j++
+			default:
+				run(i, j, 1)
+				i++
+				j++
+			}
+		}
+	}
+	return runs, removed, added
+}
+
+// indexFrom builds g's edge index, taking from prev the span of every
+// vertex dirty does not mark; prev nil takes nothing.
+func (g *Graph) indexFrom(prev *edgeIndex, dirty []bool) *edgeIndex {
 	x := &edgeIndex{
 		edges: make([]Edge, 0, g.nEdges),
 		off:   make([]int32, len(g.succ)+1),
@@ -209,10 +282,14 @@ func (g *Graph) edgeIndex() *edgeIndex {
 	}
 	for u, vs := range g.succ {
 		lo := len(x.edges)
-		for _, v := range vs {
-			x.edges = append(x.edges, Edge{NodeID(u), v})
+		if prev != nil && !dirty[u] {
+			x.edges = append(x.edges, prev.edges[prev.off[u]:prev.off[u+1]]...)
+		} else {
+			for _, v := range vs {
+				x.edges = append(x.edges, Edge{NodeID(u), v})
+			}
+			slices.SortFunc(x.edges[lo:], func(a, b Edge) int { return cmp.Compare(a.V, b.V) })
 		}
-		slices.SortFunc(x.edges[lo:], func(a, b Edge) int { return cmp.Compare(a.V, b.V) })
 		x.off[u+1] = int32(len(x.edges))
 	}
 	// The reverse of (u, v) sits among v's out-edges; for a fixed v the
@@ -230,7 +307,6 @@ func (g *Graph) edgeIndex() *edgeIndex {
 			x.rev[i] = c
 		}
 	}
-	g.idx.Store(x)
 	return x
 }
 
