@@ -521,3 +521,44 @@ func BenchmarkColdVerdict(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDatacenterReadsThenVerify is one snapshot's work on Datacenter{}:
+// a cold Open, one Reach per class, then Verify. It reports the reads' and
+// the Verify's time and solves (reach-memo misses) per op.
+func BenchmarkDatacenterReadsThenVerify(b *testing.B) {
+	ctx := context.Background()
+	net := netgen.Datacenter(netgen.DCOptions{})
+	var reads, verifies time.Duration
+	var readSolves, verifySolves int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := bonsai.Open(net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := eng.Network().RouterNames()[0]
+		start := time.Now()
+		for _, dest := range eng.Classes() {
+			if _, err := eng.Reach(ctx, src, dest); err != nil {
+				b.Fatal(err)
+			}
+		}
+		read, solves := time.Now(), eng.Stats().ReachMemoMisses
+		if _, err := eng.Verify(ctx, bonsai.VerifyRequest{}); err != nil {
+			b.Fatal(err)
+		}
+		reads += read.Sub(start)
+		verifies += time.Since(read)
+		readSolves += solves
+		verifySolves += eng.Stats().ReachMemoMisses - solves
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(reads.Microseconds())/n/1e3, "read-ms")
+	b.ReportMetric(float64(verifies.Microseconds())/n/1e3, "verify-ms")
+	b.ReportMetric(float64(readSolves)/n, "read-solves")
+	b.ReportMetric(float64(verifySolves)/n, "verify-solves")
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/netip"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"bonsai/internal/bdd"
 	"bonsai/internal/build"
 	"bonsai/internal/config"
-	"bonsai/internal/ec"
 	"bonsai/internal/faultinject"
 	"bonsai/internal/policy"
 	"bonsai/internal/verify"
@@ -66,68 +64,31 @@ type Engine struct {
 	bddMisses     atomic.Uint64
 	bddOverwrites atomic.Uint64
 
-	// Reach-memo counters, cumulative over the engine's lifetime: a miss is
-	// a query that solved its class, a hit one that found it solved (or
-	// joined the solve in flight).
-	reachHits   atomic.Int64
-	reachMisses atomic.Int64
+	// Memo counters, cumulative over the engine's lifetime and shared by
+	// every snapshot's memo: a miss solved a fingerprint group (or a class
+	// concretely), a hit found it solved or joined its solve.
+	memoCounts verify.MemoCounts
 }
 
 // engineState is one network snapshot: configuration and builder are
-// immutable, the memo only ever gains answers that are functions of them.
+// immutable, and the memo (verify.Memo) only ever gains answers that are
+// functions of them. It is born with the snapshot and dies with it; nothing
+// is carried across Apply.
 type engineState struct {
 	cfg  *config.Network
 	b    *build.Builder
-	memo reachMemo
+	memo *verify.Memo
 }
 
-// reachMemo remembers, per class of one snapshot and side, the class's one
-// analysis (verify.ClassAnswer): the verdict and every router's data-plane
-// facts, and on the concrete side the first counted solution. Classes do not
-// interact (paper §5.1), so one solve answers every source, and Reach,
-// ReachConcrete and Routes all read it. The memo is born empty with its
-// snapshot and dies with it; nothing is carried across Apply, evicted,
-// budgeted, persisted or configurable. An answer is therefore a function of
-// the snapshot's configuration alone, never of which queries ran before.
-type reachMemo struct {
-	mu      sync.Mutex
-	flights map[reachKey]*reachFlight
-}
-
-// reachKey names one answer: a class, solved compressed or concretely.
-type reachKey struct {
-	class      netip.Prefix
-	compressed bool
-}
-
-// reachFlight is one solve of a class and, once done is closed, its answer.
-// A nil Facts after done means the solve failed; the flight has then
-// already left the memo, so errors and cancellations are never remembered.
-type reachFlight struct {
-	done  chan struct{}
-	reach verify.ClassAnswer
-}
-
-// join returns the flight for key, creating it when there is none; the
-// creator is its leader and must solve.
-func (m *reachMemo) join(key reachKey) (f *reachFlight, leader bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f := m.flights[key]; f != nil {
-		return f, false
-	}
-	if m.flights == nil {
-		m.flights = make(map[reachKey]*reachFlight)
-	}
-	f = &reachFlight{done: make(chan struct{})}
-	m.flights[key] = f
-	return f, true
-}
-
-func (m *reachMemo) forget(key reachKey) {
-	m.mu.Lock()
-	delete(m.flights, key)
-	m.mu.Unlock()
+// newState makes the snapshot of cfg and b, with a memo that compresses on
+// the engine's pooled compilers.
+func (e *Engine) newState(cfg *config.Network, b *build.Builder) *engineState {
+	st := &engineState{cfg: cfg, b: b}
+	st.memo = verify.NewMemo(b, &e.memoCounts, func() (*policy.Compiler, func()) {
+		pc := e.acquire(st)
+		return pc.comp, func() { e.release(pc) }
+	})
+	return st
 }
 
 type pooledCompiler struct {
@@ -156,7 +117,7 @@ func Open(net *Network, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{opts: o, closeCh: make(chan struct{})}
 	e.pool = make(chan *pooledCompiler, o.workerCount()+2)
-	e.state.Store(&engineState{cfg: cfg, b: b})
+	e.state.Store(e.newState(cfg, b))
 	if o.pool != nil {
 		o.pool.Attach(b, e.poolLabel(), o.poolFloor)
 	}
@@ -216,8 +177,8 @@ func (e *Engine) Network() *Network { return e.state.Load().cfg }
 func (e *Engine) Stats() CacheStats {
 	return CacheStats{
 		StoreStats:      e.state.Load().b.AbstractionCacheStats(),
-		ReachMemoHits:   e.reachHits.Load(),
-		ReachMemoMisses: e.reachMisses.Load(),
+		ReachMemoHits:   e.memoCounts.Hits.Load(),
+		ReachMemoMisses: e.memoCounts.Misses.Load(),
 	}
 }
 
@@ -382,7 +343,10 @@ func (e *Engine) AbstractNetwork(ctx context.Context, destPrefix string) (*Netwo
 }
 
 // Verify runs an all-pairs reachability verification and returns its
-// structured report.
+// structured report. Compressed, it is a fold over the snapshot's memo, so
+// Reach, Verify and Routes together solve each fingerprint group at most
+// once per snapshot; concretely, every class is solved afresh and nothing
+// is remembered.
 func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
@@ -398,20 +362,7 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 	if req.Concrete {
 		res, err = verify.AllPairsConcrete(ctx, st.b, opts)
 	} else {
-		// The pool runs no more workers than classes, so no more compilers
-		// are checked out either.
-		comps := make([]*pooledCompiler, opts.Fanout(st.b))
-		opts.Compilers = make([]*policy.Compiler, len(comps))
-		for i := range comps {
-			comps[i] = e.acquire(st)
-			opts.Compilers[i] = comps[i].comp
-		}
-		defer func() {
-			for _, pc := range comps {
-				e.release(pc)
-			}
-		}()
-		res, err = verify.AllPairsBonsai(ctx, st.b, opts)
+		res, err = st.memo.AllPairs(ctx, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -425,9 +376,10 @@ func (e *Engine) Verify(ctx context.Context, req VerifyRequest) (*Report, error)
 }
 
 // Reach answers one reachability query on the compressed network. The first
-// query of a class in a snapshot solves it (serving the abstraction from the
-// warm cache when possible); every later one, from any source, is a class
-// lookup and an index into the class's analysis.
+// lookup of a class's fingerprint group in a snapshot (by any Reach or
+// Verify) solves it, serving the abstraction from the warm cache when
+// possible; every later query of the group, from any source, is a class
+// lookup and an index into the group's analysis.
 func (e *Engine) Reach(ctx context.Context, src, destPrefix string) (*ReachResult, error) {
 	return e.reach(ctx, src, destPrefix, true)
 }
@@ -451,55 +403,11 @@ func (e *Engine) reach(ctx context.Context, src, destPrefix string, compressed b
 	if err != nil {
 		return nil, err
 	}
-	reach, err := e.classReach(ctx, st, cls, compressed)
+	reach, err := st.memo.Answer(ctx, cls, compressed)
 	if err != nil {
 		return nil, err
 	}
 	return &ReachResult{ReachAnswer: reachAnswer(reach, u), Compressed: compressed, Duration: time.Since(start)}, nil
-}
-
-// classReach returns the snapshot's answer for cls, solving it at most once
-// however many queries ask at the same time: the first becomes the flight's
-// leader, the rest wait for it. A waiter whose leader failed starts over
-// rather than inherit a foreign error or cancellation.
-func (e *Engine) classReach(ctx context.Context, st *engineState, cls ec.Class, compressed bool) (verify.ClassAnswer, error) {
-	key := reachKey{class: cls.Prefix, compressed: compressed}
-	for {
-		f, leader := st.memo.join(key)
-		if leader {
-			e.reachMisses.Add(1)
-			return e.leadReach(ctx, st, cls, key, f)
-		}
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return verify.ClassAnswer{}, ctx.Err()
-		}
-		if f.reach.Facts != nil {
-			e.reachHits.Add(1)
-			return f.reach, nil
-		}
-	}
-}
-
-// leadReach solves cls for flight f and publishes the outcome. A failed
-// solve (error, cancellation or panic) leaves the memo before its waiters
-// wake, so the next query solves afresh.
-func (e *Engine) leadReach(ctx context.Context, st *engineState, cls ec.Class, key reachKey, f *reachFlight) (reach verify.ClassAnswer, err error) {
-	defer func() {
-		if reach.Facts == nil {
-			st.memo.forget(key)
-		}
-		f.reach = reach
-		close(f.done)
-	}()
-	var comp *policy.Compiler
-	if key.compressed {
-		pc := e.acquire(st)
-		defer e.release(pc)
-		comp = pc.comp
-	}
-	return verify.ClassReach(ctx, st.b, comp, cls, key.compressed)
 }
 
 // Roles counts the behavioral router roles of the network (paper §8).
@@ -535,7 +443,7 @@ func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, 
 	if err != nil {
 		return nil, err
 	}
-	ans, err := e.classReach(ctx, st, cls, false)
+	ans, err := st.memo.Answer(ctx, cls, false)
 	if err != nil {
 		return nil, err
 	}
@@ -644,7 +552,7 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	// relation caches ride on the compilers (policy.Compiler.Cache), and
 	// entries are keyed by policy-namespace pointer, which unchanged routers
 	// share with the old config.
-	st2 := &engineState{cfg: cfg2, b: b2}
+	st2 := e.newState(cfg2, b2)
 
 	var stats build.AdoptStats
 	degraded := oversizedDelta(st.cfg, &d)

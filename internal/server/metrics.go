@@ -124,9 +124,9 @@ var tenantFamilies = []struct {
 			applied := x.editsApplied.Load()
 			return float64(x.editsReceived.Load()) / float64(applied), applied > 0
 		}},
-	{"bonsai_reach_memo_hits_total", "gauge", "Reach queries answered from a class already solved in their snapshot.",
+	{"bonsai_reach_memo_hits_total", "gauge", "Memo lookups (reach, routes, and each class of a verify) answered from an entry already solved in their snapshot.",
 		func(x *scraped) (float64, bool) { return float64(x.cache.ReachMemoHits), true }},
-	{"bonsai_reach_memo_misses_total", "gauge", "Reach queries that solved their class (first of a class per snapshot).",
+	{"bonsai_reach_memo_misses_total", "gauge", "Memo lookups that solved their entry: a fingerprint group compressed, a class concretely (first per snapshot).",
 		func(x *scraped) (float64, bool) { return float64(x.cache.ReachMemoMisses), true }},
 
 	{"bonsai_bdd_nodes_live", "gauge", "Live BDD nodes across the engine's compiler pool.",

@@ -62,9 +62,9 @@ type Result struct {
 	Answer
 	Compress time.Duration // time spent compressing (bonsai mode)
 	Total    time.Duration
-	// solves counts the classes whose control plane was solved, per-pair
-	// certification's re-analyses aside: one per fingerprint group in bonsai
-	// mode, one per class in concrete mode.
+	// solves counts the classes whose control plane this run solved,
+	// per-pair certification's re-analyses aside: one per fingerprint group
+	// not yet in the memo in bonsai mode, one per class in concrete mode.
 	solves int64
 }
 
@@ -87,18 +87,16 @@ type Options struct {
 	// shared by all sources of a class (Batfish-style), the cheapest
 	// possible baseline.
 	PerPairCertification bool
-	// Compilers, when it holds exactly Fanout(b) entries, supplies the
-	// per-worker policy compilers for the bonsai engine instead of fresh
-	// ones — long-lived callers pass pooled compilers so their BDD tables
-	// survive across calls. Each compiler is used by one worker goroutine
-	// for the duration of the call.
+	// Compilers, up to one per worker, are lent to AllPairsBonsai's
+	// compressions instead of fresh ones, so a caller's BDD tables survive
+	// across calls.
 	Compilers []*policy.Compiler
 }
 
-// Fanout is how many workers an AllPairs call over b runs, and so how many
-// compilers it uses: Workers (0 means GOMAXPROCS), but never more than the
-// classes it verifies.
-func (o Options) Fanout(b *build.Builder) int {
+// fanout is how many workers an all-pairs call over b runs, and so how many
+// compilers it lends at most: Workers (0 means GOMAXPROCS), but never more
+// than the classes it verifies.
+func (o Options) fanout(b *build.Builder) int {
 	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -106,75 +104,55 @@ func (o Options) Fanout(b *build.Builder) int {
 	return min(workers, len(clip(b.Classes(), o.MaxClasses)))
 }
 
-// AllPairsConcrete verifies all-pairs reachability on the concrete network.
+// AllPairsConcrete verifies all-pairs reachability on the concrete network:
+// the fold of Memo.AllPairs with every class solved on its own and nothing
+// remembered, so no class keeps its first solution past its turn.
 // Cancelling ctx stops the worker goroutines promptly and returns the
 // context's error.
 func AllPairsConcrete(ctx context.Context, b *build.Builder, opts Options) (*Result, error) {
-	return allPairs(ctx, b, opts, false, nil)
+	return allPairs(ctx, b, nil, opts)
 }
 
 // AllPairsBonsai verifies all-pairs reachability after compressing the
-// classes with Bonsai: classes with equal deduplication fingerprints share
-// one compression and one solve, counted once per class. The reported time
-// includes compression, as in Figure 12. Cancelling ctx stops the worker goroutines promptly (including
+// classes with Bonsai: Memo.AllPairs over a memo that lives for the call,
+// so classes with equal fingerprints share one compression and one solve,
+// counted once per class. The reported time includes compression, as in
+// Figure 12. Cancelling ctx stops the worker goroutines promptly (including
 // mid-compression) and returns the context's error.
 func AllPairsBonsai(ctx context.Context, b *build.Builder, opts Options) (*Result, error) {
-	// One policy compiler per worker: BDD managers are not safe for
-	// concurrent use, but sharing one across a worker's classes amortises
-	// BDD construction exactly as the paper's implementation does (§7:
-	// BDDs are built once, classes are compressed in parallel).
-	compilers := opts.Compilers
-	if n := opts.Fanout(b); len(compilers) != n {
-		compilers = make([]*policy.Compiler, n)
-		for i := range compilers {
-			compilers[i] = b.NewCompiler(true)
+	// A compiler per worker, shared across its classes: BDDs are built once
+	// and classes are compressed in parallel (§7). A worker holds at most
+	// one at a time, so idle never runs dry.
+	idle := make(chan *policy.Compiler, opts.fanout(b))
+	for i := range cap(idle) {
+		if i < len(opts.Compilers) {
+			idle <- opts.Compilers[i]
+		} else {
+			idle <- b.NewCompiler(true)
 		}
 	}
-	return allPairs(ctx, b, opts, true, compilers)
+	return NewMemo(b, nil, func() (*policy.Compiler, func()) {
+		c := <-idle
+		return c, func() { idle <- c }
+	}).AllPairs(ctx, opts)
 }
 
-// allPairs fans b's classes out over opts.Fanout(b) workers, compressing
-// each class with its worker's compiler or, unless compressed, solving it
-// concretely. Compressed, each fingerprint group is fanned out as one item
-// and solved through its first class: a fingerprint is everything
-// AbstractInstance and AbstractACLPermitFunc read of a class (destination,
-// origins, statics, route-map matches, ACL verdicts), so the group's other
-// members would build the same instance from the same abstraction and get
-// the same answer. Concrete mode stays per class; it is the oracle the
-// grouping is tested against. Each worker folds its classes into its own
-// tally and the tallies are summed after the run, so no lock is shared
-// between workers or between calls.
-func allPairs(ctx context.Context, b *build.Builder, opts Options, compressed bool, compilers []*policy.Compiler) (*Result, error) {
+// allPairs fans b's classes out over opts.fanout(b) workers and folds each
+// class's answer into its worker's tally: compressed, looked up in m
+// leaders-first by fingerprint; with a nil m, solved concretely. Each
+// worker folds its classes into its own tally and the tallies are summed
+// after the run, so no lock is shared between workers or between calls.
+func allPairs(ctx context.Context, b *build.Builder, m *Memo, opts Options) (*Result, error) {
 	classes := clip(b.Classes(), opts.MaxClasses)
 	res := &Result{Answer: Answer{Mode: "concrete", Classes: len(classes)}}
-	key := func(ec.Class) string { return "" } // every class its own group
-	if compressed {
-		res.Mode, key = "bonsai", FingerprintKey(b)
+	tallies := make([]tally, opts.fanout(b))
+	var key func(ec.Class) string
+	if m != nil {
+		res.Mode, key = "bonsai", m.group
 	}
-	// In first-occurrence order; a "" key never joins a group.
-	groups, groupOf := make([][]ec.Class, 0, len(classes)), make(map[string]int)
-	for i, cls := range classes {
-		k := key(cls)
-		if g, ok := groupOf[k]; ok {
-			groups[g] = append(groups[g], cls)
-			continue
-		}
-		if k != "" {
-			groupOf[k] = len(groups)
-		}
-		// Capped at one, so a second member copies instead of
-		// overwriting classes[i+1].
-		groups = append(groups, classes[i:i+1:i+1])
-	}
-	tallies := make([]tally, opts.Fanout(b))
 	start := time.Now()
-	// No group shares a key with another, so the pool gets no key.
-	err := ForEachClassKeyed(ctx, groups, len(tallies), nil, func(worker int, members []ec.Class) error {
-		var comp *policy.Compiler
-		if compressed {
-			comp = compilers[worker]
-		}
-		return tallies[worker].addGroup(ctx, b, comp, members, compressed, opts.PerPairCertification)
+	err := ForEachClassKeyed(ctx, classes, len(tallies), key, func(worker int, cls ec.Class) error {
+		return tallies[worker].add(ctx, b, m, cls, opts.PerPairCertification)
 	})
 	res.Total = time.Since(start)
 	for _, t := range tallies {
@@ -195,35 +173,46 @@ type tally struct {
 	stable                             Stability
 }
 
-// addGroup solves the group's first class and folds its counts into the
-// tally once per member. With perPair the control plane is re-analysed once
-// per source of every member, modelling a per-query verifier; that loop
-// observes ctx so cancellation interrupts even a single large class
-// promptly.
-func (t *tally) addGroup(ctx context.Context, b *build.Builder, comp *policy.Compiler, members []ec.Class, compressed, perPair bool) error {
-	s, err := solveClass(ctx, b, comp, members[0], compressed)
+// add folds cls's answer into the tally: its group's memo entry when m is
+// set, else a concrete solve of its own. With perPair the control plane is
+// then analysed again once per source, modelling a per-query verifier, each
+// time with the abstraction from the store; that loop observes ctx, so
+// cancellation interrupts even a single large class promptly.
+func (t *tally) add(ctx context.Context, b *build.Builder, m *Memo, cls ec.Class, perPair bool) error {
+	var e entry
+	var took time.Duration
+	var err error
+	var comp *policy.Compiler
+	solved := true
+	if m == nil {
+		e, took, err = solve(ctx, b, nil, cls, false)
+	} else {
+		var f *flight
+		if f, took, solved, err = m.lookup(ctx, cls, true); err == nil {
+			e = f.e
+		}
+		if perPair && err == nil {
+			c, giveBack := m.lend()
+			defer giveBack()
+			comp = c
+		}
+	}
+	for i := int64(0); perPair && err == nil && i < e.sources; i++ {
+		if err = ctx.Err(); err == nil {
+			_, err = ClassReach(ctx, b, comp, cls, m != nil)
+		}
+	}
 	if err != nil {
 		return err
 	}
-	for _, cls := range members {
-		for i := int64(0); perPair && i < s.sources; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if _, err := analyse(b, cls, s.abs); err != nil {
-				return err
-			}
-		}
+	t.stable = weaker(t.stable, e.Stable)
+	if solved {
+		t.solves++
 	}
-	n := int64(len(members))
-	t.stable = weaker(t.stable, s.Stable)
-	t.solves++
-	t.pairs += n * s.sources
-	t.reachable += n * s.delivered
-	t.compress += s.compress
-	if s.abs != nil {
-		t.absNodes += n * int64(s.abs.NumAbstractNodes())
-	}
+	t.pairs += e.sources
+	t.reachable += e.delivered
+	t.absNodes += e.nodes
+	t.compress += took
 	return nil
 }
 
@@ -306,22 +295,22 @@ func merge(a, b dataplane.Facts) dataplane.Facts {
 	return a
 }
 
-// classSolution is one control-plane analysis of a class.
-type classSolution struct {
+// entry is one class's analysis with the counts Verify adds up per class:
+// the nodes of the network that was solved (the abstract one under
+// compression) other than the destination, how many of them reach it in
+// every solution counted, and the abstraction's node count (0 when solved
+// concretely).
+type entry struct {
 	ClassAnswer
-	// sources counts the nodes of the network that was solved (the abstract
-	// one under compression) other than the destination; delivered, how many
-	// of them reach it in every solution counted.
-	sources, delivered int64
-	abs                *core.Abstraction // nil when solved concretely
-	compress           time.Duration     // time inside Builder.Compress
+	sources, delivered, nodes int64
 }
 
-// solveClass is the one chain every class answer comes from: compress the
-// class (when asked), build its SRP instance, solve it, derive the
-// forwarding state and its facts (dataplane.Analyse). comp supplies the
-// policy compiler for compression; nil creates a fresh one.
-func solveClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (classSolution, error) {
+// solve is the one chain every class answer comes from: compress the class
+// (when asked), build its SRP instance, solve it, derive the forwarding
+// state and its facts (dataplane.Analyse). comp supplies the policy
+// compiler for compression; nil creates a fresh one. It also returns the
+// time spent inside Builder.Compress.
+func solve(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (entry, time.Duration, error) {
 	var abs *core.Abstraction
 	var took time.Duration
 	if compressed {
@@ -331,13 +320,12 @@ func solveClass(ctx context.Context, b *build.Builder, comp *policy.Compiler, cl
 		start := time.Now()
 		var err error
 		if abs, err = b.Compress(ctx, comp, cls); err != nil {
-			return classSolution{}, err
+			return entry{}, 0, err
 		}
 		took = time.Since(start)
 	}
-	s, err := analyse(b, cls, abs)
-	s.compress = took
-	return s, err
+	e, err := analyse(b, cls, abs)
+	return e, took, err
 }
 
 // Solutions returns the stable solutions of inst, an instance of cls, that
@@ -370,7 +358,7 @@ func Solutions(b *build.Builder, cls ec.Class, inst *srp.Instance) ([]*srp.Solut
 // for every copy of its group: with BGP case splitting it may map to
 // several, and it reaches the class in a solution when any copy does
 // (Theorem 4.5's caveat: properties are checked against all copies).
-func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSolution, error) {
+func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (entry, error) {
 	var inst *srp.Instance
 	var acl func(u, v topo.NodeID) bool
 	var err error
@@ -382,17 +370,17 @@ func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSoluti
 		acl = b.ACLPermitFunc(cls)
 	}
 	if err != nil {
-		return classSolution{}, err
+		return entry{}, err
 	}
 	sols, stable, err := Solutions(b, cls, inst)
 	if err != nil {
-		return classSolution{}, err
+		return entry{}, err
 	}
 	nodes := inst.G.NumNodes()
-	s := classSolution{abs: abs, sources: int64(nodes) - 1}
+	s := entry{sources: int64(nodes) - 1}
 	groups := nodes
 	if abs != nil {
-		s.F, groups = abs.F, len(abs.Copies)
+		s.F, groups, s.nodes = abs.F, len(abs.Copies), int64(abs.NumAbstractNodes())
 	} else if len(sols) > 0 {
 		s.Solution = sols[0]
 	}
@@ -430,13 +418,13 @@ func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (classSoluti
 	return s, nil
 }
 
-// ClassReach solves one class and returns its analysis, on the compressed
-// network or, with compressed false, by simulating the concrete one. The
-// answer depends on b's configuration alone, so callers may keep it for as
-// long as they keep b.
+// ClassReach solves one class with no memo and returns its analysis, on the
+// compressed network or, with compressed false, by simulating the concrete
+// one: per-pair certification's re-analysis of one query. The answer
+// depends on b's configuration alone.
 func ClassReach(ctx context.Context, b *build.Builder, comp *policy.Compiler, cls ec.Class, compressed bool) (ClassAnswer, error) {
-	s, err := solveClass(ctx, b, comp, cls, compressed)
-	return s.ClassAnswer, err
+	e, _, err := solve(ctx, b, comp, cls, compressed)
+	return e.ClassAnswer, err
 }
 
 // ErrUnknownRouter is wrapped when a query names a source router the network
@@ -464,7 +452,7 @@ func clip(classes []ec.Class, max int) []ec.Class {
 	return classes
 }
 
-// ForEachClassKeyed fans f out over classes (or groups of them). With
+// ForEachClassKeyed fans f out over classes. With
 // workers <= 1 it runs serially in slice order — the batch reference shape
 // the differential tests compare the pool against; otherwise it hands the
 // classes to the worker pool of internal/sched, with key (when non-nil)
@@ -493,15 +481,16 @@ func ForEachClassKeyed[T any](ctx context.Context, classes []T, workers int, key
 }
 
 // FingerprintKey returns the key that groups b's classes, for the pool's
-// leaders-first order and for AllPairsBonsai's one solve per group: the
-// deduplication fingerprint, or "" (a group of its own) for classes whose
-// fingerprint cannot be computed — those fail identically inside Compress,
-// which reports the actual error.
+// leaders-first order and for a Memo's compressed entries: the
+// deduplication fingerprint, or the class prefix (a group of its own) for
+// classes whose fingerprint cannot be computed — those fail identically
+// inside Compress, which reports the actual error. A fingerprint always
+// holds a '|', which no prefix does, so the two never collide.
 func FingerprintKey(b *build.Builder) func(ec.Class) string {
 	return func(cls ec.Class) string {
 		fp, err := b.ClassFingerprint(cls)
 		if err != nil {
-			return ""
+			return cls.Prefix.String()
 		}
 		return fp
 	}

@@ -20,6 +20,7 @@ import (
 
 	"bonsai/internal/ec"
 	"bonsai/internal/netgen"
+	"bonsai/internal/verify"
 )
 
 // memoProbe asks (src, dest) of eng compressed and concretely, twice each,
@@ -136,11 +137,22 @@ func TestReachMemoDeltaChainMatchesColdOpen(t *testing.T) {
 					}
 				}
 				after := eng.Stats()
+				// One miss per fingerprint group compressed and per class
+				// concretely.
+				group := verify.FingerprintKey(eng.state.Load().b)
+				groups := make(map[string]bool)
+				for _, dest := range classes {
+					cls, err := eng.state.Load().b.ClassFor(dest)
+					if err != nil {
+						t.Fatal(err)
+					}
+					groups[group(cls)] = true
+				}
 				asked := int64(4 * len(classes) * len(sources))
 				misses := after.ReachMemoMisses - before.ReachMemoMisses
-				if misses != int64(2*len(classes)) || after.ReachMemoHits-before.ReachMemoHits != asked-misses {
-					t.Fatalf("%s: %d asks over %d classes gave %d misses and %d hits, want one miss per class and mode",
-						step, asked, len(classes), misses, after.ReachMemoHits-before.ReachMemoHits)
+				if misses != int64(len(groups)+len(classes)) || after.ReachMemoHits-before.ReachMemoHits != asked-misses {
+					t.Fatalf("%s: %d asks over %d classes in %d groups gave %d misses and %d hits, want one miss per group compressed and per class concretely",
+						step, asked, len(classes), len(groups), misses, after.ReachMemoHits-before.ReachMemoHits)
 				}
 				// A class index gone stale across Apply fails here: every
 				// class prefix and one host address inside each must find
@@ -303,6 +315,76 @@ func TestRoutesReadsTheReachMemo(t *testing.T) {
 	}
 }
 
+// TestReachMemoSolvesEachGroupOnce: the fingerprint group is the one unit
+// of work per snapshot. On Datacenter{} (1 297 classes in 171 groups) one
+// Reach per class solves once per group, a Verify after those reads solves
+// nothing and spends no time compressing, a cold Verify solves once per
+// group, and so do reads racing a cold Verify; every Verify answers alike.
+func TestReachMemoSolvesEachGroupOnce(t *testing.T) {
+	ctx := context.Background()
+	net := netgen.Datacenter(netgen.DCOptions{})
+	const groups = 171
+	open := func() *Engine {
+		eng, err := Open(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	readAll := func(eng *Engine) error {
+		src := eng.Network().RouterNames()[0]
+		for _, dest := range eng.Classes() {
+			if _, err := eng.Reach(ctx, src, dest); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	verify := func(eng *Engine) *Report {
+		rep, err := eng.Verify(ctx, VerifyRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	warm := open()
+	if err := readAll(warm); err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Stats(); st.ReachMemoMisses != groups {
+		t.Fatalf("one Reach per class solved %d times, want one per group (%d)", st.ReachMemoMisses, groups)
+	}
+	after := verify(warm)
+	if st := warm.Stats(); st.ReachMemoMisses != groups || after.CompressTime != 0 {
+		t.Fatalf("a Verify after the reads solved %d times and compressed for %v, want 0 and 0",
+			st.ReachMemoMisses-groups, after.CompressTime)
+	}
+
+	cold := open()
+	want := verify(cold)
+	classes := int64(len(cold.Classes()))
+	if st := cold.Stats(); st.ReachMemoMisses != groups || st.ReachMemoHits != classes-groups {
+		t.Fatalf("a cold Verify: %d misses and %d hits, want %d and %d",
+			st.ReachMemoMisses, st.ReachMemoHits, groups, classes-groups)
+	}
+
+	racing := open()
+	read := make(chan error, 1)
+	go func() { read <- readAll(racing) }()
+	raced := verify(racing)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if st := racing.Stats(); st.ReachMemoMisses != groups {
+		t.Fatalf("reads racing a cold Verify solved %d times, want %d", st.ReachMemoMisses, groups)
+	}
+	if after.VerifyAnswer != want.VerifyAnswer || raced.VerifyAnswer != want.VerifyAnswer {
+		t.Fatalf("Verify after reads %+v, racing reads %+v, cold %+v", after.VerifyAnswer, raced.VerifyAnswer, want.VerifyAnswer)
+	}
+}
+
 // allocated is what fn allocates on the heap, in bytes.
 func allocated(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -403,21 +485,16 @@ func TestReachMemoForgetsACancelledSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	st := eng.state.Load()
 	dest, src := eng.Classes()[2], "edge-3-1"
-	flights := func() int {
-		st.memo.mu.Lock()
-		defer st.memo.mu.Unlock()
-		return len(st.memo.flights)
-	}
 
-	// The leader's context turns cancelled once its flight exists, i.e. in
-	// the middle of the solve, and holds the solve there until every waiter
-	// is waiting on the flight.
+	// The leader's context turns cancelled once its flight exists (its miss
+	// is counted when it creates the flight), i.e. in the middle of the
+	// solve, and holds the solve there until every waiter is waiting on the
+	// flight.
 	leading, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	leaderCtx := cancelWhen{context.Background(), func() bool {
-		if flights() == 0 {
+		if eng.Stats().ReachMemoMisses == 0 {
 			return false
 		}
 		once.Do(func() { close(leading) })
@@ -450,12 +527,10 @@ func TestReachMemoForgetsACancelledSolve(t *testing.T) {
 	}
 	finished.Wait()
 
-	// Whoever solved it in the end, the cancelled flight is gone: the memo
-	// holds the one good answer, and a plain query is a hit that agrees with
-	// the concrete simulator.
-	if n := flights(); n != 1 {
-		t.Fatalf("memo holds %d entries after a cancelled and a good solve, want 1", n)
-	}
+	// Whoever solved it in the end, the cancelled flight is gone (a waiter
+	// that found it would wait on it forever): the memo holds the one good
+	// answer, and a plain query is a hit that agrees with the concrete
+	// simulator.
 	before := eng.Stats()
 	if before.ReachMemoMisses != 2 || before.ReachMemoHits != 3 {
 		t.Fatalf("%d solves and %d hits, want the cancelled solve, one retry and three waiters served by it",
@@ -468,6 +543,19 @@ func TestReachMemoForgetsACancelledSolve(t *testing.T) {
 	}
 	if after := eng.Stats(); after.ReachMemoHits != before.ReachMemoHits+1 {
 		t.Fatal("the query after the retried solve was not a memo hit")
+	}
+
+	// A cancelled solve that nobody waits for leaves nothing either: its
+	// class's next query solves it afresh.
+	other, solves := eng.Classes()[3], eng.Stats().ReachMemoMisses
+	alone := cancelWhen{context.Background(), func() bool { return eng.Stats().ReachMemoMisses > solves }}
+	if _, err := eng.Reach(alone, src, other); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a solve cancelled midway returned %v", err)
+	}
+	got, err = eng.Reach(context.Background(), src, other)
+	want, cerr = eng.ReachConcrete(context.Background(), src, other)
+	if err != nil || cerr != nil || got.ReachAnswer != want.ReachAnswer {
+		t.Fatalf("after a lone cancelled solve: %+v (%v), concrete %+v (%v)", got, err, want, cerr)
 	}
 
 	// An unknown source or destination fails before the memo is involved.

@@ -36,11 +36,13 @@ type StoreStats = build.CacheStats
 // and its reach memo. It is provenance whole.
 type CacheStats struct {
 	StoreStats
-	// ReachMemoHits counts Reach/ReachConcrete queries answered from a class
-	// already solved in their snapshot (or by joining its solve in flight);
-	// ReachMemoMisses counts the queries that solved a class. Both are
-	// cumulative over the engine's lifetime and reported by Engine.Stats
-	// only (a report's Cache snapshot leaves them zero).
+	// ReachMemoHits counts memo lookups answered from an entry already
+	// solved in their snapshot (or by joining its solve in flight);
+	// ReachMemoMisses counts the lookups that solved one: a fingerprint
+	// group compressed, a class concretely. Reach, ReachConcrete, Routes and
+	// each class of a compressed Verify look up once. Both are cumulative
+	// over the engine's lifetime and reported by Engine.Stats only (a
+	// report's Cache snapshot leaves them zero).
 	ReachMemoHits   int64 `json:"reach_memo_hits,omitempty"`
 	ReachMemoMisses int64 `json:"reach_memo_misses,omitempty"`
 }
@@ -144,7 +146,9 @@ type VerifyAnswer = verify.Answer
 // provenance beside it.
 type Report struct {
 	VerifyAnswer
-	// CompressTime is the portion of Total spent compressing (bonsai mode).
+	// CompressTime is the portion of Total spent compressing (bonsai mode):
+	// only the fingerprint groups this call solved add to it, so a group a
+	// read already solved in the snapshot adds nothing.
 	CompressTime time.Duration `json:"compress_ns"`
 	Total        time.Duration `json:"total_ns"`
 	// Cache snapshots the deduplication cache after the call; its Fresh is
