@@ -202,9 +202,7 @@ func cmdCompress(args []string) error {
 	printRows := *rows && !*ef.jsonOut
 	for r := range s.Results() {
 		if printRows {
-			fmt.Printf("%-18s %3d nodes %3d links  %-11s %v\n",
-				r.Prefix, r.AbstractNodes, r.AbstractLinks, r.Source,
-				r.Duration.Round(time.Microsecond))
+			printCompressRow(r)
 		}
 	}
 	if err := s.Err(); err != nil {
@@ -214,11 +212,7 @@ func cmdCompress(args []string) error {
 	if done, err := ef.emit(rep); done {
 		return err
 	}
-	fmt.Printf("network: %d nodes, %d links, %d interfaces, %d classes (compressed %d)\n",
-		rep.Network.Routers, rep.Network.Links, rep.Network.Interfaces,
-		rep.Network.Classes, rep.ClassesCompressed)
-	fmt.Printf("abstract: avg %.1f nodes / %.1f links (%.2fx / %.2fx)\n",
-		rep.AvgAbstractNodes(), rep.AvgAbstractLinks(), rep.NodeRatio, rep.LinkRatio)
+	printCompressSummary(rep)
 	fmt.Printf("dedup: %d compressed fresh, %d transported by symmetry, %d served from cache (of %d classes)\n",
 		rep.Cache.Fresh, rep.Cache.Transported, rep.Cache.Served, rep.ClassesCompressed)
 	if rep.Cache.BudgetBytes > 0 {
@@ -230,6 +224,22 @@ func cmdCompress(args []string) error {
 		rep.BDDSetup.Round(time.Millisecond), rep.Duration.Round(time.Millisecond),
 		(rep.Duration / time.Duration(max(rep.ClassesCompressed, 1))).Round(time.Microsecond))
 	return nil
+}
+
+// printCompressRow and printCompressSummary render compress's text output
+// for the local and thin-client paths: a class's row and the report's head.
+func printCompressRow(r bonsai.ClassResult) {
+	fmt.Printf("%-18s %3d nodes %3d links  %-11s %v\n",
+		r.Prefix, r.AbstractNodes, r.AbstractLinks, r.Source,
+		r.Duration.Round(time.Microsecond))
+}
+
+func printCompressSummary(rep *bonsai.CompressReport) {
+	fmt.Printf("network: %d nodes, %d links, %d interfaces, %d classes (compressed %d)\n",
+		rep.Network.Routers, rep.Network.Links, rep.Network.Interfaces,
+		rep.Network.Classes, rep.ClassesCompressed)
+	fmt.Printf("abstract: avg %.1f nodes / %.1f links (%.2fx / %.2fx)\n",
+		rep.AvgAbstractNodes(), rep.AvgAbstractLinks(), rep.NodeRatio, rep.LinkRatio)
 }
 
 func cmdSimulate(args []string) error {

@@ -43,12 +43,9 @@ func (ef engineFlags) remote(ctx context.Context) (*server.Client, string, bool,
 // remoteCompress is cmdCompress against a daemon tenant: rows stream over
 // NDJSON exactly as the local pipeline streams them.
 func remoteCompress(ctx context.Context, ef engineFlags, c *server.Client, tenant string, sel bonsai.ClassSelector, printRows bool) error {
-	row := func(r bonsai.ClassResult) {
-		if printRows {
-			fmt.Printf("%-18s %3d nodes %3d links  %-11s %v\n",
-				r.Prefix, r.AbstractNodes, r.AbstractLinks, r.Source,
-				r.Duration.Round(time.Microsecond))
-		}
+	var row func(bonsai.ClassResult)
+	if printRows {
+		row = printCompressRow
 	}
 	rep, err := c.CompressStream(ctx, tenant, sel, row)
 	if err != nil {
@@ -57,11 +54,7 @@ func remoteCompress(ctx context.Context, ef engineFlags, c *server.Client, tenan
 	if done, err := ef.emit(rep); done {
 		return err
 	}
-	fmt.Printf("network: %d nodes, %d links, %d interfaces, %d classes (compressed %d)\n",
-		rep.Network.Routers, rep.Network.Links, rep.Network.Interfaces,
-		rep.Network.Classes, rep.ClassesCompressed)
-	fmt.Printf("abstract: avg %.1f nodes / %.1f links (%.2fx / %.2fx)\n",
-		rep.AvgAbstractNodes(), rep.AvgAbstractLinks(), rep.NodeRatio, rep.LinkRatio)
+	printCompressSummary(rep)
 	return nil
 }
 

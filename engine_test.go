@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"bonsai"
+	"bonsai/internal/build"
 	"bonsai/internal/netgen"
+	"bonsai/internal/verify"
 )
 
 func openFattree(t testing.TB, k int, pol netgen.FattreePolicy, opts ...bonsai.Option) *bonsai.Engine {
@@ -95,24 +97,29 @@ func TestEngineVerifyAndReach(t *testing.T) {
 	}
 }
 
-// TestVerifyWorkersBoundedByClasses: each verify worker checks out a policy
-// compiler of a few MiB, so asking for more workers than there are classes
-// must cost no more than one worker per class (Fattree(4) has 8).
+// TestVerifyWorkersBoundedByClasses: AllPairsBonsai fills a policy compiler
+// of a few MiB per worker up front, so asking for more workers than there
+// are classes must cost no more than one compiler per class (Fattree(4) has
+// 8). The fill is sized by the worker count alone, clipped to the classes,
+// and every compression borrows from it, so the two calls allocate alike
+// however their solves are scheduled.
 func TestVerifyWorkersBoundedByClasses(t *testing.T) {
+	b, err := build.New(netgen.Fattree(4, netgen.PolicyShortestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
 	allocated := func(workers int) uint64 {
-		eng := openFattree(t, 4, netgen.PolicyShortestPath, bonsai.WithWorkers(workers))
-		defer eng.Close()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := eng.Verify(context.Background(), bonsai.VerifyRequest{}); err != nil {
+		if _, err := verify.AllPairsBonsai(context.Background(), b, verify.Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	eight, many := allocated(8), allocated(200)
-	if many > 2*eight {
-		t.Fatalf("Verify with 200 workers allocated %d MiB, with 8 workers %d MiB", many>>20, eight>>20)
+	if many > eight+eight/2 {
+		t.Fatalf("AllPairsBonsai with 200 workers allocated %d MiB, with 8 workers %d MiB", many>>20, eight>>20)
 	}
 }
 

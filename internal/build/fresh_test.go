@@ -19,7 +19,9 @@ import (
 // before refinement numbered edge keys without a map and colored groups by a
 // neighbor walk. Between them the networks take BGP ∀∀ strengthening and
 // case splitting (prefer-bottom), transport-sized fat-trees, the operational
-// datacenter's 1 297 classes and a WAN whose classes colour-split.
+// datacenter's 1 297 classes and a WAN whose classes colour-split. The
+// prefer-bottom fat-tree's line was captured again when ∀∀ came to bind a
+// multi-preference group's in-edges as well (docs/audit.md §25).
 func TestAbstractionsMatchParentDigest(t *testing.T) {
 	want, err := os.ReadFile("testdata/abstraction_digests.txt")
 	if err != nil {

@@ -83,14 +83,8 @@ func TestFreshAbstractionsPairwiseMinimal(t *testing.T) {
 						merged[u] = g
 					}
 					m := core.Assemble(b.G, abs.Dest, merged, core.AssembleOptions{Mode: mode, Prefs: prefs, LiveEdges: live})
-					multiPref := make(map[int]bool)
-					for u, g := range m.F {
-						if prefs(topo.NodeID(u)) > 1 {
-							multiPref[g] = true
-						}
-					}
 					c := &oracle.Checker{Abs: m, G: b.G, EdgeKey: edgeKey}
-					if c.CheckAll(mode, multiPref) == nil {
+					if c.CheckAll(mode, prefs) == nil {
 						t.Errorf("%s %v: groups led by %s and %s merge and still satisfy the conditions",
 							tc.name, cls.Prefix, b.G.Name(abs.Groups[x][0]), b.G.Name(abs.Groups[y][0]))
 					}

@@ -32,17 +32,8 @@ func checkConditions(t *testing.T, b *Builder, comp *policy.Compiler, cls ec.Cla
 	if b.HasBGP() {
 		mode = core.ModeBGP
 	}
-	prefs := b.PrefsFunc(cls)
-	multiPref := make(map[int]bool)
-	for gi, ms := range abs.Groups {
-		for _, u := range ms {
-			if prefs(u) > 1 {
-				multiPref[gi] = true
-			}
-		}
-	}
 	c := &oracle.Checker{Abs: abs, G: b.G, EdgeKey: b.EdgeKeyFunc(comp, cls)}
-	if err := c.CheckAll(mode, multiPref); err != nil {
+	if err := c.CheckAll(mode, b.PrefsFunc(cls)); err != nil {
 		t.Errorf("class %v: %v", cls.Prefix, err)
 	}
 
@@ -178,6 +169,40 @@ func TestColourSplitAbstractionsSatisfyConditions(t *testing.T) {
 	b, comp := newBuilder(t, netgen.Ring(13))
 	compressAll(t, b, comp)
 	checkHeld(t, b, comp, "colour-split", func(_ int, e *absEntry) bool { return e.abs.ColorSplits > 0 })
+}
+
+// TestMultiPreferenceAbstractionsSatisfyConditions: every abstraction of two
+// networks whose every class has routers of several local preferences, so
+// that ∀∀ binds, by whatever path compression took to it. Prefer-bottom
+// Fattree(6) is answered fresh and by transport, the spine-leaf preferring
+// external routes fresh, by transport and from the identity cache; each of
+// those paths must occur, or the cell it fills is empty.
+func TestMultiPreferenceAbstractionsSatisfyConditions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  *config.Network
+		want []Provenance
+	}{
+		{"fattree6-prefer-bottom", netgen.Fattree(6, netgen.PolicyPreferBottom), []Provenance{ProvFresh, ProvTransported}},
+		{"spineleaf-prefer-external", netgen.SpineLeaf(netgen.SpineLeafOptions{PreferExternal: true}),
+			[]Provenance{ProvFresh, ProvTransported, ProvCached}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, comp := newBuilder(t, tc.net)
+			provs := compressAll(t, b, comp)
+			count := make(map[Provenance]int)
+			for _, p := range provs {
+				count[p]++
+			}
+			for _, p := range tc.want {
+				if count[p] == 0 {
+					t.Fatalf("no %v abstraction among %v", p, count)
+				}
+			}
+			t.Logf("provenances %v", count)
+			checkHeld(t, b, comp, "multi-preference", func(int, *absEntry) bool { return true })
+		})
+	}
 }
 
 // TestTransportedAbstractionsSatisfyConditions: every abstraction a verified

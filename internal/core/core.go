@@ -23,6 +23,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -192,7 +193,8 @@ func findAbstraction(g *topo.Graph, dest topo.NodeID, opt Options, sweep bool) *
 		before := p.NumGroups()
 		// Phase 2a (∀∀, Algorithm 1 line 19): groups that may use several
 		// local preferences must be uniformly adjacent to their neighbor
-		// groups (modulo self), since their split copies will interconnect.
+		// groups (modulo self), in both directions: their split copies
+		// interconnect, and every copy of a neighbor hears every copy.
 		if opt.Mode == ModeBGP {
 			eng.phase2a(groupPrefs)
 		}
@@ -724,7 +726,7 @@ func (in *interner) intern(words []uint64) int32 {
 func (in *interner) reset() { clear(in.ids) }
 
 // pgPair is one ∀∀ scratch entry: the packed (policy key, neighbor group)
-// token and the reached neighbor itself.
+// token and the neighbor itself.
 type pgPair struct {
 	pg  uint64
 	nbr int32
@@ -785,81 +787,81 @@ func packTok(in bool, tok int32, group int) uint64 {
 // of the edge as a whole.
 //
 // When the group under refinement may use several local preferences
-// (forallForall, Algorithm 1 line 19), out-edge tokens additionally record
-// whether u reaches *every* member of the neighbor group (the ∀∀ condition,
-// group-wise) — and, if not, exactly which members it reaches, so that nodes
-// with matching partial adjacency (e.g. fattree aggregation routers of the
-// same pod) can still share an abstract node. Those variable-length payloads
-// are interned to token IDs first, so every token is one word and the
-// signature is a sorted small int slice, never a string.
+// (forallForall, Algorithm 1 line 19), every token additionally records
+// which members of the neighbor group u has no such edge with, in either
+// direction (forallTokens). At the ∀∃ fixpoint every member of a neighbor
+// group has an edge with some member of u's group, so equal missing sets
+// are empty ones: the group is joined every-to-every to each neighbor group,
+// the ∀∀ condition of Figure 4, on its in-edges as on its out-edges
+// (docs/audit.md §25). Those variable-length payloads are interned to token
+// IDs first, so every token is one word and the signature is a sorted small
+// int slice, never a string.
 func (sc *sigCtx) signature(u topo.NodeID, forallForall bool) int32 {
 	a, p := sc.adj, sc.p
 	ws := sc.ws[:0]
 	if forallForall {
-		// Group out-edges by (policy key, neighbor group): sort the packed
-		// tokens with their reached neighbors so each group is a contiguous
-		// run with the reached members ascending — no per-call maps.
-		pairs := sc.pairs[:0]
-		for _, le := range a.out[u] {
-			pairs = append(pairs, pgPair{packTok(false, le.tok, p.Find(int(le.nbr))), int32(le.nbr)})
-		}
-		slices.SortFunc(pairs, func(x, y pgPair) int {
-			switch {
-			case x.pg < y.pg:
-				return -1
-			case x.pg > y.pg:
-				return 1
-			case x.nbr < y.nbr:
-				return -1
-			case x.nbr > y.nbr:
-				return 1
-			}
-			return 0
-		})
-		sc.pairs = pairs
-		for s := 0; s < len(pairs); {
-			t := s + 1
-			for t < len(pairs) && pairs[t].pg == pairs[s].pg {
-				t++
-			}
-			pg := pairs[s].pg
-			// Record which members of the neighbor group u does NOT reach,
-			// always excluding u itself: nodes whose reach differs only by
-			// self-exclusion (the split copies of §4.3 never self-connect)
-			// must share a key, while partial adjacency (fattree pods)
-			// still separates correctly. Members and the reached run are
-			// both sorted, so the missing set is a linear merge.
-			tw := append(sc.tw[:0], pg, 0)
-			j := s
-			for _, m := range p.Members(int(uint32(pg))) {
-				if m == int(u) {
-					continue
-				}
-				for j < t && int(pairs[j].nbr) < m {
-					j++
-				}
-				if j < t && int(pairs[j].nbr) == m {
-					continue
-				}
-				tw = append(tw, uint64(m))
-			}
-			if len(tw) == 2 {
-				tw[1] = 1 // reaches the whole group
-			}
-			sc.tw = tw
-			ws = append(ws, packTok(false, sc.toks.intern(tw), 0))
-			s = t
-		}
+		ws = sc.forallTokens(ws, u, a.out[u], false)
+		ws = sc.forallTokens(ws, u, a.in[u], true)
 	} else {
 		for _, le := range a.out[u] {
 			ws = append(ws, packTok(false, le.tok, p.Find(int(le.nbr))))
 		}
-	}
-	for _, le := range a.in[u] {
-		ws = append(ws, packTok(true, le.tok, p.Find(int(le.nbr))))
+		for _, le := range a.in[u] {
+			ws = append(ws, packTok(true, le.tok, p.Find(int(le.nbr))))
+		}
 	}
 	slices.Sort(ws)
 	ws = slices.Compact(ws)
 	sc.ws = ws
 	return sc.sigs.intern(ws)
+}
+
+// forallTokens appends u's ∀∀ tokens over les, its live edges in one
+// direction: one per (policy key, neighbor group), naming the members of
+// the neighbor group u has no such edge with.
+func (sc *sigCtx) forallTokens(ws []uint64, u topo.NodeID, les []liveEdge, in bool) []uint64 {
+	// Sort the packed tokens with their neighbors so each (policy, group)
+	// is a contiguous run with the neighbors ascending — no per-call maps.
+	p := sc.p
+	pairs := sc.pairs[:0]
+	for _, le := range les {
+		pairs = append(pairs, pgPair{packTok(in, le.tok, p.Find(int(le.nbr))), int32(le.nbr)})
+	}
+	slices.SortFunc(pairs, func(x, y pgPair) int {
+		return cmp.Or(cmp.Compare(x.pg, y.pg), cmp.Compare(x.nbr, y.nbr))
+	})
+	sc.pairs = pairs
+	for s := 0; s < len(pairs); {
+		t := s + 1
+		for t < len(pairs) && pairs[t].pg == pairs[s].pg {
+			t++
+		}
+		pg := pairs[s].pg
+		// Record which members of the neighbor group u has no edge with,
+		// always excluding u itself: nodes whose adjacency differs only by
+		// self-exclusion (the split copies of §4.3 never self-connect) must
+		// share a key. Members and the run are both sorted, so the missing
+		// set is a linear merge.
+		tw := append(sc.tw[:0], pg, 0)
+		j := s
+		for _, m := range p.Members(int(uint32(pg))) {
+			if m == int(u) {
+				continue
+			}
+			for j < t && int(pairs[j].nbr) < m {
+				j++
+			}
+			if j < t && int(pairs[j].nbr) == m {
+				continue
+			}
+			tw = append(tw, uint64(m))
+		}
+		if len(tw) == 2 {
+			tw[1] = 1 // joined to the whole group
+		}
+		sc.tw = tw
+		ws = append(ws, packTok(in, sc.toks.intern(tw), 0))
+		s = t
+	}
+	return ws
 }

@@ -98,11 +98,12 @@ func (c *Checker) CheckForallExists() error {
 	return nil
 }
 
-// CheckForallForall verifies the stronger ∀∀-abstraction condition required
-// by BGP-effective abstractions (Figure 4) for the listed groups: every
-// member of the source group has a live edge to every member of the target
-// group (excluding itself). Groups not listed are skipped — the paper only
-// needs ∀∀ around nodes with multiple local-preference behaviors.
+// CheckForallForall verifies the ∀∀-abstraction condition of BGP-effective
+// abstractions (Figure 4), which compression refines by (docs/audit.md §25):
+// on every live group edge with a listed group at either end, every member
+// of the source group has a live edge to every member of the target group
+// (excluding itself). Groups not listed are skipped — the paper only needs
+// ∀∀ around nodes with multiple local-preference behaviors.
 func (c *Checker) CheckForallForall(groups map[int]bool) error {
 	a := c.Abs
 	for _, ge := range c.liveGroupEdges() {
@@ -111,12 +112,8 @@ func (c *Checker) CheckForallForall(groups map[int]bool) error {
 		}
 		for _, u := range a.Groups[ge.src] {
 			for _, v := range a.Groups[ge.dst] {
-				if u == v {
-					continue
-				}
-				if !c.G.HasEdge(u, v) || c.EdgeKey(u, v).Dead() {
-					return fmt.Errorf("abstraction: ∀∀ violated: %s has no live edge to %s",
-						c.G.Name(u), c.G.Name(v))
+				if u != v && (!c.G.HasEdge(u, v) || c.EdgeKey(u, v).Dead()) {
+					return fmt.Errorf("abstraction: ∀∀ violated: %s has no live edge to %s", c.G.Name(u), c.G.Name(v))
 				}
 			}
 		}
@@ -172,8 +169,9 @@ func (c *Checker) CheckSelfLoopFreedom() []topo.Edge {
 }
 
 // CheckAll runs every condition appropriate for the mode and returns the
-// first violation.
-func (c *Checker) CheckAll(mode core.Mode, multiPrefGroups map[int]bool) error {
+// first violation. In ModeBGP, ∀∀ binds the groups with a member of more
+// than one local preference under prefs (Builder.PrefsFunc).
+func (c *Checker) CheckAll(mode core.Mode, prefs func(topo.NodeID) int) error {
 	if err := c.CheckDestEquivalence(); err != nil {
 		return err
 	}
@@ -183,12 +181,14 @@ func (c *Checker) CheckAll(mode core.Mode, multiPrefGroups map[int]bool) error {
 	if err := c.CheckTransferEquivalence(); err != nil {
 		return err
 	}
-	if mode == core.ModeBGP {
-		if err := c.CheckForallForall(multiPrefGroups); err != nil {
-			return err
-		}
+	if mode != core.ModeBGP {
+		return nil
 	}
-	return nil
+	multiPref := make(map[int]bool)
+	for u, g := range c.Abs.F {
+		multiPref[g] = multiPref[g] || prefs(topo.NodeID(u)) > 1
+	}
+	return c.CheckForallForall(multiPref)
 }
 
 type groupEdge struct{ src, dst int }

@@ -65,21 +65,12 @@ func TestGeneratedNetworksSatisfyConditions(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			key := b.EdgeKeyFunc(comp, cls)
-			prefsFn := b.PrefsFunc(cls)
-			multiPref := make(map[int]bool)
-			for gi, ms := range abs.Groups {
-				for _, u := range ms {
-					if prefsFn(u) > 1 {
-						multiPref[gi] = true
-					}
-				}
-			}
 			mode := core.ModeEffective
 			if b.HasBGP() {
 				mode = core.ModeBGP
 			}
 			c := &Checker{Abs: abs, G: b.G, EdgeKey: key}
-			if err := c.CheckAll(mode, multiPref); err != nil {
+			if err := c.CheckAll(mode, b.PrefsFunc(cls)); err != nil {
 				t.Fatalf("%s class %v: %v", name, cls.Prefix, err)
 			}
 		}
@@ -145,6 +136,43 @@ func TestDetectsBrokenForallForall(t *testing.T) {
 		t.Fatalf("test premise broken: %v", err)
 	}
 	if err := c.CheckForallForall(map[int]bool{abs.F[x1]: true}); err == nil {
+		t.Fatal("∀∀ violation not detected")
+	}
+}
+
+func TestDetectsForallForallGapSharedByTheGroup(t *testing.T) {
+	// x1 and x2, a multi-preference group, both learn from y1 and neither
+	// from y2, which is merged with y1; y1 and y2 learn from d, and no y
+	// learns from an x. ∀∃ holds and the two x miss the same member of the
+	// y group, but neither has an edge to y2.
+	g := topo.New()
+	d, x1, x2, y1, y2 := g.AddNode("d"), g.AddNode("x1"), g.AddNode("x2"), g.AddNode("y1"), g.AddNode("y2")
+	g.AddLink(d, y1)
+	g.AddLink(d, y2)
+	g.AddLink(y1, x1)
+	g.AddLink(y1, x2)
+	key := func(u, v topo.NodeID) core.EdgeKey {
+		if (u == y1 || u == y2) && (v == x1 || v == x2) || u == d {
+			return core.EdgeKey{}
+		}
+		return uniformKey(u, v)
+	}
+	live := make([]bool, len(g.Edges()))
+	for i, e := range g.Edges() {
+		live[i] = !key(e.U, e.V).Dead()
+	}
+	prefs := func(u topo.NodeID) int {
+		if u == x1 || u == x2 {
+			return 2
+		}
+		return 1
+	}
+	abs := core.Assemble(g, d, []int{0, 1, 1, 2, 2}, core.AssembleOptions{Mode: core.ModeBGP, Prefs: prefs, LiveEdges: live})
+	c := &Checker{Abs: abs, G: g, EdgeKey: key}
+	if err := c.CheckForallExists(); err != nil {
+		t.Fatalf("test premise broken: %v", err)
+	}
+	if err := c.CheckAll(core.ModeBGP, prefs); err == nil {
 		t.Fatal("∀∀ violation not detected")
 	}
 }
