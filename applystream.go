@@ -2,7 +2,6 @@ package bonsai
 
 import (
 	"context"
-	"errors"
 	"time"
 )
 
@@ -66,21 +65,22 @@ func (e *Engine) ApplyStats() ApplyStats {
 
 // ApplyStreamReport summarises one ApplyStream run. It is provenance whole.
 type ApplyStreamReport struct {
-	// Deltas counts deltas read from the channel; Rejected of those failed
-	// validation and were skipped (the stream continues), or were in a batch
-	// whose result is not a valid network (ErrInvalidDelta, which ends the
-	// stream).
+	// Deltas counts deltas read from the channel; Rejected of those named
+	// what the network lacks or left a network that does not validate
+	// (what Apply refuses with ErrInvalidDelta), and were skipped: the
+	// stream continues.
 	Deltas   int `json:"deltas"`
 	Rejected int `json:"rejected"`
-	// Batches counts coalesced flushes; EmptyBatches of those cancelled to
-	// an empty canonical delta (e.g. a flap storm returning every link to
-	// its base state) and touched nothing.
+	// Batches counts flushes; EmptyBatches of those had an empty net change
+	// (e.g. a flap storm returning every link to its base state) and
+	// touched nothing.
 	Batches      int `json:"batches"`
 	EmptyBatches int `json:"empty_batches"`
 	// EditsReceived counts individual edits across all accepted deltas;
-	// EditsApplied counts edits surviving coalescing into canonical
-	// deltas; Coalesced is the difference, and CoalesceRatio is
-	// EditsReceived/EditsApplied (0 when nothing was applied).
+	// EditsApplied counts the batches' net changes: the link records and
+	// the routers that differ from each batch's base. Coalesced is the
+	// difference, and CoalesceRatio is EditsReceived/EditsApplied (0 when
+	// nothing was applied).
 	EditsReceived int     `json:"edits_received"`
 	EditsApplied  int     `json:"edits_applied"`
 	Coalesced     int     `json:"coalesced"`
@@ -104,19 +104,19 @@ type ApplyStreamReport struct {
 	Duration     time.Duration `json:"duration_ns"`
 }
 
-// ApplyAll replays a recorded delta sequence through the coalescing stream
-// path and returns its report. It is the recovery entry point: a journal
-// tail re-applied as one burst gets the same coalescing as the live stream
-// that wrote it, so a flap storm that crashed mid-burst still cancels out on
-// recovery instead of being replayed flap by flap. Invalid deltas are
-// counted and skipped exactly as ApplyStream does, which keeps a replayed
-// history deterministic: a delta rejected live is rejected again on every
-// recovery.
+// ApplyAll replays a recorded delta sequence through the stream path and
+// returns its report. It is the recovery entry point: a journal tail
+// re-applied as one burst is one batch, so a flap storm that crashed
+// mid-burst costs one rebuild on recovery, not one per flap. A batch is its
+// deltas applied in order, each refused on its own as Apply refuses it, so
+// the configuration recovered is the one the live applies reached: a delta
+// rejected live is rejected again on every recovery, and the deltas around
+// it stand.
 func (e *Engine) ApplyAll(ctx context.Context, deltas []Delta, opts ...StreamApplyOption) (*ApplyStreamReport, error) {
-	// The whole sequence is in hand, so hand it to the coalescer in one
+	// The whole sequence is in hand, so hand it to the stream in one
 	// fully-buffered burst. An unbuffered feed would let the drain-flush
 	// fire between single sends, degrading a 10k-delta journal tail into
-	// ~10k rebuilds instead of one coalesced batch.
+	// ~10k rebuilds instead of one batch.
 	ch := make(chan Delta, len(deltas))
 	for _, d := range deltas {
 		ch <- d
@@ -126,10 +126,12 @@ func (e *Engine) ApplyAll(ctx context.Context, deltas []Delta, opts ...StreamApp
 }
 
 // ApplyStream consumes configuration deltas from a channel until it closes,
-// coalescing queued deltas into canonical batches (a flap's LinkDown +
-// LinkUp cancels before any invalidation; route-map, prefix-list and origin
-// edits are last-writer-wins per key) and applying each batch as a single
-// topology rebuild plus one adoption pass. The robustness contract:
+// gathering queued deltas into batches and applying each batch as a single
+// topology rebuild plus one adoption pass. A batch is its deltas applied in
+// order to a fork of the served configuration, each validated and checked
+// as Apply does it; the rebuild sees only the batch's net change, so a
+// flap's LinkDown + LinkUp cancels before any invalidation. The robustness
+// contract:
 //
 //   - Backpressure: the channel is read only as fast as rebuilds complete —
 //     a batch applies on the stream's goroutine, so while it does, producers
@@ -142,8 +144,9 @@ func (e *Engine) ApplyAll(ctx context.Context, deltas []Delta, opts ...StreamApp
 //     the channel closes (close).
 //   - Graceful degradation: an oversized burst swaps to a cold snapshot
 //     (classes recompress lazily) instead of erroring or buffering without
-//     bound; invalid deltas are counted and skipped, never fatal, and one
-//     that arrives alone starts no batch.
+//     bound; invalid deltas, including one whose result does not validate,
+//     are counted and skipped, never fatal, and one that arrives alone
+//     starts no batch.
 //
 // ApplyStream serializes with Apply (and other ApplyStream calls): it holds
 // the engine's apply lock for its whole run. Queries are never blocked —
@@ -188,35 +191,30 @@ func (e *Engine) ApplyStream(ctx context.Context, deltas <-chan Delta, opts ...S
 		return rep, err
 	}
 
-	c := newCoalescer(e.state.Load().cfg)
+	bt := newBatch(e.state.Load())
 	take := func(d Delta) {
 		rep.Deltas++
-		if c.add(d) != nil {
+		if bt.add(&d) != nil {
 			rep.Rejected++
 		} else if pending++; pending > rep.MaxPending {
 			rep.MaxPending = pending
 		}
 		publish()
 	}
-	// cut applies the pending batch as one canonical delta, counts the cut
-	// under reason, and starts the next batch against the new snapshot.
+	// cut applies the pending batch, counts the cut under reason, and
+	// starts the next batch against the new snapshot.
 	cut := func(reason *int) error {
 		rep.Batches++
 		*reason++
-		d, cst := c.build()
-		rep.EditsReceived += cst.EditsIn
-		rep.EditsApplied += cst.EditsOut
-		rep.Coalesced += cst.Coalesced
-		var br *ApplyReport
-		var err error
-		if d.empty() {
-			rep.EmptyBatches++
-			if o.observer != nil {
-				br = &ApplyReport{Classes: len(e.state.Load().b.Classes())}
+		rep.EditsReceived += bt.edits
+		br, err := e.applyBatch(ctx, bt)
+		if err == nil {
+			applied := bt.edits - br.Coalesced
+			if applied == 0 {
+				rep.EmptyBatches++
 			}
-		} else if br, err = e.applyDelta(ctx, d); errors.Is(err, ErrInvalidDelta) {
-			rep.Rejected += pending // the batch is refused whole, and ends the stream
-		} else if err == nil {
+			rep.EditsApplied += applied
+			rep.Coalesced += br.Coalesced
 			rep.Adopted += br.Adopted
 			rep.Invalidated += br.Invalidated
 			rep.NewClasses += br.NewClasses
@@ -224,13 +222,12 @@ func (e *Engine) ApplyStream(ctx context.Context, deltas <-chan Delta, opts ...S
 			if br.Degraded {
 				rep.DegradedBatches++
 			}
-		}
-		if err == nil && o.observer != nil {
-			br.CoalescedAway, br.Coalesced = cst.CoalescedAway, cst.Coalesced
-			o.observer(br)
+			if o.observer != nil {
+				o.observer(br)
+			}
 		}
 		pending = 0
-		c = newCoalescer(e.state.Load().cfg)
+		bt = newBatch(e.state.Load())
 		publish()
 		return err
 	}

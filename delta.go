@@ -3,6 +3,7 @@ package bonsai
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"bonsai/internal/config"
 	"bonsai/internal/policy"
@@ -82,12 +83,13 @@ type OriginEdit struct {
 	Prefix string `json:"prefix"`
 }
 
-// Delta is a batch of configuration edits applied atomically by
-// Engine.Apply. Link flaps toggle an administrative down flag, so the
-// routers' session and interface configuration referencing the link
-// survives a LinkDown and is restored by the matching LinkUp; LinkUp of a
-// link that never existed creates a bare link (attach sessions via policy
-// or neighbor configuration in the network before bringing it up).
+// Delta is a set of configuration edits applied atomically by Engine.Apply,
+// in the order of its fields and each list in order. Link flaps toggle an
+// administrative down flag, so the routers' session and interface
+// configuration referencing the link survives a LinkDown and is restored by
+// the matching LinkUp; LinkUp of a link that never existed creates a bare
+// link (attach sessions via policy or neighbor configuration in the network
+// before bringing it up).
 type Delta struct {
 	// LinkDown takes existing links administratively down.
 	LinkDown []LinkRef `json:"link_down,omitempty"`
@@ -103,60 +105,20 @@ type Delta struct {
 	RemoveOriginated []OriginEdit `json:"remove_originated,omitempty"`
 }
 
-// empty reports whether the delta contains no edits.
-func (d *Delta) empty() bool {
-	return len(d.LinkDown) == 0 && len(d.LinkUp) == 0 &&
-		len(d.SetRouteMaps) == 0 && len(d.SetPrefixLists) == 0 &&
-		len(d.AddOriginated) == 0 && len(d.RemoveOriginated) == 0
-}
-
-// touchedRouters returns the routers whose configuration (beyond link
-// state) the delta edits.
-func (d *Delta) touchedRouters() []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(r string) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	for _, e := range d.SetRouteMaps {
-		add(e.Router)
-	}
-	for _, e := range d.SetPrefixLists {
-		add(e.Router)
-	}
-	for _, e := range d.AddOriginated {
-		add(e.Router)
-	}
-	for _, e := range d.RemoveOriginated {
-		add(e.Router)
-	}
-	return out
-}
-
 // Validate checks every edit of the delta against cfg without mutating
 // anything: link references must name existing links (LinkDown) or known
 // routers (LinkUp of a new link), policy and origin edits must name known
-// routers, and origin prefixes must parse. Engine.Apply and the stream
-// coalescer validate before any clone or compile work, so a bad edit fails
+// routers, and origin prefixes must parse. A batch validates each delta
+// against its fork before any clone or compile work, so a bad edit fails
 // fast and a delta is applied either completely or not at all.
 func (d *Delta) Validate(cfg *config.Network) error {
-	return d.validate(cfg, func(a, b string) bool { return cfg.FindLink(a, b) >= 0 })
-}
-
-// validate is the one delta validator. linkExists says whether a link is
-// there to be taken down or brought back up: in cfg for Validate, in cfg or
-// pending in the batch for the stream coalescer.
-func (d *Delta) validate(cfg *config.Network, linkExists func(a, b string) bool) error {
 	for _, l := range d.LinkDown {
-		if !linkExists(l.A, l.B) {
+		if cfg.FindLink(l.A, l.B) < 0 {
 			return fmt.Errorf("bonsai: delta: no link %s -- %s", l.A, l.B)
 		}
 	}
 	for _, l := range d.LinkUp {
-		if linkExists(l.A, l.B) {
+		if cfg.FindLink(l.A, l.B) >= 0 {
 			continue
 		}
 		for _, r := range []string{l.A, l.B} {
@@ -194,41 +156,35 @@ func (d *Delta) validate(cfg *config.Network, linkExists func(a, b string) bool)
 	return nil
 }
 
-// apply mutates cfg, a private config.Network.Fork of the configuration
-// being served, in place. Routers and their policy namespaces are
-// copy-on-write: cfg shares every *Router with its predecessor, so a router
+// edits counts the delta's edits.
+func (d *Delta) edits() int {
+	return len(d.LinkDown) + len(d.LinkUp) + len(d.SetRouteMaps) +
+		len(d.SetPrefixLists) + len(d.AddOriginated) + len(d.RemoveOriginated)
+}
+
+// editRouters makes the delta's policy and origin edits on clones of the
+// routers of cfg they edit and returns the clones by name; cfg is not
+// written. Routers and their policy namespaces are copy-on-write: a router
 // is replaced by its Clone — and, for policy edits, its Env by a copy —
-// before its first edit, and the predecessor is never written through. Link
-// records are cfg's own. The delta must have passed Validate against the
-// configuration cfg was forked from: that is what makes an apply
-// all-or-nothing, and apply does not run it again.
-func (d *Delta) apply(cfg *config.Network) error {
-	for _, l := range d.LinkDown {
-		cfg.Links[cfg.FindLink(l.A, l.B)].Down = true
-	}
-	for _, l := range d.LinkUp {
-		if i := cfg.FindLink(l.A, l.B); i >= 0 {
-			cfg.Links[i].Down = false
-			continue
-		}
-		cfg.Links = append(cfg.Links, config.Link{A: l.A, B: l.B})
-	}
-	// own returns the named router once it is cfg's to edit; envFor also
-	// gives it a policy namespace of its own.
-	owned := make(map[string]bool)
+// before its first edit. The delta must have passed Validate against cfg.
+func (d *Delta) editRouters(cfg *config.Network) map[string]*config.Router {
+	var out map[string]*config.Router
 	own := func(name string) *config.Router {
-		if !owned[name] {
-			cfg.Routers[name] = cfg.Routers[name].Clone()
-			owned[name] = true
+		r, ok := out[name]
+		if !ok {
+			if out == nil {
+				out = make(map[string]*config.Router)
+			}
+			r = cfg.Routers[name].Clone()
+			out[name] = r
 		}
-		return cfg.Routers[name]
+		return r
 	}
-	envCloned := make(map[string]bool)
+	// envFor also gives the router a policy namespace of its own.
 	envFor := func(name string) *config.Router {
 		r := own(name)
-		if !envCloned[name] {
+		if r.Env == cfg.Routers[name].Env {
 			r.CloneEnv()
-			envCloned[name] = true
 		}
 		return r
 	}
@@ -254,36 +210,31 @@ func (d *Delta) apply(cfg *config.Network) error {
 	}
 	for _, e := range d.AddOriginated {
 		r := own(e.Router)
-		p, err := netip.ParsePrefix(e.Prefix)
-		if err != nil {
-			return fmt.Errorf("bonsai: delta: bad prefix %q: %w", e.Prefix, err)
-		}
-		p = p.Masked()
-		exists := false
-		for _, q := range r.Originate {
-			if q == p {
-				exists = true
-				break
-			}
-		}
-		if !exists {
+		p := netip.MustParsePrefix(e.Prefix).Masked()
+		if !slices.Contains(r.Originate, p) {
 			r.Originate = append(r.Originate, p)
 		}
 	}
 	for _, e := range d.RemoveOriginated {
 		r := own(e.Router)
-		p, err := netip.ParsePrefix(e.Prefix)
-		if err != nil {
-			return fmt.Errorf("bonsai: delta: bad prefix %q: %w", e.Prefix, err)
-		}
-		p = p.Masked()
-		out := r.Originate[:0]
-		for _, q := range r.Originate {
-			if q != p {
-				out = append(out, q)
-			}
-		}
-		r.Originate = out
+		p := netip.MustParsePrefix(e.Prefix).Masked()
+		r.Originate = slices.DeleteFunc(r.Originate, func(q netip.Prefix) bool { return q == p })
 	}
-	return nil
+	return out
+}
+
+// editLinks makes the delta's link edits on cfg's own link records: a
+// LinkDown sets the Down flag, a LinkUp clears it or appends the link. The
+// delta must have passed Validate against cfg.
+func (d *Delta) editLinks(cfg *config.Network) {
+	for _, l := range d.LinkDown {
+		cfg.Links[cfg.FindLink(l.A, l.B)].Down = true
+	}
+	for _, l := range d.LinkUp {
+		if i := cfg.FindLink(l.A, l.B); i >= 0 {
+			cfg.Links[i].Down = false
+			continue
+		}
+		cfg.Links = append(cfg.Links, config.Link{A: l.A, B: l.B})
+	}
 }

@@ -20,9 +20,10 @@ import (
 // ErrClosed is returned by engine operations after Close.
 var ErrClosed = errors.New("bonsai: engine is closed")
 
-// ErrInvalidDelta is wrapped by the Apply and ApplyStream errors the delta
-// itself causes: it names what the network lacks, or its result does not
-// validate. The engine keeps serving the snapshot before it.
+// ErrInvalidDelta is wrapped by the Apply errors the delta itself causes: it
+// names what the network lacks, or its result does not validate. The engine
+// keeps serving the snapshot before it. ApplyStream counts such a delta
+// rejected and goes on.
 var ErrInvalidDelta = errors.New("bonsai: invalid delta")
 
 // Engine is a long-lived compression and verification session over one
@@ -465,34 +466,35 @@ func (e *Engine) Routes(ctx context.Context, destPrefix string) (*RoutesReport, 
 	return rep, nil
 }
 
-// Apply atomically applies a configuration delta. It validates the delta
-// against the live configuration, applies it to a copy-on-write fork and
-// builds the successor from that fork (build.Builder.Successor): only the
-// routers the delta edited are validated, the node table is shared, the
-// community universes and spaces are shared when no policy namespace
-// changed, and the edge index and per-edge tables are spliced from the
-// predecessor's through one edge diff — the stretches of edges both hold
-// are copied, and only the edges the delta added or that touch an edited
-// router are looked up by name; the result equals build.New of the fork.
-// The same diff tells adoption which edges went and came. An edit that
-// leaves an invalid network fails with ErrInvalidDelta and changes
-// nothing. Apply
-// then carries every cached abstraction that is still valid across the
-// change (build.AdoptFrom): per cached class, every edge carrying a policy
-// object the delta edited must be dead for the class before and after, and
-// every live edge the delta removed or added must have a same-labelled edge
-// between the same two abstract groups that it leaves or finds in place. A
-// class that passes keeps its abstraction, and its class signature too when
-// the policy tables are unchanged and no static applies to it; the class
-// index is carried whole when no router's originated prefixes changed. Only
-// the classes the delta actually affected are invalidated — they recompress
-// lazily on their next query — and a delta touching a quarter of the links
-// or routers skips the sweep and leaves every class cold. Queries running
-// concurrently with Apply finish against the pre-delta snapshot; queries
-// started after Apply returns see the post-delta network and the surviving
-// warm cache.
+// Apply atomically applies a configuration delta: a batch of one (see
+// ApplyStream). It validates the delta against the live configuration,
+// makes its edits on a copy-on-write fork, checks the routers whose policy
+// namespace changed, and builds the successor from that fork
+// (build.Builder.Successor): the node table is shared, the community
+// universes and spaces are shared when no policy namespace changed, and the
+// edge index and per-edge tables are spliced from the predecessor's through
+// one edge diff — the stretches of edges both hold are copied, and only the
+// edges the delta added or that touch an edited router are looked up by
+// name; the result equals build.New of the fork. The same diff tells
+// adoption which edges went and came. A delta naming what the network
+// lacks, or leaving an invalid network, fails with ErrInvalidDelta and
+// changes nothing; one that changes nothing (a link taken down that was
+// down) swaps nothing. Apply then carries every cached abstraction that is
+// still valid across the change (build.AdoptFrom): per cached class, every
+// edge carrying a policy object the delta edited must be dead for the class
+// before and after, and every live edge the delta removed or added must
+// have a same-labelled edge between the same two abstract groups that it
+// leaves or finds in place. A class that passes keeps its abstraction, and
+// its class signature too when the policy tables are unchanged and no
+// static applies to it; the class index is carried whole when no router's
+// originated prefixes changed. Only the classes the delta actually affected
+// are invalidated — they recompress lazily on their next query — and a
+// delta changing a quarter of the links or routers skips the sweep and
+// leaves every class cold. Queries running concurrently with Apply finish
+// against the pre-delta snapshot; queries started after Apply returns see
+// the post-delta network and the surviving warm cache.
 func (e *Engine) Apply(ctx context.Context, d Delta) (*ApplyReport, error) {
-	if d.empty() {
+	if d.edits() == 0 {
 		return nil, fmt.Errorf("bonsai: empty delta")
 	}
 	if e.closed.Load() {
@@ -500,28 +502,33 @@ func (e *Engine) Apply(ctx context.Context, d Delta) (*ApplyReport, error) {
 	}
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
-	return e.applyDelta(ctx, d)
+	bt := newBatch(e.state.Load())
+	if err := bt.add(&d); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidDelta, err)
+	}
+	return e.applyBatch(ctx, bt)
 }
 
-// oversizedDelta reports whether the delta's blast radius makes the
-// per-class adoption sweep a bad bet: when a burst flaps a quarter of the
-// links or edits a quarter of the routers, almost every class fails its
-// stability checks anyway, so the sweep's O(classes × degree) cost buys
-// nothing. The engine then degrades gracefully — cold successor snapshot,
-// every class recompresses lazily on its next query — instead of erroring
-// or grinding through a doomed sweep.
-func oversizedDelta(cfg *config.Network, d *Delta) bool {
-	links := len(d.LinkDown) + len(d.LinkUp)
-	routers := len(d.touchedRouters())
+// oversized reports whether a net change of links link records and routers
+// routers makes the per-class adoption sweep a bad bet: when a batch flaps a
+// quarter of the links or edits a quarter of the routers, almost every
+// class fails its stability checks anyway, so the sweep's O(classes ×
+// degree) cost buys nothing. The engine then degrades gracefully — cold
+// successor snapshot, every class recompresses lazily on its next query —
+// instead of erroring or grinding through a doomed sweep.
+func oversized(cfg *config.Network, links, routers int) bool {
 	return links*4 > len(cfg.Links) || routers*4 > len(cfg.Routers)
 }
 
-// applyDelta is the shared core of Apply and ApplyStream: validate, fork,
-// rebuild, adopt (or degrade), swap. The caller holds applyMu. Any panic in
-// the rebuild or adoption machinery is contained here: the snapshot is not
-// swapped, the old state keeps serving queries, and the panic surfaces as
-// an error with the stack attached.
-func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err error) {
+// applyBatch is the one cut of Apply, ApplyStream and ApplyAll: settle the
+// batch to its net change and, unless that is empty, rebuild, adopt (or
+// degrade) and swap. The report's Coalesced counts the batch's edits the
+// net change does not hold. The caller holds applyMu, and bt was made from
+// the snapshot being served. Any panic in the rebuild or adoption machinery
+// is contained here: the snapshot is not swapped, the old state keeps
+// serving queries, and the panic surfaces as an error with the stack
+// attached.
+func (e *Engine) applyBatch(ctx context.Context, bt *batch) (rep *ApplyReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep = nil
@@ -530,18 +537,11 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	}()
 	start := time.Now()
 	st := e.state.Load()
-	// Validate against the live config before paying for the fork: a delta
-	// that passes applies completely, one that fails touches nothing. The
-	// successor shares every router the delta does not edit with the
-	// snapshot still being served (Delta.apply).
-	if err := d.Validate(st.cfg); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidDelta, err)
+	links, routers := bt.settle()
+	if links == 0 && len(routers) == 0 {
+		return &ApplyReport{Classes: len(st.b.Classes()), Coalesced: bt.edits, Duration: time.Since(start)}, nil
 	}
-	cfg2 := st.cfg.Fork()
-	if err := d.apply(cfg2); err != nil {
-		return nil, err
-	}
-	b2, err := st.b.Successor(cfg2)
+	b2, err := st.b.Successor(bt.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: it produces an invalid network: %w", ErrInvalidDelta, err)
 	}
@@ -552,10 +552,10 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	// relation caches ride on the compilers (policy.Compiler.Cache), and
 	// entries are keyed by policy-namespace pointer, which unchanged routers
 	// share with the old config.
-	st2 := e.newState(cfg2, b2)
+	st2 := e.newState(bt.cfg, b2)
 
 	var stats build.AdoptStats
-	degraded := oversizedDelta(st.cfg, &d)
+	degraded := oversized(st.cfg, links, len(routers))
 	if degraded {
 		// Cold successor: no adoption sweep, every class recompresses
 		// lazily.
@@ -563,9 +563,7 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 	} else {
 		pc := e.acquire(st2)
 		defer e.release(pc)
-		stats, err = b2.AdoptFrom(ctx, pc.comp, st.b, build.AdoptDelta{
-			TouchedRouters: d.touchedRouters(),
-		})
+		stats, err = b2.AdoptFrom(ctx, pc.comp, st.b, build.AdoptDelta{TouchedRouters: routers})
 		if err != nil {
 			return nil, err // state not swapped; the old snapshot stays live
 		}
@@ -584,6 +582,7 @@ func (e *Engine) applyDelta(ctx context.Context, d Delta) (rep *ApplyReport, err
 		Classes:    len(b2.Classes()),
 		AdoptStats: stats,
 		Degraded:   degraded,
+		Coalesced:  bt.edits - links - len(routers),
 		Duration:   time.Since(start),
 	}, nil
 }

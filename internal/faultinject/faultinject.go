@@ -24,7 +24,7 @@ const (
 	// StoreInstall fires before an abstraction is installed into the
 	// bounded store; the key is the class prefix.
 	StoreInstall Point = "store.install"
-	// ApplySwap fires after a delta's successor snapshot is fully built,
+	// ApplySwap fires after a batch's successor snapshot is fully built,
 	// just before the engine publishes it.
 	ApplySwap Point = "apply.swap"
 	// JournalAppend fires in journal.Append before the record is written;

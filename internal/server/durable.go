@@ -2,9 +2,10 @@
 // write-ahead journal before the engine runs it, a background checkpointer
 // snapshots the tenant's current network config and truncates the journal
 // behind it, and daemon start recovers each journaled tenant from its last
-// checkpoint plus the journal tail replayed through the coalescing stream
-// path. The correctness backbone is that every Delta edit is an idempotent
-// blind write, so replay is prefix-idempotent: re-applying an already-applied
+// checkpoint plus the journal tail replayed as one batch (Engine.ApplyAll),
+// which refuses again, on its own, each delta the live tenant refused. The
+// correctness backbone is that every Delta edit is an idempotent blind
+// write, so replay is prefix-idempotent: re-applying an already-applied
 // record converges to the same state, which lets recovery (and the
 // reconverge pass after an aborted replay stream) over-replay from any
 // conservative lower bound instead of tracking an exact applied frontier.
@@ -287,10 +288,10 @@ func (r *registry) recoverAll() {
 }
 
 // recoverOne rebuilds a single tenant: parse the checkpointed config, build
-// a fresh engine over it, replay the journal tail through the coalescing
-// stream path, then attach the journal for new appends. The read-only tail
-// scan runs before journal.Open because Open repairs (truncates) a torn
-// tail — scanning first preserves the damage evidence for /stats.
+// a fresh engine over it, replay the journal tail through Engine.ApplyAll,
+// then attach the journal for new appends. The read-only tail scan runs
+// before journal.Open because Open repairs (truncates) a torn tail —
+// scanning first preserves the damage evidence for /stats.
 func (r *registry) recoverOne(name string) error {
 	dir := r.tenantDir(name)
 	ck, err := journal.LoadCheckpoint(dir)

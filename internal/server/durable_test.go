@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"bonsai"
+	"bonsai/internal/config"
 	"bonsai/internal/journal"
 	"bonsai/internal/netgen"
 )
@@ -208,6 +209,52 @@ func TestDurableTailRecovery(t *testing.T) {
 	}
 	if !strings.Contains(exp, `bonsaid_journal_replayed_deltas_total{tenant="ft"} 3`) {
 		t.Fatalf("metrics missing replay counter:\n%s", grepLines(exp, "journal"))
+	}
+}
+
+// TestRecoveryAfterRefusedDelta: /apply journals a delta before applying
+// it, so a delta whose result does not validate is in the journal although
+// /apply refused it. A copy of the data dir taken after a later acked
+// LinkDown, as a kill -9 leaves it, must recover: both records replayed,
+// the refused one refused again on its own, the LinkDown held, and the
+// configuration the live tenant serves.
+func TestRecoveryAfterRefusedDelta(t *testing.T) {
+	ctx := context.Background()
+	live := t.TempDir()
+	s1, c := newTestServer(t, Config{DataDir: live, Fsync: journal.SyncNever})
+	openFattree(t, c, "ft", 4)
+	bad := bonsai.Delta{SetRouteMaps: []bonsai.RouteMapEdit{{Router: "edge-0-0", Name: "EXPORT-OWN"}}} // a session names it
+	if _, err := c.Apply(ctx, "ft", bad); StatusCode(err) != 400 {
+		t.Fatalf("/apply of a delta leaving an invalid network: %v, want 400", err)
+	}
+	if _, err := c.Apply(ctx, "ft", bonsai.Delta{LinkDown: []bonsai.LinkRef{{A: "agg-0-0", B: "core-0"}}}); err != nil {
+		t.Fatal(err)
+	}
+	tn, err := s1.reg.get("ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := config.PrintString(tn.eng.Network())
+
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(live)); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{DataDir: crashed, Fsync: journal.SyncNever})
+	defer s2.Drain()
+	recovered, err := s2.reg.get("ft")
+	if err != nil {
+		t.Fatalf("the tenant did not recover: %v", err)
+	}
+	if rec := recovered.journalStats().Recovery; rec == nil || rec.ReplayedDeltas != 2 || rec.Gap {
+		t.Fatalf("recovery %+v, want both records replayed", rec)
+	}
+	net := recovered.eng.Network()
+	if i := net.FindLink("agg-0-0", "core-0"); i < 0 || !net.Links[i].Down {
+		t.Fatal("the acked LinkDown was lost")
+	}
+	if got := config.PrintString(net); got != want {
+		t.Fatalf("recovered configuration:\n%s\nlive configuration:\n%s", got, want)
 	}
 }
 

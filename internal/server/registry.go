@@ -165,7 +165,7 @@ func (dr *deltaReader) Read(p []byte) (int, error) {
 
 // replay is the /replay write path: JSONL deltas from body through
 // Engine.ApplyStream, under writeMu for the whole stream. This goroutine
-// decodes and journals; the engine's coalescer runs on a second one and
+// decodes and journals; the engine's stream runs on a second one and
 // provides the backpressure: the body is read only as fast as rebuilds
 // complete, so a fast client blocks on the socket rather than buffering
 // server-side. interrupt must fail a body read pending on another goroutine;

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bonsai"
+	"bonsai/internal/faultinject"
 	"bonsai/internal/netgen"
 )
 
@@ -285,13 +286,14 @@ func TestServerReplay(t *testing.T) {
 	}
 }
 
-// TestInterruptedReplayKeepsNextRequestLive: a replay whose batch leaves a
-// network that does not validate is the client's mistake (400), and it
-// interrupts the body read. With the body already read to its end, that
-// failed the server's background read of the connection, which cancels the
-// context of every later request on it: the next replay over the same
-// keep-alive connection answered 500 "context canceled". Repeated, because
-// whether the body's end is reached before the batch fails is timing.
+// TestInterruptedReplayKeepsNextRequestLive: a replay whose batch fails to
+// apply (here a panic armed at the apply.swap seam, which the engine
+// contains) interrupts the body read. With the body already read to its
+// end, that failed the server's background read of the connection, which
+// cancels the context of every later request on it: the next replay over
+// the same keep-alive connection answered 500 "context canceled". Repeated,
+// because whether the body's end is reached before the batch fails is
+// timing.
 func TestInterruptedReplayKeepsNextRequestLive(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	openFattree(t, c, "net", 4)
@@ -306,11 +308,15 @@ func TestInterruptedReplayKeepsNextRequestLive(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(msg)
 	}
-	const bad = `{"set_route_maps":[{"router":"edge-1-0","name":"EXPORT-OWN","map":{"clauses":[{"seq":10,"action":0,"matches":[{"kind":1,"arg":"NOPE"}]}]}}]}` + "\n"
-	const flap = `{"link_down":[{"a":"core-0","b":"agg-0-0"}]}` + "\n" + `{"link_up":[{"a":"core-0","b":"agg-0-0"}]}` + "\n"
+	const down = `{"link_down":[{"a":"core-0","b":"agg-0-0"}]}` + "\n"
+	const flap = down + `{"link_up":[{"a":"core-0","b":"agg-0-0"}]}` + "\n"
+	t.Cleanup(faultinject.Reset)
 	for i := 0; i < 50; i++ {
-		if code, msg := post(bad); code != http.StatusBadRequest || !strings.Contains(msg, "NOPE") {
-			t.Fatalf("round %d: a delta leaving an invalid network: status %d %s, want 400 naming the list", i, code, msg)
+		disarm := faultinject.Arm(faultinject.ApplySwap, func(string) { panic("swap poisoned") })
+		code, msg := post(down)
+		disarm()
+		if code != http.StatusInternalServerError || !strings.Contains(msg, "swap poisoned") {
+			t.Fatalf("round %d: a replay whose batch panics: status %d %s, want 500 naming the panic", i, code, msg)
 		}
 		if code, msg := post(flap); code != http.StatusOK {
 			t.Fatalf("round %d: the replay after an interrupted one: status %d %s", i, code, msg)

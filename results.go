@@ -274,11 +274,10 @@ type ApplyReport struct {
 	// per-class stability checks. Degradation is graceful: queries stay
 	// correct, memory stays bounded, only warm-cache coverage is lost.
 	Degraded bool `json:"degraded,omitempty"`
-	// CoalescedAway lists edits that were received by an ApplyStream batch
-	// but never applied — superseded by a later writer or cancelled by
-	// returning to the pre-batch state. The list is capped; Coalesced is
-	// the full count. Both are zero for direct Apply calls.
-	CoalescedAway []string      `json:"coalesced_away,omitempty"`
-	Coalesced     int           `json:"coalesced,omitempty"`
-	Duration      time.Duration `json:"duration_ns"`
+	// Coalesced counts the edits of the batch that its net change does not
+	// hold: superseded by a later edit, or returning a link or router to
+	// the state the batch began from. It is zero for an Apply that changes
+	// what it edits.
+	Coalesced int           `json:"coalesced,omitempty"`
+	Duration  time.Duration `json:"duration_ns"`
 }

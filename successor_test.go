@@ -12,12 +12,12 @@ import (
 
 // TestInvalidSuccessorsAreRejected: an apply validates only the routers its
 // delta edited, so every way an edit can leave a network that does not
-// validate is driven through Engine.Apply and ApplyStream. Each must fail
-// with ErrInvalidDelta, leave the served network and its answers as they
-// were, and count as rejected in the stream's report. A last case shares
-// one policy namespace between two routers and edits it through one of
-// them: the other keeps the namespace it had, and the answers are a cold
-// Open's.
+// validate is driven through Engine.Apply and ApplyStream. Apply must fail
+// with ErrInvalidDelta, the stream must count the delta rejected and end
+// without an error, and both must leave the served network and its answers
+// as they were. A last case shares one policy namespace between two routers
+// and edits it through one of them: the other keeps the namespace it had,
+// and the answers are a cold Open's.
 func TestInvalidSuccessorsAreRejected(t *testing.T) {
 	ctx := context.Background()
 	nope := &RouteMap{Clauses: []Clause{{Seq: 10, Action: Permit, Matches: []Match{{Kind: MatchPrefix, Arg: "NOPE"}}}}}
@@ -46,8 +46,8 @@ func TestInvalidSuccessorsAreRejected(t *testing.T) {
 			ch <- tc.d
 			close(ch)
 			rep, err := eng.ApplyStream(ctx, ch)
-			if !errors.Is(err, ErrInvalidDelta) || rep.Rejected != 1 {
-				t.Fatalf("ApplyStream: err = %v, rejected %d; want ErrInvalidDelta and 1", err, rep.Rejected)
+			if err != nil || rep.Rejected != 1 {
+				t.Fatalf("ApplyStream: err = %v, rejected %d; want the delta rejected and the stream ended cleanly", err, rep.Rejected)
 			}
 			if eng.Network() != before {
 				t.Fatal("a rejected delta replaced the served network")

@@ -141,8 +141,7 @@ func TestReportsRoundTrip(t *testing.T) {
 				Invalidated: 7, InvalidatedPrefixes: []string{"10.0.1.0/24"},
 				NewClasses: 2, RemovedClasses: 1,
 			},
-			Degraded:      true,
-			CoalescedAway: []string{"link_down core-1--agg-2"}, Coalesced: 3,
+			Degraded: true, Coalesced: 3,
 			Duration: 12 * time.Millisecond,
 		}},
 		{"ApplyStreamReport", ApplyStreamReport{
