@@ -553,3 +553,66 @@ func TestApplyChangingMatchedCommunities(t *testing.T) {
 		cold.Close()
 	}
 }
+
+// TestApplyAdoptsByTheTransportLabel: adoption judges the edges of a router
+// a delta edits by the label transport compares, read on both sides of the
+// apply. After each Apply every class's abstract size must equal a cold
+// Open's. On the matched-tag probe (testdata/regress/matched-tag.cfg) the
+// edit relabels an edge of a router it does not touch, whose class must be
+// invalidated. On Fattree(4) a denied export and a widened prefix list each
+// change one class's live edges, so 7 classes adopt and 1 is invalidated;
+// with match outcomes left out of the label the widened list would adopt
+// all 8. A tag no route map matches changes no label.
+func TestApplyAdoptsByTheTransportLabel(t *testing.T) {
+	probe, err := bonsai.ParseFile("testdata/regress/matched-tag.cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fattree := netgen.Fattree(4, netgen.PolicyShortestPath)
+	ownMatch := []bonsai.Match{{Kind: bonsai.MatchPrefix, Arg: "OWN"}}
+	for _, tc := range []struct {
+		name                 string
+		net                  *bonsai.Network
+		delta                bonsai.Delta
+		adopted, invalidated int // -1: not pinned
+	}{
+		{"matched tag", probe, bonsai.Delta{SetRouteMaps: []bonsai.RouteMapEdit{{Router: "z", Name: "DROP", Map: &bonsai.RouteMap{
+			Clauses: []bonsai.Clause{{Seq: 10, Action: bonsai.Deny, Matches: []bonsai.Match{{Kind: bonsai.MatchCommunity, Arg: "TAG"}}}},
+		}}}}, 0, 1},
+		{"export denied", fattree, bonsai.Delta{SetRouteMaps: []bonsai.RouteMapEdit{{Router: "edge-1-0", Name: "EXPORT-OWN", Map: &bonsai.RouteMap{
+			Clauses: []bonsai.Clause{{Seq: 10, Action: bonsai.Deny}},
+		}}}}, 7, 1},
+		{"prefix list widened", fattree, bonsai.Delta{SetPrefixLists: []bonsai.PrefixListEdit{{Router: "edge-0-0", Name: "OWN", List: &bonsai.PrefixList{
+			Entries: []bonsai.PrefixEntry{{Action: bonsai.Permit, Prefix: mustPfx("10.0.0.0/24")}, {Action: bonsai.Permit, Prefix: mustPfx("10.0.2.0/24")}},
+		}}}}, 7, 1},
+		{"unmatched tag", fattree, bonsai.Delta{SetRouteMaps: []bonsai.RouteMapEdit{{Router: "edge-0-0", Name: "EXPORT-OWN", Map: &bonsai.RouteMap{
+			Clauses: []bonsai.Clause{{Seq: 10, Action: bonsai.Permit, Matches: ownMatch, Sets: []bonsai.Set{{Kind: bonsai.SetAddCommunity, Comm: protocols.MakeCommunity(65000, 9)}}}},
+		}}}}, -1, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := bonsai.Open(tc.net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			classSizes(t, eng)
+			rep, err := eng.Apply(context.Background(), tc.delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := bonsai.Open(eng.Network())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.Close()
+			if got, want := classSizes(t, eng), classSizes(t, cold); !maps.Equal(got, want) {
+				t.Fatalf("abstract sizes after the apply (adopted %d, invalidated %v) differ from a cold Open's:\n%v\n%v",
+					rep.Adopted, rep.InvalidatedPrefixes, got, want)
+			}
+			t.Logf("adopted %d, invalidated %v", rep.Adopted, rep.InvalidatedPrefixes)
+			if tc.adopted >= 0 && (rep.Adopted != tc.adopted || rep.Invalidated != tc.invalidated) {
+				t.Fatalf("adopted %d and invalidated %d, want %d and %d", rep.Adopted, rep.Invalidated, tc.adopted, tc.invalidated)
+			}
+		})
+	}
+}

@@ -28,7 +28,10 @@
 //     class-independent content plus per-class match outcomes and verdicts —
 //     determines its compiled relation, its liveness, and its canonical key.
 //     Comparing labels is integer comparison against the cached class
-//     signature; no policy is recompiled during adoption. The one place a
+//     signature; no policy is recompiled during adoption. A router the
+//     delta edited is judged by the same label, compared across the two
+//     Builders (labelEq): an edge of it whose label changed must be dead on
+//     both sides, and every other edge is as it was. The one place a
 //     BDD compiler is consulted is deciding liveness of an edge with no
 //     surviving same-labeled sibling (a restored link, an edited map), where
 //     the per-compiler relation cache amortises the cost across classes.
@@ -46,11 +49,9 @@ package build
 
 import (
 	"context"
-	"maps"
 	"net/netip"
 	"slices"
 
-	"bonsai/internal/config"
 	"bonsai/internal/core"
 	"bonsai/internal/ec"
 	"bonsai/internal/faultinject"
@@ -200,30 +201,15 @@ func (n *tally) adoptStats(invalidated []string, removed int) AdoptStats {
 type adoption struct {
 	b, old    *Builder
 	*edgeDiff // from old to b
-	// inherit is set when both Builders index class signatures by the same
-	// policy references and share one intern table, so a class signature
-	// can be carried over (signature).
-	inherit bool
-	// touched describes the delta-edited routers (same NodeIDs in both
-	// builders).
-	touched []touchedRouter
-}
-
-// touchedRouter is one delta-edited router with the class-independent part
-// of its dirtiness precomputed.
-type touchedRouter struct {
-	u      topo.NodeID
-	oldEnv *policy.Env
-	// maps lists the router's session route-map names (import and export,
-	// deduplicated); contentDirty marks those whose class-independent
-	// content changed — their compiled relations may differ even for
-	// classes with identical match outcomes.
-	maps         []string
-	contentDirty map[string]bool
-	// structural is set when the router's sessions, interface-ACL
-	// assignments or BGP presence changed shape — adoption then treats
-	// every adjacent edge as dirty.
-	structural bool
+	// shared is set when both Builders intern match outcomes in one table,
+	// so that an id names one string in both (labelEq). inherit is set when
+	// they also index class signatures by the same policy references, so a
+	// class signature can be carried over (signature).
+	shared, inherit bool
+	// touched lists the routers whose edges labelEq judges (same NodeIDs in
+	// both builders): the delta-edited ones and, when the erased universe
+	// changed, the ends of every edge whose content label changed.
+	touched []topo.NodeID
 }
 
 // edgeDiff is how a successor's edges differ from those of from, the
@@ -263,10 +249,25 @@ func newAdoption(b, old *Builder, delta AdoptDelta) *adoption {
 	old.store.mu.Unlock()
 	for _, name := range delta.TouchedRouters {
 		if u, ok := b.G.Lookup(name); ok {
-			ad.touched = append(ad.touched, ad.classifyRouter(u))
+			ad.touched = append(ad.touched, u)
 		}
 	}
-	ad.inherit = slices.Equal(old.tab.sigRMs, b.tab.sigRMs) && slices.Equal(old.tab.sigACLs, b.tab.sigACLs) && b.shareIntern(old)
+	// A content label renders route maps through its Builder's erased
+	// universe, so a change there can relabel an untouched router's edges.
+	if !slices.Equal(old.erasedUniverse, b.erasedUniverse) {
+		for _, r := range d.runs {
+			for k := range r.N {
+				if !contentEq(old.tab, r.Old+k, b.tab, r.New+k) {
+					e := b.tab.edges[r.New+k]
+					ad.touched = append(ad.touched, e.U, e.V)
+				}
+			}
+		}
+	}
+	slices.Sort(ad.touched)
+	ad.touched = slices.Compact(ad.touched)
+	ad.shared = b.shareIntern(old)
+	ad.inherit = ad.shared && slices.Equal(old.tab.sigRMs, b.tab.sigRMs) && slices.Equal(old.tab.sigACLs, b.tab.sigACLs)
 	return ad
 }
 
@@ -336,49 +337,6 @@ func (ad *adoption) oldEntry(cls ec.Class) (*absEntry, bool) {
 	return e, e != nil
 }
 
-// classifyRouter compares the class-independent configuration of router u
-// between the two builders: which session route maps changed content, and
-// whether the router's session or ACL shape changed at all.
-func (ad *adoption) classifyRouter(u topo.NodeID) touchedRouter {
-	oldR, newR := ad.old.routers[u], ad.b.routers[u]
-	tr := touchedRouter{u: u, oldEnv: oldR.Env, contentDirty: make(map[string]bool)}
-	if (oldR.BGP == nil) != (newR.BGP == nil) {
-		tr.structural = true
-		return tr
-	}
-	if !maps.Equal(oldR.IfaceACL, newR.IfaceACL) {
-		tr.structural = true
-	}
-	if newR.BGP != nil {
-		if len(oldR.BGP.Neighbors) != len(newR.BGP.Neighbors) {
-			tr.structural = true
-		}
-		oldCache := make(map[rmRef]string)
-		newCache := make(map[rmRef]string)
-		seen := make(map[string]bool)
-		for peer, nb := range newR.BGP.Neighbors {
-			oldNb := oldR.BGP.Neighbors[peer]
-			if oldNb == nil || oldNb.ImportMap != nb.ImportMap || oldNb.ExportMap != nb.ExportMap {
-				tr.structural = true
-				continue
-			}
-			for _, m := range []string{nb.ImportMap, nb.ExportMap} {
-				if m == "" || seen[m] {
-					continue
-				}
-				seen[m] = true
-				tr.maps = append(tr.maps, m)
-				// Unerased: an edit to a tag no route map matches still
-				// dirties the map, which is conservative.
-				if mapContentSig(oldCache, oldR.Env, m, nil) != mapContentSig(newCache, newR.Env, m, nil) {
-					tr.contentDirty[m] = true
-				}
-			}
-		}
-	}
-	return tr
-}
-
 // adoptClass decides one class: outUnchanged, outReassembled or outRefused.
 // entry is the old builder's completed cache entry for the same prefix and
 // origins, and carry says whether the class's signature carries across. A
@@ -421,12 +379,26 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		return keyFn(u, v)
 	}
 
-	// Touched-router checks: only the edges actually carrying an edited
-	// object can change, and each of those must have been dead and stay
-	// dead for this class (live carriers invalidate it).
-	for _, tr := range ad.touched {
-		if !ad.checkTouchedRouter(tr, cls, entry, key) {
-			return outRefused
+	sig2, err := ad.signature(cls, oldSig, carry)
+	if err != nil {
+		return outRefused
+	}
+	// Touched routers: an edge both Builders hold whose label changed must
+	// have been dead for this class and stay dead (live carriers invalidate
+	// it).
+	for _, u := range ad.touched {
+		lo, hi := b.tab.out(u)
+		for o := lo; o < hi; o++ {
+			for _, i := range [2]int32{o, b.tab.rev[o]} {
+				e := b.tab.edges[i]
+				j, ok := old.G.EdgeIndex(e.U, e.V)
+				if !ok || ad.labelEq(oldSig, int32(j), sig2, i) {
+					continue // added (the witness rule below decides), or unchanged
+				}
+				if entry.live[j] || !key(e.U, e.V).Dead() {
+					return outRefused
+				}
+			}
 		}
 	}
 
@@ -443,14 +415,15 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	}
 
 	// Added edges: dead edges are invisible; a live added edge must land on
-	// an abstract edge that already existed with the same label.
-	live2 := make([]bool, len(b.tab.edges))
-	for _, r := range ad.runs {
-		copy(live2[r.New:r.New+r.N], entry.live[r.Old:r.Old+r.N])
-	}
-	sig2, err := ad.signature(cls, oldSig, carry)
-	if err != nil {
-		return outRefused
+	// an abstract edge that already existed with the same label. With no
+	// edge removed or added, both Builders hold one edge list and the
+	// liveness vector is shared: nothing writes one.
+	live2 := entry.live
+	if len(ad.removed)+len(ad.added) > 0 {
+		live2 = make([]bool, len(b.tab.edges))
+		for _, r := range ad.runs {
+			copy(live2[r.New:r.New+r.N], entry.live[r.Old:r.Old+r.N])
+		}
 	}
 	for _, i := range ad.added {
 		e := b.tab.edges[i]
@@ -483,97 +456,38 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	return ad.install(cls, sig2, re, live2, entry.prefs, outReassembled)
 }
 
-// checkTouchedRouter verifies that a delta-edited router cannot change this
-// class's compression inputs: every adjacent edge carrying an edited object
-// (a route map with changed content or changed match outcomes, an ACL whose
-// verdict flipped, an applicable static that appeared or vanished) was dead
-// for the class and remains dead under the new configuration.
-func (ad *adoption) checkTouchedRouter(tr touchedRouter, cls ec.Class, entry *absEntry, key func(u, v topo.NodeID) core.EdgeKey) bool {
-	oldR, newR := ad.old.routers[tr.u], ad.b.routers[tr.u]
-	dirtyMaps := make(map[string]bool)
-	for _, m := range tr.maps {
-		if tr.contentDirty[m] {
-			dirtyMaps[m] = true
-			continue
-		}
-		oldBits := appendPrefixFingerprint(nil, oldR.Env, m, cls.Prefix)
-		newBits := appendPrefixFingerprint(nil, newR.Env, m, cls.Prefix)
-		if string(oldBits) != string(newBits) {
-			dirtyMaps[m] = true
-		}
+// labelEq reports whether edge j of old under class signature os carries
+// the label edge i of b carries under ns: what edgeEq compares, across the
+// two Builders. Match outcomes compare as intern ids, so an edge with a
+// prefix-matching map counts as changed unless both share one table.
+func (ad *adoption) labelEq(os *classSig, j int32, ns *classSig, i int32) bool {
+	ot, nt := ad.old.tab, ad.b.tab
+	if !contentEq(ot, j, nt, i) {
+		return false
 	}
-	aclDirty := false
-	for peer, acl := range newR.IfaceACL {
-		if oldR.Env.ACLPermits(oldR.IfaceACL[peer], cls.Prefix) != newR.Env.ACLPermits(acl, cls.Prefix) {
-			aclDirty = true
-		}
-	}
-	staticsDirty := !staticSetEqual(oldR, newR, cls)
-
-	t := ad.old.tab
-	rmDirty := func(idx int32) bool {
-		if idx < 0 {
+	ro, rn := &ot.recs[j], &nt.recs[i]
+	// Equal content labels name a map on both sides or on neither, and
+	// mark the same prefix matches.
+	for _, rm := range [2][2]int32{{ro.expRM, rn.expRM}, {ro.impRM, rn.impRM}} {
+		if rm[0] >= 0 && (os.fpIDs[rm[0]] != ns.fpIDs[rm[1]] || !ad.shared && len(ot.rmLists[rm[0]]) > 0) {
 			return false
 		}
-		r := t.sigRMs[idx]
-		return r.env == tr.oldEnv && dirtyMaps[r.name]
 	}
-	edgeDirty := func(j int32, egress bool) bool {
-		if tr.structural {
-			return true
-		}
-		if rmDirty(t.recs[j].expRM) || rmDirty(t.recs[j].impRM) {
-			return true
-		}
-		// The router's egress ACL and statics ride its outgoing edges.
-		return egress && (aclDirty || staticsDirty)
-	}
-	lo, hi := t.out(tr.u)
-	for i := lo; i < hi; i++ {
-		for _, dir := range [2]struct {
-			j      int32
-			egress bool
-		}{{i, true}, {t.rev[i], false}} {
-			if !edgeDirty(dir.j, dir.egress) {
-				continue
-			}
-			if entry.live[dir.j] {
-				return false // a live edge's transfer function may change
-			}
-			if _, gone := slices.BinarySearch(ad.removed, dir.j); gone {
-				continue // the delta also removed it; dead either way
-			}
-			e := t.edges[dir.j]
-			if !key(e.U, e.V).Dead() {
-				return false // a dead edge would come alive
-			}
-		}
-	}
-	return true
+	permits := func(s *classSig, a int32) bool { return a < 0 || s.aclV[a] }
+	return permits(os, ro.acl) == permits(ns, rn.acl) && os.statics.has(int(j)) == ns.statics.has(int(i))
 }
 
-// staticSetEqual compares the two routers' statics applicable to the class.
-func staticSetEqual(oldR, newR *config.Router, cls ec.Class) bool {
-	type st struct {
-		p   string
-		via string
+// contentEq reports whether edge j of ot and edge i of nt have one content
+// label. Each Builder numbers its own labels, so they compare as text.
+func contentEq(ot *edgeTables, j int32, nt *edgeTables, i int32) bool {
+	if ot.ospfCost[j] != nt.ospfCost[i] || ot.ospfCross[j] != nt.ospfCross[i] {
+		return false
 	}
-	oldSt := make(map[st]bool)
-	for _, s := range oldR.Statics {
-		if staticCovers(s.Prefix, cls.Prefix) {
-			oldSt[st{s.Prefix.String(), s.NextHop}] = true
-		}
+	so, sn := ot.shapeOf[j], nt.shapeOf[i]
+	if so < 0 || sn < 0 {
+		return so == sn
 	}
-	n := 0
-	for _, s := range newR.Statics {
-		if staticCovers(s.Prefix, cls.Prefix) {
-			if !oldSt[st{s.Prefix.String(), s.NextHop}] {
-				return false
-			}
-			n++
-		}
-	}
-	return n == len(oldSt)
+	return ot.labels[ot.contentOf[so]] == nt.labels[nt.contentOf[sn]]
 }
 
 // witnessed reports whether the token edge i = (u, v) carries under sig is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -494,5 +495,108 @@ func TestAdoptionNeedsOnePreferenceOnBothSides(t *testing.T) {
 		t.Logf("%s: %d classes gated, %d adopted, %d invalidated", step.name, gated, st.Adopted, st.Invalidated)
 		compressAll(t, b, comp)
 		old = b
+	}
+}
+
+// editRouter returns a fork of net in which the named router is a clone with
+// a namespace of its own, edited by edit, as an apply edits a router.
+func editRouter(net *config.Network, name string, edit func(r *config.Router)) *config.Network {
+	succ := net.Fork()
+	r := succ.Routers[name].Clone()
+	r.CloneEnv()
+	edit(r)
+	succ.Routers[name] = r
+	return succ
+}
+
+// TestTouchedRouterEdgesReadTheLabel: the edges of a router the delta
+// edited are judged by the label transport compares, read on the
+// predecessor and on the successor. Each edit is built by Successor and
+// adopted as an apply adopts it; every adopted class must hold to the
+// paper's conditions on the successor, every class's abstract size must
+// equal a cold Builder's, and the adopted and invalidated counts are pinned.
+// The matched-tag probe's edit makes z's map match x1's tag, which relabels
+// x1's edge toward y: the class that merged x1 with x2 must not adopt. On
+// Fattree(4) a denied export and a widened prefix list change one class's
+// live edges, and so do an ACL and a static route toward agg-0-0 that only
+// that class's prefix meets (no delta edits either, but the label holds the
+// ACL verdict and the static bit); a tag no route map matches changes no
+// label, so every class adopts.
+func TestTouchedRouterEdgesReadTheLabel(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/regress/matched-tag.cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := config.ParseString(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fattree := netgen.Fattree(4, netgen.PolicyShortestPath)
+	pod1 := netip.MustParsePrefix("10.0.2.0/24") // edge-1-0's prefix
+	own := []policy.Match{{Kind: policy.MatchPrefix, Arg: "OWN"}}
+	for _, tc := range []struct {
+		name, router         string
+		net                  *config.Network
+		edit                 func(r *config.Router)
+		adopted, invalidated int
+	}{
+		{"matched tag", "z", probe, func(r *config.Router) {
+			r.Env.RouteMaps["DROP"] = &policy.RouteMap{Name: "DROP", Clauses: []policy.Clause{
+				{Seq: 10, Action: policy.Deny, Matches: []policy.Match{{Kind: policy.MatchCommunity, Arg: "TAG"}}},
+			}}
+		}, 0, 1},
+		{"export denied", "edge-1-0", fattree, func(r *config.Router) {
+			r.Env.RouteMaps["EXPORT-OWN"] = &policy.RouteMap{Name: "EXPORT-OWN", Clauses: []policy.Clause{{Seq: 10, Action: policy.Deny}}}
+		}, 7, 1},
+		{"prefix list widened", "edge-0-0", fattree, func(r *config.Router) {
+			r.Env.PrefixLists["OWN"] = &policy.PrefixList{Name: "OWN", Entries: []policy.PrefixEntry{
+				{Action: policy.Permit, Prefix: netip.MustParsePrefix("10.0.0.0/24")},
+				{Action: policy.Permit, Prefix: pod1},
+			}}
+		}, 7, 1},
+		{"ACL", "edge-0-0", fattree, func(r *config.Router) {
+			r.Env.ACLs["NOT-POD1"] = &policy.ACL{Name: "NOT-POD1", Entries: []policy.PrefixEntry{
+				{Action: policy.Deny, Prefix: pod1},
+				{Action: policy.Permit, Prefix: netip.MustParsePrefix("0.0.0.0/0"), Le: 32},
+			}}
+			r.IfaceACL["agg-0-0"] = "NOT-POD1"
+		}, 7, 1},
+		{"static route", "edge-0-0", fattree, func(r *config.Router) {
+			r.Statics = append(r.Statics, config.StaticRoute{Prefix: pod1, NextHop: "agg-0-0"})
+		}, 7, 1},
+		{"unmatched tag", "edge-0-0", fattree, func(r *config.Router) {
+			r.Env.RouteMaps["EXPORT-OWN"] = &policy.RouteMap{Name: "EXPORT-OWN", Clauses: []policy.Clause{
+				{Seq: 10, Action: policy.Permit, Matches: own, Sets: []policy.Set{{Kind: policy.AddCommunity, Comm: 65000<<16 | 9}}},
+			}}
+		}, 8, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old, oldComp := newBuilder(t, tc.net)
+			compressAll(t, old, oldComp)
+			succ := editRouter(tc.net, tc.router, tc.edit)
+			b, err := old.Successor(succ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp := b.NewCompiler(true)
+			defer comp.Close()
+			st, err := b.AdoptFrom(context.Background(), comp, old, AdoptDelta{TouchedRouters: []string{tc.router}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cls := range b.Classes() {
+				if e := heldEntry(b, cls); e != nil && e.out.prov() == ProvAdopted {
+					checkConditions(t, b, comp, cls, e.abs)
+				}
+			}
+			cold, coldComp := newBuilder(t, succ)
+			if got, want := abstractSizes(t, b, comp), abstractSizes(t, cold, coldComp); !slices.Equal(got, want) {
+				t.Fatalf("abstract nodes/edges per class %v, a cold Builder %v (adopted %d, invalidated %v)",
+					got, want, st.Adopted, st.InvalidatedPrefixes)
+			}
+			if st.Adopted != tc.adopted || st.Invalidated != tc.invalidated {
+				t.Fatalf("adopted %d and invalidated %d (%v), want %d and %d", st.Adopted, st.Invalidated, st.InvalidatedPrefixes, tc.adopted, tc.invalidated)
+			}
+		})
 	}
 }

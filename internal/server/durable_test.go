@@ -258,6 +258,39 @@ func TestRecoveryAfterRefusedDelta(t *testing.T) {
 	}
 }
 
+// TestDrainSealsPastARefusedDelta: a delta /apply journals and then
+// refuses is settled, since a replay refuses it again. applied_seq advances
+// past it, the drain's sealing checkpoint covers it, and the next daemon
+// over the data dir replays nothing.
+func TestDrainSealsPastARefusedDelta(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{DataDir: t.TempDir(), Fsync: journal.SyncNever}
+	s1 := New(cfg)
+	hs1 := httptest.NewServer(s1)
+	defer hs1.Close()
+	c := NewClient(hs1.URL)
+	openFattree(t, c, "ft", 4)
+	bad := bonsai.Delta{SetRouteMaps: []bonsai.RouteMapEdit{{Router: "edge-0-0", Name: "EXPORT-OWN"}}} // a session names it
+	if _, err := c.Apply(ctx, "ft", bad); StatusCode(err) != 400 {
+		t.Fatalf("/apply of a delta leaving an invalid network: %v, want 400", err)
+	}
+	st, err := c.Stats(ctx, "ft")
+	if err != nil || st.Journal == nil || st.Journal.LastSeq != 1 || st.Journal.AppliedSeq != 1 {
+		t.Fatalf("after a refused /apply: %+v, %v; want applied_seq = last_seq = 1", st.Journal, err)
+	}
+	s1.Drain()
+
+	s2 := New(cfg)
+	defer s2.Drain()
+	tn, err := s2.reg.get("ft")
+	if err != nil {
+		t.Fatalf("the tenant did not recover: %v", err)
+	}
+	if rec := tn.journalStats().Recovery; rec == nil || rec.ReplayedDeltas != 0 || rec.CheckpointSeq != 1 || rec.Gap {
+		t.Fatalf("recovery %+v, want the sealing checkpoint at 1 and nothing replayed", rec)
+	}
+}
+
 // TestReplayAbortReconverges cancels a replay stream mid-flight and checks
 // the daemon restores the durability invariant on its own: every journaled
 // record ends up applied (applied_seq catches up to last_seq), and the

@@ -103,10 +103,10 @@ func (t *tenant) acquire(sem chan struct{}, full error) error {
 }
 
 // write is the /apply write path: validate, journal (fsynced under
-// fsync=always), apply, advance appliedSeq, all under writeMu — a crash
-// between append and apply is repaired by replaying the journal tail on
-// recovery. It runs on the handler's goroutine; the caller holds a writes
-// slot.
+// fsync=always), apply, advance appliedSeq (also past a delta Apply
+// refuses), all under writeMu — a crash between append and apply is
+// repaired by replaying the journal tail on recovery. It runs on the
+// handler's goroutine; the caller holds a writes slot.
 func (t *tenant) write(ctx context.Context, d bonsai.Delta) (*bonsai.ApplyReport, error) {
 	defer t.maybeKickCheckpoint() // deferred first, so it runs after the unlock
 	t.writeMu.Lock()
@@ -131,7 +131,9 @@ func (t *tenant) write(ctx context.Context, d bonsai.Delta) (*bonsai.ApplyReport
 	// the client's view of the network diverge from the engine's (and from
 	// the journal's).
 	rep, err := t.eng.Apply(context.WithoutCancel(ctx), d)
-	if err == nil && seq > 0 {
+	// A refused delta is settled too: a replay refuses the record again, so
+	// a seal may skip it. Any other error leaves it to be applied.
+	if seq > 0 && (err == nil || errors.Is(err, bonsai.ErrInvalidDelta)) {
 		t.appliedSeq.Store(seq)
 	}
 	return rep, err

@@ -267,8 +267,9 @@ func (a *ClassAnswer) Router(u topo.NodeID) RouterFacts {
 
 // RouterFacts is one router's facts folded over the counted solutions and
 // its group's copies: Facts hold if they hold in some solution at some copy
-// (see merge), and Every is "reaches in every solution", where a router
-// reaches in a solution when some copy does; with no solution nothing does.
+// (see merge), and Every is "reaches in every solution", which holds when
+// every copy reaches in every solution: which copy a router maps to changes
+// with the solution (Theorem 4.5). With no solution nothing reaches.
 type RouterFacts struct {
 	dataplane.Facts
 	Every bool
@@ -399,12 +400,11 @@ func analyse(b *build.Builder, cls ec.Class, abs *core.Abstraction) (entry, erro
 			} else {
 				one[0] = topo.NodeID(g)
 			}
-			r, some := &s.Facts[g], false
+			r := &s.Facts[g]
 			for _, c := range copies {
 				r.Facts = merge(r.Facts, facts[c])
-				some = some || facts[c].Reaches
+				r.Every = r.Every && facts[c].Reaches
 			}
-			r.Every = r.Every && some
 		}
 		for u, x := range facts {
 			every[u] = (k == 0 || every[u]) && x.Reaches

@@ -30,16 +30,36 @@ func openRegress(t *testing.T, name string) *Engine {
 // solution that solve met. The gadget runs a second time with a and b
 // renamed to each other, which moves the ACL to the other router of the
 // pair, so that in one of the runs the router with the ACL delivers in the
-// last solution counted and not in the first.
+// last solution counted and not in the first. The third input,
+// disagree-sym.cfg, puts the ACL on both sides: a and b share one
+// case-split group, some copy of which delivers in each solution, yet
+// neither router reaches d in every solution.
 func TestDisagreeCountsBothSolutions(t *testing.T) {
 	src, err := os.ReadFile("testdata/regress/disagree.cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, err := os.ReadFile("testdata/regress/disagree-sym.cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	swapped := regexp.MustCompile(`\b[ab]\b`).ReplaceAllStringFunc(string(src), func(r string) string {
 		return map[string]string{"a": "b", "b": "a"}[r]
 	})
-	for _, tc := range []struct{ cfg, acl, other string }{{string(src), "a", "b"}, {swapped, "b", "a"}} {
+	// The router with the ACL delivers in one solution and black-holes in
+	// the other; one without goes to d direct in one and through the other
+	// router in the other.
+	blocked := ReachAnswer{Reachable: false, ReachableSome: true, Stable: "multiple", MinHops: 1, MaxHops: 1, BlackHole: true}
+	unblocked := ReachAnswer{Reachable: true, ReachableSome: true, Stable: "multiple", MinHops: 1, MaxHops: 2}
+	for _, tc := range []struct {
+		cfg       string
+		want      map[string]ReachAnswer
+		reachable int64 // pairs Verify counts reachable, of 2
+	}{
+		{string(src), map[string]ReachAnswer{"a": blocked, "b": unblocked}, 1},
+		{swapped, map[string]ReachAnswer{"b": blocked, "a": unblocked}, 1},
+		{string(sym), map[string]ReachAnswer{"a": blocked, "b": blocked}, 0},
+	} {
 		net, err := ParseString(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -49,34 +69,25 @@ func TestDisagreeCountsBothSolutions(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		checkDisagree(t, e, tc.acl, tc.other)
+		checkDisagree(t, e, tc.want, tc.reachable)
 	}
 }
 
-// checkDisagree checks e's answers on DISAGREE, whose router acl has the ACL.
-func checkDisagree(t *testing.T, e *Engine, acl, other string) {
+// checkDisagree checks e's answers on a DISAGREE gadget against want, per
+// source router, and Verify's count of reachable pairs.
+func checkDisagree(t *testing.T, e *Engine, want map[string]ReachAnswer, reachable int64) {
 	t.Helper()
 	ctx := context.Background()
-	for _, tc := range []struct {
-		src  string
-		want ReachAnswer
-	}{
-		// acl's one hop to d delivers in one solution; in the other its
-		// one hop, to the other router, is denied, so it black-holes.
-		{acl, ReachAnswer{Reachable: false, ReachableSome: true, Stable: "multiple", MinHops: 1, MaxHops: 1, BlackHole: true}},
-		// The other goes to d direct in one solution and through acl in
-		// the other.
-		{other, ReachAnswer{Reachable: true, ReachableSome: true, Stable: "multiple", MinHops: 1, MaxHops: 2}},
-	} {
+	for src, want := range want {
 		for name, reach := range map[string]func(context.Context, string, string) (*ReachResult, error){
 			"Reach": e.Reach, "ReachConcrete": e.ReachConcrete,
 		} {
-			got, err := reach(ctx, tc.src, "10.0.0.0/24")
+			got, err := reach(ctx, src, "10.0.0.0/24")
 			if err != nil {
-				t.Fatalf("%s(%s): %v", name, tc.src, err)
+				t.Fatalf("%s(%s): %v", name, src, err)
 			}
-			if got.ReachAnswer != tc.want {
-				t.Errorf("%s(%s) = %+v, want %+v", name, tc.src, got.ReachAnswer, tc.want)
+			if got.ReachAnswer != want {
+				t.Errorf("%s %s(%s) = %+v, want %+v", e.Network().Name, name, src, got.ReachAnswer, want)
 			}
 		}
 	}
@@ -85,8 +96,9 @@ func checkDisagree(t *testing.T, e *Engine, acl, other string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Pairs != 2 || rep.ReachablePairs != 1 || rep.Stable != "multiple" {
-			t.Errorf("Verify (concrete %v): %d of %d pairs reachable, stable %q; want 1 of 2 (%s only), multiple", concrete, rep.ReachablePairs, rep.Pairs, rep.Stable, other)
+		if rep.Pairs != 2 || rep.ReachablePairs != reachable || rep.Stable != "multiple" {
+			t.Errorf("%s Verify (concrete %v): %d of %d pairs reachable, stable %q; want %d of 2, multiple",
+				e.Network().Name, concrete, rep.ReachablePairs, rep.Pairs, rep.Stable, reachable)
 		}
 	}
 }
