@@ -224,7 +224,7 @@ func (d *Delta) editRouters(cfg *config.Network) map[string]*config.Router {
 }
 
 // editLinks makes the delta's link edits on cfg's own link records: a
-// LinkDown sets the Down flag, a LinkUp clears it or appends the link. The
+// LinkDown sets the Down flag, a LinkUp clears it or adds the link. The
 // delta must have passed Validate against cfg.
 func (d *Delta) editLinks(cfg *config.Network) {
 	for _, l := range d.LinkDown {
@@ -235,6 +235,6 @@ func (d *Delta) editLinks(cfg *config.Network) {
 			cfg.Links[i].Down = false
 			continue
 		}
-		cfg.Links = append(cfg.Links, config.Link{A: l.A, B: l.B})
+		cfg.AddLinkN(l.A, l.B, 0) // Count 0 reads as one interface
 	}
 }

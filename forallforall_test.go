@@ -126,9 +126,11 @@ func TestForallForallBindsTheTargetEnd(t *testing.T) {
 		f[b.G.MustLookup(name)] = g
 	}
 	keys := b.EdgeKeyVec(comp, cls)
-	live := make([]bool, len(keys))
+	live := topo.NewEdgeSet(len(keys))
 	for i, k := range keys {
-		live[i] = !k.Dead()
+		if !k.Dead() {
+			live.Set(i)
+		}
 	}
 	prefs := b.PrefsFunc(cls)
 	abs := core.Assemble(b.G, b.G.MustLookup("d"), f, core.AssembleOptions{Mode: core.ModeBGP, Prefs: prefs, LiveEdges: live})

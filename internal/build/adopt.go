@@ -395,7 +395,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 				if !ok || ad.labelEq(oldSig, int32(j), sig2, i) {
 					continue // added (the witness rule below decides), or unchanged
 				}
-				if entry.live[j] || !key(e.U, e.V).Dead() {
+				if entry.live.Has(j) || !key(e.U, e.V).Dead() {
 					return outRefused
 				}
 			}
@@ -406,7 +406,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	// last of its kind for either endpoint, witnessed by a *surviving*
 	// equal-labeled live edge in the same bucket.
 	for _, j := range ad.removed {
-		if !entry.live[j] {
+		if !entry.live.Has(int(j)) {
 			continue
 		}
 		if !old.tab.witnessed(oldSig, entry.live, ad.removed, F, j) {
@@ -417,12 +417,13 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 	// Added edges: dead edges are invisible; a live added edge must land on
 	// an abstract edge that already existed with the same label. With no
 	// edge removed or added, both Builders hold one edge list and the
-	// liveness vector is shared: nothing writes one.
+	// liveness set is shared: nothing writes one. Otherwise the runs carry
+	// it across, a word at a time.
 	live2 := entry.live
 	if len(ad.removed)+len(ad.added) > 0 {
-		live2 = make([]bool, len(b.tab.edges))
+		live2 = topo.NewEdgeSet(len(b.tab.edges))
 		for _, r := range ad.runs {
-			copy(live2[r.New:r.New+r.N], entry.live[r.Old:r.Old+r.N])
+			live2.CopyRange(int(r.New), entry.live, int(r.Old), int(r.N))
 		}
 	}
 	for _, i := range ad.added {
@@ -430,7 +431,7 @@ func (ad *adoption) adoptClass(comp *policy.Compiler, cls ec.Class, entry *absEn
 		if key(e.U, e.V).Dead() {
 			continue
 		}
-		live2[i] = true
+		live2.Set(int(i))
 		if F[e.U] == F[e.V] {
 			return outRefused // would create an abstract self loop
 		}
@@ -474,7 +475,7 @@ func (ad *adoption) labelEq(os *classSig, j int32, ns *classSig, i int32) bool {
 		}
 	}
 	permits := func(s *classSig, a int32) bool { return a < 0 || s.aclV[a] }
-	return permits(os, ro.acl) == permits(ns, rn.acl) && os.statics.has(int(j)) == ns.statics.has(int(i))
+	return permits(os, ro.acl) == permits(ns, rn.acl) && os.statics.Has(int(j)) == ns.statics.Has(int(i))
 }
 
 // contentEq reports whether edge j of ot and edge i of nt have one content
@@ -496,7 +497,7 @@ func contentEq(ot *edgeTables, j int32, nt *edgeTables, i int32) bool {
 // from u's group. Adoption asks it of a removed edge on the predecessor's
 // tables, skipping every removed edge, and of an added edge on the
 // successor's, skipping every added one; skip is ascending.
-func (t *edgeTables) witnessed(sig *classSig, live []bool, skip []int32, F []int, i int32) bool {
+func (t *edgeTables) witnessed(sig *classSig, live topo.EdgeSet, skip []int32, F []int, i int32) bool {
 	e := t.edges[i]
 	skipped := func(j int32) bool { _, ok := slices.BinarySearch(skip, j); return ok }
 	has := func(from, to topo.NodeID, in bool) bool {
@@ -506,7 +507,7 @@ func (t *edgeTables) witnessed(sig *classSig, live []bool, skip []int32, F []int
 			if in {
 				j = t.rev[o] // o is (from, w), j is (w, from)
 			}
-			if j != i && live[j] && F[t.edges[o].V] == F[to] && !skipped(j) && t.edgeEq(sig, sig, j, i) {
+			if j != i && live.Has(int(j)) && F[t.edges[o].V] == F[to] && !skipped(j) && t.edgeEq(sig, sig, j, i) {
 				return true
 			}
 		}
@@ -536,7 +537,7 @@ func (ad *adoption) repEdgesSurvive(abs *core.Abstraction) bool {
 // transport seeds (their colour keys are left uncomputed to keep Apply
 // fast), so they are evictable like any other entry — an evicted
 // adoption recompresses on its next query.
-func (ad *adoption) install(cls ec.Class, sig *classSig, abs *core.Abstraction, live []bool, prefs []int, out outcome) outcome {
+func (ad *adoption) install(cls ec.Class, sig *classSig, abs *core.Abstraction, live topo.EdgeSet, prefs []int, out outcome) outcome {
 	if faultinject.Active() {
 		// The store.install seam lets tests shrink the budget (forcing
 		// evictions) or panic mid-install while an apply is writing entries.

@@ -374,15 +374,10 @@ func (b *Builder) destOf(cls ec.Class) (topo.NodeID, error) {
 	return dest, nil
 }
 
-// edgeMask is a set of edges as a vector aligned with G.Edges(); nil is the
-// empty set, so the common "no static applies" case allocates nothing.
-type edgeMask []bool
-
-func (m edgeMask) has(i int) bool { return m != nil && m[i] }
-
 // staticMask returns the directed edges (u, v) on which u has a static
 // route applicable to the class: its prefix covers the class prefix (equal
-// or shorter, so the class's addresses fall under it) and points via v.
+// or shorter, so the class's addresses fall under it) and points via v. It
+// is nil when none applies, so the common case allocates nothing.
 //
 // Limitation: the class partition (internal/ec) splits the address space on
 // originated prefixes only, so a static route strictly finer than its class
@@ -390,14 +385,14 @@ func (m edgeMask) has(i int) bool { return m != nil && m[i] }
 // rather than modelled per sub-range. Configurations from the generators
 // never contain such statics (theirs are exact originated prefixes or
 // defaults); hand-written ones that do will see those statics ignored.
-func (b *Builder) staticMask(cls ec.Class) edgeMask {
-	var mask edgeMask
+func (b *Builder) staticMask(cls ec.Class) topo.EdgeSet {
+	var mask topo.EdgeSet
 	for _, s := range b.statics {
 		if staticCovers(s.prefix, cls.Prefix) {
 			if mask == nil {
-				mask = make(edgeMask, len(b.tab.edges))
+				mask = topo.NewEdgeSet(len(b.tab.edges))
 			}
-			mask[s.edge] = true
+			mask.Set(int(s.edge))
 		}
 	}
 	return mask

@@ -103,9 +103,9 @@ type absEntry struct {
 
 	fp    string
 	sig   *classSig
-	live  []bool // per edge index, aligned with Builder.G.Edges()
-	prefs []int  // per node
-	done  bool   // set under store.mu once abs/err are final
+	live  topo.EdgeSet // the class's live edges of Builder.G
+	prefs []int        // per node
+	done  bool         // set under store.mu once abs/err are final
 	out   outcome
 
 	// Bounded-store bookkeeping (store.go), guarded by store.mu. The flags
@@ -309,9 +309,9 @@ func (b *Builder) CompressFresh(ctx context.Context, comp *policy.Compiler, cls 
 }
 
 // compressFresh is CompressFresh, filling in what a store entry keeps: the
-// abstraction, the liveness vector refinement ran against (aligned with
-// G.Edges(); the adjacency's, so entries that shared an adjacency share it
-// too, and nothing writes it), the prefs vector and the outcome. e.sig is the
+// abstraction, the liveness set refinement ran against (the adjacency's, so
+// entries that shared an adjacency share it too, and nothing writes it), the
+// prefs vector and the outcome. e.sig is the
 // class's signature on CompressTagged's fresh-miss branch and nil from
 // CompressFresh (see freshAdjacency).
 func (b *Builder) compressFresh(ctx context.Context, comp *policy.Compiler, cls ec.Class, e *absEntry) error {

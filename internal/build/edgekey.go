@@ -190,7 +190,7 @@ func (b *Builder) EdgeKeyFunc(comp *policy.Compiler, cls ec.Class) func(u, v top
 			k.OSPFCost = int(c)
 			k.OSPFCross = t.ospfCross[i]
 		}
-		k.Static = statics.has(i)
+		k.Static = statics.Has(i)
 		return k
 	}
 }
@@ -242,7 +242,7 @@ func (b *Builder) EdgeKeyVec(comp *policy.Compiler, cls ec.Class) []core.EdgeKey
 			k.OSPFCross = t.ospfCross[i]
 		}
 		k.ACLPermit = t.recs[i].acl < 0 || aclV[t.recs[i].acl]
-		k.Static = statics.has(i)
+		k.Static = statics.Has(i)
 	}
 	return keys
 }

@@ -129,7 +129,7 @@ func TestErasedContentCompilesEqual(t *testing.T) {
 					continue
 				}
 				r := &tab.recs[i]
-				l := label{content: r.content, exp: -1, imp: -1, onStatic: s.statics.has(int(i))}
+				l := label{content: r.content, exp: -1, imp: -1, onStatic: s.statics.Has(int(i))}
 				if rm := r.expRM; rm >= 0 {
 					l.exp = s.fpIDs[rm]
 				}

@@ -159,7 +159,17 @@ func (b *Builder) protocol(cls ec.Class, g *topo.Graph, dest topo.NodeID, of []i
 			return false
 		}
 	}
-	statics := gather([]bool(b.staticMask(cls)), of)
+	var statics []bool // per edge k: a static rides it; nil when none does
+	if mask := b.staticMask(cls); mask != nil {
+		statics = make([]bool, n)
+		for k := range statics {
+			i := k
+			if of != nil {
+				i = int(of[k])
+			}
+			statics[k] = mask.Has(i)
+		}
+	}
 	return &protocols.Multi{
 		BGP:        &protocols.BGP{Export: exp, Import: imp, IBGP: ibgp},
 		OSPF:       &protocols.OSPF{Cost: cost, CrossArea: gather(tab.ospfCross, of)},

@@ -57,9 +57,11 @@ func TestFreshAbstractionsPairwiseMinimal(t *testing.T) {
 				t.Fatal(err)
 			}
 			keys := b.EdgeKeyVec(comp, cls)
-			live := make([]bool, len(keys))
+			live := topo.NewEdgeSet(len(keys))
 			for i, k := range keys {
-				live[i] = !k.Dead()
+				if !k.Dead() {
+					live.Set(i)
+				}
 			}
 			edgeKey := func(u, v topo.NodeID) core.EdgeKey {
 				if i, ok := b.G.EdgeIndex(u, v); ok {

@@ -117,29 +117,34 @@ func (d *relDec) str() string {
 	return s
 }
 
-func (d *relDec) bits() []bool {
+// bits reads an edge set written by appendBits and the count of edges it
+// ranges over. A bit the last byte carries past the count reads as absent.
+func (d *relDec) bits() (topo.EdgeSet, int) {
 	v := d.uv()
 	if d.err != nil {
-		return nil
+		return nil, 0
 	}
 	// Bitsets pack 8 elements per byte, so the generic count() bound (one
 	// byte per element) is 8x too strict here; bound against bits remaining.
 	if v > uint64(len(d.b)-d.off)*8 {
 		d.fail("implausible bitset length %d at offset %d", v, d.off)
-		return nil
+		return nil, 0
 	}
 	n := int(v)
 	nb := (n + 7) / 8
 	if d.off+nb > len(d.b) {
 		d.fail("truncated bitset at offset %d", d.off)
-		return nil
+		return nil, 0
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.b[d.off+i/8]&(1<<(i%8)) != 0
+	s := topo.NewEdgeSet(n)
+	for j, c := range d.b[d.off : d.off+nb] {
+		s[j/8] |= uint64(c) << (8 * (j % 8))
+	}
+	if r := n % 64; r != 0 {
+		s[len(s)-1] &= 1<<r - 1
 	}
 	d.off += nb
-	return out
+	return s, n
 }
 
 func appendStr(b []byte, s string) []byte {
@@ -154,20 +159,12 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-func appendBits(b []byte, bs []bool) []byte {
-	b = binary.AppendUvarint(b, uint64(len(bs)))
-	var cur byte
-	for i, v := range bs {
-		if v {
-			cur |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			b = append(b, cur)
-			cur = 0
-		}
-	}
-	if len(bs)%8 != 0 {
-		b = append(b, cur)
+// appendBits writes s, a set over n edges, as n and then its bits, LSB
+// first, in (n+7)/8 bytes.
+func appendBits(b []byte, s topo.EdgeSet, n int) []byte {
+	b = binary.AppendUvarint(b, uint64(n))
+	for j := range (n + 7) / 8 {
+		b = append(b, byte(s[j/8]>>(8*(j%8))))
 	}
 	return b
 }
@@ -218,7 +215,7 @@ func (b *Builder) encodeRelationStore() []byte {
 	p = binary.AppendUvarint(p, uint64(b.G.NumNodes()))
 	p = binary.AppendUvarint(p, uint64(len(b.G.Edges())))
 	for _, e := range entries {
-		p = appendEntry(p, e, prefixOf[e.fp])
+		p = appendEntry(p, e, prefixOf[e.fp], len(b.G.Edges()))
 	}
 	return frame.Encode(relStoreMagic, relStoreEnd, uint64(len(entries)), p)
 }
@@ -227,7 +224,7 @@ func (b *Builder) encodeRelationStore() []byte {
 // member prefix, not their fingerprint: fingerprints embed intern IDs
 // assigned in arrival order, so only the prefix re-derives the same identity
 // in another process.
-func appendEntry(p []byte, e *absEntry, prefix string) []byte {
+func appendEntry(p []byte, e *absEntry, prefix string, edges int) []byte {
 	a := e.abs
 	p = appendStr(p, prefix)
 	p = appendBool(p, e.pinned)
@@ -235,8 +232,8 @@ func appendEntry(p []byte, e *absEntry, prefix string) []byte {
 	for _, v := range e.prefs {
 		p = binary.AppendUvarint(p, uint64(v))
 	}
-	// The entry's live vector is the one aligned with this Builder's edges.
-	p = appendBits(p, e.live)
+	// The entry's live set is one over this Builder's edges.
+	p = appendBits(p, e.live, edges)
 
 	p = binary.AppendUvarint(p, uint64(a.Dest))
 	p = binary.AppendUvarint(p, uint64(a.AbsDest))
@@ -313,7 +310,7 @@ type stagedClass struct {
 	prefix string
 	pinned bool
 	prefs  []int
-	live   []bool
+	live   topo.EdgeSet
 	abs    *core.Abstraction
 	sig    *classSig
 }
@@ -432,7 +429,8 @@ func (b *Builder) decodeEntry(d *relDec) (*stagedClass, error) {
 	for i := range sc.prefs {
 		sc.prefs[i] = int(d.uv())
 	}
-	sc.live = d.bits()
+	var nLive int
+	sc.live, nLive = d.bits()
 
 	a := &core.Abstraction{}
 	a.Dest = topo.NodeID(d.uv())
@@ -516,7 +514,7 @@ func (b *Builder) decodeEntry(d *relDec) (*stagedClass, error) {
 	}
 
 	// Cross-field validation against this network's shape.
-	if len(sc.prefs) != numNodes || len(sc.live) != numEdges || len(a.F) != numNodes {
+	if len(sc.prefs) != numNodes || nLive != numEdges || len(a.F) != numNodes {
 		return nil, fmt.Errorf("build: relation store: class %q: vector length mismatch", sc.prefix)
 	}
 	if int(a.Dest) >= numNodes || int(a.AbsDest) >= nAbs {

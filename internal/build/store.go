@@ -236,12 +236,12 @@ func (b *Builder) SetAbstractionBudget(bytes int64) {
 
 // entryBytes estimates the retained footprint of a completed entry: the
 // abstraction's partition vectors and abstract graph plus the cached
-// liveness/preference/signature vectors. It deliberately ignores memory
-// shared with the Builder (the concrete topology, interned strings): the
-// store's job is to bound what *retention of entries* adds. Fresh entries of
-// one policy share one liveness vector (their adjacency's, dedup.go), and
-// each of them is charged for it: that over-estimates and never
-// under-counts.
+// liveness set (one bit per edge), preference and signature vectors. It
+// deliberately ignores memory shared with the Builder (the concrete
+// topology, interned strings): the store's job is to bound what *retention
+// of entries* adds. Fresh entries of one policy share one liveness set
+// (their adjacency's, dedup.go), and each of them is charged for it: that
+// over-estimates and never under-counts.
 func entryBytes(e *absEntry) int64 {
 	const (
 		word  = 8
@@ -249,14 +249,14 @@ func entryBytes(e *absEntry) int64 {
 	)
 	n := int64(160) // entry struct + LRU links + channel
 	n += int64(len(e.fp))
-	n += slice + int64(cap(e.live))
+	n += slice + word*int64(cap(e.live))
 	n += slice + word*int64(cap(e.prefs))
 	if s := e.sig; s != nil {
 		n += 96 // the struct; its fp is the string e.fp, charged above
 		n += slice + int64(cap(s.origin))
 		n += slice + 4*int64(cap(s.fpIDs))
 		n += slice + int64(cap(s.aclV))
-		n += slice + int64(cap(s.statics))
+		n += slice + word*int64(cap(s.statics))
 		n += slice + word*int64(cap(s.col)) // a pinned seed's colours
 	}
 	if o := e.orbit; o != nil {

@@ -198,9 +198,10 @@ func TestAdoptionAcrossRenamedRouterCountsVanishedPrefixes(t *testing.T) {
 	}
 }
 
-// TestStoreChargesStaticMaskAsSlice: a class's static mask is a []bool over
-// G.Edges(), so an entry that has one may cost at most |E| bytes plus a slice
-// header more than the same entry without it. Eviction under a budget is only
+// TestStoreChargesStaticMaskAsSlice: a class's static mask is a topo.EdgeSet,
+// one bit per edge, so an entry that has one may cost at most |E|/8 bytes,
+// rounded up to words, plus a slice header more than the same entry without
+// it. Eviction under a budget is only
 // as good as this figure; priced as a map it was half the store on the
 // operational networks.
 func TestStoreChargesStaticMaskAsSlice(t *testing.T) {
@@ -221,7 +222,7 @@ func TestStoreChargesStaticMaskAsSlice(t *testing.T) {
 		sig := *e.sig
 		sig.statics = nil
 		bare.sig = &sig
-		extra, limit := entryBytes(e)-entryBytes(&bare), int64(b.G.NumEdges())+24
+		extra, limit := entryBytes(e)-entryBytes(&bare), int64(8*((b.G.NumEdges()+63)/64))+24
 		if extra <= 0 || extra > limit {
 			t.Fatalf("static mask over %d edges charged %d bytes, want 1..%d", b.G.NumEdges(), extra, limit)
 		}
@@ -231,10 +232,10 @@ func TestStoreChargesStaticMaskAsSlice(t *testing.T) {
 }
 
 // TestStoreChargesSharedVectorsOnce: a fresh, a transported and a
-// store-loaded entry each keep one liveness vector, the entry's own (the
+// store-loaded entry each keep one liveness set, the entry's own (the
 // abstraction holds none), and every entry's fingerprint is its signature's
-// string. Each array is charged once: the entry without its vector costs
-// exactly the vector's bytes less, and dropping the signature's fingerprint
+// string. Each array is charged once: the entry without its set costs
+// exactly the set's bytes less, and dropping the signature's fingerprint
 // costs nothing.
 func TestStoreChargesSharedVectorsOnce(t *testing.T) {
 	ctx := context.Background()
@@ -245,13 +246,13 @@ func TestStoreChargesSharedVectorsOnce(t *testing.T) {
 			if e == nil || e.out.prov() != want {
 				continue
 			}
-			if len(e.live) != b.G.NumEdges() {
-				t.Fatalf("%s: liveness vector over %d edges, want %d", tag, len(e.live), b.G.NumEdges())
+			if len(e.live) != (b.G.NumEdges()+63)/64 {
+				t.Fatalf("%s: liveness set of %d words, want one bit for each of %d edges", tag, len(e.live), b.G.NumEdges())
 			}
 			own := *e
 			own.live = nil
-			if got, want := entryBytes(e)-entryBytes(&own), int64(cap(e.live)); got != want {
-				t.Fatalf("%s: the liveness vector adds %d bytes, want %d", tag, got, want)
+			if got, want := entryBytes(e)-entryBytes(&own), 8*int64(cap(e.live)); got != want {
+				t.Fatalf("%s: the liveness set adds %d bytes, want %d", tag, got, want)
 			}
 			sig := *e.sig
 			sig.fp = ""

@@ -89,11 +89,11 @@ type edgeTables struct {
 	// only maps whose relation can differ between classes, and the only ones
 	// a fingerprint records.
 	matchRMs []int32
-	// guarded is the set of edges, one bit each, with an ACL or a map in
-	// matchRMs: with the statics, the only labels that differ between classes
-	// (verifyComposed). A bit per edge, not a list, because every apply's
-	// successor builds one and few of them ever check a composed π.
-	guarded []uint64
+	// guarded is the set of edges with an ACL or a map in matchRMs: with the
+	// statics, the only labels that differ between classes (verifyComposed).
+	// A set, not a list, because every apply's successor builds one and few
+	// of them ever check a composed π.
+	guarded topo.EdgeSet
 	// attrMatch reports that some sigRMs entry matches on something other
 	// than the prefix (a community), so a route's fate can depend on how it
 	// got there.
@@ -298,7 +298,7 @@ func session(ur, vr *config.Router, nu, nv *config.Neighbor) (bgpSession, bool) 
 // vectors and the interned tables: each edge's content label, guarded and
 // lpNodes.
 func (t *edgeTables) derive() {
-	t.guarded = make([]uint64, (len(t.recs)+63)/64)
+	t.guarded = topo.NewEdgeSet(len(t.recs))
 	for i := range t.recs {
 		// The content label packs what transport compares of an edge before
 		// a class is chosen: the session's content (flags and route-map
@@ -316,7 +316,7 @@ func (t *edgeTables) derive() {
 		}
 		r.content = mix64(label + 1) // a bijection: equal words, equal content
 		if r.acl >= 0 || r.expRM >= 0 && len(t.rmLists[r.expRM]) > 0 || r.impRM >= 0 && len(t.rmLists[r.impRM]) > 0 {
-			t.guarded[i/64] |= 1 << (i % 64)
+			t.guarded.Set(i)
 		}
 	}
 

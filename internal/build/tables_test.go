@@ -253,7 +253,7 @@ func TestBuilderTablesMatchReference(t *testing.T) {
 				mask, want := b.staticMask(classes[ci]), refStatics(b, classes[ci])
 				n := 0
 				for i, e := range tab.edges {
-					on := mask != nil && mask[i]
+					on := mask.Has(i)
 					if on != want[e] {
 						t.Fatalf("class %v edge %v: static %v, reference %v", classes[ci].Prefix, e, on, want[e])
 					}

@@ -154,13 +154,13 @@ type classSig struct {
 	fp      string // identity fingerprint (absCache key)
 	pol     int    // fp[pol:] is the policy part: statics | match outcomes | ACL verdicts
 	dest    topo.NodeID
-	origin  []bool   // per node: origin of the class
-	fpIDs   []int32  // per sigRMs: interned match-outcome string for a matchRMs entry, 0 for any other
-	aclV    []bool   // per sigACLs: verdict for the class prefix
-	statics edgeMask // edges an applicable static rides
-	nStatic int      // edges in statics: a π verifyIso accepts maps them onto the other class's
-	key     uint64   // colorKey: the isoIndex bucket, set while the signature is private
-	col     []uint64 // colorKey's per-node colours: findIso's filter, kept by pinned seeds only
+	origin  []bool       // per node: origin of the class
+	fpIDs   []int32      // per sigRMs: interned match-outcome string for a matchRMs entry, 0 for any other
+	aclV    []bool       // per sigACLs: verdict for the class prefix
+	statics topo.EdgeSet // edges an applicable static rides
+	nStatic int          // edges in statics: a π verifyIso accepts maps them onto the other class's
+	key     uint64       // colorKey: the isoIndex bucket, set while the signature is private
+	col     []uint64     // colorKey's per-node colours: findIso's filter, kept by pinned seeds only
 }
 
 // classSignature computes the class's fingerprint and transport tables.
@@ -195,12 +195,10 @@ func (b *Builder) classSignature(cls ec.Class) (*classSig, error) {
 	}
 	fp = append(fp, '|')
 	s.pol = len(fp)
-	for i, on := range s.statics {
-		if on {
-			fp = strconv.AppendInt(fp, int64(i), 10)
-			fp = append(fp, ',')
-			s.nStatic++
-		}
+	for i := range s.statics.All() {
+		fp = strconv.AppendInt(fp, int64(i), 10)
+		fp = append(fp, ',')
+		s.nStatic++
 	}
 	fp = append(fp, '|')
 	// Match-outcome strings per route map, interned in the Builder's table
@@ -267,7 +265,7 @@ func (t *edgeTables) edgeLabel(s *classSig, i int32) uint64 {
 	if a := r.acl; a >= 0 && !s.aclV[a] {
 		w = mix64(w ^ 0x165667b19e3779f9)
 	}
-	if s.statics.has(int(i)) {
+	if s.statics.Has(int(i)) {
 		w = mix64(w ^ 0x27d4eb2f165667c5)
 	}
 	return w
@@ -328,7 +326,7 @@ func (t *edgeTables) edgeEq(sa, sb *classSig, e, f int32) bool {
 	if aclA != aclB {
 		return false
 	}
-	return sa.statics.has(int(e)) == sb.statics.has(int(f))
+	return sa.statics.Has(int(e)) == sb.statics.Has(int(f))
 }
 
 // colorRounds bounds the colour refinement behind the colour key. Three
@@ -358,7 +356,7 @@ func (b *Builder) colorKey(sc *isoScratch, s *classSig) (key uint64, col []uint6
 	el := sc.el
 	for i, r := range t.recs {
 		el[i] = r.content
-		if r.expRM&r.impRM&r.acl >= 0 || s.statics.has(i) { // a route map, an ACL or a static
+		if r.expRM&r.impRM&r.acl >= 0 || s.statics.Has(i) { // a route map, an ACL or a static
 			el[i] = t.edgeLabel(s, int32(i))
 		}
 	}
@@ -551,24 +549,21 @@ func (b *Builder) verifyComposed(sc *isoScratch, o *orbit, sa, sb *classSig) (pi
 	if epi, ok = b.sweepIso(sc, sa, sb, pi); !ok {
 		return nil, nil, false
 	}
-	for i, on := range sa.statics {
-		if on && !sb.statics.has(int(epi[i])) {
+	for i := range sa.statics.All() {
+		if !sb.statics.Has(int(epi[i])) {
 			return nil, nil, false
 		}
 	}
 	denied := 0 // ACLs denying sa less those denying sb
-	for k, w := range t.guarded {
-		for ; w != 0; w &= w - 1 {
-			i := int32(64*k + bits.TrailingZeros64(w))
-			if !t.edgeEq(sa, sb, i, epi[i]) {
-				return nil, nil, false
-			}
-			if a := t.recs[i].acl; a >= 0 && !sa.aclV[a] {
-				denied++
-			}
-			if a := t.recs[i].acl; a >= 0 && !sb.aclV[a] {
-				denied--
-			}
+	for i := range t.guarded.All() {
+		if !t.edgeEq(sa, sb, int32(i), epi[i]) {
+			return nil, nil, false
+		}
+		if a := t.recs[i].acl; a >= 0 && !sa.aclV[a] {
+			denied++
+		}
+		if a := t.recs[i].acl; a >= 0 && !sb.aclV[a] {
+			denied--
 		}
 	}
 	if denied != 0 {
@@ -700,12 +695,12 @@ func (o *orbit) compose(sc *isoScratch, w topo.NodeID) []topo.NodeID {
 // and groups onto groups, so every class transported from the seed has the
 // same counts (AssembleOptions.Targets). It reads the seed's Groups, which
 // Assemble derived from F.
-func (t *edgeTables) seedTargets(abs *core.Abstraction, live []bool) []int32 {
+func (t *edgeTables) seedTargets(abs *core.Abstraction, live topo.EdgeSet) []int32 {
 	cnt, seen := make([]int32, len(abs.Groups)), make([]int32, len(abs.Groups)) // seen[c] == a+1: group a reaches c
 	for a, ms := range abs.Groups {
 		for _, u := range ms {
 			for i, hi := t.out(u); i < hi; i++ {
-				if c := abs.F[t.edges[i].V]; live[i] && seen[c] != int32(a+1) {
+				if c := abs.F[t.edges[i].V]; live.Has(int(i)) && seen[c] != int32(a+1) {
 					seen[c], cnt[a] = int32(a+1), cnt[a]+1
 				}
 			}
@@ -718,13 +713,13 @@ func (t *edgeTables) seedTargets(abs *core.Abstraction, live []bool) []int32 {
 // mapping its partition, prefs and liveness through π — liveness through the
 // edge permutation verifyIso returned — and re-running the canonical
 // assembly, which stops scanning a group at the seed's count of targets for
-// it. It returns the abstraction with the mapped live-edge vector (aligned
-// with b.G.Edges()) and prefs vector, which let the entry survive an
+// it. It returns the abstraction with the mapped live-edge set and prefs
+// vector, which let the entry survive an
 // incremental update (adopt.go) without a policy re-scan. The result is
 // exactly what CompressFresh would return for the class, because every phase
 // before assembly commutes with π and the cached entry is gated on
 // ColorSplits == 0.
-func (b *Builder) transportAbs(sc *isoScratch, cand *absEntry, sig *classSig, pi []topo.NodeID, epi []int32) (*core.Abstraction, []bool, []int) {
+func (b *Builder) transportAbs(sc *isoScratch, cand *absEntry, sig *classSig, pi []topo.NodeID, epi []int32) (*core.Abstraction, topo.EdgeSet, []int) {
 	A := cand.abs
 	sc.groupOf = fit(sc.groupOf, len(pi))
 	groupOf := sc.groupOf
@@ -733,10 +728,7 @@ func (b *Builder) transportAbs(sc *isoScratch, cand *absEntry, sig *classSig, pi
 		groupOf[w] = A.F[u]
 		prefs[w] = cand.prefs[u]
 	}
-	live := make([]bool, len(epi))
-	for i, f := range epi {
-		live[f] = cand.live[i]
-	}
+	live := cand.live.Permute(epi)
 	abs := core.Assemble(b.G, sig.dest, groupOf, core.AssembleOptions{
 		Mode:        b.mode(),
 		Prefs:       func(u topo.NodeID) int { return prefs[u] },

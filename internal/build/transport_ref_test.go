@@ -179,7 +179,7 @@ func TestOrbitCountsPerFamily(t *testing.T) {
 // every orbit family, each transported class's abstraction equals
 // core.Assemble of the same partition, prefs and liveness with no counts
 // (Succ order included), and each seed's counts equal a recount from its own
-// partition and live vector.
+// partition and live set.
 func TestTransportAssemblyStopsExactly(t *testing.T) {
 	for _, tc := range orbitFamilies() {
 		b, err := New(tc.net)
@@ -198,7 +198,7 @@ func TestTransportAssemblyStopsExactly(t *testing.T) {
 				want := make([]int32, len(e.abs.Groups))
 				seen := make(map[[2]int]bool)
 				for i, ed := range b.G.Edges() {
-					if pair := [2]int{e.abs.F[ed.U], e.abs.F[ed.V]}; e.live[i] && !seen[pair] {
+					if pair := [2]int{e.abs.F[ed.U], e.abs.F[ed.V]}; e.live.Has(i) && !seen[pair] {
 						seen[pair] = true
 						want[pair[0]]++
 					}

@@ -138,9 +138,9 @@ func TestVerifyIsoRefusesWrongPermutations(t *testing.T) {
 			// missing: a static route appears on it, or leaves it.
 			for f := range b.G.Edges() {
 				relabelled := *sb
-				relabelled.statics = make(edgeMask, b.G.NumEdges())
+				relabelled.statics = topo.NewEdgeSet(b.G.NumEdges())
 				copy(relabelled.statics, sb.statics)
-				relabelled.statics[f] = !relabelled.statics[f]
+				relabelled.statics[f/64] ^= 1 << (f % 64)
 				refused("edge label changed", &relabelled, pi)
 			}
 		})
@@ -149,13 +149,14 @@ func TestVerifyIsoRefusesWrongPermutations(t *testing.T) {
 
 // TestTransportBytes is a ceiling on what one symmetry transport allocates,
 // in bytes per directed edge: on Fattree(12) (1 728 edges) every class after
-// the first is transported, 7.4 × |E| bytes each since the sweep's tables,
-// its edge permutation, the label buffer, the search vectors, the composed π
-// and the mapped partition are the compiler's scratch (8.1 while compose
-// cloned π; 16.0 before, when 57 of the 71
+// the first is transported, 6.5 × |E| bytes each since the mapped liveness
+// is one bit per edge and the sweep's tables, its edge permutation, the
+// label buffer, the search vectors, the composed π and the mapped partition
+// are the compiler's scratch (7.4 while the liveness was one bool per edge;
+// 8.1 while compose cloned π; 16.0 before, when 57 of the 71
 // orbit hits already built no label vector, colours or search tables; 27.0
 // when every transport searched; 50.3 while core.Assemble still sorted one
-// 24-byte record per live edge). The ceiling leaves 15 % above 8.1: an
+// 24-byte record per live edge). The ceiling leaves 25 % above 6.5: an
 // edge index per edge (4 × |E|) allocated per transport, in the sweep or
 // anywhere else, fails here by name.
 func TestTransportBytes(t *testing.T) {
@@ -181,7 +182,7 @@ func TestTransportBytes(t *testing.T) {
 	if got := b.AbstractionCacheStats().Transported; got != int64(rest) {
 		t.Fatalf("%d of %d classes transported", got, rest)
 	}
-	const ceiling = 9.3 // bytes per directed edge per transport
+	const ceiling = 8.1 // bytes per directed edge per transport
 	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(rest) / float64(b.G.NumEdges())
 	t.Logf("one transport allocates %.1f × |E| bytes (|E| = %d)", perEdge, b.G.NumEdges())
 	if perEdge > ceiling {
@@ -380,7 +381,7 @@ func TestComposedCheckAgreesWithVerifyIso(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := len(slices.DeleteFunc(slices.Clone(sig.statics), func(on bool) bool { return !on })); sig.nStatic != n {
+			if n := len(slices.Collect(sig.statics.All())); sig.nStatic != n {
 				t.Fatalf("%s %s: nStatic %d, statics mask holds %d", tc.name, cls.Prefix, sig.nStatic, n)
 			}
 			var first *absEntry // the first seed whose composed π verifies

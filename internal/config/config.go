@@ -22,7 +22,12 @@ import (
 type Network struct {
 	Name    string
 	Routers map[string]*Router
-	Links   []Link
+	// Links may be appended to, have a record's Down flag set in place, or
+	// be replaced by a slice over another array (slices.Delete on a clone,
+	// say); the records it holds are not rewritten or moved in place, which
+	// the link index (FindLink) relies on.
+	Links []Link
+	links *linkIndex
 }
 
 // Link is an undirected connection between two routers. Count models
@@ -93,7 +98,7 @@ type StaticRoute struct {
 
 // New returns an empty network.
 func New(name string) *Network {
-	return &Network{Name: name, Routers: make(map[string]*Router)}
+	return &Network{Name: name, Routers: make(map[string]*Router), links: new(linkIndex)}
 }
 
 // AddRouter creates (or returns) the named router.
@@ -111,16 +116,11 @@ func (n *Network) AddLink(a, b string) {
 	n.AddLinkN(a, b, 1)
 }
 
-// AddLinkN connects two routers with count parallel virtual interfaces. It
-// scans Links for the pair, O(links) per call: meant for hand-built networks
-// (Parse keeps its own index).
+// AddLinkN connects two routers with count parallel virtual interfaces
+// (idempotent on the unordered pair). It finds the pair through the link
+// index, as FindLink does.
 func (n *Network) AddLinkN(a, b string, count int) {
-	for _, l := range n.Links {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return
-		}
-	}
-	n.Links = append(n.Links, Link{A: a, B: b, Count: count})
+	n.link(a, b, count)
 }
 
 // RouterNames returns all router names sorted.
@@ -147,15 +147,14 @@ func (n *Network) NumInterfaces() int {
 	return total
 }
 
-// FindLink returns the index in Links of the link joining a and b (in either
-// order), or -1 when none exists. O(links): it scans.
+// FindLink returns the index in Links of the first link joining a and b (in
+// either order), or -1 when none exists. It reads the network's link index,
+// which indexes only the records appended since its last use.
 func (n *Network) FindLink(a, b string) int {
-	for i, l := range n.Links {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			return i
-		}
-	}
-	return -1
+	x := n.index()
+	defer x.mu.Unlock()
+	i, _ := x.lookup(a, b, false)
+	return i
 }
 
 // Clone returns a structurally independent copy of the network: routers,
@@ -176,9 +175,12 @@ func (n *Network) Clone() *Network {
 // cheap successor for a writer that edits a few routers. The copy-on-write
 // rule is the one CloneEnv applies one level down — replace a router with
 // its Clone before the first edit, never write through a shared one. Link
-// records are copied, so link state may be edited in place.
+// records are copied, so link state may be edited in place. The copy reads
+// n's link index for the records n had and indexes its own from there.
 func (n *Network) Fork() *Network {
-	return &Network{Name: n.Name, Routers: maps.Clone(n.Routers), Links: slices.Clone(n.Links)}
+	f := &Network{Name: n.Name, Routers: maps.Clone(n.Routers), Links: slices.Clone(n.Links)}
+	f.links = n.links.fork(n.Links, f.Links)
+	return f
 }
 
 // Clone returns a copy of the router with fresh slices and maps. The policy

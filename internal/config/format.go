@@ -43,7 +43,6 @@ func Parse(r io.Reader) (*Network, error) {
 	var cur *Router
 	var curClause *policy.Clause
 	var curMap string
-	links := linkIndex{ids: make(map[string]uint32), at: make(map[uint64]int32)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	lineNo := 0
@@ -85,15 +84,9 @@ func Parse(r io.Reader) (*Network, error) {
 				}
 				count = c
 			}
-			// As AddLinkN then FindLink: the first line of an unordered pair
-			// is the link, a repeated line's "down" marks that first one.
-			key := links.pair(f[1], f[2])
-			at, seen := links.at[key]
-			if !seen {
-				at = int32(len(net.Links))
-				links.at[key] = at
-				net.Links = append(net.Links, Link{A: f[1], B: f[2], Count: count})
-			}
+			// The first line of an unordered pair is the link, a repeated
+			// line's "down" marks that first one.
+			at := net.link(f[1], f[2], count)
 			if down {
 				net.Links[at].Down = true
 			}
@@ -299,34 +292,6 @@ func Parse(r io.Reader) (*Network, error) {
 		return nil, err
 	}
 	return net, nil
-}
-
-// linkIndex finds the position in Links of the link joining two routers
-// without scanning Links, which AddLinkN and FindLink do: through them a file
-// of L link lines cost L²/2 string-pair comparisons. It lives for one Parse.
-// Names are numbered as link lines first mention them so that an unordered
-// pair is one word, a third of the map a [2]string key would build.
-type linkIndex struct {
-	ids map[string]uint32
-	at  map[uint64]int32
-}
-
-func (x *linkIndex) id(name string) uint32 {
-	id, ok := x.ids[name]
-	if !ok {
-		id = uint32(len(x.ids))
-		x.ids[name] = id
-	}
-	return id
-}
-
-// pair keys the unordered pair {a, b}.
-func (x *linkIndex) pair(a, b string) uint64 {
-	lo, hi := x.id(a), x.id(b)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return uint64(lo)<<32 | uint64(hi)
 }
 
 // ParseString parses a Network from a string.

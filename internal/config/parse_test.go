@@ -9,10 +9,10 @@ import (
 	"bonsai/internal/netgen"
 )
 
-// TestParseRepeatedLinkLines pins what the parser's link index must keep of
-// AddLinkN and FindLink, which it replaced on the parse path: the first line
-// of an unordered pair is the link (its orientation, its multiplicity), and
-// "down" on any later line of the pair marks that first link.
+// TestParseRepeatedLinkLines pins that a file's link lines read as AddLinkN
+// and FindLink would make them: the first line of an unordered pair is the
+// link (its orientation, its multiplicity), and "down" on any later line of
+// the pair marks that first link.
 func TestParseRepeatedLinkLines(t *testing.T) {
 	const text = `
 router a
@@ -31,7 +31,7 @@ link a b
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same lines through the scanning functions hand-built networks use.
+	// The same lines through the functions hand-built networks use.
 	ref := config.New("")
 	for _, l := range []struct {
 		a, b  string

@@ -131,8 +131,10 @@ func colorReference(a *refAdjacency, members []int) [][]int {
 func AdjacencyMatchesReference(g *topo.Graph, dest topo.NodeID, opt Options) (int, error) {
 	adj := buildAdjacency(g, opt.EdgeKeys, opt.EdgeKey)
 	ref, refLive := buildAdjacencyReference(g, opt.EdgeKeys, opt.EdgeKey)
-	if !slices.Equal(adj.live, refLive) {
-		return 0, fmt.Errorf("liveness differs from the reference")
+	for i, l := range refLive {
+		if adj.live.Has(i) != l {
+			return 0, fmt.Errorf("edge %d: liveness differs from the reference", i)
+		}
 	}
 	for u := range ref.out {
 		if !slices.Equal(adj.out[u], ref.out[u]) || !slices.Equal(adj.in[u], ref.in[u]) {

@@ -136,7 +136,7 @@ func assembleReference(g *topo.Graph, dest topo.NodeID, groupOf []int, opt core.
 	}
 	prs := make([]pairRep, 0, len(edges))
 	for i, e := range edges {
-		if !live[i] {
+		if !live.Has(i) {
 			continue
 		}
 		prs = append(prs, pairRep{uint64(uint32(idx[e.U]))<<32 | uint64(uint32(idx[e.V])), e})
@@ -205,11 +205,11 @@ func requireSameAssembly(t *testing.T, tag string, got, want *core.Abstraction) 
 // targetCounts is, per group id of groupOf, how many distinct groups the
 // live edges of its members reach, itself included: the exact counts
 // AssembleOptions.Targets takes.
-func targetCounts(g *topo.Graph, groupOf []int, live []bool) []int32 {
+func targetCounts(g *topo.Graph, groupOf []int, live topo.EdgeSet) []int32 {
 	counts := make([]int32, slices.Max(groupOf)+1)
 	seen := make(map[[2]int]bool)
 	for i, e := range g.Edges() {
-		if pair := [2]int{groupOf[e.U], groupOf[e.V]}; live[i] && !seen[pair] {
+		if pair := [2]int{groupOf[e.U], groupOf[e.V]}; live.Has(i) && !seen[pair] {
 			seen[pair] = true
 			counts[pair[0]]++
 		}
@@ -246,9 +246,11 @@ func TestAssembleMatchesReference(t *testing.T) {
 		for u := range groupOf {
 			groupOf[u] = 2 * rng.Intn(ngroups)
 		}
-		live := make([]bool, g.NumEdges())
-		for i := range live {
-			live[i] = rng.Intn(4) != 0
+		live := topo.NewEdgeSet(g.NumEdges())
+		for i := range g.NumEdges() {
+			if rng.Intn(4) != 0 {
+				live.Set(i)
+			}
 		}
 		prefs := make([]int, n)
 		for i := range prefs {
@@ -304,9 +306,11 @@ func TestAssembleMatchesReference(t *testing.T) {
 			abs := core.FindAbstraction(bd.G, dest, core.Options{
 				Mode: mode, EdgeKeys: keys, Prefs: bd.PrefsFunc(cls),
 			})
-			live := make([]bool, len(keys))
+			live := topo.NewEdgeSet(len(keys))
 			for i, k := range keys {
-				live[i] = !k.Dead()
+				if !k.Dead() {
+					live.Set(i)
+				}
 			}
 			opt := core.AssembleOptions{
 				Mode: mode, Prefs: bd.PrefsFunc(cls), LiveEdges: live,

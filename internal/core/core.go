@@ -434,9 +434,9 @@ type AssembleOptions struct {
 	Mode Mode
 	// Prefs returns |prefs(u)| (≥ 1); nil means 1.
 	Prefs func(u topo.NodeID) int
-	// LiveEdges reports, aligned with g.Edges(), whether each directed
-	// concrete edge can carry the destination (the negation of EdgeKey.Dead).
-	LiveEdges []bool
+	// LiveEdges holds the directed concrete edges that can carry the
+	// destination (the negation of EdgeKey.Dead).
+	LiveEdges topo.EdgeSet
 	// Iterations and ColorSplits are recorded on the result.
 	Iterations  int
 	ColorSplits int
@@ -577,7 +577,7 @@ func Assemble(g *topo.Graph, dest topo.NodeID, groupOf []int, opt AssembleOption
 		for _, u := range ms {
 			lo, hi := g.OutEdges(u)
 			for i := lo; i < hi; i++ {
-				if b := idx[edges[i].V]; live[i] && reached[b] != a+1 {
+				if b := idx[edges[i].V]; live.Has(i) && reached[b] != a+1 {
 					reached[b] = a + 1
 					targets = append(targets, target{b, edges[i]})
 					if opt.Targets != nil && int32(len(targets)) == opt.Targets[groupOf[ms[0]]] {
@@ -610,15 +610,15 @@ type liveEdge struct {
 }
 
 // Adjacency is one destination class's live adjacency: per node, the live
-// out- and in-edges with their policy tokens, and the liveness vector
-// aligned with g.Edges(). Refinement signatures, worklist propagation, the
+// out- and in-edges with their policy tokens, and the set of live edges.
+// Refinement signatures, worklist propagation, the
 // self-loop-freedom coloring and the final Assemble all read it, and none
 // writes it, so it is read-only once built. It is a function of the class's
 // edge keys alone: classes whose keys are equal have equal adjacencies.
 type Adjacency struct {
 	out  [][]liveEdge
 	in   [][]liveEdge
-	live []bool
+	live topo.EdgeSet
 }
 
 // NewAdjacency builds the live adjacency of the class whose edge keys, aligned
@@ -627,9 +627,9 @@ func NewAdjacency(g *topo.Graph, keys []EdgeKey) *Adjacency {
 	return buildAdjacency(g, keys, nil)
 }
 
-// Live returns the liveness vector aligned with g.Edges() (the negation of
-// EdgeKey.Dead). It is the Adjacency's own; callers must not modify it.
-func (a *Adjacency) Live() []bool { return a.live }
+// Live returns the set of live edges (the negation of EdgeKey.Dead). It is
+// the Adjacency's own; callers must not modify it.
+func (a *Adjacency) Live() topo.EdgeSet { return a.live }
 
 // buildAdjacency derives each edge's canonical key exactly once — from the
 // keys vector when supplied, else via the callback — and numbers the
@@ -642,7 +642,7 @@ func (a *Adjacency) Live() []bool { return a.live }
 func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID) EdgeKey) *Adjacency {
 	n := g.NumNodes()
 	edges := g.Edges()
-	live := make([]bool, len(edges))
+	live := topo.NewEdgeSet(len(edges))
 	a := &Adjacency{
 		out:  make([][]liveEdge, n),
 		in:   make([][]liveEdge, n),
@@ -664,7 +664,7 @@ func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID
 		if k.Dead() {
 			continue
 		}
-		live[i] = true
+		live.Set(i)
 		nLive++
 		if tok < 0 || k != distinct[tok] {
 			if tok = int32(slices.Index(distinct, k)); tok < 0 {
@@ -687,7 +687,7 @@ func buildAdjacency(g *topo.Graph, keys []EdgeKey, edgeKey func(u, v topo.NodeID
 		io += id
 	}
 	for i, e := range edges {
-		if !live[i] {
+		if !live.Has(i) {
 			continue
 		}
 		a.out[e.U] = append(a.out[e.U], liveEdge{e.V, toks[i]})

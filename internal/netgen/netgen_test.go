@@ -2,6 +2,7 @@ package netgen
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"bonsai/internal/build"
@@ -291,4 +292,19 @@ func TestSpineLeafPreferExternal(t *testing.T) {
 		t.Fatal("PreferExternal left the class with one local preference per router")
 	}
 	compressFirstClass(t, b)
+}
+
+// BenchmarkFattree generates the fat-trees the benchmark and the scale tests
+// build: each AddLink finds its pair through the network's link index, so
+// Fattree(30), 6 750 links, is a few tens of ms, not the 0.4 s a scan of
+// Links per call took.
+func BenchmarkFattree(b *testing.B) {
+	for _, k := range []int{20, 30} {
+		b.Run(fmt.Sprint("k=", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				Fattree(k, PolicyShortestPath)
+			}
+		})
+	}
 }

@@ -120,9 +120,9 @@ func TestDetectsBrokenForallForall(t *testing.T) {
 	g.AddLink(d, y2)
 	g.AddLink(y1, x1)
 	g.AddLink(y2, x2)
-	live := make([]bool, len(g.Edges()))
-	for i := range live {
-		live[i] = true
+	live := topo.NewEdgeSet(len(g.Edges()))
+	for i := range g.Edges() {
+		live.Set(i)
 	}
 	prefs := func(u topo.NodeID) int {
 		if u == x1 || u == x2 {
@@ -157,9 +157,11 @@ func TestDetectsForallForallGapSharedByTheGroup(t *testing.T) {
 		}
 		return uniformKey(u, v)
 	}
-	live := make([]bool, len(g.Edges()))
+	live := topo.NewEdgeSet(len(g.Edges()))
 	for i, e := range g.Edges() {
-		live[i] = !key(e.U, e.V).Dead()
+		if !key(e.U, e.V).Dead() {
+			live.Set(i)
+		}
 	}
 	prefs := func(u topo.NodeID) int {
 		if u == x1 || u == x2 {

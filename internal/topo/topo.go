@@ -225,8 +225,13 @@ func (g *Graph) edgeIndex() *edgeIndex {
 // SpliceIndex builds g's edge index from prev's, for a g over prev's
 // vertices whose out-edges are prev's at every vertex dirty does not mark:
 // those spans are copied from prev's index, and only the dirty vertices'
-// lists are sorted.
+// lists are sorted. With no vertex dirty the two edge lists are one, and g
+// shares prev's index: nothing writes an index once built.
 func (g *Graph) SpliceIndex(prev *Graph, dirty []bool) {
+	if !slices.Contains(dirty, true) {
+		g.idx.Store(prev.edgeIndex())
+		return
+	}
 	g.idx.Store(g.indexFrom(prev.edgeIndex(), dirty))
 }
 

@@ -197,9 +197,9 @@ func brokenFacts(t *testing.T, cfg, prefix string, merge ...string) []string {
 		}
 		groupOf[u] = groupOf[first]
 	}
-	live := make([]bool, b.G.NumEdges())
-	for i := range live {
-		live[i] = true
+	live := topo.NewEdgeSet(b.G.NumEdges())
+	for i := range b.G.NumEdges() {
+		live.Set(i)
 	}
 	broken := core.Assemble(b.G, abs.Dest, groupOf, core.AssembleOptions{Mode: core.ModeEffective, LiveEdges: live})
 	bad, _, _ := compareFacts(t, b, cls, broken)

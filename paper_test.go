@@ -16,6 +16,7 @@ import (
 	"bonsai/internal/netgen"
 	"bonsai/internal/oracle"
 	"bonsai/internal/srp"
+	"bonsai/internal/topo"
 	"bonsai/internal/verify"
 )
 
@@ -100,9 +101,9 @@ func TestPaperNumbers(t *testing.T) {
 		}
 
 		// Figure 3(b): the same partition, one copy per group.
-		live := make([]bool, len(b.G.Edges()))
-		for i := range live {
-			live[i] = true
+		live := topo.NewEdgeSet(len(b.G.Edges()))
+		for i := range b.G.Edges() {
+			live.Set(i)
 		}
 		c.Abs = core.Assemble(b.G, abs.Dest, abs.F, core.AssembleOptions{Mode: core.ModeBGP, LiveEdges: live})
 		if n := c.Abs.NumAbstractNodes(); n != 3 {
